@@ -10,9 +10,9 @@ The normalizer condition at depth n asks for an exponent m with
     adj(L^n) * M * L^m == 0  (mod det(L^n)).
 
 The key facts that make this decidable exactly: the condition is upward
-closed in m (multiply by L), and the power sequence L^m modulo det(L^n)
-is eventually periodic.  So existence is settled by one evaluation inside
-the detected cycle and the least witness by binary search below it.
+closed in m (multiply by L), and it no longer changes from the
+stabilization bound m* = d*n*bitlen|det L| on.  So existence is settled by
+one evaluation at m* and the least witness by binary search below it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     DepthError,
     MissingCertificateError,
     NotExpansionError,
-    SizeGuardError,
 )
 from .intmat import (
     HnfBasis,
@@ -176,39 +175,25 @@ def return_time_check(
 class NcCertificate:
     """Outcome of the depth-n normalizer-condition search.
 
-    m is the least witness exponent, or None when no exponent works; the
-    cycle of L^m mod det(L^n) starts at period_start with the recorded
-    period_length, which is what makes the Absent verdict exact.
+    m is the least witness exponent, or None when no exponent works; bound
+    is the stabilization bound m* = d*n*bitlen|det L|, past which the
+    condition no longer changes, so failing at m* makes Absent exact.
     """
 
     n: int
     m: int | None
-    period_start: int
-    period_length: int
+    bound: int
 
     @property
     def present(self) -> bool:
         return self.m is not None
 
     def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "period_start": self.period_start,
-            "period_length": self.period_length,
-        }
+        return {"n": self.n, "m": self.m, "bound": self.bound}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NcCertificate":
-        return cls(
-            n=payload["n"],
-            m=payload["m"],
-            period_start=payload["period_start"],
-            period_length=payload["period_length"],
-        )
-
-
-_MAX_CYCLE_STEPS = 8_000_000
+        return cls(n=payload["n"], m=payload["m"], bound=payload["bound"])
 
 
 def _mat_mul_mod(a, b, mod, d):
@@ -218,145 +203,28 @@ def _mat_mul_mod(a, b, mod, d):
     )
 
 
-def _mat_mod(m: IntMatrix, mod: int):
-    return tuple(tuple(x % mod for x in r) for r in m.rows)
-
-
 @lru_cache(maxsize=None)
-def _power_cycle(rows: tuple, mod: int) -> tuple[int, int]:
-    """(preperiod, period) of the sequence m -> L^m mod `mod`, by Brent.
-
-    L^m lies in the ring spanned by Id, L, ..., L^{d-1}, so the cycle is
-    tracked through its coordinates in that basis (the Cayley-Hamilton
-    recurrence), which is much cheaper than full matrix states and gives
-    a valid cycle of the power sequence itself.
-    """
-    from .intmat import char_poly
-
-    d = len(rows)
-    coeffs = char_poly(IntMatrix(rows))  # [1, c_{d-1}, ..., c_0]
-    p = [c % mod for c in reversed(coeffs[1:])]  # p[i] multiplies L^i
-
-    if d == 2:
-        p0, p1 = p
-
-        def step(s):
-            a, b = s  # L^m = a*Id + b*L
-            return ((-p0 * b) % mod, (a - p1 * b) % mod)
-
-        start = (1, 0)
-    else:
-
-        def step(s):
-            top = s[d - 1]
-            out = [(-p[0] * top) % mod]
-            for i in range(1, d):
-                out.append((s[i - 1] - p[i] * top) % mod)
-            return tuple(out)
-
-        start = tuple(1 if i == 0 else 0 for i in range(d))
-
-    power = lam = 1
-    tortoise = start
-    hare = step(start)
-    steps = 0
-    while tortoise != hare:
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = step(hare)
-        lam += 1
-        steps += 1
-        if steps > _MAX_CYCLE_STEPS:
-            raise SizeGuardError("power-cycle detection exceeded desk-scale guard")
-    tortoise = hare = start
-    for _ in range(lam):
-        hare = step(hare)
-    mu = 0
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
-        mu += 1
-        if mu > _MAX_CYCLE_STEPS:
-            raise SizeGuardError("power-cycle detection exceeded desk-scale guard")
-    return mu, lam
-
-
-@lru_cache(maxsize=None)
-def _binary_powers(rows: tuple, mod: int, upto_bit: int):
+def _doubling_table(rows: tuple, mod: int, bits: int) -> tuple:
+    """L^(2^k) mod `mod` for k < bits (bits is fixed by rows and mod)."""
     d = len(rows)
     out = [tuple(tuple(x % mod for x in r) for r in rows)]
-    for _ in range(upto_bit):
+    while len(out) < bits:
         out.append(_mat_mul_mod(out[-1], out[-1], mod, d))
     return tuple(out)
 
 
-def _pow_mod(rows: tuple, e: int, mod: int):
-    d = len(rows)
-    acc = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    if e == 0:
-        return acc
-    bits = e.bit_length()
-    table = _binary_powers(rows, mod, bits)
-    k = 0
-    while e:
-        if e & 1:
-            acc = _mat_mul_mod(acc, table[k], mod, d)
-        e >>= 1
-        k += 1
-    return acc
-
-
-def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
-    """Decide the depth-n normalizer condition for an integer matrix M.
-
-    Exact for the fixed n: returns the least witness exponent, or Absent
-    together with the detected cycle of L^m mod det(L^n).
-    """
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
-    if not is_expansion(L):
-        raise NotExpansionError(f"not an expansion matrix: {L}")
-    d = L.dim
-    ln = L**n
-    mod = abs(ln.det())
-    a_rows = (ln.adjugate() * M).rows
-
-    def cond(m: int) -> bool:
-        lm = _pow_mod(L.rows, m, mod)
-        prod = _mat_mul_mod(tuple(tuple(x % mod for x in r) for r in a_rows), lm, mod, d)
-        return all(x == 0 for r in prod for x in r)
-
-    mu, lam = _power_cycle(L.rows, mod)
-    if not cond(mu):
-        return NcCertificate(n=n, m=None, period_start=mu, period_length=lam)
-    lo, hi = 0, mu  # least witness is <= mu since cond is upward closed
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cond(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return NcCertificate(n=n, m=lo, period_start=mu, period_length=lam)
-
-
-def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
-    """Certificates for n = 1..n_max; M passes at depth n_max iff all present."""
-    return [nc_search(L, M, n) for n in range(1, n_max + 1)]
-
-
-def nc_decide(L: IntMatrix, M: IntMatrix, n: int) -> bool:
-    """Exact depth-n verdict without cycle detection.
+def _nc_condition(L: IntMatrix, M: IntMatrix, n: int):
+    """(cond, m*) for the depth-n condition adj(L^n) M L^m == 0 mod det(L^n).
 
     Per prime p dividing det(L), the condition at depth n only depends on
-    the lattice L^m(Z^d) + p^a Z^d (a = v_p(det L^n)), which evolves by a
-    deterministic map on a finite poset and is strictly decreasing until
-    stationary, so it is constant from d*a on.  One evaluation past the
-    bound therefore settles existence.
+    the lattice L^m(Z^d) + p^a Z^d (a = v_p(det L^n) < n*bitlen|det L|),
+    which evolves by a deterministic map on a finite poset and is strictly
+    decreasing until stationary, so it is constant from d*a on.  The
+    condition is also upward closed in m (multiply by L), so it holds for
+    some m iff it holds at m* = d*n*bitlen|det L|.  cond accepts 0 <= m <= m*.
     """
     if n < 1:
-        raise ValueError("depth n must be >= 1")
+        raise DepthError(f"depth n must be >= 1, got {n}")
     if not is_expansion(L):
         raise NotExpansionError(f"not an expansion matrix: {L}")
     d = L.dim
@@ -364,33 +232,60 @@ def nc_decide(L: IntMatrix, M: IntMatrix, n: int) -> bool:
     mod = abs(ln.det())
     a = tuple(tuple(x % mod for x in r) for r in (ln.adjugate() * M).rows)
     m_star = d * n * abs(L.det()).bit_length()
-    prod = _mat_mul_mod(a, _pow_mod(L.rows, m_star, mod), mod, d)
-    return all(x == 0 for r in prod for x in r)
+    table = _doubling_table(L.rows, mod, m_star.bit_length())
+
+    def cond(m: int) -> bool:
+        acc = a
+        for k, power in enumerate(table):
+            if m >> k & 1:
+                acc = _mat_mul_mod(acc, power, mod, d)
+        return not any(x for r in acc for x in r)
+
+    return cond, m_star
+
+
+def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
+    """Decide the depth-n normalizer condition for an integer matrix M.
+
+    Exact for the fixed n: returns the least witness exponent, found by
+    binary search below the stabilization bound m*, or Absent when the
+    condition fails at m*.
+    """
+    cond, m_star = _nc_condition(L, M, n)
+    if not cond(m_star):
+        return NcCertificate(n=n, m=None, bound=m_star)
+    lo, hi = 0, m_star
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cond(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return NcCertificate(n=n, m=lo, bound=m_star)
+
+
+def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
+    """Certificates for n = 1..n_max; M passes at depth n_max iff all present."""
+    if n_max < 1:
+        raise DepthError(f"depth must be >= 1, got {n_max}")
+    return [nc_search(L, M, n) for n in range(1, n_max + 1)]
 
 
 def nc_passes(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> bool:
-    """True iff the condition holds at every depth 1..n_max (lean route)."""
-    return all(nc_decide(L, M, n) for n in range(1, n_max + 1))
+    """True iff the condition holds at every depth 1..n_max."""
+    return all(c.present for c in nc_bounded_check(L, M, n_max))
 
 
 def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bool:
-    """Re-check a certificate from scratch (full-period scan for Absent)."""
-    d = L.dim
-    ln = L**cert.n
-    mod = abs(ln.det())
-    a = _mat_mod(ln.adjugate() * M, mod)
-
-    def cond(m):
-        prod = _mat_mul_mod(a, _pow_mod(L.rows, m, mod), mod, d)
-        return all(x == 0 for r in prod for x in r)
-
-    if cert.present:
-        if not cond(cert.m):
-            return False
-        return cert.m == 0 or not cond(cert.m - 1)
-    return not any(
-        cond(m) for m in range(cert.period_start, cert.period_start + cert.period_length)
-    )
+    """Re-check a certificate from scratch, recomputing the bound m*."""
+    cond, m_star = _nc_condition(L, M, cert.n)
+    if cert.bound != m_star:
+        return False
+    if not cert.present:
+        return not cond(m_star)
+    if not 0 <= cert.m <= m_star or not cond(cert.m):
+        return False
+    return cert.m == 0 or not cond(cert.m - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import odosym
 from odosym.cli import main, run_verify_paper
 from odosym.odometer import NcCertificate
 
@@ -43,6 +45,22 @@ def test_nc_command_and_roundtrip(capsys):
         ["nc", "--base", "3,1;0,5", "--matrix", "0,1;1,0", "--depth", "4"], capsys
     )
     assert code2 == 3 and report2["result"]["passes"] is False
+    # M = 4*Id - L commutes with L, so m(n) = n at every depth
+    code3, report3 = run_cli(
+        ["nc", "--base", "3,1;0,5", "--matrix", "1,-1;0,-1", "--depth", "12"], capsys
+    )
+    assert code3 == 0 and report3["result"]["passes"] is True
+    certs3 = [NcCertificate.from_payload(c) for c in report3["result"]["certificates"]]
+    assert [(c.n, c.m) for c in certs3] == [(n, n) for n in range(1, 13)]
+
+
+def test_nc_depth_below_one_is_usage_error(capsys):
+    for depth in ("0", "-2"):
+        code = main(["nc", "--base", "2,0;0,2", "--matrix", "0,1;1,0", "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "DepthError" in captured.err and "depth must be >= 1" in captured.err
 
 
 def test_nl_command_exit_codes(capsys):
@@ -192,9 +210,13 @@ def test_verify_paper_command_exit(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same odosym as this process, installed or not
+    src = os.path.dirname(os.path.dirname(odosym.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "odosym.cli", "--version"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0

@@ -7,6 +7,7 @@ from odosym.intmat import IntMatrix, parse_matrix
 from odosym.odometer import (
     ChainBase,
     ConstantBase,
+    NcCertificate,
     OdometerPoint,
     add,
     chain_nc_check,
@@ -121,7 +122,7 @@ def test_nc_search_examples():
     assert c2.m == 2
     c3 = nc_search(parse_matrix("3,1;0,5"), SWAP, 1)
     assert c3.m is None
-    assert c3.period_length == 4 and c3.period_start == 1
+    assert c3.bound == 8  # d * n * bitlen|det L| = 2 * 1 * 4
 
 
 def test_nc_certificates_recheck():
@@ -144,18 +145,62 @@ def test_nc_determinism():
     assert a == b
 
 
-def test_nc_decide_matches_certificate_route():
-    # two independent exact decisions: stabilization bound vs cycle scan
-    from odosym.odometer import nc_decide
+def test_nc_certificate_forgeries_rejected():
+    # least witness is 3 and m* = 2 * 3 * bitlen(4) = 18
+    genuine = nc_search(TWO, SWAP, 3)
+    assert (genuine.m, genuine.bound) == (3, 18)
+    forged = [
+        NcCertificate(n=3, m=None, bound=0),
+        NcCertificate(n=3, m=None, bound=18),
+        NcCertificate(n=3, m=4, bound=18),
+        NcCertificate(n=3, m=19, bound=18),
+        NcCertificate(n=3, m=3, bound=19),
+    ]
+    for cert in forged:
+        assert not verify_nc_certificate(TWO, SWAP, cert), cert
 
+
+def test_nc_depth_below_one_rejected():
+    for n in (0, -2):
+        with pytest.raises(DepthError):
+            nc_search(TWO, SWAP, n)
+        with pytest.raises(DepthError):
+            nc_bounded_check(TWO, SWAP, n)
+
+
+def _bruteforce_least_witness(L, M, n):
+    """Least m with adj(L^n) M L^m == 0 mod det(L^n), or None.
+
+    Walks L^m mod det(L^n) until a state repeats; the states seen before
+    the repeat are the preperiod plus one full period, so scanning them
+    decides the condition for every m.
+    """
+    ln = L**n
+    mod = abs(ln.det())
+    a = ln.adjugate() * M
+    seen = {}
+    state = IntMatrix.identity(L.dim)
+    while state.rows not in seen:
+        seen[state.rows] = len(seen)
+        if all(x % mod == 0 for r in (a * state).rows for x in r):
+            return seen[state.rows]
+        state = IntMatrix(tuple(tuple(x % mod for x in r) for r in (state * L).rows))
+    return None
+
+
+def test_nc_search_matches_bruteforce_oracle():
     rng = random.Random(13)
     bases = [TWO, parse_matrix("2,-1;1,3"), parse_matrix("3,1;0,5"), parse_matrix("6,1;0,2")]
+    absent = 0
     for L in bases:
         for _ in range(12):
             M = IntMatrix(((rng.randint(-4, 4), rng.randint(-4, 4)),
                            (rng.randint(-4, 4), rng.randint(-4, 4))))
             for n in (1, 2, 3):
-                assert nc_decide(L, M, n) == nc_search(L, M, n).present
+                expected = _bruteforce_least_witness(L, M, n)
+                assert nc_search(L, M, n).m == expected, (L.rows, M.rows, n)
+                absent += expected is None
+    assert 0 < absent < 4 * 12 * 3
 
 
 def test_nc_bounded_examples():
