@@ -2,7 +2,7 @@
 
 Exit codes: 0 success or member, 3 definite negative, 4 bounded
 verification inconclusive (rejected within the tested window), 2 usage
-or parse error.
+or parse error, 1 the reader closed standard output early.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -49,6 +50,7 @@ from .subshift_norm import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
@@ -661,7 +663,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_join_flag_values(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the final flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except MatrixParseError as exc:
         print(f"odosym: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

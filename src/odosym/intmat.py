@@ -7,9 +7,11 @@ reductions are all decided by exact sign and divisibility analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import isqrt
+from operator import mul
 
 from .errors import (
     DomainCardinalityError,
@@ -23,20 +25,12 @@ from .errors import (
 Vec = tuple[int, ...]
 
 
-def vec(*xs) -> Vec:
-    return tuple(int(x) for x in xs)
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
 
 
 def zero_vec(d: int) -> Vec:
@@ -93,9 +87,6 @@ class IntMatrix:
     def det(self) -> int:
         return _det(self.rows)
 
-    def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
-
     def max_abs(self) -> int:
         return max(abs(x) for r in self.rows for x in r)
 
@@ -136,7 +127,7 @@ class IntMatrix:
         )
 
     def mul_vec(self, v: Vec) -> Vec:
-        return tuple(sum(r[k] * v[k] for k in range(self.dim)) for r in self.rows)
+        return _apply(self.rows, v)
 
     def __pow__(self, n: int) -> "IntMatrix":
         if n < 0:
@@ -167,22 +158,34 @@ class IntMatrix:
         ]
         return IntMatrix(tuple(zip(*cof)))
 
-    def solve_exact(self, v: Vec) -> Vec | None:
-        """Integer solution x of M x = v, or None if none exists."""
+    @cached_property
+    def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det, adjugate rows), computed once per matrix."""
         det = self.det()
         if det == 0:
             raise SingularMatrixError("cannot solve with a singular matrix")
-        w = self.adjugate().mul_vec(v)
+        return det, self.adjugate().rows
+
+    def solve_exact(self, v: Vec) -> Vec | None:
+        """Integer solution x of M x = v, or None if none exists."""
+        det, adj = self._inverse
         out = []
-        for x in w:
-            q, r = divmod(x, det)
-            if r:
+        for x in _apply(adj, v):
+            q, rem = divmod(x, det)
+            if rem:
                 return None
             out.append(q)
         return tuple(out)
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+
+def _apply(rows, v) -> Vec:
+    """The product of a square matrix, given by its rows, with v."""
+    if len(v) != len(rows):
+        raise ValueError(f"vector of length {len(v)} for a matrix of dim {len(rows)}")
+    return tuple(sum(map(mul, r, v)) for r in rows)
 
 
 def _minor(rows, i, j):
@@ -310,11 +313,12 @@ class HnfBasis:
     def reduce_vec(self, v: Vec) -> Vec:
         """Canonical representative of v modulo the lattice."""
         h = self.matrix.rows
+        d = len(h)
         w = list(v)
-        for i in range(self.dim):
+        for i in range(d):
             q = w[i] // h[i][i]
             if q:
-                for k in range(i, self.dim):
+                for k in range(i, d):
                     w[k] -= q * h[k][i]
         return tuple(w)
 
@@ -428,9 +432,11 @@ class FundamentalDomain:
     reps: tuple[Vec, ...]
     hnf_basis: HnfBasis
     _rep_of_key: dict
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reps", tuple(tuple(v) for v in self.reps))
+        object.__setattr__(self, "_members", frozenset(self.reps))
 
     @property
     def dim(self) -> int:
@@ -444,7 +450,7 @@ class FundamentalDomain:
         return self._rep_of_key[self.hnf_basis.reduce_vec(v)]
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in set(self.reps)
+        return tuple(v) in self._members
 
     def __iter__(self):
         return iter(self.reps)

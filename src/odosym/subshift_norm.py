@@ -88,9 +88,6 @@ class NLCertificate:
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
 
-    def permutation_map(self) -> dict:
-        return dict(self.residue_permutation)
-
     def to_payload(self) -> dict:
         from .intmat import format_matrix, format_vector
 
@@ -333,11 +330,10 @@ def _valuation_class_table(subst, n0, window):
     return tuple(out)
 
 
-def _truncated_level(rule: LocalRule, patch: Patch, pos: Vec) -> int:
-    """Truncated digit level of the window pattern at pos."""
+def _truncated_level(rule: LocalRule, window, patch: Patch, pos: Vec) -> int:
+    """Truncated digit level of the pattern of the sorted window at pos."""
     if rule.n0 == 0:
         return 0
-    window = sorted(rule.window.level(rule.n0))
     pattern = {}
     for f in window:
         p = vec_add(pos, f)
@@ -381,7 +377,7 @@ def apply_endomorphism(
         u = m_inv.mul_vec(t)
         if u not in patch:
             raise MarginError(f"source position {u} missing from the patch")
-        level = _truncated_level(rule, patch, u)
+        level = _truncated_level(rule, window, patch, u)
         out[t] = rule.per_level[level][patch[u]]
     return Patch(out)
 

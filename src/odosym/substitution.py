@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import SizeGuardError, WrongBranchError
 from .intmat import (
@@ -18,7 +19,6 @@ from .intmat import (
     Vec,
     fundamental_domain,
     hnf,
-    reduce_vec,
     validate_domain,
     vec_add,
     vec_sub,
@@ -62,10 +62,6 @@ class Patch:
     def restrict(self, positions) -> "Patch":
         keep = {tuple(p) for p in positions}
         return Patch({p: a for p, a in self._cells.items() if p in keep})
-
-    def agrees_with(self, other: "Patch") -> bool:
-        common = self.support & other.support
-        return all(self[p] == other[p] for p in common)
 
     def __eq__(self, other):
         return isinstance(other, Patch) and self._cells == other._cells
@@ -222,32 +218,26 @@ def folner_trend_ok(s: ConstantShapeSubstitution, n_max: int = 5, directions=Non
 # ---------------------------------------------------------------------------
 
 
+def _strip_base(s: ConstantShapeSubstitution, v: Vec, name: str) -> tuple[int, Vec]:
+    """(p, w) with v = L^p(w), w not in L(Z^d): one exact solve per factor of L."""
+    v = tuple(int(x) for x in v)
+    if not any(v):
+        raise ValueError(f"{name} undefined at the origin")
+    solve = s.base.solve_exact
+    p = 0
+    while (w := solve(v)) is not None:
+        v, p = w, p + 1
+    return p, v
+
+
 def valuation(s: ConstantShapeSubstitution, v: Vec) -> int:
     """Largest p with v in L^p(Z^d); v must be nonzero."""
-    v = tuple(int(x) for x in v)
-    if v == zero_vec(s.dim):
-        raise ValueError("valuation undefined at the origin")
-    p = 0
-    while True:
-        w = s.base.solve_exact(v)
-        if w is None:
-            return p
-        v = w
-        p += 1
+    return _strip_base(s, v, "valuation")[0]
 
 
 def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
     """First nonzero digit of v: v = L^{p+1}(z) + L^p(f) with minimal p."""
-    v = tuple(int(x) for x in v)
-    if v == zero_vec(s.dim):
-        raise ValueError("tau undefined at the origin")
-    while True:
-        w = s.base.solve_exact(v)
-        if w is None:
-            digit, _ = reduce_vec(v, s.domain)
-            assert digit != zero_vec(s.dim)
-            return digit
-        v = w
+    return s.domain.digit_of(_strip_base(s, v, "tau")[1])
 
 
 def fixed_point_patch(s: ConstantShapeSubstitution, seed: Letter, region) -> Patch:
@@ -363,8 +353,6 @@ def k_set(
 
 
 def _box(d: int, radius: int):
-    from itertools import product
-
     return [tuple(t) for t in product(range(-radius, radius + 1), repeat=d)]
 
 

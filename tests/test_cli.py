@@ -209,14 +209,39 @@ def test_verify_paper_command_exit(capsys):
     assert report["result"]["failed"] == 0
 
 
-def test_console_entry_point():
+def _child_env():
     # the child imports the same odosym as this process, installed or not
     src = os.path.dirname(os.path.dirname(odosym.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "odosym.cli", "--version"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0
+
+
+def test_closed_output_pipe_exits_quietly():
+    # stdout is a pipe whose read end is closed before the child starts,
+    # as when `odosym nc ... | head -c 50` has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "odosym.cli", "nc", "--base", "3,1;0,5",
+             "--matrix", "1,-1;0,-1", "--depth", "12"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -1,0 +1,149 @@
+"""The digit kernel (`solve_exact`, `valuation`, `tau`) against oracles
+that never call it: iterated substitution for the fixed-point patches and
+Hermite-form membership of the lattices L^p(Z^d) for valuations."""
+
+import random
+from itertools import product
+
+import pytest
+
+from odosym.errors import SingularMatrixError
+from odosym.intmat import IntMatrix, hnf, is_expansion, parse_matrix, validate_domain
+from odosym.substitution import (
+    Patch,
+    fixed_point_patch,
+    half_hex,
+    sigma_L,
+    substitute,
+    supports,
+    tau,
+    valuation,
+)
+
+# A negative determinant, non-diagonal bases and a 3x3 base, besides the
+# random ones below.
+FIXED_BASES = [
+    "3,1;0,5", "1,2;-2,1", "0,-3;1,0", "2,1;1,-2", "1,-3;1,1", "2,1,0;0,2,1;1,0,2"
+]
+PATCH_CELLS = 1500  # largest |F_n| built per base
+
+
+def random_expansion(rng, d, bound, max_det):
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+        m = IntMatrix.from_rows(rows)
+        if 3 <= abs(m.det()) <= max_det and is_expansion(m):
+            return m
+
+
+def kernel_cases():
+    rng = random.Random(20231018)
+    cases = [(text, sigma_L(parse_matrix(text))) for text in FIXED_BASES]
+    cases.append(("half-hex", half_hex()))
+    for k in range(6):
+        m = random_expansion(rng, 2, 4, 12)
+        cases.append((f"rand2-{k}", sigma_L(m)))
+    for k in range(3):
+        m = random_expansion(rng, 3, 2, 8)
+        cases.append((f"rand3-{k}", sigma_L(m)))
+    return cases
+
+
+CASES = kernel_cases()
+IDS = [name for name, _ in CASES]
+
+
+def test_cases_cover_the_required_shapes():
+    bases = [s.base for _, s in CASES]
+    assert any(b.det() < 0 for b in bases)
+    off_diagonal = [(i, j) for i in range(3) for j in range(3) if i != j]
+    assert any(any(b[i, j] for i, j in off_diagonal if max(i, j) < b.dim) for b in bases)
+    assert {b.dim for b in bases} == {2, 3}
+    assert "half-hex" in IDS
+
+
+@pytest.mark.parametrize("s", [s for _, s in CASES], ids=IDS)
+def test_fixed_point_patch_is_iterated_substitution(s):
+    det = abs(s.base.det())
+    n = 1
+    while det ** (n + 1) <= PATCH_CELLS:
+        n += 1
+    region = supports(s, n).level(n)
+    for seed in sorted(s.alphabet)[:2]:
+        iterated = Patch({(0,) * s.dim: seed})
+        for _ in range(n):
+            iterated = substitute(s, iterated)
+        assert iterated.support == region
+        assert fixed_point_patch(s, seed, region) == iterated
+
+
+def _oracle_valuation(L, v, cap=60):
+    """Largest p with v in L^p(Z^d); the lattices decrease, so scan up."""
+    p = 0
+    while hnf(L ** (p + 1)).contains(v):
+        p += 1
+        assert p < cap, "oracle scan did not terminate"
+    return p
+
+
+@pytest.mark.parametrize("s", [s for _, s in CASES], ids=IDS)
+def test_valuation_and_tau_match_hnf_membership(s):
+    L = s.base
+    rng = random.Random(7)
+    # small vectors plus deep multiples L^k(v), so high valuations occur
+    samples = [v for v in product(range(-3, 4), repeat=s.dim) if any(v)]
+    for _ in range(40):
+        v = tuple(rng.randint(-9, 9) for _ in range(s.dim))
+        if any(v):
+            samples.append((L ** rng.randint(1, 4)).mul_vec(v))
+    for v in samples:
+        p = _oracle_valuation(L, v)
+        assert valuation(s, v) == p
+        digit = tau(s, v)
+        assert digit in s.domain and any(digit)
+        # v = L^p(f) + L^{p+1}(z): the digit is fixed mod L^{p+1}(Z^d)
+        rest = tuple(a - b for a, b in zip(v, (L**p).mul_vec(digit)))
+        assert hnf(L ** (p + 1)).contains(rest)
+
+
+@pytest.mark.parametrize("s", [s for _, s in CASES], ids=IDS)
+def test_solve_exact_agrees_with_lattice_membership(s):
+    L = s.base
+    lattice = hnf(L)
+    for v in product(range(-4, 5), repeat=s.dim):
+        x = L.solve_exact(v)
+        if lattice.contains(v):
+            assert x is not None and L.mul_vec(x) == v
+        else:
+            assert x is None
+
+
+def test_solve_exact_on_a_singular_matrix_raises_every_time():
+    m = parse_matrix("2,4;1,2")
+    for _ in range(2):  # a failed solve must not leave cached inverse data behind
+        with pytest.raises(SingularMatrixError):
+            m.solve_exact((2, 1))
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2, 3)])
+def test_wrong_vector_length_raises(v):
+    m = parse_matrix("3,1;0,5")
+    with pytest.raises(ValueError):
+        m.mul_vec(v)
+    with pytest.raises(ValueError):
+        m.solve_exact(v)
+
+
+@pytest.mark.parametrize("fn", [tau, valuation])
+def test_digit_maps_raise_at_the_origin(fn):
+    with pytest.raises(ValueError, match="undefined at the origin"):
+        fn(half_hex(), (0, 0))
+
+
+def test_domain_membership_set_is_outside_equality():
+    hh = half_hex()
+    assert (1, -1) in hh.domain and [0, 1] in hh.domain
+    assert (1, 1) not in hh.domain
+    again = validate_domain(hh.base, hh.domain.reps)
+    assert again == hh.domain
+    assert "_members" not in repr(hh.domain)
