@@ -14,7 +14,6 @@ from .intmat import (  # noqa: F401
     is_expansion,
     parse_matrix,
     parse_vector,
-    radical,
     reduce_vec,
     validate_domain,
 )
@@ -38,7 +37,6 @@ from .classify2d import (  # noqa: F401
     centralizer,
     classify,
     is_member,
-    pell_fundamental_automorph,
     virtually_z_family,
 )
 from .substitution import (  # noqa: F401

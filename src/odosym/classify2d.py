@@ -14,23 +14,31 @@ membership of a single matrix exactly.  The branches:
     {+-Id}, or a virtually-Z group of (conjugated) upper triangular
     unimodular matrices.
 
-Everything is exact integer arithmetic; the Pell machinery for the real
-irrational case runs on continued fractions of the discriminant surd.
+Every centralizer comes from one route, _order_units: the unimodular
+matrices commuting with a non-scalar L are the units of the quadratic
+order Z Id + Z A, read off the solutions of x^2 - D' y^2 = +-4.  A real
+irrational spectrum takes one continued-fraction period of sqrt(D'),
+with no iteration cap; the only limit is that the answer must print,
+and a unit with more digits than sys.get_int_max_str_digits() raises
+SizeGuardError.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import NotExpansionError, PellDomainError, WrongBranchError
+from .errors import NotExpansionError, SizeGuardError, WrongBranchError
 from .intmat import (
     IntMatrix,
+    _inv_unimodular,
+    _xgcd,
     commutes,
     integer_eigenvalues,
     is_expansion,
-    radical,
+    rad_divides,
 )
 
 _ID = IntMatrix.identity(2)
@@ -180,18 +188,6 @@ def _require_expansion_2x2(L: IntMatrix):
         raise NotExpansionError(f"not an expansion matrix: {L}")
 
 
-def _xgcd(a: int, b: int):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def _primitive(v: tuple[int, int]) -> tuple[int, int]:
     a, b = v
     g = gcd(a, b)
@@ -220,12 +216,6 @@ def _extend_unimodular(v: tuple[int, int]) -> IntMatrix:
     x, y, g = _xgcd(a, b)
     assert g == 1
     return IntMatrix(((a, -y), (b, x)))
-
-
-def _inv_unimodular(u: IntMatrix) -> IntMatrix:
-    d = u.det()
-    adj = u.adjugate()
-    return adj if d == 1 else -adj
 
 
 @dataclass(frozen=True)
@@ -266,54 +256,8 @@ def eigenvector_matrix(L: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Pell machinery: x^2 - D y^2 = +-4
+# the centralizer: units of the quadratic order Z Id + Z A
 # ---------------------------------------------------------------------------
-
-
-def _pell_pm4(D: int) -> tuple[int, int]:
-    """Minimal (x, y) with y > 0 and x >= 0 solving x^2 - D y^2 = +-4."""
-    if D <= 0 or isqrt(D) ** 2 == D:
-        raise PellDomainError(f"discriminant must be positive non-square, got {D}")
-    for y in range(1, 2001):
-        dy = D * y * y
-        hits = []
-        for target in (dy - 4, dy + 4):
-            if target >= 0:
-                x = isqrt(target)
-                if x * x == target:
-                    hits.append(x)
-        if hits:
-            return min(hits), y
-    # continued fraction of sqrt(D); convergents catch big fundamental units
-    a0 = isqrt(D)
-    m, dd, a = 0, 1, a0
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    candidates = []
-    for _ in range(600):
-        v = p_cur * p_cur - D * q_cur * q_cur
-        if v in (4, -4):
-            candidates.append((abs(p_cur), q_cur))
-        if v in (1, -1):
-            candidates.append((2 * abs(p_cur), 2 * q_cur))
-        if candidates and len(candidates) >= 2:
-            break
-        m = dd * a - m
-        dd = (D - m * m) // dd
-        a = (a0 + m) // dd
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    if not candidates:
-        raise PellDomainError(f"no fundamental solution found for D={D}")
-    return min(candidates, key=lambda t: t[1])
-
-
-def _pell_mul(D, a, b):
-    """Product in the quadratic order: (x + y sqrt(D))/2 composition."""
-    x = (a[0] * b[0] + D * a[1] * b[1])
-    y = (a[0] * b[1] + a[1] * b[0])
-    assert x % 2 == 0 and y % 2 == 0
-    return x // 2, y // 2
 
 
 def _canonical_pick(cands):
@@ -321,160 +265,103 @@ def _canonical_pick(cands):
     return min(cands, key=lambda m: (m.max_abs(), -m.trace(), m.rows))
 
 
-def pell_fundamental_automorph(tr: int, det: int) -> IntMatrix:
-    """Nontrivial unimodular matrix commuting with the companion of (tr, det).
-
-    Solves x^2 - (tr^2 - 4 det) y^2 = +-4 and returns u*Id + y*C for the
-    companion matrix C; minimal in max-entry absolute value.
-    """
-    disc = tr * tr - 4 * det
-    if disc <= 0 or isqrt(disc) ** 2 == disc:
-        raise PellDomainError(
-            f"trace {tr}, det {det}: discriminant {disc} is not positive non-square"
-        )
-    x, y = _pell_pm4(disc)
-    comp = IntMatrix(((0, -det), (1, tr)))
-    cands = []
-    for xs in (x, -x):
-        if (xs - y * tr) % 2 == 0:
-            u = (xs - y * tr) // 2
-            m = IntMatrix.scalar(2, u) + comp.scale(y)
-            assert m.det() in (1, -1)
-            cands.append(m)
-    return _canonical_pick(cands)
-
-
 def _candidates_from_solution(L, g, x, y):
+    """The matrices +-(a Id + y A) with 2a + y trace(A) = +-x."""
     (p, q), (r, s) = L.rows
+    delta, m12, m21 = (p - s) // g * y, q // g * y, r // g * y
     out = []
     for xs in (x, -x):
-        delta, num12, num21 = (p - s) * y, q * y, r * y
-        if delta % g or num12 % g or num21 % g:
-            continue
-        delta, m12, m21 = delta // g, num12 // g, num21 // g
-        if (xs - delta) % 2:
-            continue
         m22 = (xs - delta) // 2
         m = IntMatrix(((m22 + delta, m12), (m21, m22)))
-        if m.det() in (1, -1):
-            out.extend((m, -m))
+        out.extend((m, -m))
     return out
 
 
-def _centralizer_automorph(L: IntMatrix) -> IntMatrix:
-    """Fundamental automorph of L itself (real irrational spectrum).
+def _pell_xs(dp: int, y: int) -> list[int]:
+    """Every x >= 0 with x^2 - dp y^2 = +-4."""
+    out = []
+    for t in (dp * y * y - 4, dp * y * y + 4):
+        if t >= 0 and isqrt(t) ** 2 == t:
+            out.append(isqrt(t))
+    return out
 
-    Scans the Pell solutions x^2 - D' k^2 = +-4 in order of k, so the
-    returned matrix is entry-minimal among nontrivial commuting
-    unimodular matrices; falls back to powers of the continued-fraction
-    fundamental solution when the scan range is exceeded.
+
+def _digit_guard(n: int, dp: int, limit: int) -> None:
+    """SizeGuardError when |n| has more than limit decimal digits.
+
+    limit 0 means no limit.  8^limit < 10^limit, so the bit length clears
+    almost every n before the power of ten is formed.
+    """
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        shown = f"D'={dp}" if dp.bit_length() <= 3 * limit else f"a {dp.bit_length()}-bit D'"
+        raise SizeGuardError(
+            f"the unit group for {shown} needs integers of more than {limit} "
+            "digits, the interpreter's int-to-str limit (sys.get_int_max_str_digits())"
+        )
+
+
+def _pell_walk(dp: int, limit: int) -> tuple[int, int]:
+    """Least (x, y), y > 0, with x^2 - dp y^2 = +-4, for non-square dp > 16.
+
+    Walks the continued fraction of sqrt(dp).  The convergent p/q has
+    norm p^2 - dp q^2 = (-1)^(k+1) d with d the next denominator of the
+    expansion, and d = 1 closes the first period, so the walk stops
+    within one period.  Since 4 < sqrt(dp), a solution with gcd(x, y) = 1
+    is a convergent (Legendre) and any other is twice a convergent of
+    norm +-1; unit y values grow by a factor x >= 4, so the first
+    convergent of norm +-1 or +-4 gives the fundamental unit.
+    """
+    a0 = isqrt(dp)
+    m, d, a = 0, 1, a0
+    p0, p, q0, q = 1, a0, 0, 1
+    while True:
+        m = d * a - m
+        d = (dp - m * m) // d
+        if d == 4:
+            return p, q
+        if d == 1:
+            return 2 * p, 2 * q
+        _digit_guard(p, dp, limit)
+        a = (a0 + m) // d
+        p0, p = p, a * p + p0
+        q0, q = q, a * q + q0
+
+
+def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
+    """GL(2,Z) centralizer of a non-scalar 2x2 matrix L.
+
+    With g = gcd(q, r, p - s) and A = (L - s Id)/g, the integer matrices
+    commuting with L are the a Id + y A, and such a matrix is unimodular
+    exactly when x = 2a + y trace(A) solves x^2 - D' y^2 = +-4, where
+    D' = disc(L)/g^2 is the discriminant of A.  Among the infinitely
+    many units the automorph is the one of least y > 0.
     """
     (p, q), (r, s) = L.rows
-    tr, det = L.trace(), L.det()
-    disc = tr * tr - 4 * det
-    g = gcd(gcd(abs(q), abs(r)), abs(p - s))
-    assert g > 0 and disc % (g * g) == 0
-    dp = disc // (g * g)
-    for k in range(1, 2001):
-        dk = dp * k * k
-        cands = []
-        for target in (dk - 4, dk + 4):
-            if target >= 0:
-                x = isqrt(target)
-                if x * x == target:
-                    cands.extend(_candidates_from_solution(L, g, x, k))
-        if cands:
-            best = _canonical_pick(cands)
-            assert commutes(L, best) and best not in (_ID, -_ID)
-            return best
-    sol = _pell_pm4(dp)
-    base = sol
-    for _ in range(64):
-        cands = _candidates_from_solution(L, g, *sol)
-        if cands:
-            best = _canonical_pick(cands)
-            assert commutes(L, best) and best not in (_ID, -_ID)
-            return best
-        sol = _pell_mul(dp, sol, base)
-    raise PellDomainError(f"automorph search failed for base {L}")
-
-
-# ---------------------------------------------------------------------------
-# finite centralizer enumeration
-# ---------------------------------------------------------------------------
-
-
-def _centralizer_finite_elements(L: IntMatrix) -> tuple[IntMatrix, ...]:
-    """All unimodular matrices commuting with L, when that set is finite.
-
-    The bound on m11 - m22 comes from the determinant constraint
-    m11 m22 - (m11 - m22)^2 qr/(p-s)^2 = +-1, which is definite for a
-    complex spectrum and factors over the integers for a square
-    discriminant.
-    """
-    (p, q), (r, s) = L.rows
-    tr, det = L.trace(), L.det()
-    disc = tr * tr - 4 * det
-    out = {(_ID).rows, (-_ID).rows}
-    if p == s:
-        # relations force m11 = m22 = u and m21 = m12 * r / q, with
-        # u^2 - m12^2 r/q = +-1; qr < 0 gives a definite bound, qr a
-        # perfect square factors as (qu - w m12)(qu + w m12) = +-q^2
-        if q != 0:
-            if disc < 0:
-                bound = isqrt(abs(q) // max(1, abs(r))) + 1
-            else:
-                w = isqrt(q * r)
-                assert w * w == q * r
-                bound = q * q // max(1, w) + 1
-            for m12 in range(-bound, bound + 1):
-                if m12 == 0 or (m12 * r) % q:
-                    continue
-                m21 = m12 * r // q
-                for unit in (1, -1):
-                    usq = unit + m12 * m21
-                    if usq < 0:
-                        continue
-                    u = isqrt(usq)
-                    if u * u != usq:
-                        continue
-                    for uu in {u, -u}:
-                        m = IntMatrix(((uu, m12), (m21, uu)))
-                        if m.det() in (1, -1):
-                            assert commutes(L, m)
-                            out.add(m.rows)
-        return _sorted_elements(out)
-    if disc < 0:
-        dbound = isqrt(4 * (p - s) ** 2 // abs(disc)) + 1
+    g = gcd(q, r, p - s)
+    dp = ((p - s) ** 2 + 4 * q * r) // (g * g)
+    if dp == 0:
+        # x = +-2 for every y: the units are +-(Id + N)^y, N = A - trace(A)/2 Id
+        # nilpotent, and the first candidate of (2, 1) is Id + N
+        return CentralizerInfinite(_candidates_from_solution(L, g, 2, 1)[0])
+    if dp < 0 or isqrt(dp) ** 2 == dp:
+        # finite: D' < 0 forces |D'| y^2 <= 4, and D' = w^2 factors the norm
+        # as (x - wy)(x + wy) = +-4, so x + wy divides 4; either way y <= 4
+        rows = {_ID.rows, (-_ID).rows}
+        for y in range(1, 5):
+            for x in _pell_xs(dp, y):
+                rows.update(m.rows for m in _candidates_from_solution(L, g, x, y))
+        return CentralizerFinite(_sorted_elements(rows))
+    limit = sys.get_int_max_str_digits()
+    if dp > 16:
+        sols = [_pell_walk(dp, limit)]
     else:
-        w = isqrt(disc)
-        assert w * w == disc
-        dbound = (4 * (p - s) ** 2) // max(1, w) + 2
-    for delta in range(-dbound, dbound + 1):
-        if delta == 0:
-            continue
-        if (q * delta) % (p - s) or (r * delta) % (p - s):
-            continue
-        m12 = q * delta // (p - s)
-        m21 = r * delta // (p - s)
-        for unit in (1, -1):
-            # m22^2 + delta m22 - (unit + m12 m21) = 0
-            disc2 = delta * delta + 4 * (unit + m12 * m21)
-            if disc2 < 0:
-                continue
-            rt = isqrt(disc2)
-            if rt * rt != disc2:
-                continue
-            for sign in (1, -1):
-                num = -delta + sign * rt
-                if num % 2:
-                    continue
-                m22 = num // 2
-                m = IntMatrix(((m22 + delta, m12), (m21, m22)))
-                if m.det() in (1, -1):
-                    assert commutes(L, m)
-                    out.add(m.rows)
-    return _sorted_elements(out)
+        # 4 >= sqrt(D'), below Legendre's criterion: D' = 0, 1 mod 4 leaves
+        # 5, 8, 12 and 13, each solved at y = 1 (D' = 5 twice: x = 1, 3)
+        sols = [(x, 1) for x in _pell_xs(dp, 1)]
+    best = _canonical_pick([m for sol in sols for m in _candidates_from_solution(L, g, *sol)])
+    _digit_guard(best.max_abs(), dp, limit)
+    assert commutes(L, best) and best.det() in (1, -1) and best not in (_ID, -_ID)
+    return CentralizerInfinite(best)
 
 
 def _sorted_elements(rows_set) -> tuple[IntMatrix, ...]:
@@ -487,11 +374,7 @@ def centralizer(L: IntMatrix) -> NormalizerClass:
     (p, q), (r, s) = L.rows
     if q == 0 and r == 0 and p == s:
         return FullGL2()
-    tr, det = L.trace(), L.det()
-    disc = tr * tr - 4 * det
-    if disc > 0 and isqrt(disc) ** 2 != disc:
-        return CentralizerInfinite(_centralizer_automorph(L))
-    return CentralizerFinite(_centralizer_finite_elements(L))
+    return _order_units(L)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +385,11 @@ def centralizer(L: IntMatrix) -> NormalizerClass:
 @lru_cache(maxsize=None)
 def _classify_cached(rows: tuple) -> NormalizerClass:
     L = IntMatrix(rows)
-    tr, det = L.trace(), L.det()
-    if tr % radical(det) == 0:
+    if rad_divides(L.det(), L.trace()):
         return FullGL2()
-    eig = integer_eigenvalues(L)
-    if not eig:
-        disc = tr * tr - 4 * det
-        if disc < 0:
-            return CentralizerFinite(_centralizer_finite_elements(L))
-        return CentralizerInfinite(_centralizer_automorph(L))
-    return _classify_triangular(L, _triangular_form(L))
+    if integer_eigenvalues(L):
+        return _classify_triangular(L, _triangular_form(L))
+    return _order_units(L)
 
 
 def classify(L: IntMatrix) -> NormalizerClass:
@@ -532,9 +410,8 @@ def _derived_witness(conjugator: IntMatrix) -> IntMatrix:
 
 def _classify_triangular(L: IntMatrix, td: _Triangular) -> NormalizerClass:
     p, q, s = td.p, td.q, td.s
-    rp, rs = radical(p), radical(s)
-    case1 = s % rp != 0 and p % rs == 0
-    case2 = s % rp == 0 and p % rs != 0
+    case1 = not rad_divides(p, s) and rad_divides(s, p)
+    case2 = rad_divides(p, s) and not rad_divides(s, p)
     if case1 and q == 0:
         # diagonal: members are lower triangular here, upper after a swap
         td = _Triangular(td.W * _SWAP, s, 0, p)
@@ -587,7 +464,7 @@ def _classify_triangular(L: IntMatrix, td: _Triangular) -> NormalizerClass:
             derived_witness=_derived_witness(conj),
         )
     # neither radical divides across: the finite branches
-    assert s % rp != 0 and p % rs != 0
+    assert not rad_divides(p, s) and not rad_divides(s, p)
     if (2 * q) % (p - s) == 0:
         off = 2 * q // (p - s)
         elems = {(_ID).rows, (-_ID).rows}
@@ -667,9 +544,9 @@ def integer_spectrum_relation(L: IntMatrix) -> RelationGroup:
         raise WrongBranchError("relation route needs integer eigenvalues")
     t1, t2 = eig
     pmat = eigenvector_matrix(L)
-    if t2 % radical(t1) == 0 and t1 % radical(t2) != 0:
+    if rad_divides(t1, t2) and not rad_divides(t2, t1):
         ce, cg = pmat.rows[0][0], pmat.rows[1][0]
-    elif t1 % radical(t2) == 0 and t2 % radical(t1) != 0:
+    elif rad_divides(t2, t1) and not rad_divides(t1, t2):
         ce, cg = pmat.rows[0][1], pmat.rows[1][1]
     else:
         raise WrongBranchError("one radical must divide across, the other not")

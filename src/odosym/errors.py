@@ -38,10 +38,6 @@ class DomainMissingZeroError(DomainValidationError):
     """The zero vector is required as a representative."""
 
 
-class RadicalDomainError(OdosymError, ValueError):
-    """radical(n) needs |n| > 1."""
-
-
 class DepthError(OdosymError, ValueError):
     """Requested depth exceeds what the base or point supports."""
 
@@ -60,10 +56,6 @@ class SizeGuardError(OdosymError, ValueError):
 
 class WrongBranchError(OdosymError, ValueError):
     """Operation called on a base matrix outside its classification branch."""
-
-
-class PellDomainError(OdosymError, ValueError):
-    """Discriminant must be positive and not a perfect square."""
 
 
 class MarginError(OdosymError, ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import (
@@ -18,7 +18,6 @@ from .errors import (
     DomainCosetCollisionError,
     DomainMissingZeroError,
     MatrixParseError,
-    RadicalDomainError,
     SingularMatrixError,
 )
 
@@ -181,6 +180,12 @@ class IntMatrix:
         return format_matrix(self)
 
 
+def _inv_unimodular(u: IntMatrix) -> IntMatrix:
+    """Inverse of a matrix of determinant +-1, exact over Z."""
+    adj = u.adjugate()
+    return adj if u.det() == 1 else -adj
+
+
 def _apply(rows, v) -> Vec:
     """The product of a square matrix, given by its rows, with v."""
     if len(v) != len(rows):
@@ -252,35 +257,17 @@ def commutes(a: IntMatrix, b: IntMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing |n|; needs |n| > 1."""
-    if abs(n) <= 1:
-        raise RadicalDomainError(f"radical undefined for n={n}")
-    n = abs(n)
-    rad = 1
-    for p in _prime_factors(n):
-        rad *= p
-    return rad
+def rad_divides(n: int, t: int) -> bool:
+    """True iff every prime dividing n divides t, that is rad(n) | t.
 
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                out.append(p)
-                while n % p == 0:
-                    n //= p
-        f += 6
-    if n > 1:
-        out.append(n)
-    return out
+    Strips from n its common factors with t until none is left; no
+    factorization, so a 1e24 determinant costs a few gcds.
+    """
+    if n == 0:
+        raise ValueError("rad(0) is undefined")
+    while (c := gcd(n, t)) != 1:
+        n //= c
+    return n in (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +418,7 @@ class FundamentalDomain:
     base: IntMatrix
     reps: tuple[Vec, ...]
     hnf_basis: HnfBasis
-    _rep_of_key: dict
+    _rep_of_key: dict = field(repr=False, compare=False)
     _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

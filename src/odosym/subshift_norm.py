@@ -26,6 +26,7 @@ from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
+    _inv_unimodular,
     fundamental_domain,
     hnf,
     is_expansion,
@@ -272,9 +273,7 @@ class LocalRule:
     _class_table: tuple
 
     def m_inverse(self) -> IntMatrix:
-        m = self.certificate.M
-        adj = m.adjugate()
-        return adj if m.det() == 1 else -adj
+        return _inv_unimodular(self.certificate.M)
 
 
 def build_local_rule(

@@ -2,7 +2,12 @@ import random
 from itertools import product
 
 import pytest
-from tests_shared import rand_unimodular_small, rand_unimodular_steps, unimodular_inverse
+from tests_shared import (
+    brute_force_centralizer,
+    rand_unimodular_small,
+    rand_unimodular_steps,
+    unimodular_inverse,
+)
 
 from odosym.classify2d import (
     CentralizerFinite,
@@ -18,12 +23,11 @@ from odosym.classify2d import (
     eigenvector_matrix,
     integer_spectrum_relation,
     is_member,
-    pell_fundamental_automorph,
     relation_derived_witness,
     relation_member,
     virtually_z_family,
 )
-from odosym.errors import NotExpansionError, PellDomainError, WrongBranchError
+from odosym.errors import NotExpansionError, WrongBranchError
 from odosym.intmat import IntMatrix, commutes, is_expansion, parse_matrix
 from odosym.odometer import nc_passes
 
@@ -38,52 +42,6 @@ GOLDEN = {
     "two-eigenvalues": parse_matrix("3,1;0,5"),
     "mixed-radical": parse_matrix("2,1;0,3"),
 }
-
-
-def brute_force_centralizer(L, bound):
-    """Independent oracle: all unimodular commuting matrices, bounded entries.
-
-    Iterates two free entries and solves the commuting relations exactly
-    for the rest, so large bounds stay cheap.
-    """
-    (p, q), (r, s) = L.rows
-    out = set()
-    if q != 0:
-        # m21 = r m12 / q and the second relation fixes m22 from m11
-        for m11, m12 in product(range(-bound, bound + 1), repeat=2):
-            if (r * m12) % q:
-                continue
-            m21 = r * m12 // q
-            num = q * m11 - m12 * (p - s)
-            if num % q:
-                continue
-            m22 = num // q
-            if max(abs(m21), abs(m22)) > bound:
-                continue
-            m = IntMatrix(((m11, m12), (m21, m22)))
-            if m.det() in (1, -1) and commutes(L, m):
-                out.add(m)
-    else:
-        for m11, m21 in product(range(-bound, bound + 1), repeat=2):
-            if r != 0:
-                if (r * m11 + (s - p) * m21) % r:
-                    continue
-                m22 = (r * m11 + (s - p) * m21) // r
-                m12 = 0
-                cand = [(m12, m22)]
-            else:
-                cand = [
-                    (m12, m22)
-                    for m12 in range(-bound, bound + 1)
-                    for m22 in range(-bound, bound + 1)
-                ]
-            for m12, m22 in cand:
-                if max(abs(m12), abs(m22)) > bound:
-                    continue
-                m = IntMatrix(((m11, m12), (m21, m22)))
-                if m.det() in (1, -1) and commutes(L, m):
-                    out.add(m)
-    return sorted(out, key=lambda m: m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +233,6 @@ def test_centralizer_integer_spectrum_finite():
 
 
 # ---------------------------------------------------------------------------
-# Pell machinery
-# ---------------------------------------------------------------------------
-
-
-def cf_pell_pm4_oracle(d, k_bound=4000):
-    """Independent brute oracle for x^2 - d y^2 = +-4, minimal y."""
-    from math import isqrt
-
-    for y in range(1, k_bound):
-        for t in (d * y * y - 4, d * y * y + 4):
-            if t >= 0:
-                x = isqrt(t)
-                if x * x == t:
-                    return x, y
-    raise AssertionError("oracle exhausted")
-
-
-def test_pell_automorph_examples():
-    m = pell_fundamental_automorph(7, 11)
-    comp = parse_matrix("0,-11;1,7")
-    assert commutes(comp, m)
-    assert m.det() in (1, -1)
-    assert m.rows[0][1] != 0 or m.rows[1][0] != 0  # non-scalar
-
-    m2 = pell_fundamental_automorph(3, 1)
-    x, y = cf_pell_pm4_oracle(5)
-    assert (x, y) == (1, 1)
-    comp2 = parse_matrix("0,-1;1,3")
-    assert commutes(comp2, m2) and m2.det() in (1, -1)
-
-    with pytest.raises(PellDomainError):
-        pell_fundamental_automorph(4, 4)  # discriminant 0
-
-
-def test_pell_bigger_discriminants_match_oracle():
-    from odosym.classify2d import _pell_pm4
-
-    for d in (5, 8, 12, 13, 21, 29, 53, 61, 173, 293):
-        assert _pell_pm4(d) == cf_pell_pm4_oracle(d)
-
-
-# ---------------------------------------------------------------------------
 # relation route for non-triangular integer-spectrum bases
 # ---------------------------------------------------------------------------
 
@@ -326,13 +242,13 @@ def test_relation_route_matches_triangular_route():
     for L in cases:
         if not is_expansion(L):
             continue
-        from odosym.intmat import integer_eigenvalues, radical
+        from odosym.intmat import integer_eigenvalues, rad_divides
 
         eig = integer_eigenvalues(L)
         if not eig:
             continue
         t1, t2 = eig
-        mixed = (t2 % radical(t1) == 0) != (t1 % radical(t2) == 0)
+        mixed = rad_divides(t1, t2) != rad_divides(t2, t1)
         if not mixed:
             continue
         rel = integer_spectrum_relation(L)

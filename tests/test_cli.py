@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import odosym
 from odosym.cli import main, run_verify_paper
@@ -20,6 +21,25 @@ def test_classify_command(capsys):
     assert report["schema"] == 1
     assert report["result"]["branch"] == "klein-four"
     assert report["result"]["finite"] is True
+    # D = 148201: its fundamental unit needs 786 continued-fraction steps
+    code2, report2 = run_cli(["classify", "--matrix", "0,-392;1,387"], capsys)
+    assert code2 == 0
+    assert report2["result"]["branch"] == "centralizer-infinite"
+
+
+def test_size_guard_is_usage_error(capsys):
+    # the automorph of this base has more digits than the interpreter prints
+    started = time.perf_counter()
+    code = main(["classify", "--matrix", "-92397,22060;-34713,70124"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("odosym: SizeGuardError: ")
+    assert "D'=23350000321" in captured.err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+    assert "Traceback" not in captured.err
+    assert elapsed < 1
 
 
 def test_member_exit_codes(capsys):

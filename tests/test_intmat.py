@@ -2,13 +2,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import factorint
 
 from odosym.errors import (
     DomainCardinalityError,
     DomainCosetCollisionError,
     DomainMissingZeroError,
     MatrixParseError,
-    RadicalDomainError,
     SingularMatrixError,
 )
 from odosym.intmat import (
@@ -24,7 +26,7 @@ from odosym.intmat import (
     lattice_intersection,
     parse_matrix,
     parse_vector,
-    radical,
+    rad_divides,
     reduce_vec,
     validate_domain,
 )
@@ -93,16 +95,55 @@ def test_char_poly_matches_det_and_trace():
 # ---------------------------------------------------------------------------
 
 
-def test_radical_examples():
-    assert radical(12) == 6
-    assert radical(-8) == 2
-    assert radical(11) == 11
+def radical_oracle(n):
+    rad = 1
+    for p in factorint(abs(n)):
+        rad *= p
+    return rad
 
 
-@pytest.mark.parametrize("bad", [0, 1, -1])
-def test_radical_domain(bad):
-    with pytest.raises(RadicalDomainError):
-        radical(bad)
+def test_rad_divides_examples():
+    assert rad_divides(12, 6) and rad_divides(12, 18) and rad_divides(12, -30)
+    assert not rad_divides(12, 4) and not rad_divides(12, 9)
+    assert rad_divides(-8, 2) and not rad_divides(-8, 3)
+    assert rad_divides(11, 11) and rad_divides(11, 0) and not rad_divides(11, 12)
+    # 2^40 3^20 1000003: high powers and a large prime, rad = 6000018
+    n = 2**40 * 3**20 * 1000003
+    assert rad_divides(n, 6000018) and not rad_divides(n, 2000006)
+    # det of 1000000000001,7;3,1000000000009 (about 1e24) against its trace
+    det = 1000000000001 * 1000000000009 - 21
+    assert radical_oracle(det) == 2 * 41 * 6097560975670731707317
+    assert not rad_divides(det, 2000000000010)
+    assert rad_divides(det, 2 * 41 * 6097560975670731707317 * 5)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1])
+def test_rad_divides_edge_cases(n):
+    # rad(+-1) = 1 divides everything; rad(0) is undefined
+    if n == 0:
+        with pytest.raises(ValueError):
+            rad_divides(n, 6)
+    else:
+        assert all(rad_divides(n, t) for t in (-7, 0, 1, 5))
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1000003)
+
+
+@given(
+    st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=8),
+    st.lists(st.sampled_from(_PRIMES), max_size=8),
+    st.integers(-50, 50),
+    st.sampled_from((1, -1)),
+)
+def test_rad_divides_matches_factorint(n_primes, t_primes, k, sign):
+    n = sign
+    for p in n_primes:
+        n *= p
+    t = k
+    for p in t_primes:
+        t *= p
+    assert rad_divides(n, t) == (t % radical_oracle(n) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +248,19 @@ def test_fundamental_domain_passes_validate_random():
         v = validate_domain(m, f.reps)
         assert set(v.reps) == set(f.reps)
         checked += 1
+
+
+def test_fundamental_domain_is_hashable():
+    L = parse_matrix("2,-1;1,3")
+    a, b = fundamental_domain(L), fundamental_domain(L)
+    v = validate_domain(L, a.reps)
+    assert a is not b and a == b == v
+    assert hash(a) == hash(b) == hash(v)
+    assert {a: "domain"}[v] == "domain"
+    two = IntMatrix.scalar(2, 2)
+    box = fundamental_domain(two)
+    hh = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
+    assert box != hh and len({box, hh, fundamental_domain(two)}) == 2
 
 
 def test_validate_domain_half_hex_and_errors():

@@ -1,6 +1,8 @@
-"""Shared random generators for the test suite (seeded by each test)."""
+"""Shared random generators and oracles for the test suite (seeded by each test)."""
 
-from odosym.intmat import IntMatrix
+from itertools import product
+
+from odosym.intmat import IntMatrix, commutes
 
 
 def rand_unimodular_steps(rng, d=2, steps=6):
@@ -34,3 +36,49 @@ def rand_unimodular_small(rng, bound=3):
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     adj = m.adjugate()
     return adj if m.det() == 1 else -adj
+
+
+def brute_force_centralizer(L, bound):
+    """Independent oracle: all unimodular commuting matrices, bounded entries.
+
+    Iterates two free entries and solves the commuting relations exactly
+    for the rest, so large bounds stay cheap.
+    """
+    (p, q), (r, s) = L.rows
+    out = set()
+    if q != 0:
+        # m21 = r m12 / q and the second relation fixes m22 from m11
+        for m11, m12 in product(range(-bound, bound + 1), repeat=2):
+            if (r * m12) % q:
+                continue
+            m21 = r * m12 // q
+            num = q * m11 - m12 * (p - s)
+            if num % q:
+                continue
+            m22 = num // q
+            if max(abs(m21), abs(m22)) > bound:
+                continue
+            m = IntMatrix(((m11, m12), (m21, m22)))
+            if m.det() in (1, -1) and commutes(L, m):
+                out.add(m)
+    else:
+        for m11, m21 in product(range(-bound, bound + 1), repeat=2):
+            if r != 0:
+                if (r * m11 + (s - p) * m21) % r:
+                    continue
+                m22 = (r * m11 + (s - p) * m21) // r
+                m12 = 0
+                cand = [(m12, m22)]
+            else:
+                cand = [
+                    (m12, m22)
+                    for m12 in range(-bound, bound + 1)
+                    for m22 in range(-bound, bound + 1)
+                ]
+            for m12, m22 in cand:
+                if max(abs(m12), abs(m22)) > bound:
+                    continue
+                m = IntMatrix(((m11, m12), (m21, m22)))
+                if m.det() in (1, -1) and commutes(L, m):
+                    out.add(m)
+    return sorted(out, key=lambda m: m.rows)
