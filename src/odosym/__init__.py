@@ -3,47 +3,38 @@ constant-shape substitution subshifts."""
 
 __version__ = "0.1.0"
 
-from .intmat import (  # noqa: F401
+from .intmat import (
     FundamentalDomain,
     HnfBasis,
     IntMatrix,
-    enumerate_subgroups,
     fundamental_domain,
     hnf,
     integer_eigenvalues,
     is_expansion,
     parse_matrix,
     parse_vector,
-    reduce_vec,
     validate_domain,
 )
-from .odometer import (  # noqa: F401
-    ChainBase,
+from .odometer import (
     ConstantBase,
     NcCertificate,
     OdometerPoint,
-    add,
-    chain_nc_check,
-    epimorphism_digits,
     kappa_embed,
     nc_bounded_check,
     nc_passes,
     nc_search,
-    return_time_check,
-    universal_chain,
+    verify_nc_certificate,
 )
-from .classify2d import (  # noqa: F401
+from .classify2d import (
     MembershipVerdict,
     centralizer,
     classify,
     is_member,
-    virtually_z_family,
 )
-from .substitution import (  # noqa: F401
+from .substitution import (
     ConstantShapeSubstitution,
     Patch,
     fixed_point_patch,
-    folner_defect,
     half_hex,
     k_set,
     recognizability_check,
@@ -52,7 +43,7 @@ from .substitution import (  # noqa: F401
     supports,
     tau,
 )
-from .subshift_norm import (  # noqa: F401
+from .subshift_norm import (
     NLCertificate,
     NLRejection,
     apply_endomorphism,
@@ -61,5 +52,24 @@ from .subshift_norm import (  # noqa: F401
     conjugate_power,
     fiber_points,
     nl_membership,
-    pi_factor,
+    pullback_positions,
 )
+
+__all__ = [
+    # intmat
+    "FundamentalDomain", "HnfBasis", "IntMatrix", "fundamental_domain", "hnf",
+    "integer_eigenvalues", "is_expansion", "parse_matrix", "parse_vector",
+    "validate_domain",
+    # odometer
+    "ConstantBase", "NcCertificate", "OdometerPoint", "kappa_embed",
+    "nc_bounded_check", "nc_passes", "nc_search", "verify_nc_certificate",
+    # classify2d
+    "MembershipVerdict", "centralizer", "classify", "is_member",
+    # substitution
+    "ConstantShapeSubstitution", "Patch", "fixed_point_patch", "half_hex",
+    "k_set", "recognizability_check", "sigma_L", "substitute", "supports", "tau",
+    # subshift_norm
+    "NLCertificate", "NLRejection", "apply_endomorphism", "build_local_rule",
+    "composition_check", "conjugate_power", "fiber_points", "nl_membership",
+    "pullback_positions",
+]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import NotExpansionError, SizeGuardError, WrongBranchError
+from .errors import NotExpansionError, SizeGuardError
 from .intmat import (
     IntMatrix,
     _inv_unimodular,
@@ -166,15 +166,6 @@ class MembershipVerdict:
             "witness": list(self.witness) if self.witness is not None else None,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MembershipVerdict":
-        w = payload.get("witness")
-        return cls(
-            member=payload["member"],
-            reason=payload["reason"],
-            witness=None if w is None else tuple(w),
-        )
-
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -245,14 +236,6 @@ def _triangular_form(L: IntMatrix) -> _Triangular:
     t = _inv_unimodular(w) * L * w
     assert t.rows[1][0] == 0 and t.rows[0][0] == t1 and t.rows[1][1] == t2
     return _Triangular(w, t.rows[0][0], t.rows[0][1], t.rows[1][1])
-
-
-def eigenvector_matrix(L: IntMatrix) -> IntMatrix:
-    """Columns: primitive eigenvectors for the sorted integer eigenvalues."""
-    t1, t2 = integer_eigenvalues(L)
-    c1 = _eigenvector(L, t1)
-    c2 = _eigenvector(L, t2)
-    return IntMatrix(((c1[0], c2[0]), (c1[1], c2[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +365,22 @@ def centralizer(L: IntMatrix) -> NormalizerClass:
 # ---------------------------------------------------------------------------
 
 
+def _branch(L: IntMatrix) -> str:
+    """The route that names the group: "full-gl2", "triangular" or "centralizer"."""
+    if rad_divides(L.det(), L.trace()):
+        return "full-gl2"
+    if integer_eigenvalues(L):
+        return "triangular"
+    return "centralizer"
+
+
 @lru_cache(maxsize=None)
 def _classify_cached(rows: tuple) -> NormalizerClass:
     L = IntMatrix(rows)
-    if rad_divides(L.det(), L.trace()):
+    branch = _branch(L)
+    if branch == "full-gl2":
         return FullGL2()
-    if integer_eigenvalues(L):
+    if branch == "triangular":
         return _classify_triangular(L, _triangular_form(L))
     return _order_units(L)
 
@@ -488,12 +481,13 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
     _require_expansion_2x2(L)
     if M.det() not in (1, -1):
         raise ValueError(f"matrix must be unimodular, det = {M.det()}")
-    cls = classify(L)
-    if isinstance(cls, FullGL2):
+    branch = _branch(L)
+    if branch == "full-gl2":
         return MembershipVerdict(True, "full-gl2")
-    if isinstance(cls, (CentralizerFinite, CentralizerInfinite)):
-        ok = commutes(L, M)
-        return MembershipVerdict(ok, "centralizer-commutes")
+    if branch == "centralizer":
+        # the group is the centralizer itself: no unit has to be built
+        return MembershipVerdict(commutes(L, M), "centralizer-commutes")
+    cls = classify(L)
     if isinstance(cls, KleinFour):
         return MembershipVerdict(M in cls.elements, "klein-four")
     if isinstance(cls, OrderTwo):
@@ -508,111 +502,6 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
     lhs = (p - s) ** 2 * m12
     rhs = m21 * q * q + (p - s) * (m11 - m22) * q
     return MembershipVerdict(lhs == rhs, "triangular-relation", witness=(lhs, rhs))
-
-
-# ---------------------------------------------------------------------------
-# relation-route description for non-triangular bases with integer spectrum
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelationGroup:
-    """Linear relation cutting out the group, in the original coordinates.
-
-    With mb12 = r m12 - q m21 and mb22 = r m22 - s m21 - r m11 + p m21,
-    membership of a unimodular M is mb12 * cg == mb22 * ce.  The group
-    structure bound: finite abelianization, cyclic commutator subgroup.
-    """
-
-    eigenvectors: IntMatrix
-    ce: int
-    cg: int
-    note: str = "finite abelianization, cyclic commutator subgroup"
-
-
-def integer_spectrum_relation(L: IntMatrix) -> RelationGroup:
-    """Relation data for a non-triangular base with integer eigenvalues.
-
-    Only meaningful in the mixed-radical cases; the relation uses the
-    eigenvector of the eigenvalue whose radical divides the other.
-    """
-    (p, q), (r, s) = L.rows
-    if q == 0 or r == 0:
-        raise WrongBranchError("relation route needs a non-triangular base")
-    eig = integer_eigenvalues(L)
-    if not eig:
-        raise WrongBranchError("relation route needs integer eigenvalues")
-    t1, t2 = eig
-    pmat = eigenvector_matrix(L)
-    if rad_divides(t1, t2) and not rad_divides(t2, t1):
-        ce, cg = pmat.rows[0][0], pmat.rows[1][0]
-    elif rad_divides(t2, t1) and not rad_divides(t1, t2):
-        ce, cg = pmat.rows[0][1], pmat.rows[1][1]
-    else:
-        raise WrongBranchError("one radical must divide across, the other not")
-    return RelationGroup(pmat, ce, cg)
-
-
-def relation_member(L: IntMatrix, rel: RelationGroup, M: IntMatrix) -> bool:
-    (p, q), (r, s) = L.rows
-    (m11, m12), (m21, m22) = M.rows
-    mb12 = r * m12 - q * m21
-    mb22 = r * m22 - s * m21 - r * m11 + p * m21
-    return mb12 * rel.cg == mb22 * rel.ce
-
-
-def relation_derived_witness(L: IntMatrix) -> IntMatrix:
-    """Unipotent conjugated along the eigenvector matrix P of L.
-
-    P [[1, det P],[0,1]] P^{-1} in closed form: [[1 - eg, e^2],
-    [-g^2, 1 + eg]] with (e, g) the first eigenvector column.  Integral,
-    parabolic, and a nontrivial member of the derived subgroup in the
-    mixed-radical cases (checked against the relation and the normalizer
-    condition in the tests).
-    """
-    pmat = eigenvector_matrix(IntMatrix(L.rows))
-    (e, _), (g, _) = pmat.rows
-    return IntMatrix(((1 - e * g, e * e), (-g * g, 1 + e * g)))
-
-
-# ---------------------------------------------------------------------------
-# the parameterized family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VirtuallyZFamily:
-    """The four one-parameter families when q = k (p - s), k != 0."""
-
-    k: int
-    basis_change: IntMatrix
-    generator: IntMatrix
-
-    def members(self, m: int) -> tuple[IntMatrix, ...]:
-        k = self.k
-        raw = (
-            ((1 - m * k, -m * k * k), (m, 1 + m * k)),
-            ((1 - m * k, 2 * k - m * k * k), (m, m * k - 1)),
-            ((-1 - m * k, -2 * k - m * k * k), (m, 1 + m * k)),
-            ((-1 - m * k, -m * k * k), (m, -1 + m * k)),
-        )
-        w = self.basis_change
-        w_inv = _inv_unimodular(w)
-        return tuple(w * IntMatrix(rows) * w_inv for rows in raw)
-
-
-def virtually_z_family(L: IntMatrix) -> VirtuallyZFamily:
-    """Family data for the q = k (p - s) branch; errors on any other branch."""
-    cls = classify(L)
-    if not isinstance(cls, VirtuallyZ) or not isinstance(cls.description, ParamFamily):
-        raise WrongBranchError(f"base {L} is not in the parameterized family branch")
-    if cls.description.k == 0:
-        raise WrongBranchError("degenerate k = 0 family")
-    return VirtuallyZFamily(
-        k=cls.description.k,
-        basis_change=cls.basis_change,
-        generator=cls.generator,
-    )
 
 
 # ---------------------------------------------------------------------------

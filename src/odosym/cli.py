@@ -18,7 +18,7 @@ from itertools import product
 
 from . import __version__
 from .classify2d import class_to_payload, classify, is_member
-from .errors import MatrixParseError, OdosymError
+from .errors import MarginError, MatrixParseError, OdosymError
 from .intmat import (
     IntMatrix,
     format_matrix,
@@ -37,6 +37,7 @@ from .substitution import (
     k_set,
     recognizability_check,
     sigma_L,
+    substitute,
     tau,
 )
 from .subshift_norm import (
@@ -318,17 +319,17 @@ def cmd_subst(args) -> int:
     if s.is_self_similar():
         patch = fixed_point_patch(s, seed, region)
     else:
-        # general rule: iterate from the seed letter and restrict to the box
-        from .substitution import substitute
-
+        # general rule: iterate from the seed letter past 16 cells per box
+        # cell (each step multiplies the size by |det L| >= 2), then restrict
         patch = Patch({(0,) * s.dim: seed})
-        for _ in range(12):
-            grown = substitute(s, patch)
-            if len(grown) > 16 * len(region):
-                patch = grown
-                break
-            patch = grown
+        while len(patch) <= 16 * len(region):
+            patch = substitute(s, patch)
         patch = patch.restrict(region)
+        if len(patch) < len(region):
+            raise MarginError(
+                f"the iterated patch covers {len(patch)} of the {len(region)} "
+                f"cells of the box {args.box}"
+            )
     result = {
         "seed": format_vector(seed),
         "alphabet": [format_vector(a) for a in sorted(s.alphabet)],

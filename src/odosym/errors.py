@@ -39,15 +39,11 @@ class DomainMissingZeroError(DomainValidationError):
 
 
 class DepthError(OdosymError, ValueError):
-    """Requested depth exceeds what the base or point supports."""
+    """A depth or level below the least one the operation accepts."""
 
 
 class MissingCertificateError(OdosymError, ValueError):
-    """A digit map was requested without a witness at some level."""
-
-
-class BaseMismatchError(OdosymError, ValueError):
-    """Two odometer points live over different bases or depths."""
+    """A certificate lacks the integral conjugate some level needs."""
 
 
 class SizeGuardError(OdosymError, ValueError):

@@ -140,9 +140,6 @@ class IntMatrix:
             n >>= 1
         return result
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
     def adjugate(self) -> "IntMatrix":
         """Matrix A with A*M = M*A = det(M)*Id."""
         d = self.dim
@@ -290,13 +287,6 @@ class HnfBasis:
     def dim(self) -> int:
         return self.matrix.dim
 
-    def index(self) -> int:
-        """Index of the lattice in Z^d (= |det|)."""
-        d = 1
-        for i in range(self.dim):
-            d *= self.matrix.rows[i][i]
-        return d
-
     def reduce_vec(self, v: Vec) -> Vec:
         """Canonical representative of v modulo the lattice."""
         h = self.matrix.rows
@@ -311,9 +301,6 @@ class HnfBasis:
 
     def contains(self, v: Vec) -> bool:
         return self.reduce_vec(v) == zero_vec(self.dim)
-
-    def contains_lattice(self, other: "HnfBasis") -> bool:
-        return all(self.contains(c) for c in other.matrix.columns())
 
     def box_reps(self) -> list[Vec]:
         """All canonical representatives (the half-open HNF box)."""
@@ -380,32 +367,6 @@ def hnf(m: IntMatrix) -> HnfBasis:
     return hnf_from_generators(m.dim, m.columns())
 
 
-def lattice_intersection(a: HnfBasis, b: HnfBasis) -> HnfBasis:
-    """Intersection of two finite-index lattices via duality.
-
-    (L1 cap L2)* = L1* + L2*, and sums of lattices are just concatenated
-    generators.  Duals are kept integral by scaling with N = index(a) *
-    index(b); all divisions at the end are exact.
-    """
-    d = a.dim
-    n1, n2 = a.index(), b.index()
-    n = n1 * n2
-    g1 = a.matrix.adjugate().transpose().scale(n // n1)  # N * H1^{-T}
-    g2 = b.matrix.adjugate().transpose().scale(n // n2)  # N * H2^{-T}
-    s = hnf_from_generators(d, g1.columns() + g2.columns())
-    ds = s.index()
-    scaled = s.matrix.adjugate().transpose().scale(n)  # N * ds * S^{-T}
-    rows = []
-    for r in scaled.rows:
-        row = []
-        for x in r:
-            q, rem = divmod(x, ds)
-            assert rem == 0
-            row.append(q)
-        rows.append(tuple(row))
-    return hnf(IntMatrix(tuple(rows)))
-
-
 # ---------------------------------------------------------------------------
 # fundamental domains
 # ---------------------------------------------------------------------------
@@ -428,9 +389,6 @@ class FundamentalDomain:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def size(self) -> int:
-        return len(self.reps)
 
     def digit_of(self, v: Vec) -> Vec:
         """The representative of this domain congruent to v."""
@@ -476,14 +434,6 @@ def validate_domain(base: IntMatrix, candidates) -> FundamentalDomain:
             )
         table[key] = v
     return FundamentalDomain(base, tuple(cands), h, table)
-
-
-def reduce_vec(v: Vec, domain: FundamentalDomain) -> tuple[Vec, Vec]:
-    """Unique (digit, quotient) with v = L(quotient) + digit, digit in the domain."""
-    digit = domain.digit_of(tuple(v))
-    quotient = domain.base.solve_exact(vec_sub(tuple(v), digit))
-    assert quotient is not None
-    return digit, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -557,43 +507,6 @@ def _all_roots_in_open_unit_disk(coeffs: list[int]) -> bool:
             return False  # self-inversive remainder: roots not strictly inside
         c = nxt
     return True
-
-
-# ---------------------------------------------------------------------------
-# subgroup enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_subgroups(d: int, max_index: int) -> list[HnfBasis]:
-    """All finite-index subgroups of Z^d with index <= max_index, canonical HNF.
-
-    Ordered by (index, flattened entries) so enumerations are reproducible.
-    """
-    if d not in (1, 2, 3):
-        raise ValueError("subgroup enumeration supports d in {1, 2, 3}")
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
-    found = []
-    if d == 1:
-        for a in range(1, max_index + 1):
-            found.append(IntMatrix(((a,),)))
-    elif d == 2:
-        for a in range(1, max_index + 1):
-            for c in range(1, max_index // a + 1):
-                for b in range(c):
-                    found.append(IntMatrix(((a, 0), (b, c))))
-    else:
-        for a in range(1, max_index + 1):
-            for c in range(1, max_index // a + 1):
-                for f in range(1, max_index // (a * c) + 1):
-                    for b in range(c):
-                        for e1 in range(f):
-                            for e2 in range(f):
-                                found.append(
-                                    IntMatrix(((a, 0, 0), (b, c, 0), (e1, e2, f)))
-                                )
-    found.sort(key=lambda m: (abs(m.det()), m.rows))
-    return [HnfBasis(m) for m in found]
 
 
 # ---------------------------------------------------------------------------

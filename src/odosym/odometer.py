@@ -1,9 +1,9 @@
 """Truncated inverse-limit arithmetic for Z^d odometers.
 
 A constant-base odometer is the inverse limit of Z^d / L^n(Z^d) for an
-expansion matrix L; a chain base is an explicit nested list of lattices.
-Digits are stored as canonical HNF-box representatives at every level, so
-equality of truncated points is plain tuple equality.
+expansion matrix L.  Digits are stored as canonical HNF-box
+representatives at every level, so equality of truncated points is plain
+tuple equality.
 
 The normalizer condition at depth n asks for an exponent m with
 
@@ -20,23 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    BaseMismatchError,
-    DepthError,
-    MissingCertificateError,
-    NotExpansionError,
-)
-from .intmat import (
-    HnfBasis,
-    IntMatrix,
-    Vec,
-    enumerate_subgroups,
-    hnf,
-    is_expansion,
-    lattice_intersection,
-    vec_add,
-    zero_vec,
-)
+from .errors import DepthError, NotExpansionError
+from .intmat import HnfBasis, IntMatrix, Vec, hnf, is_expansion
 
 # ---------------------------------------------------------------------------
 # bases and points
@@ -48,7 +33,6 @@ class ConstantBase:
     """Levels Z_n = L^n(Z^d) for a fixed expansion matrix L."""
 
     matrix: IntMatrix
-    max_depth: int = 24
 
     def __post_init__(self):
         if not is_expansion(self.matrix):
@@ -59,41 +43,9 @@ class ConstantBase:
         return self.matrix.dim
 
     def level_basis(self, n: int) -> HnfBasis:
-        if n < 0 or n > self.max_depth:
-            raise DepthError(f"level {n} outside supported range")
+        if n < 0:
+            raise DepthError(f"level must be >= 0, got {n}")
         return _power_hnf(self.matrix, n)
-
-    def capability(self) -> int:
-        return self.max_depth
-
-
-@dataclass(frozen=True)
-class ChainBase:
-    """An explicit strictly nested chain of finite-index lattices."""
-
-    bases: tuple[HnfBasis, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.bases, self.bases[1:]):
-            if not a.contains_lattice(b):
-                raise ValueError("chain levels must be nested")
-            if a.matrix == b.matrix:
-                raise ValueError("chain levels must be strictly nested")
-
-    @property
-    def dim(self) -> int:
-        return self.bases[0].dim
-
-    def level_basis(self, n: int) -> HnfBasis:
-        if n < 0 or n >= len(self.bases):
-            raise DepthError(f"level {n} outside chain of length {len(self.bases)}")
-        return self.bases[n]
-
-    def capability(self) -> int:
-        return len(self.bases) - 1
-
-
-OdometerBase = ConstantBase | ChainBase
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +61,7 @@ def _power_hnf(m: IntMatrix, n: int) -> HnfBasis:
 class OdometerPoint:
     """Digits g_0..g_N, each the canonical representative mod level n."""
 
-    base: OdometerBase
+    base: ConstantBase
     digits: tuple[Vec, ...]
 
     def __post_init__(self):
@@ -127,43 +79,13 @@ class OdometerPoint:
         return self.digits[n]
 
 
-def kappa_embed(v: Vec, base: OdometerBase, depth: int) -> OdometerPoint:
+def kappa_embed(v: Vec, base: ConstantBase, depth: int) -> OdometerPoint:
     """Embed an integer vector: digits are v mod Z_n for n = 0..depth."""
-    if depth > base.capability():
-        raise DepthError(f"depth {depth} exceeds base capability")
+    if depth < 0:
+        raise DepthError(f"depth must be >= 0, got {depth}")
     v = tuple(int(x) for x in v)
     digits = tuple(base.level_basis(n).reduce_vec(v) for n in range(depth + 1))
     return OdometerPoint(base, digits)
-
-
-def add(p: OdometerPoint, q: OdometerPoint) -> OdometerPoint:
-    """Group law: digit-wise sum, re-reduced to canonical representatives."""
-    if p.base != q.base or p.depth != q.depth:
-        raise BaseMismatchError("points must share base and depth")
-    digits = tuple(
-        p.base.level_basis(n).reduce_vec(vec_add(p.digits[n], q.digits[n]))
-        for n in range(p.depth + 1)
-    )
-    return OdometerPoint(p.base, digits)
-
-
-def return_time_check(
-    base: OdometerBase, level: int, digit: Vec, probes
-) -> bool:
-    """Verify the return-time law at one cylinder.
-
-    For each probe m, translating a point of the cylinder [digit]_level by
-    m stays in the cylinder exactly when m lies in Z_level.
-    """
-    basis = base.level_basis(level)
-    a = basis.reduce_vec(tuple(digit))
-    for m in probes:
-        m = tuple(int(x) for x in m)
-        stays = basis.reduce_vec(vec_add(a, m)) == a
-        member = basis.contains(m)
-        if stays != member:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -286,83 +208,3 @@ def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bo
     if not 0 <= cert.m <= m_star or not cond(cert.m):
         return False
     return cert.m == 0 or not cond(cert.m - 1)
-
-
-# ---------------------------------------------------------------------------
-# the epimorphism digit map
-# ---------------------------------------------------------------------------
-
-
-def epimorphism_digits(
-    M: IntMatrix,
-    p: OdometerPoint,
-    certs: list[NcCertificate],
-    out_depth: int | None = None,
-) -> OdometerPoint:
-    """Digit map of the M-epimorphism: level n reads M * g_{m(n)} mod Z_n.
-
-    certs must witness the normalizer condition at every output level; the
-    witness exponents decide which input digit feeds each output level, so
-    the input must be at least as deep as the largest witness used.
-    out_depth defaults to the input depth (enough whenever M commutes with
-    the base, where every witness is m(n) = n).
-    """
-    base = p.base
-    if out_depth is None:
-        out_depth = p.depth
-    witness = {c.n: c.m for c in certs if c.m is not None}
-    out = [zero_vec(base.dim)]
-    for n in range(1, out_depth + 1):
-        if n not in witness:
-            raise MissingCertificateError(f"no witness certificate at level {n}")
-        m = witness[n]
-        if m > p.depth:
-            raise DepthError(
-                f"witness exponent {m} at level {n} exceeds point depth {p.depth}"
-            )
-        moved = M.mul_vec(p.digit(m))
-        out.append(base.level_basis(n).reduce_vec(moved))
-    return OdometerPoint(base, tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# chains and the universal odometer
-# ---------------------------------------------------------------------------
-
-
-def universal_chain(max_index: int, d: int) -> ChainBase:
-    """Intersect the enumeration of all subgroups of index <= max_index.
-
-    Consecutive repeats are dropped so the stored chain is strictly nested;
-    the inverse limit is unchanged.
-    """
-    levels = []
-    current = None
-    for sub in enumerate_subgroups(d, max_index):
-        current = sub if current is None else lattice_intersection(current, sub)
-        if not levels or levels[-1].matrix != current.matrix:
-            levels.append(current)
-    return ChainBase(tuple(levels))
-
-
-@dataclass(frozen=True)
-class ChainNcResult:
-    """Bounded normalizer-condition search along an explicit chain."""
-
-    n: int
-    m: int | None
-    searched_to: int
-
-    @property
-    def present(self) -> bool:
-        return self.m is not None
-
-
-def chain_nc_check(chain: ChainBase, M: IntMatrix, n: int) -> ChainNcResult:
-    """Least m <= chain length with M * Z_m inside Z_n, if any."""
-    target = chain.level_basis(n)
-    for m in range(len(chain.bases)):
-        cols = chain.level_basis(m).matrix.columns()
-        if all(target.contains(M.mul_vec(c)) for c in cols):
-            return ChainNcResult(n=n, m=m, searched_to=chain.capability())
-    return ChainNcResult(n=n, m=None, searched_to=chain.capability())

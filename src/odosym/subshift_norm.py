@@ -431,7 +431,7 @@ def composition_check(
 
 
 # ---------------------------------------------------------------------------
-# fibers over the base odometer and the defactorization digit
+# fibers over the base odometer
 # ---------------------------------------------------------------------------
 
 
@@ -471,33 +471,3 @@ def fiber_points(
         return frozenset({tau(s, target)}), note
     a = tuple(int(x) for x in at)
     return frozenset(s.alphabet), f"orbit point: letters at coordinate {a} are free"
-
-
-def pi_factor(s: ConstantShapeSubstitution, p: Patch, n: int) -> Vec:
-    """The unique digit f in F_n with p inside the shifted n-th image set.
-
-    Matches the patch against the letters forced by each candidate digit;
-    recognizability makes the consistent digit unique once the window is
-    large enough.
-    """
-    cache = supports(s, n)
-    basis = hnf(s.base**n)
-    consistent = []
-    for f in sorted(cache.level(n)):
-        ok = True
-        determined = 0
-        for j, letter in p.items():
-            y = vec_add(j, f)
-            if basis.contains(y):
-                continue
-            determined += 1
-            if tau(s, y) != letter:
-                ok = False
-                break
-        if ok and determined > 0:
-            consistent.append(f)
-    if not consistent:
-        raise WindowError("patch matches no shifted image: not in the language form")
-    if len(consistent) > 1:
-        raise WindowError(f"window too small: {len(consistent)} digits consistent")
-    return consistent[0]

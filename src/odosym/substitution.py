@@ -9,16 +9,16 @@ maps; supports like the half-hex iterates are not boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .errors import SizeGuardError, WrongBranchError
+from .errors import NotExpansionError, SizeGuardError, WrongBranchError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
     fundamental_domain,
     hnf,
+    is_expansion,
     validate_domain,
     vec_add,
     vec_sub,
@@ -90,6 +90,9 @@ class ConstantShapeSubstitution:
     table: dict
 
     def __post_init__(self):
+        # tau strips factors of L and would never stop on a non-expansion base
+        if not is_expansion(self.base):
+            raise NotExpansionError(f"not an expansion matrix: {self.base}")
         support = set(self.domain.reps)
         for letter in self.alphabet:
             if letter not in self.table:
@@ -183,34 +186,6 @@ def supports(s: ConstantShapeSubstitution, n: int) -> SupportCache:
     for k, lv in enumerate(levels):
         assert len(lv) == det**k, "supports must have |det|^n points"
     return SupportCache(substitution=s, levels=tuple(levels))
-
-
-def folner_defect(cache: SupportCache, n: int, directions) -> Fraction:
-    """max over v of |F_n symmetric-difference (F_n + v)| / |F_n|, exact."""
-    fn = cache.level(n)
-    worst = Fraction(0)
-    for v in directions:
-        v = tuple(int(x) for x in v)
-        shifted = {vec_add(p, v) for p in fn}
-        worst = max(worst, Fraction(len(fn ^ shifted), len(fn)))
-    return worst
-
-
-def folner_trend_ok(s: ConstantShapeSubstitution, n_max: int = 5, directions=None) -> bool:
-    """Monotone-decrease diagnostic for the support boundary ratio.
-
-    The library's subshift guarantees are stated for rules whose defect
-    sequence is non-increasing over the tested range; this is a bounded
-    surrogate for the amenability hypothesis on the supports, not a
-    proof of it.
-    """
-    if directions is None:
-        directions = [
-            tuple(1 if i == j else 0 for i in range(s.dim)) for j in range(s.dim)
-        ]
-    cache = supports(s, n_max)
-    seq = [folner_defect(cache, n, directions) for n in range(1, n_max + 1)]
-    return all(a >= b for a, b in zip(seq, seq[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +370,3 @@ def recognizability_check(
         else:
             patches[sig] = a
     return True, None
-
-
-def primitivity_witness(s: ConstantShapeSubstitution, n_max: int = 2) -> int | None:
-    """Least n <= n_max with every letter occurring in every n-th image."""
-    patches = {a: Patch({zero_vec(s.dim): a}) for a in s.alphabet}
-    for n in range(1, n_max + 1):
-        patches = {a: substitute(s, p) for a, p in patches.items()}
-        if all(
-            {letter for _, letter in p.items()} == s.alphabet for p in patches.values()
-        ):
-            return n
-    return None

@@ -18,17 +18,13 @@ from odosym.classify2d import (
     ParamFamily,
     UpperTriangularUnimodular,
     VirtuallyZ,
+    _eigenvector,
     centralizer,
     classify,
-    eigenvector_matrix,
-    integer_spectrum_relation,
     is_member,
-    relation_derived_witness,
-    relation_member,
-    virtually_z_family,
 )
-from odosym.errors import NotExpansionError, WrongBranchError
-from odosym.intmat import IntMatrix, commutes, is_expansion, parse_matrix
+from odosym.errors import NotExpansionError
+from odosym.intmat import IntMatrix, commutes, integer_eigenvalues, is_expansion, parse_matrix
 from odosym.odometer import nc_passes
 
 ID2 = IntMatrix.identity(2)
@@ -135,30 +131,39 @@ def test_order_two_branch_exists():
     assert not is_member(L, parse_matrix("1,1;0,1")).member
 
 
+def param_family_members(cls, m):
+    """The four explicit one-parameter families of the q = k (p - s) branch."""
+    k = cls.description.k
+    raw = (
+        ((1 - m * k, -m * k * k), (m, 1 + m * k)),
+        ((1 - m * k, 2 * k - m * k * k), (m, m * k - 1)),
+        ((-1 - m * k, -2 * k - m * k * k), (m, 1 + m * k)),
+        ((-1 - m * k, -m * k * k), (m, -1 + m * k)),
+    )
+    w = cls.basis_change
+    return tuple(w * IntMatrix(rows) * unimodular_inverse(w) for rows in raw)
+
+
 def test_param_family_branch():
     L = parse_matrix("6,4;0,2")
     cls = classify(L)
     assert isinstance(cls, VirtuallyZ)
     assert isinstance(cls.description, ParamFamily)
     assert cls.description.k == 1
-    fam = virtually_z_family(L)
-    assert fam.generator == parse_matrix("0,-1;1,2")
+    assert cls.generator == parse_matrix("0,-1;1,2")
     for m in (-2, -1, 0, 1, 2, 5):
-        for member in fam.members(m):
+        for member in param_family_members(cls, m):
             assert member.det() in (1, -1)
             assert is_member(L, member).member
     # the generator has infinite order: parabolic and not the identity
-    g = fam.generator
+    g = cls.generator
     assert g.trace() == 2 and g != ID2
 
 
 def test_virtually_z_family_wrong_branch():
-    with pytest.raises(WrongBranchError):
-        virtually_z_family(GOLDEN["upper-virtually-z"])  # q not divisible
-    with pytest.raises(WrongBranchError):
-        virtually_z_family(parse_matrix("6,0;0,2"))  # diagonal: k = 0 shape
-    with pytest.raises(WrongBranchError):
-        virtually_z_family(GOLDEN["complex"])
+    # q not divisible by p - s, a diagonal base, and a complex spectrum
+    for L in (GOLDEN["upper-virtually-z"], parse_matrix("6,0;0,2"), GOLDEN["complex"]):
+        assert not isinstance(getattr(classify(L), "description", None), ParamFamily)
 
 
 def test_diagonal_mixed_radical_is_virtually_z():
@@ -232,47 +237,16 @@ def test_centralizer_integer_spectrum_finite():
     assert len(c.elements) == 4  # the Klein four involutions
 
 
-# ---------------------------------------------------------------------------
-# relation route for non-triangular integer-spectrum bases
-# ---------------------------------------------------------------------------
-
-
-def test_relation_route_matches_triangular_route():
-    cases = [parse_matrix("4,1;2,5"), parse_matrix("5,2;2,4"), parse_matrix("8,3;2,3")]
-    for L in cases:
-        if not is_expansion(L):
-            continue
-        from odosym.intmat import integer_eigenvalues, rad_divides
-
-        eig = integer_eigenvalues(L)
-        if not eig:
-            continue
-        t1, t2 = eig
-        mixed = rad_divides(t1, t2) != rad_divides(t2, t1)
-        if not mixed:
-            continue
-        rel = integer_spectrum_relation(L)
-        for a, b, c, d in product(range(-3, 4), repeat=4):
-            M = IntMatrix(((a, b), (c, d)))
-            if M.det() not in (1, -1):
-                continue
-            assert relation_member(L, rel, M) == is_member(L, M).member
-        w = relation_derived_witness(L)
-        assert relation_member(L, rel, w)
-        assert is_member(L, w).member
-        assert nc_passes(L, w, 4)
-        assert w.trace() == 2 and w != ID2  # parabolic: infinite order
-
-
 def test_eigenvector_matrix_normalization():
-    P = eigenvector_matrix(parse_matrix("4,1;2,5"))
-    for j in (0, 1):
-        col = (P.rows[0][j], P.rows[1][j])
+    L = parse_matrix("4,1;2,5")
+    for t in integer_eigenvalues(L):
+        col = _eigenvector(L, t)
         from math import gcd
 
         assert gcd(col[0], col[1]) == 1
         lead = col[0] if col[0] != 0 else col[1]
         assert lead > 0
+        assert L.mul_vec(col) == (t * col[0], t * col[1])
 
 
 # ---------------------------------------------------------------------------

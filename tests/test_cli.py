@@ -53,6 +53,18 @@ def test_member_exit_codes(capsys):
     assert code2 == 3 and report2["result"]["member"] is False
 
 
+def test_member_on_a_base_whose_unit_does_not_print(capsys):
+    # classify raises SizeGuardError here, but membership only needs commutes
+    base = "-92397,22060;-34713,70124"
+    for matrix, want in (("1,0;0,1", 0), ("0,1;1,0", 3)):
+        started = time.perf_counter()
+        code, report = run_cli(["member", "--base", base, "--matrix", matrix], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == want
+        assert report["result"]["member"] is (want == 0)
+        assert report["result"]["reason"] == "centralizer-commutes"
+
+
 def test_nc_command_and_roundtrip(capsys):
     code, report = run_cli(
         ["nc", "--base", "2,0;0,2", "--matrix", "0,1;1,0", "--depth", "4"], capsys
@@ -176,6 +188,47 @@ def test_subst_description_file_with_table(capsys, tmp_path):
     assert code == 0
     cells = {tuple(p): tuple(a) for p, a in report["result"]["patch"]}
     assert cells[(0, 0)] == (1, 0) and cells[(3, 1)] == (1, -1)
+
+
+def _two_letter_rule(base, F1, image):
+    """Description file data: letters (0,1) and (1,0), image(a, f) at offset f."""
+    letters = [(0, 1), (1, 0)]
+    table = {
+        ",".join(map(str, a)): [[list(f), list(image(a, f))] for f in F1] for a in letters
+    }
+    return {"L": base, "F1": [list(f) for f in F1], "table": table}
+
+
+def _swap_letter(a, f):
+    return a if f == (0, 0) else (a[1], a[0])
+
+
+def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
+    quadrant = [(x, y) for x in (0, 1) for y in (0, 1)]
+    cases = [
+        # supports stay in the positive quadrant: 9 of the 25 cells
+        (_two_letter_rule("2,0;0,2", quadrant, _swap_letter), "MarginError", "9 of the 25"),
+        (_two_letter_rule("1,0;0,1", [(0, 0)], _swap_letter), "NotExpansionError", "1,0;0,1"),
+        (_two_letter_rule("2,0;0,1", [(0, 0), (1, 0)], _swap_letter), "NotExpansionError", "2,0;0,1"),
+    ]
+    desc = tmp_path / "rule.json"
+    for data, error, detail in cases:
+        desc.write_text(json.dumps(data))
+        code = main(["subst", "patch", "--subst", str(desc), "--box", "-2:2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"odosym: {error}: ") and detail in captured.err
+    # a non-expansion base given by --L is rejected too, instead of looping in tau
+    assert main(["subst", "patch", "--L", "3,0;0,1", "--box", "-2:2"]) == 2
+    assert "NotExpansionError" in capsys.readouterr().err
+    square = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    desc.write_text(
+        json.dumps(_two_letter_rule("3,0;0,3", square, lambda a, f: a if sum(f) % 2 else a[::-1]))
+    )
+    code, report = run_cli(["subst", "patch", "--subst", str(desc), "--box", "-4:4"], capsys)
+    assert code == 0
+    assert len(report["result"]["patch"]) == 81
 
 
 def test_parse_error_exit_code(capsys):

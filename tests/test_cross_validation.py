@@ -14,7 +14,7 @@ from tests_shared import rand_unimodular_small
 
 from odosym.classify2d import classify, is_member
 from odosym.intmat import IntMatrix, is_expansion, parse_matrix, validate_domain
-from odosym.odometer import ConstantBase, add, kappa_embed, nc_passes, universal_chain
+from odosym.odometer import ConstantBase, kappa_embed, nc_passes
 from odosym.substitution import fixed_point_patch, sigma_L, tau, valuation
 from odosym.subshift_norm import (
     NLCertificate,
@@ -126,15 +126,6 @@ def test_half_hex_domain_and_box_domain_give_same_verdicts():
         assert isinstance(a, NLCertificate) == isinstance(b, NLCertificate)
         if isinstance(a, NLCertificate):
             assert (a.k, a.n0) == (b.k, b.n0)
-
-
-def test_chain_base_points():
-    ch = universal_chain(6, 2)
-    base = ch
-    p = kappa_embed((5, -3), base, base.capability())
-    q = kappa_embed((-2, 7), base, base.capability())
-    s = add(p, q)
-    assert s == kappa_embed((3, 4), base, base.capability())
 
 
 def test_constant_base_deep_digits_match_reductions():

@@ -16,18 +16,15 @@ from odosym.errors import (
 from odosym.intmat import (
     IntMatrix,
     char_poly,
-    enumerate_subgroups,
     format_matrix,
     fundamental_domain,
     hnf,
     hnf_from_generators,
     integer_eigenvalues,
     is_expansion,
-    lattice_intersection,
     parse_matrix,
     parse_vector,
     rad_divides,
-    reduce_vec,
     validate_domain,
 )
 
@@ -203,19 +200,9 @@ def test_hnf_singular_rejected():
         hnf(parse_matrix("1,2;2,4"))
 
 
-def test_lattice_intersection_bruteforce():
-    rng = random.Random(5)
-    for _ in range(40):
-        d = rng.choice([1, 2, 3])
-        mats = []
-        while len(mats) < 2:
-            m = rand_matrix(rng, d, -3, 3)
-            if m.det() != 0 and abs(m.det()) <= 8:
-                mats.append(hnf(m))
-        a, b = mats
-        c = lattice_intersection(a, b)
-        for t in product(range(-4, 5), repeat=d):
-            assert c.contains(t) == (a.contains(t) and b.contains(t))
+def test_hnf_from_generators_rank_check():
+    with pytest.raises(SingularMatrixError):
+        hnf_from_generators(2, [(1, 0), (2, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +263,19 @@ def test_validate_domain_half_hex_and_errors():
         validate_domain(two, [(1, 1), (1, 0), (0, 1), (2, 2)])
 
 
+def split(v, domain):
+    """(digit, quotient) with v = L(quotient) + digit, as tau reads them."""
+    digit = domain.digit_of(v)
+    return digit, domain.base.solve_exact(tuple(x - y for x, y in zip(v, digit)))
+
+
 def test_reduce_examples():
     two = IntMatrix.scalar(2, 2)
     hh = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
-    assert reduce_vec((3, 1), hh) == ((1, -1), (1, 1))
-    assert reduce_vec((0, 0), hh) == ((0, 0), (0, 0))
+    assert split((3, 1), hh) == ((1, -1), (1, 1))
+    assert split((0, 0), hh) == ((0, 0), (0, 0))
     box = fundamental_domain(parse_matrix("2,0;0,4"))
-    assert reduce_vec((5, 2), box) == ((1, 2), (2, 0))
+    assert split((5, 2), box) == ((1, 2), (2, 0))
 
 
 def test_reduce_is_bijection_on_box():
@@ -294,7 +287,8 @@ def test_reduce_is_bijection_on_box():
         f = fundamental_domain(m)
         seen = set()
         for v in product(range(-5, 6), repeat=2):
-            digit, quot = reduce_vec(v, f)
+            digit, quot = split(v, f)
+            assert digit in f
             assert tuple(m.mul_vec(quot)) == tuple(
                 x - y for x, y in zip(v, digit)
             )
@@ -350,44 +344,6 @@ def _cubic_roots(a, b, c):
     import numpy.polynomial.polynomial as npoly  # test-only oracle
 
     return npoly.polyroots([c, b, a, 1])
-
-
-# ---------------------------------------------------------------------------
-# subgroup enumeration
-# ---------------------------------------------------------------------------
-
-
-def test_enumerate_subgroups_examples():
-    subs = enumerate_subgroups(1, 3)
-    assert [h.matrix.rows for h in subs] == [((1,),), ((2,),), ((3,),)]
-    idx2 = [h for h in enumerate_subgroups(2, 2) if h.index() == 2]
-    assert len(idx2) == 3
-    idx4 = [h for h in enumerate_subgroups(2, 4) if h.index() == 4]
-    assert len(idx4) == 7
-
-
-def sigma_divisors(n):
-    return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def test_enumerate_subgroups_counts_and_distinct():
-    subs = enumerate_subgroups(2, 12)
-    by_index = {}
-    for h in subs:
-        by_index.setdefault(h.index(), []).append(h)
-    for n, hs in by_index.items():
-        assert len(hs) == sigma_divisors(n)
-        # pairwise distinct as lattices: membership signature over a box
-        sigs = set()
-        for h in hs:
-            sig = tuple(h.contains(v) for v in product(range(n + 1), repeat=2))
-            assert sig not in sigs
-            sigs.add(sig)
-
-
-def test_hnf_from_generators_rank_check():
-    with pytest.raises(SingularMatrixError):
-        hnf_from_generators(2, [(1, 0), (2, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,31 +2,21 @@ import random
 
 import pytest
 
-from odosym.errors import BaseMismatchError, DepthError, NotExpansionError
-from odosym.intmat import IntMatrix, parse_matrix
+from odosym.errors import DepthError, NotExpansionError
+from odosym.intmat import IntMatrix, hnf, parse_matrix
 from odosym.odometer import (
-    ChainBase,
     ConstantBase,
     NcCertificate,
     OdometerPoint,
-    add,
-    chain_nc_check,
-    epimorphism_digits,
     kappa_embed,
     nc_bounded_check,
     nc_passes,
     nc_search,
-    return_time_check,
-    universal_chain,
     verify_nc_certificate,
 )
 
 TWO = IntMatrix.scalar(2, 2)
 SWAP = parse_matrix("0,1;1,0")
-
-
-def rand_vec(rng, lo=-9, hi=9):
-    return (rng.randint(lo, hi), rng.randint(lo, hi))
 
 
 def rand_unimodular(rng, bound=3):
@@ -54,9 +44,21 @@ def test_kappa_examples():
 
 
 def test_kappa_depth_guard():
-    base = ConstantBase(TWO, max_depth=4)
+    base = ConstantBase(TWO)
     with pytest.raises(DepthError):
-        kappa_embed((1, 0), base, 5)
+        kappa_embed((1, 0), base, -1)
+    with pytest.raises(DepthError):
+        base.level_basis(-1)
+
+
+def test_kappa_embed_has_no_depth_cap():
+    L = parse_matrix("2,-1;1,3")
+    base = ConstantBase(L)
+    for v in [(3, 1), (-7, 12), (10**15, -(10**14))]:
+        p = kappa_embed(v, base, 40)
+        assert p.depth == 40
+        assert p.digit(40) == hnf(L**40).reduce_vec(v)
+        assert p.digit(25) == hnf(L**25).reduce_vec(v)
 
 
 def test_nonexpansion_base_rejected():
@@ -64,49 +66,26 @@ def test_nonexpansion_base_rejected():
         ConstantBase(parse_matrix("1,1;0,1"))
 
 
-def test_add_identity_and_carry():
-    base = ConstantBase(TWO)
-    p = kappa_embed((3, 1), base, 3)
-    zero = kappa_embed((0, 0), base, 3)
-    assert add(p, zero) == p
-    s = add(kappa_embed((1, 0), base, 2), kappa_embed((1, 0), base, 2))
-    assert s.digits[1] == (0, 0)
-    assert s == kappa_embed((2, 0), base, 2)
-
-
-def test_add_is_homomorphism_random():
-    rng = random.Random(11)
-    base = ConstantBase(parse_matrix("2,-1;1,3"))
-    for _ in range(40):
-        u, v = rand_vec(rng), rand_vec(rng)
-        lhs = add(kappa_embed(u, base, 4), kappa_embed(v, base, 4))
-        rhs = kappa_embed((u[0] + v[0], u[1] + v[1]), base, 4)
-        assert lhs == rhs
-
-
-def test_add_base_mismatch():
-    with pytest.raises(BaseMismatchError):
-        add(
-            kappa_embed((1, 0), ConstantBase(TWO), 2),
-            kappa_embed((1, 0), ConstantBase(TWO), 3),
-        )
+def test_return_time_check():
+    # translating a point of the cylinder [a]_n by m stays in it iff m is in Z_n
+    rng = random.Random(12)
+    probes = [(2, 0), (1, 0)] + [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(30)]
+    for base, level, digit in (
+        (ConstantBase(TWO), 1, (1, 1)),
+        (ConstantBase(TWO), 2, (3, 1)),
+        (ConstantBase(parse_matrix("2,-1;1,3")), 2, (1, 1)),
+    ):
+        basis = base.level_basis(level)
+        a = basis.reduce_vec(digit)
+        for m in probes:
+            stays = basis.reduce_vec((a[0] + m[0], a[1] + m[1])) == a
+            assert stays == basis.contains(m)
 
 
 def test_digit_compatibility_enforced():
     base = ConstantBase(TWO)
     with pytest.raises(ValueError):
         OdometerPoint(base, ((0, 0), (1, 0), (0, 0)))
-
-
-def test_return_time_check():
-    base = ConstantBase(TWO)
-    assert return_time_check(base, 1, (1, 1), [(2, 0)])
-    assert return_time_check(base, 1, (1, 1), [(1, 0)])
-    rng = random.Random(12)
-    probes = [rand_vec(rng) for _ in range(30)]
-    assert return_time_check(base, 2, (3, 1), probes)
-    b2 = ConstantBase(parse_matrix("2,-1;1,3"))
-    assert return_time_check(b2, 2, (1, 1), probes)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +102,9 @@ def test_nc_search_examples():
     c3 = nc_search(parse_matrix("3,1;0,5"), SWAP, 1)
     assert c3.m is None
     assert c3.bound == 8  # d * n * bitlen|det L| = 2 * 1 * 4
+    # for diag(2,4) the lower unipotent needs the witness m(n) = 2n
+    certs = nc_bounded_check(parse_matrix("2,0;0,4"), parse_matrix("1,0;1,1"), 3)
+    assert [c.m for c in certs] == [2, 4, 6]
 
 
 def test_nc_certificates_recheck():
@@ -255,103 +237,3 @@ def test_nc_conjugation_covariance():
         M = rand_unimodular(rng, 2)
         Mc = U * M * ui
         assert nc_passes(L, M, 3) == nc_passes(Lc, Mc, 3)
-
-
-# ---------------------------------------------------------------------------
-# epimorphism digits
-# ---------------------------------------------------------------------------
-
-
-def test_epimorphism_identity():
-    base = ConstantBase(TWO)
-    certs = nc_bounded_check(TWO, IntMatrix.identity(2), 3)
-    p = kappa_embed((3, 1), base, 3)
-    assert epimorphism_digits(IntMatrix.identity(2), p, certs) == p
-
-
-def test_epimorphism_equivariance_random():
-    rng = random.Random(18)
-    base = ConstantBase(TWO)
-    M = SWAP
-    certs = nc_bounded_check(TWO, M, 3)
-    for _ in range(25):
-        v = rand_vec(rng)
-        p = kappa_embed(rand_vec(rng), base, 3)
-        lhs = epimorphism_digits(M, add(kappa_embed(v, base, 3), p), certs)
-        rhs = add(kappa_embed(M.mul_vec(v), base, 3), epimorphism_digits(M, p, certs))
-        assert lhs == rhs
-
-
-def test_epimorphism_missing_certificate():
-    from odosym.errors import MissingCertificateError
-
-    base = ConstantBase(TWO)
-    p = kappa_embed((1, 0), base, 3)
-    certs = nc_bounded_check(TWO, SWAP, 2)  # level 3 missing
-    with pytest.raises(MissingCertificateError):
-        epimorphism_digits(SWAP, p, certs)
-
-
-def test_epimorphism_witness_beyond_depth():
-    # for this base the lower unipotent needs the witness m(n) = 2n, so a
-    # depth-3 point cannot feed the level-3 output digit
-    L = parse_matrix("2,0;0,4")
-    M = parse_matrix("1,0;1,1")
-    certs = nc_bounded_check(L, M, 3)
-    assert [c.m for c in certs] == [2, 4, 6]
-    base = ConstantBase(L)
-    p = kappa_embed((1, 1), base, 3)
-    with pytest.raises(DepthError):
-        epimorphism_digits(M, p, certs)
-    deep = kappa_embed((1, 1), base, 6)
-    out = epimorphism_digits(M, deep, certs, out_depth=3)
-    assert out.depth == 3
-    assert out.digit(2) == base.level_basis(2).reduce_vec(M.mul_vec(deep.digit(4)))
-    assert out.digit(3) == base.level_basis(3).reduce_vec(M.mul_vec(deep.digit(6)))
-
-
-def test_epimorphism_composition():
-    rng = random.Random(19)
-    base = ConstantBase(TWO)
-    M1, M2 = SWAP, parse_matrix("1,1;0,1")
-    c1 = nc_bounded_check(TWO, M1, 3)
-    c2 = nc_bounded_check(TWO, M2, 3)
-    c12 = nc_bounded_check(TWO, M1 * M2, 3)
-    for _ in range(20):
-        p = kappa_embed(rand_vec(rng), base, 3)
-        lhs = epimorphism_digits(M1, epimorphism_digits(M2, p, c2), c1)
-        rhs = epimorphism_digits(M1 * M2, p, c12)
-        assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# chains
-# ---------------------------------------------------------------------------
-
-
-def test_universal_chain_d1():
-    ch = universal_chain(3, 1)
-    assert [b.matrix.rows for b in ch.bases] == [((1,),), ((2,),), ((6,),)]
-
-
-def test_universal_chain_nesting_strict():
-    ch = universal_chain(6, 2)
-    for a, b in zip(ch.bases, ch.bases[1:]):
-        assert a.contains_lattice(b)
-        assert a.matrix != b.matrix
-
-
-def test_universal_chain_nc_demo():
-    ch = universal_chain(6, 2)
-    for M in (parse_matrix("2,1;1,1"), IntMatrix.identity(2), SWAP):
-        for n in (0, 1, 2):
-            assert chain_nc_check(ch, M, n).present
-
-
-def test_chain_base_validation():
-    from odosym.intmat import hnf
-
-    good = ChainBase((hnf(IntMatrix.identity(2)), hnf(TWO)))
-    assert good.capability() == 1
-    with pytest.raises(ValueError):
-        ChainBase((hnf(TWO), hnf(IntMatrix.identity(2))))

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from tests_shared import rand_unimodular_small, unimodular_inverse
 
-from odosym.errors import MarginError, WindowError, WrongBranchError
+from odosym.errors import MarginError, WrongBranchError
 from odosym.intmat import IntMatrix, parse_matrix, validate_domain
 from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import (
@@ -23,7 +23,6 @@ from odosym.subshift_norm import (
     conjugate_power,
     fiber_points,
     nl_membership,
-    pi_factor,
     pullback_positions,
 )
 
@@ -223,16 +222,6 @@ def test_composition_mixed_parity_diag24():
     assert composition_check(D24, odd, sign, box(3))
 
 
-def test_pi_factor_box_family():
-    from odosym.substitution import sigma_L
-
-    s24 = sigma_L(D24)
-    patch = fixed_point_patch(s24, (1, 1), box(10))
-    assert pi_factor(s24, patch, 1) == (0, 0)
-    shifted = patch.shift((1, 3))
-    assert pi_factor(s24, shifted, 1) == (1, 3)
-
-
 def test_tau_equivariance_of_accepted_matrices():
     cases = [
         (TWO, SWAP, HH_DOMAIN),
@@ -351,39 +340,3 @@ def test_fiber_points_needs_self_similar():
     )
     with pytest.raises(WrongBranchError):
         fiber_points(broken, (0, 0), 3)
-
-
-# ---------------------------------------------------------------------------
-# defactorization digit
-# ---------------------------------------------------------------------------
-
-
-def test_pi_factor_fixed_point():
-    hh = half_hex()
-    patch = fixed_point_patch(hh, (1, 0), box(8))
-    for n in (1, 2, 3):
-        assert pi_factor(hh, patch, n) == (0, 0)
-
-
-def test_pi_factor_shifted():
-    hh = half_hex()
-    patch = fixed_point_patch(hh, (1, 0), box(8)).shift((1, 0))
-    assert pi_factor(hh, patch, 1) == (1, 0)
-
-
-def test_pi_factor_random_digits():
-    rng = random.Random(56)
-    hh = half_hex()
-    f2 = sorted(supports(hh, 2).level(2))
-    big = fixed_point_patch(hh, (0, 1), box(16))
-    for _ in range(8):
-        f = rng.choice(f2)
-        shifted = big.shift(f)  # S^f zeta^2(xbar) since xbar is fixed
-        assert pi_factor(hh, shifted, 2) == f
-
-
-def test_pi_factor_window_too_small():
-    hh = half_hex()
-    tiny = fixed_point_patch(hh, (1, 0), [(9, 4)])
-    with pytest.raises(WindowError):
-        pi_factor(hh, tiny, 2)

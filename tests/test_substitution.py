@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,10 +9,8 @@ from odosym.substitution import (
     Patch,
     fixed_point_count,
     fixed_point_patch,
-    folner_defect,
     half_hex,
     k_set,
-    primitivity_witness,
     recognizability_check,
     sigma_L,
     substitute,
@@ -97,22 +94,6 @@ def test_supports_guard():
     hh = half_hex()
     with pytest.raises(SizeGuardError):
         supports(hh, 15)
-
-
-def test_folner_examples():
-    hh = half_hex()
-    cache = supports(hh, 5)
-    assert folner_defect(cache, 1, [(1, 0)]) == Fraction(6, 4)
-    assert folner_defect(cache, 0, [(1, 0)]) == Fraction(2, 1)
-    seq = [folner_defect(cache, n, [(1, 0), (0, 1)]) for n in range(1, 6)]
-    assert all(a >= b for a, b in zip(seq, seq[1:]))
-
-
-def test_folner_nonincreasing_box_family():
-    s = sigma_L(parse_matrix("2,0;0,4"))
-    cache = supports(s, 5)
-    seq = [folner_defect(cache, n, [(1, 0), (0, 1)]) for n in range(1, 6)]
-    assert all(a >= b for a, b in zip(seq, seq[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +207,6 @@ def test_k_set_contains_zero():
         assert (0,) * 2 in ks.points
 
 
-def test_folner_trend_diagnostic():
-    from odosym.substitution import folner_trend_ok
-
-    assert folner_trend_ok(half_hex())
-    assert folner_trend_ok(sigma_L(parse_matrix("2,0;0,4")))
-
-
 # ---------------------------------------------------------------------------
 # recognizability
 # ---------------------------------------------------------------------------
@@ -251,11 +225,6 @@ def test_recognizability_vacuous_equal_positions():
     hh = half_hex()
     ok, _ = recognizability_check(hh, 1, 2)
     assert ok
-
-
-def test_primitivity_witness():
-    assert primitivity_witness(half_hex()) == 1
-    assert primitivity_witness(sigma_L(parse_matrix("2,0;0,4"))) == 1
 
 
 # ---------------------------------------------------------------------------
