@@ -5,7 +5,7 @@ import pytest
 from tests_shared import rand_unimodular_small, unimodular_inverse
 
 from odosym.errors import MarginError, WrongBranchError
-from odosym.intmat import IntMatrix, parse_matrix, validate_domain
+from odosym.intmat import IntMatrix, hnf, parse_matrix, validate_domain
 from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import (
     fixed_point_patch,
@@ -25,6 +25,7 @@ from odosym.subshift_norm import (
     nl_membership,
     pullback_positions,
 )
+from odosym.subshift_norm import _truncated_level, _valuation_class_table
 
 TWO = IntMatrix.scalar(2, 2)
 D24 = parse_matrix("2,0;0,4")
@@ -340,3 +341,68 @@ def test_fiber_points_needs_self_similar():
     )
     with pytest.raises(WrongBranchError):
         fiber_points(broken, (0, 0), 3)
+
+
+# ---------------------------------------------------------------------------
+# defactorization digit: the window decoder reads pi's n-th digit
+# ---------------------------------------------------------------------------
+
+
+def window_coset(s, patch, n):
+    """Coset of L^n(Z^d) at the patch origin, read by the decoder's class table."""
+    table = _valuation_class_table(s, n, supports(s, n))
+    matches = [
+        c
+        for c, _, forced in table
+        if all(patch[f] == letter for f, letter in forced.items())
+    ]
+    assert len(matches) == 1, f"{len(matches)} cosets match the window"
+    return matches[0]
+
+
+def test_pi_factor_box_family():
+    from odosym.substitution import sigma_L
+
+    s24 = sigma_L(D24)
+    patch = fixed_point_patch(s24, (1, 1), box(10))
+    assert window_coset(s24, patch, 1) == (0, 0)
+    shifted = patch.shift((1, 3))
+    assert window_coset(s24, shifted, 1) == (1, 3)
+
+
+def test_pi_factor_fixed_point():
+    hh = half_hex()
+    patch = fixed_point_patch(hh, (1, 0), box(8))
+    for n in (1, 2, 3):
+        assert window_coset(hh, patch, n) == (0, 0)
+
+
+def test_pi_factor_shifted():
+    hh = half_hex()
+    patch = fixed_point_patch(hh, (1, 0), box(8)).shift((1, 0))
+    assert window_coset(hh, patch, 1) == (1, 0)
+
+
+def test_pi_factor_random_digits():
+    rng = random.Random(56)
+    hh = half_hex()
+    f2 = sorted(supports(hh, 2).level(2))
+    basis = hnf(hh.base**2)
+    big = fixed_point_patch(hh, (0, 1), box(16))
+    for _ in range(8):
+        f = rng.choice(f2)
+        shifted = big.shift(f)  # S^f zeta^2(xbar) since xbar is fixed
+        c = window_coset(hh, shifted, 2)
+        assert basis.contains(tuple(a - b for a, b in zip(f, c)))
+
+
+def test_pi_factor_window_too_small():
+    # 1,1;0,1 on the diagonal base stabilizes at n0 = 1, so the decoder
+    # needs the whole window F_1 around the position
+    rule = build_local_rule(nl_membership(D24, parse_matrix("1,1;0,1")))
+    assert rule.n0 == 1
+    window = sorted(rule.window.level(1))
+    seed = min(rule.substitution.alphabet)
+    tiny = fixed_point_patch(rule.substitution, seed, [(9, 4)])
+    with pytest.raises(MarginError):
+        _truncated_level(rule, window, tiny, (9, 4))
