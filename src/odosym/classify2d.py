@@ -36,6 +36,7 @@ from .intmat import (
     _inv_unimodular,
     _xgcd,
     commutes,
+    format_matrix,
     integer_eigenvalues,
     is_expansion,
     rad_divides,
@@ -510,8 +511,6 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
 
 
 def class_to_payload(cls: NormalizerClass) -> dict:
-    from .intmat import format_matrix
-
     payload = {"branch": cls.tag, "finite": cls.finite}
     if isinstance(cls, (CentralizerFinite, KleinFour)):
         payload["elements"] = [format_matrix(m) for m in cls.elements]

@@ -1,28 +1,40 @@
 """Command line front end: JSON reports, exit codes, verification harness.
 
+Every request takes one path.  A `cmd_*` function parses its arguments,
+computes, and returns an Answer: the echoed inputs, the result payload,
+the exit code and, for `phi` and `subst`, the patch to render.  `main`
+alone parses the command line (with a parser built once per process),
+times the request, builds and writes the report, renders `--svg` and
+`--pgm`, and maps every error to an exit code.
+
 Exit codes: 0 success or member, 3 definite negative, 4 bounded
-verification inconclusive (rejected within the tested window), 2 usage
-or parse error, 1 the reader closed standard output early.
+verification inconclusive (rejected within the tested window), 2 usage,
+parse or value error, or a path that cannot be read or written, 1 the
+reader closed standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 from itertools import product
+from typing import NamedTuple
 
 from . import __version__
 from .classify2d import class_to_payload, classify, is_member
-from .errors import MarginError, MatrixParseError, OdosymError
+from .errors import MarginError, MatrixParseError
 from .intmat import (
     IntMatrix,
     format_matrix,
     format_vector,
+    fundamental_domain,
     parse_matrix,
     parse_vector,
     validate_domain,
@@ -39,6 +51,7 @@ from .substitution import (
     sigma_L,
     substitute,
     tau,
+    valuation,
 )
 from .subshift_norm import (
     NLCertificate,
@@ -75,17 +88,26 @@ def make_report(command: str, inputs: dict, result) -> dict:
     return body
 
 
-def emit(report: dict, args, started: float) -> None:
-    report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    if args.pretty:
-        text = json.dumps(report, indent=2, sort_keys=True)
-    else:
-        text = json.dumps(report, sort_keys=True)
+def emit(report: dict, args, table: str | None = None) -> None:
+    """Write the report to --out or stdout; a table, if any, replaces it on stdout."""
+    text = json.dumps(report, indent=2 if args.pretty else None, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
+    if table is not None:
+        print(table)
+    elif not args.out:
         print(text)
+
+
+class Answer(NamedTuple):
+    """What a command computed: main turns it into the report."""
+
+    inputs: dict
+    result: object
+    code: int = EXIT_OK
+    patch: Patch | None = None  # rendered by --svg and --pgm
+    table: str | None = None  # printed in place of the JSON report
 
 
 def _parse_box(text: str):
@@ -105,8 +127,6 @@ def _box_positions(lo: int, hi: int, dim: int):
 
 def _parse_domain_arg(base: IntMatrix, text: str | None):
     if text is None:
-        from .intmat import fundamental_domain
-
         return fundamental_domain(base)
     reps = [parse_vector(tok) for tok in text.split(";")]
     return validate_domain(base, reps)
@@ -191,62 +211,40 @@ def write_pgm(patch: Patch, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args) -> Answer:
     base = parse_matrix(args.matrix)
-    cls = classify(base)
-    report = make_report(
-        "classify", {"matrix": format_matrix(base)}, class_to_payload(cls)
-    )
-    emit(report, args, started)
-    return EXIT_OK
+    return Answer({"matrix": format_matrix(base)}, class_to_payload(classify(base)))
 
 
-def cmd_member(args) -> int:
-    started = time.perf_counter()
+def cmd_member(args) -> Answer:
     base = parse_matrix(args.base)
     mat = parse_matrix(args.matrix)
     verdict = is_member(base, mat)
-    report = make_report(
-        "member",
+    return Answer(
         {"base": format_matrix(base), "matrix": format_matrix(mat)},
         verdict.to_payload(),
+        EXIT_OK if verdict.member else EXIT_NEGATIVE,
     )
-    emit(report, args, started)
-    return EXIT_OK if verdict.member else EXIT_NEGATIVE
 
 
-def cmd_nc(args) -> int:
-    started = time.perf_counter()
+def cmd_nc(args) -> Answer:
     base = parse_matrix(args.base)
     mat = parse_matrix(args.matrix)
     certs = nc_bounded_check(base, mat, args.depth)
     passes = all(c.present for c in certs)
-    result = {
-        "passes": passes,
-        "certificates": [c.to_payload() for c in certs],
-    }
-    report = make_report(
-        "nc",
-        {
-            "base": format_matrix(base),
-            "matrix": format_matrix(mat),
-            "depth": args.depth,
-        },
-        result,
+    return Answer(
+        {"base": format_matrix(base), "matrix": format_matrix(mat), "depth": args.depth},
+        {"passes": passes, "certificates": [c.to_payload() for c in certs]},
+        EXIT_OK if passes else EXIT_NEGATIVE,
     )
-    emit(report, args, started)
-    return EXIT_OK if passes else EXIT_NEGATIVE
 
 
-def cmd_nl(args) -> int:
-    started = time.perf_counter()
+def cmd_nl(args) -> Answer:
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
     domain = _parse_domain_arg(base, args.F)
     outcome = nl_membership(base, mat, args.nmax, domain=domain)
-    report = make_report(
-        "nl",
+    return Answer(
         {
             "L": format_matrix(base),
             "M": format_matrix(mat),
@@ -254,26 +252,19 @@ def cmd_nl(args) -> int:
             "F": [format_vector(v) for v in domain.reps],
         },
         outcome.to_payload(),
+        EXIT_OK if isinstance(outcome, NLCertificate) else EXIT_INCONCLUSIVE,
     )
-    emit(report, args, started)
-    return EXIT_OK if isinstance(outcome, NLCertificate) else EXIT_INCONCLUSIVE
 
 
-def cmd_phi(args) -> int:
-    started = time.perf_counter()
+def cmd_phi(args) -> Answer:
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
     domain = _parse_domain_arg(base, args.F)
     lo, hi = _parse_box(args.box)
     outcome = nl_membership(base, mat, args.nmax, domain=domain)
+    inputs = {"L": format_matrix(base), "M": format_matrix(mat), "box": args.box}
     if isinstance(outcome, NLRejection):
-        report = make_report(
-            "phi",
-            {"L": format_matrix(base), "M": format_matrix(mat), "box": args.box},
-            outcome.to_payload(),
-        )
-        emit(report, args, started)
-        return EXIT_INCONCLUSIVE
+        return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome, domain)
     seed = parse_vector(args.seed) if args.seed else min(rule.substitution.alphabet)
     region = _box_positions(lo, hi, base.dim)
@@ -285,28 +276,10 @@ def cmd_phi(args) -> int:
         "seed": format_vector(seed),
         "patch": image.to_payload(),
     }
-    report = make_report(
-        "phi",
-        {
-            "L": format_matrix(base),
-            "M": format_matrix(mat),
-            "box": args.box,
-            "nmax": args.nmax,
-        },
-        result,
-    )
-    if args.svg:
-        write_svg(image, args.svg)
-    if args.pgm:
-        write_pgm(image, args.pgm)
-    emit(report, args, started)
-    return EXIT_OK
+    return Answer({**inputs, "nmax": args.nmax}, result, patch=image)
 
 
-def cmd_subst(args) -> int:
-    started = time.perf_counter()
-    if args.action != "patch":
-        raise MatrixParseError(f"unknown subst action {args.action!r}")
+def cmd_subst(args) -> Answer:
     if args.subst:
         s = _load_substitution(args.subst)
     else:
@@ -330,26 +303,17 @@ def cmd_subst(args) -> int:
                 f"the iterated patch covers {len(patch)} of the {len(region)} "
                 f"cells of the box {args.box}"
             )
+    inputs = {
+        "L": format_matrix(s.base),
+        "F": [format_vector(v) for v in s.domain.reps],
+        "box": args.box,
+    }
     result = {
         "seed": format_vector(seed),
         "alphabet": [format_vector(a) for a in sorted(s.alphabet)],
         "patch": patch.to_payload(),
     }
-    report = make_report(
-        "subst",
-        {
-            "L": format_matrix(s.base),
-            "F": [format_vector(v) for v in s.domain.reps],
-            "box": args.box,
-        },
-        result,
-    )
-    if args.svg:
-        write_svg(patch, args.svg)
-    if args.pgm:
-        write_pgm(patch, args.pgm)
-    emit(report, args, started)
-    return EXIT_OK
+    return Answer(inputs, result, patch=patch)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +463,6 @@ def _diag24_open_row():
         rule = build_local_rule(odd)
         s = rule.substitution
         box = _box_positions(-8, 8, 2)
-        from .substitution import valuation
-
         perm_ok = True
         for v in box:
             if v == (0, 0):
@@ -541,22 +503,15 @@ def run_verify_paper() -> dict:
     }
 
 
-def cmd_verify_paper(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_paper(args) -> Answer:
     result = run_verify_paper()
-    report = make_report("verify-paper", {}, result)
+    table = None
     if args.pretty:
         width = max(len(r["label"]) for r in result["rows"]) + 2
-        for r in result["rows"]:
-            print(f"{r['label']:<{width}} {r['status']:<5} {r['detail']}")
-        print(
-            f"passed={result['passed']} open={result['open']} failed={result['failed']}"
-        )
-        if args.out:
-            emit(report, argparse.Namespace(pretty=True, out=args.out), started)
-    else:
-        emit(report, args, started)
-    return EXIT_OK if result["failed"] == 0 else EXIT_NEGATIVE
+        lines = [f"{r['label']:<{width}} {r['status']:<5} {r['detail']}" for r in result["rows"]]
+        lines.append(f"passed={result['passed']} open={result['open']} failed={result['failed']}")
+        table = "\n".join(lines)
+    return Answer({}, result, EXIT_OK if result["failed"] == 0 else EXIT_NEGATIVE, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +519,7 @@ def cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="odosym",
@@ -637,36 +593,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALUE_FLAGS = {
-    "--matrix", "--base", "--L", "--M", "--F", "--seed", "--box",
-    "--subst", "--out", "--svg", "--pgm", "--depth", "--nmax",
-}
+_FLAG = re.compile(r"--[A-Za-z][\w-]*")
+_NEGATIVE = re.compile(r"-\d")
 
 
 def _join_flag_values(argv):
-    """Fold '--box -8:8' into '--box=-8:8' so leading minus signs parse."""
+    """Fold '--box -8:8' into '--box=-8:8', so a value with a leading minus parses."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and _NEGATIVE.match(tok) and _FLAG.fullmatch(out[-1]):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    ap = build_parser()
-    args = ap.parse_args(_join_flag_values(list(argv)))
+    args = build_parser().parse_args(
+        _join_flag_values(sys.argv[1:] if argv is None else argv)
+    )
+    clock = time.perf_counter
+    started = clock()
     try:
-        code = args.func(args)
+        answer = args.func(args)
+        report = make_report(args.command, answer.inputs, answer.result)
+        if answer.patch is not None:
+            if args.svg:
+                write_svg(answer.patch, args.svg)
+            if args.pgm:
+                write_pgm(answer.patch, args.pgm)
+        report["timing_ms"] = round((clock() - started) * 1000, 3)
+        emit(report, args, answer.table)
         sys.stdout.flush()
-        return code
+        return answer.code
     except BrokenPipeError:
         # Point stdout at devnull so the final flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -674,11 +633,9 @@ def main(argv=None) -> int:
     except MatrixParseError as exc:
         print(f"odosym: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OdosymError as exc:
+    except (ValueError, OSError) as exc:
+        # every OdosymError is a ValueError
         print(f"odosym: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"odosym: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,6 +14,7 @@ patches evaluate correctly) and applies the per-level coset permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     MarginError,
@@ -27,9 +28,13 @@ from .intmat import (
     IntMatrix,
     Vec,
     _inv_unimodular,
+    format_matrix,
+    format_vector,
     fundamental_domain,
     hnf,
     is_expansion,
+    parse_matrix,
+    parse_vector,
     vec_add,
     zero_vec,
 )
@@ -37,7 +42,6 @@ from .odometer import OdometerPoint
 from .substitution import (
     ConstantShapeSubstitution,
     Patch,
-    SupportCache,
     fixed_point_patch,
     sigma_L,
     supports,
@@ -90,8 +94,6 @@ class NLCertificate:
     residue_permutation: tuple[tuple[Vec, Vec], ...]
 
     def to_payload(self) -> dict:
-        from .intmat import format_matrix, format_vector
-
         return {
             "accepted": True,
             "L": format_matrix(self.L),
@@ -110,8 +112,6 @@ class NLCertificate:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NLCertificate":
-        from .intmat import parse_matrix, parse_vector
-
         return cls(
             L=parse_matrix(payload["L"]),
             M=parse_matrix(payload["M"]),
@@ -141,8 +141,6 @@ class NLRejection:
     accepted = False
 
     def to_payload(self) -> dict:
-        from .intmat import format_matrix
-
         return {
             "accepted": False,
             "L": format_matrix(self.L),
@@ -154,8 +152,6 @@ class NLRejection:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "NLRejection":
-        from .intmat import parse_matrix
-
         return cls(
             L=parse_matrix(payload["L"]),
             M=parse_matrix(payload["M"]),
@@ -260,20 +256,19 @@ class LocalRule:
     """Sliding-block realization of the action of M.
 
     per_level[v] is the digit permutation used at truncated level v; the
-    window pattern over F_{n0} decides v, positions deeper than n0
-    (including the origin of a fixed point) all use the stabilized
-    permutation.
+    window pattern over F_{n0} (kept sorted in window) decides v, positions
+    deeper than n0 (including the origin of a fixed point) all use the
+    stabilized permutation.  m_inv is M^{-1}, which pulls an output
+    position back to its source.
     """
 
     certificate: NLCertificate
     substitution: ConstantShapeSubstitution
-    window: SupportCache
+    window: tuple[Vec, ...]
+    m_inv: IntMatrix
     n0: int
     per_level: tuple[dict, ...]
     _class_table: tuple
-
-    def m_inverse(self) -> IntMatrix:
-        return _inv_unimodular(self.certificate.M)
 
 
 def build_local_rule(
@@ -291,15 +286,15 @@ def build_local_rule(
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
         per_level.append(dict(_residue_action(c, domain)))
-    window = supports(subst, n0)
-    table = _valuation_class_table(subst, n0, window)
+    window = tuple(sorted(supports(subst, n0)[n0]))
     return LocalRule(
         certificate=cert,
         substitution=subst,
         window=window,
+        m_inv=_inv_unimodular(cert.M),
         n0=n0,
         per_level=tuple(per_level),
-        _class_table=table,
+        _class_table=_valuation_class_table(subst, n0, window),
     )
 
 
@@ -307,16 +302,16 @@ def _valuation_class_table(subst, n0, window):
     """For each coset of L^{n0}(Z^d): the window letters it forces.
 
     Entries are (class representative, truncated level, {offset: letter}),
-    with offsets congruent to 0 mod L^{n0} left undetermined.
+    with offsets congruent to 0 mod L^{n0} left undetermined; window is
+    F_{n0}.
     """
     if n0 == 0:
         return ((zero_vec(subst.dim), 0, {}),)
     basis = hnf(subst.base**n0)
-    fn0 = sorted(window.level(n0))
     out = []
     for c in basis.box_reps():
         forced = {}
-        for f in fn0:
+        for f in window:
             y = vec_add(c, f)
             if basis.contains(y):
                 continue  # letter not determined by the coset
@@ -329,12 +324,12 @@ def _valuation_class_table(subst, n0, window):
     return tuple(out)
 
 
-def _truncated_level(rule: LocalRule, window, patch: Patch, pos: Vec) -> int:
-    """Truncated digit level of the pattern of the sorted window at pos."""
+def _truncated_level(rule: LocalRule, patch: Patch, pos: Vec) -> int:
+    """Truncated digit level of the pattern of the rule's window at pos."""
     if rule.n0 == 0:
         return 0
     pattern = {}
-    for f in window:
+    for f in rule.window:
         p = vec_add(pos, f)
         if p not in patch:
             raise MarginError(f"window at {pos} leaves the patch support")
@@ -350,46 +345,31 @@ def _truncated_level(rule: LocalRule, window, patch: Patch, pos: Vec) -> int:
     return matches[0]
 
 
-def apply_endomorphism(
-    rule: LocalRule, patch: Patch, region=None
-) -> Patch:
-    """Evaluate the rule on a patch.
+def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
+    """Evaluate the rule on a patch, at every position of the region.
 
     Output letter at t reads the source at u = M^{-1} t: the truncated
     level of the window at u picks the permutation applied to the letter.
-    When region is given, every requested position must be computable or
-    a margin error is raised; otherwise all computable positions are
-    produced.
+    A position whose source or window leaves the patch raises a margin
+    error.
     """
-    m = rule.certificate.M
-    m_inv = rule.m_inverse()
-    window = sorted(rule.window.level(rule.n0))
     out = {}
-    if region is not None:
-        targets = [tuple(int(x) for x in t) for t in region]
-    else:
-        targets = []
-        for u in patch.support:
-            if all(vec_add(u, f) in patch for f in window):
-                targets.append(m.mul_vec(u))
-    for t in targets:
-        u = m_inv.mul_vec(t)
+    for t in region:
+        t = tuple(int(x) for x in t)
+        u = rule.m_inv.mul_vec(t)
         if u not in patch:
             raise MarginError(f"source position {u} missing from the patch")
-        level = _truncated_level(rule, window, patch, u)
-        out[t] = rule.per_level[level][patch[u]]
+        out[t] = rule.per_level[_truncated_level(rule, patch, u)][patch[u]]
     return Patch(out)
 
 
 def pullback_positions(rule: LocalRule, region) -> set:
     """Source positions needed to evaluate the rule on the region."""
-    m_inv = rule.m_inverse()
-    window = sorted(rule.window.level(rule.n0))
     needed = set()
     for t in region:
-        u = m_inv.mul_vec(tuple(int(x) for x in t))
+        u = rule.m_inv.mul_vec(tuple(int(x) for x in t))
         needed.add(u)
-        for f in window:
+        for f in rule.window:
             needed.add(vec_add(u, f))
     return needed
 
@@ -456,8 +436,6 @@ def fiber_points(
         n = min(depth, point.depth)
         basis = hnf(s.base**n)
         target = point.digit(n)
-        from itertools import product
-
         lifts = [
             v
             for v in product(range(-window_radius, window_radius + 1), repeat=s.dim)

@@ -152,25 +152,11 @@ def half_hex() -> ConstantShapeSubstitution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportCache:
-    """Supports F_0 = {0}, F_{n+1} = L(F_n) + F_1 of the iterated rule."""
-
-    substitution: ConstantShapeSubstitution
-    levels: tuple[frozenset, ...]
-
-    def level(self, n: int) -> frozenset:
-        return self.levels[n]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
 _SUPPORT_GUARD = 4_000_000
 
 
-def supports(s: ConstantShapeSubstitution, n: int) -> SupportCache:
+def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
+    """Supports F_0 = {0}, F_{k+1} = L(F_k) + F_1 of the iterated rule, k <= n."""
     det = abs(s.base.det())
     if det**n > _SUPPORT_GUARD:
         raise SizeGuardError(f"|F_{n}| = {det}^{n} exceeds the size guard")
@@ -185,7 +171,7 @@ def supports(s: ConstantShapeSubstitution, n: int) -> SupportCache:
         levels.append(frozenset(nxt))
     for k, lv in enumerate(levels):
         assert len(lv) == det**k, "supports must have |det|^n points"
-    return SupportCache(substitution=s, levels=tuple(levels))
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +271,13 @@ def k_set(
     Also reports the first m from which the union stops growing and
     whether translates L^n(K) + F_n cover a centered test box.
     """
-    cache = supports(s, m_max)
+    levels = supports(s, m_max)
     ident = IntMatrix.identity(s.dim)
     stages = []
     points: set = set()
     for m in range(1, m_max + 1):
         mat = ident - (s.base**m)
-        for f in cache.level(m):
+        for f in levels[m]:
             x = mat.solve_exact(f)
             if x is not None:
                 points.add(x)
@@ -308,12 +294,12 @@ def k_set(
         while abs(s.base.det()) ** cov_depth < (4 * coverage_radius) ** s.dim:
             cov_depth += 1
     covered: set = set()
-    cov_cache = supports(s, cov_depth)
+    cov_levels = supports(s, cov_depth)
     for n in range(cov_depth + 1):
         ln = s.base**n
         for k in points:
             lk = ln.mul_vec(k)
-            for f in cov_cache.level(n):
+            for f in cov_levels[n]:
                 covered.add(vec_add(lk, f))
     box = _box(s.dim, coverage_radius)
     ok = all(p in covered for p in box)
@@ -351,8 +337,7 @@ def recognizability_check(
     """
     if seed is None:
         seed = min(s.alphabet)
-    cache = supports(s, n)
-    fn = sorted(cache.level(n))
+    fn = sorted(supports(s, n)[n])
     basis = hnf(s.base**n)
     box = _box(s.dim, window_radius)
     patches: dict = {}

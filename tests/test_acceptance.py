@@ -215,12 +215,12 @@ def test_criterion_5_fixed_points_and_recognizability():
 
     ok_invariance = True
     for s in (hh, s24):
-        cache = supports(s, 3)
+        levels = supports(s, 3)
         for seed in sorted(s.alphabet):
             patch = Patch({(0, 0): seed})
             for _ in range(3):
                 patch = substitute(s, patch)
-            if patch != fixed_point_patch(s, seed, cache.level(3)):
+            if patch != fixed_point_patch(s, seed, levels[3]):
                 ok_invariance = False
 
     rec1, _ = recognizability_check(hh, 1, 8)

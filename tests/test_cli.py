@@ -1,12 +1,19 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+import pytest
 
 import odosym
-from odosym.cli import main, run_verify_paper
+from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.odometer import NcCertificate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, capsys):
@@ -238,6 +245,48 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        pytest.param(
+            ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;1,-1",
+             "--box", "-1:1", "--seed", "5,5"],
+            "ValueError: seed (5, 5) is not a letter",
+            id="phi-seed-not-a-letter",
+        ),
+        pytest.param(
+            ["subst", "patch", "--L", "2,0;0,2", "--F", "0,0;1,0;0,1;1,-1",
+             "--seed", "5,5", "--box", "-1:1"],
+            "ValueError: seed (5, 5) is not a letter",
+            id="subst-seed-not-a-letter",
+        ),
+        pytest.param(
+            ["member", "--base", "2,0;0,2", "--matrix", "2,0;0,1"],
+            "ValueError: matrix must be unimodular, det = 2",
+            id="member-not-unimodular",
+        ),
+        pytest.param(
+            ["nl", "--L", "2,0;0,4", "--M", "1,2;0,1", "--nmax", "2"],
+            "ValueError: n_max must be >= 4",
+            id="nl-nmax-too-small",
+        ),
+        pytest.param(
+            ["classify", "--matrix", "2,0;0,2", "--out", "{tmp}"],
+            "IsADirectoryError: ",
+            id="out-is-a-directory",
+        ),
+    ],
+)
+def test_value_and_os_errors_are_usage_errors(argv, error, capsys, tmp_path):
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"odosym: {error}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_for_nonexpansion(capsys):
     code = main(["classify", "--matrix", "1,1;0,1"])
     assert code == 2
@@ -264,6 +313,23 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["result"]["branch"] == "full-gl2"
+
+
+def test_verify_paper_pretty_prints_only_the_table(capsys, tmp_path):
+    assert main(["verify-paper", "--pretty"]) == 0
+    table = capsys.readouterr().out
+    lines = table.splitlines()
+    assert len(lines) == 18  # 17 rows and the summary
+    assert lines[-1] == "passed=15 open=2 failed=0"
+    assert not any(line.lstrip().startswith("{") for line in lines)
+    out = tmp_path / "report.json"
+    assert main(["verify-paper", "--pretty", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == table
+    text = out.read_text()
+    assert text.startswith('{\n  "command": "verify-paper",\n')
+    report = json.loads(text)
+    assert report["payload_hash"].startswith("1df971094f83")
+    assert (report["result"]["passed"], report["result"]["open"]) == (15, 2)
 
 
 def test_verify_paper_harness():
@@ -318,3 +384,60 @@ def test_closed_output_pipe_exits_quietly():
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 1
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    assert main(["classify", "--matrix", "2,0;0,2"]) == 0
+    assert main(["nc", "--base", "2,0;0,2", "--matrix", "0,1;1,0", "--depth", "2"]) == 0
+    capsys.readouterr()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+PHI = ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", "--box", "0:1"]
+
+
+LEADING_MINUS = [
+    ("--matrix", ["classify", "--matrix", "-2,1;0,-3"]),
+    ("--base", ["member", "--base", "-2,0;0,-2", "--matrix", "0,1;1,0"]),
+    ("--L", ["phi", "--L", "-2,0;0,-2", "--M", "0,1;1,0", "--box", "0:1"]),
+    ("--M", ["phi", "--L", "2,0;0,2", "--M", "-1,0;0,-1", "--box", "0:1"]),
+    ("--F", PHI + ["--F", "-1,0;0,0;0,1;1,-1"]),
+    ("--seed", PHI + ["--seed", "-1,0"]),
+    ("--box", PHI[:-1] + ["-8:8"]),
+    ("--depth", ["nc", "--base", "2,0;0,2", "--matrix", "0,1;1,0", "--depth", "-2"]),
+    ("--nmax", ["nl", "--L", "2,0;0,4", "--M", "1,2;0,1", "--nmax", "-4"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", LEADING_MINUS, ids=[f for f, _ in LEADING_MINUS])
+def test_leading_minus_value_parses_like_equals_form(flag, argv):
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    folded = build_parser().parse_args(_join_flag_values(argv))
+    assert folded == build_parser().parse_args(joined)
+    value = getattr(folded, flag[2:])
+    assert str(value) == argv[i + 1] and str(value).startswith("-")
+
+
+def readme_cli_examples():
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    examples = []
+    for line in block.strip().splitlines():
+        command, comment = line.split("#", 1)
+        words = shlex.split(command)
+        assert words[0] == "odosym"
+        examples.append((words[1:], int(re.match(r" exit (\d)", comment).group(1))))
+    return examples
+
+
+def test_readme_cli_examples_exit_as_documented(capsys):
+    examples = readme_cli_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "classify", "member", "nc", "nl", "phi", "subst", "verify-paper"
+    }
+    for argv, want in examples:
+        assert main(argv) == want, argv
+        captured = capsys.readouterr()
+        assert (captured.err == "") == (want != 2), argv

@@ -68,7 +68,7 @@ def test_fixed_point_patch_is_iterated_substitution(s):
     n = 1
     while det ** (n + 1) <= PATCH_CELLS:
         n += 1
-    region = supports(s, n).level(n)
+    region = supports(s, n)[n]
     for seed in sorted(s.alphabet)[:2]:
         iterated = Patch({(0,) * s.dim: seed})
         for _ in range(n):

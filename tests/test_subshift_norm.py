@@ -265,7 +265,7 @@ def test_repetition_law():
     # the fixed-point patch around L^p(f) + L^n(K) + F_n does not depend on p
     hh = half_hex()
     n = 2
-    cache = supports(hh, n)
+    levels = supports(hh, n)
     from odosym.substitution import k_set
 
     K = k_set(hh, 4).points
@@ -278,7 +278,7 @@ def test_repetition_law():
         cells = {}
         for k in K:
             base_k = ln.mul_vec(k)
-            for fn in cache.level(n):
+            for fn in levels[n]:
                 off = (base_k[0] + fn[0], base_k[1] + fn[1])
                 pos = (anchor[0] + off[0], anchor[1] + off[1])
                 cells[off] = tau(hh, pos) if pos != (0, 0) else None
@@ -350,7 +350,7 @@ def test_fiber_points_needs_self_similar():
 
 def window_coset(s, patch, n):
     """Coset of L^n(Z^d) at the patch origin, read by the decoder's class table."""
-    table = _valuation_class_table(s, n, supports(s, n))
+    table = _valuation_class_table(s, n, sorted(supports(s, n)[n]))
     matches = [
         c
         for c, _, forced in table
@@ -386,7 +386,7 @@ def test_pi_factor_shifted():
 def test_pi_factor_random_digits():
     rng = random.Random(56)
     hh = half_hex()
-    f2 = sorted(supports(hh, 2).level(2))
+    f2 = sorted(supports(hh, 2)[2])
     basis = hnf(hh.base**2)
     big = fixed_point_patch(hh, (0, 1), box(16))
     for _ in range(8):
@@ -401,8 +401,10 @@ def test_pi_factor_window_too_small():
     # needs the whole window F_1 around the position
     rule = build_local_rule(nl_membership(D24, parse_matrix("1,1;0,1")))
     assert rule.n0 == 1
-    window = sorted(rule.window.level(1))
+    # the rule keeps F_1 sorted and M^{-1} as data
+    assert rule.window == tuple(sorted(supports(rule.substitution, 1)[1]))
+    assert rule.m_inv * parse_matrix("1,1;0,1") == IntMatrix.identity(2)
     seed = min(rule.substitution.alphabet)
     tiny = fixed_point_patch(rule.substitution, seed, [(9, 4)])
     with pytest.raises(MarginError):
-        _truncated_level(rule, window, tiny, (9, 4))
+        _truncated_level(rule, tiny, (9, 4))

@@ -71,20 +71,21 @@ def test_sigma_self_similarity_flag():
 
 def test_supports_examples():
     hh = half_hex()
-    cache = supports(hh, 2)
-    assert cache.level(0) == frozenset({(0, 0)})
-    assert cache.level(1) == frozenset({(0, 0), (1, 0), (0, 1), (1, -1)})
-    f2 = cache.level(2)
+    levels = supports(hh, 2)
+    assert isinstance(levels, tuple) and len(levels) == 3
+    assert levels[0] == frozenset({(0, 0)})
+    assert levels[1] == frozenset({(0, 0), (1, 0), (0, 1), (1, -1)})
+    f2 = levels[2]
     assert len(f2) == 16
     assert {(0, 0), (0, 3), (3, 0), (3, -3)} <= f2
 
 
 def test_supports_are_fundamental_domains():
     hh = half_hex()
-    cache = supports(hh, 3)
+    levels = supports(hh, 3)
     for n in (1, 2, 3):
         basis = hnf(hh.base**n)
-        pts = sorted(cache.level(n))
+        pts = sorted(levels[n])
         assert len(pts) == 4**n
         keys = {basis.reduce_vec(p) for p in pts}
         assert len(keys) == 4**n
@@ -122,7 +123,7 @@ def test_tau_self_similarity():
 
 def test_fixed_point_patch_on_f1():
     hh = half_hex()
-    p = fixed_point_patch(hh, (1, 0), supports(hh, 1).level(1))
+    p = fixed_point_patch(hh, (1, 0), supports(hh, 1)[1])
     assert p[(0, 0)] == (1, 0)
     assert p[(1, 0)] == (1, 0)
     assert p[(0, 1)] == (0, 1)
@@ -136,12 +137,12 @@ def test_fixed_point_counts():
 
 def test_fixed_point_invariance_through_three_steps():
     for s in (half_hex(), sigma_L(parse_matrix("2,0;0,4"))):
-        cache = supports(s, 3)
+        levels = supports(s, 3)
         for seed in sorted(s.alphabet):
             patch = Patch({(0,) * s.dim: seed})
             for _ in range(3):
                 patch = substitute(s, patch)
-            expected = fixed_point_patch(s, seed, cache.level(3))
+            expected = fixed_point_patch(s, seed, levels[3])
             assert patch == expected
 
 
@@ -153,7 +154,7 @@ def test_fixed_point_invariance_through_three_steps():
 def test_substitute_single_letter():
     hh = half_hex()
     img = substitute(hh, Patch({(0, 0): (0, 1)}))
-    assert img.support == supports(hh, 1).level(1)
+    assert img.support == supports(hh, 1)[1]
     assert img[(0, 0)] == (0, 1)
 
 
