@@ -375,7 +375,8 @@ def _branch(L: IntMatrix) -> str:
     return "centralizer"
 
 
-@lru_cache(maxsize=None)
+# Hits come from runs of requests on one base; an automorph can be large.
+@lru_cache(maxsize=64)
 def _classify_cached(rows: tuple) -> NormalizerClass:
     L = IntMatrix(rows)
     branch = _branch(L)

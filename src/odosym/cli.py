@@ -135,6 +135,10 @@ def _parse_domain_arg(base: IntMatrix, text: str | None):
 def _load_substitution(path: str) -> ConstantShapeSubstitution:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    if missing := [key for key in ("L", "F1") if key not in data]:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
     base = (
         parse_matrix(data["L"])
         if isinstance(data["L"], str)

@@ -45,16 +45,13 @@ class ConstantBase:
     def level_basis(self, n: int) -> HnfBasis:
         if n < 0:
             raise DepthError(f"level must be >= 0, got {n}")
-        return _power_hnf(self.matrix, n)
+        return _power_hnf_cached(self.matrix.rows, n)
 
 
-@lru_cache(maxsize=None)
+# One entry per (base, level): an embedding to depth n reads n + 1 of them.
+@lru_cache(maxsize=128)
 def _power_hnf_cached(rows: tuple, n: int) -> HnfBasis:
     return hnf(IntMatrix(rows) ** n)
-
-
-def _power_hnf(m: IntMatrix, n: int) -> HnfBasis:
-    return _power_hnf_cached(m.rows, n)
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,9 @@ def _mat_mul_mod(a, b, mod, d):
     )
 
 
-@lru_cache(maxsize=None)
+# One entry per (base, modulus): a fresh `nc` request adds about 5 never
+# reused, and a 60-matrix sweep of one base keeps all its hits with 8.
+@lru_cache(maxsize=256)
 def _doubling_table(rows: tuple, mod: int, bits: int) -> tuple:
     """L^(2^k) mod `mod` for k < bits (bits is fixed by rows and mod)."""
     d = len(rows)

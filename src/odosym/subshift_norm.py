@@ -13,8 +13,9 @@ patches evaluate correctly) and applies the per-level coset permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import islice, product
+from operator import add
 
 from .errors import (
     MarginError,
@@ -54,25 +55,25 @@ from .substitution import (
 # ---------------------------------------------------------------------------
 
 
+def _conjugates(L: IntMatrix, M: IntMatrix):
+    """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral: the
+    numerators adj(L)^n M L^n walk level to level over det(L)^n."""
+    adj, det = L.adjugate(), L.det()
+    num, ln, scale = M, IntMatrix.identity(L.dim), 1
+    while True:
+        c = None
+        if not any(x % scale for r in num.rows for x in r):
+            c = IntMatrix(tuple(tuple(x // scale for x in r) for r in num.rows))
+            assert ln * c == M * ln
+        yield c
+        num, ln, scale = adj * num * L, ln * L, scale * det
+
+
 def conjugate_power(L: IntMatrix, M: IntMatrix, n: int) -> IntMatrix | None:
     """L^{-n} M L^n when integral (checked by L^n C = M L^n), else None."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    ln = L**n
-    det = ln.det()
-    num = ln.adjugate() * M * ln
-    rows = []
-    for r in num.rows:
-        row = []
-        for x in r:
-            q, rem = divmod(x, det)
-            if rem:
-                return None
-            row.append(q)
-        rows.append(tuple(row))
-    c = IntMatrix(tuple(rows))
-    assert ln * c == M * ln
-    return c
+    return next(islice(_conjugates(L, M), n, None))
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,7 @@ class NLRejection:
 def _residue_action(
     c: IntMatrix, domain: FundamentalDomain
 ) -> tuple[tuple[Vec, Vec], ...]:
-    zero = zero_vec(c.dim)
-    pairs = []
-    for f in domain.reps:
-        if f == zero:
-            continue
-        pairs.append((f, domain.digit_of(c.mul_vec(f))))
+    pairs = ((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f))
     return tuple(sorted(pairs))
 
 
@@ -193,12 +189,8 @@ def nl_membership(
         raise ValueError("n_max must be >= 4")
     if domain is None:
         domain = fundamental_domain(L)
-    conj = tuple(conjugate_power(L, M, n) for n in range(n_max + 1))
-    k = None
-    for start in range(n_max + 1):
-        if all(c is not None for c in conj[start:]):
-            k = start
-            break
+    conj = tuple(islice(_conjugates(L, M), n_max + 1))
+    k = next((start for start in range(n_max + 1) if None not in conj[start:]), None)
     if k is None or k > n_max // 2:
         first_bad = next(n for n in range(n_max + 1) if conj[n] is None)
         return NLRejection(
@@ -259,7 +251,7 @@ class LocalRule:
     window pattern over F_{n0} (kept sorted in window) decides v, positions
     deeper than n0 (including the origin of a fixed point) all use the
     stabilized permutation.  m_inv is M^{-1}, which pulls an output
-    position back to its source.
+    position back to its source; _levels memoizes the level of each pattern.
     """
 
     certificate: NLCertificate
@@ -269,6 +261,7 @@ class LocalRule:
     n0: int
     per_level: tuple[dict, ...]
     _class_table: tuple
+    _levels: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_local_rule(
@@ -305,44 +298,37 @@ def _valuation_class_table(subst, n0, window):
     with offsets congruent to 0 mod L^{n0} left undetermined; window is
     F_{n0}.
     """
-    if n0 == 0:
-        return ((zero_vec(subst.dim), 0, {}),)
     basis = hnf(subst.base**n0)
     out = []
-    for c in basis.box_reps():
-        forced = {}
-        for f in window:
-            y = vec_add(c, f)
-            if basis.contains(y):
-                continue  # letter not determined by the coset
-            forced[f] = tau(subst, y)
-        if basis.contains(c):
-            level = n0
-        else:
-            level = min(valuation(subst, c), n0)
-        out.append((c, level, forced))
+    for c in basis.box_reps():  # canonical: only c = 0 lies in the lattice
+        cells = {f: vec_add(c, f) for f in window}
+        forced = {f: tau(subst, y) for f, y in cells.items() if not basis.contains(y)}
+        out.append((c, min(valuation(subst, c), n0) if any(c) else n0, forced))
     return tuple(out)
 
 
-def _truncated_level(rule: LocalRule, patch: Patch, pos: Vec) -> int:
-    """Truncated digit level of the pattern of the rule's window at pos."""
+def _truncated_level(rule: LocalRule, cells, pos: Vec) -> int:
+    """Truncated digit level of the pattern of the rule's window at pos.
+
+    cells maps positions to letters (Patch.cells).  Each new pattern is
+    matched against the class table and its level memoized; errors are not.
+    """
     if rule.n0 == 0:
         return 0
-    pattern = {}
-    for f in rule.window:
-        p = vec_add(pos, f)
-        if p not in patch:
-            raise MarginError(f"window at {pos} leaves the patch support")
-        pattern[f] = patch[p]
-    matches = []
-    for c, level, forced in rule._class_table:
-        if all(pattern[f] == letter for f, letter in forced.items()):
-            matches.append(level)
-    if not matches:
-        raise WindowError(f"window pattern at {pos} matches no digit coset")
-    if len(set(matches)) > 1:
-        raise WindowError(f"window pattern at {pos} is ambiguous")
-    return matches[0]
+    pattern = tuple([cells.get(tuple(map(add, pos, f))) for f in rule.window])
+    if None in pattern:
+        raise MarginError(f"window at {pos} leaves the patch support")
+    level = rule._levels.get(pattern)
+    if level is None:
+        letters = dict(zip(rule.window, pattern))
+        matches = {lv for _c, lv, forced in rule._class_table
+                   if all(letters[f] == a for f, a in forced.items())}
+        if not matches:
+            raise WindowError(f"window pattern at {pos} matches no digit coset")
+        if len(matches) > 1:
+            raise WindowError(f"window pattern at {pos} is ambiguous")
+        level = rule._levels[pattern] = matches.pop()
+    return level
 
 
 def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
@@ -351,27 +337,23 @@ def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
     Output letter at t reads the source at u = M^{-1} t: the truncated
     level of the window at u picks the permutation applied to the letter.
     A position whose source or window leaves the patch raises a margin
-    error.
+    error.  Positions are integer tuples.
     """
+    cells, m_inv, per_level = patch.cells, rule.m_inv, rule.per_level
     out = {}
     for t in region:
-        t = tuple(int(x) for x in t)
-        u = rule.m_inv.mul_vec(t)
-        if u not in patch:
+        u = m_inv.mul_vec(t)
+        letter = cells.get(u)
+        if letter is None:
             raise MarginError(f"source position {u} missing from the patch")
-        out[t] = rule.per_level[_truncated_level(rule, patch, u)][patch[u]]
+        out[t] = per_level[_truncated_level(rule, cells, u)][letter]
     return Patch(out)
 
 
 def pullback_positions(rule: LocalRule, region) -> set:
-    """Source positions needed to evaluate the rule on the region."""
-    needed = set()
-    for t in region:
-        u = rule.m_inv.mul_vec(tuple(int(x) for x in t))
-        needed.add(u)
-        for f in rule.window:
-            needed.add(vec_add(u, f))
-    return needed
+    """Source positions the rule reads on the region: window translates of M^{-1} t."""
+    sources = {rule.m_inv.mul_vec(t) for t in region}
+    return {tuple(map(add, u, f)) for f in rule.window for u in sources}
 
 
 def composition_check(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from .errors import NotExpansionError, SizeGuardError, WrongBranchError
 from .intmat import (
@@ -42,6 +43,11 @@ class Patch:
     @property
     def support(self) -> frozenset:
         return frozenset(self._cells)
+
+    @property
+    def cells(self) -> MappingProxyType:
+        """Read-only position -> letter view; keys are integer tuples."""
+        return MappingProxyType(self._cells)
 
     def __getitem__(self, pos: Vec) -> Letter:
         return self._cells[tuple(pos)]
@@ -180,15 +186,15 @@ def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
 
 
 def _strip_base(s: ConstantShapeSubstitution, v: Vec, name: str) -> tuple[int, Vec]:
-    """(p, w) with v = L^p(w), w not in L(Z^d): one exact solve per factor of L."""
-    v = tuple(int(x) for x in v)
+    """(p, key): v = L^p(w), w not in L(Z^d), key = w mod L(Z^d), nonzero.
+    Reduces first, so only v in L(Z^d) costs an exact solve."""
     if not any(v):
         raise ValueError(f"{name} undefined at the origin")
-    solve = s.base.solve_exact
+    reduce, solve = s.domain.hnf_basis.reduce_vec, s.base.solve_exact
     p = 0
-    while (w := solve(v)) is not None:
-        v, p = w, p + 1
-    return p, v
+    while not any(key := reduce(v)):
+        v, p = solve(v), p + 1
+    return p, key
 
 
 def valuation(s: ConstantShapeSubstitution, v: Vec) -> int:
@@ -198,20 +204,15 @@ def valuation(s: ConstantShapeSubstitution, v: Vec) -> int:
 
 def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
     """First nonzero digit of v: v = L^{p+1}(z) + L^p(f) with minimal p."""
-    return s.domain.digit_of(_strip_base(s, v, "tau")[1])
+    return s.domain.rep_of_key[_strip_base(s, v, "tau")[1]]
 
 
 def fixed_point_patch(s: ConstantShapeSubstitution, seed: Letter, region) -> Patch:
-    """Letters of the fixed point with the given origin letter, on the region."""
+    """Letters of the fixed point seeded at the origin, on a region of int tuples."""
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    zero = zero_vec(s.dim)
-    cells = {}
-    for pos in region:
-        pos = tuple(int(x) for x in pos)
-        cells[pos] = seed if pos == zero else tau(s, pos)
-    return Patch(cells)
+    return Patch({pos: tau(s, pos) if any(pos) else seed for pos in region})
 
 
 def substitute(s: ConstantShapeSubstitution, p: Patch) -> Patch:

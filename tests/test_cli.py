@@ -441,3 +441,22 @@ def test_readme_cli_examples_exit_as_documented(capsys):
         assert main(argv) == want, argv
         captured = capsys.readouterr()
         assert (captured.err == "") == (want != 2), argv
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"F1": [[0, 0], [1, 0], [0, 1], [1, -1]]}, "missing key 'L'"),
+        ({"L": "2,0;0,2"}, "missing key 'F1'"),
+        ([["2,0;0,2"]], "expected a JSON object, got list"),
+    ],
+    ids=["no-L", "no-F1", "not-an-object"],
+)
+def test_subst_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, data, message):
+    desc = tmp_path / "rule.json"
+    desc.write_text(json.dumps(data))
+    code = main(["subst", "patch", "--subst", str(desc), "--box", "-1:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"odosym: ValueError: {desc}: {message}\n"

@@ -6,9 +6,18 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from odosym.errors import SingularMatrixError
-from odosym.intmat import IntMatrix, hnf, is_expansion, parse_matrix, validate_domain
+from odosym.intmat import (
+    IntMatrix,
+    hnf,
+    is_expansion,
+    parse_matrix,
+    validate_domain,
+    vec_sub,
+)
 from odosym.substitution import (
     Patch,
     fixed_point_patch,
@@ -104,6 +113,27 @@ def test_valuation_and_tau_match_hnf_membership(s):
         # v = L^p(f) + L^{p+1}(z): the digit is fixed mod L^{p+1}(Z^d)
         rest = tuple(a - b for a, b in zip(v, (L**p).mul_vec(digit)))
         assert hnf(L ** (p + 1)).contains(rest)
+
+
+@pytest.mark.parametrize("d, bound", [(2, 4), (3, 3)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduce_first_tau_on_random_bases(d, bound, data):
+    # tau reduces mod L(Z^d) before it solves; the oracle is membership in
+    # the Hermite basis of L^{p+1}(Z^d), which never calls solve_exact
+    entries = data.draw(
+        st.lists(st.integers(-bound, bound), min_size=d * d, max_size=d * d)
+    )
+    L = IntMatrix.from_rows([entries[i * d : (i + 1) * d] for i in range(d)])
+    assume(abs(L.det()) >= 3 and is_expansion(L))
+    s = sigma_L(L)
+    k = data.draw(st.integers(0, 3))
+    v = (L**k).mul_vec(data.draw(st.tuples(*[st.integers(-40, 40)] * d).filter(any)))
+    p = valuation(s, v)
+    digit = tau(s, v)
+    assert p >= k
+    assert digit in s.alphabet  # the letters are the nonzero digits
+    assert hnf(L ** (p + 1)).contains(vec_sub(v, (L**p).mul_vec(digit)))
 
 
 @pytest.mark.parametrize("s", [s for _, s in CASES], ids=IDS)

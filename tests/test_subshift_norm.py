@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 from tests_shared import rand_unimodular_small, unimodular_inverse
 
-from odosym.errors import MarginError, WrongBranchError
+from odosym.errors import MarginError, WindowError, WrongBranchError
 from odosym.intmat import IntMatrix, hnf, parse_matrix, validate_domain
 from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import (
+    Patch,
     fixed_point_patch,
     half_hex,
     supports,
@@ -407,4 +408,63 @@ def test_pi_factor_window_too_small():
     seed = min(rule.substitution.alphabet)
     tiny = fixed_point_patch(rule.substitution, seed, [(9, 4)])
     with pytest.raises(MarginError):
-        _truncated_level(rule, tiny, (9, 4))
+        _truncated_level(rule, tiny.cells, (9, 4))
+
+
+# ---------------------------------------------------------------------------
+# the memoized window decoder
+# ---------------------------------------------------------------------------
+
+# the window-level (n0 = 1) pairs of the phi benchmark, and D24's shear
+WINDOW_PAIRS = [
+    (IntMatrix(((2 * a, 0), (0, 4 * b))), IntMatrix(((s, 3), (0, -s))))
+    for a, b, s in product((1, -1), (1, -1), (1, -1))
+] + [
+    (IntMatrix(((4 * a, 0), (0, 2 * b))), IntMatrix(((-s, 0), (5, s))))
+    for a, b, s in product((1, -1), (1, -1), (1, -1))
+] + [(D24, parse_matrix("1,1;0,1"))]
+
+
+def window_rule(L, M):
+    rule = build_local_rule(nl_membership(L, M))
+    assert rule.n0 == 1
+    return rule
+
+
+@pytest.mark.parametrize("L, M", WINDOW_PAIRS, ids=lambda m: str(m))
+def test_memoized_decoder_reads_the_valuation(L, M):
+    rule = window_rule(L, M)
+    s = rule.substitution
+    cells = fixed_point_patch(s, max(s.alphabet), box(10)).cells
+    expected = {u: min(valuation(s, u), 1) if any(u) else 1 for u in box(6)}
+    assert {u: _truncated_level(rule, cells, u) for u in box(6)} == expected
+    memo = dict(rule._levels)
+    assert memo
+    # the second pass is answered from the memo alone
+    assert {u: _truncated_level(rule, cells, u) for u in box(6)} == expected
+    assert rule._levels == memo
+
+
+def test_margin_error_after_the_pattern_is_memoized():
+    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    patch = fixed_point_patch(rule.substitution, (1, 1), box(8))
+    u = (2, 1)
+    level = _truncated_level(rule, patch.cells, u)
+    assert level == min(valuation(rule.substitution, u), 1)
+    memo = dict(rule._levels)
+    for f in rule.window:
+        hole = (u[0] + f[0], u[1] + f[1])
+        holed = patch.restrict(patch.support - {hole})
+        with pytest.raises(MarginError):
+            _truncated_level(rule, holed.cells, u)
+    assert rule._levels == memo
+
+
+def test_doctored_window_raises_every_time():
+    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    # one letter everywhere: each coset forces 7 distinct digits on F_1
+    flat = Patch({p: (1, 1) for p in box(4)})
+    for _ in range(2):
+        with pytest.raises(WindowError, match="matches no digit coset"):
+            _truncated_level(rule, flat.cells, (0, 0))
+    assert rule._levels == {}
