@@ -379,7 +379,7 @@ class FundamentalDomain:
     base: IntMatrix
     reps: tuple[Vec, ...]
     hnf_basis: HnfBasis
-    rep_of_key: dict = field(repr=False, compare=False)  # reduced vector -> rep
+    _rep_of_key: dict = field(repr=False, compare=False)
     _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -392,7 +392,7 @@ class FundamentalDomain:
 
     def digit_of(self, v: Vec) -> Vec:
         """The representative of this domain congruent to v."""
-        return self.rep_of_key[self.hnf_basis.reduce_vec(v)]
+        return self._rep_of_key[self.hnf_basis.reduce_vec(v)]
 
     def __contains__(self, v) -> bool:
         return tuple(v) in self._members

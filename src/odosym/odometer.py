@@ -45,13 +45,16 @@ class ConstantBase:
     def level_basis(self, n: int) -> HnfBasis:
         if n < 0:
             raise DepthError(f"level must be >= 0, got {n}")
-        return _power_hnf_cached(self.matrix.rows, n)
+        return _power_hnf(self.matrix, n)
 
 
-# One entry per (base, level): an embedding to depth n reads n + 1 of them.
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _power_hnf_cached(rows: tuple, n: int) -> HnfBasis:
     return hnf(IntMatrix(rows) ** n)
+
+
+def _power_hnf(m: IntMatrix, n: int) -> HnfBasis:
+    return _power_hnf_cached(m.rows, n)
 
 
 @dataclass(frozen=True)

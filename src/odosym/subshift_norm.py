@@ -165,7 +165,12 @@ class NLRejection:
 def _residue_action(
     c: IntMatrix, domain: FundamentalDomain
 ) -> tuple[tuple[Vec, Vec], ...]:
-    pairs = ((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f))
+    zero = zero_vec(c.dim)
+    pairs = []
+    for f in domain.reps:
+        if f == zero:
+            continue
+        pairs.append((f, domain.digit_of(c.mul_vec(f))))
     return tuple(sorted(pairs))
 
 
@@ -190,7 +195,11 @@ def nl_membership(
     if domain is None:
         domain = fundamental_domain(L)
     conj = tuple(islice(_conjugates(L, M), n_max + 1))
-    k = next((start for start in range(n_max + 1) if None not in conj[start:]), None)
+    k = None
+    for start in range(n_max + 1):
+        if all(c is not None for c in conj[start:]):
+            k = start
+            break
     if k is None or k > n_max // 2:
         first_bad = next(n for n in range(n_max + 1) if conj[n] is None)
         return NLRejection(
@@ -251,7 +260,8 @@ class LocalRule:
     window pattern over F_{n0} (kept sorted in window) decides v, positions
     deeper than n0 (including the origin of a fixed point) all use the
     stabilized permutation.  m_inv is M^{-1}, which pulls an output
-    position back to its source; _levels memoizes the level of each pattern.
+    position back to its source.  _levels maps each window pattern (letters
+    in window order) that matched the class table to its level.
     """
 
     certificate: NLCertificate
@@ -298,37 +308,47 @@ def _valuation_class_table(subst, n0, window):
     with offsets congruent to 0 mod L^{n0} left undetermined; window is
     F_{n0}.
     """
+    if n0 == 0:
+        return ((zero_vec(subst.dim), 0, {}),)
     basis = hnf(subst.base**n0)
     out = []
-    for c in basis.box_reps():  # canonical: only c = 0 lies in the lattice
-        cells = {f: vec_add(c, f) for f in window}
-        forced = {f: tau(subst, y) for f, y in cells.items() if not basis.contains(y)}
-        out.append((c, min(valuation(subst, c), n0) if any(c) else n0, forced))
+    for c in basis.box_reps():
+        forced = {}
+        for f in window:
+            y = vec_add(c, f)
+            if basis.contains(y):
+                continue  # letter not determined by the coset
+            forced[f] = tau(subst, y)
+        if basis.contains(c):
+            level = n0
+        else:
+            level = min(valuation(subst, c), n0)
+        out.append((c, level, forced))
     return tuple(out)
 
 
-def _truncated_level(rule: LocalRule, cells, pos: Vec) -> int:
-    """Truncated digit level of the pattern of the rule's window at pos.
-
-    cells maps positions to letters (Patch.cells).  Each new pattern is
-    matched against the class table and its level memoized; errors are not.
-    """
+def _truncated_level(rule: LocalRule, patch: Patch, pos: Vec) -> int:
+    """Truncated digit level of the pattern of the rule's window at pos."""
     if rule.n0 == 0:
         return 0
-    pattern = tuple([cells.get(tuple(map(add, pos, f))) for f in rule.window])
-    if None in pattern:
+    cells = patch._cells
+    key = tuple([cells.get(tuple(map(add, pos, f))) for f in rule.window])
+    if None in key:
         raise MarginError(f"window at {pos} leaves the patch support")
-    level = rule._levels.get(pattern)
-    if level is None:
-        letters = dict(zip(rule.window, pattern))
-        matches = {lv for _c, lv, forced in rule._class_table
-                   if all(letters[f] == a for f, a in forced.items())}
-        if not matches:
-            raise WindowError(f"window pattern at {pos} matches no digit coset")
-        if len(matches) > 1:
-            raise WindowError(f"window pattern at {pos} is ambiguous")
-        level = rule._levels[pattern] = matches.pop()
-    return level
+    level = rule._levels.get(key)
+    if level is not None:
+        return level
+    pattern = dict(zip(rule.window, key))
+    matches = []
+    for c, level, forced in rule._class_table:
+        if all(pattern[f] == letter for f, letter in forced.items()):
+            matches.append(level)
+    if not matches:
+        raise WindowError(f"window pattern at {pos} matches no digit coset")
+    if len(set(matches)) > 1:
+        raise WindowError(f"window pattern at {pos} is ambiguous")
+    rule._levels[key] = matches[0]
+    return matches[0]
 
 
 def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
@@ -337,22 +357,23 @@ def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
     Output letter at t reads the source at u = M^{-1} t: the truncated
     level of the window at u picks the permutation applied to the letter.
     A position whose source or window leaves the patch raises a margin
-    error.  Positions are integer tuples.
+    error.
     """
-    cells, m_inv, per_level = patch.cells, rule.m_inv, rule.per_level
+    region = [tuple(map(int, t)) for t in region]
+    cells = patch._cells
     out = {}
     for t in region:
-        u = m_inv.mul_vec(t)
+        u = rule.m_inv.mul_vec(t)
         letter = cells.get(u)
         if letter is None:
             raise MarginError(f"source position {u} missing from the patch")
-        out[t] = per_level[_truncated_level(rule, cells, u)][letter]
+        out[t] = rule.per_level[_truncated_level(rule, patch, u)][letter]
     return Patch(out)
 
 
 def pullback_positions(rule: LocalRule, region) -> set:
-    """Source positions the rule reads on the region: window translates of M^{-1} t."""
-    sources = {rule.m_inv.mul_vec(t) for t in region}
+    """Source positions needed to evaluate the rule on the region."""
+    sources = {rule.m_inv.mul_vec(tuple(map(int, t))) for t in region}
     return {tuple(map(add, u, f)) for f in rule.window for u in sources}
 
 

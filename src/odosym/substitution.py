@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from types import MappingProxyType
 
 from .errors import NotExpansionError, SizeGuardError, WrongBranchError
 from .intmat import (
@@ -43,11 +42,6 @@ class Patch:
     @property
     def support(self) -> frozenset:
         return frozenset(self._cells)
-
-    @property
-    def cells(self) -> MappingProxyType:
-        """Read-only position -> letter view; keys are integer tuples."""
-        return MappingProxyType(self._cells)
 
     def __getitem__(self, pos: Vec) -> Letter:
         return self._cells[tuple(pos)]
@@ -186,8 +180,7 @@ def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
 
 
 def _strip_base(s: ConstantShapeSubstitution, v: Vec, name: str) -> tuple[int, Vec]:
-    """(p, key): v = L^p(w), w not in L(Z^d), key = w mod L(Z^d), nonzero.
-    Reduces first, so only v in L(Z^d) costs an exact solve."""
+    """(p, w mod L(Z^d)) with v = L^p(w), w not in L(Z^d); solves only in L(Z^d)."""
     if not any(v):
         raise ValueError(f"{name} undefined at the origin")
     reduce, solve = s.domain.hnf_basis.reduce_vec, s.base.solve_exact
@@ -204,15 +197,20 @@ def valuation(s: ConstantShapeSubstitution, v: Vec) -> int:
 
 def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
     """First nonzero digit of v: v = L^{p+1}(z) + L^p(f) with minimal p."""
-    return s.domain.rep_of_key[_strip_base(s, v, "tau")[1]]
+    return s.domain._rep_of_key[_strip_base(s, v, "tau")[1]]
 
 
 def fixed_point_patch(s: ConstantShapeSubstitution, seed: Letter, region) -> Patch:
-    """Letters of the fixed point seeded at the origin, on a region of int tuples."""
+    """Letters of the fixed point with the given origin letter, on the region."""
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    return Patch({pos: tau(s, pos) if any(pos) else seed for pos in region})
+    region = [tuple(map(int, pos)) for pos in region]
+    zero = zero_vec(s.dim)
+    cells = {}
+    for pos in region:
+        cells[pos] = seed if pos == zero else tau(s, pos)
+    return Patch(cells)
 
 
 def substitute(s: ConstantShapeSubstitution, p: Patch) -> Patch:

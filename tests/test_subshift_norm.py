@@ -408,7 +408,7 @@ def test_pi_factor_window_too_small():
     seed = min(rule.substitution.alphabet)
     tiny = fixed_point_patch(rule.substitution, seed, [(9, 4)])
     with pytest.raises(MarginError):
-        _truncated_level(rule, tiny.cells, (9, 4))
+        _truncated_level(rule, tiny, (9, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +435,13 @@ def window_rule(L, M):
 def test_memoized_decoder_reads_the_valuation(L, M):
     rule = window_rule(L, M)
     s = rule.substitution
-    cells = fixed_point_patch(s, max(s.alphabet), box(10)).cells
+    patch = fixed_point_patch(s, max(s.alphabet), box(10))
     expected = {u: min(valuation(s, u), 1) if any(u) else 1 for u in box(6)}
-    assert {u: _truncated_level(rule, cells, u) for u in box(6)} == expected
+    assert {u: _truncated_level(rule, patch, u) for u in box(6)} == expected
     memo = dict(rule._levels)
     assert memo
     # the second pass is answered from the memo alone
-    assert {u: _truncated_level(rule, cells, u) for u in box(6)} == expected
+    assert {u: _truncated_level(rule, patch, u) for u in box(6)} == expected
     assert rule._levels == memo
 
 
@@ -449,14 +449,14 @@ def test_margin_error_after_the_pattern_is_memoized():
     rule = window_rule(D24, parse_matrix("1,1;0,1"))
     patch = fixed_point_patch(rule.substitution, (1, 1), box(8))
     u = (2, 1)
-    level = _truncated_level(rule, patch.cells, u)
+    level = _truncated_level(rule, patch, u)
     assert level == min(valuation(rule.substitution, u), 1)
     memo = dict(rule._levels)
     for f in rule.window:
         hole = (u[0] + f[0], u[1] + f[1])
         holed = patch.restrict(patch.support - {hole})
         with pytest.raises(MarginError):
-            _truncated_level(rule, holed.cells, u)
+            _truncated_level(rule, holed, u)
     assert rule._levels == memo
 
 
@@ -466,5 +466,20 @@ def test_doctored_window_raises_every_time():
     flat = Patch({p: (1, 1) for p in box(4)})
     for _ in range(2):
         with pytest.raises(WindowError, match="matches no digit coset"):
-            _truncated_level(rule, flat.cells, (0, 0))
+            _truncated_level(rule, flat, (0, 0))
     assert rule._levels == {}
+
+
+def test_regions_of_lists_evaluate_like_tuples():
+    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    s = rule.substitution
+    region = box(3)
+    as_lists = [list(t) for t in region]
+    source = pullback_positions(rule, region)
+    assert pullback_positions(rule, as_lists) == source
+    seed = min(s.alphabet)
+    patch = fixed_point_patch(s, seed, source)
+    assert fixed_point_patch(s, seed, [list(u) for u in source]) == patch
+    image = apply_endomorphism(rule, patch, region)
+    assert apply_endomorphism(rule, patch, as_lists) == image
+    assert len(image) == len(region)
