@@ -33,7 +33,6 @@ from .classify2d import (
 )
 from .substitution import (
     ConstantShapeSubstitution,
-    Patch,
     fixed_point_patch,
     half_hex,
     k_set,
@@ -49,7 +48,6 @@ from .subshift_norm import (
     apply_endomorphism,
     build_local_rule,
     composition_check,
-    conjugate_power,
     fiber_points,
     nl_membership,
     pullback_positions,
@@ -66,10 +64,9 @@ __all__ = [
     # classify2d
     "MembershipVerdict", "centralizer", "classify", "is_member",
     # substitution
-    "ConstantShapeSubstitution", "Patch", "fixed_point_patch", "half_hex",
-    "k_set", "recognizability_check", "sigma_L", "substitute", "supports", "tau",
+    "ConstantShapeSubstitution", "fixed_point_patch", "half_hex", "k_set",
+    "recognizability_check", "sigma_L", "substitute", "supports", "tau",
     # subshift_norm
     "NLCertificate", "NLRejection", "apply_endomorphism", "build_local_rule",
-    "composition_check", "conjugate_power", "fiber_points", "nl_membership",
-    "pullback_positions",
+    "composition_check", "fiber_points", "nl_membership", "pullback_positions",
 ]

@@ -24,7 +24,7 @@ import random
 import re
 import sys
 import time
-from itertools import product
+from operator import index
 from typing import NamedTuple
 
 from . import __version__
@@ -42,7 +42,7 @@ from .intmat import (
 from .odometer import nc_bounded_check
 from .substitution import (
     ConstantShapeSubstitution,
-    Patch,
+    box_positions,
     fixed_point_count,
     fixed_point_patch,
     half_hex,
@@ -106,7 +106,7 @@ class Answer(NamedTuple):
     inputs: dict
     result: object
     code: int = EXIT_OK
-    patch: Patch | None = None  # rendered by --svg and --pgm
+    patch: dict | None = None  # rendered by --svg and --pgm
     table: str | None = None  # printed in place of the JSON report
 
 
@@ -121,15 +121,27 @@ def _parse_box(text: str):
     return lo, hi
 
 
-def _box_positions(lo: int, hi: int, dim: int):
-    return [tuple(t) for t in product(range(lo, hi + 1), repeat=dim)]
-
-
 def _parse_domain_arg(base: IntMatrix, text: str | None):
     if text is None:
         return fundamental_domain(base)
     reps = [parse_vector(tok) for tok in text.split(";")]
     return validate_domain(base, reps)
+
+
+def _field(path: str, name: str, build, value):
+    """build(value); a value of the wrong type or shape raises an error naming the field."""
+    try:
+        return build(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {name!r}: {exc}") from None
+
+
+def _vectors(items) -> list:
+    return [tuple(map(index, v)) for v in items]
+
+
+def _image(cells) -> dict:
+    return {tuple(map(index, pos)): tuple(map(index, val)) for pos, val in cells}
 
 
 def _load_substitution(path: str) -> ConstantShapeSubstitution:
@@ -139,22 +151,22 @@ def _load_substitution(path: str) -> ConstantShapeSubstitution:
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if missing := [key for key in ("L", "F1") if key not in data]:
         raise ValueError(f"{path}: missing key {missing[0]!r}")
-    base = (
-        parse_matrix(data["L"])
-        if isinstance(data["L"], str)
-        else IntMatrix.from_rows(data["L"])
-    )
-    domain = validate_domain(base, [tuple(v) for v in data["F1"]])
-    if "table" not in data or data["table"] is None:
+    if isinstance(data["L"], str):
+        base = parse_matrix(data["L"])
+    else:
+        base = _field(path, "L", IntMatrix, data["L"])
+    domain = validate_domain(base, _field(path, "F1", _vectors, data["F1"]))
+    table = data.get("table")
+    if table is None:
         return sigma_L(base, domain)
-    table = {}
-    for letter, cells in data["table"].items():
-        table[parse_vector(letter)] = {
-            tuple(pos): tuple(val) for pos, val in cells
-        }
-    alphabet = frozenset(table)
+    if not isinstance(table, dict) or not table:
+        raise ValueError(f"{path}: field 'table': expected a non-empty object, got {table!r}")
+    images = {
+        parse_vector(letter): _field(path, f"table.{letter}", _image, cells)
+        for letter, cells in table.items()
+    }
     return ConstantShapeSubstitution(
-        base=base, domain=domain, alphabet=alphabet, table=table
+        base=base, domain=domain, alphabet=frozenset(images), table=images
     )
 
 
@@ -168,11 +180,16 @@ _PALETTE = [
 ]
 
 
-def write_svg(patch: Patch, path: str, cell: int = 12) -> None:
-    letters = sorted({a for _, a in patch.items()})
+def _patch_payload(patch: dict) -> list:
+    """The report form of a patch: [[position], [letter]] pairs in position order."""
+    return [[list(p), list(a)] for p, a in sorted(patch.items())]
+
+
+def write_svg(patch: dict, path: str, cell: int = 12) -> None:
+    letters = sorted(set(patch.values()))
     color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(letters)}
-    xs = [p[0] for p in patch.support]
-    ys = [p[1] for p in patch.support]
+    xs = [p[0] for p in patch]
+    ys = [p[1] for p in patch]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     width = (x1 - x0 + 1) * cell
@@ -180,7 +197,7 @@ def write_svg(patch: Patch, path: str, cell: int = 12) -> None:
     rows = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
     ]
-    for (x, y), a in patch.items():
+    for (x, y), a in sorted(patch.items()):
         px = (x - x0) * cell
         py = (y1 - y) * cell  # y axis points up
         rows.append(
@@ -192,18 +209,18 @@ def write_svg(patch: Patch, path: str, cell: int = 12) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def write_pgm(patch: Patch, path: str) -> None:
-    letters = sorted({a for _, a in patch.items()})
+def write_pgm(patch: dict, path: str) -> None:
+    letters = sorted(set(patch.values()))
     level = {a: 60 + (195 * i) // max(1, len(letters) - 1) for i, a in enumerate(letters)}
-    xs = [p[0] for p in patch.support]
-    ys = [p[1] for p in patch.support]
+    xs = [p[0] for p in patch]
+    ys = [p[1] for p in patch]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     grid = []
     for y in range(y1, y0 - 1, -1):
         row = []
         for x in range(x0, x1 + 1):
-            row.append(str(level.get(patch[(x, y)], 0) if (x, y) in patch else 0))
+            row.append(str(level.get(patch.get((x, y)), 0)))
         grid.append(" ".join(row))
     with open(path, "w") as fh:
         fh.write(f"P2\n{x1 - x0 + 1} {y1 - y0 + 1}\n255\n")
@@ -271,14 +288,14 @@ def cmd_phi(args) -> Answer:
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome, domain)
     seed = parse_vector(args.seed) if args.seed else min(rule.substitution.alphabet)
-    region = _box_positions(lo, hi, base.dim)
+    region = box_positions(lo, hi, base.dim)
     source = pullback_positions(rule, region)
     patch = fixed_point_patch(rule.substitution, seed, source)
     image = apply_endomorphism(rule, patch, region)
     result = {
         "certificate": outcome.to_payload(),
         "seed": format_vector(seed),
-        "patch": image.to_payload(),
+        "patch": _patch_payload(image),
     }
     return Answer({**inputs, "nmax": args.nmax}, result, patch=image)
 
@@ -292,16 +309,18 @@ def cmd_subst(args) -> Answer:
         s = sigma_L(base, domain)
     seed = parse_vector(args.seed) if args.seed else min(s.alphabet)
     lo, hi = _parse_box(args.box)
-    region = _box_positions(lo, hi, s.dim)
+    region = box_positions(lo, hi, s.dim)
     if s.is_self_similar():
         patch = fixed_point_patch(s, seed, region)
     else:
+        if seed not in s.alphabet:
+            raise ValueError(f"seed {seed} is not a letter")
         # general rule: iterate from the seed letter past 16 cells per box
         # cell (each step multiplies the size by |det L| >= 2), then restrict
-        patch = Patch({(0,) * s.dim: seed})
+        patch = {(0,) * s.dim: seed}
         while len(patch) <= 16 * len(region):
             patch = substitute(s, patch)
-        patch = patch.restrict(region)
+        patch = {p: patch[p] for p in region if p in patch}
         if len(patch) < len(region):
             raise MarginError(
                 f"the iterated patch covers {len(patch)} of the {len(region)} "
@@ -315,7 +334,7 @@ def cmd_subst(args) -> Answer:
     result = {
         "seed": format_vector(seed),
         "alphabet": [format_vector(a) for a in sorted(s.alphabet)],
-        "patch": patch.to_payload(),
+        "patch": _patch_payload(patch),
     }
     return Answer(inputs, result, patch=patch)
 
@@ -417,7 +436,7 @@ def _subshift_rows():
         hh.base,
         parse_matrix("0,1;1,0"),
         parse_matrix("1,1;0,1"),
-        _box_positions(-6, 6, 2),
+        box_positions(-6, 6, 2),
         domain=hh.domain,
     )
     rows.append(_row("nl:half-hex-composition", "PASS" if comp else "FAIL", "box -6:6"))
@@ -466,7 +485,7 @@ def _diag24_open_row():
     if isinstance(odd, NLCertificate):
         rule = build_local_rule(odd)
         s = rule.substitution
-        box = _box_positions(-8, 8, 2)
+        box = box_positions(-8, 8, 2)
         perm_ok = True
         for v in box:
             if v == (0, 0):
@@ -476,15 +495,13 @@ def _diag24_open_row():
                 perm_ok = False
                 break
         detail["tau_equivariance_radius_8"] = perm_ok
-        region = _box_positions(-5, 5, 2)
+        region = box_positions(-5, 5, 2)
         source = pullback_positions(rule, region)
         patch = fixed_point_patch(s, min(s.alphabet), source)
         image = apply_endomorphism(rule, patch, region)
-        fp_ok = all(
-            image[t] == tau(s, t) for t in image.support if t != (0, 0)
-        )
+        fp_ok = all(image[t] == tau(s, t) for t in image if t != (0, 0))
         detail["fixed_point_mapping"] = fp_ok
-        comp_ok = composition_check(base, odd.M, odd.M, _box_positions(-4, 4, 2))
+        comp_ok = composition_check(base, odd.M, odd.M, box_positions(-4, 4, 2))
         detail["self_composition"] = comp_ok
         oracle_ok = perm_ok and fp_ok and comp_ok
     detail["definition_verdict_matches_closing_set"] = (
@@ -533,11 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument(
-            "--json", action="store_true", help="compact JSON output (the default)"
-        )
-        fmt.add_argument("--pretty", action="store_true", help="indented JSON")
+        p.add_argument("--pretty", action="store_true", help="indented JSON")
         p.add_argument("--out", help="write the report to a file")
 
     p = sub.add_parser("classify", help="classify the symmetry group of a base")

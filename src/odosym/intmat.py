@@ -11,12 +11,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     DomainCardinalityError,
     DomainCosetCollisionError,
     DomainMissingZeroError,
+    DomainValidationError,
     MatrixParseError,
     SingularMatrixError,
 )
@@ -46,15 +47,10 @@ class IntMatrix:
         d = len(self.rows)
         if d < 1 or any(len(r) != d for r in self.rows):
             raise ValueError("IntMatrix must be square with dim >= 1")
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows)
-        )
+        # operator.index takes exact integers only: 2.5 and '3' raise TypeError
+        object.__setattr__(self, "rows", tuple(tuple(map(index, r)) for r in self.rows))
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
 
     @classmethod
     def identity(cls, d: int) -> "IntMatrix":
@@ -416,7 +412,9 @@ def validate_domain(base: IntMatrix, candidates) -> FundamentalDomain:
     """Accepts exactly the full transversals of Z^d / base(Z^d) containing 0."""
     if base.det() == 0:
         raise SingularMatrixError("fundamental domain needs det != 0")
-    cands = [tuple(int(x) for x in v) for v in candidates]
+    cands = [tuple(map(index, v)) for v in candidates]
+    if any(len(v) != base.dim for v in cands):
+        raise DomainValidationError(f"representatives must have {base.dim} coordinates")
     h = hnf(base)
     want = abs(base.det())
     if len(cands) != want:

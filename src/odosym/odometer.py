@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 from .errors import DepthError, NotExpansionError
 from .intmat import HnfBasis, IntMatrix, Vec, hnf, is_expansion
@@ -45,16 +46,7 @@ class ConstantBase:
     def level_basis(self, n: int) -> HnfBasis:
         if n < 0:
             raise DepthError(f"level must be >= 0, got {n}")
-        return _power_hnf(self.matrix, n)
-
-
-@lru_cache(maxsize=None)
-def _power_hnf_cached(rows: tuple, n: int) -> HnfBasis:
-    return hnf(IntMatrix(rows) ** n)
-
-
-def _power_hnf(m: IntMatrix, n: int) -> HnfBasis:
-    return _power_hnf_cached(m.rows, n)
+        return hnf(self.matrix**n)
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ def kappa_embed(v: Vec, base: ConstantBase, depth: int) -> OdometerPoint:
     """Embed an integer vector: digits are v mod Z_n for n = 0..depth."""
     if depth < 0:
         raise DepthError(f"depth must be >= 0, got {depth}")
-    v = tuple(int(x) for x in v)
+    v = tuple(map(index, v))
     digits = tuple(base.level_basis(n).reduce_vec(v) for n in range(depth + 1))
     return OdometerPoint(base, digits)
 
@@ -112,10 +104,6 @@ class NcCertificate:
 
     def to_payload(self) -> dict:
         return {"n": self.n, "m": self.m, "bound": self.bound}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "NcCertificate":
-        return cls(n=payload["n"], m=payload["m"], bound=payload["bound"])
 
 
 def _mat_mul_mod(a, b, mod, d):

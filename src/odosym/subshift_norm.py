@@ -14,8 +14,8 @@ patches evaluate correctly) and applies the per-level coset permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
-from operator import add
+from itertools import islice
+from operator import add, index
 
 from .errors import (
     MarginError,
@@ -34,15 +34,13 @@ from .intmat import (
     fundamental_domain,
     hnf,
     is_expansion,
-    parse_matrix,
-    parse_vector,
     vec_add,
     zero_vec,
 )
 from .odometer import OdometerPoint
 from .substitution import (
     ConstantShapeSubstitution,
-    Patch,
+    box_positions,
     fixed_point_patch,
     sigma_L,
     supports,
@@ -67,13 +65,6 @@ def _conjugates(L: IntMatrix, M: IntMatrix):
             assert ln * c == M * ln
         yield c
         num, ln, scale = adj * num * L, ln * L, scale * det
-
-
-def conjugate_power(L: IntMatrix, M: IntMatrix, n: int) -> IntMatrix | None:
-    """L^{-n} M L^n when integral (checked by L^n C = M L^n), else None."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return next(islice(_conjugates(L, M), n, None))
 
 
 @dataclass(frozen=True)
@@ -111,23 +102,6 @@ class NLCertificate:
             ],
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "NLCertificate":
-        return cls(
-            L=parse_matrix(payload["L"]),
-            M=parse_matrix(payload["M"]),
-            n_max=payload["n_max"],
-            k=payload["k"],
-            n0=payload["n0"],
-            conjugates=tuple(
-                None if c is None else parse_matrix(c) for c in payload["conjugates"]
-            ),
-            residue_permutation=tuple(
-                (parse_vector(a), parse_vector(b))
-                for a, b in payload["residue_permutation"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class NLRejection:
@@ -150,16 +124,6 @@ class NLRejection:
             "reason": self.reason,
             "detail": self.detail,
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "NLRejection":
-        return cls(
-            L=parse_matrix(payload["L"]),
-            M=parse_matrix(payload["M"]),
-            n_max=payload["n_max"],
-            reason=payload["reason"],
-            detail=payload["detail"],
-        )
 
 
 def _residue_action(
@@ -327,12 +291,11 @@ def _valuation_class_table(subst, n0, window):
     return tuple(out)
 
 
-def _truncated_level(rule: LocalRule, patch: Patch, pos: Vec) -> int:
+def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     """Truncated digit level of the pattern of the rule's window at pos."""
     if rule.n0 == 0:
         return 0
-    cells = patch._cells
-    key = tuple([cells.get(tuple(map(add, pos, f))) for f in rule.window])
+    key = tuple([patch.get(tuple(map(add, pos, f))) for f in rule.window])
     if None in key:
         raise MarginError(f"window at {pos} leaves the patch support")
     level = rule._levels.get(key)
@@ -351,7 +314,9 @@ def _truncated_level(rule: LocalRule, patch: Patch, pos: Vec) -> int:
     return matches[0]
 
 
-def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
+def apply_endomorphism(
+    rule: LocalRule, patch: dict[Vec, Vec], region
+) -> dict[Vec, Vec]:
     """Evaluate the rule on a patch, at every position of the region.
 
     Output letter at t reads the source at u = M^{-1} t: the truncated
@@ -359,21 +324,20 @@ def apply_endomorphism(rule: LocalRule, patch: Patch, region) -> Patch:
     A position whose source or window leaves the patch raises a margin
     error.
     """
-    region = [tuple(map(int, t)) for t in region]
-    cells = patch._cells
     out = {}
     for t in region:
+        t = tuple(map(index, t))
         u = rule.m_inv.mul_vec(t)
-        letter = cells.get(u)
+        letter = patch.get(u)
         if letter is None:
             raise MarginError(f"source position {u} missing from the patch")
         out[t] = rule.per_level[_truncated_level(rule, patch, u)][letter]
-    return Patch(out)
+    return out
 
 
 def pullback_positions(rule: LocalRule, region) -> set:
     """Source positions needed to evaluate the rule on the region."""
-    sources = {rule.m_inv.mul_vec(tuple(map(int, t))) for t in region}
+    sources = {rule.m_inv.mul_vec(tuple(map(index, t))) for t in region}
     return {tuple(map(add, u, f)) for f in rule.window for u in sources}
 
 
@@ -404,7 +368,7 @@ def composition_check(
     subst = rule12.substitution
     if seed is None:
         seed = min(subst.alphabet)
-    region = [tuple(int(x) for x in t) for t in region]
+    region = [tuple(map(index, t)) for t in region]
     mid = sorted(pullback_positions(rule1, region))
     source = pullback_positions(rule2, mid) | pullback_positions(rule12, region)
     patch = fixed_point_patch(subst, seed, source)
@@ -441,7 +405,7 @@ def fiber_points(
         target = point.digit(n)
         lifts = [
             v
-            for v in product(range(-window_radius, window_radius + 1), repeat=s.dim)
+            for v in box_positions(-window_radius, window_radius, s.dim)
             if basis.reduce_vec(v) == target
         ]
         if lifts:
@@ -450,5 +414,5 @@ def fiber_points(
             return frozenset(s.alphabet), "all digits zero to tested depth"
         note = f"exact at tested depth {n}, window radius {window_radius}"
         return frozenset({tau(s, target)}), note
-    a = tuple(int(x) for x in at)
+    a = tuple(map(index, at))
     return frozenset(s.alphabet), f"orbit point: letters at coordinate {a} are free"

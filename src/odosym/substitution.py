@@ -2,14 +2,16 @@
 
 Letters of the self-similar family built here are the nonzero digits of
 the fundamental domain themselves, so patches print as digit vectors and
-no arbitrary letter coding is needed.  Patches are sparse coordinate
-maps; supports like the half-hex iterates are not boxes.
+no arbitrary letter coding is needed.  A patch is a plain dict from
+position tuple to letter tuple; supports like the half-hex iterates are
+not boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 from .errors import NotExpansionError, SizeGuardError, WrongBranchError
 from .intmat import (
@@ -31,55 +33,6 @@ HALF_HEX_BASE = IntMatrix(((2, 0), (0, 2)))
 HALF_HEX_SUPPORT = ((0, 0), (1, 0), (0, 1), (1, -1))
 
 
-class Patch:
-    """Finite coordinate -> letter map, immutable after construction."""
-
-    __slots__ = ("_cells",)
-
-    def __init__(self, cells):
-        self._cells = dict(cells)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self._cells)
-
-    def __getitem__(self, pos: Vec) -> Letter:
-        return self._cells[tuple(pos)]
-
-    def __contains__(self, pos) -> bool:
-        return tuple(pos) in self._cells
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def items(self):
-        return sorted(self._cells.items())
-
-    def shift(self, z: Vec) -> "Patch":
-        """The patch of the translated point: new[k] = old[k + z]."""
-        return Patch({vec_sub(pos, z): a for pos, a in self._cells.items()})
-
-    def restrict(self, positions) -> "Patch":
-        keep = {tuple(p) for p in positions}
-        return Patch({p: a for p, a in self._cells.items() if p in keep})
-
-    def __eq__(self, other):
-        return isinstance(other, Patch) and self._cells == other._cells
-
-    def __hash__(self):
-        return hash(frozenset(self._cells.items()))
-
-    def __repr__(self):
-        return f"Patch({len(self._cells)} cells)"
-
-    def to_payload(self) -> list:
-        return [[list(p), list(a)] for p, a in self.items()]
-
-    @classmethod
-    def from_payload(cls, payload) -> "Patch":
-        return cls({tuple(p): tuple(a) for p, a in payload})
-
-
 @dataclass(frozen=True)
 class ConstantShapeSubstitution:
     """Rule letter -> pattern supported on a fixed fundamental domain."""
@@ -99,6 +52,8 @@ class ConstantShapeSubstitution:
                 raise ValueError(f"no image pattern for letter {letter}")
             if set(self.table[letter]) != support:
                 raise ValueError("image patterns must be supported exactly on F1")
+            if not self.alphabet.issuperset(self.table[letter].values()):
+                raise ValueError(f"the image of {letter} uses a letter outside the alphabet")
 
     @property
     def dim(self) -> int:
@@ -200,27 +155,29 @@ def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
     return s.domain._rep_of_key[_strip_base(s, v, "tau")[1]]
 
 
-def fixed_point_patch(s: ConstantShapeSubstitution, seed: Letter, region) -> Patch:
+def fixed_point_patch(
+    s: ConstantShapeSubstitution, seed: Letter, region
+) -> dict[Vec, Letter]:
     """Letters of the fixed point with the given origin letter, on the region."""
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    region = [tuple(map(int, pos)) for pos in region]
     zero = zero_vec(s.dim)
     cells = {}
     for pos in region:
+        pos = tuple(map(index, pos))
         cells[pos] = seed if pos == zero else tau(s, pos)
-    return Patch(cells)
+    return cells
 
 
-def substitute(s: ConstantShapeSubstitution, p: Patch) -> Patch:
+def substitute(s: ConstantShapeSubstitution, p: dict[Vec, Letter]) -> dict[Vec, Letter]:
     """One application of the rule: letter at L(j) + f is image(p_j) at f."""
     cells = {}
     for j, a in p.items():
         lj = s.base.mul_vec(j)
         for f, b in s.image(a).items():
             cells[vec_add(lj, f)] = b
-    return Patch(cells)
+    return cells
 
 
 def fixed_point_count(s: ConstantShapeSubstitution) -> int:
@@ -300,7 +257,7 @@ def k_set(
             lk = ln.mul_vec(k)
             for f in cov_levels[n]:
                 covered.add(vec_add(lk, f))
-    box = _box(s.dim, coverage_radius)
+    box = box_positions(-coverage_radius, coverage_radius, s.dim)
     ok = all(p in covered for p in box)
     return KSetReport(
         points=frozenset(points),
@@ -312,8 +269,9 @@ def k_set(
     )
 
 
-def _box(d: int, radius: int):
-    return [tuple(t) for t in product(range(-radius, radius + 1), repeat=d)]
+def box_positions(lo: int, hi: int, d: int) -> list[Vec]:
+    """The points of the cube [lo, hi]^d, in lexicographic order."""
+    return list(product(range(lo, hi + 1), repeat=d))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +296,7 @@ def recognizability_check(
         seed = min(s.alphabet)
     fn = sorted(supports(s, n)[n])
     basis = hnf(s.base**n)
-    box = _box(s.dim, window_radius)
+    box = box_positions(-window_radius, window_radius, s.dim)
     patches: dict = {}
     zero = zero_vec(s.dim)
     for a in box:

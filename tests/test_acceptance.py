@@ -25,7 +25,6 @@ from odosym.classify2d import (
 from odosym.intmat import IntMatrix, parse_matrix
 from odosym.odometer import ConstantBase, kappa_embed, nc_bounded_check, nc_passes
 from odosym.substitution import (
-    Patch,
     fixed_point_count,
     fixed_point_patch,
     half_hex,
@@ -217,7 +216,7 @@ def test_criterion_5_fixed_points_and_recognizability():
     for s in (hh, s24):
         levels = supports(s, 3)
         for seed in sorted(s.alphabet):
-            patch = Patch({(0, 0): seed})
+            patch = {(0, 0): seed}
             for _ in range(3):
                 patch = substitute(s, patch)
             if patch != fixed_point_patch(s, seed, levels[3]):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import odosym
-from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
+from odosym.cli import _join_flag_values, _patch_payload, build_parser, main, run_verify_paper
 from odosym.odometer import NcCertificate
+from odosym.substitution import box_positions, fixed_point_patch, half_hex
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -78,7 +79,7 @@ def test_nc_command_and_roundtrip(capsys):
     )
     assert code == 0
     assert report["result"]["passes"] is True
-    certs = [NcCertificate.from_payload(c) for c in report["result"]["certificates"]]
+    certs = [NcCertificate(**c) for c in report["result"]["certificates"]]
     assert [c.m for c in certs] == [1, 2, 3, 4]
     code2, report2 = run_cli(
         ["nc", "--base", "3,1;0,5", "--matrix", "0,1;1,0", "--depth", "4"], capsys
@@ -89,7 +90,7 @@ def test_nc_command_and_roundtrip(capsys):
         ["nc", "--base", "3,1;0,5", "--matrix", "1,-1;0,-1", "--depth", "12"], capsys
     )
     assert code3 == 0 and report3["result"]["passes"] is True
-    certs3 = [NcCertificate.from_payload(c) for c in report3["result"]["certificates"]]
+    certs3 = [NcCertificate(**c) for c in report3["result"]["certificates"]]
     assert [(c.n, c.m) for c in certs3] == [(n, n) for n in range(1, 13)]
 
 
@@ -130,6 +131,13 @@ def test_phi_command(capsys, tmp_path):
         cells[tuple(pos)] = tuple(letter)
     assert len(cells) == 9 * 9
     assert svg.exists() and svg.read_text().startswith("<svg")
+
+
+def test_patch_payload_lists_every_cell_in_position_order():
+    patch = fixed_point_patch(half_hex(), (0, 1), box_positions(-3, 3, 2))
+    payload = _patch_payload(patch)
+    assert payload == sorted(payload)
+    assert {tuple(p): tuple(a) for p, a in payload} == patch
 
 
 def test_phi_rejected_matrix_exits_inconclusive(capsys):
@@ -175,8 +183,6 @@ def test_subst_description_file(capsys, tmp_path):
 
 def test_subst_description_file_with_table(capsys, tmp_path):
     # explicit table equal to the digit rule: behavior must match
-    from odosym.substitution import half_hex
-
     hh = half_hex()
     table = {
         ",".join(map(str, a)): [[list(f), list(b)] for f, b in sorted(hh.image(a).items())]
@@ -236,6 +242,20 @@ def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
     code, report = run_cli(["subst", "patch", "--subst", str(desc), "--box", "-4:4"], capsys)
     assert code == 0
     assert len(report["result"]["patch"]) == 81
+
+
+def test_subst_general_rule_letters_must_be_in_the_alphabet(capsys, tmp_path):
+    quadrant = [(x, y) for x in (0, 1) for y in (0, 1)]
+    desc = tmp_path / "rule.json"
+    stray = _two_letter_rule("2,0;0,2", quadrant, lambda a, f: (9, 9) if f == (1, 1) else a)
+    desc.write_text(json.dumps(stray))
+    assert main(["subst", "patch", "--subst", str(desc), "--box", "-1:1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "odosym: ValueError: the image of (0, 1) uses a letter outside the alphabet\n"
+    desc.write_text(json.dumps(_two_letter_rule("2,0;0,2", quadrant, _swap_letter)))
+    argv = ["subst", "patch", "--subst", str(desc), "--seed", "5,5", "--box", "-1:1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "odosym: ValueError: seed (5, 5) is not a letter\n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -432,6 +452,14 @@ def readme_cli_examples():
     return examples
 
 
+def test_json_flag_is_a_usage_error(capsys):
+    for argv, _ in readme_cli_examples():
+        with pytest.raises(SystemExit) as done:
+            main(argv + ["--json"])
+        assert done.value.code == 2, argv
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_readme_cli_examples_exit_as_documented(capsys):
     examples = readme_cli_examples()
     assert {argv[0] for argv, _ in examples} == {
@@ -443,14 +471,38 @@ def test_readme_cli_examples_exit_as_documented(capsys):
         assert (captured.err == "") == (want != 2), argv
 
 
+HH_F1 = [[0, 0], [1, 0], [0, 1], [1, -1]]
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"F1": [[0, 0], [1, 0], [0, 1], [1, -1]]}, "missing key 'L'"),
+        ({"F1": HH_F1}, "missing key 'L'"),
         ({"L": "2,0;0,2"}, "missing key 'F1'"),
         ([["2,0;0,2"]], "expected a JSON object, got list"),
+        ({"L": 5, "F1": HH_F1}, "field 'L': object of type 'int' has no len()"),
+        (
+            {"L": [[2, 0], [0, 2.5]], "F1": HH_F1},
+            "field 'L': 'float' object cannot be interpreted as an integer",
+        ),
+        ({"L": "2,0;0,2", "F1": 7}, "field 'F1': 'int' object is not iterable"),
+        (
+            {"L": "2,0;0,2", "F1": HH_F1, "table": 5},
+            "field 'table': expected a non-empty object, got 5",
+        ),
+        (
+            {"L": "2,0;0,2", "F1": HH_F1, "table": {}},
+            "field 'table': expected a non-empty object, got {}",
+        ),
+        (
+            {"L": "2,0;0,2", "F1": HH_F1, "table": {"1,0": 3}},
+            "field 'table.1,0': 'int' object is not iterable",
+        ),
     ],
-    ids=["no-L", "no-F1", "not-an-object"],
+    ids=[
+        "no-L", "no-F1", "not-an-object", "L-int", "L-float-entry", "F1-int",
+        "table-int", "table-empty", "table-entry-int",
+    ],
 )
 def test_subst_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, data, message):
     desc = tmp_path / "rule.json"

@@ -19,7 +19,6 @@ from odosym.intmat import (
     vec_sub,
 )
 from odosym.substitution import (
-    Patch,
     fixed_point_patch,
     half_hex,
     sigma_L,
@@ -40,7 +39,7 @@ PATCH_CELLS = 1500  # largest |F_n| built per base
 def random_expansion(rng, d, bound, max_det):
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(rows)
         if 3 <= abs(m.det()) <= max_det and is_expansion(m):
             return m
 
@@ -79,10 +78,10 @@ def test_fixed_point_patch_is_iterated_substitution(s):
         n += 1
     region = supports(s, n)[n]
     for seed in sorted(s.alphabet)[:2]:
-        iterated = Patch({(0,) * s.dim: seed})
+        iterated = {(0,) * s.dim: seed}
         for _ in range(n):
             iterated = substitute(s, iterated)
-        assert iterated.support == region
+        assert iterated.keys() == region
         assert fixed_point_patch(s, seed, region) == iterated
 
 
@@ -124,7 +123,7 @@ def test_reduce_first_tau_on_random_bases(d, bound, data):
     entries = data.draw(
         st.lists(st.integers(-bound, bound), min_size=d * d, max_size=d * d)
     )
-    L = IntMatrix.from_rows([entries[i * d : (i + 1) * d] for i in range(d)])
+    L = IntMatrix([entries[i * d : (i + 1) * d] for i in range(d)])
     assume(abs(L.det()) >= 3 and is_expansion(L))
     s = sigma_L(L)
     k = data.draw(st.integers(0, 3))

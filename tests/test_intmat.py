@@ -10,6 +10,7 @@ from odosym.errors import (
     DomainCardinalityError,
     DomainCosetCollisionError,
     DomainMissingZeroError,
+    DomainValidationError,
     MatrixParseError,
     SingularMatrixError,
 )
@@ -32,7 +33,7 @@ ID2 = IntMatrix.identity(2)
 
 
 def rand_matrix(rng, d, lo=-5, hi=5):
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
     )
 
@@ -45,7 +46,7 @@ def rand_unimodular(rng, d=2, steps=6):
         c = rng.choice([-2, -1, 1, 2])
         for k in range(d):
             rows[i][k] += c * rows[j][k]
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(rows)
         if rng.random() < 0.3:
             m = -m
     return m
@@ -261,6 +262,24 @@ def test_validate_domain_half_hex_and_errors():
         validate_domain(two, [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(DomainMissingZeroError):
         validate_domain(two, [(1, 1), (1, 0), (0, 1), (2, 2)])
+    with pytest.raises(DomainValidationError, match="2 coordinates"):
+        validate_domain(two, [(0, 0), (1, 0), (0, 1, 0), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix(((2.5, 0), (0, 3))),
+        lambda: IntMatrix(((2, 0), (0, "3"))),
+        lambda: IntMatrix(((2, 0), (0, 3.0))),
+        lambda: validate_domain(IntMatrix.scalar(2, 2), [(0, 0), (1, 0), (0, 1), (1.0, 1)]),
+    ],
+    ids=["float-entry", "str-entry", "integral-float-entry", "float-domain"],
+)
+def test_entries_must_be_exact_integers(build):
+    # int() would truncate 2.5 to 2 and read '3' as 3
+    with pytest.raises(TypeError):
+        build()
 
 
 def split(v, domain):
@@ -317,10 +336,10 @@ def test_is_expansion_examples():
 
 
 def test_is_expansion_dim3():
-    assert is_expansion(IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
-    assert is_expansion(IntMatrix.from_rows([[0, 0, -2], [1, 0, 0], [0, 1, 0]]))
-    assert not is_expansion(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 2]]))
-    assert not is_expansion(IntMatrix.from_rows([[2, 0, 0], [0, 0, -1], [0, 1, 0]]))
+    assert is_expansion(IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    assert is_expansion(IntMatrix([[0, 0, -2], [1, 0, 0], [0, 1, 0]]))
+    assert not is_expansion(IntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]]))
+    assert not is_expansion(IntMatrix([[2, 0, 0], [0, 0, -1], [0, 1, 0]]))
 
 
 def test_is_expansion_dim3_against_modulus_oracle():

@@ -1,14 +1,13 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
-from tests_shared import rand_unimodular_small, unimodular_inverse
+from tests_shared import rand_unimodular_small, shift, unimodular_inverse
 
 from odosym.errors import MarginError, WindowError, WrongBranchError
-from odosym.intmat import IntMatrix, hnf, parse_matrix, validate_domain
+from odosym.intmat import IntMatrix, hnf, parse_matrix, parse_vector, validate_domain
 from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import (
-    Patch,
     fixed_point_patch,
     half_hex,
     supports,
@@ -21,12 +20,11 @@ from odosym.subshift_norm import (
     apply_endomorphism,
     build_local_rule,
     composition_check,
-    conjugate_power,
     fiber_points,
     nl_membership,
     pullback_positions,
 )
-from odosym.subshift_norm import _truncated_level, _valuation_class_table
+from odosym.subshift_norm import _conjugates, _truncated_level, _valuation_class_table
 
 TWO = IntMatrix.scalar(2, 2)
 D24 = parse_matrix("2,0;0,4")
@@ -43,16 +41,20 @@ def box(radius, d=2):
 # ---------------------------------------------------------------------------
 
 
-def test_conjugate_power_examples():
+def conjugates(L, M, count):
+    """C_0 .. C_{count-1}, each L^{-n} M L^n or None."""
+    return list(islice(_conjugates(L, M), count))
+
+
+def test_conjugates_examples():
     rng = random.Random(51)
     for _ in range(10):
         m = rand_unimodular_small(rng)
-        for n in (0, 1, 3):
-            assert conjugate_power(TWO, m, n) == m
-    for n in (0, 1, 2, 4):
-        c = conjugate_power(D24, parse_matrix("1,1;0,1"), n)
-        assert c == IntMatrix(((1, 2**n), (0, 1)))
-    assert conjugate_power(D24, parse_matrix("1,0;1,1"), 1) is None
+        assert conjugates(TWO, m, 4) == [m] * 4
+    assert conjugates(D24, parse_matrix("1,1;0,1"), 5) == [
+        IntMatrix(((1, 2**n), (0, 1))) for n in range(5)
+    ]
+    assert conjugates(D24, parse_matrix("1,0;1,1"), 2)[1] is None
 
 
 def test_certificate_soundness():
@@ -123,10 +125,26 @@ def test_nl_requires_unimodular():
 
 
 def test_nl_payload_roundtrip():
+    # each report rebuilds its object, so the payload leaves no field out
     out = nl_membership(D24, parse_matrix("1,2;0,1"))
-    assert NLCertificate.from_payload(out.to_payload()) == out
+    p = out.to_payload()
+    assert p["accepted"] is True
+    rebuilt = NLCertificate(
+        L=parse_matrix(p["L"]),
+        M=parse_matrix(p["M"]),
+        n_max=p["n_max"],
+        conjugates=tuple(None if c is None else parse_matrix(c) for c in p["conjugates"]),
+        k=p["k"],
+        n0=p["n0"],
+        residue_permutation=tuple(
+            (parse_vector(a), parse_vector(b)) for a, b in p["residue_permutation"]
+        ),
+    )
+    assert rebuilt == out
     rej = nl_membership(D24, parse_matrix("1,0;1,1"))
-    assert NLRejection.from_payload(rej.to_payload()) == rej
+    p = rej.to_payload()
+    assert p.pop("accepted") is False
+    assert NLRejection(**{**p, "L": parse_matrix(p["L"]), "M": parse_matrix(p["M"])}) == rej
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +207,11 @@ def test_equivariance_on_shifted_patches():
     z = (1, 0)
     mz = SWAP.mul_vec(z)
     region = box(4)
-    lhs = apply_endomorphism(rule, patch.shift(z), region)
-    rhs = apply_endomorphism(
-        rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]
-    ).shift(mz)
+    lhs = apply_endomorphism(rule, shift(patch, z), region)
+    rhs = shift(
+        apply_endomorphism(rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]),
+        mz,
+    )
     assert all(lhs[t] == rhs[t] for t in region)
 
 
@@ -208,10 +227,11 @@ def test_equivariance_with_nontrivial_window():
     region = box(3)
     for z in ((1, 0), (0, 1), (2, -3), (-1, 2)):
         mz = M.mul_vec(z)
-        lhs = apply_endomorphism(rule, patch.shift(z), region)
-        rhs = apply_endomorphism(
-            rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]
-        ).shift(mz)
+        lhs = apply_endomorphism(rule, shift(patch, z), region)
+        rhs = shift(
+            apply_endomorphism(rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]),
+            mz,
+        )
         assert all(lhs[t] == rhs[t] for t in region)
 
 
@@ -367,7 +387,7 @@ def test_pi_factor_box_family():
     s24 = sigma_L(D24)
     patch = fixed_point_patch(s24, (1, 1), box(10))
     assert window_coset(s24, patch, 1) == (0, 0)
-    shifted = patch.shift((1, 3))
+    shifted = shift(patch, (1, 3))
     assert window_coset(s24, shifted, 1) == (1, 3)
 
 
@@ -380,7 +400,7 @@ def test_pi_factor_fixed_point():
 
 def test_pi_factor_shifted():
     hh = half_hex()
-    patch = fixed_point_patch(hh, (1, 0), box(8)).shift((1, 0))
+    patch = shift(fixed_point_patch(hh, (1, 0), box(8)), (1, 0))
     assert window_coset(hh, patch, 1) == (1, 0)
 
 
@@ -392,7 +412,7 @@ def test_pi_factor_random_digits():
     big = fixed_point_patch(hh, (0, 1), box(16))
     for _ in range(8):
         f = rng.choice(f2)
-        shifted = big.shift(f)  # S^f zeta^2(xbar) since xbar is fixed
+        shifted = shift(big, f)  # S^f zeta^2(xbar) since xbar is fixed
         c = window_coset(hh, shifted, 2)
         assert basis.contains(tuple(a - b for a, b in zip(f, c)))
 
@@ -454,7 +474,7 @@ def test_margin_error_after_the_pattern_is_memoized():
     memo = dict(rule._levels)
     for f in rule.window:
         hole = (u[0] + f[0], u[1] + f[1])
-        holed = patch.restrict(patch.support - {hole})
+        holed = {p: a for p, a in patch.items() if p != hole}
         with pytest.raises(MarginError):
             _truncated_level(rule, holed, u)
     assert rule._levels == memo
@@ -463,7 +483,7 @@ def test_margin_error_after_the_pattern_is_memoized():
 def test_doctored_window_raises_every_time():
     rule = window_rule(D24, parse_matrix("1,1;0,1"))
     # one letter everywhere: each coset forces 7 distinct digits on F_1
-    flat = Patch({p: (1, 1) for p in box(4)})
+    flat = {p: (1, 1) for p in box(4)}
     for _ in range(2):
         with pytest.raises(WindowError, match="matches no digit coset"):
             _truncated_level(rule, flat, (0, 0))
@@ -483,3 +503,26 @@ def test_regions_of_lists_evaluate_like_tuples():
     image = apply_endomorphism(rule, patch, region)
     assert apply_endomorphism(rule, patch, as_lists) == image
     assert len(image) == len(region)
+
+
+
+# int() would truncate (1.9, 0.7) to (1, 0) and answer for that cell
+NON_INTEGER_POSITIONS = {
+    "fixed_point_patch": lambda hh, rule, patch: fixed_point_patch(hh, (1, 0), [(1.9, 0.7)]),
+    "apply_endomorphism": lambda hh, rule, patch: apply_endomorphism(rule, patch, [(1.0, 0)]),
+    "pullback_positions": lambda hh, rule, patch: pullback_positions(rule, [(1, "0")]),
+    "composition_check": lambda hh, rule, patch: composition_check(
+        TWO, SWAP, SWAP, [(0.5, 0)], domain=HH_DOMAIN
+    ),
+    "fiber_points": lambda hh, rule, patch: fiber_points(hh, (1.5, 0), 3),
+    "kappa_embed": lambda hh, rule, patch: kappa_embed((1.5, 0), ConstantBase(TWO), 3),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_POSITIONS)
+def test_positions_must_be_exact_integers(name):
+    hh = half_hex()
+    rule = build_local_rule(nl_membership(TWO, SWAP, domain=HH_DOMAIN), HH_DOMAIN)
+    patch = fixed_point_patch(hh, (1, 0), box(3))
+    with pytest.raises(TypeError):
+        NON_INTEGER_POSITIONS[name](hh, rule, patch)

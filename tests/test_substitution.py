@@ -6,7 +6,6 @@ import pytest
 from odosym.errors import SizeGuardError, WrongBranchError
 from odosym.intmat import IntMatrix, hnf, parse_matrix
 from odosym.substitution import (
-    Patch,
     fixed_point_count,
     fixed_point_patch,
     half_hex,
@@ -139,7 +138,7 @@ def test_fixed_point_invariance_through_three_steps():
     for s in (half_hex(), sigma_L(parse_matrix("2,0;0,4"))):
         levels = supports(s, 3)
         for seed in sorted(s.alphabet):
-            patch = Patch({(0,) * s.dim: seed})
+            patch = {(0,) * s.dim: seed}
             for _ in range(3):
                 patch = substitute(s, patch)
             expected = fixed_point_patch(s, seed, levels[3])
@@ -153,22 +152,22 @@ def test_fixed_point_invariance_through_three_steps():
 
 def test_substitute_single_letter():
     hh = half_hex()
-    img = substitute(hh, Patch({(0, 0): (0, 1)}))
-    assert img.support == supports(hh, 1)[1]
+    img = substitute(hh, {(0, 0): (0, 1)})
+    assert img.keys() == supports(hh, 1)[1]
     assert img[(0, 0)] == (0, 1)
 
 
 def test_substitute_twice_is_composed_rule():
     # direct two-level expansion computed by hand from the printed table
     hh = half_hex()
-    twice = substitute(hh, substitute(hh, Patch({(0, 0): LETTER[0]})))
+    twice = substitute(hh, substitute(hh, {(0, 0): LETTER[0]}))
     by_hand = {}
     for f1, name1 in PRINTED_TABLE[0].items():
         base = (2 * f1[0], 2 * f1[1])
         for f0, name0 in PRINTED_TABLE[name1].items():
             by_hand[(base[0] + f0[0], base[1] + f0[1])] = LETTER[name0]
     assert len(by_hand) == 16
-    assert twice == Patch(by_hand)
+    assert twice == by_hand
 
 
 def test_substitute_shifts_commute():
@@ -227,24 +226,3 @@ def test_recognizability_vacuous_equal_positions():
     ok, _ = recognizability_check(hh, 1, 2)
     assert ok
 
-
-# ---------------------------------------------------------------------------
-# patches
-# ---------------------------------------------------------------------------
-
-
-def test_patch_shift_and_restrict():
-    hh = half_hex()
-    p = fixed_point_patch(hh, (1, 0), box(5))
-    z = (2, -1)
-    q = p.shift(z)
-    for pos in box(2):
-        assert q[pos] == p[(pos[0] + z[0], pos[1] + z[1])]
-    r = p.restrict(box(1))
-    assert r.support == set(box(1))
-
-
-def test_patch_payload_roundtrip():
-    hh = half_hex()
-    p = fixed_point_patch(hh, (0, 1), box(3))
-    assert Patch.from_payload(p.to_payload()) == p

@@ -14,7 +14,7 @@ def rand_unimodular_steps(rng, d=2, steps=6):
         c = rng.choice([-2, -1, 1, 2])
         for k in range(d):
             rows[i][k] += c * rows[j][k]
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(rows)
         if rng.random() < 0.25:
             m = -m
     return m
@@ -31,6 +31,11 @@ def rand_unimodular_small(rng, bound=3):
         )
         if m.det() in (1, -1):
             return m
+
+
+def shift(patch, z):
+    """The patch of the translated point: new[k] = old[k + z]."""
+    return {tuple(a - b for a, b in zip(pos, z)): letter for pos, letter in patch.items()}
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
