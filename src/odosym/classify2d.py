@@ -2,17 +2,23 @@
 
 classify(L) names the group of unimodular matrices satisfying the
 normalizer condition for the base L, and is_member(L, M) decides
-membership of a single matrix exactly.  The branches:
+membership of a single matrix exactly.  Both read one invariant,
+_unit_lines.  The odometer splits over the primes p | det L, and M
+satisfies the normalizer condition at every depth exactly when it fixes,
+at every such p, the part of Z_p^2 where L is invertible.  That part is a
+proper line only at a split prime (p | det L, p not dividing trace L),
+where it is the eigenline whose eigenvalue is a p-adic unit.  So:
 
-  * rad(det L) divides trace L: the full group GL(2,Z).
-  * no integer eigenvalue: the GL(2,Z) centralizer of L, finite when the
-    spectrum is complex, infinite (fundamental automorph) when it is real
-    irrational.
-  * integer eigenvalues: L is conjugate over GL(2,Z) to an upper
-    triangular matrix, and the group is read off the triangular
-    arithmetic of (p, q, s): a Klein four-group, the two-element group
-    {+-Id}, or a virtually-Z group of (conjugated) upper triangular
-    unimodular matrices.
+  * rad(det L) divides trace L: no line is required, the group is GL(2,Z).
+  * no integer eigenvalue: the required lines are Galois conjugate, M must
+    commute with L, and the group is the GL(2,Z) centralizer, finite when
+    the spectrum is complex, infinite (fundamental automorph) when it is
+    real irrational.
+  * integer eigenvalues l1, l2: the l1-line is required iff some prime
+    divides l2 but not l1, and likewise for l2.  Two lines give a finite
+    group, a Klein four-group or {+-Id}; one line gives the virtually-Z
+    stabilizer of a rational line, described in an adapted triangular
+    basis of L.
 
 Every centralizer comes from one route, _order_units: the unimodular
 matrices commuting with a non-scalar L are the units of the quadratic
@@ -130,18 +136,14 @@ class VirtuallyZ:
     """Infinite group with a finite-index Z subgroup.
 
     conjugator P maps members to upper triangular matrices
-    (P M P^{-1}); basis_change W carries the original base to its upper
-    triangular form T = W^{-1} L W whose entries (p, q, s) drive the
-    membership relation.
+    (P M P^{-1}); tri is (p, q, s) of the adapted triangular form of L.
     """
 
     conjugator: IntMatrix
     description: ParamFamily | UpperTriangularUnimodular
     generator: IntMatrix
-    basis_change: IntMatrix
-    tri: tuple[int, int, int]  # (p, q, s) of the adapted triangular form
-    relation_case: str  # "relation" or "upper-triangular"
-    derived_witness: IntMatrix | None
+    tri: tuple[int, int, int]
+    derived_witness: IntMatrix
     tag = "virtually-z"
     finite = False
 
@@ -156,6 +158,14 @@ NormalizerClass = (
 
 @dataclass(frozen=True)
 class MembershipVerdict:
+    """is_member's answer.
+
+    reason is "full-gl2" (every M), "centralizer-commutes" (M must commute
+    with L) or "unit-eigenlines" (M must fix each required eigenline v);
+    on the last, witness holds det[v, M v] for each required line, and M
+    is a member iff every entry is 0.
+    """
+
     member: bool
     reason: str
     witness: tuple | None = None
@@ -192,10 +202,8 @@ def _primitive(v: tuple[int, int]) -> tuple[int, int]:
 def _eigenvector(L: IntMatrix, t: int) -> tuple[int, int]:
     """Primitive integer eigenvector for the integer eigenvalue t."""
     (p, q), (r, s) = L.rows
-    if q != 0 or p != t:
-        v = (q, t - p) if (q, t - p) != (0, 0) else (t - s, r)
-    else:
-        v = (1, 0)
+    # both are eigenvectors, and both vanish only for a scalar L
+    v = (q, t - p) if (q, t - p) != (0, 0) else (t - s, r)
     assert v != (0, 0)
     v = _primitive(v)
     assert L.mul_vec(v) == (t * v[0], t * v[1])
@@ -218,9 +226,6 @@ class _Triangular:
     p: int
     q: int
     s: int
-
-    def pull(self, M: IntMatrix) -> IntMatrix:
-        return _inv_unimodular(self.W) * M * self.W
 
     def push(self, M: IntMatrix) -> IntMatrix:
         return self.W * M * _inv_unimodular(self.W)
@@ -366,25 +371,37 @@ def centralizer(L: IntMatrix) -> NormalizerClass:
 # ---------------------------------------------------------------------------
 
 
-def _branch(L: IntMatrix) -> str:
-    """The route that names the group: "full-gl2", "triangular" or "centralizer"."""
+# Shared by classify and is_member, so sized like _classify_cached.
+@lru_cache(maxsize=64)
+def _unit_lines(rows: tuple) -> tuple[tuple[int, int], ...] | str | None:
+    """The eigenlines every member must fix: the one invariant of the group.
+
+    None when rad(det L) | trace L (no split prime: GL(2,Z)); "commute"
+    for an irrational spectrum, whose two Galois-conjugate lines are both
+    required, so members commute with L; otherwise the primitive
+    eigenvectors of the required lines, the l1-line being required iff
+    some prime divides l2 but not l1 (l1 is then a p-adic unit there).
+    """
+    L = IntMatrix(rows)
     if rad_divides(L.det(), L.trace()):
-        return "full-gl2"
-    if integer_eigenvalues(L):
-        return "triangular"
-    return "centralizer"
+        return None
+    eig = integer_eigenvalues(L)
+    if not eig:
+        return "commute"
+    t1, t2 = eig
+    return tuple(_eigenvector(L, a) for a, b in ((t1, t2), (t2, t1)) if not rad_divides(b, a))
 
 
 # Hits come from runs of requests on one base; an automorph can be large.
 @lru_cache(maxsize=64)
 def _classify_cached(rows: tuple) -> NormalizerClass:
     L = IntMatrix(rows)
-    branch = _branch(L)
-    if branch == "full-gl2":
+    lines = _unit_lines(rows)
+    if lines is None:
         return FullGL2()
-    if branch == "triangular":
-        return _classify_triangular(L, _triangular_form(L))
-    return _order_units(L)
+    if lines == "commute":
+        return _order_units(L)
+    return _classify_triangular(L, lines)
 
 
 def classify(L: IntMatrix) -> NormalizerClass:
@@ -403,30 +420,35 @@ def _derived_witness(conjugator: IntMatrix) -> IntMatrix:
     return c_inv * IntMatrix(((1, 2), (0, 1))) * conjugator
 
 
-def _classify_triangular(L: IntMatrix, td: _Triangular) -> NormalizerClass:
+def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
+    """The group for integer eigenvalues, described in the adapted basis."""
+    td = _triangular_form(L)
     p, q, s = td.p, td.q, td.s
-    case1 = not rad_divides(p, s) and rad_divides(s, p)
-    case2 = rad_divides(p, s) and not rad_divides(s, p)
-    if case1 and q == 0:
-        # diagonal: members are lower triangular here, upper after a swap
+    if len(lines) == 2:
+        # M is +-1 on each line: +-Id, and +-the reflection that fixes both
+        # lines, (1, 2q/(p - s); 0, -1) in the adapted basis, when integral
+        if (2 * q) % (p - s) == 0:
+            m = td.push(IntMatrix(((1, 2 * q // (p - s)), (0, -1))))
+            return KleinFour(_sorted_elements({_ID.rows, (-_ID).rows, m.rows, (-m).rows}))
+        return OrderTwo()
+    (v,) = lines
+    on_p_line = L.mul_vec(v) == (p * v[0], p * v[1])
+    if not on_p_line and q == 0:
+        # diagonal: the required line is the second axis, first after a swap
         td = _Triangular(td.W * _SWAP, s, 0, p)
         p, q, s = td.p, td.q, td.s
-        case1, case2 = False, True
-    if case1:
-        if q % (p - s) == 0:
-            k = q // (p - s)
-            gen_t = IntMatrix(((1 - k, -(k * k)), (1, 1 + k)))
-            u_inv = IntMatrix(((1, k), (0, 1)))
-            conj = _SWAP * u_inv * _inv_unimodular(td.W)
-            return VirtuallyZ(
-                conjugator=conj,
-                description=ParamFamily(k),
-                generator=td.push(gen_t),
-                basis_change=td.W,
-                tri=(p, q, s),
-                relation_case="relation",
-                derived_witness=_derived_witness(conj),
-            )
+        on_p_line = True
+    if on_p_line:
+        # the first adapted axis: members are upper triangular there
+        conj = _inv_unimodular(td.W)
+        gen_t = IntMatrix(((1, 1), (0, 1)))
+        description = UpperTriangularUnimodular()
+    elif q % (p - s) == 0:
+        k = q // (p - s)
+        gen_t = IntMatrix(((1 - k, -(k * k)), (1, 1 + k)))
+        conj = _SWAP * IntMatrix(((1, k), (0, 1))) * _inv_unimodular(td.W)
+        description = ParamFamily(k)
+    else:
         c = gcd(abs(p - s), abs(q))
         g, h = (p - s) // c, q // c
         e0, f0, gg = _xgcd(h, -g)
@@ -435,42 +457,13 @@ def _classify_triangular(L: IntMatrix, td: _Triangular) -> NormalizerClass:
         f = (e * h - 1) // g
         bez = IntMatrix(((e, f), (g, h)))
         assert bez.det() == 1
-        bez_inv = _inv_unimodular(bez)
-        gen_t = bez_inv * IntMatrix(((1, 1), (0, 1))) * bez
+        gen_t = _inv_unimodular(bez) * IntMatrix(((1, 1), (0, 1))) * bez
         conj = bez * _inv_unimodular(td.W)
-        return VirtuallyZ(
-            conjugator=conj,
-            description=UpperTriangularUnimodular(),
-            generator=td.push(gen_t),
-            basis_change=td.W,
-            tri=(p, q, s),
-            relation_case="relation",
-            derived_witness=_derived_witness(conj),
-        )
-    if case2:
-        conj = _inv_unimodular(td.W)
-        return VirtuallyZ(
-            conjugator=conj,
-            description=UpperTriangularUnimodular(),
-            generator=td.push(IntMatrix(((1, 1), (0, 1)))),
-            basis_change=td.W,
-            tri=(p, q, s),
-            relation_case="upper-triangular",
-            derived_witness=_derived_witness(conj),
-        )
-    # neither radical divides across: the finite branches
-    assert not rad_divides(p, s) and not rad_divides(s, p)
-    if (2 * q) % (p - s) == 0:
-        off = 2 * q // (p - s)
-        elems = {(_ID).rows, (-_ID).rows}
-        for m11 in (1, -1):
-            m = IntMatrix(((m11, m11 * off), (0, -m11)))
-            elems.add(td.push(m).rows)
-            elems.add(td.push(-m).rows)
-        elements = _sorted_elements(elems)
-        assert len(elements) == 4
-        return KleinFour(elements)
-    return OrderTwo()
+        description = UpperTriangularUnimodular()
+    return VirtuallyZ(
+        conjugator=conj, description=description, generator=td.push(gen_t),
+        tri=(p, q, s), derived_witness=_derived_witness(conj),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +476,14 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
     _require_expansion_2x2(L)
     if M.det() not in (1, -1):
         raise ValueError(f"matrix must be unimodular, det = {M.det()}")
-    branch = _branch(L)
-    if branch == "full-gl2":
+    lines = _unit_lines(L.rows)
+    if lines is None:
         return MembershipVerdict(True, "full-gl2")
-    if branch == "centralizer":
+    if lines == "commute":
         # the group is the centralizer itself: no unit has to be built
         return MembershipVerdict(commutes(L, M), "centralizer-commutes")
-    cls = classify(L)
-    if isinstance(cls, KleinFour):
-        return MembershipVerdict(M in cls.elements, "klein-four")
-    if isinstance(cls, OrderTwo):
-        return MembershipVerdict(M in cls.elements, "order-two")
-    assert isinstance(cls, VirtuallyZ)
-    td = _Triangular(cls.basis_change, *cls.tri)
-    mt = td.pull(M)
-    (m11, m12), (m21, m22) = mt.rows
-    p, q, s = cls.tri
-    if cls.relation_case == "upper-triangular":
-        return MembershipVerdict(m21 == 0, "upper-triangular-adapted", witness=(m21,))
-    lhs = (p - s) ** 2 * m12
-    rhs = m21 * q * q + (p - s) * (m11 - m22) * q
-    return MembershipVerdict(lhs == rhs, "triangular-relation", witness=(lhs, rhs))
+    cross = tuple(a * y - b * x for (a, b) in lines for x, y in (M.mul_vec((a, b)),))
+    return MembershipVerdict(not any(cross), "unit-eigenlines", witness=cross)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +493,7 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
 
 def class_to_payload(cls: NormalizerClass) -> dict:
     payload = {"branch": cls.tag, "finite": cls.finite}
-    if isinstance(cls, (CentralizerFinite, KleinFour)):
-        payload["elements"] = [format_matrix(m) for m in cls.elements]
-    if isinstance(cls, OrderTwo):
+    if isinstance(cls, (CentralizerFinite, KleinFour, OrderTwo)):
         payload["elements"] = [format_matrix(m) for m in cls.elements]
     if isinstance(cls, CentralizerInfinite):
         payload["automorph"] = format_matrix(cls.automorph)
@@ -527,7 +505,6 @@ def class_to_payload(cls: NormalizerClass) -> dict:
             payload["description"] = {"kind": cls.description.kind, "k": cls.description.k}
         else:
             payload["description"] = {"kind": cls.description.kind}
-        if cls.derived_witness is not None:
-            payload["derived_witness"] = format_matrix(cls.derived_witness)
+        payload["derived_witness"] = format_matrix(cls.derived_witness)
     payload["generators"] = [format_matrix(m) for m in cls.generators()]
     return payload

@@ -39,7 +39,7 @@ from .intmat import (
     parse_vector,
     validate_domain,
 )
-from .odometer import nc_bounded_check
+from .odometer import nc_bounded_check, verify_nc_certificate
 from .substitution import (
     ConstantShapeSubstitution,
     box_positions,
@@ -396,9 +396,11 @@ def _classify_rows():
     # recorded discrepancy: the printed expectation for 3,1;0,5 is order-two,
     # but the commuting involution 1,-1;0,-1 passes the normalizer condition
     # at every tested depth, making the group klein-four.
-    got5 = classify(parse_matrix("3,1;0,5"))
-    inv = parse_matrix("1,-1;0,-1")
-    oracle = all(c.present for c in nc_bounded_check(parse_matrix("3,1;0,5"), inv, 5))
+    base5, inv = parse_matrix("3,1;0,5"), parse_matrix("1,-1;0,-1")
+    got5 = classify(base5)
+    # each certificate is re-checked by the independent checker
+    certs = nc_bounded_check(base5, inv, 5)
+    oracle = all(c.present and verify_nc_certificate(base5, inv, c) for c in certs)
     rows.append(
         _row(
             "classify:ex-two-eigenvalues-OPEN",

@@ -57,11 +57,13 @@ class OdometerPoint:
     digits: tuple[Vec, ...]
 
     def __post_init__(self):
+        # digit n+1 - digit n must lie in Z_n = L^n(Z^d); walk L^n level to level
+        power = IntMatrix.identity(self.base.dim)
         for n in range(len(self.digits) - 1):
-            basis = self.base.level_basis(n)
             diff = tuple(a - b for a, b in zip(self.digits[n + 1], self.digits[n]))
-            if not basis.contains(diff):
+            if power.solve_exact(diff) is None:
                 raise ValueError(f"digit compatibility broken between levels {n},{n+1}")
+            power = power * self.base.matrix
 
     @property
     def depth(self) -> int:
@@ -76,8 +78,11 @@ def kappa_embed(v: Vec, base: ConstantBase, depth: int) -> OdometerPoint:
     if depth < 0:
         raise DepthError(f"depth must be >= 0, got {depth}")
     v = tuple(map(index, v))
-    digits = tuple(base.level_basis(n).reduce_vec(v) for n in range(depth + 1))
-    return OdometerPoint(base, digits)
+    power, digits = IntMatrix.identity(base.dim), []
+    for _ in range(depth + 1):
+        digits.append(hnf(power).reduce_vec(v))
+        power = power * base.matrix
+    return OdometerPoint(base, tuple(digits))
 
 
 # ---------------------------------------------------------------------------

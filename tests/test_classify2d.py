@@ -19,6 +19,7 @@ from odosym.classify2d import (
     UpperTriangularUnimodular,
     VirtuallyZ,
     _eigenvector,
+    _triangular_form,
     centralizer,
     classify,
     is_member,
@@ -131,7 +132,7 @@ def test_order_two_branch_exists():
     assert not is_member(L, parse_matrix("1,1;0,1")).member
 
 
-def param_family_members(cls, m):
+def param_family_members(L, cls, m):
     """The four explicit one-parameter families of the q = k (p - s) branch."""
     k = cls.description.k
     raw = (
@@ -140,7 +141,7 @@ def param_family_members(cls, m):
         ((-1 - m * k, -2 * k - m * k * k), (m, 1 + m * k)),
         ((-1 - m * k, -m * k * k), (m, -1 + m * k)),
     )
-    w = cls.basis_change
+    w = _triangular_form(L).W
     return tuple(w * IntMatrix(rows) * unimodular_inverse(w) for rows in raw)
 
 
@@ -152,7 +153,7 @@ def test_param_family_branch():
     assert cls.description.k == 1
     assert cls.generator == parse_matrix("0,-1;1,2")
     for m in (-2, -1, 0, 1, 2, 5):
-        for member in param_family_members(cls, m):
+        for member in param_family_members(L, cls, m):
             assert member.det() in (1, -1)
             assert is_member(L, member).member
     # the generator has infinite order: parabolic and not the identity
@@ -238,15 +239,17 @@ def test_centralizer_integer_spectrum_finite():
 
 
 def test_eigenvector_matrix_normalization():
-    L = parse_matrix("4,1;2,5")
-    for t in integer_eigenvalues(L):
-        col = _eigenvector(L, t)
-        from math import gcd
+    # 3,0;1,5 at t = 3: the first candidate (q, t - p) vanishes
+    for L in (parse_matrix("4,1;2,5"), parse_matrix("3,0;1,5")):
+        for t in integer_eigenvalues(L):
+            col = _eigenvector(L, t)
+            from math import gcd
 
-        assert gcd(col[0], col[1]) == 1
-        lead = col[0] if col[0] != 0 else col[1]
-        assert lead > 0
-        assert L.mul_vec(col) == (t * col[0], t * col[1])
+            assert gcd(col[0], col[1]) == 1
+            lead = col[0] if col[0] != 0 else col[1]
+            assert lead > 0
+            assert L.mul_vec(col) == (t * col[0], t * col[1])
+    assert _eigenvector(parse_matrix("3,0;1,5"), 3) == (2, -1)
 
 
 # ---------------------------------------------------------------------------

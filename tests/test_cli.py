@@ -59,6 +59,8 @@ def test_member_exit_codes(capsys):
         ["member", "--base", "3,1;0,5", "--matrix", "1,1;0,1"], capsys
     )
     assert code2 == 3 and report2["result"]["member"] is False
+    # 1,1;0,1 fixes the 3-line (1, 0) but moves the 5-line: det[(1, 2), (3, 2)] = -4
+    assert report2["result"] == {"member": False, "reason": "unit-eigenlines", "witness": [0, -4]}
 
 
 def test_member_on_a_base_whose_unit_does_not_print(capsys):
@@ -350,6 +352,31 @@ def test_verify_paper_pretty_prints_only_the_table(capsys, tmp_path):
     report = json.loads(text)
     assert report["payload_hash"].startswith("1df971094f83")
     assert (report["result"]["passed"], report["result"]["open"]) == (15, 2)
+
+
+# payload_hash prefixes of classify reports, recorded before is_member and the
+# finite/virtually-Z split moved to the unit eigenlines: one base per branch
+# and per virtually-Z shape, and the golden-table bases
+CLASSIFY_PAYLOAD_HASHES = {
+    "2,0;0,2": "dbf87088a90a",
+    "2,-1;1,5": "90f26407a4c4",
+    "2,-1;1,3": "628315ba526f",
+    "6,1;0,2": "be5e1327fc33",
+    "2,1;0,3": "6c7594d13e21",
+    "3,1;0,5": "16e704fa6055",
+    "6,4;0,2": "95aecd77d71b",
+    "3,1;0,6": "4036fc188746",
+    "6,0;0,2": "85edb35418fb",
+    "4,1;2,5": "771b910fe1ac",
+    "4,2;1,3": "47dba6521afa",
+}
+
+
+@pytest.mark.parametrize("base", sorted(CLASSIFY_PAYLOAD_HASHES))
+def test_classify_payload_hash_is_pinned(capsys, base):
+    code, report = run_cli(["classify", "--matrix", base], capsys)
+    assert code == 0
+    assert report["payload_hash"].startswith(CLASSIFY_PAYLOAD_HASHES[base])
 
 
 def test_verify_paper_harness():

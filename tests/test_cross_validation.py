@@ -2,9 +2,16 @@
 
 Membership is a theorem-backed exact decision; the normalizer-condition
 check is its independent arithmetic oracle.  For members the condition
-must hold at every tested depth.  For non-members it must fail at some
-depth; the failing depth grows with the entry sizes, so the sweep retries
-with a deeper bound before declaring disagreement.
+must hold at every tested depth.  For non-members it must fail by a depth
+read off the verdict: M moves a required eigenline v off itself, and the
+condition sees that once the level passes the p-adic valuation of the
+deviation c at the split prime p.  On the eigenline branches c is the
+witness det[v, M v]; on the centralizer branch, where the required lines
+are Galois conjugate, c = det(LM - ML), up to a p-adic unit the product of
+the deviations of the two conjugate lines.  A valuation is below the bit
+length, so the condition fails by bitlen(|c|) + 1; the largest commutator
+entry is not enough there (0,3;-2,-3 with -2,1;-1,0 first fails at depth
+7, its commutator -1,9;7,1 has bit length 4).
 """
 
 import random
@@ -32,6 +39,25 @@ SMALL_UNIMODULAR = [
 ]
 
 
+def failing_depth(L, M, verdict):
+    """Depth by which the condition must fail for a non-member M."""
+    if verdict.reason == "unit-eigenlines":
+        c = max(abs(x) for x in verdict.witness)
+    else:
+        assert verdict.reason == "centralizer-commutes"
+        c = abs((L * M - M * L).det())
+    return c.bit_length() + 1
+
+
+def assert_oracle_agrees(L, M, member_depth):
+    verdict = is_member(L, M)
+    if verdict.member:
+        assert nc_passes(L, M, member_depth), (L.rows, M.rows, "member failed the oracle")
+    else:
+        depth = failing_depth(L, M, verdict)
+        assert not nc_passes(L, M, depth), (L.rows, M.rows, f"non-member passed through depth {depth}")
+
+
 def random_expansion(rng, bound=4, det_cap=30):
     while True:
         m = IntMatrix(
@@ -47,17 +73,7 @@ def test_classifier_agrees_with_oracle_on_random_bases():
     bases = [random_expansion(rng) for _ in range(25)]
     for L in bases:
         for M in SMALL_UNIMODULAR:
-            member = is_member(L, M).member
-            if member:
-                assert nc_passes(L, M, 4), (L.rows, M.rows, "member failed the oracle")
-            else:
-                # the failing depth scales with the entries; retry deeper
-                if nc_passes(L, M, 4):
-                    assert not nc_passes(L, M, 8), (
-                        L.rows,
-                        M.rows,
-                        "non-member passed the oracle through depth 8",
-                    )
+            assert_oracle_agrees(L, M, 4)
 
 
 def test_oracle_agreement_on_branch_critical_bases():
@@ -72,11 +88,15 @@ def test_oracle_agreement_on_branch_critical_bases():
     ]
     for L in bases:
         for M in SMALL_UNIMODULAR:
-            member = is_member(L, M).member
-            if member:
-                assert nc_passes(L, M, 5), (L.rows, M.rows)
-            else:
-                assert not nc_passes(L, M, 8), (L.rows, M.rows)
+            assert_oracle_agrees(L, M, 5)
+
+
+def test_centralizer_failing_depth_comes_from_the_commutator_determinant():
+    L, M = parse_matrix("0,3;-2,-3"), parse_matrix("-2,1;-1,0")
+    verdict = is_member(L, M)
+    assert verdict.reason == "centralizer-commutes" and not verdict.member
+    assert nc_passes(L, M, 6) and not nc_passes(L, M, 7)
+    assert failing_depth(L, M, verdict) == 8  # det(LM - ML) = -64
 
 
 def test_branch_coverage_of_random_sweep():
