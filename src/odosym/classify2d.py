@@ -160,10 +160,11 @@ NormalizerClass = (
 class MembershipVerdict:
     """is_member's answer.
 
-    reason is "full-gl2" (every M), "centralizer-commutes" (M must commute
-    with L) or "unit-eigenlines" (M must fix each required eigenline v);
-    on the last, witness holds det[v, M v] for each required line, and M
-    is a member iff every entry is 0.
+    reason is "full-gl2" (every M, no witness), "centralizer-commutes" (M
+    must commute with L; witness holds det(LM - ML)) or "unit-eigenlines"
+    (M must fix each required eigenline v; witness holds det[v, M v] for
+    each required line).  With a witness, M is a member iff every entry
+    is 0.
     """
 
     member: bool
@@ -480,8 +481,11 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
     if lines is None:
         return MembershipVerdict(True, "full-gl2")
     if lines == "commute":
-        # the group is the centralizer itself: no unit has to be built
-        return MembershipVerdict(commutes(L, M), "centralizer-commutes")
+        # the group is the centralizer itself: no unit has to be built.  The
+        # kernel of a nonzero nilpotent LM - ML would be a rational eigenline
+        # of L, and there is none here, so M commutes iff the det is 0
+        c = (L * M - M * L).det()
+        return MembershipVerdict(c == 0, "centralizer-commutes", witness=(c,))
     cross = tuple(a * y - b * x for (a, b) in lines for x, y in (M.mul_vec((a, b)),))
     return MembershipVerdict(not any(cross), "unit-eigenlines", witness=cross)
 

@@ -75,7 +75,9 @@ EXIT_INCONCLUSIVE = 4
 # ---------------------------------------------------------------------------
 
 
-def make_report(command: str, inputs: dict, result) -> dict:
+def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
+    """The report and its canonical body: compact JSON with sorted keys,
+    which payload_hash is the sha256 of."""
     body = {
         "schema": 1,
         "version": __version__,
@@ -85,12 +87,20 @@ def make_report(command: str, inputs: dict, result) -> dict:
     }
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
     body["payload_hash"] = hashlib.sha256(canon.encode()).hexdigest()
-    return body
+    return body, canon
 
 
-def emit(report: dict, args, table: str | None = None) -> None:
-    """Write the report to --out or stdout; a table, if any, replaces it on stdout."""
-    text = json.dumps(report, indent=2 if args.pretty else None, sort_keys=True)
+def emit(report: dict, canon: str, args, table: str | None = None) -> None:
+    """Write the report to --out or stdout; a table, if any, replaces it on stdout.
+
+    Without --pretty the text is the canonical body with payload_hash and
+    timing_ms appended, so the body is serialized once.
+    """
+    if args.pretty:
+        text = json.dumps(report, indent=2, sort_keys=True)
+    else:
+        tail = f'"payload_hash":"{report["payload_hash"]}","timing_ms":{report["timing_ms"]}'
+        text = f"{canon[:-1]},{tail}}}"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -181,8 +191,9 @@ _PALETTE = [
 
 
 def _patch_payload(patch: dict) -> list:
-    """The report form of a patch: [[position], [letter]] pairs in position order."""
-    return [[list(p), list(a)] for p, a in sorted(patch.items())]
+    """The report form of a patch: (position, letter) pairs in position order,
+    which JSON writes as [[position], [letter]]."""
+    return sorted(patch.items())
 
 
 def write_svg(patch: dict, path: str, cell: int = 12) -> None:
@@ -289,9 +300,9 @@ def cmd_phi(args) -> Answer:
     rule = build_local_rule(outcome, domain)
     seed = parse_vector(args.seed) if args.seed else min(rule.substitution.alphabet)
     region = box_positions(lo, hi, base.dim)
-    source = pullback_positions(rule, region)
-    patch = fixed_point_patch(rule.substitution, seed, source)
-    image = apply_endomorphism(rule, patch, region)
+    sources, cells = pullback_positions(rule, region)
+    patch = fixed_point_patch(rule.substitution, seed, cells)
+    image = apply_endomorphism(rule, patch, sources)
     result = {
         "certificate": outcome.to_payload(),
         "seed": format_vector(seed),
@@ -498,9 +509,9 @@ def _diag24_open_row():
                 break
         detail["tau_equivariance_radius_8"] = perm_ok
         region = box_positions(-5, 5, 2)
-        source = pullback_positions(rule, region)
-        patch = fixed_point_patch(s, min(s.alphabet), source)
-        image = apply_endomorphism(rule, patch, region)
+        sources, cells = pullback_positions(rule, region)
+        patch = fixed_point_patch(s, min(s.alphabet), cells)
+        image = apply_endomorphism(rule, patch, sources)
         fp_ok = all(image[t] == tau(s, t) for t in image if t != (0, 0))
         detail["fixed_point_mapping"] = fp_ok
         comp_ok = composition_check(base, odd.M, odd.M, box_positions(-4, 4, 2))
@@ -635,14 +646,14 @@ def main(argv=None) -> int:
     started = clock()
     try:
         answer = args.func(args)
-        report = make_report(args.command, answer.inputs, answer.result)
+        report, canon = make_report(args.command, answer.inputs, answer.result)
         if answer.patch is not None:
             if args.svg:
                 write_svg(answer.patch, args.svg)
             if args.pgm:
                 write_pgm(answer.patch, args.pgm)
         report["timing_ms"] = round((clock() - started) * 1000, 3)
-        emit(report, args, answer.table)
+        emit(report, canon, args, answer.table)
         sys.stdout.flush()
         return answer.code
     except BrokenPipeError:

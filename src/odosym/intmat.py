@@ -112,6 +112,10 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
+        if self.dim == 2:
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            return IntMatrix(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
         d = self.dim
         cols = list(zip(*other.rows))
         return IntMatrix(
@@ -183,6 +187,10 @@ def _apply(rows, v) -> Vec:
     """The product of a square matrix, given by its rows, with v."""
     if len(v) != len(rows):
         raise ValueError(f"vector of length {len(v)} for a matrix of dim {len(rows)}")
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        x, y = v
+        return (a * x + b * y, c * x + d * y)
     return tuple(sum(map(mul, r, v)) for r in rows)
 
 
@@ -287,6 +295,10 @@ class HnfBasis:
         """Canonical representative of v modulo the lattice."""
         h = self.matrix.rows
         d = len(h)
+        if d == 2:
+            (h00, _), (h10, h11) = h
+            x, y = v
+            return (x % h00, (y - x // h00 * h10) % h11)
         w = list(v)
         for i in range(d):
             q = w[i] // h[i][i]

@@ -189,8 +189,11 @@ def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCerti
 
 
 def nc_passes(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> bool:
-    """True iff the condition holds at every depth 1..n_max."""
-    return all(c.present for c in nc_bounded_check(L, M, n_max))
+    """True iff the condition holds at every depth 1..n_max; stops at the
+    first depth that fails."""
+    if n_max < 1:
+        raise DepthError(f"depth must be >= 1, got {n_max}")
+    return all(nc_search(L, M, n).present for n in range(1, n_max + 1))
 
 
 def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bool:

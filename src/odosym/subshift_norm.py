@@ -28,6 +28,7 @@ from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
+    _apply,
     _inv_unimodular,
     format_matrix,
     format_vector,
@@ -55,16 +56,22 @@ from .substitution import (
 
 def _conjugates(L: IntMatrix, M: IntMatrix):
     """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral: the
-    numerators adj(L)^n M L^n walk level to level over det(L)^n."""
+    numerators adj(L)^n M L^n walk level to level over det(L)^n.  A scalar
+    L commutes with M, so there C_n = M at every level."""
     adj, det = L.adjugate(), L.det()
+    scalar = L == IntMatrix.scalar(L.dim, L.rows[0][0])
     num, ln, scale = M, IntMatrix.identity(L.dim), 1
     while True:
         c = None
         if not any(x % scale for r in num.rows for x in r):
-            c = IntMatrix(tuple(tuple(x // scale for x in r) for r in num.rows))
+            c = num
+            if scale != 1:
+                c = IntMatrix(tuple(tuple(x // scale for x in r) for r in num.rows))
             assert ln * c == M * ln
         yield c
-        num, ln, scale = adj * num * L, ln * L, scale * det
+        ln = ln * L
+        if not scalar:
+            num, scale = adj * num * L, scale * det
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,8 @@ def nl_membership(
             detail=f"conjugate at level {first_bad} is not integral"
             + ("" if k is None else f"; integral tail only from level {k}"),
         )
-    actions = {n: _residue_action(conj[n], domain) for n in range(k, n_max + 1)}
+    by_conjugate = {c: _residue_action(c, domain) for c in set(conj[k:])}
+    actions = {n: by_conjugate[conj[n]] for n in range(k, n_max + 1)}
     n0 = None
     for start in range(k, n_max - 1):
         if all(actions[n] == actions[start] for n in range(start, n_max + 1)):
@@ -295,7 +303,11 @@ def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     """Truncated digit level of the pattern of the rule's window at pos."""
     if rule.n0 == 0:
         return 0
-    key = tuple([patch.get(tuple(map(add, pos, f))) for f in rule.window])
+    if len(pos) == 2:
+        x, y = pos
+        key = tuple([patch.get((x + a, y + b)) for a, b in rule.window])
+    else:
+        key = tuple([patch.get(tuple(map(add, pos, f))) for f in rule.window])
     if None in key:
         raise MarginError(f"window at {pos} leaves the patch support")
     level = rule._levels.get(key)
@@ -314,31 +326,41 @@ def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     return matches[0]
 
 
-def apply_endomorphism(
-    rule: LocalRule, patch: dict[Vec, Vec], region
-) -> dict[Vec, Vec]:
-    """Evaluate the rule on a patch, at every position of the region.
+def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
+    """(sources, cells) for evaluating the rule on the region.
 
-    Output letter at t reads the source at u = M^{-1} t: the truncated
-    level of the window at u picks the permutation applied to the letter.
-    A position whose source or window leaves the patch raises a margin
-    error.
+    sources maps each position t of the region to u = M^{-1} t, computed
+    once per position; cells holds the window F_{n0} around every source,
+    the positions a patch must cover.
+    """
+    m_inv = rule.m_inv.rows
+    sources = {t: _apply(m_inv, t) for t in (tuple(map(index, t)) for t in region)}
+    if rule.n0 == 0:
+        return sources, set(sources.values())
+    if rule.m_inv.dim == 2:
+        cells = {(x + a, y + b) for a, b in rule.window for x, y in sources.values()}
+    else:
+        cells = {tuple(map(add, u, f)) for f in rule.window for u in sources.values()}
+    return sources, cells
+
+
+def apply_endomorphism(
+    rule: LocalRule, patch: dict[Vec, Vec], sources: dict[Vec, Vec]
+) -> dict[Vec, Vec]:
+    """Evaluate the rule on a patch, at every position of a pulled-back region.
+
+    sources maps each output position t to its source u = M^{-1} t, as
+    pullback_positions returns it: the truncated level of the window at u
+    picks the permutation applied to the letter at u.  A position whose
+    source or window leaves the patch raises a margin error.
     """
     out = {}
-    for t in region:
-        t = tuple(map(index, t))
-        u = rule.m_inv.mul_vec(t)
+    for t, u in sources.items():
         letter = patch.get(u)
         if letter is None:
             raise MarginError(f"source position {u} missing from the patch")
         out[t] = rule.per_level[_truncated_level(rule, patch, u)][letter]
     return out
-
-
-def pullback_positions(rule: LocalRule, region) -> set:
-    """Source positions needed to evaluate the rule on the region."""
-    sources = {rule.m_inv.mul_vec(tuple(map(index, t))) for t in region}
-    return {tuple(map(add, u, f)) for f in rule.window for u in sources}
 
 
 def composition_check(
@@ -368,13 +390,13 @@ def composition_check(
     subst = rule12.substitution
     if seed is None:
         seed = min(subst.alphabet)
-    region = [tuple(map(index, t)) for t in region]
-    mid = sorted(pullback_positions(rule1, region))
-    source = pullback_positions(rule2, mid) | pullback_positions(rule12, region)
-    patch = fixed_point_patch(subst, seed, source)
-    lhs = apply_endomorphism(rule12, patch, region)
-    rhs = apply_endomorphism(rule1, apply_endomorphism(rule2, patch, mid), region)
-    return all(lhs[t] == rhs[t] for t in region)
+    sources12, cells12 = pullback_positions(rule12, region)
+    sources1, mid = pullback_positions(rule1, sources12.keys())
+    sources2, cells2 = pullback_positions(rule2, mid)
+    patch = fixed_point_patch(subst, seed, cells2 | cells12)
+    lhs = apply_endomorphism(rule12, patch, sources12)
+    rhs = apply_endomorphism(rule1, apply_endomorphism(rule2, patch, sources2), sources1)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,16 @@ def fixed_point_patch(
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
+    reduce, rep_of_key = s.domain.hnf_basis.reduce_vec, s.domain._rep_of_key
     zero = zero_vec(s.dim)
     cells = {}
     for pos in region:
         pos = tuple(map(index, pos))
-        cells[pos] = seed if pos == zero else tau(s, pos)
+        key = reduce(pos)
+        if any(key):  # the first digit is the one at level 0
+            cells[pos] = rep_of_key[key]
+        else:  # pos in L(Z^d): only these strip further
+            cells[pos] = seed if pos == zero else tau(s, pos)
     return cells
 
 

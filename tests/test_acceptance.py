@@ -283,9 +283,9 @@ def test_criterion_7_discrepancy_report():
             if tau(s, odd.M.mul_vec(v)) != rule.per_level[level][tau(s, v)]:
                 tau_ok = False
         region = box(5)
-        source = pullback_positions(rule, region)
-        patch = fixed_point_patch(s, min(s.alphabet), source)
-        image = apply_endomorphism(rule, patch, region)
+        sources, cells = pullback_positions(rule, region)
+        patch = fixed_point_patch(s, min(s.alphabet), cells)
+        image = apply_endomorphism(rule, patch, sources)
         fp_ok = all(image[t] == tau(s, t) for t in region if t != (0, 0))
         comp_ok = composition_check(base, odd.M, odd.M, box(4))
     in_closing_set = False  # 1,1;0,1 is not of the shape a,2b;0,d

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -73,6 +74,7 @@ def test_member_on_a_base_whose_unit_does_not_print(capsys):
         assert code == want
         assert report["result"]["member"] is (want == 0)
         assert report["result"]["reason"] == "centralizer-commutes"
+        assert (report["result"]["witness"] == [0]) is (want == 0)
 
 
 def test_nc_command_and_roundtrip(capsys):
@@ -377,6 +379,63 @@ def test_classify_payload_hash_is_pinned(capsys, base):
     code, report = run_cli(["classify", "--matrix", base], capsys)
     assert code == 0
     assert report["payload_hash"].startswith(CLASSIFY_PAYLOAD_HASHES[base])
+
+
+# payload_hash of phi reports, recorded before the 2-D kernels: the README
+# half-hex example, a scalar base, a window-level (n0 = 1) diagonal base and a
+# 3-D base that takes the general d-loop
+PHI_PAYLOAD_HASHES = {
+    "half-hex": (
+        ["--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;1,-1", "--box", "-6:6"],
+        "b84f8cad6a515038e104c35cab0ae3d784e4094f684ca73fb317b629212ef996",
+    ),
+    "scalar-3": (
+        ["--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-5:5"],
+        "9fc7c160aaec18d1fff7cfc56ec653e47213abcaafc3b05d678983354bbf8a37",
+    ),
+    "diag-2-4": (
+        ["--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-5:5"],
+        "2b98e2e29ac19468f13286bbd3fff3ac76829e021cdcd82a00b1618a84479014",
+    ),
+    "diag-2-2-4": (
+        ["--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-2:2"],
+        "116422c72e582c00a236ce66abaf60f0d043bc6f6d52ccf2ef4f4e29fda09f0b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHI_PAYLOAD_HASHES))
+def test_phi_payload_hash_is_pinned(capsys, case):
+    argv, want = PHI_PAYLOAD_HASHES[case]
+    code, report = run_cli(["phi", *argv], capsys)
+    assert code == 0
+    assert report["payload_hash"] == want
+
+
+def test_compact_report_is_the_hashed_body_plus_hash_and_timing(capsys, tmp_path):
+    argv = ["phi", *PHI_PAYLOAD_HASHES["diag-2-4"][0]]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") == 1 and ", " not in text
+    report = json.loads(text)
+    assert list(report)[-2:] == ["payload_hash", "timing_ms"]
+    body = {k: v for k, v in report.items() if k not in ("payload_hash", "timing_ms")}
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert text.startswith(canon[:-1] + ",")
+    assert hashlib.sha256(canon.encode()).hexdigest() == report["payload_hash"]
+    # --out writes the same bytes but the timing; --pretty indents the same report
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = out.read_text()
+    assert written.endswith("}\n") and written.count("\n") == 1
+    assert written[: len(canon) - 1] == text[: len(canon) - 1]
+    assert main([*argv, "--pretty"]) == 0
+    pretty = capsys.readouterr().out
+    assert pretty.startswith('{\n  "command": "phi",\n')
+    again = json.loads(pretty)
+    assert again.pop("timing_ms") >= 0 and report.pop("timing_ms") >= 0
+    assert again == report
 
 
 def test_verify_paper_harness():

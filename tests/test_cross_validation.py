@@ -41,12 +41,8 @@ SMALL_UNIMODULAR = [
 
 def failing_depth(L, M, verdict):
     """Depth by which the condition must fail for a non-member M."""
-    if verdict.reason == "unit-eigenlines":
-        c = max(abs(x) for x in verdict.witness)
-    else:
-        assert verdict.reason == "centralizer-commutes"
-        c = abs((L * M - M * L).det())
-    return c.bit_length() + 1
+    assert verdict.reason in ("unit-eigenlines", "centralizer-commutes")
+    return max(abs(x) for x in verdict.witness).bit_length() + 1
 
 
 def assert_oracle_agrees(L, M, member_depth):
@@ -95,8 +91,9 @@ def test_centralizer_failing_depth_comes_from_the_commutator_determinant():
     L, M = parse_matrix("0,3;-2,-3"), parse_matrix("-2,1;-1,0")
     verdict = is_member(L, M)
     assert verdict.reason == "centralizer-commutes" and not verdict.member
+    assert verdict.witness == ((L * M - M * L).det(),) == (-64,)
     assert nc_passes(L, M, 6) and not nc_passes(L, M, 7)
-    assert failing_depth(L, M, verdict) == 8  # det(LM - ML) = -64
+    assert failing_depth(L, M, verdict) == 8
 
 
 def test_branch_coverage_of_random_sweep():
@@ -117,10 +114,10 @@ def test_subshift_machinery_on_skew_base():
     assert cert.k == 0 and cert.n0 == 0
     rule = build_local_rule(cert)
     region = [t for t in product(range(-4, 5), repeat=2)]
-    source = pullback_positions(rule, region)
+    sources, cells = pullback_positions(rule, region)
     for seed in sorted(s.alphabet)[:2]:
-        patch = fixed_point_patch(s, seed, source)
-        image = apply_endomorphism(rule, patch, region)
+        patch = fixed_point_patch(s, seed, cells)
+        image = apply_endomorphism(rule, patch, sources)
         for t in region:
             if t != (0, 0):
                 assert image[t] == tau(s, t)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import Poly, Rational, Symbol, factorint, im, re
 
 from odosym.errors import (
     DomainCardinalityError,
@@ -15,6 +15,7 @@ from odosym.errors import (
     SingularMatrixError,
 )
 from odosym.intmat import (
+    HnfBasis,
     IntMatrix,
     char_poly,
     format_matrix,
@@ -288,6 +289,54 @@ def split(v, domain):
     return digit, domain.base.solve_exact(tuple(x - y for x, y in zip(v, digit)))
 
 
+# ---------------------------------------------------------------------------
+# 2-D branches against the general d-loop
+# ---------------------------------------------------------------------------
+
+BIG = st.integers(-10**30, 10**30)
+
+
+def _apply_reference(rows, v):
+    return tuple(sum(rows[i][k] * v[k] for k in range(len(v))) for i in range(len(rows)))
+
+
+def _mul_reference(a, b):
+    d = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
+    )
+
+
+def _reduce_reference(h, v):
+    w = list(v)
+    for i in range(len(h)):
+        q = w[i] // h[i][i]
+        for k in range(i, len(h)):
+            w[k] -= q * h[k][i]
+    return tuple(w)
+
+
+@given(st.lists(BIG, min_size=4, max_size=4), st.lists(BIG, min_size=4, max_size=4),
+       st.lists(BIG, min_size=2, max_size=2))
+def test_2d_kernels_match_the_general_loop(a, b, v):
+    ma, mb = IntMatrix((a[:2], a[2:])), IntMatrix((b[:2], b[2:]))
+    assert ma.mul_vec(tuple(v)) == _apply_reference(ma.rows, v)
+    assert (ma * mb).rows == _mul_reference(ma.rows, mb.rows)
+    with pytest.raises(ValueError):
+        ma.mul_vec((1, 2, 3))
+
+
+@given(st.integers(1, 10**30), st.integers(1, 10**30), BIG, BIG, BIG)
+def test_2d_reduce_vec_matches_the_general_loop(h00, h11, h10, x, y):
+    h = ((h00, 0), (h10 % h11, h11))
+    basis = HnfBasis(IntMatrix(h))
+    got = basis.reduce_vec((x, y))
+    assert got == _reduce_reference(h, (x, y))
+    assert 0 <= got[0] < h00 and 0 <= got[1] < h11
+    # x - got is in the lattice: solve against the basis exactly
+    assert IntMatrix(h).solve_exact((x - got[0], y - got[1])) is not None
+
+
 def test_reduce_examples():
     two = IntMatrix.scalar(2, 2)
     hh = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
@@ -342,27 +391,73 @@ def test_is_expansion_dim3():
     assert not is_expansion(IntMatrix([[2, 0, 0], [0, 0, -1], [0, 1, 0]]))
 
 
+def _outside_unit_circle(x1, x2, y1, y2):
+    """True / False when the box [x1, x2] x [y1, y2] lies outside / inside the
+    closed unit disk, None when it meets the circle: exact rational arithmetic."""
+    near = lambda lo, hi: 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    if near(x1, x2) ** 2 + near(y1, y2) ** 2 > 1:
+        return True
+    if max(x1 * x1, x2 * x2) + max(y1 * y1, y2 * y2) < 1:
+        return False
+    return None
+
+
+def _expansion_oracle(m):
+    """Every root of the characteristic polynomial has modulus > 1, decided by
+    sympy's exact root isolation (test-only oracle)."""
+    x = Symbol("x")
+    coeffs = char_poly(m)
+    chi = Poly(coeffs, x)
+    # the moduli of the roots multiply to |chi(0)|
+    if abs(coeffs[-1]) <= 1:
+        return False
+    # a common root w of chi and its reversal is 1/z for a root z: one of them
+    # has modulus <= 1, and this catches every root on the unit circle
+    if chi.gcd(Poly(coeffs[::-1], x)).degree() > 0:
+        return False
+    eps = None
+    while True:
+        real, cplx = chi.sqf_part().intervals(all=True, eps=eps)
+        boxes = [(a, b, 0, 0) for (a, b), _ in real]
+        boxes += [(re(lo), re(hi), im(lo), im(hi)) for (lo, hi), _ in cplx]
+        verdicts = [_outside_unit_circle(*box) for box in boxes]
+        if None not in verdicts:
+            return all(verdicts)
+        # no root is on the circle, so refining decides every box
+        eps = Rational(1, 16) if eps is None else eps / 16
+
+
 def test_is_expansion_dim3_against_modulus_oracle():
-    # cross-check the exact test against floating eigenvalues (non-boundary)
+    # every draw is checked, roots on or near the unit circle included
     rng = random.Random(8)
-    checked = 0
-    while checked < 60:
+    seen = set()
+    for _ in range(60):
         m = rand_matrix(rng, 3, -3, 3)
-        coeffs = char_poly(m)
-        # roots of x^3 + a x^2 + b x + c
-        a, b, c = coeffs[1], coeffs[2], coeffs[3]
-        roots = _cubic_roots(a, b, c)
-        if any(abs(abs(r) - 1) < 1e-6 for r in roots):
-            continue  # too close to the boundary for a float oracle
-        expected = all(abs(r) > 1 for r in roots)
-        assert is_expansion(m) == expected
-        checked += 1
+        want = _expansion_oracle(m)
+        assert is_expansion(m) == want, m.rows
+        seen.add(want)
+    assert seen == {True, False}
+    # roots on the circle (cube roots of unity, +-i), |root| = 2^(1/3), and
+    # x^3 - 4x^2 - 4x + 3, whose Schur-Cohn step meets |a0| = |an|
+    for rows, want in (
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], False),
+        ([[2, 0, 0], [0, 0, -1], [0, 1, 0]], False),
+        ([[0, 0, -2], [1, 0, 0], [0, 1, 0]], True),
+        ([[0, 0, -3], [1, 0, 4], [0, 1, 4]], False),
+    ):
+        m = IntMatrix(rows)
+        assert is_expansion(m) is _expansion_oracle(m) is want
 
 
-def _cubic_roots(a, b, c):
-    import numpy.polynomial.polynomial as npoly  # test-only oracle
-
-    return npoly.polyroots([c, b, a, 1])
+def test_is_expansion_dim4_against_modulus_oracle():
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(20):
+        m = rand_matrix(rng, 4, -2, 2)
+        want = _expansion_oracle(m)
+        assert is_expansion(m) == want, m.rows
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 from itertools import islice, product
 
 import pytest
-from tests_shared import rand_unimodular_small, shift, unimodular_inverse
+from tests_shared import evaluate, rand_unimodular_small, shift, unimodular_inverse
 
 from odosym.errors import MarginError, WindowError, WrongBranchError
 from odosym.intmat import IntMatrix, hnf, parse_matrix, parse_vector, validate_domain
@@ -157,7 +157,7 @@ def test_identity_rule_is_identity():
     rule = build_local_rule(cert, HH_DOMAIN)
     assert all(v == k for k, v in rule.per_level[0].items())
     patch = fixed_point_patch(rule.substitution, (1, 0), box(5))
-    out = apply_endomorphism(rule, patch, box(3))
+    out = evaluate(rule, patch, box(3))
     assert all(out[t] == patch[t] for t in box(3))
 
 
@@ -189,10 +189,10 @@ def test_fixed_point_maps_to_fixed_point():
         rule = build_local_rule(cert, domain)
         s = rule.substitution
         region = box(5)
-        source = pullback_positions(rule, region)
+        sources, cells = pullback_positions(rule, region)
         for seed in sorted(s.alphabet):
-            patch = fixed_point_patch(s, seed, source)
-            out = apply_endomorphism(rule, patch, region)
+            patch = fixed_point_patch(s, seed, cells)
+            out = apply_endomorphism(rule, patch, sources)
             for t in region:
                 if t != (0, 0):
                     assert out[t] == tau(s, t)
@@ -207,9 +207,9 @@ def test_equivariance_on_shifted_patches():
     z = (1, 0)
     mz = SWAP.mul_vec(z)
     region = box(4)
-    lhs = apply_endomorphism(rule, shift(patch, z), region)
+    lhs = evaluate(rule, shift(patch, z), region)
     rhs = shift(
-        apply_endomorphism(rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]),
+        evaluate(rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]),
         mz,
     )
     assert all(lhs[t] == rhs[t] for t in region)
@@ -227,9 +227,9 @@ def test_equivariance_with_nontrivial_window():
     region = box(3)
     for z in ((1, 0), (0, 1), (2, -3), (-1, 2)):
         mz = M.mul_vec(z)
-        lhs = apply_endomorphism(rule, shift(patch, z), region)
+        lhs = evaluate(rule, shift(patch, z), region)
         rhs = shift(
-            apply_endomorphism(rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]),
+            evaluate(rule, patch, [(t[0] + mz[0], t[1] + mz[1]) for t in region]),
             mz,
         )
         assert all(lhs[t] == rhs[t] for t in region)
@@ -268,7 +268,7 @@ def test_margin_error():
     rule = build_local_rule(cert, HH_DOMAIN)
     patch = fixed_point_patch(rule.substitution, (1, 0), box(2))
     with pytest.raises(MarginError):
-        apply_endomorphism(rule, patch, box(8))
+        evaluate(rule, patch, box(8))
 
 
 def test_composition_of_random_pairs():
@@ -314,7 +314,7 @@ def test_automorphism_triviality_surrogate():
     cert = nl_membership(TWO, IntMatrix.identity(2), domain=HH_DOMAIN)
     rule = build_local_rule(cert, HH_DOMAIN)
     patch = fixed_point_patch(rule.substitution, (0, 1), box(6))
-    out = apply_endomorphism(rule, patch, box(4))
+    out = evaluate(rule, patch, box(4))
     assert all(out[t] == patch[t] for t in box(4))
 
 
@@ -495,13 +495,13 @@ def test_regions_of_lists_evaluate_like_tuples():
     s = rule.substitution
     region = box(3)
     as_lists = [list(t) for t in region]
-    source = pullback_positions(rule, region)
-    assert pullback_positions(rule, as_lists) == source
+    sources, cells = pullback_positions(rule, region)
+    assert pullback_positions(rule, as_lists) == (sources, cells)
     seed = min(s.alphabet)
-    patch = fixed_point_patch(s, seed, source)
-    assert fixed_point_patch(s, seed, [list(u) for u in source]) == patch
-    image = apply_endomorphism(rule, patch, region)
-    assert apply_endomorphism(rule, patch, as_lists) == image
+    patch = fixed_point_patch(s, seed, cells)
+    assert fixed_point_patch(s, seed, [list(u) for u in cells]) == patch
+    image = apply_endomorphism(rule, patch, sources)
+    assert evaluate(rule, patch, as_lists) == image
     assert len(image) == len(region)
 
 
@@ -509,7 +509,7 @@ def test_regions_of_lists_evaluate_like_tuples():
 # int() would truncate (1.9, 0.7) to (1, 0) and answer for that cell
 NON_INTEGER_POSITIONS = {
     "fixed_point_patch": lambda hh, rule, patch: fixed_point_patch(hh, (1, 0), [(1.9, 0.7)]),
-    "apply_endomorphism": lambda hh, rule, patch: apply_endomorphism(rule, patch, [(1.0, 0)]),
+    "apply_endomorphism": lambda hh, rule, patch: evaluate(rule, patch, [(1.0, 0)]),
     "pullback_positions": lambda hh, rule, patch: pullback_positions(rule, [(1, "0")]),
     "composition_check": lambda hh, rule, patch: composition_check(
         TWO, SWAP, SWAP, [(0.5, 0)], domain=HH_DOMAIN

@@ -3,6 +3,7 @@
 from itertools import product
 
 from odosym.intmat import IntMatrix, commutes
+from odosym.subshift_norm import apply_endomorphism, pullback_positions
 
 
 def rand_unimodular_steps(rng, d=2, steps=6):
@@ -36,6 +37,11 @@ def rand_unimodular_small(rng, bound=3):
 def shift(patch, z):
     """The patch of the translated point: new[k] = old[k + z]."""
     return {tuple(a - b for a, b in zip(pos, z)): letter for pos, letter in patch.items()}
+
+
+def evaluate(rule, patch, region):
+    """The rule's image of the patch on the region, pulled back once."""
+    return apply_endomorphism(rule, patch, pullback_positions(rule, region)[0])
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
