@@ -228,9 +228,6 @@ class _Triangular:
     q: int
     s: int
 
-    def push(self, M: IntMatrix) -> IntMatrix:
-        return self.W * M * _inv_unimodular(self.W)
-
 
 def _triangular_form(L: IntMatrix) -> _Triangular:
     (p, q), (r, s) = L.rows
@@ -372,7 +369,7 @@ def centralizer(L: IntMatrix) -> NormalizerClass:
 # ---------------------------------------------------------------------------
 
 
-# Shared by classify and is_member, so sized like _classify_cached.
+# Shared by classify and is_member: runs of requests on one base hit it.
 @lru_cache(maxsize=64)
 def _unit_lines(rows: tuple) -> tuple[tuple[int, int], ...] | str | None:
     """The eigenlines every member must fix: the one invariant of the group.
@@ -393,32 +390,15 @@ def _unit_lines(rows: tuple) -> tuple[tuple[int, int], ...] | str | None:
     return tuple(_eigenvector(L, a) for a, b in ((t1, t2), (t2, t1)) if not rad_divides(b, a))
 
 
-# Hits come from runs of requests on one base; an automorph can be large.
-@lru_cache(maxsize=64)
-def _classify_cached(rows: tuple) -> NormalizerClass:
-    L = IntMatrix(rows)
-    lines = _unit_lines(rows)
+def classify(L: IntMatrix) -> NormalizerClass:
+    """Name the group of unimodular matrices admissible for the base L."""
+    _require_expansion_2x2(L)
+    lines = _unit_lines(L.rows)
     if lines is None:
         return FullGL2()
     if lines == "commute":
         return _order_units(L)
     return _classify_triangular(L, lines)
-
-
-def classify(L: IntMatrix) -> NormalizerClass:
-    """Name the group of unimodular matrices admissible for the base L."""
-    _require_expansion_2x2(L)
-    return _classify_cached(L.rows)
-
-
-def _derived_witness(conjugator: IntMatrix) -> IntMatrix:
-    """Commutator-subgroup member: the conjugate of [[1,2],[0,1]].
-
-    Members map to upper triangular unimodular matrices under the
-    conjugator, whose commutator subgroup is the even unipotents.
-    """
-    c_inv = _inv_unimodular(conjugator)
-    return c_inv * IntMatrix(((1, 2), (0, 1))) * conjugator
 
 
 def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
@@ -429,7 +409,7 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
         # M is +-1 on each line: +-Id, and +-the reflection that fixes both
         # lines, (1, 2q/(p - s); 0, -1) in the adapted basis, when integral
         if (2 * q) % (p - s) == 0:
-            m = td.push(IntMatrix(((1, 2 * q // (p - s)), (0, -1))))
+            m = td.W * IntMatrix(((1, 2 * q // (p - s)), (0, -1))) * _inv_unimodular(td.W)
             return KleinFour(_sorted_elements({_ID.rows, (-_ID).rows, m.rows, (-m).rows}))
         return OrderTwo()
     (v,) = lines
@@ -442,11 +422,9 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
     if on_p_line:
         # the first adapted axis: members are upper triangular there
         conj = _inv_unimodular(td.W)
-        gen_t = IntMatrix(((1, 1), (0, 1)))
         description = UpperTriangularUnimodular()
     elif q % (p - s) == 0:
         k = q // (p - s)
-        gen_t = IntMatrix(((1 - k, -(k * k)), (1, 1 + k)))
         conj = _SWAP * IntMatrix(((1, k), (0, 1))) * _inv_unimodular(td.W)
         description = ParamFamily(k)
     else:
@@ -458,12 +436,15 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
         f = (e * h - 1) // g
         bez = IntMatrix(((e, f), (g, h)))
         assert bez.det() == 1
-        gen_t = _inv_unimodular(bez) * IntMatrix(((1, 1), (0, 1))) * bez
         conj = bez * _inv_unimodular(td.W)
         description = UpperTriangularUnimodular()
+    # the generator is the conjugate of (1, 1; 0, 1); its square, the
+    # conjugate of (1, 2; 0, 1), lies in the commutator subgroup of the
+    # upper triangular unimodular group, the even unipotents
+    generator = _inv_unimodular(conj) * IntMatrix(((1, 1), (0, 1))) * conj
     return VirtuallyZ(
-        conjugator=conj, description=description, generator=td.push(gen_t),
-        tri=(p, q, s), derived_witness=_derived_witness(conj),
+        conjugator=conj, description=description, generator=generator,
+        tri=(p, q, s), derived_witness=generator * generator,
     )
 
 
@@ -475,6 +456,8 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
 def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
     """Exact membership of M in the symmetry group of the base L."""
     _require_expansion_2x2(L)
+    if M.dim != 2:
+        raise ValueError(f"a 2x2 base needs a 2x2 matrix, got {M.dim}x{M.dim}")
     if M.det() not in (1, -1):
         raise ValueError(f"matrix must be unimodular, det = {M.det()}")
     lines = _unit_lines(L.rows)

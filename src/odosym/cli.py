@@ -196,7 +196,8 @@ def _patch_payload(patch: dict) -> list:
     return sorted(patch.items())
 
 
-def write_svg(patch: dict, path: str, cell: int = 12) -> None:
+def write_svg(patch: dict, path: str) -> None:
+    cell = 12  # pixels per lattice cell
     letters = sorted(set(patch.values()))
     color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(letters)}
     xs = [p[0] for p in patch]
@@ -472,8 +473,8 @@ def _subshift_rows():
             fixed_point_count(s24),
         )
     )
-    rec1, _ = recognizability_check(hh, 1, 8)
-    rec2, _ = recognizability_check(hh, 2, 8)
+    rec1, _ = recognizability_check(hh, 1)
+    rec2, _ = recognizability_check(hh, 2)
     rows.append(
         _row(
             "subst:half-hex-recognizability",
@@ -606,9 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subst", help="substitution patches")
     p.add_argument("action", choices=["patch"])
-    p.add_argument("--L")
+    rule = p.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--L")
+    rule.add_argument("--subst", help="substitution description JSON file")
     p.add_argument("--F", help="fundamental domain, vectors split by ';'")
-    p.add_argument("--subst", help="substitution description JSON file")
     p.add_argument("--seed")
     p.add_argument("--box", required=True)
     p.add_argument("--svg")

@@ -112,15 +112,17 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if self.dim == 2:
+        n = self.dim
+        if len(other.rows) != n:
+            raise ValueError(f"cannot multiply a {n}x{n} matrix by a {other.dim}x{other.dim} one")
+        if n == 2:
             (a, b), (c, d) = self.rows
             (e, f), (g, h) = other.rows
             return IntMatrix(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-        d = self.dim
         cols = list(zip(*other.rows))
         return IntMatrix(
             tuple(
-                tuple(sum(ra[k] * col[k] for k in range(d)) for col in cols)
+                tuple(sum(ra[k] * col[k] for k in range(n)) for col in cols)
                 for ra in self.rows
             )
         )
@@ -388,25 +390,10 @@ class FundamentalDomain:
     reps: tuple[Vec, ...]
     hnf_basis: HnfBasis
     _rep_of_key: dict = field(repr=False, compare=False)
-    _members: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "reps", tuple(tuple(v) for v in self.reps))
-        object.__setattr__(self, "_members", frozenset(self.reps))
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
     def digit_of(self, v: Vec) -> Vec:
         """The representative of this domain congruent to v."""
         return self._rep_of_key[self.hnf_basis.reduce_vec(v)]
-
-    def __contains__(self, v) -> bool:
-        return tuple(v) in self._members
-
-    def __iter__(self):
-        return iter(self.reps)
 
 
 def fundamental_domain(base: IntMatrix) -> FundamentalDomain:
@@ -498,24 +485,18 @@ def is_expansion(m: IntMatrix) -> bool:
     return _all_roots_in_open_unit_disk(list(reversed(coeffs)))
 
 
-def _all_roots_in_open_unit_disk(coeffs: list[int]) -> bool:
-    """Exact Schur-Cohn recursion; coeffs[0] is the leading coefficient."""
-    c = [x for x in coeffs]
-    while c and c[0] == 0:
-        c.pop(0)
-    if not c:
-        return False
+def _all_roots_in_open_unit_disk(c: list[int]) -> bool:
+    """Exact Schur-Cohn recursion; c[0] is the leading coefficient, nonzero.
+
+    Each step keeps a nonzero leading coefficient, an^2 - a0^2 > 0, so the
+    degree drops by exactly one and no zero needs stripping.
+    """
     while len(c) > 1:
         an, a0 = c[0], c[-1]
         if abs(a0) >= abs(an):
             return False
         # T[f](x) = (an*f(x) - a0*f*(x)) / x has degree one less
-        nxt = [an * c[i] - a0 * c[len(c) - 1 - i] for i in range(len(c) - 1)]
-        while nxt and nxt[0] == 0:
-            nxt.pop(0)
-        if not nxt:
-            return False  # self-inversive remainder: roots not strictly inside
-        c = nxt
+        c = [an * c[i] - a0 * c[len(c) - 1 - i] for i in range(len(c) - 1)]
     return True
 
 

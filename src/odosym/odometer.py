@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import index
 
 from .errors import DepthError, NotExpansionError
-from .intmat import HnfBasis, IntMatrix, Vec, hnf, is_expansion
+from .intmat import IntMatrix, Vec, hnf, is_expansion
 
 # ---------------------------------------------------------------------------
 # bases and points
@@ -42,11 +42,6 @@ class ConstantBase:
     @property
     def dim(self) -> int:
         return self.matrix.dim
-
-    def level_basis(self, n: int) -> HnfBasis:
-        if n < 0:
-            raise DepthError(f"level must be >= 0, got {n}")
-        return hnf(self.matrix**n)
 
 
 @dataclass(frozen=True)

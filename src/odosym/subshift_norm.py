@@ -197,17 +197,9 @@ def nl_membership(
             detail=f"digit action not constant on any window [n0, {n_max}] "
             f"with n0 <= {n_max - 2}",
         )
-    perm = actions[n0]
-    images = {b for _, b in perm}
-    zero = zero_vec(L.dim)
-    if zero in images or len(images) != len(perm):
-        return NLRejection(
-            L=L,
-            M=M,
-            n_max=n_max,
-            reason="residue-unstable",
-            detail="stabilized digit action is not a permutation of the nonzero digits",
-        )
+    # n0 <= n_max - 2, so C_{n0} L = L C_{n0+1} with both integral
+    # unimodular: C_{n0} maps L(Z^d) onto itself and so permutes the
+    # nonzero digit cosets
     return NLCertificate(
         L=L,
         M=M,
@@ -215,7 +207,7 @@ def nl_membership(
         conjugates=conj,
         k=k,
         n0=n0,
-        residue_permutation=perm,
+        residue_permutation=actions[n0],
     )
 
 
@@ -314,16 +306,13 @@ def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     if level is not None:
         return level
     pattern = dict(zip(rule.window, key))
-    matches = []
-    for c, level, forced in rule._class_table:
+    # cosets of different level disagree on a cell forced in both, so the
+    # first coset that matches has the level of every other match
+    for _, level, forced in rule._class_table:
         if all(pattern[f] == letter for f, letter in forced.items()):
-            matches.append(level)
-    if not matches:
-        raise WindowError(f"window pattern at {pos} matches no digit coset")
-    if len(set(matches)) > 1:
-        raise WindowError(f"window pattern at {pos} is ambiguous")
-    rule._levels[key] = matches[0]
-    return matches[0]
+            rule._levels[key] = level
+            return level
+    raise WindowError(f"window pattern at {pos} matches no digit coset")
 
 
 def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
@@ -369,12 +358,11 @@ def composition_check(
     M2: IntMatrix,
     region,
     domain: FundamentalDomain | None = None,
-    seed=None,
 ) -> bool:
     """The rule of M1 M2 equals rule(M1) after rule(M2) on the region.
 
-    Both sides are evaluated on a fixed-point patch built just large
-    enough for the two evaluation chains.
+    Both sides are evaluated on a patch of the fixed point seeded by the
+    least letter, built just large enough for the two evaluation chains.
     """
     if domain is None:
         domain = fundamental_domain(L)
@@ -388,12 +376,10 @@ def composition_check(
     rule1 = build_local_rule(cert1, domain)
     rule2 = build_local_rule(cert2, domain)
     subst = rule12.substitution
-    if seed is None:
-        seed = min(subst.alphabet)
     sources12, cells12 = pullback_positions(rule12, region)
     sources1, mid = pullback_positions(rule1, sources12.keys())
     sources2, cells2 = pullback_positions(rule2, mid)
-    patch = fixed_point_patch(subst, seed, cells2 | cells12)
+    patch = fixed_point_patch(subst, min(subst.alphabet), cells2 | cells12)
     lhs = apply_endomorphism(rule12, patch, sources12)
     rhs = apply_endomorphism(rule1, apply_endomorphism(rule2, patch, sources2), sources1)
     return lhs == rhs
@@ -404,19 +390,14 @@ def composition_check(
 # ---------------------------------------------------------------------------
 
 
-def fiber_points(
-    s: ConstantShapeSubstitution,
-    at,
-    depth: int,
-    window_radius: int = 8,
-) -> tuple[frozenset, str]:
+def fiber_points(s: ConstantShapeSubstitution, at, depth: int) -> tuple[frozenset, str]:
     """Letters the projection cannot pin down over the given base point.
 
     An integer vector a names the orbit point embedding -a: the fiber
     keeps all letters at the coordinate a, so every letter is possible.
     An OdometerPoint is scanned for an integer lift inside the test
-    window; with no lift the central letter is forced and the count is 1,
-    exact at the tested depth.
+    window [-8, 8]^d; with no lift the central letter is forced and the
+    count is 1, exact at the tested depth.
     """
     if not s.is_self_similar():
         raise WrongBranchError("fiber analysis needs the self-similar family")
@@ -427,14 +408,14 @@ def fiber_points(
         target = point.digit(n)
         lifts = [
             v
-            for v in box_positions(-window_radius, window_radius, s.dim)
+            for v in box_positions(-8, 8, s.dim)
             if basis.reduce_vec(v) == target
         ]
         if lifts:
             return frozenset(s.alphabet), f"orbit-like: lift {lifts[0]} in window"
         if target == zero_vec(s.dim):
             return frozenset(s.alphabet), "all digits zero to tested depth"
-        note = f"exact at tested depth {n}, window radius {window_radius}"
+        note = f"exact at tested depth {n}, window radius 8"
         return frozenset({tau(s, target)}), note
     a = tuple(map(index, at))
     return frozenset(s.alphabet), f"orbit point: letters at coordinate {a} are free"

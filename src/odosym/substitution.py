@@ -201,6 +201,9 @@ def fixed_point_count(s: ConstantShapeSubstitution) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COVERAGE_RADIUS = 8
+
+
 @dataclass(frozen=True)
 class KSetReport:
     points: frozenset
@@ -221,16 +224,12 @@ class KSetReport:
         }
 
 
-def k_set(
-    s: ConstantShapeSubstitution,
-    m_max: int,
-    coverage_radius: int = 8,
-    coverage_depth: int | None = None,
-) -> KSetReport:
+def k_set(s: ConstantShapeSubstitution, m_max: int) -> KSetReport:
     """Union over m <= m_max of (Id - L^m)^{-1}(F_m) intersected with Z^d.
 
     Also reports the first m from which the union stops growing and
-    whether translates L^n(K) + F_n cover a centered test box.
+    whether translates L^n(K) + F_n, n up to the first depth past m_max
+    with |det|^n >= (4 r)^d, cover the test box [-r, r]^d, r = 8.
     """
     levels = supports(s, m_max)
     ident = IntMatrix.identity(s.dim)
@@ -249,11 +248,9 @@ def k_set(
             stable_from = m
         else:
             break
-    cov_depth = coverage_depth
-    if cov_depth is None:
-        cov_depth = m_max + 1
-        while abs(s.base.det()) ** cov_depth < (4 * coverage_radius) ** s.dim:
-            cov_depth += 1
+    cov_depth = m_max + 1
+    while abs(s.base.det()) ** cov_depth < (4 * _COVERAGE_RADIUS) ** s.dim:
+        cov_depth += 1
     covered: set = set()
     cov_levels = supports(s, cov_depth)
     for n in range(cov_depth + 1):
@@ -262,14 +259,14 @@ def k_set(
             lk = ln.mul_vec(k)
             for f in cov_levels[n]:
                 covered.add(vec_add(lk, f))
-    box = box_positions(-coverage_radius, coverage_radius, s.dim)
+    box = box_positions(-_COVERAGE_RADIUS, _COVERAGE_RADIUS, s.dim)
     ok = all(p in covered for p in box)
     return KSetReport(
         points=frozenset(points),
         stable_from=stable_from,
         m_max=m_max,
         coverage_ok=ok,
-        coverage_radius=coverage_radius,
+        coverage_radius=_COVERAGE_RADIUS,
         coverage_depth=cov_depth,
     )
 
@@ -284,24 +281,19 @@ def box_positions(lo: int, hi: int, d: int) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 
-def recognizability_check(
-    s: ConstantShapeSubstitution,
-    n: int,
-    window_radius: int,
-    seed: Letter | None = None,
-) -> tuple[bool, tuple | None]:
+def recognizability_check(s: ConstantShapeSubstitution, n: int) -> tuple[bool, tuple | None]:
     """Windowed check that equal F_n-patches force congruence mod L^n(Z^d).
 
+    Scans the box [-8, 8]^d of the fixed point seeded by the least letter.
     Returns (True, None) or (False, (a, b)) with a counterexample pair.
     Equal windows always force congruent positions for the self-similar
     family, so any counterexample signals an implementation bug; the check
     doubles as a self-test.
     """
-    if seed is None:
-        seed = min(s.alphabet)
+    seed = min(s.alphabet)
     fn = sorted(supports(s, n)[n])
     basis = hnf(s.base**n)
-    box = box_positions(-window_radius, window_radius, s.dim)
+    box = box_positions(-8, 8, s.dim)
     patches: dict = {}
     zero = zero_vec(s.dim)
     for a in box:

@@ -222,13 +222,13 @@ def test_criterion_5_fixed_points_and_recognizability():
             if patch != fixed_point_patch(s, seed, levels[3]):
                 ok_invariance = False
 
-    rec1, _ = recognizability_check(hh, 1, 8)
-    rec2, _ = recognizability_check(hh, 2, 8)
+    rec1, _ = recognizability_check(hh, 1)
+    rec2, _ = recognizability_check(hh, 2)
 
     orbit_letters, _ = fiber_points(hh, (0, 0), 6)
     orbit_letters2, _ = fiber_points(hh, (1, 0), 6)
     non_orbit = kappa_embed((42, 42), ConstantBase(hh.base), 6)
-    non_orbit_letters, note = fiber_points(hh, non_orbit, 6, window_radius=8)
+    non_orbit_letters, note = fiber_points(hh, non_orbit, 6)
     ok_fibers = (
         len(orbit_letters) == 3
         and len(orbit_letters2) == 3
@@ -249,7 +249,7 @@ def test_criterion_5_fixed_points_and_recognizability():
 
 def test_criterion_6_k_set_and_covering():
     t0 = time.perf_counter()
-    ks = k_set(half_hex(), 4, coverage_radius=8)
+    ks = k_set(half_hex(), 4)
     ok = (
         set(ks.points) == {(0, 0), (-1, 0), (0, -1), (-1, 1)}
         and ks.stable_from is not None

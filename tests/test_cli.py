@@ -248,6 +248,20 @@ def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
     assert len(report["result"]["patch"]) == 81
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [[], [[[x + 2, y], [1, 0]] for x, y in ((0, 0), (1, 0), (0, 1), (1, -1))]],
+    ids=["letter-without-image", "image-off-F1"],
+)
+def test_subst_table_images_must_lie_on_f1(capsys, tmp_path, cells):
+    desc = tmp_path / "rule.json"
+    F1 = [[0, 0], [1, 0], [0, 1], [1, -1]]
+    desc.write_text(json.dumps({"L": "2,0;0,2", "F1": F1, "table": {"1,0": cells}}))
+    assert main(["subst", "patch", "--subst", str(desc), "--box", "-1:1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "odosym: ValueError: image patterns must be supported exactly on F1\n"
+
+
 def test_subst_general_rule_letters_must_be_in_the_alphabet(capsys, tmp_path):
     quadrant = [(x, y) for x in (0, 1) for y in (0, 1)]
     desc = tmp_path / "rule.json"
@@ -298,6 +312,51 @@ def test_parse_error_exit_code(capsys):
             ["classify", "--matrix", "2,0;0,2", "--out", "{tmp}"],
             "IsADirectoryError: ",
             id="out-is-a-directory",
+        ),
+        pytest.param(
+            ["classify", "--matrix", "2,0,0;0,2,0;0,0,2"],
+            "ValueError: classification is for 2x2 bases",
+            id="classify-3x3",
+        ),
+        pytest.param(
+            ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", "--box", "8"],
+            "parse error: bad box '8', expected lo:hi",
+            id="box-without-colon",
+        ),
+        pytest.param(
+            ["subst", "patch", "--L", "2,0;0,2", "--box", "3:-3"],
+            "parse error: empty box '3:-3'",
+            id="box-empty",
+        ),
+        pytest.param(
+            ["member", "--base", "2,0;0,2", "--matrix", "1,0,0;0,1,0;0,0,1"],
+            "ValueError: a 2x2 base needs a 2x2 matrix, got 3x3",
+            id="member-dims-differ",
+        ),
+        pytest.param(
+            ["nl", "--L", "2,0,0;0,2,0;0,0,2", "--M", "0,1;1,0"],
+            "ValueError: cannot multiply a 3x3 matrix by a 2x2 one",
+            id="nl-dims-differ",
+        ),
+        pytest.param(
+            ["nc", "--base", "2,0;0,2", "--matrix", "1,0,0;0,1,0;0,0,1"],
+            "ValueError: cannot multiply a 2x2 matrix by a 3x3 one",
+            id="nc-dims-differ",
+        ),
+        pytest.param(
+            ["phi", "--L", "2,0;0,2", "--M", "1,0,0;0,1,0;0,0,1", "--box", "-1:1"],
+            "ValueError: cannot multiply a 2x2 matrix by a 3x3 one",
+            id="phi-dims-differ",
+        ),
+        pytest.param(
+            ["nl", "--L", "1,2;2,4", "--M", "1,0;0,1"],
+            "SingularMatrixError: fundamental domain needs det != 0",
+            id="fundamental-domain-singular",
+        ),
+        pytest.param(
+            ["nl", "--L", "1,2;2,4", "--M", "1,0;0,1", "--F", "0,0;1,0"],
+            "SingularMatrixError: fundamental domain needs det != 0",
+            id="validate-domain-singular",
         ),
     ],
 )
@@ -584,10 +643,11 @@ HH_F1 = [[0, 0], [1, 0], [0, 1], [1, -1]]
             {"L": "2,0;0,2", "F1": HH_F1, "table": {"1,0": 3}},
             "field 'table.1,0': 'int' object is not iterable",
         ),
+        ({"L": [[2, 0]], "F1": HH_F1}, "field 'L': IntMatrix must be square with dim >= 1"),
     ],
     ids=[
         "no-L", "no-F1", "not-an-object", "L-int", "L-float-entry", "F1-int",
-        "table-int", "table-empty", "table-entry-int",
+        "table-int", "table-empty", "table-entry-int", "L-not-square",
     ],
 )
 def test_subst_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, data, message):

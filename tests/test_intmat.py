@@ -283,6 +283,21 @@ def test_entries_must_be_exact_integers(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(((1, 2),)), "must be square"),
+        (lambda: ID2 ** -1, "only nonnegative integer powers"),
+        (lambda: ID2 * IntMatrix.identity(3), "cannot multiply a 2x2 matrix by a 3x3 one"),
+        (lambda: integer_eigenvalues(IntMatrix.identity(3)), "for 2x2 matrices"),
+    ],
+    ids=["not-square", "negative-power", "dims-differ", "eigenvalues-3x3"],
+)
+def test_shape_and_power_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def split(v, domain):
     """(digit, quotient) with v = L(quotient) + digit, as tau reads them."""
     digit = domain.digit_of(v)
@@ -356,7 +371,7 @@ def test_reduce_is_bijection_on_box():
         seen = set()
         for v in product(range(-5, 6), repeat=2):
             digit, quot = split(v, f)
-            assert digit in f
+            assert digit in f.reps
             assert tuple(m.mul_vec(quot)) == tuple(
                 x - y for x, y in zip(v, digit)
             )

@@ -5,11 +5,20 @@ import pytest
 from tests_shared import evaluate, rand_unimodular_small, shift, unimodular_inverse
 
 from odosym.errors import MarginError, WindowError, WrongBranchError
-from odosym.intmat import IntMatrix, hnf, parse_matrix, parse_vector, validate_domain
+from odosym.intmat import (
+    IntMatrix,
+    fundamental_domain,
+    hnf,
+    is_expansion,
+    parse_matrix,
+    parse_vector,
+    validate_domain,
+)
 from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import (
     fixed_point_patch,
     half_hex,
+    sigma_L,
     supports,
     tau,
     valuation,
@@ -70,6 +79,30 @@ def test_certificate_soundness():
                     continue
                 assert (L**n) * c == m * (L**n)
                 assert c.det() in (1, -1)
+
+
+def test_accepted_residue_action_permutes_the_nonzero_digits():
+    # nl_membership does not check this: C_{n0} L = L C_{n0+1} with both
+    # integral unimodular, so C_{n0} maps L(Z^2) onto itself
+    bases = [
+        L
+        for a, b, d in product((2, -3, 4), (0, 1), (-2, 3, 4, -8))
+        if is_expansion(L := IntMatrix(((a, b), (0, d))))
+    ]
+    ms = [IntMatrix(((s, x), (0, u))) for s, u in product((1, -1), repeat=2) for x in (0, 1, -2, 3)]
+    ms += [IntMatrix(((s, 0), (x, u))) for s, u in product((1, -1), repeat=2) for x in (1, -2, 3)]
+    ms += [SWAP, parse_matrix("1,1;1,0"), parse_matrix("2,1;1,1")]
+    levels = set()
+    for L in bases:
+        domain = fundamental_domain(L)
+        digits = sorted(f for f in domain.reps if any(f))
+        for M in ms:
+            cert = nl_membership(L, M, domain=domain)
+            if isinstance(cert, NLCertificate):
+                levels.add(cert.n0)
+                assert [a for a, _ in cert.residue_permutation] == digits
+                assert sorted(b for _, b in cert.residue_permutation) == digits
+    assert levels == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +369,7 @@ def test_fiber_points_non_orbit():
     base = ConstantBase(TWO)
     pt = kappa_embed((42, 42), base, 6)
     # no lift of the level-6 digit lies in the radius-8 window
-    letters, note = fiber_points(hh, pt, 6, window_radius=8)
+    letters, note = fiber_points(hh, pt, 6)
     assert len(letters) == 1
     assert "exact at tested depth" in note
 
@@ -345,7 +378,7 @@ def test_fiber_points_orbit_like_point():
     hh = half_hex()
     base = ConstantBase(TWO)
     pt = kappa_embed((-3, 2), base, 6)
-    letters, note = fiber_points(hh, pt, 6, window_radius=8)
+    letters, note = fiber_points(hh, pt, 6)
     assert len(letters) == 3 and "lift" in note
 
 
@@ -488,6 +521,24 @@ def test_doctored_window_raises_every_time():
         with pytest.raises(WindowError, match="matches no digit coset"):
             _truncated_level(rule, flat, (0, 0))
     assert rule._levels == {}
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
+    # _truncated_level takes the first matching coset; this is why no
+    # window pattern can match cosets of two different levels
+    pairs = 0
+    for rows in product(range(-2, 3), repeat=4):
+        L = IntMatrix((rows[:2], rows[2:]))
+        if abs(L.det()) < 3 or not is_expansion(L):
+            continue
+        s = sigma_L(L)
+        table = _valuation_class_table(s, n0, sorted(supports(s, n0)[n0]))
+        for (_, level1, forced1), (_, level2, forced2) in product(table, repeat=2):
+            if level1 < level2:
+                pairs += 1
+                assert any(forced1[f] != forced2[f] for f in forced1.keys() & forced2.keys())
+    assert pairs
 
 
 def test_regions_of_lists_evaluate_like_tuples():

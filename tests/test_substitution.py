@@ -6,6 +6,7 @@ import pytest
 from odosym.errors import SizeGuardError, WrongBranchError
 from odosym.intmat import IntMatrix, hnf, parse_matrix
 from odosym.substitution import (
+    ConstantShapeSubstitution,
     fixed_point_count,
     fixed_point_patch,
     half_hex,
@@ -57,6 +58,13 @@ def test_sigma_box_domain_alphabet_size():
 def test_sigma_small_determinant_rejected():
     with pytest.raises(WrongBranchError):
         sigma_L(IntMatrix(((2,),)))
+
+
+def test_every_letter_needs_an_image():
+    hh = half_hex()
+    table = {a: hh.image(a) for a in hh.alphabet if a != (1, 0)}
+    with pytest.raises(ValueError, match=r"no image pattern for letter \(1, 0\)"):
+        ConstantShapeSubstitution(base=hh.base, domain=hh.domain, alphabet=hh.alphabet, table=table)
 
 
 def test_sigma_self_similarity_flag():
@@ -203,7 +211,7 @@ def test_k_set_dimension_one():
 def test_k_set_contains_zero():
     bases = [TWO, parse_matrix("2,0;0,4"), parse_matrix("2,-1;1,3")]
     for L in bases:
-        ks = k_set(sigma_L(L), 3, coverage_radius=4)
+        ks = k_set(sigma_L(L), 3)
         assert (0,) * 2 in ks.points
 
 
@@ -214,15 +222,8 @@ def test_k_set_contains_zero():
 
 def test_recognizability_half_hex():
     hh = half_hex()
-    ok1, cx1 = recognizability_check(hh, 1, 8)
-    ok2, cx2 = recognizability_check(hh, 2, 8)
+    ok1, cx1 = recognizability_check(hh, 1)
+    ok2, cx2 = recognizability_check(hh, 2)
     assert ok1 and cx1 is None
     assert ok2 and cx2 is None
-
-
-def test_recognizability_vacuous_equal_positions():
-    # identical positions always share the patch; the check must not flag them
-    hh = half_hex()
-    ok, _ = recognizability_check(hh, 1, 2)
-    assert ok
 
