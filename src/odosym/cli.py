@@ -314,6 +314,8 @@ def cmd_phi(args) -> Answer:
 
 def cmd_subst(args) -> Answer:
     if args.subst:
+        if args.F:
+            raise ValueError("--F cannot be given with --subst: the description file sets F1")
         s = _load_substitution(args.subst)
     else:
         base = parse_matrix(args.L)

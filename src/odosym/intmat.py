@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
-from operator import index, mul
+from operator import add, index, mul, sub
 
 from .errors import (
     DomainCardinalityError,
@@ -87,21 +87,19 @@ class IntMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _entrywise(self, other: "IntMatrix", op, verb: str) -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        n, k = self.dim, len(other.rows)
+        if k != n:
+            raise ValueError(f"cannot {verb} a {n}x{n} matrix and a {k}x{k} one")
+        return IntMatrix(tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._entrywise(other, add, "add")
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._entrywise(other, sub, "subtract")
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))

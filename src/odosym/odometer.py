@@ -7,12 +7,21 @@ tuple equality.
 
 The normalizer condition at depth n asks for an exponent m with
 
-    adj(L^n) * M * L^m == 0  (mod det(L^n)).
+    adj(L^n) * M * L^m == 0  (mod det(L^n)),
 
-The key facts that make this decidable exactly: the condition is upward
-closed in m (multiply by L), and it no longer changes from the
-stabilization bound m* = d*n*bitlen|det L| on.  So existence is settled by
-one evaluation at m* and the least witness by binary search below it.
+that is, with L^-n M L^m integral.  It is upward closed in m (multiply by
+L).  Per prime p dividing det(L) it only depends on the lattice
+L^m(Z^d) + p^a Z^d (a = v_p(det L^n) < n*bitlen|det L|), which evolves by a
+deterministic map on a finite poset and strictly decreases until it is
+stationary, so it is constant from d*a on.  So the condition no longer
+changes from the stabilization bound m* = d*n*bitlen|det L| on, and one
+evaluation at m* settles existence.
+
+It is also monotone in n: if L^-(n+1) M L^m is integral, so is
+L^-n M L^m = L * L^-(n+1) M L^m.  So the least witnesses grow with depth,
+m_n <= m_(n+1), and a depth with no witness (Absent) makes every deeper
+depth Absent.  The depth walk uses both facts: it searches depth n upward
+from m_(n-1) and stops at the first Absent depth.
 """
 
 from __future__ import annotations
@@ -106,96 +115,127 @@ class NcCertificate:
         return {"n": self.n, "m": self.m, "bound": self.bound}
 
 
-def _mat_mul_mod(a, b, mod, d):
+def _mat_mul_mod(a, b, mod):
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        (w, x), (y, z) = b
+        return (
+            ((p * w + q * y) % mod, (p * x + q * z) % mod),
+            ((r * w + s * y) % mod, (r * x + s * z) % mod),
+        )
+    d = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(d)) % mod for j in range(d))
         for i in range(d)
     )
 
 
-# One entry per (base, modulus): a fresh `nc` request adds about 5 never
-# reused, and a 60-matrix sweep of one base keeps all its hits with 8.
+# One entry per (base, modulus): a fresh `nc` request adds one never reused,
+# and a 60-matrix sweep of one base hits its walk's entry on every matrix.
 @lru_cache(maxsize=256)
 def _doubling_table(rows: tuple, mod: int, bits: int) -> tuple:
     """L^(2^k) mod `mod` for k < bits (bits is fixed by rows and mod)."""
-    d = len(rows)
     out = [tuple(tuple(x % mod for x in r) for r in rows)]
     while len(out) < bits:
-        out.append(_mat_mul_mod(out[-1], out[-1], mod, d))
+        out.append(_mat_mul_mod(out[-1], out[-1], mod))
     return tuple(out)
 
 
-def _nc_condition(L: IntMatrix, M: IntMatrix, n: int):
-    """(cond, m*) for the depth-n condition adj(L^n) M L^m == 0 mod det(L^n).
+def _times_power(acc, table, m: int, mod: int):
+    """acc * L^m mod `mod`, from the doubling table of L."""
+    for k, power in enumerate(table):
+        if m >> k & 1:
+            acc = _mat_mul_mod(acc, power, mod)
+    return acc
 
-    Per prime p dividing det(L), the condition at depth n only depends on
-    the lattice L^m(Z^d) + p^a Z^d (a = v_p(det L^n) < n*bitlen|det L|),
-    which evolves by a deterministic map on a finite poset and is strictly
-    decreasing until stationary, so it is constant from d*a on.  The
-    condition is also upward closed in m (multiply by L), so it holds for
-    some m iff it holds at m* = d*n*bitlen|det L|.  cond accepts 0 <= m <= m*.
-    """
+
+def _divisible(acc, mod: int) -> bool:
+    return not any(x % mod for r in acc for x in r)
+
+
+def _check_depth(L: IntMatrix, n: int) -> None:
     if n < 1:
-        raise DepthError(f"depth n must be >= 1, got {n}")
+        raise DepthError(f"depth must be >= 1, got {n}")
     if not is_expansion(L):
         raise NotExpansionError(f"not an expansion matrix: {L}")
-    d = L.dim
-    ln = L**n
-    mod = abs(ln.det())
-    a = tuple(tuple(x % mod for x in r) for r in (ln.adjugate() * M).rows)
-    m_star = d * n * abs(L.det()).bit_length()
-    table = _doubling_table(L.rows, mod, m_star.bit_length())
 
-    def cond(m: int) -> bool:
-        acc = a
-        for k, power in enumerate(table):
-            if m >> k & 1:
-                acc = _mat_mul_mod(acc, power, mod, d)
-        return not any(x for r in acc for x in r)
 
-    return cond, m_star
+def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
+    """Certificates for depths first..last, stopping after the first Absent.
+
+    The search at depth `first` starts from m = 0 and every later one from
+    the previous witness.  acc = adj(L^n) M L^m is carried from depth to
+    depth mod det(L)^last, which every shallower modulus det(L)^n divides:
+    one step in m multiplies it by L on the right, one step in n by adj L on
+    the left.  Absent costs one evaluation at m*, and a witness costs one
+    multiplication per step above the previous one.
+    """
+    _check_depth(L, last)
+    d, det = L.dim, abs(L.det())
+    top, width = det**last, d * det.bit_length()
+    table = _doubling_table(L.rows, top, (width * last).bit_length())
+    adj = L.adjugate()
+    acc, m = (adj * M).rows, 0  # at n = 1; the product checks the sizes
+    for n in range(1, last + 1):
+        if n >= first:
+            mod, m_star = det**n, width * n
+            if not _divisible(acc, mod):
+                if not _divisible(_times_power(acc, table, m_star - m, top), mod):
+                    yield NcCertificate(n=n, m=None, bound=m_star)
+                    return
+                while not _divisible(acc, mod):
+                    acc, m = _mat_mul_mod(acc, table[0], top), m + 1
+            yield NcCertificate(n=n, m=m, bound=m_star)
+        acc = _mat_mul_mod(adj.rows, acc, top)
 
 
 def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
     """Decide the depth-n normalizer condition for an integer matrix M.
 
-    Exact for the fixed n: returns the least witness exponent, found by
-    binary search below the stabilization bound m*, or Absent when the
-    condition fails at m*.
+    Exact for the fixed n: Absent when the condition fails at the
+    stabilization bound m*, else the least witness, stepped up to from 0.
     """
-    cond, m_star = _nc_condition(L, M, n)
-    if not cond(m_star):
-        return NcCertificate(n=n, m=None, bound=m_star)
-    lo, hi = 0, m_star
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cond(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return NcCertificate(n=n, m=lo, bound=m_star)
+    return next(_nc_walk(L, M, n, n))
 
 
 def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
-    """Certificates for n = 1..n_max; M passes at depth n_max iff all present."""
-    if n_max < 1:
-        raise DepthError(f"depth must be >= 1, got {n_max}")
-    return [nc_search(L, M, n) for n in range(1, n_max + 1)]
+    """Certificates for n = 1..n_max; M passes at depth n_max iff all present.
+
+    Every depth past the first Absent one is Absent too, so its certificate
+    is written down with its bound m* and no search.
+    """
+    certs = list(_nc_walk(L, M, 1, n_max))
+    width = L.dim * abs(L.det()).bit_length()
+    return certs + [
+        NcCertificate(n=n, m=None, bound=width * n) for n in range(len(certs) + 1, n_max + 1)
+    ]
 
 
 def nc_passes(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> bool:
     """True iff the condition holds at every depth 1..n_max; stops at the
     first depth that fails."""
-    if n_max < 1:
-        raise DepthError(f"depth must be >= 1, got {n_max}")
-    return all(nc_search(L, M, n).present for n in range(1, n_max + 1))
+    return all(c.present for c in _nc_walk(L, M, 1, n_max))
 
 
 def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bool:
-    """Re-check a certificate from scratch, recomputing the bound m*."""
-    cond, m_star = _nc_condition(L, M, cert.n)
+    """Re-check a certificate from scratch, recomputing L^n and the bound m*.
+
+    Does not use the walk: it evaluates adj(L^n) M L^m at m* for Absent,
+    and at the witness and one below it for Present.
+    """
+    n = cert.n
+    _check_depth(L, n)
+    ln = L**n
+    mod = abs(ln.det())
+    a = (ln.adjugate() * M).rows
+    m_star = L.dim * n * abs(L.det()).bit_length()
     if cert.bound != m_star:
         return False
+    table = _doubling_table(L.rows, mod, m_star.bit_length())
+
+    def cond(m: int) -> bool:
+        return _divisible(_times_power(a, table, m, mod), mod)
+
     if not cert.present:
         return not cond(m_star)
     if not 0 <= cert.m <= m_star or not cond(cert.m):

@@ -185,6 +185,19 @@ def test_subst_description_file(capsys, tmp_path):
     assert len(report["result"]["alphabet"]) == 3
 
 
+def test_subst_description_file_excludes_f(capsys, tmp_path):
+    # the file sets F1, so a domain given by --F as well would be dropped unread
+    desc = tmp_path / "rule.json"
+    desc.write_text(json.dumps({"L": "2,0;0,2", "F1": [[0, 0], [1, 0], [0, 1], [1, -1]]}))
+    argv = ["subst", "patch", "--subst", str(desc), "--F", "0,0;1,0;0,1;1,1", "--box", "-1:1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "odosym: ValueError: --F cannot be given with --subst: the description file sets F1\n"
+    )
+
+
 def test_subst_description_file_with_table(capsys, tmp_path):
     # explicit table equal to the digit rule: behavior must match
     hh = half_hex()

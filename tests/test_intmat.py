@@ -289,13 +289,24 @@ def test_entries_must_be_exact_integers(build):
         (lambda: IntMatrix(((1, 2),)), "must be square"),
         (lambda: ID2 ** -1, "only nonnegative integer powers"),
         (lambda: ID2 * IntMatrix.identity(3), "cannot multiply a 2x2 matrix by a 3x3 one"),
+        # entrywise operations used to zip the rows and drop the extra ones
+        (lambda: ID2.scale(2) + IntMatrix.identity(3), "cannot add a 2x2 matrix and a 3x3 one"),
+        (lambda: IntMatrix.identity(3) - ID2, "cannot subtract a 3x3 matrix and a 2x2 one"),
         (lambda: integer_eigenvalues(IntMatrix.identity(3)), "for 2x2 matrices"),
     ],
-    ids=["not-square", "negative-power", "dims-differ", "eigenvalues-3x3"],
+    ids=["not-square", "negative-power", "dims-differ", "add-dims-differ", "sub-dims-differ",
+         "eigenvalues-3x3"],
 )
 def test_shape_and_power_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_entrywise_operands_must_be_matrices():
+    # as with *, a non-matrix operand is handed back to Python, which raises
+    for build in (lambda: ID2 + 1, lambda: ID2 - None, lambda: 1 + ID2):
+        with pytest.raises(TypeError):
+            build()
 
 
 def split(v, domain):

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from odosym.errors import DepthError, NotExpansionError
-from odosym.intmat import IntMatrix, hnf, parse_matrix
+from odosym.intmat import IntMatrix, hnf, is_expansion, parse_matrix
 from odosym.odometer import (
     ConstantBase,
     NcCertificate,
     OdometerPoint,
+    _mat_mul_mod,
     kappa_embed,
     nc_bounded_check,
     nc_passes,
@@ -183,6 +186,61 @@ def test_nc_search_matches_bruteforce_oracle():
                 assert nc_search(L, M, n).m == expected, (L.rows, M.rows, n)
                 absent += expected is None
     assert 0 < absent < 4 * 12 * 3
+
+
+def test_depth_walk_matches_bruteforce_and_per_depth_search():
+    # the walk starts each depth at the previous witness and stops searching
+    # after the first Absent; brute force and per-depth searches from m = 0 do neither
+    rng = random.Random(18)
+    bases = [parse_matrix("6,1;0,2"), parse_matrix("3,1;0,5"), parse_matrix("1,1,0;0,1,1;1,0,2")]
+    seen = set()
+    for L in bases:
+        d = L.dim
+        # L commutes with itself; the zero and all-ones matrices are singular
+        fixed = [L, IntMatrix.scalar(d, 0), IntMatrix(((1,) * d,) * d)]
+        for M in fixed + [
+            IntMatrix(tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)))
+            for _ in range(9)
+        ]:
+            certs = nc_bounded_check(L, M, 4)
+            ms = [c.m for c in certs]
+            assert ms == [_bruteforce_least_witness(L, M, n) for n in range(1, 5)], (L.rows, M.rows)
+            assert certs == [nc_search(L, M, n) for n in range(1, 5)], (L.rows, M.rows)
+            assert all(verify_nc_certificate(L, M, c) for c in certs), (L.rows, M.rows)
+            seen.add((M.det() == 0, ms[0] is None, ms[-1] is None))
+    # (singular, Absent at depth 1, Absent at depth 4): both kinds of M, Present
+    # throughout, Absent throughout, and Absent from a later depth on
+    assert {(True, False, False), (False, True, True), (False, False, False)} <= seen
+    assert (False, False, True) in seen or (True, False, True) in seen, seen
+
+
+SMALL = st.integers(-4, 4)
+MATRIX_2X2 = st.tuples(st.tuples(SMALL, SMALL), st.tuples(SMALL, SMALL))
+ENTRY = st.integers(-(10**30), 10**30)
+ROWS_2X2 = st.tuples(st.tuples(ENTRY, ENTRY), st.tuples(ENTRY, ENTRY))
+
+
+@given(ROWS_2X2, ROWS_2X2, st.integers(1, 10**30))
+def test_2d_mat_mul_mod_matches_the_general_loop(a, b, mod):
+    # padded with a zero row and column, the 3x3 product runs the general loop
+    def pad(m):
+        return tuple(r + (0,) for r in m) + ((0, 0, 0),)
+
+    assert pad(_mat_mul_mod(a, b, mod)) == _mat_mul_mod(pad(a), pad(b), mod)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRIX_2X2, MATRIX_2X2)
+def test_least_witness_is_monotone_in_depth(rows_l, rows_m):
+    # L^-n M L^m = L (L^-(n+1) M L^m): a depth-(n+1) witness is one at depth n
+    L, M = IntMatrix(rows_l), IntMatrix(rows_m)
+    assume(is_expansion(L))
+    ms = [nc_search(L, M, n).m for n in range(1, 6)]
+    for shallow, deep in zip(ms, ms[1:]):
+        if shallow is None:
+            assert deep is None, ms
+        elif deep is not None:
+            assert shallow <= deep, ms
 
 
 def test_nc_bounded_examples():
