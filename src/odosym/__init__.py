@@ -21,7 +21,6 @@ from .odometer import (
     OdometerPoint,
     kappa_embed,
     nc_bounded_check,
-    nc_passes,
     nc_search,
     verify_nc_certificate,
 )
@@ -60,7 +59,7 @@ __all__ = [
     "validate_domain",
     # odometer
     "ConstantBase", "NcCertificate", "OdometerPoint", "kappa_embed",
-    "nc_bounded_check", "nc_passes", "nc_search", "verify_nc_certificate",
+    "nc_bounded_check", "nc_search", "verify_nc_certificate",
     # classify2d
     "MembershipVerdict", "centralizer", "classify", "is_member",
     # substitution

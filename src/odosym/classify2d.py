@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import NotExpansionError, SizeGuardError
+from .errors import SizeGuardError
 from .intmat import (
     IntMatrix,
     _inv_unimodular,
@@ -44,9 +44,9 @@ from .intmat import (
     commutes,
     format_matrix,
     integer_eigenvalues,
-    is_expansion,
     rad_divides,
 )
+from .odometer import ConstantBase
 
 _ID = IntMatrix.identity(2)
 _SWAP = IntMatrix(((0, 1), (1, 0)))
@@ -187,8 +187,7 @@ class MembershipVerdict:
 def _require_expansion_2x2(L: IntMatrix):
     if L.dim != 2:
         raise ValueError("classification is for 2x2 bases")
-    if not is_expansion(L):
-        raise NotExpansionError(f"not an expansion matrix: {L}")
+    ConstantBase(L)
 
 
 def _primitive(v: tuple[int, int]) -> tuple[int, int]:

@@ -196,14 +196,17 @@ def _patch_payload(patch: dict) -> list:
     return sorted(patch.items())
 
 
-def write_svg(patch: dict, path: str) -> None:
-    cell = 12  # pixels per lattice cell
-    letters = sorted(set(patch.values()))
-    color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(letters)}
+def _raster(patch: dict):
+    """The sorted letters of a 2-D patch and its bounds x0, x1, y0, y1."""
     xs = [p[0] for p in patch]
     ys = [p[1] for p in patch]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    return sorted(set(patch.values())), min(xs), max(xs), min(ys), max(ys)
+
+
+def write_svg(patch: dict, path: str) -> None:
+    cell = 12  # pixels per lattice cell
+    letters, x0, x1, y0, y1 = _raster(patch)
+    color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(letters)}
     width = (x1 - x0 + 1) * cell
     height = (y1 - y0 + 1) * cell
     rows = [
@@ -222,12 +225,8 @@ def write_svg(patch: dict, path: str) -> None:
 
 
 def write_pgm(patch: dict, path: str) -> None:
-    letters = sorted(set(patch.values()))
+    letters, x0, x1, y0, y1 = _raster(patch)
     level = {a: 60 + (195 * i) // max(1, len(letters) - 1) for i, a in enumerate(letters)}
-    xs = [p[0] for p in patch]
-    ys = [p[1] for p in patch]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
     grid = []
     for y in range(y1, y0 - 1, -1):
         row = []

@@ -66,15 +66,8 @@ class IntMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
-
     def columns(self) -> list[Vec]:
-        return [self.column(j) for j in range(self.dim)]
+        return list(zip(*self.rows))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.dim))
@@ -131,13 +124,16 @@ class IntMatrix:
     def __pow__(self, n: int) -> "IntMatrix":
         if n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = IntMatrix.identity(self.dim)
+        if n == 0:
+            return IntMatrix.identity(self.dim)
         base = self
-        while n:
+        while not n & 1:  # the lowest set bit starts the product
+            base, n = base * base, n >> 1
+        result = base
+        while n := n >> 1:  # no squaring past the highest bit
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
         return result
 
     def adjugate(self) -> "IntMatrix":

@@ -21,7 +21,7 @@ It is also monotone in n: if L^-(n+1) M L^m is integral, so is
 L^-n M L^m = L * L^-(n+1) M L^m.  So the least witnesses grow with depth,
 m_n <= m_(n+1), and a depth with no witness (Absent) makes every deeper
 depth Absent.  The depth walk uses both facts: it searches depth n upward
-from m_(n-1) and stops at the first Absent depth.
+from m_(n-1), and from the first Absent depth on it searches no more.
 """
 
 from __future__ import annotations
@@ -156,14 +156,15 @@ def _divisible(acc, mod: int) -> bool:
 def _check_depth(L: IntMatrix, n: int) -> None:
     if n < 1:
         raise DepthError(f"depth must be >= 1, got {n}")
-    if not is_expansion(L):
-        raise NotExpansionError(f"not an expansion matrix: {L}")
+    ConstantBase(L)
 
 
 def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
-    """Certificates for depths first..last, stopping after the first Absent.
+    """Certificates for depths first..last.
 
-    The search at depth `first` starts from m = 0 and every later one from
+    From the first Absent depth on every depth is Absent, so those
+    certificates are written down with their bounds m* and no search.  The
+    search at depth `first` starts from m = 0 and every later one from
     the previous witness.  acc = adj(L^n) M L^m is carried from depth to
     depth mod det(L)^last, which every shallower modulus det(L)^n divides:
     one step in m multiplies it by L on the right, one step in n by adj L on
@@ -181,7 +182,8 @@ def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
             mod, m_star = det**n, width * n
             if not _divisible(acc, mod):
                 if not _divisible(_times_power(acc, table, m_star - m, top), mod):
-                    yield NcCertificate(n=n, m=None, bound=m_star)
+                    for k in range(n, last + 1):
+                        yield NcCertificate(n=k, m=None, bound=width * k)
                     return
                 while not _divisible(acc, mod):
                     acc, m = _mat_mul_mod(acc, table[0], top), m + 1
@@ -199,22 +201,8 @@ def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
 
 
 def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
-    """Certificates for n = 1..n_max; M passes at depth n_max iff all present.
-
-    Every depth past the first Absent one is Absent too, so its certificate
-    is written down with its bound m* and no search.
-    """
-    certs = list(_nc_walk(L, M, 1, n_max))
-    width = L.dim * abs(L.det()).bit_length()
-    return certs + [
-        NcCertificate(n=n, m=None, bound=width * n) for n in range(len(certs) + 1, n_max + 1)
-    ]
-
-
-def nc_passes(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> bool:
-    """True iff the condition holds at every depth 1..n_max; stops at the
-    first depth that fails."""
-    return all(c.present for c in _nc_walk(L, M, 1, n_max))
+    """Certificates for n = 1..n_max; M passes at depth n_max iff all present."""
+    return list(_nc_walk(L, M, 1, n_max))
 
 
 def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bool:

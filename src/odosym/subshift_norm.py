@@ -20,7 +20,6 @@ from operator import add, index
 from .errors import (
     MarginError,
     MissingCertificateError,
-    NotExpansionError,
     WindowError,
     WrongBranchError,
 )
@@ -34,11 +33,10 @@ from .intmat import (
     format_vector,
     fundamental_domain,
     hnf,
-    is_expansion,
     vec_add,
     zero_vec,
 )
-from .odometer import OdometerPoint
+from .odometer import ConstantBase, OdometerPoint
 from .substitution import (
     ConstantShapeSubstitution,
     box_positions,
@@ -120,8 +118,6 @@ class NLRejection:
     reason: str  # "non-integral-conjugate" or "residue-unstable"
     detail: str
 
-    accepted = False
-
     def to_payload(self) -> dict:
         return {
             "accepted": False,
@@ -159,8 +155,7 @@ def nl_membership(
     """
     if M.det() not in (1, -1):
         raise ValueError(f"matrix must be unimodular, det = {M.det()}")
-    if not is_expansion(L):
-        raise NotExpansionError(f"not an expansion matrix: {L}")
+    ConstantBase(L)
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     if domain is None:
@@ -228,7 +223,6 @@ class LocalRule:
     in window order) that matched the class table to its level.
     """
 
-    certificate: NLCertificate
     substitution: ConstantShapeSubstitution
     window: tuple[Vec, ...]
     m_inv: IntMatrix
@@ -255,7 +249,6 @@ def build_local_rule(
         per_level.append(dict(_residue_action(c, domain)))
     window = tuple(sorted(supports(subst, n0)[n0]))
     return LocalRule(
-        certificate=cert,
         substitution=subst,
         window=window,
         m_inv=_inv_unimodular(cert.M),

@@ -13,19 +13,19 @@ from dataclasses import dataclass
 from itertools import product
 from operator import index
 
-from .errors import NotExpansionError, SizeGuardError, WrongBranchError
+from .errors import SizeGuardError, WrongBranchError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
     fundamental_domain,
     hnf,
-    is_expansion,
     validate_domain,
     vec_add,
     vec_sub,
     zero_vec,
 )
+from .odometer import ConstantBase
 
 Letter = Vec
 
@@ -44,8 +44,7 @@ class ConstantShapeSubstitution:
 
     def __post_init__(self):
         # tau strips factors of L and would never stop on a non-expansion base
-        if not is_expansion(self.base):
-            raise NotExpansionError(f"not an expansion matrix: {self.base}")
+        ConstantBase(self.base)
         support = set(self.domain.reps)
         for letter in self.alphabet:
             if letter not in self.table:
@@ -158,7 +157,13 @@ def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
 def fixed_point_patch(
     s: ConstantShapeSubstitution, seed: Letter, region
 ) -> dict[Vec, Letter]:
-    """Letters of the fixed point with the given origin letter, on the region."""
+    """Letters of the fixed point with the given origin letter, on the region.
+
+    The letters are read off the digits, which is right for the
+    self-similar family only; any other rule raises WrongBranchError.
+    """
+    if not s.is_self_similar():
+        raise WrongBranchError("fixed points are read off the digits of the self-similar family")
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
@@ -231,7 +236,10 @@ def k_set(s: ConstantShapeSubstitution, m_max: int) -> KSetReport:
     whether translates L^n(K) + F_n, n up to the first depth past m_max
     with |det|^n >= (4 r)^d, cover the test box [-r, r]^d, r = 8.
     """
-    levels = supports(s, m_max)
+    cov_depth = m_max + 1
+    while abs(s.base.det()) ** cov_depth < (4 * _COVERAGE_RADIUS) ** s.dim:
+        cov_depth += 1
+    levels = supports(s, cov_depth)
     ident = IntMatrix.identity(s.dim)
     stages = []
     points: set = set()
@@ -248,16 +256,12 @@ def k_set(s: ConstantShapeSubstitution, m_max: int) -> KSetReport:
             stable_from = m
         else:
             break
-    cov_depth = m_max + 1
-    while abs(s.base.det()) ** cov_depth < (4 * _COVERAGE_RADIUS) ** s.dim:
-        cov_depth += 1
     covered: set = set()
-    cov_levels = supports(s, cov_depth)
     for n in range(cov_depth + 1):
         ln = s.base**n
         for k in points:
             lk = ln.mul_vec(k)
-            for f in cov_levels[n]:
+            for f in levels[n]:
                 covered.add(vec_add(lk, f))
     box = box_positions(-_COVERAGE_RADIUS, _COVERAGE_RADIUS, s.dim)
     ok = all(p in covered for p in box)
@@ -288,20 +292,15 @@ def recognizability_check(s: ConstantShapeSubstitution, n: int) -> tuple[bool, t
     Returns (True, None) or (False, (a, b)) with a counterexample pair.
     Equal windows always force congruent positions for the self-similar
     family, so any counterexample signals an implementation bug; the check
-    doubles as a self-test.
+    doubles as a self-test.  Any other rule raises WrongBranchError.
     """
-    seed = min(s.alphabet)
     fn = sorted(supports(s, n)[n])
     basis = hnf(s.base**n)
     box = box_positions(-8, 8, s.dim)
+    cells = fixed_point_patch(s, min(s.alphabet), {vec_add(a, f) for a in box for f in fn})
     patches: dict = {}
-    zero = zero_vec(s.dim)
     for a in box:
-        sig = []
-        for f in fn:
-            pos = vec_add(a, f)
-            sig.append(seed if pos == zero else tau(s, pos))
-        sig = tuple(sig)
+        sig = tuple(cells[vec_add(a, f)] for f in fn)
         if sig in patches:
             b = patches[sig]
             if not basis.contains(vec_sub(a, b)):

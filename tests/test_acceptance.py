@@ -12,7 +12,12 @@ import random
 import time
 from itertools import product
 
-from tests_shared import rand_unimodular_small, rand_unimodular_steps, unimodular_inverse
+from tests_shared import (
+    nc_passes,
+    rand_unimodular_small,
+    rand_unimodular_steps,
+    unimodular_inverse,
+)
 
 from odosym.classify2d import (
     CentralizerFinite,
@@ -23,7 +28,7 @@ from odosym.classify2d import (
     is_member,
 )
 from odosym.intmat import IntMatrix, parse_matrix
-from odosym.odometer import ConstantBase, kappa_embed, nc_bounded_check, nc_passes
+from odosym.odometer import ConstantBase, kappa_embed, nc_bounded_check
 from odosym.substitution import (
     fixed_point_count,
     fixed_point_patch,

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from tests_shared import (
     brute_force_centralizer,
+    nc_passes,
     rand_unimodular_small,
     rand_unimodular_steps,
     unimodular_inverse,
@@ -26,7 +27,6 @@ from odosym.classify2d import (
 )
 from odosym.errors import NotExpansionError
 from odosym.intmat import IntMatrix, commutes, integer_eigenvalues, is_expansion, parse_matrix
-from odosym.odometer import nc_passes
 
 ID2 = IntMatrix.identity(2)
 

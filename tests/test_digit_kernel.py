@@ -65,7 +65,7 @@ def test_cases_cover_the_required_shapes():
     bases = [s.base for _, s in CASES]
     assert any(b.det() < 0 for b in bases)
     off_diagonal = [(i, j) for i in range(3) for j in range(3) if i != j]
-    assert any(any(b[i, j] for i, j in off_diagonal if max(i, j) < b.dim) for b in bases)
+    assert any(any(b.rows[i][j] for i, j in off_diagonal if max(i, j) < b.dim) for b in bases)
     assert {b.dim for b in bases} == {2, 3}
     assert "half-hex" in IDS
 

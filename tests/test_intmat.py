@@ -302,6 +302,16 @@ def test_shape_and_power_errors(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "a", [parse_matrix("2,-1;1,3"), parse_matrix("0,-3;1,2"), parse_matrix("1,2,0;-1,0,3;2,1,1")]
+)
+def test_power_is_repeated_product(a):
+    want = IntMatrix.identity(a.dim)
+    for n in range(13):
+        assert a**n == want, n
+        want = want * a
+
+
 def test_entrywise_operands_must_be_matrices():
     # as with *, a non-matrix operand is handed back to Python, which raises
     for build in (lambda: ID2 + 1, lambda: ID2 - None, lambda: 1 + ID2):

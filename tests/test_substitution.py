@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from odosym.errors import SizeGuardError, WrongBranchError
-from odosym.intmat import IntMatrix, hnf, parse_matrix
+from odosym.intmat import IntMatrix, fundamental_domain, hnf, parse_matrix
 from odosym.substitution import (
     ConstantShapeSubstitution,
     fixed_point_count,
@@ -135,6 +135,26 @@ def test_fixed_point_patch_on_f1():
     assert p[(1, 0)] == (1, 0)
     assert p[(0, 1)] == (0, 1)
     assert p[(1, -1)] == (1, -1)
+
+
+def test_fixed_points_need_the_self_similar_family():
+    # every letter writes the least letter a at each nonzero digit, so the
+    # fixed point seeded by a is constant, but the digits of sigma_L are not
+    L = parse_matrix("3,0;0,3")
+    domain = fundamental_domain(L)
+    digits = [f for f in domain.reps if any(f)]
+    a = min(digits)
+    table = {x: {f: a if any(f) else x for f in domain.reps} for x in digits}
+    s = ConstantShapeSubstitution(base=L, domain=domain, alphabet=frozenset(digits), table=table)
+    assert not s.is_self_similar()
+    iterated = substitute(s, substitute(s, {(0, 0): a}))
+    by_digits = fixed_point_patch(sigma_L(L, domain), a, box(2))
+    wrong = [p for p in box(2) if p in iterated and iterated[p] != by_digits[p]]
+    assert wrong[:3] == [(0, 2), (1, 0), (1, 1)]
+    with pytest.raises(WrongBranchError, match="self-similar"):
+        fixed_point_patch(s, a, box(2))
+    with pytest.raises(WrongBranchError, match="self-similar"):
+        recognizability_check(s, 1)
 
 
 def test_fixed_point_counts():

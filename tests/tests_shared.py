@@ -3,6 +3,7 @@
 from itertools import product
 
 from odosym.intmat import IntMatrix, commutes
+from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
 
 
@@ -32,6 +33,11 @@ def rand_unimodular_small(rng, bound=3):
         )
         if m.det() in (1, -1):
             return m
+
+
+def nc_passes(L, M, n_max):
+    """True iff the normalizer condition holds at every depth 1..n_max."""
+    return all(c.present for c in nc_bounded_check(L, M, n_max))
 
 
 def shift(patch, z):
