@@ -23,10 +23,10 @@ where it is the eigenline whose eigenvalue is a p-adic unit.  So:
 Every centralizer comes from one route, _order_units: the unimodular
 matrices commuting with a non-scalar L are the units of the quadratic
 order Z Id + Z A, read off the solutions of x^2 - D' y^2 = +-4.  A real
-irrational spectrum takes one continued-fraction period of sqrt(D'),
-with no iteration cap; the only limit is that the answer must print,
-and a unit with more digits than sys.get_int_max_str_digits() raises
-SizeGuardError.  Everything is exact integer arithmetic.
+irrational spectrum walks half a continued-fraction period of sqrt(D'),
+since the period is a palindrome, with no iteration cap; the answer must
+print, so a unit with more digits than sys.get_int_max_str_digits()
+raises SizeGuardError.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -247,19 +247,19 @@ def _triangular_form(L: IntMatrix) -> _Triangular:
 
 
 def _canonical_pick(cands):
-    """Deterministic tie-break: small entries, then large trace, then lex."""
-    return min(cands, key=lambda m: (m.max_abs(), -m.trace(), m.rows))
+    """Deterministic tie-break on rows: small entries, then large trace, then lex."""
+    return min(cands, key=lambda r: (max(map(abs, r[0] + r[1])), -r[0][0] - r[1][1], r))
 
 
 def _candidates_from_solution(L, g, x, y):
-    """The matrices +-(a Id + y A) with 2a + y trace(A) = +-x."""
+    """The rows of the matrices +-(a Id + y A) with 2a + y trace(A) = +-x."""
     (p, q), (r, s) = L.rows
     delta, m12, m21 = (p - s) // g * y, q // g * y, r // g * y
     out = []
     for xs in (x, -x):
         m22 = (xs - delta) // 2
-        m = IntMatrix(((m22 + delta, m12), (m21, m22)))
-        out.extend((m, -m))
+        out.append(((m22 + delta, m12), (m21, m22)))
+        out.append(((-m22 - delta, -m12), (-m21, -m22)))
     return out
 
 
@@ -289,25 +289,34 @@ def _digit_guard(n: int, dp: int, limit: int) -> None:
 def _pell_walk(dp: int, limit: int) -> tuple[int, int]:
     """Least (x, y), y > 0, with x^2 - dp y^2 = +-4, for non-square dp > 16.
 
-    Walks the continued fraction of sqrt(dp).  The convergent p/q has
-    norm p^2 - dp q^2 = (-1)^(k+1) d with d the next denominator of the
-    expansion, and d = 1 closes the first period, so the walk stops
-    within one period.  Since 4 < sqrt(dp), a solution with gcd(x, y) = 1
-    is a convergent (Legendre) and any other is twice a convergent of
-    norm +-1; unit y values grow by a factor x >= 4, so the first
-    convergent of norm +-1 or +-4 gives the fundamental unit.
+    Walks the continued fraction of sqrt(dp), complete quotients
+    (P_k + sqrt(dp))/Q_k: the convergent A_k/B_k has norm (-1)^(k+1) Q_(k+1)
+    and Q_l = 1 closes the period l.  Since 4 < sqrt(dp), a solution with
+    gcd(x, y) = 1 is a convergent (Legendre) and any other is twice one of
+    norm +-1; unit y values grow by a factor x >= 4, so the first convergent
+    of norm +-1 or +-4 gives the fundamental unit.  The period is a
+    palindrome, Q_k = Q_(l-k) and P_k = P_(l-k+1) (Perron), so a Q = 4 of
+    the second half shows in the first, and the walk stops at the first k
+    with Q_k = Q_(k-1) (l = 2k-1) or P_k = P_(k-1) (l = 2k-2), where (A, B)_(l-1)
+    is (A_(k-1) B_(k-1) + A_(k-2) B_(k-2), B_(k-1)^2 + B_(k-2)^2) for l odd,
+    (A_(k-2) B_(k-1) + A_(k-3) B_(k-2), B_(k-2) (B_(k-1) + B_(k-3))) for l even.
     """
-    a0 = isqrt(dp)
+    a0, bits = isqrt(dp), 3 * limit
     m, d, a = 0, 1, a0
     p0, p, q0, q = 1, a0, 0, 1
-    while True:
-        m = d * a - m
-        d = (dp - m * m) // d
+    while True:  # p/q, p0/q0 = A/B_(k-1), A/B_(k-2) at P_k = m, Q_k = d
+        m_prev, m = m, d * a - m
+        d_prev, d = d, (dp - m * m) // d
         if d == 4:
             return p, q
         if d == 1:
             return 2 * p, 2 * q
-        _digit_guard(p, dp, limit)
+        if d == d_prev:
+            return 2 * (p * q + p0 * q0), 2 * (q * q + q0 * q0)
+        if m == m_prev:  # p - a p0 = A_(k-3), 2q - a q0 = B_(k-1) + B_(k-3)
+            return 2 * (p0 * q + (p - a * p0) * q0), 2 * q0 * (2 * q - a * q0)
+        if p.bit_length() > bits:
+            _digit_guard(p, dp, limit)
         a = (a0 + m) // d
         p0, p = p, a * p + p0
         q0, q = q, a * q + q0
@@ -328,14 +337,14 @@ def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
     if dp == 0:
         # x = +-2 for every y: the units are +-(Id + N)^y, N = A - trace(A)/2 Id
         # nilpotent, and the first candidate of (2, 1) is Id + N
-        return CentralizerInfinite(_candidates_from_solution(L, g, 2, 1)[0])
+        return CentralizerInfinite(IntMatrix(_candidates_from_solution(L, g, 2, 1)[0]))
     if dp < 0 or isqrt(dp) ** 2 == dp:
         # finite: D' < 0 forces |D'| y^2 <= 4, and D' = w^2 factors the norm
         # as (x - wy)(x + wy) = +-4, so x + wy divides 4; either way y <= 4
         rows = {_ID.rows, (-_ID).rows}
         for y in range(1, 5):
             for x in _pell_xs(dp, y):
-                rows.update(m.rows for m in _candidates_from_solution(L, g, x, y))
+                rows.update(_candidates_from_solution(L, g, x, y))
         return CentralizerFinite(_sorted_elements(rows))
     limit = sys.get_int_max_str_digits()
     if dp > 16:
@@ -344,7 +353,8 @@ def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
         # 4 >= sqrt(D'), below Legendre's criterion: D' = 0, 1 mod 4 leaves
         # 5, 8, 12 and 13, each solved at y = 1 (D' = 5 twice: x = 1, 3)
         sols = [(x, 1) for x in _pell_xs(dp, 1)]
-    best = _canonical_pick([m for sol in sols for m in _candidates_from_solution(L, g, *sol)])
+    cands = [r for sol in sols for r in _candidates_from_solution(L, g, *sol)]
+    best = IntMatrix(_canonical_pick(cands))
     _digit_guard(best.max_abs(), dp, limit)
     assert commutes(L, best) and best.det() in (1, -1) and best not in (_ID, -_ID)
     return CentralizerInfinite(best)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .classify2d import class_to_payload, classify, is_member
-from .errors import MarginError, MatrixParseError
+from .errors import MarginError, MatrixParseError, WrongBranchError
 from .intmat import (
     IntMatrix,
     format_matrix,
@@ -323,9 +323,9 @@ def cmd_subst(args) -> Answer:
     seed = parse_vector(args.seed) if args.seed else min(s.alphabet)
     lo, hi = _parse_box(args.box)
     region = box_positions(lo, hi, s.dim)
-    if s.is_self_similar():
+    try:
         patch = fixed_point_patch(s, seed, region)
-    else:
+    except WrongBranchError:
         if seed not in s.alphabet:
             raise ValueError(f"seed {seed} is not a letter")
         # general rule: iterate from the seed letter past 16 cells per box

@@ -13,7 +13,12 @@ import pytest
 import odosym
 from odosym.cli import _join_flag_values, _patch_payload, build_parser, main, run_verify_paper
 from odosym.odometer import NcCertificate
-from odosym.substitution import box_positions, fixed_point_patch, half_hex
+from odosym.substitution import (
+    ConstantShapeSubstitution,
+    box_positions,
+    fixed_point_patch,
+    half_hex,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,7 +35,8 @@ def test_classify_command(capsys):
     assert report["schema"] == 1
     assert report["result"]["branch"] == "klein-four"
     assert report["result"]["finite"] is True
-    # D = 148201: its fundamental unit needs 786 continued-fraction steps
+    # D = 148201: the period of sqrt(D) has 787 terms, and the walk stops
+    # at its midpoint, the 394th
     code2, report2 = run_cli(["classify", "--matrix", "0,-392;1,387"], capsys)
     assert code2 == 0
     assert report2["result"]["branch"] == "centralizer-infinite"
@@ -171,6 +177,21 @@ def test_subst_command_spec_invocation(capsys, tmp_path):
     assert cells[(3, 1)] == (1, -1)
     assert len(cells) == 17 * 17
     assert pgm.read_text().startswith("P2")
+
+
+def test_subst_scans_self_similarity_once(capsys, monkeypatch):
+    calls = []
+    scan = ConstantShapeSubstitution.is_self_similar
+
+    def counted(s):
+        calls.append(s.base)
+        return scan(s)
+
+    monkeypatch.setattr(ConstantShapeSubstitution, "is_self_similar", counted)
+    code, report = run_cli(["subst", "patch", "--L", "3,0;0,3", "--box", "-2:2"], capsys)
+    assert code == 0
+    assert len(report["result"]["patch"]) == 25
+    assert len(calls) == 1
 
 
 def test_subst_description_file(capsys, tmp_path):

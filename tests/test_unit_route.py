@@ -11,7 +11,8 @@ bounded entries.
 import random
 import sys
 import time
-from itertools import product
+from collections import Counter
+from itertools import count, product
 from math import gcd, isqrt
 
 import pytest
@@ -64,6 +65,29 @@ def cf_pell_pm4_oracle(d, k_bound=4000):
                 if x * x == t:
                     return x, y
     raise AssertionError("oracle exhausted")
+
+
+def full_period_pell_oracle(d):
+    """The walk over a whole continued-fraction period that _pell_walk replaced.
+
+    Returns the least (x, y) and how the half-period walk must end: "norm-4"
+    at the first convergent of norm +-4 (the palindrome puts it in the first
+    half), "short" for a period of length 1 or 2 (closed by Q = 1 before any
+    midpoint test), else "odd" or "even", the parity of the period length.
+    """
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, p, q0, q = 1, a0, 0, 1
+    for k in count(1):
+        m = den * a - m
+        den = (d - m * m) // den
+        if den == 4:
+            return (p, q), "norm-4"
+        if den == 1:
+            return (2 * p, 2 * q), "short" if k <= 2 else ("odd" if k % 2 else "even")
+        a = (a0 + m) // den
+        p0, p = p, a * p + p0
+        q0, q = q, a * q + q0
 
 
 def sympy_least_pm4(d):
@@ -132,7 +156,7 @@ def finite_enumeration_oracle(L):
 
 
 # ---------------------------------------------------------------------------
-# the real irrational case: one continued-fraction period
+# the real irrational case: half a continued-fraction period
 # ---------------------------------------------------------------------------
 
 
@@ -162,12 +186,26 @@ def test_pell_fundamental_matches_oracles():
             x, y = unit_xy(companion(d), _order_units(companion(d)).automorph)
             assert abs(y) == cf_pell_pm4_oracle(d)[1]
             assert x * x - d * y * y in (4, -4)
-    # D' > 16, one period: exactly the scan's and sympy's least solution
+    # D' > 16, half a period: exactly the scan's and sympy's least solution
     for d in (21, 29, 53, 61, 173, 293):
         assert _pell_walk(d, 0) == cf_pell_pm4_oracle(d)
     for d in range(17, 3000):
         if isqrt(d) ** 2 != d:
             assert _pell_walk(d, 0) == sympy_least_pm4(d), d
+
+
+def test_half_period_walk_matches_the_full_period():
+    rng = random.Random(16)
+    small = [d for d in range(17, 20001) if isqrt(d) ** 2 != d]
+    drawn = [d for d in (rng.randint(17, 10**9) for _ in range(2000)) if isqrt(d) ** 2 != d]
+    for ds in (small, drawn):
+        ends = Counter()
+        for d in ds:
+            want, end = full_period_pell_oracle(d)
+            assert _pell_walk(d, 0) == want, d
+            ends[end] += 1
+        # both midpoint formulas are reached
+        assert ends["odd"] > 0 and ends["even"] > 0, ends
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,6 +332,22 @@ def test_probe_square_discriminant_with_huge_gap():
     assert centralizer(L) == CentralizerFinite((-ID2, ID2))
     assert set(brute_force_centralizer(L, 6)) == {ID2, -ID2}
     assert _best_ms(centralizer, L) < 10
+
+
+def test_size_guard_on_a_unit_past_the_half_period():
+    # the half-period convergents of D' = 1000000000065 stay under the
+    # digit limit, so the walk returns; the unit built from them does not
+    d = 1000000000065
+    limit = sys.get_int_max_str_digits()
+    started = time.perf_counter()
+    x, _ = _pell_walk(d, limit)
+    assert x >= 10**limit
+    with pytest.raises(SizeGuardError) as err:
+        centralizer(companion(d))
+    assert time.perf_counter() - started < 1
+    assert order_data(companion(d))[2] == d
+    assert f"D'={d}" in str(err.value)
+    assert f"more than {limit} digits" in str(err.value)
 
 
 def test_size_guard_names_the_limit():
