@@ -106,17 +106,7 @@ class IntMatrix:
         n = self.dim
         if len(other.rows) != n:
             raise ValueError(f"cannot multiply a {n}x{n} matrix by a {other.dim}x{other.dim} one")
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            return IntMatrix(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-        cols = list(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(ra[k] * col[k] for k in range(n)) for col in cols)
-                for ra in self.rows
-            )
-        )
+        return IntMatrix(_rows_mul(self.rows, other.rows))
 
     def mul_vec(self, v: Vec) -> Vec:
         return _apply(self.rows, v)
@@ -188,6 +178,16 @@ def _apply(rows, v) -> Vec:
         x, y = v
         return (a * x + b * y, c * x + d * y)
     return tuple(sum(map(mul, r, v)) for r in rows)
+
+
+def _rows_mul(a, b):
+    """The product of two square matrices of one size, given by their rows."""
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        (e, f), (g, h) = b
+        return ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, ra, col)) for col in cols) for ra in a)
 
 
 def _minor(rows, i, j):

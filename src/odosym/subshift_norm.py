@@ -14,6 +14,7 @@ patches evaluate correctly) and applies the per-level coset permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from operator import add, index
 
@@ -29,6 +30,7 @@ from .intmat import (
     Vec,
     _apply,
     _inv_unimodular,
+    _rows_mul,
     format_matrix,
     format_vector,
     fundamental_domain,
@@ -55,21 +57,23 @@ from .substitution import (
 def _conjugates(L: IntMatrix, M: IntMatrix):
     """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral: the
     numerators adj(L)^n M L^n walk level to level over det(L)^n.  A scalar
-    L commutes with M, so there C_n = M at every level."""
-    adj, det = L.adjugate(), L.det()
-    scalar = L == IntMatrix.scalar(L.dim, L.rows[0][0])
-    num, ln, scale = M, IntMatrix.identity(L.dim), 1
+    L commutes with M, so there C_n = M at every level.  The walk runs on
+    row tuples; only a yielded C_n becomes an IntMatrix."""
+    adj, det, l, m = L.adjugate(), L.det(), L.rows, M.rows
+    left = (adj * M).rows  # adj(L) M, the first step; the product checks the sizes
+    scalar = l == IntMatrix.scalar(L.dim, l[0][0]).rows
+    num, ln, scale = m, IntMatrix.identity(L.dim).rows, 1
     while True:
         c = None
-        if not any(x % scale for r in num.rows for x in r):
-            c = num
-            if scale != 1:
-                c = IntMatrix(tuple(tuple(x // scale for x in r) for r in num.rows))
-            assert ln * c == M * ln
+        if not any(x % scale for r in num for x in r):
+            c = num if scale == 1 else tuple(tuple(x // scale for x in r) for r in num)
+            assert _rows_mul(ln, c) == _rows_mul(m, ln)
+            c = M if c is m else IntMatrix(c)
         yield c
-        ln = ln * L
+        ln = _rows_mul(ln, l)
         if not scalar:
-            num, scale = adj * num * L, scale * det
+            num, scale = _rows_mul(left, l), scale * det
+            left = _rows_mul(adj.rows, num)
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,8 @@ class LocalRule:
     deeper than n0 (including the origin of a fixed point) all use the
     stabilized permutation.  m_inv is M^{-1}, which pulls an output
     position back to its source.  _levels maps each window pattern (letters
-    in window order) that matched the class table to its level.
+    in window order) that matched the class table to its level; it belongs
+    to the base's frame, so every rule on the same (L, domain, n0) shares it.
     """
 
     substitution: ConstantShapeSubstitution
@@ -229,7 +234,7 @@ class LocalRule:
     n0: int
     per_level: tuple[dict, ...]
     _class_table: tuple
-    _levels: dict = field(default_factory=dict, repr=False, compare=False)
+    _levels: dict = field(repr=False, compare=False)
 
 
 def build_local_rule(
@@ -239,7 +244,6 @@ def build_local_rule(
     L = cert.L
     if domain is None:
         domain = fundamental_domain(L)
-    subst = sigma_L(L, domain)
     n0 = cert.n0
     per_level = []
     for v in range(n0 + 1):
@@ -247,15 +251,33 @@ def build_local_rule(
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
         per_level.append(dict(_residue_action(c, domain)))
-    window = tuple(sorted(supports(subst, n0)[n0]))
+    subst, window, class_table, levels = _frame(L, domain, n0)
     return LocalRule(
         substitution=subst,
         window=window,
         m_inv=_inv_unimodular(cert.M),
         n0=n0,
         per_level=tuple(per_level),
-        _class_table=_valuation_class_table(subst, n0, window),
+        _class_table=class_table,
+        _levels=levels,
     )
+
+
+# One frame per (base, domain, n0).  The phi traffic has 10 bases.  A frame
+# holds |det|^n0 cosets with |F_n0| - 1 forced letters each and, since each
+# coset leaves one window cell free, at most |det|^n0 (|det| - 1) memoized
+# patterns (only patterns over the alphabet are kept): 32 frames stay small,
+# and a run over a few bases never rebuilds one.
+@lru_cache(maxsize=32)
+def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
+    """(sigma_L, sorted F_{n0}, class table, pattern memo) of one base.
+
+    The rules of one frame share the memo: a pattern's level depends only
+    on sigma_L, n0 and the pattern, never on M.
+    """
+    subst = sigma_L(L, domain)
+    window = tuple(sorted(supports(subst, n0)[n0]))
+    return subst, window, _valuation_class_table(subst, n0, window), {}
 
 
 def _valuation_class_table(subst, n0, window):
@@ -286,8 +308,6 @@ def _valuation_class_table(subst, n0, window):
 
 def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     """Truncated digit level of the pattern of the rule's window at pos."""
-    if rule.n0 == 0:
-        return 0
     if len(pos) == 2:
         x, y = pos
         key = tuple([patch.get((x + a, y + b)) for a, b in rule.window])
@@ -303,7 +323,9 @@ def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     # first coset that matches has the level of every other match
     for _, level, forced in rule._class_table:
         if all(pattern[f] == letter for f, letter in forced.items()):
-            rule._levels[key] = level
+            # the free cell may hold anything; only letters keep the memo bounded
+            if rule.substitution.alphabet.issuperset(key):
+                rule._levels[key] = level
             return level
     raise WindowError(f"window pattern at {pos} matches no digit coset")
 
@@ -316,13 +338,20 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     the positions a patch must cover.
     """
     m_inv = rule.m_inv.rows
+    if len(m_inv) == 2:
+        (a, b), (c, d) = m_inv
+        sources = {}
+        for t in region:
+            x, y = map(index, t)
+            sources[x, y] = (a * x + b * y, c * x + d * y)
+        if rule.n0 == 0:
+            return sources, set(sources.values())
+        cells = {(x + a, y + b) for a, b in rule.window for x, y in sources.values()}
+        return sources, cells
     sources = {t: _apply(m_inv, t) for t in (tuple(map(index, t)) for t in region)}
     if rule.n0 == 0:
         return sources, set(sources.values())
-    if rule.m_inv.dim == 2:
-        cells = {(x + a, y + b) for a, b in rule.window for x, y in sources.values()}
-    else:
-        cells = {tuple(map(add, u, f)) for f in rule.window for u in sources.values()}
+    cells = {tuple(map(add, u, f)) for f in rule.window for u in sources.values()}
     return sources, cells
 
 
@@ -336,12 +365,28 @@ def apply_endomorphism(
     picks the permutation applied to the letter at u.  A position whose
     source or window leaves the patch raises a margin error.
     """
-    out = {}
+    out, per_level = {}, rule.per_level
+    if rule.n0 == 0:
+        perm = per_level[0]
+        for t, u in sources.items():
+            letter = patch.get(u)
+            if letter is None:
+                raise MarginError(f"source position {u} missing from the patch")
+            out[t] = perm[letter]
+        return out
+    levels, window, get = rule._levels, rule.window, patch.get
+    two = len(window[0]) == 2
     for t, u in sources.items():
-        letter = patch.get(u)
+        letter = get(u)
         if letter is None:
             raise MarginError(f"source position {u} missing from the patch")
-        out[t] = rule.per_level[_truncated_level(rule, patch, u)][letter]
+        level = None
+        if two:  # a known pattern needs no class-table scan
+            x, y = u
+            level = levels.get(tuple([get((x + a, y + b)) for a, b in window]))
+        if level is None:
+            level = _truncated_level(rule, patch, u)
+        out[t] = per_level[level][letter]
     return out
 
 

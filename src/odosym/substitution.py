@@ -167,16 +167,33 @@ def fixed_point_patch(
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    reduce, rep_of_key = s.domain.hnf_basis.reduce_vec, s.domain._rep_of_key
-    zero = zero_vec(s.dim)
-    cells = {}
-    for pos in region:
-        pos = tuple(map(index, pos))
-        key = reduce(pos)
-        if any(key):  # the first digit is the one at level 0
-            cells[pos] = rep_of_key[key]
-        else:  # pos in L(Z^d): only these strip further
-            cells[pos] = seed if pos == zero else tau(s, pos)
+    rep_of_key, cells, deep = s.domain._rep_of_key, {}, []
+    if s.dim == 2:
+        (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
+        for x, y in region:
+            x, y = index(x), index(y)
+            key = (x % h00, (y - x // h00 * h10) % h11)
+            if key != (0, 0):  # the first digit is the one at level 0
+                cells[x, y] = rep_of_key[key]
+            else:
+                deep.append((x, y))
+    else:
+        reduce = s.domain.hnf_basis.reduce_vec
+        for pos in region:
+            pos = tuple(map(index, pos))
+            key = reduce(pos)
+            if any(key):
+                cells[pos] = rep_of_key[key]
+            else:
+                deep.append(pos)
+    # pos in L(Z^d) has the first nonzero digit of L^{-1} pos
+    zero, solve = zero_vec(s.dim), s.base.solve_exact
+    for pos in deep:
+        if pos == zero:
+            cells[pos] = seed
+            continue
+        letter = cells.get(solve(pos))
+        cells[pos] = tau(s, pos) if letter is None else letter
     return cells
 
 

@@ -1,0 +1,176 @@
+"""Oracles for the phi kernels: the coordinate formula of the local rule and
+the memoized fixed-point descent, cold and warm, in d = 2 and d = 3."""
+
+import random
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tests_shared import rand_unimodular_steps, unimodular_inverse
+
+from odosym.intmat import IntMatrix, fundamental_domain, is_expansion, validate_domain
+from odosym.substitution import fixed_point_patch, sigma_L, tau, valuation
+from odosym import subshift_norm
+from odosym.subshift_norm import (
+    NLCertificate,
+    _frame,
+    _truncated_level,
+    apply_endomorphism,
+    build_local_rule,
+    nl_membership,
+    pullback_positions,
+)
+
+TWO = IntMatrix.scalar(2, 2)
+HH_DOMAIN = validate_domain(TWO, [(0, 0), (1, 0), (0, 1), (1, -1)])
+UNIMODULAR_4 = [
+    IntMatrix((r[:2], r[2:]))
+    for r in product(range(-4, 5), repeat=4)
+    if r[0] * r[3] - r[1] * r[2] in (1, -1)
+]
+
+
+def box(radius, d=2):
+    return [tuple(t) for t in product(range(-radius, radius + 1), repeat=d)]
+
+
+def phi_traffic_pairs():
+    """(L, domain, M) for every pair of the 10 bases the phi benchmark draws:
+    half-hex and 3,0;0,3 with every unimodular M of entries in [-4, 4], and
+    diag(+-2, +-4), diag(+-4, +-2) with their odd shears."""
+    out = [(TWO, HH_DOMAIN, m) for m in UNIMODULAR_4]
+    three = IntMatrix.scalar(2, 3)
+    out += [(three, fundamental_domain(three), m) for m in UNIMODULAR_4]
+    for sa, sb, s1, s2, b in product((1, -1), (1, -1), (1, -1), (1, -1), range(-7, 8, 2)):
+        for L, M in (
+            (IntMatrix(((2 * sa, 0), (0, 4 * sb))), IntMatrix(((s1, b), (0, s2)))),
+            (IntMatrix(((4 * sa, 0), (0, 2 * sb))), IntMatrix(((s1, 0), (b, s2)))),
+        ):
+            out.append((L, fundamental_domain(L), M))
+    return out
+
+
+def random_pairs():
+    """Accepted pairs on 30 random 2x2 expansions with 3 <= |det| <= 8,
+    with every accepted M of entries in [-2, 2]."""
+    rng = random.Random(17)
+    small = [m for m in UNIMODULAR_4 if m.max_abs() <= 2]
+    out, bases = [], set()
+    while len(bases) < 30:
+        L = IntMatrix(((rng.randint(-4, 4), rng.randint(-4, 4)), (rng.randint(-4, 4), rng.randint(-4, 4))))
+        if L in bases or not 3 <= abs(L.det()) <= 8 or not is_expansion(L):
+            continue
+        bases.add(L)
+        domain = fundamental_domain(L)
+        out += [
+            (L, domain, m)
+            for m in small
+            if isinstance(nl_membership(L, m, domain=domain), NLCertificate)
+        ]
+    return out
+
+
+def three_d_pairs():
+    """2*Id_3 (every M at n0 = 0) and diag(2, 2, 4) with a shear at n0 = 1."""
+    out = []
+    scalar = IntMatrix.scalar(3, 2)
+    rng = random.Random(3)
+    for _ in range(4):
+        out.append((scalar, fundamental_domain(scalar), rand_unimodular_steps(rng, d=3)))
+    diag = IntMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 4)))
+    for m in (((1, 0, 1), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, -1, 3), (0, 0, -1))):
+        out.append((diag, fundamental_domain(diag), IntMatrix(m)))
+    return out
+
+
+def evaluate_phi(cert, domain, seed, region):
+    rule = build_local_rule(cert, domain)
+    sources, cells = pullback_positions(rule, region)
+    patch = fixed_point_patch(rule.substitution, seed, cells)
+    return rule, apply_endomorphism(rule, patch, sources)
+
+
+def coordinate_formula(cert, domain, seed, region):
+    """Image at t: the digit action of C_v on the letter at u = M^{-1} t, with
+    v the valuation of u truncated at n0 (the origin is deeper than n0)."""
+    s = sigma_L(cert.L, domain)
+    m_inv = unimodular_inverse(cert.M)
+    out = {}
+    for t in region:
+        u = m_inv.mul_vec(t)
+        if any(u):
+            level, letter = min(valuation(s, u), cert.n0), tau(s, u)
+        else:
+            level, letter = cert.n0, seed
+        out[t] = domain.digit_of(cert.conjugates[level].mul_vec(letter))
+    return out
+
+
+def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
+    cases = []
+    for L, domain, M in phi_traffic_pairs() + random_pairs() + three_d_pairs():
+        cert = nl_membership(L, M, domain=domain)
+        assert isinstance(cert, NLCertificate), (L, M)
+        letters = sorted(sigma_L(L, domain).alphabet)
+        seed = letters[len(cases) % len(letters)]
+        cases.append((cert, domain, seed, box(6 if L.dim == 2 else 3, L.dim)))
+    reached = set()
+    cold = []
+    for cert, domain, seed, region in cases:
+        _frame.cache_clear()
+        rule, image = evaluate_phi(cert, domain, seed, region)
+        assert image == coordinate_formula(cert, domain, seed, region), (cert.L, cert.M)
+        reached.add((cert.L.dim, rule.n0 > 0))
+        cold.append(image)
+    # every kernel's 2-D and d = 3 path, with and without the window decode
+    assert reached == {(2, False), (2, True), (3, False), (3, True)}
+    # warm: frames and pattern memos filled by the rules of earlier cases
+    warm = [evaluate_phi(*case)[1] for case in cases]
+    assert warm == cold
+    # right after a case, its 2-D windows are all read from the memo; d = 3
+    # decodes through the class-table route
+    scans = []
+
+    def counted(rule, patch, pos):
+        scans.append(len(pos))
+        return _truncated_level(rule, patch, pos)
+
+    monkeypatch.setattr(subshift_norm, "_truncated_level", counted)
+    for case, image in zip(cases, cold):
+        if case[0].n0 > 0:
+            evaluate_phi(*case)
+            scans.clear()
+            assert evaluate_phi(*case)[1] == image
+            assert scans == ([] if case[0].L.dim == 2 else [3] * len(image))
+
+
+@st.composite
+def sigma_bases(draw):
+    """sigma_L of a random expansion: 2x2 with 3 <= |det| <= 8, or a 3x3
+    triangular expansion conjugated by a random unimodular matrix."""
+    if draw(st.booleans()):
+        entries = st.integers(-4, 4)
+        L = draw(
+            st.builds(lambda a, b, c, d: IntMatrix(((a, b), (c, d))), entries, entries, entries, entries)
+            .filter(lambda L: 3 <= abs(L.det()) <= 8 and is_expansion(L))
+        )
+    else:
+        diag = draw(st.lists(st.sampled_from((-3, -2, 2, 3)), min_size=3, max_size=3))
+        up = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+        t = IntMatrix(((diag[0], up[0], up[1]), (0, diag[1], up[2]), (0, 0, diag[2])))
+        u = rand_unimodular_steps(random.Random(draw(st.integers(0, 10**6))), d=3, steps=3)
+        L = u * t * unimodular_inverse(u)
+    return sigma_L(L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=sigma_bases(), data=st.data())
+def test_fixed_point_descent_ignores_order_and_type(s, data):
+    region = box(3 if s.dim == 2 else 2, s.dim)
+    seed = data.draw(st.sampled_from(sorted(s.alphabet)))
+    expected = {p: seed if not any(p) else tau(s, p) for p in region}
+    shuffled = list(region)
+    data.draw(st.randoms(use_true_random=False)).shuffle(shuffled)
+    assert fixed_point_patch(s, seed, shuffled) == expected
+    assert fixed_point_patch(s, seed, [list(p) for p in shuffled]) == expected
+    assert fixed_point_patch(s, seed, reversed(region)) == expected

@@ -33,7 +33,12 @@ from odosym.subshift_norm import (
     nl_membership,
     pullback_positions,
 )
-from odosym.subshift_norm import _conjugates, _truncated_level, _valuation_class_table
+from odosym.subshift_norm import (
+    _conjugates,
+    _frame,
+    _truncated_level,
+    _valuation_class_table,
+)
 
 TWO = IntMatrix.scalar(2, 2)
 D24 = parse_matrix("2,0;0,4")
@@ -517,10 +522,48 @@ def test_doctored_window_raises_every_time():
     rule = window_rule(D24, parse_matrix("1,1;0,1"))
     # one letter everywhere: each coset forces 7 distinct digits on F_1
     flat = {p: (1, 1) for p in box(4)}
+    # the memo belongs to the base's frame and may hold other rules' patterns
+    memo = dict(rule._levels)
     for _ in range(2):
         with pytest.raises(WindowError, match="matches no digit coset"):
             _truncated_level(rule, flat, (0, 0))
-    assert rule._levels == {}
+    assert rule._levels == memo
+    assert ((1, 1),) * len(rule.window) not in rule._levels
+
+
+def test_rules_on_one_base_share_the_pattern_memo():
+    _frame.cache_clear()
+    shear = window_rule(D24, parse_matrix("1,1;0,1"))
+    other = window_rule(D24, parse_matrix("-1,3;0,-1"))
+    assert shear._levels is other._levels
+    assert shear.per_level != other.per_level
+    s = shear.substitution
+    patch = fixed_point_patch(s, min(s.alphabet), box(8))
+    levels = {u: _truncated_level(shear, patch, u) for u in box(4)}
+    memo = dict(other._levels)
+    assert memo
+    # the other rule reads every pattern from the memo shear filled
+    assert {u: _truncated_level(other, patch, u) for u in box(4)} == levels
+    assert other._levels == memo
+    flat = {p: (1, 1) for p in box(4)}
+    with pytest.raises(WindowError, match="matches no digit coset"):
+        _truncated_level(other, flat, (0, 0))
+    assert shear._levels == memo
+    assert levels == {u: _truncated_level(shear, patch, u) for u in box(4)}
+
+
+def test_pattern_memo_keeps_only_letters():
+    # each coset leaves one window cell free: a pattern with a non-letter
+    # there still decodes, but is not kept in the memo shared across requests
+    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    s = rule.substitution
+    patch = fixed_point_patch(s, min(s.alphabet), box(6))
+    level = _truncated_level(rule, patch, (0, 0))
+    memo = dict(rule._levels)
+    for k in range(50):
+        assert _truncated_level(rule, {**patch, (0, 0): ("junk", k)}, (0, 0)) == level
+    assert rule._levels == memo
+    assert len(memo) <= abs(s.base.det()) ** rule.n0 * (abs(s.base.det()) - 1)
 
 
 @pytest.mark.parametrize("n0", [1, 2])

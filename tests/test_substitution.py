@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
 from odosym.errors import SizeGuardError, WrongBranchError
-from odosym.intmat import IntMatrix, fundamental_domain, hnf, parse_matrix
+from odosym.intmat import IntMatrix, fundamental_domain, hnf, is_expansion, parse_matrix
 from odosym.substitution import (
     ConstantShapeSubstitution,
     fixed_point_count,
@@ -235,9 +237,130 @@ def test_k_set_contains_zero():
         assert (0,) * 2 in ks.points
 
 
+def small_sigma_bases():
+    """sigma_L of half-hex, four 1-D bases and twelve random 2x2 expansions,
+    all with 3 <= |det| <= 6."""
+    rng = random.Random(4)
+    out = [half_hex()] + [sigma_L(IntMatrix(((c,),))) for c in (3, -4, 5, -6)]
+    bases = set()
+    while len(bases) < 12:
+        L = IntMatrix(((rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-3, 3), rng.randint(-3, 3))))
+        if 3 <= abs(L.det()) <= 6 and is_expansion(L) and L not in bases:
+            bases.add(L)
+            out.append(sigma_L(L))
+    return out
+
+
+def iterate(s, patch, n):
+    """substitute applied n times."""
+    for _ in range(n):
+        patch = substitute(s, patch)
+    return patch
+
+
+def k_radius(L, digits):
+    """A sup-norm radius holding every x = L^m x + f, f in F_m: such x is
+    -sum_{i >= 1} L^{-i} d_i with digits d_i, and sum_i ||L^{-i}|| is bounded
+    by (||L^{-1}|| + ... + ||L^{-k}||) / (1 - ||L^{-k}||) once ||L^{-k}|| < 1."""
+    inv = [[Fraction(x, L.det()) for x in r] for r in L.adjugate().rows]
+    power, total = inv, Fraction(0)
+    while True:
+        norm = max(sum(abs(x) for x in r) for r in power)
+        total += norm
+        if norm < 1:
+            break
+        power = [[sum(a * b for a, b in zip(r, c)) for c in zip(*inv)] for r in power]
+    return int(max(max(map(abs, d)) for d in digits) * total / (1 - norm))
+
+
+def k_set_by_iteration(s, m_max):
+    """(points, stable_from, coverage_ok) of k_set from iterated patches.
+
+    x is in K_m iff m steps of the rule from one letter at x cover x again,
+    that is x - L^m x lies on substitute^m of one letter at the origin; the
+    translates L^n K + F_n are substitute^n of letters on K.
+    """
+    seed = min(s.alphabet)
+    zero = (0,) * s.dim
+    radius = k_radius(s.base, s.domain.reps)
+    stages, points = [], set()
+    for m in range(1, m_max + 1):
+        lm = s.base**m
+        support = iterate(s, {zero: seed}, m)
+        points |= {
+            x
+            for x in box(radius, s.dim)
+            if tuple(a - b for a, b in zip(x, lm.mul_vec(x))) in support
+        }
+        stages.append(set(points))
+    stable = [m for m in range(1, m_max) if stages[m - 1] == stages[-1]]
+    depth = m_max + 1
+    while abs(s.base.det()) ** depth < 32**s.dim:
+        depth += 1
+    covered, patch = set(), {k: seed for k in points}
+    for _ in range(depth + 1):
+        covered |= patch.keys()
+        patch = substitute(s, patch)
+    return points, stable[0] if stable else None, covered >= set(box(8, s.dim))
+
+
+def test_k_set_matches_iterated_patches():
+    reports = []
+    for s in small_sigma_bases():
+        for m_max in (2, 3):
+            ks = k_set(s, m_max)
+            assert (ks.points, ks.stable_from, ks.coverage_ok) == k_set_by_iteration(s, m_max), s.base
+            reports.append(ks)
+    # the sample reaches more than the zero point and both stable_from shapes
+    assert any(len(ks.points) > 1 for ks in reports)
+    assert {ks.stable_from is None for ks in reports} == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # recognizability
 # ---------------------------------------------------------------------------
+
+
+def recognizable_by_iteration(s, n, size=1000):
+    """Brute force on the legal patches substitute^k(a), |det|^k >= size, for
+    the least and the largest letter a: do
+    equal F_n windows sit only at positions congruent mod L^n(Z^d)?
+
+    Returns the verdict and the coset of every window seen.
+    """
+    zero = (0,) * s.dim
+    fn = sorted(iterate(s, {zero: min(s.alphabet)}, n))
+    basis = hnf(s.base**n)
+    k = 1
+    while abs(s.base.det()) ** k < size:
+        k += 1
+    coset_of = {}
+    for a in (min(s.alphabet), max(s.alphabet)):
+        q = iterate(s, {zero: a}, k)
+        for p in q:
+            window = tuple(q.get(tuple(map(add, p, f))) for f in fn)
+            if None not in window:
+                if coset_of.setdefault(window, basis.reduce_vec(p)) != basis.reduce_vec(p):
+                    return False, coset_of
+    return True, coset_of
+
+
+def test_recognizability_matches_iterated_patches():
+    for s in small_sigma_bases():
+        for n in (1, 2):
+            verdict, coset_of = recognizable_by_iteration(s, n)
+            assert recognizability_check(s, n) == (verdict, None), s.base
+            assert len(set(coset_of.values())) > 1
+            # the fixed point's windows on the box are legal, with the same cosets
+            fn = sorted(iterate(s, {(0,) * s.dim: min(s.alphabet)}, n))
+            basis = hnf(s.base**n)
+            region = box(6, s.dim)
+            cells = fixed_point_patch(
+                s, min(s.alphabet), {tuple(map(add, p, f)) for p in region for f in fn}
+            )
+            for p in region:
+                window = tuple(cells[tuple(map(add, p, f))] for f in fn)
+                assert coset_of.get(window, basis.reduce_vec(p)) == basis.reduce_vec(p)
 
 
 def test_recognizability_half_hex():
