@@ -77,7 +77,11 @@ EXIT_INCONCLUSIVE = 4
 
 def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
     """The report and its canonical body: compact JSON with sorted keys,
-    which payload_hash is the sha256 of."""
+    which payload_hash is the sha256 of.
+
+    Every request builds its body fresh, a tree of dicts, lists and tuples
+    of ints and strings, so it has no cycle for the encoder to guard against.
+    """
     body = {
         "schema": 1,
         "version": __version__,
@@ -85,7 +89,7 @@ def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
         "inputs": inputs,
         "result": result,
     }
-    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(body, sort_keys=True, separators=(",", ":"), check_circular=False)
     body["payload_hash"] = hashlib.sha256(canon.encode()).hexdigest()
     return body, canon
 

@@ -83,7 +83,9 @@ class NLCertificate:
     conjugates[n] is C_n or None; k is the first level from which every
     recorded conjugate is integral, n0 the first level from which the
     digit-coset action is constant through n_max.  residue_permutation
-    maps nonzero digits to nonzero digits.
+    maps nonzero digits to nonzero digits.  _actions maps each distinct
+    C_n, n >= k, to its action on the nonzero digits of _domain, the domain
+    nl_membership used, so a local rule over that domain reuses them.
     """
 
     L: IntMatrix
@@ -93,6 +95,8 @@ class NLCertificate:
     k: int
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
+    _domain: FundamentalDomain | None = field(default=None, repr=False, compare=False)
+    _actions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_payload(self) -> dict:
         return {
@@ -207,6 +211,8 @@ def nl_membership(
         k=k,
         n0=n0,
         residue_permutation=actions[n0],
+        _domain=domain,
+        _actions=by_conjugate,
     )
 
 
@@ -245,12 +251,13 @@ def build_local_rule(
     if domain is None:
         domain = fundamental_domain(L)
     n0 = cert.n0
+    known = cert._actions if domain == cert._domain else {}
     per_level = []
     for v in range(n0 + 1):
         c = cert.conjugates[v]
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
-        per_level.append(dict(_residue_action(c, domain)))
+        per_level.append(dict(known[c] if c in known else _residue_action(c, domain)))
     subst, window, class_table, levels = _frame(L, domain, n0)
     return LocalRule(
         substitution=subst,
@@ -341,8 +348,8 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     if len(m_inv) == 2:
         (a, b), (c, d) = m_inv
         sources = {}
-        for t in region:
-            x, y = map(index, t)
+        for x, y in region:
+            x, y = index(x), index(y)
             sources[x, y] = (a * x + b * y, c * x + d * y)
         if rule.n0 == 0:
             return sources, set(sources.values())

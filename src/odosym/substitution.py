@@ -113,7 +113,9 @@ def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
     """Supports F_0 = {0}, F_{k+1} = L(F_k) + F_1 of the iterated rule, k <= n."""
     det = abs(s.base.det())
     if det**n > _SUPPORT_GUARD:
-        raise SizeGuardError(f"|F_{n}| = {det}^{n} exceeds the size guard")
+        raise SizeGuardError(
+            f"|F_{n}| = {det}^{n} = {det**n} cells, over the limit of {_SUPPORT_GUARD} cells"
+        )
     levels = [frozenset({zero_vec(s.dim)})]
     for _ in range(n):
         prev = levels[-1]
@@ -177,6 +179,9 @@ def fixed_point_patch(
                 cells[x, y] = rep_of_key[key]
             else:
                 deep.append((x, y))
+        # a deep cell lies in L(Z^2), so adj(L) pos / det(L) divides exactly
+        det, ((a, b), (c, d)) = s.base._inverse
+        sources = [((a * x + b * y) // det, (c * x + d * y) // det) for x, y in deep]
     else:
         reduce = s.domain.hnf_basis.reduce_vec
         for pos in region:
@@ -186,13 +191,14 @@ def fixed_point_patch(
                 cells[pos] = rep_of_key[key]
             else:
                 deep.append(pos)
-    # pos in L(Z^d) has the first nonzero digit of L^{-1} pos
-    zero, solve = zero_vec(s.dim), s.base.solve_exact
-    for pos in deep:
+        sources = map(s.base.solve_exact, deep)
+    # pos in L(Z^d) has the first nonzero digit of its source L^{-1} pos
+    zero = zero_vec(s.dim)
+    for pos, source in zip(deep, sources):
         if pos == zero:
             cells[pos] = seed
             continue
-        letter = cells.get(solve(pos))
+        letter = cells.get(source)
         cells[pos] = tau(s, pos) if letter is None else letter
     return cells
 
@@ -293,7 +299,15 @@ def k_set(s: ConstantShapeSubstitution, m_max: int) -> KSetReport:
 
 
 def box_positions(lo: int, hi: int, d: int) -> list[Vec]:
-    """The points of the cube [lo, hi]^d, in lexicographic order."""
+    """The points of the cube [lo, hi]^d, in lexicographic order.
+
+    A cube of more than 4,000,000 cells raises SizeGuardError before any is built.
+    """
+    if (size := max(hi - lo + 1, 0) ** d) > _SUPPORT_GUARD:
+        raise SizeGuardError(
+            f"the box {lo}:{hi} in d = {d} has {size} cells, over the limit of "
+            f"{_SUPPORT_GUARD} cells"
+        )
     return list(product(range(lo, hi + 1), repeat=d))
 
 

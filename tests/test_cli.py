@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import odosym
+from odosym import cli, subshift_norm
 from odosym.cli import _join_flag_values, _patch_payload, build_parser, main, run_verify_paper
 from odosym.odometer import NcCertificate
 from odosym.substitution import (
@@ -192,6 +193,38 @@ def test_subst_scans_self_similarity_once(capsys, monkeypatch):
     assert code == 0
     assert len(report["result"]["patch"]) == 25
     assert len(calls) == 1
+
+
+def test_phi_computes_each_residue_action_once(capsys, monkeypatch):
+    # the rule reads the digit actions nl_membership already computed
+    calls = []
+    action = subshift_norm._residue_action
+
+    def counted(c, domain):
+        calls.append(c)
+        return action(c, domain)
+
+    monkeypatch.setattr(subshift_norm, "_residue_action", counted)
+    # on a scalar base every C_n is M: one action
+    assert run_cli(["phi", "--L", "3,0;0,3", "--M", "0,1;1,0", "--box", "-2:2"], capsys)[0] == 0
+    assert len(calls) == 1
+    # on diag(2, 4) C_n = 1,2^n;0,1 for n = 0..8: nine distinct conjugates
+    calls.clear()
+    assert run_cli(["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-2:2"], capsys)[0] == 0
+    assert len(calls) == 9 == len(set(calls))
+
+
+def test_box_guard_is_usage_error_naming_the_limit(capsys):
+    # 2003^2 = 4,012,009 cells, over the 4,000,000-cell limit
+    started = time.perf_counter()
+    code = main(["subst", "patch", "--L", "2,0;0,2", "--box", "-1001:1001"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - started < 1
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "odosym: SizeGuardError: the box -1001:1001 in d = 2 has 4012009 cells, "
+        "over the limit of 4000000 cells\n"
+    )
 
 
 def test_subst_description_file(capsys, tmp_path):
@@ -529,6 +562,40 @@ def test_compact_report_is_the_hashed_body_plus_hash_and_timing(capsys, tmp_path
     again = json.loads(pretty)
     assert again.pop("timing_ms") >= 0 and report.pop("timing_ms") >= 0
     assert again == report
+
+
+REPORT_OF_EVERY_COMMAND = [
+    ["classify", "--matrix", "2,-1;1,5"],
+    ["member", "--base", "3,1;0,5", "--matrix", "1,1;0,1"],
+    ["nc", "--base", "2,0;0,2", "--matrix", "0,1;1,0", "--depth", "4"],
+    ["nl", "--L", "2,0;0,4", "--M", "1,1;0,1"],
+    ["nl", "--L", "2,0;0,4", "--M", "1,0;1,1"],
+    ["phi", *PHI_PAYLOAD_HASHES["half-hex"][0]],
+    ["phi", *PHI_PAYLOAD_HASHES["diag-2-2-4"][0]],
+    ["subst", "patch", "--L", "2,0;0,2", "--F", "0,0;1,0;0,1;1,-1", "--box", "-4:4"],
+    ["verify-paper"],
+]
+
+
+def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
+    # make_report skips the encoder's cycle guard; the body it is given, with
+    # its tuples, encodes to the same bytes with the guard on
+    seen = []
+    make = cli.make_report
+
+    def recorded(command, inputs, result):
+        body, canon = make(command, inputs, result)
+        seen.append((command, {k: v for k, v in body.items() if k != "payload_hash"}, canon))
+        return body, canon
+
+    monkeypatch.setattr(cli, "make_report", recorded)
+    for argv in REPORT_OF_EVERY_COMMAND:
+        assert main(argv) in (0, 3, 4)
+        capsys.readouterr()
+    commands = {command for command, _, _ in seen}
+    assert commands == {"classify", "member", "nc", "nl", "phi", "subst", "verify-paper"}
+    for _, body, canon in seen:
+        assert canon == json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 def test_verify_paper_harness():

@@ -496,6 +496,34 @@ def test_is_expansion_dim4_against_modulus_oracle():
     assert seen == {True, False}
 
 
+def test_is_expansion_dim2_boundaries_against_modulus_oracle():
+    # every x^2 - t x + D with |t| <= 6 and |D| <= 9, as a companion matrix:
+    # the sign analysis meets each of its boundaries here, a double root
+    # (disc = 0), |t| = 2 and an eigenvalue 1 or -1 (p(1) = 0 or p(-1) = 0)
+    met = set()
+    for t, det in product(range(-6, 7), range(-9, 10)):
+        m = IntMatrix(((0, -det), (1, t)))
+        want = _expansion_oracle(m)
+        assert is_expansion(m) is want, (t, det)
+        disc, p1, p_1 = t * t - 4 * det, 1 - t + det, 1 + t + det
+        cases = {
+            "disc = 0": disc == 0,
+            "|t| = 2": abs(t) == 2,
+            "p(1) = 0": p1 == 0,
+            "p(-1) = 0": p_1 == 0,
+            "p(1), p(-1) < 0": p1 < 0 and p_1 < 0,
+            "p(1), p(-1) > 0, disc > 0": p1 > 0 and p_1 > 0 and disc > 0,
+        }
+        met.update((name, want) for name, hit in cases.items() if hit)
+    # in the last case both roots lie above 1, below -1 or in (-1, 1); in
+    # (-1, 1) their product D is 0, then t = 0 and disc = 0: it always expands
+    assert met >= {
+        ("disc = 0", True), ("disc = 0", False), ("|t| = 2", True), ("|t| = 2", False),
+        ("p(1) = 0", False), ("p(-1) = 0", False), ("p(1), p(-1) < 0", True),
+        ("p(1), p(-1) > 0, disc > 0", True),
+    }
+
+
 # ---------------------------------------------------------------------------
 # text syntax
 # ---------------------------------------------------------------------------

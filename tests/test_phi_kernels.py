@@ -4,13 +4,14 @@ the memoized fixed-point descent, cold and warm, in d = 2 and d = 3."""
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_shared import rand_unimodular_steps, unimodular_inverse
 
 from odosym.intmat import IntMatrix, fundamental_domain, is_expansion, validate_domain
 from odosym.substitution import fixed_point_patch, sigma_L, tau, valuation
-from odosym import subshift_norm
+from odosym import substitution, subshift_norm
 from odosym.subshift_norm import (
     NLCertificate,
     _frame,
@@ -174,3 +175,31 @@ def test_fixed_point_descent_ignores_order_and_type(s, data):
     assert fixed_point_patch(s, seed, shuffled) == expected
     assert fixed_point_patch(s, seed, [list(p) for p in shuffled]) == expected
     assert fixed_point_patch(s, seed, reversed(region)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=sigma_bases().filter(lambda s: s.dim == 2),
+    corner=st.tuples(st.integers(-9, 0), st.integers(-9, 0)),
+    size=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    data=st.data(),
+)
+def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
+    # a deep cell (HNF key 0) lies in L(Z^2): adj(L) pos / det(L) is exact
+    L, basis = s.base, s.domain.hnf_basis
+    det, ((a, b), (c, d)) = L._inverse
+    region = list(product(*(range(lo, lo + n) for lo, n in zip(corner, size))))
+    data.draw(st.randoms(use_true_random=False)).shuffle(region)
+    deep = [p for p in region if not any(basis.reduce_vec(p))]
+    for x, y in deep:
+        assert ((a * x + b * y) // det, (c * x + d * y) // det) == L.solve_exact((x, y))
+    # with tau made visible, the patch shows which source each deep cell read:
+    # the same pass with every source from solve_exact gives the same cells
+    seed = data.draw(st.sampled_from(sorted(s.alphabet)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(substitution, "tau", lambda s, pos: ("tau", pos))
+        got = fixed_point_patch(s, seed, region)
+    want = {p: s.domain.digit_of(p) for p in region if p not in deep}
+    for p in deep:
+        want[p] = seed if p == (0, 0) else want.get(L.solve_exact(p), ("tau", p))
+    assert got == want

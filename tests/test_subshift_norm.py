@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from itertools import islice, product
 
 import pytest
@@ -23,6 +24,7 @@ from odosym.substitution import (
     tau,
     valuation,
 )
+from odosym import subshift_norm
 from odosym.subshift_norm import (
     NLCertificate,
     NLRejection,
@@ -188,6 +190,36 @@ def test_nl_payload_roundtrip():
 # ---------------------------------------------------------------------------
 # local rules
 # ---------------------------------------------------------------------------
+
+
+def test_rule_reuses_the_certificate_actions_only_on_their_domain(monkeypatch):
+    calls = []
+    action = subshift_norm._residue_action
+
+    def counted(c, domain):
+        calls.append(c)
+        return action(c, domain)
+
+    monkeypatch.setattr(subshift_norm, "_residue_action", counted)
+    for L, M, domain, other in (
+        (TWO, SWAP, HH_DOMAIN, fundamental_domain(TWO)),
+        (D24, parse_matrix("1,1;0,1"), fundamental_domain(D24), None),
+    ):
+        cert = nl_membership(L, M, domain=domain)
+        calls.clear()
+        rule = build_local_rule(cert, domain)
+        assert calls == [] and cert.n0 == len(rule.per_level) - 1
+        # a certificate rebuilt from its fields carries no actions
+        compared = {f.name: getattr(cert, f.name) for f in fields(cert) if f.compare}
+        rebuilt = NLCertificate(**compared)
+        assert rebuilt == cert
+        assert build_local_rule(rebuilt, domain).per_level == rule.per_level
+        assert calls == list(cert.conjugates[: cert.n0 + 1])
+        if other is not None:
+            # actions on the half-hex digits are not those on another domain
+            got = build_local_rule(cert, other).per_level
+            assert got == build_local_rule(nl_membership(L, M, domain=other), other).per_level
+            assert set(got[0]) == set(other.reps[1:]) != set(domain.reps[1:])
 
 
 def test_identity_rule_is_identity():

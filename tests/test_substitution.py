@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from operator import add
 
 import pytest
 
+from odosym import substitution
 from odosym.errors import SizeGuardError, WrongBranchError
 from odosym.intmat import IntMatrix, fundamental_domain, hnf, is_expansion, parse_matrix
 from odosym.substitution import (
     ConstantShapeSubstitution,
+    box_positions,
     fixed_point_count,
     fixed_point_patch,
     half_hex,
@@ -104,6 +107,42 @@ def test_supports_guard():
     hh = half_hex()
     with pytest.raises(SizeGuardError):
         supports(hh, 15)
+    # 4^11 = 4,194,304 is the least power of 4 over the limit; the message
+    # names both, and the guard trips before any level is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as err:
+            supports(hh, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "|F_11| = 4^11 = 4194304 cells, over the limit of 4000000 cells"
+    assert peak < 100_000
+
+
+# the least cube side over the 4,000,000-cell limit: 2001^2 and 159^3 cells
+@pytest.mark.parametrize("d, side", [(2, 2001), (3, 159)])
+def test_box_guard_names_the_limit_and_builds_nothing(monkeypatch, d, side):
+    assert (side - 1) ** d <= 4_000_000 < side**d
+    built = []
+    monkeypatch.setattr(substitution, "product", lambda *a, **k: built.append(a) or iter(()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as err:
+            box_positions(-1, side - 2, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"the box -1:{side - 2} in d = {d} has {side**d} cells, over the limit of 4000000 cells"
+    )
+    assert built == [] and peak < 100_000
+    # one side less is within the limit, and reaches the cell product
+    assert box_positions(-1, side - 3, d) == []
+    assert built == [(range(-1, side - 2),)]
+    # a box with lo > hi has no cells and passes the guard, where
+    # (hi - lo + 1)^2 would be 8,994,001
+    assert box_positions(3000, 0, 2) == []
 
 
 # ---------------------------------------------------------------------------
