@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .classify2d import class_to_payload, classify, is_member
-from .errors import MarginError, MatrixParseError, WrongBranchError
+from .errors import MatrixParseError
 from .intmat import (
     IntMatrix,
     format_matrix,
@@ -49,7 +49,6 @@ from .substitution import (
     k_set,
     recognizability_check,
     sigma_L,
-    substitute,
     tau,
     valuation,
 )
@@ -301,7 +300,7 @@ def cmd_phi(args) -> Answer:
     inputs = {"L": format_matrix(base), "M": format_matrix(mat), "box": args.box}
     if isinstance(outcome, NLRejection):
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
-    rule = build_local_rule(outcome, domain)
+    rule = build_local_rule(outcome)
     seed = parse_vector(args.seed) if args.seed else min(rule.substitution.alphabet)
     region = box_positions(lo, hi, base.dim)
     sources, cells = pullback_positions(rule, region)
@@ -326,23 +325,7 @@ def cmd_subst(args) -> Answer:
         s = sigma_L(base, domain)
     seed = parse_vector(args.seed) if args.seed else min(s.alphabet)
     lo, hi = _parse_box(args.box)
-    region = box_positions(lo, hi, s.dim)
-    try:
-        patch = fixed_point_patch(s, seed, region)
-    except WrongBranchError:
-        if seed not in s.alphabet:
-            raise ValueError(f"seed {seed} is not a letter")
-        # general rule: iterate from the seed letter past 16 cells per box
-        # cell (each step multiplies the size by |det L| >= 2), then restrict
-        patch = {(0,) * s.dim: seed}
-        while len(patch) <= 16 * len(region):
-            patch = substitute(s, patch)
-        patch = {p: patch[p] for p in region if p in patch}
-        if len(patch) < len(region):
-            raise MarginError(
-                f"the iterated patch covers {len(patch)} of the {len(region)} "
-                f"cells of the box {args.box}"
-            )
+    patch = fixed_point_patch(s, seed, box_positions(lo, hi, s.dim))
     inputs = {
         "L": format_matrix(s.base),
         "F": [format_vector(v) for v in s.domain.reps],

@@ -83,9 +83,9 @@ class NLCertificate:
     conjugates[n] is C_n or None; k is the first level from which every
     recorded conjugate is integral, n0 the first level from which the
     digit-coset action is constant through n_max.  residue_permutation
-    maps nonzero digits to nonzero digits.  _actions maps each distinct
-    C_n, n >= k, to its action on the nonzero digits of _domain, the domain
-    nl_membership used, so a local rule over that domain reuses them.
+    maps nonzero digits of domain, which the local rule also reads, to
+    nonzero digits.  _actions maps each distinct C_n, n >= k, to its
+    action on those digits, so the local rule reuses them.
     """
 
     L: IntMatrix
@@ -95,7 +95,7 @@ class NLCertificate:
     k: int
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
-    _domain: FundamentalDomain | None = field(default=None, repr=False, compare=False)
+    domain: FundamentalDomain = field(repr=False)
     _actions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_payload(self) -> dict:
@@ -211,7 +211,7 @@ def nl_membership(
         k=k,
         n0=n0,
         residue_permutation=actions[n0],
-        _domain=domain,
+        domain=domain,
         _actions=by_conjugate,
     )
 
@@ -243,15 +243,9 @@ class LocalRule:
     _levels: dict = field(repr=False, compare=False)
 
 
-def build_local_rule(
-    cert: NLCertificate, domain: FundamentalDomain | None = None
-) -> LocalRule:
+def build_local_rule(cert: NLCertificate) -> LocalRule:
     """Assemble the per-level permutations and the window classifier."""
-    L = cert.L
-    if domain is None:
-        domain = fundamental_domain(L)
-    n0 = cert.n0
-    known = cert._actions if domain == cert._domain else {}
+    L, domain, n0, known = cert.L, cert.domain, cert.n0, cert._actions
     per_level = []
     for v in range(n0 + 1):
         c = cert.conjugates[v]
@@ -315,11 +309,7 @@ def _valuation_class_table(subst, n0, window):
 
 def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
     """Truncated digit level of the pattern of the rule's window at pos."""
-    if len(pos) == 2:
-        x, y = pos
-        key = tuple([patch.get((x + a, y + b)) for a, b in rule.window])
-    else:
-        key = tuple([patch.get(tuple(map(add, pos, f))) for f in rule.window])
+    key = tuple([patch.get(tuple(map(add, pos, f))) for f in rule.window])
     if None in key:
         raise MarginError(f"window at {pos} leaves the patch support")
     level = rule._levels.get(key)
@@ -409,17 +399,11 @@ def composition_check(
     Both sides are evaluated on a patch of the fixed point seeded by the
     least letter, built just large enough for the two evaluation chains.
     """
-    if domain is None:
-        domain = fundamental_domain(L)
-    cert12 = nl_membership(L, M1 * M2, domain=domain)
-    cert1 = nl_membership(L, M1, domain=domain)
-    cert2 = nl_membership(L, M2, domain=domain)
-    for c in (cert12, cert1, cert2):
+    certs = [nl_membership(L, m, domain=domain) for m in (M1 * M2, M1, M2)]
+    for c in certs:
         if isinstance(c, NLRejection):
             raise ValueError(f"matrix not accepted: {c.to_payload()}")
-    rule12 = build_local_rule(cert12, domain)
-    rule1 = build_local_rule(cert1, domain)
-    rule2 = build_local_rule(cert2, domain)
+    rule12, rule1, rule2 = map(build_local_rule, certs)
     subst = rule12.substitution
     sources12, cells12 = pullback_positions(rule12, region)
     sources1, mid = pullback_positions(rule1, sources12.keys())

@@ -10,10 +10,11 @@ not boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from operator import index
+from operator import index, sub
 
-from .errors import SizeGuardError, WrongBranchError
+from .errors import MarginError, SizeGuardError, WrongBranchError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
@@ -60,6 +61,13 @@ class ConstantShapeSubstitution:
 
     def image(self, letter: Letter) -> dict:
         return self.table[letter]
+
+    @cached_property
+    def _forced(self) -> dict:
+        """HNF key -> letter, at each offset where every image writes that letter."""
+        keys = self.domain._rep_of_key.items()
+        images = {key: {self.table[a][f] for a in self.alphabet} for key, f in keys}
+        return {key: letters.pop() for key, letters in images.items() if len(letters) == 1}
 
     def is_self_similar(self) -> bool:
         """True when letters are the nonzero digits and images follow them."""
@@ -161,46 +169,67 @@ def fixed_point_patch(
 ) -> dict[Vec, Letter]:
     """Letters of the fixed point with the given origin letter, on the region.
 
-    The letters are read off the digits, which is right for the
-    self-similar family only; any other rule raises WrongBranchError.
+    The letter at L j + f is image(letter at j)[f].  An offset f where all
+    images agree (for sigma_L, a nonzero digit) forces its letter; other
+    cells walk j = L^{-1}(pos - f) down to a forced cell or to the origin,
+    which holds the seed, a letter fixed at the origin of its own image.
+    A cell whose walk circles first has no letter, and raises MarginError.
     """
-    if not s.is_self_similar():
-        raise WrongBranchError("fixed points are read off the digits of the self-similar family")
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    rep_of_key, cells, deep = s.domain._rep_of_key, {}, []
+    zero = zero_vec(s.dim)
+    if s.image(seed)[zero] != seed:
+        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
+    rep_of_key, forced, cells, rest = s.domain._rep_of_key, s._forced.get, {}, []
     if s.dim == 2:
         (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
+        det, ((a, b), (c, d)) = s.base._inverse
         for x, y in region:
             x, y = index(x), index(y)
             key = (x % h00, (y - x // h00 * h10) % h11)
-            if key != (0, 0):  # the first digit is the one at level 0
-                cells[x, y] = rep_of_key[key]
-            else:
-                deep.append((x, y))
-        # a deep cell lies in L(Z^2), so adj(L) pos / det(L) divides exactly
-        det, ((a, b), (c, d)) = s.base._inverse
-        sources = [((a * x + b * y) // det, (c * x + d * y) // det) for x, y in deep]
-    else:
-        reduce = s.domain.hnf_basis.reduce_vec
-        for pos in region:
-            pos = tuple(map(index, pos))
-            key = reduce(pos)
-            if any(key):
-                cells[pos] = rep_of_key[key]
-            else:
-                deep.append(pos)
-        sources = map(s.base.solve_exact, deep)
-    # pos in L(Z^d) has the first nonzero digit of its source L^{-1} pos
-    zero = zero_vec(s.dim)
-    for pos, source in zip(deep, sources):
-        if pos == zero:
-            cells[pos] = seed
-            continue
+            letter = forced(key)
+            if letter is not None:
+                cells[x, y] = letter
+            else:  # pos - f lies in L(Z^2): adj(L) (pos - f) / det(L) divides exactly
+                u, v = f = rep_of_key[key]
+                u, v = x - u, y - v
+                rest.append(((x, y), f, ((a * u + b * v) // det, (c * u + d * v) // det)))
+    else:  # the walk reads every cell: each is its own source, with no step
+        rest = [(pos, None, pos) for pos in (tuple(map(index, p)) for p in region)]
+    known, unfilled = {zero: seed}, set()
+    for pos, f, source in rest:
         letter = cells.get(source)
-        cells[pos] = tau(s, pos) if letter is None else letter
+        if letter is None:
+            letter = _descend(s, source, known)
+        if letter is None:
+            unfilled.add(pos)
+        else:
+            cells[pos] = letter if f is None else s.table[letter][f]
+    if unfilled:
+        asked = len(cells) + len(unfilled)
+        raise MarginError(
+            f"the fixed point seeded by {seed} fills {len(cells)} of the {asked} requested"
+            " cells; the others' digit walks circle without reaching the seed or a forced letter"
+        )
     return cells
+
+
+def _descend(s: ConstantShapeSubstitution, pos: Vec, known: dict) -> Letter | None:
+    """Letter at pos by the walk pos -> L^{-1}(pos - f), or None if it circles;
+    known maps positions to letters (None: no letter) and gains the walk's."""
+    path = {}
+    while pos not in known and pos not in path:
+        key = s.domain.hnf_basis.reduce_vec(pos)
+        if key in s._forced:
+            known[pos] = s._forced[key]
+            break
+        path[pos] = f = s.domain._rep_of_key[key]
+        pos = s.base.solve_exact(tuple(map(sub, pos, f)))
+    letter = known.get(pos)  # None when the walk came back to pos
+    for p, f in reversed(path.items()):
+        known[p] = letter = None if letter is None else s.table[letter][f]
+    return letter
 
 
 def substitute(s: ConstantShapeSubstitution, p: dict[Vec, Letter]) -> dict[Vec, Letter]:
@@ -325,6 +354,8 @@ def recognizability_check(s: ConstantShapeSubstitution, n: int) -> tuple[bool, t
     family, so any counterexample signals an implementation bug; the check
     doubles as a self-test.  Any other rule raises WrongBranchError.
     """
+    if not s.is_self_similar():
+        raise WrongBranchError("recognizability is checked on the self-similar family only")
     fn = sorted(supports(s, n)[n])
     basis = hnf(s.base**n)
     box = box_positions(-8, 8, s.dim)

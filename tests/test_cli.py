@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -180,7 +181,8 @@ def test_subst_command_spec_invocation(capsys, tmp_path):
     assert pgm.read_text().startswith("P2")
 
 
-def test_subst_scans_self_similarity_once(capsys, monkeypatch):
+def test_subst_never_scans_self_similarity(capsys, monkeypatch):
+    # the letters come from the rule's own images, whatever the rule
     calls = []
     scan = ConstantShapeSubstitution.is_self_similar
 
@@ -192,7 +194,7 @@ def test_subst_scans_self_similarity_once(capsys, monkeypatch):
     code, report = run_cli(["subst", "patch", "--L", "3,0;0,3", "--box", "-2:2"], capsys)
     assert code == 0
     assert len(report["result"]["patch"]) == 25
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_phi_computes_each_residue_action_once(capsys, monkeypatch):
@@ -306,13 +308,48 @@ def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
     # a non-expansion base given by --L is rejected too, instead of looping in tau
     assert main(["subst", "patch", "--L", "3,0;0,1", "--box", "-2:2"]) == 2
     assert "NotExpansionError" in capsys.readouterr().err
+    # balanced digits reach every cell from the origin; this rule swaps the
+    # letter at the origin, so neither seed is the origin letter of a fixed point
     square = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
     desc.write_text(
         json.dumps(_two_letter_rule("3,0;0,3", square, lambda a, f: a if sum(f) % 2 else a[::-1]))
     )
-    code, report = run_cli(["subst", "patch", "--subst", str(desc), "--box", "-4:4"], capsys)
-    assert code == 0
-    assert len(report["result"]["patch"]) == 81
+    for argv, seed in (([], "(0, 1)"), (["--seed", "1,0"], "(1, 0)")):
+        assert main(["subst", "patch", "--subst", str(desc), *argv, "--box", "-4:4"]) == 2
+        assert capsys.readouterr().err == (
+            f"odosym: ValueError: seed {seed} is not fixed at the origin of its image\n"
+        )
+    # keeping the origin letter makes a fixed point, whose letters do not
+    # depend on the box
+    desc.write_text(
+        json.dumps(
+            _two_letter_rule("3,0;0,3", square, lambda a, f: a if sum(f) % 2 or not any(f) else a[::-1])
+        )
+    )
+    for box in ("-1:1", "-4:4"):
+        code, report = run_cli(["subst", "patch", "--subst", str(desc), "--box", box], capsys)
+        assert code == 0
+        cells = {tuple(p): tuple(a) for p, a in report["result"]["patch"]}
+        assert cells[(0, 0)] == (0, 1) and cells[(1, 1)] == (1, 0) and cells[(1, 0)] == (0, 1)
+    assert len(cells) == 81
+
+
+def test_subst_quadrant_rule_fails_fast(capsys, tmp_path):
+    # the digit walks of the cells off the positive quadrant circle below
+    # the origin, so they stay unfilled without building a larger patch
+    desc = tmp_path / "rule.json"
+    quadrant = [(x, y) for x in (0, 1) for y in (0, 1)]
+    desc.write_text(json.dumps(_two_letter_rule("2,0;0,2", quadrant, _swap_letter)))
+    tracemalloc.start()
+    try:
+        code = main(["subst", "patch", "--subst", str(desc), "--box", "-80:80"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("odosym: MarginError: ") and "6561 of the 25921" in err
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize(

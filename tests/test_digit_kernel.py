@@ -9,16 +9,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from odosym.errors import SingularMatrixError
+from odosym.errors import MarginError, SingularMatrixError
 from odosym.intmat import (
     IntMatrix,
+    fundamental_domain,
     hnf,
     is_expansion,
     parse_matrix,
     validate_domain,
+    vec_add,
     vec_sub,
 )
 from odosym.substitution import (
+    ConstantShapeSubstitution,
     fixed_point_patch,
     half_hex,
     sigma_L,
@@ -83,6 +86,51 @@ def test_fixed_point_patch_is_iterated_substitution(s):
             iterated = substitute(s, iterated)
         assert iterated.keys() == region
         assert fixed_point_patch(s, seed, region) == iterated
+
+
+def random_rule(rng, d, det):
+    """A general rule: a random expansion with the given |det|, digits moved by
+    random vectors of L(Z^d), two or three letters with random images, and
+    the least letter fixed at the origin of its image."""
+    while True:
+        base = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        if abs(base.det()) == det and is_expansion(base):
+            break
+    moves = [base.mul_vec([rng.randint(-1, 1) for _ in range(d)]) for _ in range(d)]
+    reps = [f if not any(f) else vec_add(f, rng.choice(moves)) for f in fundamental_domain(base).reps]
+    domain = validate_domain(base, reps)
+    letters = [(k,) for k in range(rng.randint(2, 3))]
+    table = {a: {f: rng.choice(letters) for f in reps} for a in letters}
+    table[letters[0]][(0,) * d] = letters[0]
+    return ConstantShapeSubstitution(base, domain, frozenset(letters), table), letters[0]
+
+
+@pytest.mark.parametrize("d, det", [(d, det) for d in (2, 3) for det in range(2, 7)])
+@pytest.mark.parametrize("k", range(2))
+def test_general_rule_letters_follow_the_rule(k, d, det):
+    s, seed = random_rule(random.Random(20260000 + 10 * k + 2 * det + d), d, det)
+    iterated = {(0,) * d: seed}
+    while len(iterated) * det <= PATCH_CELLS:
+        iterated = substitute(s, iterated)
+    assert fixed_point_patch(s, seed, iterated) == iterated
+    # a box, one cell at a time: a cell either has its letter or none
+    region = list(product(range(-4 if d == 2 else -2, 5 if d == 2 else 3), repeat=d))
+    filled = {}
+    for p in region:
+        try:
+            filled.update(fixed_point_patch(s, seed, [p]))
+        except MarginError:
+            pass
+    assert filled.keys() >= {p for p in region if p in iterated}
+    for j, a in filled.items():
+        lj = s.base.mul_vec(j)
+        for f, b in s.image(a).items():
+            assert filled.get(vec_add(lj, f), b) == b
+    if len(filled) == len(region):
+        assert fixed_point_patch(s, seed, region) == filled
+    else:
+        with pytest.raises(MarginError, match=f" {len(filled)} of the {len(region)} "):
+            fixed_point_patch(s, seed, region)
 
 
 def _oracle_valuation(L, v, cap=60):

@@ -84,16 +84,17 @@ def three_d_pairs():
     return out
 
 
-def evaluate_phi(cert, domain, seed, region):
-    rule = build_local_rule(cert, domain)
+def evaluate_phi(cert, seed, region):
+    rule = build_local_rule(cert)
     sources, cells = pullback_positions(rule, region)
     patch = fixed_point_patch(rule.substitution, seed, cells)
     return rule, apply_endomorphism(rule, patch, sources)
 
 
-def coordinate_formula(cert, domain, seed, region):
+def coordinate_formula(cert, seed, region):
     """Image at t: the digit action of C_v on the letter at u = M^{-1} t, with
     v the valuation of u truncated at n0 (the origin is deeper than n0)."""
+    domain = cert.domain
     s = sigma_L(cert.L, domain)
     m_inv = unimodular_inverse(cert.M)
     out = {}
@@ -114,13 +115,13 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
         assert isinstance(cert, NLCertificate), (L, M)
         letters = sorted(sigma_L(L, domain).alphabet)
         seed = letters[len(cases) % len(letters)]
-        cases.append((cert, domain, seed, box(6 if L.dim == 2 else 3, L.dim)))
+        cases.append((cert, seed, box(6 if L.dim == 2 else 3, L.dim)))
     reached = set()
     cold = []
-    for cert, domain, seed, region in cases:
+    for cert, seed, region in cases:
         _frame.cache_clear()
-        rule, image = evaluate_phi(cert, domain, seed, region)
-        assert image == coordinate_formula(cert, domain, seed, region), (cert.L, cert.M)
+        rule, image = evaluate_phi(cert, seed, region)
+        assert image == coordinate_formula(cert, seed, region), (cert.L, cert.M)
         reached.add((cert.L.dim, rule.n0 > 0))
         cold.append(image)
     # every kernel's 2-D and d = 3 path, with and without the window decode
@@ -193,13 +194,22 @@ def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
     deep = [p for p in region if not any(basis.reduce_vec(p))]
     for x, y in deep:
         assert ((a * x + b * y) // det, (c * x + d * y) // det) == L.solve_exact((x, y))
-    # with tau made visible, the patch shows which source each deep cell read:
-    # the same pass with every source from solve_exact gives the same cells
+    # each deep cell reads the letter of its source from solve_exact when the
+    # source came earlier in the region, and walks down from it otherwise
     seed = data.draw(st.sampled_from(sorted(s.alphabet)))
+    walked, descend = [], substitution._descend
+
+    def counted(s, pos, known):
+        walked.append(pos)
+        return descend(s, pos, known)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(substitution, "tau", lambda s, pos: ("tau", pos))
+        mp.setattr(substitution, "_descend", counted)
         got = fixed_point_patch(s, seed, region)
-    want = {p: s.domain.digit_of(p) for p in region if p not in deep}
+    assert got == {p: tau(s, p) if any(p) else seed for p in region}
+    filled, want = {p for p in region if p not in deep}, []
     for p in deep:
-        want[p] = seed if p == (0, 0) else want.get(L.solve_exact(p), ("tau", p))
-    assert got == want
+        if L.solve_exact(p) not in filled:
+            want.append(L.solve_exact(p))
+        filled.add(p)
+    assert walked == want

@@ -165,7 +165,8 @@ def test_nl_requires_unimodular():
 
 
 def test_nl_payload_roundtrip():
-    # each report rebuilds its object, so the payload leaves no field out
+    # each report, with the domain its inputs name, rebuilds its object, so
+    # the payload leaves no other field out
     out = nl_membership(D24, parse_matrix("1,2;0,1"))
     p = out.to_payload()
     assert p["accepted"] is True
@@ -179,6 +180,7 @@ def test_nl_payload_roundtrip():
         residue_permutation=tuple(
             (parse_vector(a), parse_vector(b)) for a, b in p["residue_permutation"]
         ),
+        domain=fundamental_domain(D24),
     )
     assert rebuilt == out
     rej = nl_membership(D24, parse_matrix("1,0;1,1"))
@@ -207,24 +209,26 @@ def test_rule_reuses_the_certificate_actions_only_on_their_domain(monkeypatch):
     ):
         cert = nl_membership(L, M, domain=domain)
         calls.clear()
-        rule = build_local_rule(cert, domain)
+        rule = build_local_rule(cert)
         assert calls == [] and cert.n0 == len(rule.per_level) - 1
         # a certificate rebuilt from its fields carries no actions
         compared = {f.name: getattr(cert, f.name) for f in fields(cert) if f.compare}
         rebuilt = NLCertificate(**compared)
         assert rebuilt == cert
-        assert build_local_rule(rebuilt, domain).per_level == rule.per_level
+        assert build_local_rule(rebuilt).per_level == rule.per_level
         assert calls == list(cert.conjugates[: cert.n0 + 1])
         if other is not None:
-            # actions on the half-hex digits are not those on another domain
-            got = build_local_rule(cert, other).per_level
-            assert got == build_local_rule(nl_membership(L, M, domain=other), other).per_level
-            assert set(got[0]) == set(other.reps[1:]) != set(domain.reps[1:])
+            # the domain is part of the certificate: on another domain the
+            # rule reads that domain's digits
+            assert NLCertificate(**{**compared, "domain": other}) != cert
+            got = build_local_rule(nl_membership(L, M, domain=other))
+            assert got.substitution.domain == other
+            assert set(got.per_level[0]) == set(other.reps[1:]) != set(domain.reps[1:])
 
 
 def test_identity_rule_is_identity():
     cert = nl_membership(TWO, IntMatrix.identity(2), domain=HH_DOMAIN)
-    rule = build_local_rule(cert, HH_DOMAIN)
+    rule = build_local_rule(cert)
     assert all(v == k for k, v in rule.per_level[0].items())
     patch = fixed_point_patch(rule.substitution, (1, 0), box(5))
     out = evaluate(rule, patch, box(3))
@@ -233,7 +237,7 @@ def test_identity_rule_is_identity():
 
 def test_half_hex_swap_permutation():
     cert = nl_membership(TWO, SWAP, domain=HH_DOMAIN)
-    rule = build_local_rule(cert, HH_DOMAIN)
+    rule = build_local_rule(cert)
     perm = rule.per_level[0]
     assert perm[(1, 0)] == (0, 1)
     assert perm[(0, 1)] == (1, 0)
@@ -256,7 +260,7 @@ def test_fixed_point_maps_to_fixed_point():
     ):
         cert = nl_membership(L, M, domain=domain)
         assert isinstance(cert, NLCertificate)
-        rule = build_local_rule(cert, domain)
+        rule = build_local_rule(cert)
         s = rule.substitution
         region = box(5)
         sources, cells = pullback_positions(rule, region)
@@ -271,7 +275,7 @@ def test_fixed_point_maps_to_fixed_point():
 
 def test_equivariance_on_shifted_patches():
     cert = nl_membership(TWO, SWAP, domain=HH_DOMAIN)
-    rule = build_local_rule(cert, HH_DOMAIN)
+    rule = build_local_rule(cert)
     s = rule.substitution
     patch = fixed_point_patch(s, (1, 0), box(14))
     z = (1, 0)
@@ -324,7 +328,7 @@ def test_tau_equivariance_of_accepted_matrices():
     for L, M, domain in cases:
         cert = nl_membership(L, M, domain=domain)
         assert isinstance(cert, NLCertificate)
-        rule = build_local_rule(cert, domain)
+        rule = build_local_rule(cert)
         s = rule.substitution
         for v in box(8):
             if v == (0, 0):
@@ -335,7 +339,7 @@ def test_tau_equivariance_of_accepted_matrices():
 
 def test_margin_error():
     cert = nl_membership(TWO, SWAP, domain=HH_DOMAIN)
-    rule = build_local_rule(cert, HH_DOMAIN)
+    rule = build_local_rule(cert)
     patch = fixed_point_patch(rule.substitution, (1, 0), box(2))
     with pytest.raises(MarginError):
         evaluate(rule, patch, box(8))
@@ -382,7 +386,7 @@ def test_automorphism_triviality_surrogate():
     # reproduces the patch: consistent with the shift maps being the only
     # self-conjugacies
     cert = nl_membership(TWO, IntMatrix.identity(2), domain=HH_DOMAIN)
-    rule = build_local_rule(cert, HH_DOMAIN)
+    rule = build_local_rule(cert)
     patch = fixed_point_patch(rule.substitution, (0, 1), box(6))
     out = evaluate(rule, patch, box(4))
     assert all(out[t] == patch[t] for t in box(4))
@@ -648,7 +652,7 @@ NON_INTEGER_POSITIONS = {
 @pytest.mark.parametrize("name", NON_INTEGER_POSITIONS)
 def test_positions_must_be_exact_integers(name):
     hh = half_hex()
-    rule = build_local_rule(nl_membership(TWO, SWAP, domain=HH_DOMAIN), HH_DOMAIN)
+    rule = build_local_rule(nl_membership(TWO, SWAP, domain=HH_DOMAIN))
     patch = fixed_point_patch(hh, (1, 0), box(3))
     with pytest.raises(TypeError):
         NON_INTEGER_POSITIONS[name](hh, rule, patch)

@@ -180,7 +180,9 @@ def test_fixed_point_patch_on_f1():
 
 def test_fixed_points_need_the_self_similar_family():
     # every letter writes the least letter a at each nonzero digit, so the
-    # fixed point seeded by a is constant, but the digits of sigma_L are not
+    # fixed point seeded by a is constant, but the digits of sigma_L are not:
+    # fixed_point_patch reads the rule's own letters, recognizability_check
+    # takes sigma_L only
     L = parse_matrix("3,0;0,3")
     domain = fundamental_domain(L)
     digits = [f for f in domain.reps if any(f)]
@@ -192,8 +194,11 @@ def test_fixed_points_need_the_self_similar_family():
     by_digits = fixed_point_patch(sigma_L(L, domain), a, box(2))
     wrong = [p for p in box(2) if p in iterated and iterated[p] != by_digits[p]]
     assert wrong[:3] == [(0, 2), (1, 0), (1, 1)]
-    with pytest.raises(WrongBranchError, match="self-similar"):
-        fixed_point_patch(s, a, box(2))
+    got = fixed_point_patch(s, a, box(2))
+    assert got == {p: a for p in box(2)}
+    assert all(got[p] == iterated[p] for p in box(2) if p in iterated)
+    b = max(digits)
+    assert fixed_point_patch(s, b, box(2)) == {**got, (0, 0): b}
     with pytest.raises(WrongBranchError, match="self-similar"):
         recognizability_check(s, 1)
 
