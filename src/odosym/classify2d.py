@@ -32,7 +32,6 @@ raises SizeGuardError.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -40,6 +39,7 @@ from .errors import SizeGuardError
 from .intmat import (
     IntMatrix,
     _inv_unimodular,
+    _Record,
     _xgcd,
     commutes,
     format_matrix,
@@ -57,8 +57,7 @@ _SWAP = IntMatrix(((0, 1), (1, 0)))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FullGL2:
+class FullGL2(_Record):
     """The whole group GL(2,Z)."""
 
     tag = "full-gl2"
@@ -68,8 +67,7 @@ class FullGL2:
         return (_SWAP, IntMatrix(((1, 1), (0, 1))), -_ID)
 
 
-@dataclass(frozen=True)
-class CentralizerFinite:
+class CentralizerFinite(_Record):
     """Finite centralizer, listed exhaustively."""
 
     elements: tuple[IntMatrix, ...]
@@ -80,8 +78,7 @@ class CentralizerFinite:
         return self.elements
 
 
-@dataclass(frozen=True)
-class CentralizerInfinite:
+class CentralizerInfinite(_Record):
     """Infinite centralizer: -Id together with a fundamental automorph."""
 
     automorph: IntMatrix
@@ -92,8 +89,7 @@ class CentralizerInfinite:
         return (-_ID, self.automorph)
 
 
-@dataclass(frozen=True)
-class KleinFour:
+class KleinFour(_Record):
     """Four involutions (including +-Id), isomorphic to (Z/2Z)^2."""
 
     elements: tuple[IntMatrix, ...]
@@ -104,8 +100,7 @@ class KleinFour:
         return self.elements
 
 
-@dataclass(frozen=True)
-class OrderTwo:
+class OrderTwo(_Record):
     """Just {Id, -Id}."""
 
     tag = "order-two"
@@ -116,23 +111,20 @@ class OrderTwo:
         return self.elements
 
 
-@dataclass(frozen=True)
-class ParamFamily:
+class ParamFamily(_Record):
     """q = k (p - s): four explicit one-parameter families of matrices."""
 
     k: int
     kind = "param-family"
 
 
-@dataclass(frozen=True)
-class UpperTriangularUnimodular:
+class UpperTriangularUnimodular(_Record):
     """All upper triangular unimodular matrices in the adapted basis."""
 
     kind = "upper-triangular-unimodular"
 
 
-@dataclass(frozen=True)
-class VirtuallyZ:
+class VirtuallyZ(_Record):
     """Infinite group with a finite-index Z subgroup.
 
     conjugator P maps members to upper triangular matrices
@@ -156,8 +148,7 @@ NormalizerClass = (
 )
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(_Record):
     """is_member's answer.
 
     reason is "full-gl2" (every M, no witness), "centralizer-commutes" (M
@@ -169,7 +160,12 @@ class MembershipVerdict:
 
     member: bool
     reason: str
-    witness: tuple | None = None
+    witness: tuple | None
+
+    def __init__(self, member: bool, reason: str, witness: tuple | None = None):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
     def to_payload(self) -> dict:
         return {
@@ -218,8 +214,7 @@ def _extend_unimodular(v: tuple[int, int]) -> IntMatrix:
     return IntMatrix(((a, -y), (b, x)))
 
 
-@dataclass(frozen=True)
-class _Triangular:
+class _Triangular(_Record):
     """Adapted basis data: T = W^{-1} L W upper triangular."""
 
     W: IntMatrix

@@ -291,6 +291,17 @@ def cmd_nl(args) -> Answer:
     )
 
 
+def _seed(s: ConstantShapeSubstitution, given: str | None) -> tuple:
+    """The --seed letter, by default the least letter fixed at the origin of its image."""
+    if given:
+        return parse_vector(given)
+    zero = (0,) * s.dim
+    fixed = [a for a in s.alphabet if s.image(a)[zero] == a]
+    if not fixed:
+        raise ValueError("no letter is fixed at the origin of its image, so none can seed")
+    return min(fixed)
+
+
 def cmd_phi(args) -> Answer:
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
@@ -301,7 +312,7 @@ def cmd_phi(args) -> Answer:
     if isinstance(outcome, NLRejection):
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome)
-    seed = parse_vector(args.seed) if args.seed else min(rule.substitution.alphabet)
+    seed = _seed(rule.substitution, args.seed)
     region = box_positions(lo, hi, base.dim)
     sources, cells = pullback_positions(rule, region)
     patch = fixed_point_patch(rule.substitution, seed, cells)
@@ -323,7 +334,7 @@ def cmd_subst(args) -> Answer:
         base = parse_matrix(args.L)
         domain = _parse_domain_arg(base, args.F)
         s = sigma_L(base, domain)
-    seed = parse_vector(args.seed) if args.seed else min(s.alphabet)
+    seed = _seed(s, args.seed)
     lo, hi = _parse_box(args.box)
     patch = fixed_point_patch(s, seed, box_positions(lo, hi, s.dim))
     inputs = {

@@ -7,7 +7,6 @@ reductions are all decided by exact sign and divisibility analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
@@ -37,18 +36,82 @@ def zero_vec(d: int) -> Vec:
     return (0,) * d
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Record:
+    """Frozen record, built without generated code.
+
+    The names annotated in a subclass body are its fields, in order.  The
+    constructor takes them by position or keyword; a class attribute of the
+    same name is the default.  ==, hash and repr read the fields not named
+    in _uncompared (caches the record carries); == holds only between
+    records of one class, and no attribute can be set or deleted.
+    """
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._params = tuple(cls.__annotations__)
+        cls._fields = tuple(f for f in cls._params if f not in cls._uncompared)
+
+    def __init__(self, *args, **kwargs):
+        cls, params = type(self), self._params
+        if len(args) > len(params):
+            raise TypeError(f"{cls.__name__} takes {len(params)} fields, got {len(args)}")
+        values = dict(zip(params, args))
+        for name in params[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got an unexpected field {next(iter(kwargs))!r}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(_Record):
     """Square integer matrix, immutable and hashable."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        d = len(self.rows)
-        if d < 1 or any(len(r) != d for r in self.rows):
+    def __init__(self, rows):
+        d = len(rows)
+        if d < 1 or [*map(len, rows)] != [d] * d:
             raise ValueError("IntMatrix must be square with dim >= 1")
         # operator.index takes exact integers only: 2.5 and '3' raise TypeError
-        object.__setattr__(self, "rows", tuple(tuple(map(index, r)) for r in self.rows))
+        object.__setattr__(self, "rows", tuple([tuple(map(index, r)) for r in rows]))
+
+    # the record's == and hash without the walk over the field names:
+    # matrices are dict and cache keys on every hot path
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     # -- construction -----------------------------------------------------
 
@@ -272,8 +335,7 @@ def rad_divides(n: int, t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HnfBasis:
+class HnfBasis(_Record):
     """Canonical basis of a finite-index sublattice of Z^d.
 
     Convention: columns generate the lattice; the matrix is lower
@@ -376,14 +438,14 @@ def hnf(m: IntMatrix) -> HnfBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(_Record):
     """A full set of coset representatives of L(Z^d) in Z^d, with 0 in it."""
 
     base: IntMatrix
     reps: tuple[Vec, ...]
     hnf_basis: HnfBasis
-    _rep_of_key: dict = field(repr=False, compare=False)
+    _rep_of_key: dict
+    _uncompared = ("_rep_of_key",)
 
     def digit_of(self, v: Vec) -> Vec:
         """The representative of this domain congruent to v."""

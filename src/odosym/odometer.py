@@ -26,41 +26,40 @@ from m_(n-1), and from the first Absent depth on it searches no more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
 from .errors import DepthError, NotExpansionError
-from .intmat import IntMatrix, Vec, hnf, is_expansion
+from .intmat import IntMatrix, Vec, _Record, hnf, is_expansion
 
 # ---------------------------------------------------------------------------
 # bases and points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantBase:
+class ConstantBase(_Record):
     """Levels Z_n = L^n(Z^d) for a fixed expansion matrix L."""
 
     matrix: IntMatrix
 
-    def __post_init__(self):
-        if not is_expansion(self.matrix):
-            raise NotExpansionError(f"not an expansion matrix: {self.matrix}")
+    def __init__(self, matrix: IntMatrix):
+        if not is_expansion(matrix):
+            raise NotExpansionError(f"not an expansion matrix: {matrix}")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.dim
 
 
-@dataclass(frozen=True)
-class OdometerPoint:
+class OdometerPoint(_Record):
     """Digits g_0..g_N, each the canonical representative mod level n."""
 
     base: ConstantBase
     digits: tuple[Vec, ...]
 
-    def __post_init__(self):
+    def __init__(self, base: ConstantBase, digits: tuple[Vec, ...]):
+        super().__init__(base, digits)
         # digit n+1 - digit n must lie in Z_n = L^n(Z^d); walk L^n level to level
         power = IntMatrix.identity(self.base.dim)
         for n in range(len(self.digits) - 1):
@@ -94,8 +93,7 @@ def kappa_embed(v: Vec, base: ConstantBase, depth: int) -> OdometerPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NcCertificate:
+class NcCertificate(_Record):
     """Outcome of the depth-n normalizer-condition search.
 
     m is the least witness exponent, or None when no exponent works; bound
@@ -106,6 +104,11 @@ class NcCertificate:
     n: int
     m: int | None
     bound: int
+
+    def __init__(self, n: int, m: int | None, bound: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def present(self) -> bool:

@@ -13,10 +13,10 @@ patches evaluate correctly) and applies the per-level coset permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from operator import add, index
+from types import MappingProxyType
 
 from .errors import (
     MarginError,
@@ -28,6 +28,7 @@ from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
+    _Record,
     _apply,
     _inv_unimodular,
     _rows_mul,
@@ -76,8 +77,7 @@ def _conjugates(L: IntMatrix, M: IntMatrix):
             left = _rows_mul(adj.rows, num)
 
 
-@dataclass(frozen=True)
-class NLCertificate:
+class NLCertificate(_Record):
     """Bounded evidence that M acts on the subshift of base L.
 
     conjugates[n] is C_n or None; k is the first level from which every
@@ -95,8 +95,9 @@ class NLCertificate:
     k: int
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
-    domain: FundamentalDomain = field(repr=False)
-    _actions: dict = field(default_factory=dict, repr=False, compare=False)
+    domain: FundamentalDomain
+    _actions: dict = MappingProxyType({})  # read-only, so every instance may share it
+    _uncompared = ("_actions",)
 
     def to_payload(self) -> dict:
         return {
@@ -116,8 +117,7 @@ class NLCertificate:
         }
 
 
-@dataclass(frozen=True)
-class NLRejection:
+class NLRejection(_Record):
     """Why bounded verification failed: the two failure shapes differ."""
 
     L: IntMatrix
@@ -221,8 +221,7 @@ def nl_membership(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalRule:
+class LocalRule(_Record):
     """Sliding-block realization of the action of M.
 
     per_level[v] is the digit permutation used at truncated level v; the
@@ -240,7 +239,8 @@ class LocalRule:
     n0: int
     per_level: tuple[dict, ...]
     _class_table: tuple
-    _levels: dict = field(repr=False, compare=False)
+    _levels: dict
+    _uncompared = ("_levels",)
 
 
 def build_local_rule(cert: NLCertificate) -> LocalRule:

@@ -9,7 +9,6 @@ not boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import index, sub
@@ -19,6 +18,7 @@ from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
+    _Record,
     fundamental_domain,
     hnf,
     validate_domain,
@@ -34,8 +34,7 @@ HALF_HEX_BASE = IntMatrix(((2, 0), (0, 2)))
 HALF_HEX_SUPPORT = ((0, 0), (1, 0), (0, 1), (1, -1))
 
 
-@dataclass(frozen=True)
-class ConstantShapeSubstitution:
+class ConstantShapeSubstitution(_Record):
     """Rule letter -> pattern supported on a fixed fundamental domain."""
 
     base: IntMatrix
@@ -43,7 +42,10 @@ class ConstantShapeSubstitution:
     alphabet: frozenset
     table: dict
 
-    def __post_init__(self):
+    def __init__(
+        self, base: IntMatrix, domain: FundamentalDomain, alphabet: frozenset, table: dict
+    ):
+        super().__init__(base, domain, alphabet, table)
         # tau strips factors of L and would never stop on a non-expansion base
         ConstantBase(self.base)
         support = set(self.domain.reps)
@@ -261,8 +263,7 @@ def fixed_point_count(s: ConstantShapeSubstitution) -> int:
 _COVERAGE_RADIUS = 8
 
 
-@dataclass(frozen=True)
-class KSetReport:
+class KSetReport(_Record):
     points: frozenset
     stable_from: int | None
     m_max: int

@@ -309,15 +309,19 @@ def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
     assert main(["subst", "patch", "--L", "3,0;0,1", "--box", "-2:2"]) == 2
     assert "NotExpansionError" in capsys.readouterr().err
     # balanced digits reach every cell from the origin; this rule swaps the
-    # letter at the origin, so neither seed is the origin letter of a fixed point
+    # letter at the origin, so no letter is the origin letter of a fixed point
     square = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
     desc.write_text(
         json.dumps(_two_letter_rule("3,0;0,3", square, lambda a, f: a if sum(f) % 2 else a[::-1]))
     )
-    for argv, seed in (([], "(0, 1)"), (["--seed", "1,0"], "(1, 0)")):
-        assert main(["subst", "patch", "--subst", str(desc), *argv, "--box", "-4:4"]) == 2
+    assert main(["subst", "patch", "--subst", str(desc), "--box", "-4:4"]) == 2
+    assert capsys.readouterr().err == (
+        "odosym: ValueError: no letter is fixed at the origin of its image, so none can seed\n"
+    )
+    for seed, letter in (("0,1", "(0, 1)"), ("1,0", "(1, 0)")):
+        assert main(["subst", "patch", "--subst", str(desc), "--seed", seed, "--box", "-4:4"]) == 2
         assert capsys.readouterr().err == (
-            f"odosym: ValueError: seed {seed} is not fixed at the origin of its image\n"
+            f"odosym: ValueError: seed {letter} is not fixed at the origin of its image\n"
         )
     # keeping the origin letter makes a fixed point, whose letters do not
     # depend on the box
@@ -332,6 +336,24 @@ def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
         cells = {tuple(p): tuple(a) for p, a in report["result"]["patch"]}
         assert cells[(0, 0)] == (0, 1) and cells[(1, 1)] == (1, 0) and cells[(1, 0)] == (0, 1)
     assert len(cells) == 81
+
+
+def test_subst_default_seed_is_the_least_origin_fixed_letter(capsys, tmp_path):
+    # (0, 1) writes (1, 0) everywhere, so only (1, 0), the greater letter, is
+    # fixed at the origin of its image; with L = -2 Id every digit walk
+    # reaches the origin
+    def image(a, f):
+        return (0, 1) if a == (1, 0) and any(f) else (1, 0)
+
+    quadrant = [(x, y) for x in (0, 1) for y in (0, 1)]
+    desc = tmp_path / "rule.json"
+    desc.write_text(json.dumps(_two_letter_rule("-2,0;0,-2", quadrant, image)))
+    argv = ["subst", "patch", "--subst", str(desc), "--box", "-3:3"]
+    code, default = run_cli(argv, capsys)
+    assert code == 0 and default["result"]["seed"] == "1,0"
+    code, given = run_cli([*argv, "--seed", "1,0"], capsys)
+    assert code == 0 and given["result"] == default["result"]
+    assert len(default["result"]["patch"]) == 49
 
 
 def test_subst_quadrant_rule_fails_fast(capsys, tmp_path):

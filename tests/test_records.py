@@ -1,0 +1,96 @@
+"""The frozen records: equality, hashing, repr, constructors and immutability."""
+
+import pytest
+
+from odosym.classify2d import (
+    FullGL2,
+    MembershipVerdict,
+    OrderTwo,
+    ParamFamily,
+    UpperTriangularUnimodular,
+)
+from odosym.intmat import FundamentalDomain, IntMatrix, fundamental_domain, parse_matrix
+from odosym.odometer import ConstantBase, NcCertificate
+from odosym.subshift_norm import LocalRule, NLCertificate, build_local_rule, nl_membership
+
+L = parse_matrix("2,1;0,3")
+
+
+def test_equal_fields_give_equal_records_and_hashes():
+    a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix(((1, 2), (3, 4)))
+    assert a == b and hash(a) == hash(b)
+    # the hash of the field tuple, so sets of matrices iterate in one order
+    assert hash(a) == hash((a.rows,))
+    assert NcCertificate(3, None, 12) == NcCertificate(n=3, m=None, bound=12)
+    assert hash(ConstantBase(L)) == hash(ConstantBase(parse_matrix("2,1;0,3")))
+    assert IntMatrix.identity(2) != IntMatrix.identity(3)
+    assert NcCertificate(3, 1, 12) != NcCertificate(3, None, 12)
+
+
+def test_caches_take_no_part_in_equality_or_hashing():
+    domain = fundamental_domain(L)
+    bare = FundamentalDomain(domain.base, domain.reps, domain.hnf_basis, {})
+    assert bare == domain and hash(bare) == hash(domain)
+    assert "_rep_of_key" not in repr(domain)
+    cert = nl_membership(L, IntMatrix.identity(2))
+    assert cert._actions
+    fields = {k: v for k, v in vars(cert).items() if k != "_actions"}
+    other = NLCertificate(**fields, _actions={IntMatrix.identity(2): {}})
+    assert other == cert and hash(other) == hash(cert)
+    rule = build_local_rule(cert)
+    args = [getattr(rule, f) for f in ("substitution", "window", "m_inv", "n0", "per_level")]
+    assert LocalRule(*args, rule._class_table, {}) == rule
+    assert LocalRule(*args, (), rule._levels) != rule
+
+
+def test_records_of_different_classes_are_never_equal():
+    assert FullGL2() == FullGL2() and hash(FullGL2()) == hash(FullGL2())
+    assert FullGL2() != OrderTwo()
+    assert UpperTriangularUnimodular() != FullGL2()
+    assert ParamFamily(1) != NcCertificate(1, None, 1)
+    assert IntMatrix(((1,),)) != ((1,),)
+    assert ConstantBase(L) != L
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    m = IntMatrix.identity(2)
+    with pytest.raises(AttributeError):
+        m.rows = ((2, 0), (0, 2))
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    with pytest.raises(AttributeError):
+        del m.rows
+    verdict = MembershipVerdict(True, "full-gl2")
+    with pytest.raises(AttributeError):
+        verdict.member = False
+    assert m.rows == ((1, 0), (0, 1)) and verdict.member is True
+
+
+def test_repr_names_the_class_and_its_compared_fields():
+    assert repr(IntMatrix([[1, -2], [3, 4]])) == "IntMatrix(rows=((1, -2), (3, 4)))"
+    assert repr(NcCertificate(2, None, 9)) == "NcCertificate(n=2, m=None, bound=9)"
+    assert repr(FullGL2()) == "FullGL2()"
+
+
+def test_constructors_take_positions_keywords_and_defaults():
+    assert MembershipVerdict(False, "unit-eigenlines").witness is None
+    verdict = MembershipVerdict(member=False, reason="unit-eigenlines", witness=(0, 3))
+    assert verdict == MembershipVerdict(False, "unit-eigenlines", (0, 3))
+    cert = nl_membership(L, IntMatrix.identity(2))
+    fields = {k: v for k, v in vars(cert).items() if k != "_actions"}
+    assert len(NLCertificate(**fields)._actions) == 0
+    assert ParamFamily(k=2) == ParamFamily(2)
+    with pytest.raises(TypeError):
+        ParamFamily()
+    with pytest.raises(TypeError):
+        ParamFamily(1, 2)
+    with pytest.raises(TypeError):
+        ParamFamily(k=1, j=2)
+    with pytest.raises(TypeError):
+        NcCertificate(1, 2)
+
+
+def test_cached_properties_still_cache():
+    m = parse_matrix("2,1;1,3")
+    assert m._inverse is m._inverse
+    assert m.solve_exact((5, 5)) == (2, 1)

@@ -5,6 +5,8 @@ import of either in the source would still pass every other test.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,18 @@ def test_imports_are_stdlib_or_odosym(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed = sys.stdlib_module_names | {"odosym"}
     assert sorted(set(imported_roots(tree)) - allowed) == []
+
+
+def test_cli_import_leaves_out_the_dataclasses_machinery():
+    # records are plain classes: dataclasses would pull in inspect, ast and
+    # dis and build each record's methods with exec on every start-up
+    probe = "import sys, odosym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
