@@ -263,14 +263,9 @@ def _minor(rows, i, j):
 
 def _det(rows) -> int:
     d = len(rows)
-    if d == 1:
-        return rows[0][0]
     if d == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if d == 3:
-        (a, b, c), (p, q, r), (x, y, z) = rows
-        return a * (q * z - r * y) - b * (p * z - r * x) + c * (p * y - q * x)
-    # Bareiss fraction-free elimination for larger d.
+    # Bareiss fraction-free elimination for every other d.
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -513,12 +508,10 @@ def integer_eigenvalues(m: IntMatrix) -> list[int]:
 def is_expansion(m: IntMatrix) -> bool:
     """True iff every eigenvalue has modulus strictly greater than 1.
 
-    d <= 2 is decided by sign analysis of the characteristic polynomial;
-    larger d uses an exact Schur-Cohn test on the reversed polynomial.
+    d = 2 is decided by sign analysis of the characteristic polynomial;
+    every other d uses an exact Schur-Cohn test on the reversed polynomial.
     """
     d = m.dim
-    if d == 1:
-        return abs(m.rows[0][0]) > 1
     if d == 2:
         t, det = m.trace(), m.det()
         disc = t * t - 4 * det

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -537,7 +538,9 @@ def test_verify_paper_pretty_prints_only_the_table(capsys, tmp_path):
     text = out.read_text()
     assert text.startswith('{\n  "command": "verify-paper",\n')
     report = json.loads(text)
-    assert report["payload_hash"].startswith("1df971094f83")
+    assert report["payload_hash"] == (
+        "1df971094f836e6e6e0b7a81f55a8e3a61bed1e02575b1ab216bc63434f75f90"
+    )
     assert (report["result"]["passed"], report["result"]["open"]) == (15, 2)
 
 
@@ -566,35 +569,53 @@ def test_classify_payload_hash_is_pinned(capsys, base):
     assert report["payload_hash"].startswith(CLASSIFY_PAYLOAD_HASHES[base])
 
 
-# payload_hash of phi reports, recorded before the 2-D kernels: the README
-# half-hex example, a scalar base, a window-level (n0 = 1) diagonal base and a
-# 3-D base that takes the general d-loop
+# payload_hash of phi reports, and the sha256 of their canonical result, for
+# the README half-hex example, a scalar base, a window-level (n0 = 1) diagonal
+# base and a 3-D base that takes the general d-loop.  The results are those of
+# the reports recorded before the 2-D kernels; the payload hashes were
+# re-recorded when the echoed inputs gained F, which left every result as it was
 PHI_PAYLOAD_HASHES = {
     "half-hex": (
         ["--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;1,-1", "--box", "-6:6"],
-        "b84f8cad6a515038e104c35cab0ae3d784e4094f684ca73fb317b629212ef996",
+        "f4dbed3cb37b9282dcbf96d638a627f982f2eb349a36dc91d802fd70e96a9462",
+        "b8308174bc9c86e8df10ae74572f0fd2c509b33013067ba1f44b10ff590d059e",
     ),
     "scalar-3": (
         ["--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-5:5"],
-        "9fc7c160aaec18d1fff7cfc56ec653e47213abcaafc3b05d678983354bbf8a37",
+        "1c8de508eefe88d150db9fdb9cf94f5c81e47aaf3c23bda0cca4bdfa13559b38",
+        "5b392217a1a7a43b927f2bb3bd6f2ee5e1934b2db0a05347772e3ceced99756e",
     ),
     "diag-2-4": (
         ["--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-5:5"],
-        "2b98e2e29ac19468f13286bbd3fff3ac76829e021cdcd82a00b1618a84479014",
+        "feab926938619e2e63234e77e4c635bd268ac31eedcf33e474de6928d72096b9",
+        "5305cf0ecd515d41cf6dfef0d51fb28ff75cacd3517178320d8c480787f2775d",
     ),
     "diag-2-2-4": (
         ["--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-2:2"],
-        "116422c72e582c00a236ce66abaf60f0d043bc6f6d52ccf2ef4f4e29fda09f0b",
+        "6022a940dfc67cd5fe641cb4ce5fb031bfba38be1596233c6d4a29f1f3750794",
+        "5d22c132eb5e7c433fa999fcd16584afb6590e13baf95f741962867b078e0591",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PHI_PAYLOAD_HASHES))
 def test_phi_payload_hash_is_pinned(capsys, case):
-    argv, want = PHI_PAYLOAD_HASHES[case]
+    argv, want, want_result = PHI_PAYLOAD_HASHES[case]
     code, report = run_cli(["phi", *argv], capsys)
     assert code == 0
     assert report["payload_hash"] == want
+    canon = json.dumps(report["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == want_result
+
+
+def test_phi_echoes_the_domain_it_used(capsys):
+    # two domains give two patches, so the inputs must tell them apart
+    argv = ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", "--box", "0:1"]
+    _, default = run_cli(argv, capsys)
+    _, given = run_cli([*argv, "--F", "0,0;1,0;0,1;1,-1"], capsys)
+    assert default["result"]["patch"] != given["result"]["patch"]
+    assert default["inputs"]["F"] == ["0,0", "0,1", "1,0", "1,1"]
+    assert given["inputs"]["F"] == ["0,0", "1,0", "0,1", "1,-1"]
 
 
 def test_compact_report_is_the_hashed_body_plus_hash_and_timing(capsys, tmp_path):
@@ -671,6 +692,38 @@ def test_verify_paper_command_exit(capsys):
     code, report = run_cli(["verify-paper"], capsys)
     assert code == 0
     assert report["result"]["failed"] == 0
+
+
+def _statuses(result):
+    return {r["label"]: r["status"] for r in result["rows"]}
+
+
+def test_verify_paper_fails_a_row_whose_check_breaks(capsys, monkeypatch):
+    # one rule for every row: FAIL when its check is false, else OPEN or PASS;
+    # an OPEN row fails too when the evidence for its computed side breaks
+    clean = _statuses(run_verify_paper())
+    real_classify, real_compose = cli.classify, cli.composition_check
+
+    def wrong_tag(base):
+        if cli.format_matrix(base) == "2,0;0,2":
+            return types.SimpleNamespace(tag="order-two")
+        return real_classify(base)
+
+    def no_diag24_composition(base, *args, **kwargs):
+        return cli.format_matrix(base) != "2,0;0,4" and real_compose(base, *args, **kwargs)
+
+    cases = [
+        ("classify", wrong_tag, "classify:ex-two-id"),
+        ("verify_nc_certificate", lambda *args: False, "classify:ex-two-eigenvalues-OPEN"),
+        ("composition_check", no_diag24_composition, "nl:diag24-odd-upper-OPEN"),
+    ]
+    for name, fake, label in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, name, fake)
+            result = run_verify_paper()
+            code, report = run_cli(["verify-paper"], capsys)
+        assert _statuses(result) == {**clean, label: "FAIL"}
+        assert (result["failed"], code, report["result"]) == (1, 3, result)
 
 
 def _child_env():

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sympy import Poly, Rational, Symbol, factorint, im, re
+from sympy import Matrix, Poly, Rational, Symbol, factorint, im, re
 
 from odosym.errors import (
     DomainCardinalityError,
@@ -76,6 +76,16 @@ def test_adjugate_identity_random():
         a = m.adjugate()
         assert a * m == IntMatrix.scalar(d, det)
         assert m * a == IntMatrix.scalar(d, det)
+
+
+def test_det_against_sympy():
+    # d = 2 has its closed form; every other d, 1 and 3 among them, takes the
+    # Bareiss elimination, here with zero pivots that force a row swap
+    rng = random.Random(3)
+    for _ in range(200):
+        d = rng.choice([1, 2, 3, 4])
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(d)] for _ in range(d)]
+        assert IntMatrix(rows).det() == Matrix(rows).det(), rows
 
 
 def test_char_poly_matches_det_and_trace():
@@ -483,6 +493,12 @@ def test_is_expansion_dim3_against_modulus_oracle():
     ):
         m = IntMatrix(rows)
         assert is_expansion(m) is _expansion_oracle(m) is want
+
+
+def test_is_expansion_dim1_takes_the_schur_cohn_route():
+    for a in range(-4, 5):
+        m = IntMatrix(((a,),))
+        assert is_expansion(m) is _expansion_oracle(m) is (abs(a) > 1), a
 
 
 def test_is_expansion_dim4_against_modulus_oracle():
