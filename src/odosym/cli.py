@@ -274,21 +274,24 @@ def cmd_nc(args) -> Answer:
     )
 
 
-def cmd_nl(args) -> Answer:
+def _nl_request(args):
+    """Parse L, M and F, echo them with nmax, and run nl_membership."""
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
     domain = _parse_domain_arg(base, args.F)
-    outcome = nl_membership(base, mat, args.nmax, domain=domain)
-    return Answer(
-        {
-            "L": format_matrix(base),
-            "M": format_matrix(mat),
-            "nmax": args.nmax,
-            "F": [format_vector(v) for v in domain.reps],
-        },
-        outcome.to_payload(),
-        EXIT_OK if isinstance(outcome, NLCertificate) else EXIT_INCONCLUSIVE,
-    )
+    inputs = {
+        "L": format_matrix(base),
+        "M": format_matrix(mat),
+        "nmax": args.nmax,
+        "F": [format_vector(v) for v in domain.reps],
+    }
+    return base, inputs, nl_membership(base, mat, args.nmax, domain=domain)
+
+
+def cmd_nl(args) -> Answer:
+    _, inputs, outcome = _nl_request(args)
+    code = EXIT_OK if isinstance(outcome, NLCertificate) else EXIT_INCONCLUSIVE
+    return Answer(inputs, outcome.to_payload(), code)
 
 
 def _seed(s: ConstantShapeSubstitution, given: str | None) -> tuple:
@@ -303,17 +306,9 @@ def _seed(s: ConstantShapeSubstitution, given: str | None) -> tuple:
 
 
 def cmd_phi(args) -> Answer:
-    base = parse_matrix(args.L)
-    mat = parse_matrix(args.M)
-    domain = _parse_domain_arg(base, args.F)
     lo, hi = _parse_box(args.box)
-    outcome = nl_membership(base, mat, args.nmax, domain=domain)
-    inputs = {
-        "L": format_matrix(base),
-        "M": format_matrix(mat),
-        "box": args.box,
-        "F": [format_vector(v) for v in domain.reps],
-    }
+    base, inputs, outcome = _nl_request(args)
+    inputs["box"] = args.box
     if isinstance(outcome, NLRejection):
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome)
@@ -327,7 +322,7 @@ def cmd_phi(args) -> Answer:
         "seed": format_vector(seed),
         "patch": _patch_payload(image),
     }
-    return Answer({**inputs, "nmax": args.nmax}, result, patch=image)
+    return Answer(inputs, result, patch=image)
 
 
 def cmd_subst(args) -> Answer:

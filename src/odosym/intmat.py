@@ -129,9 +129,6 @@ class IntMatrix(_Record):
     def dim(self) -> int:
         return len(self.rows)
 
-    def columns(self) -> list[Vec]:
-        return list(zip(*self.rows))
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.dim))
 
@@ -191,17 +188,10 @@ class IntMatrix(_Record):
 
     def adjugate(self) -> "IntMatrix":
         """Matrix A with A*M = M*A = det(M)*Id."""
-        d = self.dim
-        if d == 1:
-            return IntMatrix(((1,),))
-        if d == 2:
+        if self.dim == 2:
             (a, b), (c, e) = self.rows
             return IntMatrix(((e, -b), (-c, a)))
-        cof = [
-            [(-1) ** (i + j) * _det(_minor(self.rows, i, j)) for j in range(d)]
-            for i in range(d)
-        ]
-        return IntMatrix(tuple(zip(*cof)))
+        return IntMatrix(_faddeev(self.rows)[1])
 
     @cached_property
     def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -253,54 +243,36 @@ def _rows_mul(a, b):
     return tuple(tuple(sum(map(mul, ra, col)) for col in cols) for ra in a)
 
 
-def _minor(rows, i, j):
-    return tuple(
-        tuple(x for jj, x in enumerate(r) if jj != j)
-        for ii, r in enumerate(rows)
-        if ii != i
-    )
-
-
 def _det(rows) -> int:
     d = len(rows)
     if d == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    # Bareiss fraction-free elimination for every other d.
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, d):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+    return (-1) ** d * _faddeev(rows)[0][-1]
+
+
+def _faddeev(rows):
+    """Faddeev-LeVerrier: [1, c_1, ..., c_d], the coefficients of det(x*Id - M),
+    and the rows of adj M.
+
+    N_0 = Id, N_k = M*N_(k-1) + c_k*Id with c_k = -tr(M*N_(k-1))/k, exact over Z;
+    adj M = (-1)^(d-1)*N_(d-1), since M*N_(d-1) = -c_d*Id (Cayley-Hamilton).
+    """
+    d = len(rows)
+    coeffs, n = [1], IntMatrix.identity(d).rows
+    for k in range(1, d + 1):
+        mn = _rows_mul(rows, n)
+        ck, rem = divmod(-sum(mn[i][i] for i in range(d)), k)
+        assert rem == 0
+        coeffs.append(ck)
+        if k < d:
+            n = [[x + ck if i == j else x for j, x in enumerate(r)] for i, r in enumerate(mn)]
+    sign = (-1) ** (d - 1)
+    return coeffs, tuple(tuple(sign * x for x in r) for r in n)
 
 
 def char_poly(m: IntMatrix) -> list[int]:
-    """Coefficients [a_d=1, a_{d-1}, ..., a_0] of det(x*Id - M).
-
-    Faddeev-LeVerrier recursion; all divisions are exact over Z.
-    """
-    d = m.dim
-    coeffs = [1]
-    mk = m
-    for k in range(1, d + 1):
-        tr = mk.trace()
-        assert tr % k == 0
-        ck = -tr // k
-        coeffs.append(ck)
-        if k < d:
-            mk = m * (mk + IntMatrix.scalar(d, ck))
-    return coeffs
+    """Coefficients [a_d=1, a_{d-1}, ..., a_0] of det(x*Id - M)."""
+    return _faddeev(m.rows)[0]
 
 
 def commutes(a: IntMatrix, b: IntMatrix) -> bool:
@@ -370,18 +342,30 @@ class HnfBasis(_Record):
         return [tuple(t) for t in product(*ranges)]
 
 
-def hnf_from_generators(d: int, gens) -> HnfBasis:
-    """Column HNF of the lattice spanned by the given integer vectors.
+def _xgcd(a: int, b: int):
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
 
-    Raises SingularMatrixError when the span has rank < d.
-    """
-    cols = [list(g) for g in gens]
+
+def hnf(m: IntMatrix) -> HnfBasis:
+    """Canonical HNF basis of the lattice M(Z^d), by column xgcd elimination."""
+    if m.det() == 0:
+        raise SingularMatrixError("hnf needs a nonsingular matrix")
+    d = m.dim
+    cols = [list(c) for c in zip(*m.rows)]
     lower = []
     for i in range(d):
-        cols = [c for c in cols if any(c[i:])]
+        # of the d - i independent columns left, zero above row i, one is nonzero in row i
         live = [c for c in cols if c[i] != 0]
-        if not live:
-            raise SingularMatrixError("generators do not span a finite-index lattice")
         piv = live[0]
         for c in live[1:]:
             # column xgcd step: combine piv and c to clear c[i]
@@ -405,27 +389,6 @@ def hnf_from_generators(d: int, gens) -> HnfBasis:
                     lower[j][k] -= q * lower[i][k]
     mat = IntMatrix(tuple(tuple(lower[j][i] for j in range(d)) for i in range(d)))
     return HnfBasis(mat)
-
-
-def _xgcd(a: int, b: int):
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
-def hnf(m: IntMatrix) -> HnfBasis:
-    """Canonical HNF basis of the lattice M(Z^d)."""
-    if m.det() == 0:
-        raise SingularMatrixError("hnf needs a nonsingular matrix")
-    return hnf_from_generators(m.dim, m.columns())
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import index
 
 from .errors import DepthError, NotExpansionError
-from .intmat import IntMatrix, Vec, _Record, hnf, is_expansion
+from .intmat import IntMatrix, Vec, _Record, _rows_mul, hnf, is_expansion
 
 # ---------------------------------------------------------------------------
 # bases and points
@@ -126,11 +126,7 @@ def _mat_mul_mod(a, b, mod):
             ((p * w + q * y) % mod, (p * x + q * z) % mod),
             ((r * w + s * y) % mod, (r * x + s * z) % mod),
         )
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) % mod for j in range(d))
-        for i in range(d)
-    )
+    return tuple(tuple(x % mod for x in r) for r in _rows_mul(a, b))
 
 
 # One entry per (base, modulus): a fresh `nc` request adds one never reused,

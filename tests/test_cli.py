@@ -159,6 +159,8 @@ def test_phi_rejected_matrix_exits_inconclusive(capsys):
     )
     assert code == 4
     assert report["result"]["accepted"] is False
+    # a rejected phi echoes the same inputs as nl, with its box
+    assert report["inputs"]["nmax"] == 8
 
 
 def test_subst_command_spec_invocation(capsys, tmp_path):

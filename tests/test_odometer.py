@@ -220,7 +220,7 @@ ROWS_2X2 = st.tuples(st.tuples(ENTRY, ENTRY), st.tuples(ENTRY, ENTRY))
 
 @given(ROWS_2X2, ROWS_2X2, st.integers(1, 10**30))
 def test_2d_mat_mul_mod_matches_the_general_loop(a, b, mod):
-    # padded with a zero row and column, the 3x3 product runs the general loop
+    # padded with a zero row and column, the 3x3 product is _rows_mul reduced mod `mod`
     def pad(m):
         return tuple(r + (0,) for r in m) + ((0, 0, 0),)
 
