@@ -21,6 +21,7 @@ from types import MappingProxyType
 from .errors import (
     MarginError,
     MissingCertificateError,
+    SizeGuardError,
     WindowError,
     WrongBranchError,
 )
@@ -41,11 +42,11 @@ from .intmat import (
 )
 from .odometer import ConstantBase, OdometerPoint
 from .substitution import (
+    _SUPPORT_GUARD,
     ConstantShapeSubstitution,
     box_positions,
     fixed_point_patch,
     sigma_L,
-    supports,
     tau,
     valuation,
 )
@@ -225,9 +226,9 @@ class LocalRule(_Record):
     """Sliding-block realization of the action of M.
 
     per_level[v] is the digit permutation used at truncated level v; the
-    window pattern over F_{n0} (kept sorted in window) decides v, positions
-    deeper than n0 (including the origin of a fixed point) all use the
-    stabilized permutation.  m_inv is M^{-1}, which pulls an output
+    pattern over window (2 n0 + 1 cells, sorted; see _frame) decides v,
+    positions deeper than n0 (including the origin of a fixed point) all
+    use the stabilized permutation.  m_inv is M^{-1}, which pulls an output
     position back to its source.  _levels maps each window pattern (letters
     in window order) that matched the class table to its level; it belongs
     to the base's frame, so every rule on the same (L, domain, n0) shares it.
@@ -265,19 +266,28 @@ def build_local_rule(cert: NLCertificate) -> LocalRule:
 
 
 # One frame per (base, domain, n0).  The phi traffic has 10 bases.  A frame
-# holds |det|^n0 cosets with |F_n0| - 1 forced letters each and, since each
-# coset leaves one window cell free, at most |det|^n0 (|det| - 1) memoized
-# patterns (only patterns over the alphabet are kept): 32 frames stay small,
-# and a run over a few bases never rebuilds one.
+# holds |det|^n0 cosets with at most 2 n0 + 1 forced letters each; a coset
+# leaves a window cell free only if it is minus that cell mod L^n0, so at most
+# |det|^n0 + (2 n0 + 1)(|det| - 2) patterns over the alphabet are memoized: 32
+# frames stay small, and a run over a few bases never rebuilds one.
 @lru_cache(maxsize=32)
 def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
-    """(sigma_L, sorted F_{n0}, class table, pattern memo) of one base.
+    """(sigma_L, window, class table, pattern memo) of one base.
 
+    The window S = {0} u {L^v f1, L^v f2 : v < n0}, f1 and f2 the two least
+    nonzero digits, has 2 n0 + 1 cells of F_{n0}.  Cosets c, c' of levels
+    v < v' (c with digit d_v != 0 at v) differ at L^v f: f for c', d_v + f
+    for c, both forced unless d_v = -f mod L, which one of f1, f2 escapes.
     The rules of one frame share the memo: a pattern's level depends only
     on sigma_L, n0 and the pattern, never on M.
     """
+    if (det := abs(L.det())) ** n0 > _SUPPORT_GUARD:  # the class table walks every coset
+        raise SizeGuardError(
+            f"|det|^{n0} = {det}^{n0} = {det**n0} cosets, over the limit of {_SUPPORT_GUARD} cosets"
+        )
     subst = sigma_L(L, domain)
-    window = tuple(sorted(supports(subst, n0)[n0]))
+    cells = {(L**v).mul_vec(f) for v in range(n0) for f in sorted(subst.alphabet)[:2]}
+    window = tuple(sorted({zero_vec(L.dim), *cells}))
     return subst, window, _valuation_class_table(subst, n0, window), {}
 
 
@@ -285,8 +295,8 @@ def _valuation_class_table(subst, n0, window):
     """For each coset of L^{n0}(Z^d): the window letters it forces.
 
     Entries are (class representative, truncated level, {offset: letter}),
-    with offsets congruent to 0 mod L^{n0} left undetermined; window is
-    F_{n0}.
+    with offsets congruent to 0 mod L^{n0} left undetermined; window is a
+    subset of F_{n0}.
     """
     if n0 == 0:
         return ((zero_vec(subst.dim), 0, {}),)
@@ -331,8 +341,8 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     """(sources, cells) for evaluating the rule on the region.
 
     sources maps each position t of the region to u = M^{-1} t, computed
-    once per position; cells holds the window F_{n0} around every source,
-    the positions a patch must cover.
+    once per position; cells holds the rule's window (2 n0 + 1 cells of
+    F_{n0}) around every source, the positions a patch must cover.
     """
     m_inv = rule.m_inv.rows
     if len(m_inv) == 2:

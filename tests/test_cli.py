@@ -573,9 +573,11 @@ def test_classify_payload_hash_is_pinned(capsys, base):
 
 # payload_hash of phi reports, and the sha256 of their canonical result, for
 # the README half-hex example, a scalar base, a window-level (n0 = 1) diagonal
-# base and a 3-D base that takes the general d-loop.  The results are those of
-# the reports recorded before the 2-D kernels; the payload hashes were
-# re-recorded when the echoed inputs gained F, which left every result as it was
+# base, a 3-D base that takes the general d-loop, and two n0 = 2 pairs on
+# diag(4, 8).  The results are those of the reports recorded before the 2-D
+# kernels; the payload hashes were re-recorded when the echoed inputs gained
+# F, which left every result as it was.  The n0 = 2 reports were recorded when
+# the window was all of F_{n0}, which took about 4 s a request
 PHI_PAYLOAD_HASHES = {
     "half-hex": (
         ["--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;1,-1", "--box", "-6:6"],
@@ -596,6 +598,16 @@ PHI_PAYLOAD_HASHES = {
         ["--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-2:2"],
         "6022a940dfc67cd5fe641cb4ce5fb031bfba38be1596233c6d4a29f1f3750794",
         "5d22c132eb5e7c433fa999fcd16584afb6590e13baf95f741962867b078e0591",
+    ),
+    "diag-4-8-shear": (
+        ["--L", "4,0;0,8", "--M", "1,1;0,1", "--box", "-10:10"],
+        "4da609d513b440244c6f84e26e1ddab46f84ca3e06faad4d752d80cae63ec98e",
+        "2f1d2b75adb489c30e0ca0b92136322f187d3cbafb7895c8ea5747c1d007c460",
+    ),
+    "diag-4-8-negated-shear": (
+        ["--L", "4,0;0,8", "--M", "-1,-1;0,-1", "--box", "-10:10"],
+        "8e60e129211b93e081014b90030fbf84e4cb6b9ff34b753ae66444833cad4e46",
+        "0b81e7c00fbcba732c69c842c4e8f626af1c0b9e6beff110cc2774cf1eb1a4c9",
     ),
 }
 

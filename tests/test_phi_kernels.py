@@ -2,20 +2,31 @@
 the memoized fixed-point descent, cold and warm, in d = 2 and d = 3."""
 
 import random
-from itertools import product
+from itertools import combinations, product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_shared import rand_unimodular_steps, unimodular_inverse
 
+from odosym.errors import WrongBranchError
 from odosym.intmat import IntMatrix, fundamental_domain, is_expansion, validate_domain
-from odosym.substitution import fixed_point_patch, sigma_L, tau, valuation
+from odosym.substitution import (
+    ConstantShapeSubstitution,
+    fixed_point_patch,
+    sigma_L,
+    supports,
+    tau,
+    valuation,
+)
 from odosym import substitution, subshift_norm
 from odosym.subshift_norm import (
+    LocalRule,
     NLCertificate,
     _frame,
     _truncated_level,
+    _valuation_class_table,
     apply_endomorphism,
     build_local_rule,
     nl_membership,
@@ -84,6 +95,12 @@ def three_d_pairs():
     return out
 
 
+def n0_two_pairs():
+    """diag(4, 8) with the shear and the negated shear, both at n0 = 2."""
+    L = IntMatrix(((4, 0), (0, 8)))
+    return [(L, fundamental_domain(L), IntMatrix(m)) for m in (((1, 1), (0, 1)), ((-1, -1), (0, -1)))]
+
+
 def evaluate_phi(cert, seed, region):
     rule = build_local_rule(cert)
     sources, cells = pullback_positions(rule, region)
@@ -110,7 +127,7 @@ def coordinate_formula(cert, seed, region):
 
 def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
     cases = []
-    for L, domain, M in phi_traffic_pairs() + random_pairs() + three_d_pairs():
+    for L, domain, M in phi_traffic_pairs() + random_pairs() + three_d_pairs() + n0_two_pairs():
         cert = nl_membership(L, M, domain=domain)
         assert isinstance(cert, NLCertificate), (L, M)
         letters = sorted(sigma_L(L, domain).alphabet)
@@ -122,10 +139,11 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
         _frame.cache_clear()
         rule, image = evaluate_phi(cert, seed, region)
         assert image == coordinate_formula(cert, seed, region), (cert.L, cert.M)
-        reached.add((cert.L.dim, rule.n0 > 0))
+        reached.add((cert.L.dim, rule.n0))
         cold.append(image)
-    # every kernel's 2-D and d = 3 path, with and without the window decode
-    assert reached == {(2, False), (2, True), (3, False), (3, True)}
+    # every kernel's 2-D and d = 3 path, with and without the window decode,
+    # and a window of five cells in 2-D
+    assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
     # warm: frames and pattern memos filled by the rules of earlier cases
     warm = [evaluate_phi(*case)[1] for case in cases]
     assert warm == cold
@@ -213,3 +231,91 @@ def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
             want.append(L.solve_exact(p))
         filled.add(p)
     assert walked == want
+
+
+# ---------------------------------------------------------------------------
+# the window S of the level decode
+# ---------------------------------------------------------------------------
+
+
+def window_s(s, n0):
+    """{0} and L^v f for v < n0, f either of the two least nonzero digits."""
+    cells = {(0,) * s.dim}
+    for f in sorted(f for f in s.domain.reps if any(f))[:2]:
+        for _ in range(n0):
+            cells.add(f)
+            f = s.base.mul_vec(f)
+    return tuple(sorted(cells))
+
+
+def check_window(s, n0, window, radius):
+    """S separates every two cosets of different level on a cell forced in
+    both, and the S-decode agrees with the decode over all of F_{n0} on every
+    window of the fixed points, one per letter, around the box of the radius."""
+    full_window = tuple(sorted(supports(s, n0)[n0]))
+    assert set(window) <= set(full_window)
+    full = _valuation_class_table(s, n0, full_window)
+    table = _valuation_class_table(s, n0, window)
+    assert table == tuple(
+        (c, level, {f: a for f, a in forced.items() if f in window}) for c, level, forced in full
+    )
+    if len(s.alphabet) > 1:
+        for (_, level1, forced1), (_, level2, forced2) in combinations(table, 2):
+            if level1 != level2:
+                assert any(forced1[f] != forced2[f] for f in forced1.keys() & forced2.keys())
+    one = IntMatrix.identity(s.dim)
+    by_s, by_full = (
+        LocalRule(s, w, one, n0, (), t, {}) for w, t in ((window, table), (full_window, full))
+    )
+    positions = box(radius, s.dim)
+    cells = {tuple(map(add, u, f)) for u in positions for f in full_window}
+    for seed in sorted(s.alphabet):
+        patch = fixed_point_patch(s, seed, cells)
+        for u in positions:
+            level = _truncated_level(by_s, patch, u)
+            assert level == _truncated_level(by_full, patch, u)
+            if len(s.alphabet) > 1:
+                assert level == (min(valuation(s, u), n0) if any(u) else n0)
+
+
+def window_bases():
+    """sigma_L of the 10 phi-patch bases and of two d = 1 bases."""
+    bases = {(L, domain) for L, domain, _ in phi_traffic_pairs()}
+    out = [sigma_L(L, domain) for L, domain in sorted(bases, key=str)]
+    assert len(out) == 10
+    return out + [sigma_L(IntMatrix(((3,),))), sigma_L(IntMatrix(((-5,),)))]
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+@pytest.mark.parametrize("s", window_bases(), ids=lambda s: str(s.base))
+def test_window_separates_levels_and_decodes_like_the_full_window(s, n0):
+    window = _frame(s.base, s.domain, n0)[1]
+    assert window == window_s(s, n0) and len(window) == 2 * n0 + 1
+    check_window(s, n0, window, 4 if s.dim == 2 else 12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=sigma_bases(), data=st.data())
+def test_window_of_random_bases(s, data):
+    # the full table has |det|^(2 n0) entries to compare, so a 3-D base with
+    # |det| > 8 is checked at n0 = 1 only
+    n0 = data.draw(st.sampled_from((1, 2) if abs(s.base.det()) <= 8 else (1,)))
+    window = _frame(s.base, s.domain, n0)[1]
+    assert window == window_s(s, n0)
+    check_window(s, n0, window, 3 if s.dim == 2 else 1)
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+def test_one_letter_base_has_no_frame_and_decodes_alike(n0):
+    # |det| = 2 leaves a single letter: no cell tells two levels apart, so
+    # sigma_L refuses the base; a one-letter rule still decodes every window
+    # through S like through all of F_{n0}, and never raises WindowError
+    L = IntMatrix(((1, 1), (-1, 1)))
+    domain = fundamental_domain(L)
+    with pytest.raises(WrongBranchError, match="alphabet too small"):
+        _frame(L, domain, n0)
+    (zero, f), (letter,) = domain.reps, [f for f in domain.reps if any(f)]
+    s = ConstantShapeSubstitution(L, domain, frozenset({letter}), {letter: {zero: f, f: f}})
+    window = window_s(s, n0)
+    assert len(window) == n0 + 1
+    check_window(s, n0, window, 3)

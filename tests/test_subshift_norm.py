@@ -4,7 +4,7 @@ from itertools import islice, product
 import pytest
 from tests_shared import evaluate, rand_unimodular_small, shift, unimodular_inverse
 
-from odosym.errors import MarginError, WindowError, WrongBranchError
+from odosym.errors import MarginError, SizeGuardError, WindowError, WrongBranchError
 from odosym.intmat import (
     IntMatrix,
     fundamental_domain,
@@ -495,17 +495,52 @@ def test_pi_factor_random_digits():
 
 
 def test_pi_factor_window_too_small():
-    # 1,1;0,1 on the diagonal base stabilizes at n0 = 1, so the decoder
-    # needs the whole window F_1 around the position
-    rule = build_local_rule(nl_membership(D24, parse_matrix("1,1;0,1")))
+    # 1,1;0,1 on the diagonal base stabilizes at n0 = 1, so the decoder reads
+    # the window S = {0, f1, f2} around the position, f1 and f2 the two least
+    # nonzero digits, and raises MarginError for each missing cell of it
+    M = parse_matrix("1,1;0,1")
+    _frame.cache_clear()  # no pattern is memoized yet
+    rule = build_local_rule(nl_membership(D24, M))
+    s = rule.substitution
     assert rule.n0 == 1
-    # the rule keeps F_1 sorted and M^{-1} as data
-    assert rule.window == tuple(sorted(supports(rule.substitution, 1)[1]))
-    assert rule.m_inv * parse_matrix("1,1;0,1") == IntMatrix.identity(2)
-    seed = min(rule.substitution.alphabet)
-    tiny = fixed_point_patch(rule.substitution, seed, [(9, 4)])
+    # the rule keeps S sorted and M^{-1} as data
+    f1 = sorted(supports(s, 1)[1])
+    assert rule.window == ((0, 0), (0, 1), (0, 2)) and set(rule.window) < set(f1)
+    assert rule.m_inv * M == IntMatrix.identity(2)
+    # S separates every pair of cosets of different level, judged on the
+    # class table of the whole window F_1
+    full = _valuation_class_table(s, 1, f1)
+    pairs = 0
+    for (_, level1, forced1), (_, level2, forced2) in product(full, repeat=2):
+        if level1 < level2:
+            pairs += 1
+            common = forced1.keys() & forced2.keys() & set(rule.window)
+            assert any(forced1[f] != forced2[f] for f in common)
+    assert pairs == 7
+    patch = fixed_point_patch(s, min(s.alphabet), box(4))
+    u = (1, 2)
+    for f in rule.window:
+        hole = (u[0] + f[0], u[1] + f[1])
+        with pytest.raises(MarginError):
+            _truncated_level(rule, {p: a for p, a in patch.items() if p != hole}, u)
+    assert rule._levels == {}
+    # a cell of F_1 outside S is never read
+    outside = {p: a for p, a in patch.items() if p != (u[0] + 1, u[1] + 1)}
+    assert _truncated_level(rule, outside, u) == min(valuation(s, u), 1)
+    tiny = fixed_point_patch(s, min(s.alphabet), [(9, 4)])
     with pytest.raises(MarginError):
         _truncated_level(rule, tiny, (9, 4))
+
+
+def test_frame_guards_the_coset_count_before_building_anything():
+    # the class table walks all |det|^n0 cosets: one over the limit raises
+    # before sigma_L builds a domain, so no domain is passed
+    L = IntMatrix(((4_000_001,),))
+    with pytest.raises(SizeGuardError) as err:
+        _frame(L, None, 1)
+    assert str(err.value) == (
+        "|det|^1 = 4000001^1 = 4000001 cosets, over the limit of 4000000 cosets"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +594,8 @@ def test_margin_error_after_the_pattern_is_memoized():
 
 def test_doctored_window_raises_every_time():
     rule = window_rule(D24, parse_matrix("1,1;0,1"))
-    # one letter everywhere: each coset forces 7 distinct digits on F_1
+    # one letter everywhere: the three cells of S lie in distinct cosets of
+    # L(Z^2), so each coset forces at least two distinct digits on them
     flat = {p: (1, 1) for p in box(4)}
     # the memo belongs to the base's frame and may hold other rules' patterns
     memo = dict(rule._levels)
@@ -592,7 +628,7 @@ def test_rules_on_one_base_share_the_pattern_memo():
 
 
 def test_pattern_memo_keeps_only_letters():
-    # each coset leaves one window cell free: a pattern with a non-letter
+    # a coset leaves at most one window cell free: a pattern with a non-letter
     # there still decodes, but is not kept in the memo shared across requests
     rule = window_rule(D24, parse_matrix("1,1;0,1"))
     s = rule.substitution
@@ -602,20 +638,22 @@ def test_pattern_memo_keeps_only_letters():
     for k in range(50):
         assert _truncated_level(rule, {**patch, (0, 0): ("junk", k)}, (0, 0)) == level
     assert rule._levels == memo
-    assert len(memo) <= abs(s.base.det()) ** rule.n0 * (abs(s.base.det()) - 1)
+    # only the 2 n0 + 1 cosets of minus a window cell leave a cell free
+    det, n0 = abs(s.base.det()), rule.n0
+    assert len(memo) <= det**n0 + (2 * n0 + 1) * (det - 2)
 
 
 @pytest.mark.parametrize("n0", [1, 2])
 def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
     # _truncated_level takes the first matching coset; this is why no
-    # window pattern can match cosets of two different levels
+    # pattern of the rule's window can match cosets of two different levels
     pairs = 0
     for rows in product(range(-2, 3), repeat=4):
         L = IntMatrix((rows[:2], rows[2:]))
         if abs(L.det()) < 3 or not is_expansion(L):
             continue
-        s = sigma_L(L)
-        table = _valuation_class_table(s, n0, sorted(supports(s, n0)[n0]))
+        _, window, table, _ = _frame(L, fundamental_domain(L), n0)
+        assert len(window) == 2 * n0 + 1
         for (_, level1, forced1), (_, level2, forced2) in product(table, repeat=2):
             if level1 < level2:
                 pairs += 1
