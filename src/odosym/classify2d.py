@@ -67,15 +67,20 @@ class FullGL2(_Record):
         return (_SWAP, IntMatrix(((1, 1), (0, 1))), -_ID)
 
 
-class CentralizerFinite(_Record):
-    """Finite centralizer, listed exhaustively."""
+class _Finite(_Record):
+    """A finite group, listed exhaustively: its elements generate it."""
 
-    elements: tuple[IntMatrix, ...]
-    tag = "centralizer-finite"
     finite = True
 
     def generators(self):
         return self.elements
+
+
+class CentralizerFinite(_Finite):
+    """Finite centralizer, listed exhaustively."""
+
+    elements: tuple[IntMatrix, ...]
+    tag = "centralizer-finite"
 
 
 class CentralizerInfinite(_Record):
@@ -89,26 +94,18 @@ class CentralizerInfinite(_Record):
         return (-_ID, self.automorph)
 
 
-class KleinFour(_Record):
+class KleinFour(_Finite):
     """Four involutions (including +-Id), isomorphic to (Z/2Z)^2."""
 
     elements: tuple[IntMatrix, ...]
     tag = "klein-four"
-    finite = True
-
-    def generators(self):
-        return self.elements
 
 
-class OrderTwo(_Record):
+class OrderTwo(_Finite):
     """Just {Id, -Id}."""
 
     tag = "order-two"
-    finite = True
     elements = (_ID, -_ID)
-
-    def generators(self):
-        return self.elements
 
 
 class ParamFamily(_Record):
@@ -214,26 +211,18 @@ def _extend_unimodular(v: tuple[int, int]) -> IntMatrix:
     return IntMatrix(((a, -y), (b, x)))
 
 
-class _Triangular(_Record):
-    """Adapted basis data: T = W^{-1} L W upper triangular."""
-
-    W: IntMatrix
-    p: int
-    q: int
-    s: int
-
-
-def _triangular_form(L: IntMatrix) -> _Triangular:
+def _triangular_form(L: IntMatrix) -> tuple[IntMatrix, int, int, int]:
+    """Adapted basis data (W, p, q, s): W^{-1} L W = (p, q; 0, s)."""
     (p, q), (r, s) = L.rows
     if r == 0:
-        return _Triangular(_ID, p, q, s)
+        return _ID, p, q, s
     if q == 0:
-        return _Triangular(_SWAP, s, r, p)
+        return _SWAP, s, r, p
     t1, t2 = integer_eigenvalues(L)
     w = _extend_unimodular(_eigenvector(L, t1))
     t = _inv_unimodular(w) * L * w
     assert t.rows[1][0] == 0 and t.rows[0][0] == t1 and t.rows[1][1] == t2
-    return _Triangular(w, t.rows[0][0], t.rows[0][1], t.rows[1][1])
+    return w, t.rows[0][0], t.rows[0][1], t.rows[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +396,27 @@ def classify(L: IntMatrix) -> NormalizerClass:
 
 def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
     """The group for integer eigenvalues, described in the adapted basis."""
-    td = _triangular_form(L)
-    p, q, s = td.p, td.q, td.s
+    W, p, q, s = _triangular_form(L)
     if len(lines) == 2:
         # M is +-1 on each line: +-Id, and +-the reflection that fixes both
         # lines, (1, 2q/(p - s); 0, -1) in the adapted basis, when integral
         if (2 * q) % (p - s) == 0:
-            m = td.W * IntMatrix(((1, 2 * q // (p - s)), (0, -1))) * _inv_unimodular(td.W)
+            m = W * IntMatrix(((1, 2 * q // (p - s)), (0, -1))) * _inv_unimodular(W)
             return KleinFour(_sorted_elements({_ID.rows, (-_ID).rows, m.rows, (-m).rows}))
         return OrderTwo()
     (v,) = lines
     on_p_line = L.mul_vec(v) == (p * v[0], p * v[1])
     if not on_p_line and q == 0:
         # diagonal: the required line is the second axis, first after a swap
-        td = _Triangular(td.W * _SWAP, s, 0, p)
-        p, q, s = td.p, td.q, td.s
+        W, p, s = W * _SWAP, s, p
         on_p_line = True
     if on_p_line:
         # the first adapted axis: members are upper triangular there
-        conj = _inv_unimodular(td.W)
+        conj = _inv_unimodular(W)
         description = UpperTriangularUnimodular()
     elif q % (p - s) == 0:
         k = q // (p - s)
-        conj = _SWAP * IntMatrix(((1, k), (0, 1))) * _inv_unimodular(td.W)
+        conj = _SWAP * IntMatrix(((1, k), (0, 1))) * _inv_unimodular(W)
         description = ParamFamily(k)
     else:
         c = gcd(abs(p - s), abs(q))
@@ -440,7 +427,7 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
         f = (e * h - 1) // g
         bez = IntMatrix(((e, f), (g, h)))
         assert bez.det() == 1
-        conj = bez * _inv_unimodular(td.W)
+        conj = bez * _inv_unimodular(W)
         description = UpperTriangularUnimodular()
     # the generator is the conjugate of (1, 1; 0, 1); its square, the
     # conjugate of (1, 2; 0, 1), lies in the commutator subgroup of the
@@ -484,7 +471,7 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
 
 def class_to_payload(cls: NormalizerClass) -> dict:
     payload = {"branch": cls.tag, "finite": cls.finite}
-    if isinstance(cls, (CentralizerFinite, KleinFour, OrderTwo)):
+    if cls.finite:
         payload["elements"] = [format_matrix(m) for m in cls.elements]
     if isinstance(cls, CentralizerInfinite):
         payload["automorph"] = format_matrix(cls.automorph)

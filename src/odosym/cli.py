@@ -200,9 +200,13 @@ def _patch_payload(patch: dict) -> list:
 
 
 def _raster(patch: dict):
-    """The sorted letters of a 2-D patch and its bounds x0, x1, y0, y1."""
-    xs = [p[0] for p in patch]
-    ys = [p[1] for p in patch]
+    """The sorted letters of a 2-D patch and its bounds x0, x1, y0, y1.
+
+    Only a plane patch has an image: any other d raises ValueError.
+    """
+    if (d := len(next(iter(patch)))) != 2:
+        raise ValueError(f"--svg and --pgm render 2-D patches only, this patch has d = {d}")
+    xs, ys = zip(*patch)
     return sorted(set(patch.values())), min(xs), max(xs), min(ys), max(ys)
 
 
@@ -296,7 +300,7 @@ def cmd_nl(args) -> Answer:
 
 def _seed(s: ConstantShapeSubstitution, given: str | None) -> tuple:
     """The --seed letter, by default the least letter fixed at the origin of its image."""
-    if given:
+    if given is not None:
         return parse_vector(given)
     zero = (0,) * s.dim
     fixed = [a for a in s.alphabet if s.image(a)[zero] == a]
@@ -491,6 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="indented JSON")
         p.add_argument("--out", help="write the report to a file")
 
+    def pair(p):  # the (L, M) request of nl and phi
+        p.add_argument("--L", required=True)
+        p.add_argument("--M", required=True)
+        p.add_argument("--nmax", type=int, default=8)
+        p.add_argument("--F", help="fundamental domain, vectors split by ';'")
+
+    def patch(p):  # the patch of phi and subst
+        p.add_argument("--box", required=True, help="lo:hi output box")
+        p.add_argument("--seed")
+        p.add_argument("--svg")
+        p.add_argument("--pgm")
+
     p = sub.add_parser("classify", help="classify the symmetry group of a base")
     p.add_argument("--matrix", required=True, help="rows a,b;c,d")
     common(p)
@@ -510,22 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nc)
 
     p = sub.add_parser("nl", help="subshift symmetry certificate")
-    p.add_argument("--L", required=True)
-    p.add_argument("--M", required=True)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--F", help="fundamental domain, vectors split by ';'")
+    pair(p)
     common(p)
     p.set_defaults(func=cmd_nl)
 
     p = sub.add_parser("phi", help="evaluate the sliding-block action")
-    p.add_argument("--L", required=True)
-    p.add_argument("--M", required=True)
-    p.add_argument("--box", required=True, help="lo:hi output box")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--F")
-    p.add_argument("--seed")
-    p.add_argument("--svg")
-    p.add_argument("--pgm")
+    pair(p)
+    patch(p)
     common(p)
     p.set_defaults(func=cmd_phi)
 
@@ -535,10 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     rule.add_argument("--L")
     rule.add_argument("--subst", help="substitution description JSON file")
     p.add_argument("--F", help="fundamental domain, vectors split by ';'")
-    p.add_argument("--seed")
-    p.add_argument("--box", required=True)
-    p.add_argument("--svg")
-    p.add_argument("--pgm")
+    patch(p)
     common(p)
     p.set_defaults(func=cmd_subst)
 

@@ -40,10 +40,10 @@ class _Record:
     """Frozen record, built without generated code.
 
     The names annotated in a subclass body are its fields, in order.  The
-    constructor takes them by position or keyword; a class attribute of the
-    same name is the default.  ==, hash and repr read the fields not named
-    in _uncompared (caches the record carries); == holds only between
-    records of one class, and no attribute can be set or deleted.
+    constructor takes them by position or keyword.  ==, hash and repr read
+    the fields not named in _uncompared (caches the record carries); ==
+    holds only between records of one class, and no attribute can be set
+    or deleted.
     """
 
     _uncompared: tuple[str, ...] = ()
@@ -58,12 +58,9 @@ class _Record:
             raise TypeError(f"{cls.__name__} takes {len(params)} fields, got {len(args)}")
         values = dict(zip(params, args))
         for name in params[len(args):]:
-            if name in kwargs:
-                values[name] = kwargs.pop(name)
-            elif hasattr(cls, name):
-                values[name] = getattr(cls, name)
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{cls.__name__} is missing the field {name!r}")
+            values[name] = kwargs.pop(name)
         if kwargs:
             raise TypeError(f"{cls.__name__} got an unexpected field {next(iter(kwargs))!r}")
         for name, value in values.items():
@@ -415,8 +412,7 @@ def fundamental_domain(base: IntMatrix) -> FundamentalDomain:
     if base.det() == 0:
         raise SingularMatrixError("fundamental domain needs det != 0")
     h = hnf(base)
-    reps = sorted(h.box_reps())
-    reps.sort(key=lambda v: (v != zero_vec(base.dim), v))
+    reps = sorted(h.box_reps(), key=lambda v: (any(v), v))
     table = {r: r for r in reps}
     return FundamentalDomain(base, tuple(reps), h, table)
 
@@ -462,8 +458,6 @@ def integer_eigenvalues(m: IntMatrix) -> list[int]:
         return []
     r = isqrt(disc)
     if r * r != disc:
-        return []
-    if (t - r) % 2 != 0:
         return []
     return sorted([(t - r) // 2, (t + r) // 2])
 

@@ -16,12 +16,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 from operator import add, index
-from types import MappingProxyType
 
 from .errors import (
     MarginError,
     MissingCertificateError,
-    SizeGuardError,
     WindowError,
     WrongBranchError,
 )
@@ -42,8 +40,8 @@ from .intmat import (
 )
 from .odometer import ConstantBase, OdometerPoint
 from .substitution import (
-    _SUPPORT_GUARD,
     ConstantShapeSubstitution,
+    _guard,
     box_positions,
     fixed_point_patch,
     sigma_L,
@@ -85,8 +83,7 @@ class NLCertificate(_Record):
     recorded conjugate is integral, n0 the first level from which the
     digit-coset action is constant through n_max.  residue_permutation
     maps nonzero digits of domain, which the local rule also reads, to
-    nonzero digits.  _actions maps each distinct C_n, n >= k, to its
-    action on those digits, so the local rule reuses them.
+    nonzero digits.
     """
 
     L: IntMatrix
@@ -97,8 +94,6 @@ class NLCertificate(_Record):
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
     domain: FundamentalDomain
-    _actions: dict = MappingProxyType({})  # read-only, so every instance may share it
-    _uncompared = ("_actions",)
 
     def to_payload(self) -> dict:
         return {
@@ -213,7 +208,6 @@ def nl_membership(
         n0=n0,
         residue_permutation=actions[n0],
         domain=domain,
-        _actions=by_conjugate,
     )
 
 
@@ -246,13 +240,13 @@ class LocalRule(_Record):
 
 def build_local_rule(cert: NLCertificate) -> LocalRule:
     """Assemble the per-level permutations and the window classifier."""
-    L, domain, n0, known = cert.L, cert.domain, cert.n0, cert._actions
+    L, domain, n0 = cert.L, cert.domain, cert.n0
     per_level = []
     for v in range(n0 + 1):
         c = cert.conjugates[v]
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
-        per_level.append(dict(known[c] if c in known else _residue_action(c, domain)))
+        per_level.append(dict(_residue_action(c, domain)))
     subst, window, class_table, levels = _frame(L, domain, n0)
     return LocalRule(
         substitution=subst,
@@ -281,10 +275,8 @@ def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
     The rules of one frame share the memo: a pattern's level depends only
     on sigma_L, n0 and the pattern, never on M.
     """
-    if (det := abs(L.det())) ** n0 > _SUPPORT_GUARD:  # the class table walks every coset
-        raise SizeGuardError(
-            f"|det|^{n0} = {det}^{n0} = {det**n0} cosets, over the limit of {_SUPPORT_GUARD} cosets"
-        )
+    det = abs(L.det())
+    _guard(det**n0, f"|det|^{n0} = {det}^{n0} =", "cosets")  # the class table walks every coset
     subst = sigma_L(L, domain)
     cells = {(L**v).mul_vec(f) for v in range(n0) for f in sorted(subst.alphabet)[:2]}
     window = tuple(sorted({zero_vec(L.dim), *cells}))
@@ -298,8 +290,6 @@ def _valuation_class_table(subst, n0, window):
     with offsets congruent to 0 mod L^{n0} left undetermined; window is a
     subset of F_{n0}.
     """
-    if n0 == 0:
-        return ((zero_vec(subst.dim), 0, {}),)
     basis = hnf(subst.base**n0)
     out = []
     for c in basis.box_reps():

@@ -73,16 +73,15 @@ class ConstantShapeSubstitution(_Record):
 
     def is_self_similar(self) -> bool:
         """True when letters are the nonzero digits and images follow them."""
-        digits = set(self.domain.reps) - {zero_vec(self.dim)}
-        if self.alphabet != frozenset(digits):
-            return False
-        for a in self.alphabet:
-            img = self.table[a]
-            if img[zero_vec(self.dim)] != a:
-                return False
-            if any(img[f] != f for f in digits):
-                return False
-        return True
+        t = _sigma_table(self.domain)
+        return self.alphabet == frozenset(t) and self.table == t
+
+
+def _sigma_table(domain: FundamentalDomain) -> dict:
+    """sigma_L's images: the letter stays at the origin, each other cell holds its digit."""
+    zero = zero_vec(domain.base.dim)
+    digits = [f for f in domain.reps if f != zero]
+    return {a: {zero: a, **{f: f for f in digits}} for a in digits}
 
 
 def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> ConstantShapeSubstitution:
@@ -94,15 +93,9 @@ def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> Constan
         domain = fundamental_domain(base)
     if domain.base != base:
         domain = validate_domain(base, domain.reps)
-    zero = zero_vec(base.dim)
-    digits = [f for f in domain.reps if f != zero]
-    table = {}
-    for a in digits:
-        img = {zero: a}
-        img.update({f: f for f in digits})
-        table[a] = img
+    table = _sigma_table(domain)
     return ConstantShapeSubstitution(
-        base=base, domain=domain, alphabet=frozenset(digits), table=table
+        base=base, domain=domain, alphabet=frozenset(table), table=table
     )
 
 
@@ -119,13 +112,16 @@ def half_hex() -> ConstantShapeSubstitution:
 _SUPPORT_GUARD = 4_000_000
 
 
+def _guard(size: int, what: str, unit: str) -> None:
+    """SizeGuardError naming the request, what it counts and the limit, when size is over it."""
+    if size > _SUPPORT_GUARD:
+        raise SizeGuardError(f"{what} {size} {unit}, over the limit of {_SUPPORT_GUARD} {unit}")
+
+
 def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
     """Supports F_0 = {0}, F_{k+1} = L(F_k) + F_1 of the iterated rule, k <= n."""
     det = abs(s.base.det())
-    if det**n > _SUPPORT_GUARD:
-        raise SizeGuardError(
-            f"|F_{n}| = {det}^{n} = {det**n} cells, over the limit of {_SUPPORT_GUARD} cells"
-        )
+    _guard(det**n, f"|F_{n}| = {det}^{n} =", "cells")
     levels = [frozenset({zero_vec(s.dim)})]
     for _ in range(n):
         prev = levels[-1]
@@ -333,11 +329,7 @@ def box_positions(lo: int, hi: int, d: int) -> list[Vec]:
 
     A cube of more than 4,000,000 cells raises SizeGuardError before any is built.
     """
-    if (size := max(hi - lo + 1, 0) ** d) > _SUPPORT_GUARD:
-        raise SizeGuardError(
-            f"the box {lo}:{hi} in d = {d} has {size} cells, over the limit of "
-            f"{_SUPPORT_GUARD} cells"
-        )
+    _guard(max(hi - lo + 1, 0) ** d, f"the box {lo}:{hi} in d = {d} has", "cells")
     return list(product(range(lo, hi + 1), repeat=d))
 
 

@@ -141,7 +141,7 @@ def param_family_members(L, cls, m):
         ((-1 - m * k, -2 * k - m * k * k), (m, 1 + m * k)),
         ((-1 - m * k, -m * k * k), (m, -1 + m * k)),
     )
-    w = _triangular_form(L).W
+    w = _triangular_form(L)[0]
     return tuple(w * IntMatrix(rows) * unimodular_inverse(w) for rows in raw)
 
 

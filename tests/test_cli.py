@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import odosym
-from odosym import cli, subshift_norm
+from odosym import cli
 from odosym.cli import _join_flag_values, _patch_payload, build_parser, main, run_verify_paper
 from odosym.odometer import NcCertificate
 from odosym.substitution import (
@@ -184,6 +184,37 @@ def test_subst_command_spec_invocation(capsys, tmp_path):
     assert pgm.read_text().startswith("P2")
 
 
+@pytest.mark.parametrize("flag", ["--svg", "--pgm"])
+@pytest.mark.parametrize(
+    "d, argv",
+    [
+        (1, ["phi", "--L", "5", "--M", "-1", "--box", "-3:3"]),
+        (1, ["subst", "patch", "--L", "5", "--box", "-3:3"]),
+        (3, ["phi", "--L", "3,0,0;0,3,0;0,0,3", "--M", "0,1,0;1,0,0;0,0,1", "--box", "-1:1"]),
+        (3, ["subst", "patch", "--L", "3,0,0;0,3,0;0,0,3", "--box", "-1:1"]),
+    ],
+)
+def test_rendering_needs_a_plane_patch(d, argv, flag, capsys, tmp_path):
+    # a 1-D or 3-D patch has no image: usage error naming d, and no file
+    image = tmp_path / "patch"
+    code = main([*argv, flag, str(image)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"odosym: ValueError: --svg and --pgm render 2-D patches only, this patch has d = {d}\n"
+    )
+    assert not image.exists()
+
+
+@pytest.mark.parametrize("command", [["subst", "patch"], ["phi", "--M", "0,1;1,0"]])
+def test_empty_seed_is_a_parse_error(command, capsys):
+    # an empty --seed names no letter; it is not the default seed
+    code = main([*command, "--L", "3,0;0,3", "--box", "-1:1", "--seed", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("odosym: parse error: ")
+
+
 def test_subst_never_scans_self_similarity(capsys, monkeypatch):
     # the letters come from the rule's own images, whatever the rule
     calls = []
@@ -198,25 +229,6 @@ def test_subst_never_scans_self_similarity(capsys, monkeypatch):
     assert code == 0
     assert len(report["result"]["patch"]) == 25
     assert calls == []
-
-
-def test_phi_computes_each_residue_action_once(capsys, monkeypatch):
-    # the rule reads the digit actions nl_membership already computed
-    calls = []
-    action = subshift_norm._residue_action
-
-    def counted(c, domain):
-        calls.append(c)
-        return action(c, domain)
-
-    monkeypatch.setattr(subshift_norm, "_residue_action", counted)
-    # on a scalar base every C_n is M: one action
-    assert run_cli(["phi", "--L", "3,0;0,3", "--M", "0,1;1,0", "--box", "-2:2"], capsys)[0] == 0
-    assert len(calls) == 1
-    # on diag(2, 4) C_n = 1,2^n;0,1 for n = 0..8: nine distinct conjugates
-    calls.clear()
-    assert run_cli(["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-2:2"], capsys)[0] == 0
-    assert len(calls) == 9 == len(set(calls))
 
 
 def test_box_guard_is_usage_error_naming_the_limit(capsys):

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Poly, Rational, Symbol, factorint, im, re
 
@@ -420,6 +420,38 @@ def test_integer_eigenvalues_examples():
     assert integer_eigenvalues(parse_matrix("3,1;0,5")) == [3, 5]
     assert integer_eigenvalues(parse_matrix("2,-1;1,3")) == []
     assert integer_eigenvalues(ID2) == [1, 1]
+
+
+def _triangular_conjugates():
+    """Matrices U T U^{-1}, T upper triangular: integer eigenvalues, square discriminant."""
+    small = st.integers(-9, 9)
+    shears = st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=4)
+
+    def build(l1, l2, b, steps):
+        m = IntMatrix(((l1, b), (0, l2)))
+        for lower, k in steps:
+            u = IntMatrix(((1, 0), (k, 1)) if lower else ((1, k), (0, 1)))
+            m = u * m * IntMatrix(((1, 0), (-k, 1)) if lower else ((1, -k), (0, 1)))
+        return m
+
+    return st.builds(build, small, small, small, shears)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.one_of(
+        st.lists(st.integers(-20, 20), min_size=4, max_size=4).map(
+            lambda e: IntMatrix((e[:2], e[2:]))
+        ),
+        _triangular_conjugates(),
+    )
+)
+def test_integer_eigenvalues_against_sympy_roots(m):
+    # sympy's roots of the characteristic polynomial, with multiplicity, are
+    # the oracle: the answer lists them when all are integers, else nothing
+    roots = Matrix(m.rows).eigenvals()
+    listed = sorted(int(r) for r, k in roots.items() for _ in range(k) if r.is_integer)
+    assert integer_eigenvalues(m) == (listed if len(listed) == 2 else [])
 
 
 def test_is_expansion_examples():

@@ -183,6 +183,37 @@ def sigma_bases(draw):
     return sigma_L(L)
 
 
+def _follows_the_digits(s):
+    """The self-similar shape read cell by cell: letters are the nonzero
+    digits, each image keeps its letter at the origin and writes the digit
+    everywhere else."""
+    digits = {f for f in s.domain.reps if any(f)}
+    return s.alphabet == digits and all(
+        s.table[a][f] == (a if not any(f) else f) for a in s.alphabet for f in s.domain.reps
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=sigma_bases(), data=st.data())
+def test_only_the_digit_table_is_self_similar(s, data):
+    assert s.is_self_similar() and _follows_the_digits(s)
+    letters = sorted(s.alphabet)
+    a = data.draw(st.sampled_from(letters))
+    # one image cell, then one origin letter, holds another letter
+    for f in (data.draw(st.sampled_from(letters)), s.dim * (0,)):
+        table = {x: dict(img) for x, img in s.table.items()}
+        table[a][f] = data.draw(st.sampled_from([b for b in letters if b != table[a][f]]))
+        doctored = ConstantShapeSubstitution(s.base, s.domain, s.alphabet, table)
+        assert not doctored.is_self_similar()
+    # a general rule over the nonzero digits, as a --subst file gives it, is
+    # self-similar exactly when it writes the digit table
+    table = {
+        x: {f: data.draw(st.sampled_from(letters)) for f in s.domain.reps} for x in letters
+    }
+    general = ConstantShapeSubstitution(s.base, s.domain, s.alphabet, table)
+    assert general.is_self_similar() == _follows_the_digits(general)
+
+
 @settings(max_examples=40, deadline=None)
 @given(s=sigma_bases(), data=st.data())
 def test_fixed_point_descent_ignores_order_and_type(s, data):

@@ -11,7 +11,7 @@ from odosym.classify2d import (
 )
 from odosym.intmat import FundamentalDomain, IntMatrix, fundamental_domain, parse_matrix
 from odosym.odometer import ConstantBase, NcCertificate
-from odosym.subshift_norm import LocalRule, NLCertificate, build_local_rule, nl_membership
+from odosym.subshift_norm import LocalRule, build_local_rule, nl_membership
 
 L = parse_matrix("2,1;0,3")
 
@@ -32,14 +32,12 @@ def test_caches_take_no_part_in_equality_or_hashing():
     bare = FundamentalDomain(domain.base, domain.reps, domain.hnf_basis, {})
     assert bare == domain and hash(bare) == hash(domain)
     assert "_rep_of_key" not in repr(domain)
-    cert = nl_membership(L, IntMatrix.identity(2))
-    assert cert._actions
-    fields = {k: v for k, v in vars(cert).items() if k != "_actions"}
-    other = NLCertificate(**fields, _actions={IntMatrix.identity(2): {}})
-    assert other == cert and hash(other) == hash(cert)
-    rule = build_local_rule(cert)
+    rule = build_local_rule(nl_membership(L, IntMatrix.identity(2)))
     args = [getattr(rule, f) for f in ("substitution", "window", "m_inv", "n0", "per_level")]
-    assert LocalRule(*args, rule._class_table, {}) == rule
+    other = LocalRule(*args, rule._class_table, {((1, 0),): 0})
+    assert other._levels != rule._levels
+    assert other == rule
+    assert "_levels" not in repr(rule)
     assert LocalRule(*args, (), rule._levels) != rule
 
 
@@ -76,9 +74,12 @@ def test_constructors_take_positions_keywords_and_defaults():
     assert MembershipVerdict(False, "unit-eigenlines").witness is None
     verdict = MembershipVerdict(member=False, reason="unit-eigenlines", witness=(0, 3))
     assert verdict == MembershipVerdict(False, "unit-eigenlines", (0, 3))
-    cert = nl_membership(L, IntMatrix.identity(2))
-    fields = {k: v for k, v in vars(cert).items() if k != "_actions"}
-    assert len(NLCertificate(**fields)._actions) == 0
+    rule = build_local_rule(nl_membership(L, IntMatrix.identity(2)))
+    fields = dict(vars(rule))
+    assert LocalRule(**fields) == LocalRule(*fields.values()) == rule
+    del fields["_levels"]
+    with pytest.raises(TypeError):
+        LocalRule(**fields)
     assert ParamFamily(k=2) == ParamFamily(2)
     with pytest.raises(TypeError):
         ParamFamily()

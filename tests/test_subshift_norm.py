@@ -193,12 +193,12 @@ def test_nl_payload_roundtrip():
 # ---------------------------------------------------------------------------
 
 
-def test_rule_reuses_the_certificate_actions_only_on_their_domain(monkeypatch):
+def test_rule_reads_each_level_action_on_the_certificate_domain(monkeypatch):
     calls = []
     action = subshift_norm._residue_action
 
     def counted(c, domain):
-        calls.append(c)
+        calls.append((c, domain))
         return action(c, domain)
 
     monkeypatch.setattr(subshift_norm, "_residue_action", counted)
@@ -209,21 +209,24 @@ def test_rule_reuses_the_certificate_actions_only_on_their_domain(monkeypatch):
         cert = nl_membership(L, M, domain=domain)
         calls.clear()
         rule = build_local_rule(cert)
-        assert calls == [] and cert.n0 == len(rule.per_level) - 1
-        # a certificate rebuilt from its fields, all but the actions cache,
-        # equals the original and carries no actions
-        compared = {k: v for k, v in vars(cert).items() if k != "_actions"}
-        assert set(compared) == {
+        # level v permutes the certificate's nonzero digits as C_v does
+        levels = cert.conjugates[: cert.n0 + 1]
+        assert calls == [(c, domain) for c in levels] and len(rule.per_level) == cert.n0 + 1
+        for c, perm in zip(levels, rule.per_level):
+            assert perm == {f: domain.digit_of(c.mul_vec(f)) for f in domain.reps if any(f)}
+        assert rule.per_level[-1] == dict(cert.residue_permutation)
+        # a certificate rebuilt from its fields equals the original and gives its rule
+        fields = vars(cert)
+        assert set(fields) == {
             "L", "M", "n_max", "conjugates", "k", "n0", "residue_permutation", "domain"
         }
-        rebuilt = NLCertificate(**compared)
-        assert rebuilt == cert and hash(rebuilt) == hash(cert) and not rebuilt._actions
+        rebuilt = NLCertificate(**fields)
+        assert rebuilt == cert and hash(rebuilt) == hash(cert)
         assert build_local_rule(rebuilt).per_level == rule.per_level
-        assert calls == list(cert.conjugates[: cert.n0 + 1])
         if other is not None:
             # the domain is part of the certificate: on another domain the
             # rule reads that domain's digits
-            assert NLCertificate(**{**compared, "domain": other}) != cert
+            assert NLCertificate(**{**fields, "domain": other}) != cert
             got = build_local_rule(nl_membership(L, M, domain=other))
             assert got.substitution.domain == other
             assert set(got.per_level[0]) == set(other.reps[1:]) != set(domain.reps[1:])

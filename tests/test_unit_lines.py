@@ -31,9 +31,8 @@ def relation_reference(L):
         return lambda M: True
     if not integer_eigenvalues(L):
         return lambda M: commutes(L, M)
-    td = _triangular_form(L)
-    p, q, s = td.p, td.q, td.s
-    w, w_inv = td.W, unimodular_inverse(td.W)
+    w, p, q, s = _triangular_form(L)
+    w_inv = unimodular_inverse(w)
     p_unit_only = rad_divides(p, s) and not rad_divides(s, p)
     s_unit_only = not rad_divides(p, s) and rad_divides(s, p)
 
