@@ -16,10 +16,7 @@ from .intmat import (
     validate_domain,
 )
 from .odometer import (
-    ConstantBase,
     NcCertificate,
-    OdometerPoint,
-    kappa_embed,
     nc_bounded_check,
     nc_search,
     verify_nc_certificate,
@@ -37,7 +34,6 @@ from .substitution import (
     k_set,
     recognizability_check,
     sigma_L,
-    substitute,
     supports,
     tau,
 )
@@ -47,7 +43,6 @@ from .subshift_norm import (
     apply_endomorphism,
     build_local_rule,
     composition_check,
-    fiber_points,
     nl_membership,
     pullback_positions,
 )
@@ -58,14 +53,13 @@ __all__ = [
     "integer_eigenvalues", "is_expansion", "parse_matrix", "parse_vector",
     "validate_domain",
     # odometer
-    "ConstantBase", "NcCertificate", "OdometerPoint", "kappa_embed",
-    "nc_bounded_check", "nc_search", "verify_nc_certificate",
+    "NcCertificate", "nc_bounded_check", "nc_search", "verify_nc_certificate",
     # classify2d
     "MembershipVerdict", "centralizer", "classify", "is_member",
     # substitution
     "ConstantShapeSubstitution", "fixed_point_patch", "half_hex", "k_set",
-    "recognizability_check", "sigma_L", "substitute", "supports", "tau",
+    "recognizability_check", "sigma_L", "supports", "tau",
     # subshift_norm
     "NLCertificate", "NLRejection", "apply_endomorphism", "build_local_rule",
-    "composition_check", "fiber_points", "nl_membership", "pullback_positions",
+    "composition_check", "nl_membership", "pullback_positions",
 ]

@@ -40,13 +40,13 @@ from .intmat import (
     IntMatrix,
     _inv_unimodular,
     _Record,
+    _require_expansion,
     _xgcd,
     commutes,
     format_matrix,
     integer_eigenvalues,
     rad_divides,
 )
-from .odometer import ConstantBase
 
 _ID = IntMatrix.identity(2)
 _SWAP = IntMatrix(((0, 1), (1, 0)))
@@ -180,7 +180,7 @@ class MembershipVerdict(_Record):
 def _require_expansion_2x2(L: IntMatrix):
     if L.dim != 2:
         raise ValueError("classification is for 2x2 bases")
-    ConstantBase(L)
+    _require_expansion(L)
 
 
 def _primitive(v: tuple[int, int]) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from .errors import (
     DomainMissingZeroError,
     DomainValidationError,
     MatrixParseError,
+    NotExpansionError,
     SingularMatrixError,
 )
 
@@ -489,6 +490,11 @@ def is_expansion(m: IntMatrix) -> bool:
     if sum(c * (-1) ** (d - i) for i, c in enumerate(coeffs)) == 0:  # p(-1) = 0
         return False
     return _all_roots_in_open_unit_disk(list(reversed(coeffs)))
+
+
+def _require_expansion(m: IntMatrix) -> None:
+    if not is_expansion(m):
+        raise NotExpansionError(f"not an expansion matrix: {m}")
 
 
 def _all_roots_in_open_unit_disk(c: list[int]) -> bool:

@@ -1,9 +1,8 @@
-"""Truncated inverse-limit arithmetic for Z^d odometers.
+"""The normalizer condition for Z^d odometers.
 
 A constant-base odometer is the inverse limit of Z^d / L^n(Z^d) for an
-expansion matrix L.  Digits are stored as canonical HNF-box
-representatives at every level, so equality of truncated points is plain
-tuple equality.
+expansion matrix L.  The condition is decided on matrices mod det(L^n)
+alone; no truncated point of the inverse limit is built.
 
 The normalizer condition at depth n asks for an exponent m with
 
@@ -27,66 +26,9 @@ from m_(n-1), and from the first Absent depth on it searches no more.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 
-from .errors import DepthError, NotExpansionError
-from .intmat import IntMatrix, Vec, _Record, _rows_mul, hnf, is_expansion
-
-# ---------------------------------------------------------------------------
-# bases and points
-# ---------------------------------------------------------------------------
-
-
-class ConstantBase(_Record):
-    """Levels Z_n = L^n(Z^d) for a fixed expansion matrix L."""
-
-    matrix: IntMatrix
-
-    def __init__(self, matrix: IntMatrix):
-        if not is_expansion(matrix):
-            raise NotExpansionError(f"not an expansion matrix: {matrix}")
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-
-class OdometerPoint(_Record):
-    """Digits g_0..g_N, each the canonical representative mod level n."""
-
-    base: ConstantBase
-    digits: tuple[Vec, ...]
-
-    def __init__(self, base: ConstantBase, digits: tuple[Vec, ...]):
-        super().__init__(base, digits)
-        # digit n+1 - digit n must lie in Z_n = L^n(Z^d); walk L^n level to level
-        power = IntMatrix.identity(self.base.dim)
-        for n in range(len(self.digits) - 1):
-            diff = tuple(a - b for a, b in zip(self.digits[n + 1], self.digits[n]))
-            if power.solve_exact(diff) is None:
-                raise ValueError(f"digit compatibility broken between levels {n},{n+1}")
-            power = power * self.base.matrix
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits) - 1
-
-    def digit(self, n: int) -> Vec:
-        return self.digits[n]
-
-
-def kappa_embed(v: Vec, base: ConstantBase, depth: int) -> OdometerPoint:
-    """Embed an integer vector: digits are v mod Z_n for n = 0..depth."""
-    if depth < 0:
-        raise DepthError(f"depth must be >= 0, got {depth}")
-    v = tuple(map(index, v))
-    power, digits = IntMatrix.identity(base.dim), []
-    for _ in range(depth + 1):
-        digits.append(hnf(power).reduce_vec(v))
-        power = power * base.matrix
-    return OdometerPoint(base, tuple(digits))
-
+from .errors import DepthError
+from .intmat import IntMatrix, _Record, _require_expansion, _rows_mul
 
 # ---------------------------------------------------------------------------
 # normalizer condition for constant bases
@@ -155,7 +97,7 @@ def _divisible(acc, mod: int) -> bool:
 def _check_depth(L: IntMatrix, n: int) -> None:
     if n < 1:
         raise DepthError(f"depth must be >= 1, got {n}")
-    ConstantBase(L)
+    _require_expansion(L)
 
 
 def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):

@@ -17,12 +17,7 @@ from functools import lru_cache
 from itertools import islice
 from operator import add, index
 
-from .errors import (
-    MarginError,
-    MissingCertificateError,
-    WindowError,
-    WrongBranchError,
-)
+from .errors import MarginError, MissingCertificateError, WindowError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
@@ -30,6 +25,7 @@ from .intmat import (
     _Record,
     _apply,
     _inv_unimodular,
+    _require_expansion,
     _rows_mul,
     format_matrix,
     format_vector,
@@ -38,11 +34,9 @@ from .intmat import (
     vec_add,
     zero_vec,
 )
-from .odometer import ConstantBase, OdometerPoint
 from .substitution import (
     ConstantShapeSubstitution,
     _guard,
-    box_positions,
     fixed_point_patch,
     sigma_L,
     tau,
@@ -159,7 +153,7 @@ def nl_membership(
     """
     if M.det() not in (1, -1):
         raise ValueError(f"matrix must be unimodular, det = {M.det()}")
-    ConstantBase(L)
+    _require_expansion(L)
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
     if domain is None:
@@ -412,39 +406,3 @@ def composition_check(
     lhs = apply_endomorphism(rule12, patch, sources12)
     rhs = apply_endomorphism(rule1, apply_endomorphism(rule2, patch, sources2), sources1)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# fibers over the base odometer
-# ---------------------------------------------------------------------------
-
-
-def fiber_points(s: ConstantShapeSubstitution, at, depth: int) -> tuple[frozenset, str]:
-    """Letters the projection cannot pin down over the given base point.
-
-    An integer vector a names the orbit point embedding -a: the fiber
-    keeps all letters at the coordinate a, so every letter is possible.
-    An OdometerPoint is scanned for an integer lift inside the test
-    window [-8, 8]^d; with no lift the central letter is forced and the
-    count is 1, exact at the tested depth.
-    """
-    if not s.is_self_similar():
-        raise WrongBranchError("fiber analysis needs the self-similar family")
-    if isinstance(at, OdometerPoint):
-        point = at
-        n = min(depth, point.depth)
-        basis = hnf(s.base**n)
-        target = point.digit(n)
-        lifts = [
-            v
-            for v in box_positions(-8, 8, s.dim)
-            if basis.reduce_vec(v) == target
-        ]
-        if lifts:
-            return frozenset(s.alphabet), f"orbit-like: lift {lifts[0]} in window"
-        if target == zero_vec(s.dim):
-            return frozenset(s.alphabet), "all digits zero to tested depth"
-        note = f"exact at tested depth {n}, window radius 8"
-        return frozenset({tau(s, target)}), note
-    a = tuple(map(index, at))
-    return frozenset(s.alphabet), f"orbit point: letters at coordinate {a} are free"

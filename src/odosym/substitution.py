@@ -19,6 +19,7 @@ from .intmat import (
     IntMatrix,
     Vec,
     _Record,
+    _require_expansion,
     fundamental_domain,
     hnf,
     validate_domain,
@@ -26,7 +27,6 @@ from .intmat import (
     vec_sub,
     zero_vec,
 )
-from .odometer import ConstantBase
 
 Letter = Vec
 
@@ -47,7 +47,7 @@ class ConstantShapeSubstitution(_Record):
     ):
         super().__init__(base, domain, alphabet, table)
         # tau strips factors of L and would never stop on a non-expansion base
-        ConstantBase(self.base)
+        _require_expansion(self.base)
         support = set(self.domain.reps)
         for letter in self.alphabet:
             if letter not in self.table:
@@ -56,6 +56,8 @@ class ConstantShapeSubstitution(_Record):
                 raise ValueError("image patterns must be supported exactly on F1")
             if not self.alphabet.issuperset(self.table[letter].values()):
                 raise ValueError(f"the image of {letter} uses a letter outside the alphabet")
+        if stray := self.table.keys() - self.alphabet:
+            raise ValueError(f"the table has an image for {min(stray)}, outside the alphabet")
 
     @property
     def dim(self) -> int:
@@ -73,8 +75,7 @@ class ConstantShapeSubstitution(_Record):
 
     def is_self_similar(self) -> bool:
         """True when letters are the nonzero digits and images follow them."""
-        t = _sigma_table(self.domain)
-        return self.alphabet == frozenset(t) and self.table == t
+        return self.table == _sigma_table(self.domain)
 
 
 def _sigma_table(domain: FundamentalDomain) -> dict:
@@ -228,16 +229,6 @@ def _descend(s: ConstantShapeSubstitution, pos: Vec, known: dict) -> Letter | No
     for p, f in reversed(path.items()):
         known[p] = letter = None if letter is None else s.table[letter][f]
     return letter
-
-
-def substitute(s: ConstantShapeSubstitution, p: dict[Vec, Letter]) -> dict[Vec, Letter]:
-    """One application of the rule: letter at L(j) + f is image(p_j) at f."""
-    cells = {}
-    for j, a in p.items():
-        lj = s.base.mul_vec(j)
-        for f, b in s.image(a).items():
-            cells[vec_add(lj, f)] = b
-    return cells
 
 
 def fixed_point_count(s: ConstantShapeSubstitution) -> int:

@@ -13,9 +13,13 @@ import time
 from itertools import product
 
 from tests_shared import (
+    ConstantBase,
+    fiber_points,
+    kappa_embed,
     nc_passes,
     rand_unimodular_small,
     rand_unimodular_steps,
+    substitute,
     unimodular_inverse,
 )
 
@@ -28,7 +32,7 @@ from odosym.classify2d import (
     is_member,
 )
 from odosym.intmat import IntMatrix, parse_matrix
-from odosym.odometer import ConstantBase, kappa_embed, nc_bounded_check
+from odosym.odometer import nc_bounded_check
 from odosym.substitution import (
     fixed_point_count,
     fixed_point_patch,
@@ -36,7 +40,6 @@ from odosym.substitution import (
     k_set,
     recognizability_check,
     sigma_L,
-    substitute,
     supports,
     tau,
     valuation,
@@ -46,7 +49,6 @@ from odosym.subshift_norm import (
     apply_endomorphism,
     build_local_rule,
     composition_check,
-    fiber_points,
     nl_membership,
     pullback_positions,
 )

@@ -15,6 +15,8 @@ import pytest
 import odosym
 from odosym import cli
 from odosym.cli import _join_flag_values, _patch_payload, build_parser, main, run_verify_paper
+from odosym.errors import NotExpansionError
+from odosym.intmat import fundamental_domain, parse_matrix
 from odosym.odometer import NcCertificate
 from odosym.substitution import (
     ConstantShapeSubstitution,
@@ -351,6 +353,33 @@ def test_subst_general_rule_must_cover_the_box(capsys, tmp_path):
         cells = {tuple(p): tuple(a) for p, a in report["result"]["patch"]}
         assert cells[(0, 0)] == (0, 1) and cells[(1, 1)] == (1, 0) and cells[(1, 0)] == (0, 1)
     assert len(cells) == 81
+
+
+SHEAR = "1,1;0,1"
+NOT_AN_EXPANSION = "odosym: NotExpansionError: not an expansion matrix: 1,1;0,1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nc", "--base", SHEAR, "--matrix", "1,0;0,1"],
+        ["member", "--base", SHEAR, "--matrix", "1,0;0,1"],
+        ["classify", "--matrix", SHEAR],
+        ["nl", "--L", SHEAR, "--M", "1,0;0,1"],
+        ["phi", "--L", SHEAR, "--M", "1,0;0,1", "--box", "0:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_non_expansion_base_is_named_in_one_message(argv, capsys):
+    assert main(argv) == 2
+    assert tuple(capsys.readouterr()) == ("", NOT_AN_EXPANSION)
+
+
+def test_a_rule_on_a_non_expansion_base_is_named_in_the_same_message():
+    L = parse_matrix(SHEAR)
+    with pytest.raises(NotExpansionError) as raised:
+        ConstantShapeSubstitution(L, fundamental_domain(L), frozenset(), {})
+    assert f"odosym: NotExpansionError: {raised.value}\n" == NOT_AN_EXPANSION
 
 
 def test_subst_default_seed_is_the_least_origin_fixed_letter(capsys, tmp_path):

@@ -17,11 +17,10 @@ entry is not enough there (0,3;-2,-3 with -2,1;-1,0 first fails at depth
 import random
 from itertools import product
 
-from tests_shared import nc_passes, rand_unimodular_small
+from tests_shared import ConstantBase, kappa_embed, nc_passes, rand_unimodular_small
 
 from odosym.classify2d import classify, is_member
 from odosym.intmat import IntMatrix, is_expansion, parse_matrix, validate_domain
-from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import fixed_point_patch, sigma_L, tau, valuation
 from odosym.subshift_norm import (
     NLCertificate,

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from tests_shared import substitute
 
 from odosym.errors import MarginError, SingularMatrixError
 from odosym.intmat import (
@@ -25,7 +26,6 @@ from odosym.substitution import (
     fixed_point_patch,
     half_hex,
     sigma_L,
-    substitute,
     supports,
     tau,
     valuation,

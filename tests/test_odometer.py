@@ -3,16 +3,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_shared import nc_passes
+from tests_shared import ConstantBase, OdometerPoint, kappa_embed, nc_passes
 
 from odosym.errors import DepthError, NotExpansionError
 from odosym.intmat import IntMatrix, hnf, is_expansion, parse_matrix
 from odosym.odometer import (
-    ConstantBase,
     NcCertificate,
-    OdometerPoint,
     _mat_mul_mod,
-    kappa_embed,
     nc_bounded_check,
     nc_search,
     verify_nc_certificate,

@@ -1,6 +1,7 @@
 """The frozen records: equality, hashing, repr, constructors and immutability."""
 
 import pytest
+from tests_shared import ConstantBase
 
 from odosym.classify2d import (
     FullGL2,
@@ -10,7 +11,7 @@ from odosym.classify2d import (
     UpperTriangularUnimodular,
 )
 from odosym.intmat import FundamentalDomain, IntMatrix, fundamental_domain, parse_matrix
-from odosym.odometer import ConstantBase, NcCertificate
+from odosym.odometer import NcCertificate
 from odosym.subshift_norm import LocalRule, build_local_rule, nl_membership
 
 L = parse_matrix("2,1;0,3")

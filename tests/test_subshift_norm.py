@@ -2,7 +2,15 @@ import random
 from itertools import islice, product
 
 import pytest
-from tests_shared import evaluate, rand_unimodular_small, shift, unimodular_inverse
+from tests_shared import (
+    ConstantBase,
+    evaluate,
+    fiber_points,
+    kappa_embed,
+    rand_unimodular_small,
+    shift,
+    unimodular_inverse,
+)
 
 from odosym.errors import MarginError, SizeGuardError, WindowError, WrongBranchError
 from odosym.intmat import (
@@ -14,7 +22,6 @@ from odosym.intmat import (
     parse_vector,
     validate_domain,
 )
-from odosym.odometer import ConstantBase, kappa_embed
 from odosym.substitution import (
     fixed_point_patch,
     half_hex,
@@ -30,7 +37,6 @@ from odosym.subshift_norm import (
     apply_endomorphism,
     build_local_rule,
     composition_check,
-    fiber_points,
     nl_membership,
     pullback_positions,
 )

@@ -5,6 +5,7 @@ from itertools import product
 from operator import add
 
 import pytest
+from tests_shared import substitute
 
 from odosym import substitution
 from odosym.errors import SizeGuardError, WrongBranchError
@@ -18,7 +19,6 @@ from odosym.substitution import (
     k_set,
     recognizability_check,
     sigma_L,
-    substitute,
     supports,
     tau,
     valuation,
@@ -70,6 +70,13 @@ def test_every_letter_needs_an_image():
     table = {a: hh.image(a) for a in hh.alphabet if a != (1, 0)}
     with pytest.raises(ValueError, match=r"no image pattern for letter \(1, 0\)"):
         ConstantShapeSubstitution(base=hh.base, domain=hh.domain, alphabet=hh.alphabet, table=table)
+
+
+def test_every_image_belongs_to_a_letter():
+    s = sigma_L(parse_matrix("3,0;0,3"))
+    table = {**s.table, (5, 5): s.image(min(s.alphabet))}
+    with pytest.raises(ValueError, match=r"an image for \(5, 5\), outside the alphabet"):
+        ConstantShapeSubstitution(base=s.base, domain=s.domain, alphabet=s.alphabet, table=table)
 
 
 def test_sigma_self_similarity_flag():

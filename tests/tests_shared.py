@@ -1,10 +1,13 @@
 """Shared random generators and oracles for the test suite (seeded by each test)."""
 
 from itertools import product
+from operator import index
 
-from odosym.intmat import IntMatrix, commutes
+from odosym.errors import DepthError, WrongBranchError
+from odosym.intmat import IntMatrix, Vec, _Record, _require_expansion, commutes, hnf, vec_add
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
+from odosym.substitution import box_positions, tau
 
 
 def rand_unimodular_steps(rng, d=2, steps=6):
@@ -99,3 +102,94 @@ def brute_force_centralizer(L, bound):
                 if m.det() in (1, -1) and commutes(L, m):
                     out.add(m)
     return sorted(out, key=lambda m: m.rows)
+
+
+# ---------------------------------------------------------------------------
+# truncated inverse-limit points, fibers and iterated substitution
+# ---------------------------------------------------------------------------
+
+
+class ConstantBase(_Record):
+    """Levels Z_n = L^n(Z^d) for a fixed expansion matrix L."""
+
+    matrix: IntMatrix
+
+    def __init__(self, matrix: IntMatrix):
+        _require_expansion(matrix)
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.dim
+
+
+class OdometerPoint(_Record):
+    """Digits g_0..g_N, each the canonical representative mod level n."""
+
+    base: ConstantBase
+    digits: tuple[Vec, ...]
+
+    def __init__(self, base: ConstantBase, digits: tuple[Vec, ...]):
+        super().__init__(base, digits)
+        # digit n+1 - digit n must lie in Z_n = L^n(Z^d); walk L^n level to level
+        power = IntMatrix.identity(self.base.dim)
+        for n in range(len(self.digits) - 1):
+            diff = tuple(a - b for a, b in zip(self.digits[n + 1], self.digits[n]))
+            if power.solve_exact(diff) is None:
+                raise ValueError(f"digit compatibility broken between levels {n},{n+1}")
+            power = power * self.base.matrix
+
+    @property
+    def depth(self) -> int:
+        return len(self.digits) - 1
+
+    def digit(self, n: int) -> Vec:
+        return self.digits[n]
+
+
+def kappa_embed(v: Vec, base: ConstantBase, depth: int) -> OdometerPoint:
+    """Embed an integer vector: digits are v mod Z_n for n = 0..depth."""
+    if depth < 0:
+        raise DepthError(f"depth must be >= 0, got {depth}")
+    v = tuple(map(index, v))
+    power, digits = IntMatrix.identity(base.dim), []
+    for _ in range(depth + 1):
+        digits.append(hnf(power).reduce_vec(v))
+        power = power * base.matrix
+    return OdometerPoint(base, tuple(digits))
+
+
+def fiber_points(s, at, depth: int) -> tuple[frozenset, str]:
+    """Letters the projection cannot pin down over the given base point.
+
+    An integer vector a names the orbit point embedding -a: the fiber
+    keeps all letters at the coordinate a, so every letter is possible.
+    An OdometerPoint is scanned for an integer lift inside the test
+    window [-8, 8]^d; with no lift the central letter is forced and the
+    count is 1, exact at the tested depth.
+    """
+    if not s.is_self_similar():
+        raise WrongBranchError("fiber analysis needs the self-similar family")
+    if isinstance(at, OdometerPoint):
+        n = min(depth, at.depth)
+        basis = hnf(s.base**n)
+        target = at.digit(n)
+        lifts = [v for v in box_positions(-8, 8, s.dim) if basis.reduce_vec(v) == target]
+        if lifts:
+            return frozenset(s.alphabet), f"orbit-like: lift {lifts[0]} in window"
+        if not any(target):
+            return frozenset(s.alphabet), "all digits zero to tested depth"
+        note = f"exact at tested depth {n}, window radius 8"
+        return frozenset({tau(s, target)}), note
+    a = tuple(map(index, at))
+    return frozenset(s.alphabet), f"orbit point: letters at coordinate {a} are free"
+
+
+def substitute(s, p):
+    """One application of the rule: letter at L(j) + f is image(p_j) at f."""
+    cells = {}
+    for j, a in p.items():
+        lj = s.base.mul_vec(j)
+        for f, b in s.image(a).items():
+            cells[vec_add(lj, f)] = b
+    return cells
