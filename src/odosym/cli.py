@@ -3,9 +3,11 @@
 Every request takes one path.  A `cmd_*` function parses its arguments,
 computes, and returns an Answer: the echoed inputs, the result payload,
 the exit code and, for `phi` and `subst`, the patch to render.  `main`
-alone parses the command line (with a parser built once per process),
-times the request, builds and writes the report, renders `--svg` and
-`--pgm`, and maps every error to an exit code.
+alone parses the command line, times the request, builds and writes the
+report, renders `--svg` and `--pgm`, and maps every error to an exit code.
+The parsers are built once per process.  A command line that starts with
+a subcommand is parsed by that subcommand's parser alone, and any other
+line by the full parser; usage errors read the same either way.
 
 Exit codes: 0 success or member, 3 definite negative, 4 bounded
 verification inconclusive (rejected within the tested window), 2 usage,
@@ -74,13 +76,14 @@ EXIT_INCONCLUSIVE = 4
 # ---------------------------------------------------------------------------
 
 
+# Every request builds its body fresh, a tree of dicts, lists and tuples of
+# ints and strings, so it has no cycle for the encoder to guard against.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
     """The report and its canonical body: compact JSON with sorted keys,
-    which payload_hash is the sha256 of.
-
-    Every request builds its body fresh, a tree of dicts, lists and tuples
-    of ints and strings, so it has no cycle for the encoder to guard against.
-    """
+    which payload_hash is the sha256 of."""
     body = {
         "schema": 1,
         "version": __version__,
@@ -88,7 +91,7 @@ def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
         "inputs": inputs,
         "result": result,
     }
-    canon = json.dumps(body, sort_keys=True, separators=(",", ":"), check_circular=False)
+    canon = _CANONICAL.encode(body)
     body["payload_hash"] = hashlib.sha256(canon.encode()).hexdigest()
     return body, canon
 
@@ -550,28 +553,47 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify_paper)
 
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    ap.commands = sub.choices  # name -> subcommand parser, for main's dispatch
     return ap
 
 
 _FLAG = re.compile(r"--[A-Za-z][\w-]*")
-_NEGATIVE = re.compile(r"-\d")
 
 
 def _join_flag_values(argv):
     """Fold '--box -8:8' into '--box=-8:8', so a value with a leading minus parses."""
     out = []
     for tok in argv:
-        if out and _NEGATIVE.match(tok) and _FLAG.fullmatch(out[-1]):
+        # a value with a leading minus: a minus, then a decimal digit
+        if out and tok[:1] == "-" and tok[1:2].isdecimal() and _FLAG.fullmatch(out[-1]):
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
+def _parse_args(argv):
+    """The namespace of a command line, with flag values folded.
+
+    A line that starts with a subcommand is parsed by that subcommand's
+    parser alone, and the top-level parser reports the tokens it leaves,
+    as the full parse does.  Any other line (--help, --version, an unknown
+    command, none) goes through the full parser.
+    """
+    ap = build_parser()
+    argv = _join_flag_values(argv)
+    if not argv or argv[0] not in ap.commands:
+        return ap.parse_args(argv)
+    args, extras = ap.commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _join_flag_values(sys.argv[1:] if argv is None else argv)
-    )
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     clock = time.perf_counter
     started = clock()
     try:

@@ -128,7 +128,7 @@ class IntMatrix(_Record):
         return len(self.rows)
 
     def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
+        return sum([r[i] for i, r in enumerate(self.rows)])
 
     def det(self) -> int:
         return _det(self.rows)
@@ -161,9 +161,7 @@ class IntMatrix(_Record):
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        n = self.dim
-        if len(other.rows) != n:
-            raise ValueError(f"cannot multiply a {n}x{n} matrix by a {other.dim}x{other.dim} one")
+        _require_product(self, other)
         return IntMatrix(_rows_mul(self.rows, other.rows))
 
     def mul_vec(self, v: Vec) -> Vec:
@@ -212,6 +210,12 @@ class IntMatrix(_Record):
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+
+def _require_product(a: IntMatrix, b: IntMatrix) -> None:
+    n, k = len(a.rows), len(b.rows)
+    if k != n:
+        raise ValueError(f"cannot multiply a {n}x{n} matrix by a {k}x{k} one")
 
 
 def _inv_unimodular(u: IntMatrix) -> IntMatrix:
@@ -535,10 +539,10 @@ def parse_matrix(text: str) -> IntMatrix:
         for token in chunk.split(","):
             row.append(_parse_int(token, pos))
             pos += len(token) + 1
-        rows.append(tuple(row))
-    if len(set(len(r) for r in rows)) != 1 or len(rows) != len(rows[0]):
+        rows.append(row)
+    if any([len(r) != len(rows) for r in rows]):
         raise MatrixParseError(f"not a square matrix: {text!r}", token=text, position=0)
-    return IntMatrix(tuple(rows))
+    return IntMatrix(rows)
 
 
 def parse_vector(text: str) -> Vec:
@@ -554,7 +558,7 @@ def parse_vector(text: str) -> Vec:
 
 
 def format_matrix(m: IntMatrix) -> str:
-    return ";".join(",".join(str(x) for x in r) for r in m.rows)
+    return ";".join([",".join(map(str, r)) for r in m.rows])
 
 
 def format_vector(v: Vec) -> str:

@@ -528,6 +528,11 @@ def test_parse_error_exit_code(capsys):
             "SingularMatrixError: fundamental domain needs det != 0",
             id="validate-domain-singular",
         ),
+        pytest.param(
+            ["nc", "--base", "3,1;0,5", "--matrix", "1,-1;0,-1", "--depth", "1001"],
+            "SizeGuardError: depth 1001, over the limit of 1000",
+            id="nc-depth-over-the-limit",
+        ),
     ],
 )
 def test_value_and_os_errors_are_usage_errors(argv, error, capsys, tmp_path):
@@ -852,6 +857,180 @@ def test_leading_minus_value_parses_like_equals_form(flag, argv):
     assert folded == build_parser().parse_args(joined)
     value = getattr(folded, flag[2:])
     assert str(value) == argv[i + 1] and str(value).startswith("-")
+    # main's route: the subcommand's own parser, after the same folding
+    assert cli._parse_args(argv) == folded
+
+
+# Recorded from the full parser, build_parser().parse_args, with COLUMNS=80.
+# A usage error found by the subcommand's parser names the subcommand; one
+# found after it (unknown tokens) names the program.
+TOP_USAGE = (
+    "usage: odosym [-h] [--version]\n"
+    "              {classify,member,nc,nl,phi,subst,verify-paper} ...\n"
+)
+NC_USAGE = (
+    "usage: odosym nc [-h] --base BASE --matrix MATRIX [--depth DEPTH] [--pretty]\n"
+    "                 [--out OUT]\n"
+)
+PRETTY_OUT = (
+    "  --pretty         indented JSON\n"
+    "  --out OUT        write the report to a file\n"
+)
+PAIR_HELP = (
+    "  -h, --help   show this help message and exit\n"
+    "  --L L\n"
+    "  --M M\n"
+    "  --nmax NMAX\n"
+    "  --F F        fundamental domain, vectors split by ';'\n"
+)
+NC = ["nc", "--base", "2,0;0,2", "--matrix", "1,0;0,1"]
+USAGE_TABLE = [
+    pytest.param(
+        [*NC, "--bogus", "1"], 2, "",
+        TOP_USAGE + "odosym: error: unrecognized arguments: --bogus 1\n",
+        id="unknown-flag",
+    ),
+    pytest.param(
+        [*NC, "stray"], 2, "", TOP_USAGE + "odosym: error: unrecognized arguments: stray\n",
+        id="stray-positional",
+    ),
+    pytest.param(
+        NC[:3], 2, "",
+        NC_USAGE + "odosym nc: error: the following arguments are required: --matrix\n",
+        id="missing-flag",
+    ),
+    pytest.param(
+        ["frobnicate"], 2, "",
+        # Python 3.10.13 to 3.13.0 quote the choices, 3.13.13 does not
+        tuple(
+            TOP_USAGE + "odosym: error: argument command: invalid choice: 'frobnicate' "
+            f"(choose from {', '.join(choices)})\n"
+            for choices in (
+                ("'classify'", "'member'", "'nc'", "'nl'", "'phi'", "'subst'", "'verify-paper'"),
+                ("classify", "member", "nc", "nl", "phi", "subst", "verify-paper"),
+            )
+        ),
+        id="bad-subcommand",
+    ),
+    pytest.param(
+        ["classify", "--help"], 0,
+        "usage: odosym classify [-h] --matrix MATRIX [--pretty] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --matrix MATRIX  rows a,b;c,d\n" + PRETTY_OUT,
+        "",
+        id="classify-help",
+    ),
+    pytest.param(
+        ["member", "--help"], 0,
+        "usage: odosym member [-h] --base BASE --matrix MATRIX [--pretty] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --base BASE\n"
+        "  --matrix MATRIX\n" + PRETTY_OUT,
+        "",
+        id="member-help",
+    ),
+    pytest.param(
+        ["nc", "--help"], 0,
+        NC_USAGE + "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --base BASE\n"
+        "  --matrix MATRIX\n"
+        "  --depth DEPTH\n" + PRETTY_OUT,
+        "",
+        id="nc-help",
+    ),
+    pytest.param(
+        ["nl", "--help"], 0,
+        "usage: odosym nl [-h] --L L --M M [--nmax NMAX] [--F F] [--pretty] [--out OUT]\n"
+        "\n"
+        "options:\n" + PAIR_HELP +
+        "  --pretty     indented JSON\n"
+        "  --out OUT    write the report to a file\n",
+        "",
+        id="nl-help",
+    ),
+    pytest.param(
+        ["phi", "--help"], 0,
+        "usage: odosym phi [-h] --L L --M M [--nmax NMAX] [--F F] --box BOX\n"
+        "                  [--seed SEED] [--svg SVG] [--pgm PGM] [--pretty] [--out OUT]\n"
+        "\n"
+        "options:\n" + PAIR_HELP +
+        "  --box BOX    lo:hi output box\n"
+        "  --seed SEED\n"
+        "  --svg SVG\n"
+        "  --pgm PGM\n"
+        "  --pretty     indented JSON\n"
+        "  --out OUT    write the report to a file\n",
+        "",
+        id="phi-help",
+    ),
+    pytest.param(
+        ["subst", "--help"], 0,
+        "usage: odosym subst [-h] (--L L | --subst SUBST) [--F F] --box BOX\n"
+        "                    [--seed SEED] [--svg SVG] [--pgm PGM] [--pretty]\n"
+        "                    [--out OUT]\n"
+        "                    {patch}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {patch}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --L L\n"
+        "  --subst SUBST  substitution description JSON file\n"
+        "  --F F          fundamental domain, vectors split by ';'\n"
+        "  --box BOX      lo:hi output box\n"
+        "  --seed SEED\n"
+        "  --svg SVG\n"
+        "  --pgm PGM\n"
+        "  --pretty       indented JSON\n"
+        "  --out OUT      write the report to a file\n",
+        "",
+        id="subst-help",
+    ),
+    pytest.param(
+        ["verify-paper", "--help"], 0,
+        "usage: odosym verify-paper [-h] [--pretty] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    indented JSON\n"
+        "  --out OUT   write the report to a file\n",
+        "",
+        id="verify-paper-help",
+    ),
+    pytest.param(["--version"], 0, "0.1.0\n", "", id="version"),
+    pytest.param(
+        ["nc", "--version"], 2, "",
+        NC_USAGE + "odosym nc: error: the following arguments are required: --base, --matrix\n",
+        id="nc-version",
+    ),
+    pytest.param(
+        [], 2, "", TOP_USAGE + "odosym: error: the following arguments are required: command\n",
+        id="empty",
+    ),
+]
+
+
+def test_a_subcommand_line_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    monkeypatch.setattr(build_parser(), "parse_args", lambda *a: pytest.fail("full parse"))
+    assert main(["nc", "--base", "2,0;0,2", "--matrix", "0,1;1,0", "--depth", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "nc"
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_TABLE)
+def test_usage_output_is_byte_identical(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+    with pytest.raises(SystemExit) as done:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (done.value.code, captured.out) == (code, out)
+    assert captured.err in ((err,) if isinstance(err, str) else err)
 
 
 def readme_cli_examples():

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from tests_shared import ConstantBase, OdometerPoint, kappa_embed, nc_passes
 
-from odosym.errors import DepthError, NotExpansionError
+from odosym import odometer
+from odosym.errors import DepthError, NotExpansionError, SizeGuardError
 from odosym.intmat import IntMatrix, hnf, is_expansion, parse_matrix
 from odosym.odometer import (
     NcCertificate,
@@ -146,6 +148,66 @@ def test_nc_depth_below_one_rejected():
             nc_search(TWO, SWAP, n)
         with pytest.raises(DepthError):
             nc_bounded_check(TWO, SWAP, n)
+
+
+def test_depth_guard_names_the_limit_and_builds_nothing(monkeypatch):
+    built = []
+    real = odometer._doubling_table
+    monkeypatch.setattr(odometer, "_doubling_table", lambda *a: built.append(a) or real(*a))
+    L5, inv = parse_matrix("3,1;0,5"), parse_matrix("1,-1;0,-1")
+    tracemalloc.start()
+    try:
+        for check in (nc_bounded_check, nc_search):
+            with pytest.raises(SizeGuardError) as err:
+                check(L5, inv, 1001)
+            assert str(err.value) == "depth 1001, over the limit of 1000"
+        with pytest.raises(SizeGuardError):
+            verify_nc_certificate(L5, inv, NcCertificate(1001, 1001, 8008))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [] and peak < 100_000
+    # the limit itself is walked: 2 Id with the swap has m(n) = n at every depth
+    certs = nc_bounded_check(TWO, SWAP, 1000)
+    assert [c.m for c in certs] == list(range(1, 1001))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("base, mat", [("2,0;0,2", "1,0,0;0,1,0;0,0,1"),
+                                       ("2,0,0;0,2,0;0,0,2", "0,1;1,0")])
+def test_walk_refuses_matrices_of_another_size(base, mat):
+    # the message of IntMatrix's product, whose size check the walk keeps;
+    # the CLI prints it with exit 2 (test_cli, nc-dims-differ)
+    L, M = parse_matrix(base), parse_matrix(mat)
+    n, k = L.dim, M.dim
+    for check in (nc_bounded_check, nc_search):
+        with pytest.raises(ValueError) as err:
+            check(L, M, 3)
+        assert str(err.value) == f"cannot multiply a {n}x{n} matrix by a {k}x{k} one"
+        assert type(err.value) is ValueError
+
+
+def test_every_walked_certificate_is_rechecked_on_random_bases():
+    # random 2x2 and 3x3 expansion bases with unimodular, singular and other M;
+    # verify_nc_certificate recomputes each depth without the walk
+    rng = random.Random(28)
+    kinds = set()
+    for d, bases in ((2, 40), (3, 12)):
+        walked = 0
+        while walked < bases:
+            L = IntMatrix(tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d)))
+            if not is_expansion(L):
+                continue
+            walked += 1
+            for _ in range(6):
+                M = IntMatrix(tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)))
+                certs = nc_bounded_check(L, M, 5)
+                assert [c.n for c in certs] == [1, 2, 3, 4, 5]
+                assert all(verify_nc_certificate(L, M, c) for c in certs), (L.rows, M.rows)
+                kinds.add((d, certs[0].present, certs[-1].present))
+    # both sizes reach Present throughout, Absent throughout, and Absent from a later depth
+    shapes = ((True, True), (False, False), (True, False))
+    assert kinds == {(d, *shape) for d in (2, 3) for shape in shapes}
 
 
 def _bruteforce_least_witness(L, M, n):
