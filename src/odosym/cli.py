@@ -57,11 +57,10 @@ from .substitution import (
 from .subshift_norm import (
     NLCertificate,
     NLRejection,
-    apply_endomorphism,
+    _fixed_point_image,
     build_local_rule,
     composition_check,
     nl_membership,
-    pullback_positions,
 )
 
 EXIT_OK = 0
@@ -320,16 +319,14 @@ def cmd_phi(args) -> Answer:
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome)
     seed = _seed(rule.substitution, args.seed)
-    region = box_positions(lo, hi, base.dim)
-    sources, cells = pullback_positions(rule, region)
-    patch = fixed_point_patch(rule.substitution, seed, cells)
-    image = apply_endomorphism(rule, patch, sources)
+    # the box is in lexicographic order, which is the report's order
+    image = _fixed_point_image(rule, seed, box_positions(lo, hi, base.dim))
     result = {
         "certificate": outcome.to_payload(),
         "seed": format_vector(seed),
-        "patch": _patch_payload(image),
+        "patch": image,
     }
-    return Answer(inputs, result, patch=image)
+    return Answer(inputs, result, patch=dict(image) if args.svg or args.pgm else None)
 
 
 def cmd_subst(args) -> Answer:
@@ -439,8 +436,7 @@ def _paper_checks():
     if isinstance(odd, NLCertificate):
         rule = build_local_rule(odd)
         s = rule.substitution
-        sources, cells = pullback_positions(rule, box_positions(-5, 5, 2))
-        image = apply_endomorphism(rule, fixed_point_patch(s, min(s.alphabet), cells), sources)
+        image = dict(_fixed_point_image(rule, min(s.alphabet), box_positions(-5, 5, 2)))
         oracle = {
             "tau_equivariance_radius_8": all(
                 tau(s, odd.M.mul_vec(v)) == rule.per_level[min(valuation(s, v), odd.n0)][tau(s, v)]

@@ -166,69 +166,76 @@ def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
 def fixed_point_patch(
     s: ConstantShapeSubstitution, seed: Letter, region
 ) -> dict[Vec, Letter]:
-    """Letters of the fixed point with the given origin letter, on the region.
-
-    The letter at L j + f is image(letter at j)[f].  An offset f where all
-    images agree (for sigma_L, a nonzero digit) forces its letter; other
-    cells walk j = L^{-1}(pos - f) down to a forced cell or to the origin,
-    which holds the seed, a letter fixed at the origin of its own image.
-    A cell whose walk circles first has no letter, and raises MarginError.
-    """
-    seed = tuple(seed)
-    if seed not in s.alphabet:
-        raise ValueError(f"seed {seed} is not a letter")
-    zero = zero_vec(s.dim)
-    if s.image(seed)[zero] != seed:
-        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
-    rep_of_key, forced, cells, rest = s.domain._rep_of_key, s._forced.get, {}, []
-    if s.dim == 2:
-        (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
-        det, ((a, b), (c, d)) = s.base._inverse
-        for x, y in region:
-            x, y = index(x), index(y)
-            key = (x % h00, (y - x // h00 * h10) % h11)
-            letter = forced(key)
-            if letter is not None:
-                cells[x, y] = letter
-            else:  # pos - f lies in L(Z^2): adj(L) (pos - f) / det(L) divides exactly
-                u, v = f = rep_of_key[key]
-                u, v = x - u, y - v
-                rest.append(((x, y), f, ((a * u + b * v) // det, (c * u + d * v) // det)))
-    else:  # the walk reads every cell: each is its own source, with no step
-        rest = [(pos, None, pos) for pos in (tuple(map(index, p)) for p in region)]
-    known, unfilled = {zero: seed}, set()
-    for pos, f, source in rest:
-        letter = cells.get(source)
-        if letter is None:
-            letter = _descend(s, source, known)
-        if letter is None:
-            unfilled.add(pos)
-        else:
-            cells[pos] = letter if f is None else s.table[letter][f]
-    if unfilled:
-        asked = len(cells) + len(unfilled)
+    """Letters of the fixed point with the given origin letter on the region, by
+    _fixed_point_reader; a cell whose walk circles raises MarginError."""
+    letter_at = _fixed_point_reader(s, seed)
+    cells = {pos: letter_at(pos) for pos in (tuple(map(index, p)) for p in region)}
+    if None in cells.values():
+        filled = sum(letter is not None for letter in cells.values())
         raise MarginError(
-            f"the fixed point seeded by {seed} fills {len(cells)} of the {asked} requested"
+            f"the fixed point seeded by {tuple(seed)} fills {filled} of the {len(cells)} requested"
             " cells; the others' digit walks circle without reaching the seed or a forced letter"
         )
     return cells
 
 
-def _descend(s: ConstantShapeSubstitution, pos: Vec, known: dict) -> Letter | None:
-    """Letter at pos by the walk pos -> L^{-1}(pos - f), or None if it circles;
-    known maps positions to letters (None: no letter) and gains the walk's."""
-    path = {}
-    while pos not in known and pos not in path:
-        key = s.domain.hnf_basis.reduce_vec(pos)
-        if key in s._forced:
-            known[pos] = s._forced[key]
-            break
-        path[pos] = f = s.domain._rep_of_key[key]
-        pos = s.base.solve_exact(tuple(map(sub, pos, f)))
-    letter = known.get(pos)  # None when the walk came back to pos
-    for p, f in reversed(path.items()):
-        known[p] = letter = None if letter is None else s.table[letter][f]
-    return letter
+def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
+    """letter_at(pos): the fixed point's letter at the integer tuple pos, or
+    None where the digit walk circles.  The letter at L j + f is image(letter
+    at j)[f].  An offset f where all images agree (for sigma_L, a nonzero
+    digit) forces its letter; other cells walk j = L^{-1}(pos - f) down to a
+    forced cell or to the origin, which holds the seed, a letter fixed at the
+    origin of its own image.  The walks share a memo, so no cell is walked
+    twice and a walk that comes back to one of its cells circles.  In 2-D the
+    Hermite key and the exact division adj(L) (pos - f) / det(L) are in line,
+    and a cell and its source, mostly forced, are read before any walk."""
+    seed = tuple(seed)
+    if seed not in s.alphabet:
+        raise ValueError(f"seed {seed} is not a letter")
+    zero, two = zero_vec(s.dim), s.dim == 2
+    if s.image(seed)[zero] != seed:
+        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
+    known, rep_of_key, forced, table = {zero: seed}, s.domain._rep_of_key, s._forced.get, s.table
+    reduce = s.domain.hnf_basis.reduce_vec
+    if two:
+        (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
+        det, ((a, b), (c, d)) = s.base._inverse
+
+    def walk(pos):
+        walked = []  # (cell, offset) of each unforced cell, outermost first
+        while True:
+            key = (pos[0] % h00, (pos[1] - pos[0] // h00 * h10) % h11) if two else reduce(pos)
+            if (letter := forced(key)) is not None:
+                break
+            if pos in known:  # the origin, an earlier walk's cell, or this walk's: None
+                letter = known[pos]
+                break
+            known[pos] = None
+            walked.append((pos, f := rep_of_key[key]))
+            if two:  # pos - f lies in L(Z^2), so the division is exact
+                x, y = pos[0] - f[0], pos[1] - f[1]
+                pos = ((a * x + b * y) // det, (c * x + d * y) // det)
+            else:
+                pos = s.base.solve_exact(tuple(map(sub, pos, f)))
+        for pos, f in reversed(walked):
+            known[pos] = letter = None if letter is None else table[letter][f]
+        return letter
+
+    if not two:
+        return walk
+
+    def letter_at(pos):
+        x, y = pos
+        if (letter := forced(key := (x % h00, (y - x // h00 * h10) % h11))) is not None:
+            return letter
+        f = rep_of_key[key]
+        x, y = x - f[0], y - f[1]
+        x, y = source = ((a * x + b * y) // det, (c * x + d * y) // det)
+        if (letter := forced((x % h00, (y - x // h00 * h10) % h11))) is None:
+            letter = walk(source)
+        return None if letter is None else table[letter][f]
+
+    return letter_at
 
 
 def fixed_point_count(s: ConstantShapeSubstitution) -> int:

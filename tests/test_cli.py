@@ -533,6 +533,16 @@ def test_parse_error_exit_code(capsys):
             "SizeGuardError: depth 1001, over the limit of 1000",
             id="nc-depth-over-the-limit",
         ),
+        pytest.param(
+            ["nl", "--L", "3,1;0,5", "--M", "1,0;0,1", "--nmax", "1001"],
+            "SizeGuardError: nmax 1001, over the limit of 1000",
+            id="nl-nmax-over-the-limit",
+        ),
+        pytest.param(
+            ["phi", "--L", "3,1;0,5", "--M", "1,0;0,1", "--nmax", "1001", "--box", "-1:1"],
+            "SizeGuardError: nmax 1001, over the limit of 1000",
+            id="phi-nmax-over-the-limit",
+        ),
     ],
 )
 def test_value_and_os_errors_are_usage_errors(argv, error, capsys, tmp_path):
@@ -543,6 +553,20 @@ def test_value_and_os_errors_are_usage_errors(argv, error, capsys, tmp_path):
     assert captured.err.startswith(f"odosym: {error}")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [["nl"], ["phi", "--box", "-1:1"]], ids=["nl", "phi"])
+def test_nmax_at_the_limit_is_answered(command, capsys):
+    # 1,000 is allowed (1,001 exits 2 above); M = Id is integral at every level
+    argv = [command[0], "--L", "3,1;0,5", "--M", "1,0;0,1", "--nmax", "1000", *command[1:]]
+    code, report = run_cli(argv, capsys)
+    assert code == 0 and report["inputs"]["nmax"] == 1000
+    cert = report["result"] if command == ["nl"] else report["result"]["certificate"]
+    assert cert["accepted"] and cert["n_max"] == 1000
+    assert cert["conjugates"] == ["1,0;0,1"] * 1001
+    if command != ["nl"]:
+        cells = [p for p, _ in report["result"]["patch"]]
+        assert cells == [[x, y] for x in (-1, 0, 1) for y in (-1, 0, 1)]
 
 
 def test_usage_error_for_nonexpansion(capsys):

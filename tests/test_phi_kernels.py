@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from tests_shared import rand_unimodular_steps, unimodular_inverse
 
 from odosym.errors import WrongBranchError
-from odosym.intmat import IntMatrix, fundamental_domain, is_expansion, validate_domain
+from odosym.intmat import (
+    FundamentalDomain,
+    IntMatrix,
+    fundamental_domain,
+    is_expansion,
+    validate_domain,
+)
 from odosym.substitution import (
     ConstantShapeSubstitution,
     fixed_point_patch,
@@ -20,11 +26,13 @@ from odosym.substitution import (
     tau,
     valuation,
 )
-from odosym import substitution, subshift_norm
+from odosym import subshift_norm
 from odosym.subshift_norm import (
     LocalRule,
     NLCertificate,
+    _fixed_point_image,
     _frame,
+    _scan_level,
     _truncated_level,
     _valuation_class_table,
     apply_endomorphism,
@@ -102,10 +110,12 @@ def n0_two_pairs():
 
 
 def evaluate_phi(cert, seed, region):
+    """The rule and its one-pass image of the fixed point, which lists the
+    region's positions in region order."""
     rule = build_local_rule(cert)
-    sources, cells = pullback_positions(rule, region)
-    patch = fixed_point_patch(rule.substitution, seed, cells)
-    return rule, apply_endomorphism(rule, patch, sources)
+    image = _fixed_point_image(rule, seed, region)
+    assert [t for t, _ in image] == list(region)
+    return rule, dict(image)
 
 
 def coordinate_formula(cert, seed, region):
@@ -147,21 +157,50 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
     # warm: frames and pattern memos filled by the rules of earlier cases
     warm = [evaluate_phi(*case)[1] for case in cases]
     assert warm == cold
-    # right after a case, its 2-D windows are all read from the memo; d = 3
-    # decodes through the class-table route
+    # right after a case, its windows are all read from the memo, in 2-D and
+    # d = 3 alike: no pattern goes through the class-table scan
     scans = []
 
-    def counted(rule, patch, pos):
+    def counted(rule, key, pos):
         scans.append(len(pos))
-        return _truncated_level(rule, patch, pos)
+        return _scan_level(rule, key, pos)
 
-    monkeypatch.setattr(subshift_norm, "_truncated_level", counted)
+    monkeypatch.setattr(subshift_norm, "_scan_level", counted)
     for case, image in zip(cases, cold):
         if case[0].n0 > 0:
-            evaluate_phi(*case)
+            _frame.cache_clear()
+            assert evaluate_phi(*case)[1] == image
+            assert scans, "a cold frame scans its first patterns"
             scans.clear()
             assert evaluate_phi(*case)[1] == image
-            assert scans == ([] if case[0].L.dim == 2 else [3] * len(image))
+            assert scans == []
+
+
+def test_one_pass_image_matches_the_patch_route():
+    # the patch route: pull the region back, build the fixed point's patch on
+    # every window cell, evaluate the rule on it and sort the image; the one
+    # pass must list the same (t, letter) pairs, on boxes around and away
+    # from the origin, for every seed
+    rng = random.Random(29)
+    hh = [(TWO, HH_DOMAIN, m) for m in rng.sample(UNIMODULAR_4, 6)]
+    three = IntMatrix.scalar(2, 3)
+    scalar = [(three, fundamental_domain(three), m) for m in rng.sample(UNIMODULAR_4, 6)]
+    diag = rng.sample(phi_traffic_pairs()[2 * len(UNIMODULAR_4):], 8)
+    reached = set()
+    for L, domain, M in hh + scalar + diag + n0_two_pairs() + three_d_pairs():
+        rule = build_local_rule(nl_membership(L, M, domain=domain))
+        s = rule.substitution
+        reached.add((L.dim, rule.n0))
+        width = 7 if L.dim == 2 else 3
+        corners = [(-(width // 2),) * L.dim]
+        corners += [tuple(rng.randint(-40, 40) for _ in range(L.dim)) for _ in range(2)]
+        for seed, corner in product(sorted(s.alphabet), corners):
+            region = list(product(*(range(c, c + width) for c in corner)))
+            sources, cells = pullback_positions(rule, region)
+            patch = fixed_point_patch(s, seed, cells)
+            want = sorted(apply_endomorphism(rule, patch, sources).items())
+            assert _fixed_point_image(rule, seed, region) == want, (L, M, seed, corner)
+    assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
 
 
 @st.composite
@@ -243,25 +282,32 @@ def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
     deep = [p for p in region if not any(basis.reduce_vec(p))]
     for x, y in deep:
         assert ((a * x + b * y) // det, (c * x + d * y) // det) == L.solve_exact((x, y))
-    # each deep cell reads the letter of its source from solve_exact when the
-    # source came earlier in the region, and walks down from it otherwise
+    # a cell at an unforced offset (for sigma_L, a nonzero cell of L(Z^2))
+    # steps to its source in line; below that source the walk steps once
+    # from each unforced cell that no earlier walk met: the reader's memo
+    # keeps those, in region order
     seed = data.draw(st.sampled_from(sorted(s.alphabet)))
-    walked, descend = [], substitution._descend
+    steps = []
 
-    def counted(s, pos, known):
-        walked.append(pos)
-        return descend(s, pos, known)
+    class Steps(dict):
+        def __getitem__(self, key):
+            steps.append(key)
+            return super().__getitem__(key)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(substitution, "_descend", counted)
-        got = fixed_point_patch(s, seed, region)
+    dom = s.domain
+    counted = FundamentalDomain(dom.base, dom.reps, dom.hnf_basis, Steps(dom._rep_of_key))
+    walker = ConstantShapeSubstitution(L, counted, s.alphabet, s.table)
+    got = fixed_point_patch(walker, seed, region)
     assert got == {p: tau(s, p) if any(p) else seed for p in region}
-    filled, want = {p for p in region if p not in deep}, []
+    walked, want = {(0, 0)}, 0
     for p in deep:
-        if L.solve_exact(p) not in filled:
-            want.append(L.solve_exact(p))
-        filled.add(p)
-    assert walked == want
+        want += 1
+        p = L.solve_exact(p)
+        while not any(basis.reduce_vec(p)) and p not in walked:
+            walked.add(p)
+            want += 1
+            p = L.solve_exact(p)
+    assert len(steps) == want
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,21 @@ def test_nl_membership_examples():
     assert isinstance(r3, NLRejection) and r3.reason == "non-integral-conjugate"
 
 
+def test_nmax_guard_names_the_limit_and_walks_nothing(monkeypatch):
+    L5, ident = parse_matrix("3,1;0,5"), IntMatrix.identity(2)
+    walked = []
+    real = subshift_norm._conjugates
+    monkeypatch.setattr(subshift_norm, "_conjugates", lambda *a: walked.append(a) or real(*a))
+    with pytest.raises(SizeGuardError) as err:
+        nl_membership(L5, ident, n_max=1001)
+    assert str(err.value) == "nmax 1001, over the limit of 1000"
+    assert walked == []
+    # the limit itself is walked
+    cert = nl_membership(L5, ident, n_max=1000)
+    assert isinstance(cert, NLCertificate) and len(cert.conjugates) == 1001
+    assert len(walked) == 1
+
+
 def test_nl_rejection_residue_unstable():
     # conjugation by this base swaps the two nonzero digit cosets at every
     # other level, so the digit action never becomes constant
