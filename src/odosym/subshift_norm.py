@@ -341,37 +341,23 @@ def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[tuple[Vec, Ve
     u.  No patch is built."""
     letter_at = _fixed_point_reader(rule.substitution, seed)
     m_inv, window, levels, per_level = rule.m_inv.rows, rule.window, rule._levels, rule.per_level
-    two, out = len(m_inv) == 2, []
+    at, out, two = window.index(zero_vec(len(m_inv))), [], len(m_inv) == 2  # at: u itself
     if two:
         (a, b), (c, d) = m_inv
-    if rule.n0 == 0:  # one level, and the window is u alone
-        perm = per_level[0]
-        for t in region:
-            u = (a * t[0] + b * t[1], c * t[0] + d * t[1]) if two else _apply(m_inv, t)
-            letter = letter_at(u)
-            if letter is None:
-                raise MarginError(f"the fixed point has no letter at {u}")
-            out.append((t, perm[letter]))
-        return out
-    at = window.index(zero_vec(len(m_inv)))  # u itself, in window order
-    seen = {}  # neighbouring windows overlap: about half the reads repeat a cell
     for t in region:
-        if two:
-            x, y = u = (a * t[0] + b * t[1], c * t[0] + d * t[1])
-        else:
-            u = _apply(m_inv, t)
-        key = []
-        for f in window:
-            cell = (x + f[0], y + f[1]) if two else tuple(map(add, u, f))
-            letter = seen.get(cell)
-            if letter is None:
-                letter = seen[cell] = letter_at(cell)
-            key.append(letter)
-        key = tuple(key)
-        level = levels.get(key)
-        if level is None:
-            level = _scan_level(rule, key, u)
-        out.append((t, per_level[level][key[at]]))
+        u = (a * t[0] + b * t[1], c * t[0] + d * t[1]) if two else _apply(m_inv, t)
+        if rule.n0:
+            key = []
+            for f in window:
+                key.append(letter_at((u[0] + f[0], u[1] + f[1]) if two else tuple(map(add, u, f))))
+            key = tuple(key)
+            level = levels.get(key)
+            if level is None:
+                level = _scan_level(rule, key, u)
+            letter = key[at]
+        else:  # the window is u alone, and every pattern has level 0
+            level, letter = 0, letter_at(u)
+        out.append((t, per_level[level][letter]))
     return out
 
 

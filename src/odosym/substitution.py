@@ -185,24 +185,23 @@ def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
     at j)[f].  An offset f where all images agree (for sigma_L, a nonzero
     digit) forces its letter; other cells walk j = L^{-1}(pos - f) down to a
     forced cell or to the origin, which holds the seed, a letter fixed at the
-    origin of its own image.  The walks share a memo, so no cell is walked
-    twice and a walk that comes back to one of its cells circles.  In 2-D the
-    Hermite key and the exact division adj(L) (pos - f) / det(L) are in line,
-    and a cell and its source, mostly forced, are read before any walk."""
+    origin of its own image.  The walks share a memo of the unforced cells,
+    so no cell is walked twice and a walk that comes back to one of its cells
+    circles.  In 2-D the Hermite key and the exact division are in line."""
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    zero, two = zero_vec(s.dim), s.dim == 2
+    zero = zero_vec(s.dim)
     if s.image(seed)[zero] != seed:
         raise ValueError(f"seed {seed} is not fixed at the origin of its image")
     known, rep_of_key, forced, table = {zero: seed}, s.domain._rep_of_key, s._forced.get, s.table
-    reduce = s.domain.hnf_basis.reduce_vec
+    reduce, solve, two = s.domain.hnf_basis.reduce_vec, s.base.solve_exact, s.dim == 2
     if two:
         (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
         det, ((a, b), (c, d)) = s.base._inverse
 
-    def walk(pos):
-        walked = []  # (cell, offset) of each unforced cell, outermost first
+    def letter_at(pos):
+        walked = None  # (cell, offset, the walked before it) of each unforced cell
         while True:
             key = (pos[0] % h00, (pos[1] - pos[0] // h00 * h10) % h11) if two else reduce(pos)
             if (letter := forced(key)) is not None:
@@ -211,29 +210,16 @@ def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
                 letter = known[pos]
                 break
             known[pos] = None
-            walked.append((pos, f := rep_of_key[key]))
-            if two:  # pos - f lies in L(Z^2), so the division is exact
+            walked = (pos, f := rep_of_key[key], walked)
+            if two:  # pos - f lies in L(Z^2): adj(L) (pos - f) / det(L) is exact
                 x, y = pos[0] - f[0], pos[1] - f[1]
                 pos = ((a * x + b * y) // det, (c * x + d * y) // det)
             else:
-                pos = s.base.solve_exact(tuple(map(sub, pos, f)))
-        for pos, f in reversed(walked):
+                pos = solve(tuple(map(sub, pos, f)))
+        while walked:  # innermost first
+            pos, f, walked = walked
             known[pos] = letter = None if letter is None else table[letter][f]
         return letter
-
-    if not two:
-        return walk
-
-    def letter_at(pos):
-        x, y = pos
-        if (letter := forced(key := (x % h00, (y - x // h00 * h10) % h11))) is not None:
-            return letter
-        f = rep_of_key[key]
-        x, y = x - f[0], y - f[1]
-        x, y = source = ((a * x + b * y) // det, (c * x + d * y) // det)
-        if (letter := forced((x % h00, (y - x // h00 * h10) % h11))) is None:
-            letter = walk(source)
-        return None if letter is None else table[letter][f]
 
     return letter_at
 

@@ -20,6 +20,7 @@ from odosym.intmat import (
 )
 from odosym.substitution import (
     ConstantShapeSubstitution,
+    _fixed_point_reader,
     fixed_point_patch,
     sigma_L,
     supports,
@@ -110,11 +111,16 @@ def n0_two_pairs():
 
 
 def evaluate_phi(cert, seed, region):
-    """The rule and its one-pass image of the fixed point, which lists the
-    region's positions in region order."""
+    """The rule and its image of the fixed point by both routes, which must
+    agree: the one pass, which lists the region's positions in region order,
+    and the patch route (pull the region back, build the fixed point's patch
+    on every window cell, evaluate the rule on it)."""
     rule = build_local_rule(cert)
     image = _fixed_point_image(rule, seed, region)
     assert [t for t, _ in image] == list(region)
+    sources, cells = pullback_positions(rule, region)
+    patch = fixed_point_patch(rule.substitution, seed, cells)
+    assert apply_endomorphism(rule, patch, sources) == dict(image)
     return rule, dict(image)
 
 
@@ -282,10 +288,10 @@ def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
     deep = [p for p in region if not any(basis.reduce_vec(p))]
     for x, y in deep:
         assert ((a * x + b * y) // det, (c * x + d * y) // det) == L.solve_exact((x, y))
-    # a cell at an unforced offset (for sigma_L, a nonzero cell of L(Z^2))
-    # steps to its source in line; below that source the walk steps once
-    # from each unforced cell that no earlier walk met: the reader's memo
-    # keeps those, in region order
+    # the walk steps from a cell at an unforced offset (for sigma_L, a cell
+    # of L(Z^2): offset 0) to its source, and its memo keeps those cells, so
+    # a later read stops at the first one an earlier walk met: read in region
+    # order, each cell takes the steps of this oracle
     seed = data.draw(st.sampled_from(sorted(s.alphabet)))
     steps = []
 
@@ -297,17 +303,22 @@ def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
     dom = s.domain
     counted = FundamentalDomain(dom.base, dom.reps, dom.hnf_basis, Steps(dom._rep_of_key))
     walker = ConstantShapeSubstitution(L, counted, s.alphabet, s.table)
-    got = fixed_point_patch(walker, seed, region)
-    assert got == {p: tau(s, p) if any(p) else seed for p in region}
-    walked, want = {(0, 0)}, 0
-    for p in deep:
-        want += 1
-        p = L.solve_exact(p)
+    letter_at = _fixed_point_reader(walker, seed)
+    walked, want, got = {(0, 0)}, [], []
+    for p in region:
+        before = len(steps)
+        assert letter_at(p) == (tau(s, p) if any(p) else seed)
+        got.append(len(steps) - before)
+        n = 0
         while not any(basis.reduce_vec(p)) and p not in walked:
             walked.add(p)
-            want += 1
+            n += 1
             p = L.solve_exact(p)
-    assert len(steps) == want
+        want.append(n)
+    assert got == want
+    assert fixed_point_patch(walker, seed, region) == {
+        p: tau(s, p) if any(p) else seed for p in region
+    }
 
 
 # ---------------------------------------------------------------------------
