@@ -137,6 +137,7 @@ def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
                     for k in range(n, last + 1):
                         yield NcCertificate(k, None, width * k)
                     return
+                acc, m = _mat_mul_mod(acc, table[0], top), m + 1  # acc was not divisible
                 while not _divisible(acc, mod):
                     acc, m = _mat_mul_mod(acc, table[0], top), m + 1
             yield NcCertificate(n, m, m_star)

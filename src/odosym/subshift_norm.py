@@ -8,7 +8,8 @@ verification, not a proof for all n.
 
 The sliding-block realization reads, at each position, the truncated
 digit level of the window pattern (not of the coordinates, so shifted
-patches evaluate correctly) and applies the per-level coset permutation.
+patches evaluate correctly) and applies the per-level coset permutation;
+on the fixed point that level is the truncated valuation of the position.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .intmat import (
 )
 from .substitution import (
     ConstantShapeSubstitution,
-    _fixed_point_reader,
+    _checked_seed,
     _guard,
+    _strip_base,
     sigma_L,
     tau,
     valuation,
@@ -222,13 +224,15 @@ def nl_membership(
 class LocalRule(_Record):
     """Sliding-block realization of the action of M.
 
-    per_level[v] is the digit permutation used at truncated level v; the
-    pattern over window (2 n0 + 1 cells, sorted; see _frame) decides v,
-    positions deeper than n0 (including the origin of a fixed point) all
-    use the stabilized permutation.  m_inv is M^{-1}, which pulls an output
-    position back to its source.  _levels maps each window pattern (letters
-    in window order) that matched the class table to its level; it belongs
-    to the base's frame, so every rule on the same (L, domain, n0) shares it.
+    per_level[v] is the digit permutation used at truncated level v: on a
+    patch the pattern over window (2 n0 + 1 cells, sorted; see _frame)
+    decides v, on the fixed point of substitution (sigma_L) the valuation
+    truncated at n0 does, as the window would.  Positions deeper than n0
+    (the origin of a fixed point too) use the stabilized permutation.
+    m_inv is M^{-1}, which pulls an output position back to its source.
+    _levels maps each window pattern (letters in window order) that matched
+    the class table to its level; it belongs to the base's frame, so every
+    rule on the same (L, domain, n0) shares it.
     """
 
     substitution: ConstantShapeSubstitution
@@ -335,29 +339,28 @@ def _scan_level(rule: LocalRule, key: tuple, pos: Vec) -> int:
 
 def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[tuple[Vec, Vec]]:
     """[(t, letter)] of the rule's image of the fixed point seeded by seed, in
-    the order of the region (tuples of ints, as box_positions gives them):
-    one pass reads, at each t, the fixed point's letters on the window around
-    u = M^{-1} t, and applies the permutation of their level to the letter at
-    u.  No patch is built."""
-    letter_at = _fixed_point_reader(rule.substitution, seed)
-    m_inv, window, levels, per_level = rule.m_inv.rows, rule.window, rule._levels, rule.per_level
-    at, out, two = window.index(zero_vec(len(m_inv))), [], len(m_inv) == 2  # at: u itself
-    if two:
+    the order of the region (tuples of ints, as box_positions gives them), by
+    one digit walk per t and no window: with u = M^{-1} t = L^p w, w not in
+    L(Z^d), the letter at u is w's digit and its level min(p, n0), which the
+    window decodes there too (see _frame); the origin holds the seed, at n0."""
+    s, n0, per_level, m_inv = rule.substitution, rule.n0, rule.per_level, rule.m_inv.rows
+    origin, rep_of_key, out = per_level[n0][_checked_seed(s, seed)], s.domain._rep_of_key, []
+    if len(m_inv) == 2:  # in line: u's Hermite key (k0, k1) as k0 h11 + k1, and adj(L) u / det(L)
         (a, b), (c, d) = m_inv
+        (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
+        det, ((e, f), (g, h)) = s.base._inverse
+        digits = [rep_of_key[k // h11, k % h11] for k in range(h00 * h11)]
+        flat = [[lv.get(w) for w in digits] for lv in per_level]  # [level][key]: the image letter
+        for t in region:
+            x, y, p = a * t[0] + b * t[1], c * t[0] + d * t[1], 0
+            while not (k := x % h00 * h11 + (y - x // h00 * h10) % h11) and (x or y):
+                x, y, p = (e * x + f * y) // det, (g * x + h * y) // det, p + 1
+            out.append((t, (flat[p] if p < n0 else flat[n0])[k] if x or y else origin))
+        return out
     for t in region:
-        u = (a * t[0] + b * t[1], c * t[0] + d * t[1]) if two else _apply(m_inv, t)
-        if rule.n0:
-            key = []
-            for f in window:
-                key.append(letter_at((u[0] + f[0], u[1] + f[1]) if two else tuple(map(add, u, f))))
-            key = tuple(key)
-            level = levels.get(key)
-            if level is None:
-                level = _scan_level(rule, key, u)
-            letter = key[at]
-        else:  # the window is u alone, and every pattern has level 0
-            level, letter = 0, letter_at(u)
-        out.append((t, per_level[level][letter]))
+        u = _apply(m_inv, t)
+        p, key = _strip_base(s, u, "tau") if any(u) else (n0, None)
+        out.append((t, per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin))
     return out
 
 

@@ -179,6 +179,16 @@ def fixed_point_patch(
     return cells
 
 
+def _checked_seed(s: ConstantShapeSubstitution, seed: Letter) -> Letter:
+    """seed as a tuple, once it is a letter fixed at the origin of its own image."""
+    seed = tuple(seed)
+    if seed not in s.alphabet:
+        raise ValueError(f"seed {seed} is not a letter")
+    if s.image(seed)[zero_vec(s.dim)] != seed:
+        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
+    return seed
+
+
 def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
     """letter_at(pos): the fixed point's letter at the integer tuple pos, or
     None where the digit walk circles.  The letter at L j + f is image(letter
@@ -188,12 +198,7 @@ def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
     origin of its own image.  The walks share a memo of the unforced cells,
     so no cell is walked twice and a walk that comes back to one of its cells
     circles.  In 2-D the Hermite key and the exact division are in line."""
-    seed = tuple(seed)
-    if seed not in s.alphabet:
-        raise ValueError(f"seed {seed} is not a letter")
-    zero = zero_vec(s.dim)
-    if s.image(seed)[zero] != seed:
-        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
+    seed, zero = _checked_seed(s, seed), zero_vec(s.dim)
     known, rep_of_key, forced, table = {zero: seed}, s.domain._rep_of_key, s._forced.get, s.table
     reduce, solve, two = s.domain.hnf_basis.reduce_vec, s.base.solve_exact, s.dim == 2
     if two:

@@ -27,7 +27,7 @@ from odosym.substitution import (
     tau,
     valuation,
 )
-from odosym import subshift_norm
+from odosym import subshift_norm, substitution
 from odosym.subshift_norm import (
     LocalRule,
     NLCertificate,
@@ -163,8 +163,9 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
     # warm: frames and pattern memos filled by the rules of earlier cases
     warm = [evaluate_phi(*case)[1] for case in cases]
     assert warm == cold
-    # right after a case, its windows are all read from the memo, in 2-D and
-    # d = 3 alike: no pattern goes through the class-table scan
+    # the patch route, the only one that reads windows: right after a case,
+    # its windows are all read from the memo, in 2-D and d = 3 alike, and no
+    # pattern goes through the class-table scan
     scans = []
 
     def counted(rule, key, pos):
@@ -207,6 +208,65 @@ def test_one_pass_image_matches_the_patch_route():
             want = sorted(apply_endomorphism(rule, patch, sources).items())
             assert _fixed_point_image(rule, seed, region) == want, (L, M, seed, corner)
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
+
+
+def two_boxes(d, corner):
+    """A box around the origin and one off-centre box at corner."""
+    width = 7 if d == 2 else 3
+    out = box(width // 2, d)
+    out += list(product(*(range(c, c + width) for c in corner)))
+    return out
+
+
+def test_on_the_fixed_point_the_window_decodes_the_truncated_valuation():
+    # the lemma the one pass rests on: on the fixed point, the window's level
+    # at u is the valuation of u truncated at n0, and n0 at the origin
+    frames = {}
+    for L, domain, M in phi_traffic_pairs() + n0_two_pairs() + three_d_pairs():
+        cert = nl_membership(L, M, domain=domain)
+        frames.setdefault((L, domain, cert.n0), cert)
+    assert {n0 for _, _, n0 in frames} == {0, 1, 2}
+    for cert in frames.values():
+        rule = build_local_rule(cert)
+        s, n0 = rule.substitution, rule.n0
+        region = two_boxes(s.dim, (23, -17, 9)[: s.dim])
+        cells = {tuple(map(add, u, f)) for u in region for f in rule.window}
+        for seed in sorted(s.alphabet):
+            patch = fixed_point_patch(s, seed, cells)
+            for u in region:
+                want = min(valuation(s, u), n0) if any(u) else n0
+                assert _truncated_level(rule, patch, u) == want, (cert.L, n0, seed, u)
+
+
+def test_the_one_pass_reads_no_window(monkeypatch):
+    # the image is computed by the patch route first; then, from cold frames,
+    # the one pass must give it with the window decode and the reader refused
+    hh = [(TWO, HH_DOMAIN, m) for m in UNIMODULAR_4[:2]]
+    diag = [p for p in phi_traffic_pairs() if p[0].rows == ((2, 0), (0, 4))][:2]
+    cases, reached = [], set()
+    for L, domain, M in hh + diag + n0_two_pairs() + three_d_pairs()[-2:]:
+        cert = nl_membership(L, M, domain=domain)
+        rule = build_local_rule(cert)
+        reached.add((L.dim, rule.n0))
+        for seed in sorted(rule.substitution.alphabet):
+            region = two_boxes(L.dim, (-31, 12, 5)[: L.dim])
+            sources, cells = pullback_positions(rule, region)
+            patch = fixed_point_patch(rule.substitution, seed, cells)
+            image = apply_endomorphism(rule, patch, sources)
+            cases.append((cert, seed, region, [(t, image[t]) for t in region]))
+    assert reached == {(2, 0), (2, 1), (2, 2), (3, 1)}
+
+    def refused(*args):
+        raise AssertionError("the one pass read a window")
+
+    _frame.cache_clear()
+    monkeypatch.setattr(subshift_norm, "_scan_level", refused)
+    monkeypatch.setattr(subshift_norm, "_truncated_level", refused)
+    monkeypatch.setattr(substitution, "_fixed_point_reader", refused)
+    for cert, seed, region, want in cases:
+        rule = build_local_rule(cert)
+        assert _fixed_point_image(rule, seed, region) == want, (cert.L, cert.M, seed)
+        assert rule._levels == {}
 
 
 @st.composite
