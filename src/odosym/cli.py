@@ -34,6 +34,7 @@ from .classify2d import class_to_payload, classify, is_member
 from .errors import MatrixParseError
 from .intmat import (
     IntMatrix,
+    _require_product,
     format_matrix,
     format_vector,
     fundamental_domain,
@@ -284,6 +285,7 @@ def _nl_request(args):
     """Parse L, M and F, echo them with nmax, and run nl_membership."""
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
+    _require_product(base, mat)  # before F is built, which costs |det|
     domain = _parse_domain_arg(base, args.F)
     inputs = {
         "L": format_matrix(base),

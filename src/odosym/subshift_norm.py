@@ -6,10 +6,11 @@ cosets is eventually constant.  Both conditions are verified up to an
 explicit bound recorded in the certificate; acceptance is bounded
 verification, not a proof for all n.
 
-The sliding-block realization reads, at each position, the truncated
-digit level of the window pattern (not of the coordinates, so shifted
-patches evaluate correctly) and applies the per-level coset permutation;
-on the fixed point that level is the truncated valuation of the position.
+The sliding-block realization applies, at each position, the coset
+permutation of its truncated digit level: on the fixed point the truncated
+valuation, read by one digit walk (phi's route); on any other patch the
+level of the window pattern (so shifted patches evaluate correctly), which
+only this patch route decodes, through its frame (window and class table).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .intmat import (
     Vec,
     _Record,
     _apply,
+    _guard,
     _inv_unimodular,
     _require_expansion,
     _rows_mul,
@@ -38,7 +40,6 @@ from .intmat import (
 from .substitution import (
     ConstantShapeSubstitution,
     _checked_seed,
-    _guard,
     _strip_base,
     sigma_L,
     tau,
@@ -224,29 +225,22 @@ def nl_membership(
 class LocalRule(_Record):
     """Sliding-block realization of the action of M.
 
-    per_level[v] is the digit permutation used at truncated level v: on a
-    patch the pattern over window (2 n0 + 1 cells, sorted; see _frame)
-    decides v, on the fixed point of substitution (sigma_L) the valuation
-    truncated at n0 does, as the window would.  Positions deeper than n0
-    (the origin of a fixed point too) use the stabilized permutation.
-    m_inv is M^{-1}, which pulls an output position back to its source.
-    _levels maps each window pattern (letters in window order) that matched
-    the class table to its level; it belongs to the base's frame, so every
-    rule on the same (L, domain, n0) shares it.
+    per_level[v] is the digit permutation used at truncated level v: on the
+    fixed point of substitution (sigma_L) the valuation truncated at n0
+    decides v, and on any other patch the window pattern does (see _frame,
+    which only the patch route builds).  Positions deeper than n0 (the
+    origin of a fixed point too) use the stabilized permutation.  m_inv is
+    M^{-1}, which pulls an output position back to its source.
     """
 
     substitution: ConstantShapeSubstitution
-    window: tuple[Vec, ...]
     m_inv: IntMatrix
     n0: int
     per_level: tuple[dict, ...]
-    _class_table: tuple
-    _levels: dict
-    _uncompared = ("_levels",)
 
 
 def build_local_rule(cert: NLCertificate) -> LocalRule:
-    """Assemble the per-level permutations and the window classifier."""
+    """The per-level permutations over the certificate's sigma_L; no frame is built."""
     L, domain, n0 = cert.L, cert.domain, cert.n0
     per_level = []
     for v in range(n0 + 1):
@@ -254,40 +248,39 @@ def build_local_rule(cert: NLCertificate) -> LocalRule:
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
         per_level.append(dict(_residue_action(c, domain)))
-    subst, window, class_table, levels = _frame(L, domain, n0)
     return LocalRule(
-        substitution=subst,
-        window=window,
+        substitution=_sigma(L, domain),
         m_inv=_inv_unimodular(cert.M),
         n0=n0,
         per_level=tuple(per_level),
-        _class_table=class_table,
-        _levels=levels,
     )
 
 
-# One frame per (base, domain, n0).  The phi traffic has 10 bases.  A frame
-# holds |det|^n0 cosets with at most 2 n0 + 1 forced letters each; a coset
-# leaves a window cell free only if it is minus that cell mod L^n0, so at most
-# |det|^n0 + (2 n0 + 1)(|det| - 2) patterns over the alphabet are memoized: 32
-# frames stay small, and a run over a few bases never rebuilds one.
+# sigma_L per (base, domain), kept across requests: the phi traffic has 10
+# bases, and a cold sigma_L costs 10 to 24 us there, up to 3 % of a request.
+@lru_cache(maxsize=32)
+def _sigma(L: IntMatrix, domain: FundamentalDomain) -> ConstantShapeSubstitution:
+    return sigma_L(L, domain)
+
+
+# The patch route builds a frame twice per evaluation (pullback_positions,
+# apply_endomorphism), and a cold one costs |det|^n0 cosets (23 ms for 4,0;0,8
+# at n0 = 2), so frames are kept too: uncached, the rule tests took 20 s, not 12.
 @lru_cache(maxsize=32)
 def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
-    """(sigma_L, window, class table, pattern memo) of one base.
+    """(window, class table) of the patch route's window decoder at level n0.
 
     The window S = {0} u {L^v f1, L^v f2 : v < n0}, f1 and f2 the two least
     nonzero digits, has 2 n0 + 1 cells of F_{n0}.  Cosets c, c' of levels
     v < v' (c with digit d_v != 0 at v) differ at L^v f: f for c', d_v + f
     for c, both forced unless d_v = -f mod L, which one of f1, f2 escapes.
-    The rules of one frame share the memo: a pattern's level depends only
-    on sigma_L, n0 and the pattern, never on M.
     """
     det = abs(L.det())
     _guard(det**n0, f"|det|^{n0} = {det}^{n0} =", "cosets")  # the class table walks every coset
-    subst = sigma_L(L, domain)
+    subst = _sigma(L, domain)
     cells = {(L**v).mul_vec(f) for v in range(n0) for f in sorted(subst.alphabet)[:2]}
     window = tuple(sorted({zero_vec(L.dim), *cells}))
-    return subst, window, _valuation_class_table(subst, n0, window), {}
+    return window, _valuation_class_table(subst, n0, window)
 
 
 def _valuation_class_table(subst, n0, window):
@@ -314,25 +307,15 @@ def _valuation_class_table(subst, n0, window):
     return tuple(out)
 
 
-def _truncated_level(rule: LocalRule, patch: dict[Vec, Vec], pos: Vec) -> int:
-    """Truncated digit level of the pattern of the rule's window at pos."""
-    key = tuple([patch.get(tuple(map(add, pos, f))) for f in rule.window])
-    level = rule._levels.get(key)
-    return _scan_level(rule, key, pos) if level is None else level
-
-
-def _scan_level(rule: LocalRule, key: tuple, pos: Vec) -> int:
-    """Level of a window pattern (letters in window order) by the class table."""
-    if None in key:
+def _truncated_level(frame: tuple, patch: dict[Vec, Vec], pos: Vec) -> int:
+    """Truncated digit level of the pattern of the frame's window at pos."""
+    pattern = {f: patch.get(tuple(map(add, pos, f))) for f in frame[0]}
+    if None in pattern.values():
         raise MarginError(f"window at {pos} leaves the patch support")
-    pattern = dict(zip(rule.window, key))
     # cosets of different level disagree on a cell forced in both, so the
     # first coset that matches has the level of every other match
-    for _, level, forced in rule._class_table:
+    for _, level, forced in frame[1]:
         if all(pattern[f] == letter for f, letter in forced.items()):
-            # the free cell may hold anything; only letters keep the memo bounded
-            if rule.substitution.alphabet.issuperset(key):
-                rule._levels[key] = level
             return level
     raise WindowError(f"window pattern at {pos} matches no digit coset")
 
@@ -340,7 +323,7 @@ def _scan_level(rule: LocalRule, key: tuple, pos: Vec) -> int:
 def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[tuple[Vec, Vec]]:
     """[(t, letter)] of the rule's image of the fixed point seeded by seed, in
     the order of the region (tuples of ints, as box_positions gives them), by
-    one digit walk per t and no window: with u = M^{-1} t = L^p w, w not in
+    one digit walk per t and no frame: with u = M^{-1} t = L^p w, w not in
     L(Z^d), the letter at u is w's digit and its level min(p, n0), which the
     window decodes there too (see _frame); the origin holds the seed, at n0."""
     s, n0, per_level, m_inv = rule.substitution, rule.n0, rule.per_level, rule.m_inv.rows
@@ -369,12 +352,13 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     fixed point (_fixed_point_image reads that one with no patch).
 
     sources maps each position t of the region to u = M^{-1} t, computed
-    once per position; cells holds the rule's window (2 n0 + 1 cells of
-    F_{n0}) around every source, the positions a patch must cover.
+    once per position; cells holds the window of the rule's frame (2 n0 + 1
+    cells of F_{n0}) around every source, the positions a patch must cover.
     """
-    m_inv = rule.m_inv.rows
+    m_inv, s = rule.m_inv.rows, rule.substitution
     sources = {t: _apply(m_inv, t) for t in (tuple(map(index, t)) for t in region)}
-    cells = {tuple(map(add, u, f)) for f in rule.window for u in sources.values()}
+    window = _frame(s.base, s.domain, rule.n0)[0]
+    cells = {tuple(map(add, u, f)) for f in window for u in sources.values()}
     return sources, cells
 
 
@@ -389,12 +373,13 @@ def apply_endomorphism(
     source or window leaves the patch raises a margin error.  On the fixed
     point, _fixed_point_image gives the same image with no patch.
     """
-    out, per_level = {}, rule.per_level
+    out, per_level, s = {}, rule.per_level, rule.substitution
+    frame = _frame(s.base, s.domain, rule.n0)
     for t, u in sources.items():
         letter = patch.get(u)
         if letter is None:
             raise MarginError(f"source position {u} missing from the patch")
-        out[t] = per_level[_truncated_level(rule, patch, u)][letter]
+        out[t] = per_level[_truncated_level(frame, patch, u)][letter]
     return out
 
 

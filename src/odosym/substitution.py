@@ -13,12 +13,13 @@ from functools import cached_property
 from itertools import product
 from operator import index, sub
 
-from .errors import MarginError, SizeGuardError, WrongBranchError
+from .errors import MarginError, WrongBranchError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
     Vec,
     _Record,
+    _guard,
     _require_expansion,
     fundamental_domain,
     hnf,
@@ -108,15 +109,6 @@ def half_hex() -> ConstantShapeSubstitution:
 # ---------------------------------------------------------------------------
 # supports
 # ---------------------------------------------------------------------------
-
-
-_SUPPORT_GUARD = 4_000_000
-
-
-def _guard(size: int, what: str, unit: str) -> None:
-    """SizeGuardError naming the request, what it counts and the limit, when size is over it."""
-    if size > _SUPPORT_GUARD:
-        raise SizeGuardError(f"{what} {size} {unit}, over the limit of {_SUPPORT_GUARD} {unit}")
 
 
 def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:

@@ -692,6 +692,71 @@ def test_phi_payload_hash_is_pinned(capsys, case):
     assert hashlib.sha256(canon.encode()).hexdigest() == want_result
 
 
+def test_phi_builds_no_coset_table(capsys):
+    # n0 = 3 and 4: the window decoder's class table would hold 128^3 and
+    # 512^4 cosets (the first took 59 s and 1 GB, the second was refused);
+    # phi's one pass reads the level off the digit walk instead
+    started = time.perf_counter()
+    code, report = run_cli(["phi", "--L", "8,0;0,16", "--M", "1,1;0,1", "--box", "-3:3"], capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 0 and report["result"]["certificate"]["n0"] == 3
+    assert report["payload_hash"] == (
+        "64bfc5e1d30978f873ff2fbf956839f02cb4d9c16844533494b549f9661a2f68"
+    )
+    code, report = run_cli(["phi", "--L", "16,0;0,32", "--M", "1,1;0,1", "--box", "-3:3"], capsys)
+    assert code == 0 and report["result"]["certificate"]["n0"] == 4
+    assert report["payload_hash"] == (
+        "961cbc7ceecd012282d46d8308db142a969e4b385f3a0a537d55b465f4f49f78"
+    )
+
+
+# F has |det| digits and sigma_L |det|^2 letters in its table; at the limit of
+# 1,000 digits each command answers, and one over it exits 2 before F is built
+DET_GUARDED = ["nl --L {} --M 1", "phi --L {} --M 1 --box 0:0", "subst patch --L {} --box 0:0"]
+
+
+@pytest.mark.parametrize("request_", DET_GUARDED, ids=lambda r: r.split()[0])
+def test_det_guard_at_and_over_the_limit(capsys, request_):
+    assert main(request_.format(1000).split()) == 0
+    assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 1000
+    # the guard holds for the canonical F and for a given one (--F)
+    for over in (request_.format(1001), request_.format(1001) + " --F 0;1"):
+        tracemalloc.start()
+        try:
+            code = main(over.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "odosym: SizeGuardError: F has |det| = 1001 digits, over the limit of 1000 digits\n"
+        )
+        assert peak < 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["nl", "--L", "-1,10000000000;3,4", "--M", "0,-1;1,0"], "|det| = 30000000004 digits"),
+        (
+            ["nl", "--L", "1,-5,0;1000000000000000000,1,-2;4,7,-2", "--M", "1,0,0;0,1,0;0,0,1"],
+            "|det| = 9999999999999999948 digits",
+        ),
+        (["phi", "--L", "-2,10000000;2,1", "--M", "1,0;0,1", "--box", "0:0"], "|det| = 20000002"),
+        (["nl", "--L", "1000000000", "--M", "1,0;0,1"], "cannot multiply a 1x1 matrix by a 2x2"),
+    ],
+    ids=["nl-2x2", "nl-3x3", "phi-2x2", "nl-sizes-differ"],
+)
+def test_large_det_requests_exit_2_at_once(capsys, argv, error):
+    # each of these raised MemoryError or OverflowError, or ran for minutes
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 3
+    err = capsys.readouterr().err
+    assert err.startswith("odosym: ") and err.count("\n") == 1 and error in err
+
+
 def test_phi_echoes_the_domain_it_used(capsys):
     # two domains give two patches, so the inputs must tell them apart
     argv = ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", "--box", "0:1"]

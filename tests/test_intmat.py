@@ -13,7 +13,9 @@ from odosym.errors import (
     DomainValidationError,
     MatrixParseError,
     SingularMatrixError,
+    SizeGuardError,
 )
+from odosym import intmat
 from odosym.intmat import (
     HnfBasis,
     IntMatrix,
@@ -276,6 +278,26 @@ def test_validate_domain_half_hex_and_errors():
         validate_domain(two, [(1, 1), (1, 0), (0, 1), (2, 2)])
     with pytest.raises(DomainValidationError, match="2 coordinates"):
         validate_domain(two, [(0, 0), (1, 0), (0, 1, 0), (1, 1)])
+
+
+def test_domain_guard_names_the_limit_before_hnf(monkeypatch):
+    # F has |det| digits: a base with 1,001 digits raises, given F or not,
+    # before hnf or box_reps runs; 1,000 digits are built
+    big = IntMatrix(((7, 0), (0, 143)))
+    at_limit = IntMatrix(((10, 0), (0, 100)))
+    assert len(fundamental_domain(at_limit).reps) == 1000
+    assert len(validate_domain(at_limit, fundamental_domain(at_limit).reps).reps) == 1000
+
+    def refused(m):
+        raise AssertionError("hnf ran")
+
+    monkeypatch.setattr(intmat, "hnf", refused)
+    for build in (lambda: fundamental_domain(big), lambda: validate_domain(big, [(0, 0)])):
+        with pytest.raises(SizeGuardError) as err:
+            build()
+        assert str(err.value) == "F has |det| = 1001 digits, over the limit of 1000 digits"
+    with pytest.raises(SingularMatrixError):
+        fundamental_domain(IntMatrix(((1, 2), (2, 4))))
 
 
 @pytest.mark.parametrize(

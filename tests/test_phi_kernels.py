@@ -1,6 +1,7 @@
 """Oracles for the phi kernels: the coordinate formula of the local rule and
 the memoized fixed-point descent, cold and warm, in d = 2 and d = 3."""
 
+import json
 import random
 from itertools import combinations, product
 from operator import add
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_shared import rand_unimodular_steps, unimodular_inverse
 
+from odosym.cli import main
 from odosym.errors import WrongBranchError
 from odosym.intmat import (
     FundamentalDomain,
@@ -29,11 +31,9 @@ from odosym.substitution import (
 )
 from odosym import subshift_norm, substitution
 from odosym.subshift_norm import (
-    LocalRule,
     NLCertificate,
     _fixed_point_image,
     _frame,
-    _scan_level,
     _truncated_level,
     _valuation_class_table,
     apply_endomorphism,
@@ -141,7 +141,7 @@ def coordinate_formula(cert, seed, region):
     return out
 
 
-def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
+def test_phi_matches_the_coordinate_formula_cold_and_warm():
     cases = []
     for L, domain, M in phi_traffic_pairs() + random_pairs() + three_d_pairs() + n0_two_pairs():
         cert = nl_membership(L, M, domain=domain)
@@ -152,6 +152,7 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
     reached = set()
     cold = []
     for cert, seed, region in cases:
+        subshift_norm._sigma.cache_clear()
         _frame.cache_clear()
         rule, image = evaluate_phi(cert, seed, region)
         assert image == coordinate_formula(cert, seed, region), (cert.L, cert.M)
@@ -160,27 +161,9 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm(monkeypatch):
     # every kernel's 2-D and d = 3 path, with and without the window decode,
     # and a window of five cells in 2-D
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
-    # warm: frames and pattern memos filled by the rules of earlier cases
+    # warm: sigma_L and the frames cached by the rules of earlier cases
     warm = [evaluate_phi(*case)[1] for case in cases]
     assert warm == cold
-    # the patch route, the only one that reads windows: right after a case,
-    # its windows are all read from the memo, in 2-D and d = 3 alike, and no
-    # pattern goes through the class-table scan
-    scans = []
-
-    def counted(rule, key, pos):
-        scans.append(len(pos))
-        return _scan_level(rule, key, pos)
-
-    monkeypatch.setattr(subshift_norm, "_scan_level", counted)
-    for case, image in zip(cases, cold):
-        if case[0].n0 > 0:
-            _frame.cache_clear()
-            assert evaluate_phi(*case)[1] == image
-            assert scans, "a cold frame scans its first patterns"
-            scans.clear()
-            assert evaluate_phi(*case)[1] == image
-            assert scans == []
 
 
 def test_one_pass_image_matches_the_patch_route():
@@ -226,21 +209,21 @@ def test_on_the_fixed_point_the_window_decodes_the_truncated_valuation():
         cert = nl_membership(L, M, domain=domain)
         frames.setdefault((L, domain, cert.n0), cert)
     assert {n0 for _, _, n0 in frames} == {0, 1, 2}
-    for cert in frames.values():
-        rule = build_local_rule(cert)
-        s, n0 = rule.substitution, rule.n0
+    for (L, domain, n0), cert in frames.items():
+        s, frame = build_local_rule(cert).substitution, _frame(L, domain, n0)
         region = two_boxes(s.dim, (23, -17, 9)[: s.dim])
-        cells = {tuple(map(add, u, f)) for u in region for f in rule.window}
+        cells = {tuple(map(add, u, f)) for u in region for f in frame[0]}
         for seed in sorted(s.alphabet):
             patch = fixed_point_patch(s, seed, cells)
             for u in region:
                 want = min(valuation(s, u), n0) if any(u) else n0
-                assert _truncated_level(rule, patch, u) == want, (cert.L, n0, seed, u)
+                assert _truncated_level(frame, patch, u) == want, (cert.L, n0, seed, u)
 
 
-def test_the_one_pass_reads_no_window(monkeypatch):
-    # the image is computed by the patch route first; then, from cold frames,
-    # the one pass must give it with the window decode and the reader refused
+def test_the_one_pass_reads_no_window(monkeypatch, capsys):
+    # the image is computed by the patch route first; then, from a cold
+    # sigma_L cache, the one pass must give it with the frame, the window
+    # decode and the reader refused, and so must odosym phi at n0 = 2
     hh = [(TWO, HH_DOMAIN, m) for m in UNIMODULAR_4[:2]]
     diag = [p for p in phi_traffic_pairs() if p[0].rows == ((2, 0), (0, 4))][:2]
     cases, reached = [], set()
@@ -259,14 +242,18 @@ def test_the_one_pass_reads_no_window(monkeypatch):
     def refused(*args):
         raise AssertionError("the one pass read a window")
 
-    _frame.cache_clear()
-    monkeypatch.setattr(subshift_norm, "_scan_level", refused)
-    monkeypatch.setattr(subshift_norm, "_truncated_level", refused)
+    subshift_norm._sigma.cache_clear()
+    for name in ("_frame", "_valuation_class_table", "_truncated_level"):
+        monkeypatch.setattr(subshift_norm, name, refused)
     monkeypatch.setattr(substitution, "_fixed_point_reader", refused)
     for cert, seed, region, want in cases:
         rule = build_local_rule(cert)
         assert _fixed_point_image(rule, seed, region) == want, (cert.L, cert.M, seed)
-        assert rule._levels == {}
+    assert main(["phi", "--L", "4,0;0,8", "--M", "1,1;0,1", "--box", "-10:10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload_hash"] == (
+        "4da609d513b440244c6f84e26e1ddab46f84ca3e06faad4d752d80cae63ec98e"
+    )
 
 
 @st.composite
@@ -411,17 +398,13 @@ def check_window(s, n0, window, radius):
         for (_, level1, forced1), (_, level2, forced2) in combinations(table, 2):
             if level1 != level2:
                 assert any(forced1[f] != forced2[f] for f in forced1.keys() & forced2.keys())
-    one = IntMatrix.identity(s.dim)
-    by_s, by_full = (
-        LocalRule(s, w, one, n0, (), t, {}) for w, t in ((window, table), (full_window, full))
-    )
     positions = box(radius, s.dim)
     cells = {tuple(map(add, u, f)) for u in positions for f in full_window}
     for seed in sorted(s.alphabet):
         patch = fixed_point_patch(s, seed, cells)
         for u in positions:
-            level = _truncated_level(by_s, patch, u)
-            assert level == _truncated_level(by_full, patch, u)
+            level = _truncated_level((window, table), patch, u)
+            assert level == _truncated_level((full_window, full), patch, u)
             if len(s.alphabet) > 1:
                 assert level == (min(valuation(s, u), n0) if any(u) else n0)
 
@@ -437,7 +420,7 @@ def window_bases():
 @pytest.mark.parametrize("n0", [1, 2])
 @pytest.mark.parametrize("s", window_bases(), ids=lambda s: str(s.base))
 def test_window_separates_levels_and_decodes_like_the_full_window(s, n0):
-    window = _frame(s.base, s.domain, n0)[1]
+    window = _frame(s.base, s.domain, n0)[0]
     assert window == window_s(s, n0) and len(window) == 2 * n0 + 1
     check_window(s, n0, window, 4 if s.dim == 2 else 12)
 
@@ -448,7 +431,7 @@ def test_window_of_random_bases(s, data):
     # the full table has |det|^(2 n0) entries to compare, so a 3-D base with
     # |det| > 8 is checked at n0 = 1 only
     n0 = data.draw(st.sampled_from((1, 2) if abs(s.base.det()) <= 8 else (1,)))
-    window = _frame(s.base, s.domain, n0)[1]
+    window = _frame(s.base, s.domain, n0)[0]
     assert window == window_s(s, n0)
     check_window(s, n0, window, 3 if s.dim == 2 else 1)
 

@@ -33,13 +33,6 @@ def test_caches_take_no_part_in_equality_or_hashing():
     bare = FundamentalDomain(domain.base, domain.reps, domain.hnf_basis, {})
     assert bare == domain and hash(bare) == hash(domain)
     assert "_rep_of_key" not in repr(domain)
-    rule = build_local_rule(nl_membership(L, IntMatrix.identity(2)))
-    args = [getattr(rule, f) for f in ("substitution", "window", "m_inv", "n0", "per_level")]
-    other = LocalRule(*args, rule._class_table, {((1, 0),): 0})
-    assert other._levels != rule._levels
-    assert other == rule
-    assert "_levels" not in repr(rule)
-    assert LocalRule(*args, (), rule._levels) != rule
 
 
 def test_records_of_different_classes_are_never_equal():
@@ -78,7 +71,7 @@ def test_constructors_take_positions_keywords_and_defaults():
     rule = build_local_rule(nl_membership(L, IntMatrix.identity(2)))
     fields = dict(vars(rule))
     assert LocalRule(**fields) == LocalRule(*fields.values()) == rule
-    del fields["_levels"]
+    del fields["per_level"]
     with pytest.raises(TypeError):
         LocalRule(**fields)
     assert ParamFamily(k=2) == ParamFamily(2)

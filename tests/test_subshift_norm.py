@@ -523,13 +523,14 @@ def test_pi_factor_window_too_small():
     # the window S = {0, f1, f2} around the position, f1 and f2 the two least
     # nonzero digits, and raises MarginError for each missing cell of it
     M = parse_matrix("1,1;0,1")
-    _frame.cache_clear()  # no pattern is memoized yet
     rule = build_local_rule(nl_membership(D24, M))
     s = rule.substitution
     assert rule.n0 == 1
-    # the rule keeps S sorted and M^{-1} as data
+    # the frame keeps S sorted, and the rule M^{-1} as data
     f1 = sorted(supports(s, 1)[1])
-    assert rule.window == ((0, 0), (0, 1), (0, 2)) and set(rule.window) < set(f1)
+    frame = _frame(s.base, s.domain, 1)
+    window = frame[0]
+    assert window == ((0, 0), (0, 1), (0, 2)) and set(window) < set(f1)
     assert rule.m_inv * M == IntMatrix.identity(2)
     # S separates every pair of cosets of different level, judged on the
     # class table of the whole window F_1
@@ -538,22 +539,21 @@ def test_pi_factor_window_too_small():
     for (_, level1, forced1), (_, level2, forced2) in product(full, repeat=2):
         if level1 < level2:
             pairs += 1
-            common = forced1.keys() & forced2.keys() & set(rule.window)
+            common = forced1.keys() & forced2.keys() & set(window)
             assert any(forced1[f] != forced2[f] for f in common)
     assert pairs == 7
     patch = fixed_point_patch(s, min(s.alphabet), box(4))
     u = (1, 2)
-    for f in rule.window:
+    for f in window:
         hole = (u[0] + f[0], u[1] + f[1])
         with pytest.raises(MarginError):
-            _truncated_level(rule, {p: a for p, a in patch.items() if p != hole}, u)
-    assert rule._levels == {}
+            _truncated_level(frame, {p: a for p, a in patch.items() if p != hole}, u)
     # a cell of F_1 outside S is never read
     outside = {p: a for p, a in patch.items() if p != (u[0] + 1, u[1] + 1)}
-    assert _truncated_level(rule, outside, u) == min(valuation(s, u), 1)
+    assert _truncated_level(frame, outside, u) == min(valuation(s, u), 1)
     tiny = fixed_point_patch(s, min(s.alphabet), [(9, 4)])
     with pytest.raises(MarginError):
-        _truncated_level(rule, tiny, (9, 4))
+        _truncated_level(frame, tiny, (9, 4))
 
 
 def test_frame_guards_the_coset_count_before_building_anything():
@@ -568,7 +568,7 @@ def test_frame_guards_the_coset_count_before_building_anything():
 
 
 # ---------------------------------------------------------------------------
-# the memoized window decoder
+# the window decoder of the patch route
 # ---------------------------------------------------------------------------
 
 # the window-level (n0 = 1) pairs of the phi benchmark, and D24's shear
@@ -581,102 +581,67 @@ WINDOW_PAIRS = [
 ] + [(D24, parse_matrix("1,1;0,1"))]
 
 
-def window_rule(L, M):
+def window_frame(L, M):
+    """The rule of M and its frame, at n0 = 1."""
     rule = build_local_rule(nl_membership(L, M))
     assert rule.n0 == 1
-    return rule
+    s = rule.substitution
+    return rule, _frame(s.base, s.domain, rule.n0)
 
 
 @pytest.mark.parametrize("L, M", WINDOW_PAIRS, ids=lambda m: str(m))
 def test_memoized_decoder_reads_the_valuation(L, M):
-    rule = window_rule(L, M)
+    rule, frame = window_frame(L, M)
     s = rule.substitution
     patch = fixed_point_patch(s, max(s.alphabet), box(10))
     expected = {u: min(valuation(s, u), 1) if any(u) else 1 for u in box(6)}
-    assert {u: _truncated_level(rule, patch, u) for u in box(6)} == expected
-    memo = dict(rule._levels)
-    assert memo
-    # the second pass is answered from the memo alone
-    assert {u: _truncated_level(rule, patch, u) for u in box(6)} == expected
-    assert rule._levels == memo
+    assert {u: _truncated_level(frame, patch, u) for u in box(6)} == expected
+    # the decoder keeps no state: a second pass reads the same levels
+    assert {u: _truncated_level(frame, patch, u) for u in box(6)} == expected
 
 
 def test_margin_error_after_the_pattern_is_memoized():
-    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    # a window that decoded once still raises for each missing cell
+    rule, frame = window_frame(D24, parse_matrix("1,1;0,1"))
     patch = fixed_point_patch(rule.substitution, (1, 1), box(8))
     u = (2, 1)
-    level = _truncated_level(rule, patch, u)
+    level = _truncated_level(frame, patch, u)
     assert level == min(valuation(rule.substitution, u), 1)
-    memo = dict(rule._levels)
-    for f in rule.window:
+    for f in frame[0]:
         hole = (u[0] + f[0], u[1] + f[1])
         holed = {p: a for p, a in patch.items() if p != hole}
         with pytest.raises(MarginError):
-            _truncated_level(rule, holed, u)
-    assert rule._levels == memo
+            _truncated_level(frame, holed, u)
+    assert _truncated_level(frame, patch, u) == level
 
 
 def test_doctored_window_raises_every_time():
-    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    rule, frame = window_frame(D24, parse_matrix("1,1;0,1"))
     # one letter everywhere: the three cells of S lie in distinct cosets of
     # L(Z^2), so each coset forces at least two distinct digits on them
     flat = {p: (1, 1) for p in box(4)}
-    # the memo belongs to the base's frame and may hold other rules' patterns
-    memo = dict(rule._levels)
     for _ in range(2):
         with pytest.raises(WindowError, match="matches no digit coset"):
-            _truncated_level(rule, flat, (0, 0))
-    assert rule._levels == memo
-    assert ((1, 1),) * len(rule.window) not in rule._levels
-
-
-def test_rules_on_one_base_share_the_pattern_memo():
-    _frame.cache_clear()
-    shear = window_rule(D24, parse_matrix("1,1;0,1"))
-    other = window_rule(D24, parse_matrix("-1,3;0,-1"))
-    assert shear._levels is other._levels
-    assert shear.per_level != other.per_level
-    s = shear.substitution
-    patch = fixed_point_patch(s, min(s.alphabet), box(8))
-    levels = {u: _truncated_level(shear, patch, u) for u in box(4)}
-    memo = dict(other._levels)
-    assert memo
-    # the other rule reads every pattern from the memo shear filled
-    assert {u: _truncated_level(other, patch, u) for u in box(4)} == levels
-    assert other._levels == memo
-    flat = {p: (1, 1) for p in box(4)}
-    with pytest.raises(WindowError, match="matches no digit coset"):
-        _truncated_level(other, flat, (0, 0))
-    assert shear._levels == memo
-    assert levels == {u: _truncated_level(shear, patch, u) for u in box(4)}
-
-
-def test_pattern_memo_keeps_only_letters():
-    # a coset leaves at most one window cell free: a pattern with a non-letter
-    # there still decodes, but is not kept in the memo shared across requests
-    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+            _truncated_level(frame, flat, (0, 0))
+    # a coset leaves at most one window cell free, and that cell may hold
+    # anything: a non-letter there still decodes
     s = rule.substitution
     patch = fixed_point_patch(s, min(s.alphabet), box(6))
-    level = _truncated_level(rule, patch, (0, 0))
-    memo = dict(rule._levels)
+    level = _truncated_level(frame, patch, (0, 0))
     for k in range(50):
-        assert _truncated_level(rule, {**patch, (0, 0): ("junk", k)}, (0, 0)) == level
-    assert rule._levels == memo
-    # only the 2 n0 + 1 cosets of minus a window cell leave a cell free
-    det, n0 = abs(s.base.det()), rule.n0
-    assert len(memo) <= det**n0 + (2 * n0 + 1) * (det - 2)
+        assert _truncated_level(frame, {**patch, (0, 0): ("junk", k)}, (0, 0)) == level
 
 
 @pytest.mark.parametrize("n0", [1, 2])
 def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
     # _truncated_level takes the first matching coset; this is why no
-    # pattern of the rule's window can match cosets of two different levels
+    # pattern of the frame's window can match cosets of two different levels
     pairs = 0
     for rows in product(range(-2, 3), repeat=4):
         L = IntMatrix((rows[:2], rows[2:]))
         if abs(L.det()) < 3 or not is_expansion(L):
             continue
-        _, window, table, _ = _frame(L, fundamental_domain(L), n0)
+        window, table = _frame(L, fundamental_domain(L), n0)
         assert len(window) == 2 * n0 + 1
         for (_, level1, forced1), (_, level2, forced2) in product(table, repeat=2):
             if level1 < level2:
@@ -686,7 +651,7 @@ def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
 
 
 def test_regions_of_lists_evaluate_like_tuples():
-    rule = window_rule(D24, parse_matrix("1,1;0,1"))
+    rule = window_frame(D24, parse_matrix("1,1;0,1"))[0]
     s = rule.substitution
     region = box(3)
     as_lists = [list(t) for t in region]
