@@ -26,11 +26,11 @@ from .errors import (
 Vec = tuple[int, ...]
 
 
-# Cells: supports, boxes, coset tables.  Digits: F has |det| and sigma_L |det|^2
-# letters, so `subst patch --box 0:0` on n Id took 0.52, 2.4 and 16 s (55, 163
-# and 598 MB) at |det| 1,024, 2,025 and 4,096 (2-core Xeon, Python 3.11).
+# Cells: supports, boxes, coset tables.  Digits: F has |det| of them, and `nl`
+# grows about linearly in them: with M = 1,1;0,1 it took 0.05, 0.9 and 1.6 s (25,
+# 66 and 103 MB) on 100,0;0,100, 316,0;0,316 and 2,0;0,50000 (2-core Xeon, 3.11).
 _CELL_LIMIT = 4_000_000
-_DIGIT_LIMIT = 1000
+_DIGIT_LIMIT = 100_000
 
 
 def _guard(size: int, what: str, unit: str, limit: int = _CELL_LIMIT) -> None:

@@ -10,7 +10,8 @@ The sliding-block realization applies, at each position, the coset
 permutation of its truncated digit level: on the fixed point the truncated
 valuation, read by one digit walk (phi's route); on any other patch the
 level of the window pattern (so shifted patches evaluate correctly), which
-only this patch route decodes, through its frame (window and class table).
+only this patch route decodes, through its frame (window and class table),
+built once per evaluation and kept nowhere.
 """
 
 from __future__ import annotations
@@ -100,13 +101,8 @@ class NLCertificate(_Record):
             "n_max": self.n_max,
             "k": self.k,
             "n0": self.n0,
-            "conjugates": [
-                None if c is None else format_matrix(c) for c in self.conjugates
-            ],
-            "residue_permutation": [
-                [format_vector(a), format_vector(b)]
-                for a, b in self.residue_permutation
-            ],
+            "conjugates": [None if c is None else format_matrix(c) for c in self.conjugates],
+            "residue_permutation": [list(map(format_vector, p)) for p in self.residue_permutation],
         }
 
 
@@ -130,16 +126,9 @@ class NLRejection(_Record):
         }
 
 
-def _residue_action(
-    c: IntMatrix, domain: FundamentalDomain
-) -> tuple[tuple[Vec, Vec], ...]:
-    zero = zero_vec(c.dim)
-    pairs = []
-    for f in domain.reps:
-        if f == zero:
-            continue
-        pairs.append((f, domain.digit_of(c.mul_vec(f))))
-    return tuple(sorted(pairs))
+def _residue_action(c: IntMatrix, domain: FundamentalDomain) -> tuple[tuple[Vec, Vec], ...]:
+    """The sorted pairs (f, digit of c f) over the nonzero digits f of domain."""
+    return tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
 
 
 # The walk's cost grows about as nmax^1.5, and the report as nmax^2 where C_n
@@ -171,37 +160,29 @@ def nl_membership(
     if domain is None:
         domain = fundamental_domain(L)
     conj = tuple(islice(_conjugates(L, M), n_max + 1))
-    k = None
-    for start in range(n_max + 1):
-        if all(c is not None for c in conj[start:]):
-            k = start
-            break
-    if k is None or k > n_max // 2:
-        first_bad = next(n for n in range(n_max + 1) if conj[n] is None)
-        return NLRejection(
-            L=L,
-            M=M,
-            n_max=n_max,
-            reason="non-integral-conjugate",
-            detail=f"conjugate at level {first_bad} is not integral"
-            + ("" if k is None else f"; integral tail only from level {k}"),
-        )
-    by_conjugate = {c: _residue_action(c, domain) for c in set(conj[k:])}
-    actions = {n: by_conjugate[conj[n]] for n in range(k, n_max + 1)}
-    n0 = None
-    for start in range(k, n_max - 1):
-        if all(actions[n] == actions[start] for n in range(start, n_max + 1)):
-            n0 = start
-            break
-    if n0 is None:
-        return NLRejection(
-            L=L,
-            M=M,
-            n_max=n_max,
-            reason="residue-unstable",
-            detail=f"digit action not constant on any window [n0, {n_max}] "
-            f"with n0 <= {n_max - 2}",
-        )
+    # k: the first level from which every conjugate is integral (n_max + 1: none)
+    k = max((n + 1 for n, c in enumerate(conj) if c is None), default=0)
+    if k > n_max // 2:
+        first_bad = next(n for n, c in enumerate(conj) if c is None)
+        tail = "" if k > n_max else f"; integral tail only from level {k}"
+        detail = f"conjugate at level {first_bad} is not integral{tail}"
+        return NLRejection(L=L, M=M, n_max=n_max, reason="non-integral-conjugate", detail=detail)
+    # C f mod L(Z^d) depends only on C mod |det|, as |det| Z^d lies in L(Z^d):
+    # one action per residue class of conjugates, and the levels compare by
+    # action, interned, so no level walks F again
+    det, by_class, interned, actions = abs(L.det()), {}, {}, []  # actions[n - k]
+    for c in conj[k:]:
+        key = tuple(x % det for row in c.rows for x in row)
+        if key not in by_class:
+            action = _residue_action(c, domain)
+            by_class[key] = interned.setdefault(action, action)
+        actions.append(by_class[key])
+    n0 = n_max
+    while n0 > k and actions[n0 - 1 - k] is actions[-1]:
+        n0 -= 1
+    if n0 > n_max - 2:
+        detail = f"digit action not constant on any window [n0, {n_max}] with n0 <= {n_max - 2}"
+        return NLRejection(L=L, M=M, n_max=n_max, reason="residue-unstable", detail=detail)
     # n0 <= n_max - 2, so C_{n0} L = L C_{n0+1} with both integral
     # unimodular: C_{n0} maps L(Z^d) onto itself and so permutes the
     # nonzero digit cosets
@@ -212,7 +193,7 @@ def nl_membership(
         conjugates=conj,
         k=k,
         n0=n0,
-        residue_permutation=actions[n0],
+        residue_permutation=actions[n0 - k],
         domain=domain,
     )
 
@@ -240,19 +221,18 @@ class LocalRule(_Record):
 
 
 def build_local_rule(cert: NLCertificate) -> LocalRule:
-    """The per-level permutations over the certificate's sigma_L; no frame is built."""
-    L, domain, n0 = cert.L, cert.domain, cert.n0
+    """The per-level permutations over the certificate's sigma_L; no frame is built.
+    M L^v a = L^v C_v a, so per_level[v] sends a to tau(C_v a), sigma_L's letter
+    at M L^v a: a nonzero digit, as C_v maps L(Z^d) onto itself."""
+    s, n0 = _sigma(cert.L, cert.domain), cert.n0
     per_level = []
     for v in range(n0 + 1):
         c = cert.conjugates[v]
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
-        per_level.append(dict(_residue_action(c, domain)))
+        per_level.append({a: tau(s, c.mul_vec(a)) for a in sorted(s.alphabet)})
     return LocalRule(
-        substitution=_sigma(L, domain),
-        m_inv=_inv_unimodular(cert.M),
-        n0=n0,
-        per_level=tuple(per_level),
+        substitution=s, m_inv=_inv_unimodular(cert.M), n0=n0, per_level=tuple(per_level)
     )
 
 
@@ -263,23 +243,25 @@ def _sigma(L: IntMatrix, domain: FundamentalDomain) -> ConstantShapeSubstitution
     return sigma_L(L, domain)
 
 
-# The patch route builds a frame twice per evaluation (pullback_positions,
-# apply_endomorphism), and a cold one costs |det|^n0 cosets (23 ms for 4,0;0,8
-# at n0 = 2), so frames are kept too: uncached, the rule tests took 20 s, not 12.
-@lru_cache(maxsize=32)
-def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
-    """(window, class table) of the patch route's window decoder at level n0.
+def _window(s: ConstantShapeSubstitution, n0: int) -> tuple[Vec, ...]:
+    """The window S = {0} u {L^v f1, L^v f2 : v < n0}, f1 and f2 the two least
+    letters: 2 n0 + 1 cells of F_{n0}, which decide the truncated level."""
+    cells = {(s.base**v).mul_vec(f) for v in range(n0) for f in sorted(s.alphabet)[:2]}
+    return tuple(sorted({zero_vec(s.dim), *cells}))
 
-    The window S = {0} u {L^v f1, L^v f2 : v < n0}, f1 and f2 the two least
-    nonzero digits, has 2 n0 + 1 cells of F_{n0}.  Cosets c, c' of levels
-    v < v' (c with digit d_v != 0 at v) differ at L^v f: f for c', d_v + f
-    for c, both forced unless d_v = -f mod L, which one of f1, f2 escapes.
+
+def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
+    """(window, class table) of the patch route's window decoder at level n0,
+    which apply_endomorphism builds once per call.
+
+    Cosets c, c' of levels v < v' (c with digit d_v != 0 at v) differ at
+    L^v f: f for c', d_v + f for c, both forced unless d_v = -f mod L,
+    which one of the window's f1, f2 escapes.
     """
     det = abs(L.det())
     _guard(det**n0, f"|det|^{n0} = {det}^{n0} =", "cosets")  # the class table walks every coset
     subst = _sigma(L, domain)
-    cells = {(L**v).mul_vec(f) for v in range(n0) for f in sorted(subst.alphabet)[:2]}
-    window = tuple(sorted({zero_vec(L.dim), *cells}))
+    window = _window(subst, n0)
     return window, _valuation_class_table(subst, n0, window)
 
 
@@ -352,12 +334,12 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     fixed point (_fixed_point_image reads that one with no patch).
 
     sources maps each position t of the region to u = M^{-1} t, computed
-    once per position; cells holds the window of the rule's frame (2 n0 + 1
-    cells of F_{n0}) around every source, the positions a patch must cover.
+    once per position; cells holds the decoder's window (2 n0 + 1 cells of
+    F_{n0}) around every source, the positions a patch must cover.
     """
-    m_inv, s = rule.m_inv.rows, rule.substitution
+    m_inv = rule.m_inv.rows
     sources = {t: _apply(m_inv, t) for t in (tuple(map(index, t)) for t in region)}
-    window = _frame(s.base, s.domain, rule.n0)[0]
+    window = _window(rule.substitution, rule.n0)
     cells = {tuple(map(add, u, f)) for f in window for u in sources.values()}
     return sources, cells
 

@@ -79,8 +79,16 @@ class ConstantShapeSubstitution(_Record):
         return self.table == _sigma_table(self.domain)
 
 
+# sigma_L's table has |det| - 1 images of |det| cells, and the support check and
+# _forced walk them all: `subst patch --box 0:0` on n Id took 0.52, 2.4 and 16 s
+# (55, 163 and 598 MB) at |det| 1,024, 2,025 and 4,096 (2-core Xeon, Python 3.11)
+_TABLE_LIMIT = 1_000_000
+
+
 def _sigma_table(domain: FundamentalDomain) -> dict:
     """sigma_L's images: the letter stays at the origin, each other cell holds its digit."""
+    det = len(domain.reps)
+    _guard(det * det, f"sigma_L's table has |det|^2 = {det}^2 =", "cells", _TABLE_LIMIT)
     zero = zero_vec(domain.base.dim)
     digits = [f for f in domain.reps if f != zero]
     return {a: {zero: a, **{f: f for f in digits}} for a in digits}
@@ -88,7 +96,8 @@ def _sigma_table(domain: FundamentalDomain) -> dict:
 
 def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> ConstantShapeSubstitution:
     """The self-similar rule: keep the letter at the origin, write the digit
-    elsewhere.  Needs |det| >= 3 so the alphabet has at least two letters."""
+    elsewhere.  Needs |det| >= 3 so the alphabet has at least two letters,
+    and |det|^2 table cells within _TABLE_LIMIT (|det| <= 1,000)."""
     if abs(base.det()) < 3:
         raise WrongBranchError(f"|det| = {abs(base.det())} < 3: alphabet too small")
     if domain is None:

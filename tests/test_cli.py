@@ -710,29 +710,51 @@ def test_phi_builds_no_coset_table(capsys):
     )
 
 
-# F has |det| digits and sigma_L |det|^2 letters in its table; at the limit of
-# 1,000 digits each command answers, and one over it exits 2 before F is built
+# F has |det| digits, over which nl grows linearly, and sigma_L |det|^2 table
+# cells: F's limit of 100,000 digits holds for every command that builds F,
+# the table's 1,000,000 cells for phi and subst, and one over either exits 2
+# before it is built
 DET_GUARDED = ["nl --L {} --M 1", "phi --L {} --M 1 --box 0:0", "subst patch --L {} --box 0:0"]
+
+
+def refused_with_peak(capsys, argv):
+    """(stderr, tracemalloc peak) of a request that exits 2 with no report."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return captured.err, peak
 
 
 @pytest.mark.parametrize("request_", DET_GUARDED, ids=lambda r: r.split()[0])
 def test_det_guard_at_and_over_the_limit(capsys, request_):
-    assert main(request_.format(1000).split()) == 0
-    assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 1000
+    if request_.startswith("nl"):
+        assert main(request_.format(100_000).split()) == 0
+        assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 100_000
     # the guard holds for the canonical F and for a given one (--F)
-    for over in (request_.format(1001), request_.format(1001) + " --F 0;1"):
-        tracemalloc.start()
-        try:
-            code = main(over.split())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == (
-            "odosym: SizeGuardError: F has |det| = 1001 digits, over the limit of 1000 digits\n"
+    for over in (request_.format(100_001), request_.format(100_001) + " --F 0;1"):
+        err, peak = refused_with_peak(capsys, over.split())
+        assert err == (
+            "odosym: SizeGuardError: F has |det| = 100001 digits,"
+            " over the limit of 100000 digits\n"
         )
         assert peak < 100_000
+
+
+@pytest.mark.parametrize("request_", DET_GUARDED[1:], ids=lambda r: r.split()[0])
+def test_table_guard_at_and_over_the_limit(capsys, request_):
+    assert main(request_.format(1000).split()) == 0
+    assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 1000
+    err, peak = refused_with_peak(capsys, request_.format(1001).split())
+    assert err == (
+        "odosym: SizeGuardError: sigma_L's table has |det|^2 = 1001^2 = 1002001 cells,"
+        " over the limit of 1000000 cells\n"
+    )
+    assert peak < 1_000_000  # F and nl's walk only: the table would hold 10^6 cells
 
 
 @pytest.mark.parametrize(

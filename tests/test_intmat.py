@@ -281,12 +281,12 @@ def test_validate_domain_half_hex_and_errors():
 
 
 def test_domain_guard_names_the_limit_before_hnf(monkeypatch):
-    # F has |det| digits: a base with 1,001 digits raises, given F or not,
-    # before hnf or box_reps runs; 1,000 digits are built
-    big = IntMatrix(((7, 0), (0, 143)))
-    at_limit = IntMatrix(((10, 0), (0, 100)))
-    assert len(fundamental_domain(at_limit).reps) == 1000
-    assert len(validate_domain(at_limit, fundamental_domain(at_limit).reps).reps) == 1000
+    # F has |det| digits: a base with 100,001 digits raises, given F or not,
+    # before hnf or box_reps runs; 100,000 digits are built
+    big = IntMatrix(((11, 0), (0, 9091)))
+    at_limit = IntMatrix(((100, 0), (0, 1000)))
+    assert len(fundamental_domain(at_limit).reps) == 100_000
+    assert len(validate_domain(at_limit, fundamental_domain(at_limit).reps).reps) == 100_000
 
     def refused(m):
         raise AssertionError("hnf ran")
@@ -295,7 +295,9 @@ def test_domain_guard_names_the_limit_before_hnf(monkeypatch):
     for build in (lambda: fundamental_domain(big), lambda: validate_domain(big, [(0, 0)])):
         with pytest.raises(SizeGuardError) as err:
             build()
-        assert str(err.value) == "F has |det| = 1001 digits, over the limit of 1000 digits"
+        assert str(err.value) == (
+            "F has |det| = 100001 digits, over the limit of 100000 digits"
+        )
     with pytest.raises(SingularMatrixError):
         fundamental_domain(IntMatrix(((1, 2), (2, 4))))
 

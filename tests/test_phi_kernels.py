@@ -153,7 +153,6 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm():
     cold = []
     for cert, seed, region in cases:
         subshift_norm._sigma.cache_clear()
-        _frame.cache_clear()
         rule, image = evaluate_phi(cert, seed, region)
         assert image == coordinate_formula(cert, seed, region), (cert.L, cert.M)
         reached.add((cert.L.dim, rule.n0))
@@ -161,7 +160,7 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm():
     # every kernel's 2-D and d = 3 path, with and without the window decode,
     # and a window of five cells in 2-D
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
-    # warm: sigma_L and the frames cached by the rules of earlier cases
+    # warm: sigma_L cached by the rules of earlier cases
     warm = [evaluate_phi(*case)[1] for case in cases]
     assert warm == cold
 
@@ -184,12 +183,13 @@ def test_one_pass_image_matches_the_patch_route():
         width = 7 if L.dim == 2 else 3
         corners = [(-(width // 2),) * L.dim]
         corners += [tuple(rng.randint(-40, 40) for _ in range(L.dim)) for _ in range(2)]
-        for seed, corner in product(sorted(s.alphabet), corners):
-            region = list(product(*(range(c, c + width) for c in corner)))
+        # the three boxes in one region, so each seed builds one frame
+        region = sorted({t for c in corners for t in product(*(range(x, x + width) for x in c))})
+        for seed in sorted(s.alphabet):
             sources, cells = pullback_positions(rule, region)
             patch = fixed_point_patch(s, seed, cells)
             want = sorted(apply_endomorphism(rule, patch, sources).items())
-            assert _fixed_point_image(rule, seed, region) == want, (L, M, seed, corner)
+            assert _fixed_point_image(rule, seed, region) == want, (L, M, seed, corners)
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
 
 
@@ -243,7 +243,7 @@ def test_the_one_pass_reads_no_window(monkeypatch, capsys):
         raise AssertionError("the one pass read a window")
 
     subshift_norm._sigma.cache_clear()
-    for name in ("_frame", "_valuation_class_table", "_truncated_level"):
+    for name in ("_window", "_frame", "_valuation_class_table", "_truncated_level"):
         monkeypatch.setattr(subshift_norm, name, refused)
     monkeypatch.setattr(substitution, "_fixed_point_reader", refused)
     for cert, seed, region, want in cases:

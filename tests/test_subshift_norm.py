@@ -160,6 +160,62 @@ def test_nl_rejection_residue_unstable():
     assert isinstance(r, NLRejection) and r.reason == "residue-unstable"
 
 
+def reference_membership(L, M, n_max, domain):
+    """nl_membership by the definition: each level's digit action taken from
+    its own conjugate, k and n0 the first levels that qualify.  Returns
+    (k, n0, action at n0), or the reason a rejection must give."""
+    conj = conjugates(L, M, n_max + 1)
+    k = next((s for s in range(n_max + 1) if all(c is not None for c in conj[s:])), None)
+    if k is None or k > n_max // 2:
+        return "non-integral-conjugate"
+    acts = [
+        None if c is None else {f: domain.digit_of(c.mul_vec(f)) for f in domain.reps if any(f)}
+        for c in conj
+    ]
+    n0 = next(
+        (s for s in range(k, n_max - 1) if all(acts[n] == acts[s] for n in range(s, n_max + 1))),
+        None,
+    )
+    return "residue-unstable" if n0 is None else (k, n0, acts[n0])
+
+
+def test_nl_membership_matches_the_definition_level_by_level():
+    # actions are computed once per class of conjugates mod |det|: the
+    # verdict, k, n0 and the action must be those of every level's own C_n
+    rng = random.Random(55)
+    bases = [TWO, D24, parse_matrix("0,-3;1,0"), parse_matrix("3,1;0,5"), parse_matrix("4,0;0,2")]
+    bases += [parse_matrix("2,0;0,12"), parse_matrix("2,1;0,6"), parse_matrix("-2,0;0,8")]
+    pairs = [(L, rand_unimodular_small(rng)) for L in bases for _ in range(8)]
+    pairs.append((parse_matrix("4,0;0,8"), parse_matrix("1,1;0,1")))  # n0 = 2
+    seen = set()
+    for (L, m), n_max in product(pairs, (4, 7, 12)):
+        domain = fundamental_domain(L)
+        out, want = nl_membership(L, m, n_max, domain), reference_membership(L, m, n_max, domain)
+        if isinstance(out, NLRejection):
+            assert out.reason == want, (L, m, n_max)
+            seen.add(out.reason)
+        else:
+            assert (out.k, out.n0, dict(out.residue_permutation)) == want, (L, m, n_max)
+            seen.add(min(out.n0, 2))
+    assert seen == {"non-integral-conjugate", "residue-unstable", 0, 1, 2}
+
+
+def test_long_nmax_walks_f_once_per_class_mod_det(monkeypatch):
+    # C_n = 1,250^n;0,1 on 2,0;0,500: all 1,001 differ, but mod |det| = 1,000
+    # they fall in 4 classes (250^n is 1, 250, 500, then 0 from n = 3), so
+    # F's 1,000 digits are walked 4 times, not 1,001
+    calls = []
+    action = subshift_norm._residue_action
+    monkeypatch.setattr(subshift_norm, "_residue_action", lambda c, d: calls.append(c) or action(c, d))
+    L, shear = parse_matrix("2,0;0,500"), parse_matrix("1,1;0,1")
+    cert = nl_membership(L, shear, n_max=1000)
+    assert isinstance(cert, NLCertificate) and (cert.k, cert.n0) == (0, 1)
+    assert len(set(cert.conjugates)) == 1001
+    assert calls == [IntMatrix(((1, 250**n), (0, 1))) for n in range(4)]
+    want = reference_membership(L, shear, 12, fundamental_domain(L))
+    assert want == (0, 1, dict(cert.residue_permutation))
+
+
 def test_nl_group_closure():
     rng = random.Random(54)
     accepted = []
@@ -216,13 +272,13 @@ def test_nl_payload_roundtrip():
 
 def test_rule_reads_each_level_action_on_the_certificate_domain(monkeypatch):
     calls = []
-    action = subshift_norm._residue_action
+    letter = subshift_norm.tau
 
-    def counted(c, domain):
-        calls.append((c, domain))
-        return action(c, domain)
+    def counted(s, v):
+        calls.append((s.domain, v))
+        return letter(s, v)
 
-    monkeypatch.setattr(subshift_norm, "_residue_action", counted)
+    monkeypatch.setattr(subshift_norm, "tau", counted)
     for L, M, domain, other in (
         (TWO, SWAP, HH_DOMAIN, fundamental_domain(TWO)),
         (D24, parse_matrix("1,1;0,1"), fundamental_domain(D24), None),
@@ -230,9 +286,12 @@ def test_rule_reads_each_level_action_on_the_certificate_domain(monkeypatch):
         cert = nl_membership(L, M, domain=domain)
         calls.clear()
         rule = build_local_rule(cert)
-        # level v permutes the certificate's nonzero digits as C_v does
+        # level v sends each letter a to sigma_L's letter tau(C_v a), read on
+        # the certificate's domain: it permutes the nonzero digits as C_v does
         levels = cert.conjugates[: cert.n0 + 1]
-        assert calls == [(c, domain) for c in levels] and len(rule.per_level) == cert.n0 + 1
+        letters = sorted(f for f in domain.reps if any(f))
+        assert calls == [(domain, c.mul_vec(a)) for c in levels for a in letters]
+        assert len(rule.per_level) == cert.n0 + 1
         for c, perm in zip(levels, rule.per_level):
             assert perm == {f: domain.digit_of(c.mul_vec(f)) for f in domain.reps if any(f)}
         assert rule.per_level[-1] == dict(cert.residue_permutation)
@@ -565,6 +624,23 @@ def test_frame_guards_the_coset_count_before_building_anything():
     assert str(err.value) == (
         "|det|^1 = 4000001^1 = 4000001 cosets, over the limit of 4000000 cosets"
     )
+
+
+def test_the_patch_route_builds_one_frame_per_evaluation(monkeypatch):
+    # nothing keeps a frame: pullback_positions reads only the window, and
+    # apply_endomorphism builds the frame once for all its positions
+    built = []
+    real = subshift_norm._frame
+    monkeypatch.setattr(subshift_norm, "_frame", lambda *a: built.append(a) or real(*a))
+    M = parse_matrix("1,1;0,1")
+    assert composition_check(D24, M, M, box(4))
+    assert len(built) == 1
+    rule = build_local_rule(nl_membership(D24, M))
+    s = rule.substitution
+    sources, cells = pullback_positions(rule, box(3))
+    assert len(built) == 1
+    image = apply_endomorphism(rule, fixed_point_patch(s, min(s.alphabet), cells), sources)
+    assert built == [(s.base, s.domain, 1)] * 2 and len(image) == len(box(3))
 
 
 # ---------------------------------------------------------------------------
