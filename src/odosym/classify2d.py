@@ -35,9 +35,9 @@ import sys
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import SizeGuardError
 from .intmat import (
     IntMatrix,
+    _digit_guard,
     _inv_unimodular,
     _Record,
     _require_expansion,
@@ -256,18 +256,11 @@ def _pell_xs(dp: int, y: int) -> list[int]:
     return out
 
 
-def _digit_guard(n: int, dp: int, limit: int) -> None:
-    """SizeGuardError when |n| has more than limit decimal digits.
-
-    limit 0 means no limit.  8^limit < 10^limit, so the bit length clears
-    almost every n before the power of ten is formed.
-    """
-    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
-        shown = f"D'={dp}" if dp.bit_length() <= 3 * limit else f"a {dp.bit_length()}-bit D'"
-        raise SizeGuardError(
-            f"the unit group for {shown} needs integers of more than {limit} "
-            "digits, the interpreter's int-to-str limit (sys.get_int_max_str_digits())"
-        )
+def _unit_group(dp: int, limit: int):
+    """_digit_guard's subject: the unit group of D', which it names while D' prints."""
+    return lambda: "the unit group for " + (
+        f"D'={dp}" if dp.bit_length() <= 3 * limit else f"a {dp.bit_length()}-bit D'"
+    )
 
 
 def _pell_walk(dp: int, limit: int) -> tuple[int, int]:
@@ -300,7 +293,7 @@ def _pell_walk(dp: int, limit: int) -> tuple[int, int]:
         if m == m_prev:  # p - a p0 = A_(k-3), 2q - a q0 = B_(k-1) + B_(k-3)
             return 2 * (p0 * q + (p - a * p0) * q0), 2 * q0 * (2 * q - a * q0)
         if p.bit_length() > bits:
-            _digit_guard(p, dp, limit)
+            _digit_guard(p, limit, _unit_group(dp, limit))
         a = (a0 + m) // d
         p0, p = p, a * p + p0
         q0, q = q, a * q + q0
@@ -339,7 +332,7 @@ def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
         sols = [(x, 1) for x in _pell_xs(dp, 1)]
     cands = [r for sol in sols for r in _candidates_from_solution(L, g, *sol)]
     best = IntMatrix(_canonical_pick(cands))
-    _digit_guard(best.max_abs(), dp, limit)
+    _digit_guard(best.max_abs(), limit, _unit_group(dp, limit))
     assert commutes(L, best) and best.det() in (1, -1) and best not in (_ID, -_ID)
     return CentralizerInfinite(best)
 

@@ -45,6 +45,7 @@ from .intmat import (
 from .odometer import nc_bounded_check, verify_nc_certificate
 from .substitution import (
     ConstantShapeSubstitution,
+    _fixed_at_origin,
     box_positions,
     fixed_point_count,
     fixed_point_patch,
@@ -306,8 +307,7 @@ def _seed(s: ConstantShapeSubstitution, given: str | None) -> tuple:
     """The --seed letter, by default the least letter fixed at the origin of its image."""
     if given is not None:
         return parse_vector(given)
-    zero = (0,) * s.dim
-    fixed = [a for a in s.alphabet if s.image(a)[zero] == a]
+    fixed = [a for a in s.alphabet if _fixed_at_origin(s, a)]
     if not fixed:
         raise ValueError("no letter is fixed at the origin of its image, so none can seed")
     return min(fixed)

@@ -59,4 +59,4 @@ class MarginError(OdosymError, ValueError):
 
 
 class WindowError(OdosymError, ValueError):
-    """A pattern window was too small or inconsistent for decoding."""
+    """A window pattern that no digit coset writes, so it has no level."""

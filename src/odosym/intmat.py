@@ -39,6 +39,18 @@ def _guard(size: int, what: str, unit: str, limit: int = _CELL_LIMIT) -> None:
         raise SizeGuardError(f"{what} {size} {unit}, over the limit of {limit} {unit}")
 
 
+def _digit_guard(n: int, limit: int, subject) -> None:
+    """SizeGuardError naming subject() when |n| has more than limit decimal
+    digits, the interpreter's int-to-str limit (0: no limit).  8^limit <
+    10^limit, so the bit length clears almost every n before the power of
+    ten is formed, and subject is called only to raise."""
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise SizeGuardError(
+            f"{subject()} needs integers of more than {limit} "
+            "digits, the interpreter's int-to-str limit (sys.get_int_max_str_digits())"
+        )
+
+
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

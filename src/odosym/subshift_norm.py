@@ -9,13 +9,13 @@ verification, not a proof for all n.
 The sliding-block realization applies, at each position, the coset
 permutation of its truncated digit level: on the fixed point the truncated
 valuation, read by one digit walk (phi's route); on any other patch the
-level of the window pattern (so shifted patches evaluate correctly), which
-only this patch route decodes, through its frame (window and class table),
-built once per evaluation and kept nowhere.
+level read straight off the window pattern (so shifted patches evaluate
+correctly), which only this patch route decodes.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import islice
 from operator import add, index
@@ -27,25 +27,16 @@ from .intmat import (
     Vec,
     _Record,
     _apply,
-    _guard,
+    _digit_guard,
     _inv_unimodular,
     _require_expansion,
     _rows_mul,
     format_matrix,
     format_vector,
     fundamental_domain,
-    hnf,
     vec_add,
-    zero_vec,
 )
-from .substitution import (
-    ConstantShapeSubstitution,
-    _checked_seed,
-    _strip_base,
-    sigma_L,
-    tau,
-    valuation,
-)
+from .substitution import ConstantShapeSubstitution, _checked_seed, _strip_base, sigma_L, tau
 
 # ---------------------------------------------------------------------------
 # conjugate powers and certificates
@@ -94,6 +85,13 @@ class NLCertificate(_Record):
     domain: FundamentalDomain
 
     def to_payload(self) -> dict:
+        try:
+            conjugates = [None if c is None else format_matrix(c) for c in self.conjugates]
+        except ValueError:  # an entry over the interpreter's int-to-str limit
+            top = max(c.max_abs() for c in self.conjugates if c is not None)
+            name = f"the certificate of M = {self.M} on L = {self.L} through nmax {self.n_max}"
+            _digit_guard(top, sys.get_int_max_str_digits(), lambda: name)
+            raise
         return {
             "accepted": True,
             "L": format_matrix(self.L),
@@ -101,7 +99,7 @@ class NLCertificate(_Record):
             "n_max": self.n_max,
             "k": self.k,
             "n0": self.n0,
-            "conjugates": [None if c is None else format_matrix(c) for c in self.conjugates],
+            "conjugates": conjugates,
             "residue_permutation": [list(map(format_vector, p)) for p in self.residue_permutation],
         }
 
@@ -208,10 +206,10 @@ class LocalRule(_Record):
 
     per_level[v] is the digit permutation used at truncated level v: on the
     fixed point of substitution (sigma_L) the valuation truncated at n0
-    decides v, and on any other patch the window pattern does (see _frame,
-    which only the patch route builds).  Positions deeper than n0 (the
-    origin of a fixed point too) use the stabilized permutation.  m_inv is
-    M^{-1}, which pulls an output position back to its source.
+    decides v, and on any other patch the window pattern does (see
+    _truncated_level).  Positions deeper than n0 (the origin of a fixed
+    point too) use the stabilized permutation.  m_inv is M^{-1}, which
+    pulls an output position back to its source.
     """
 
     substitution: ConstantShapeSubstitution
@@ -221,7 +219,7 @@ class LocalRule(_Record):
 
 
 def build_local_rule(cert: NLCertificate) -> LocalRule:
-    """The per-level permutations over the certificate's sigma_L; no frame is built.
+    """The per-level permutations over the certificate's sigma_L; no window is read.
     M L^v a = L^v C_v a, so per_level[v] sends a to tau(C_v a), sigma_L's letter
     at M L^v a: a nonzero digit, as C_v maps L(Z^d) onto itself."""
     s, n0 = _sigma(cert.L, cert.domain), cert.n0
@@ -243,71 +241,48 @@ def _sigma(L: IntMatrix, domain: FundamentalDomain) -> ConstantShapeSubstitution
     return sigma_L(L, domain)
 
 
-def _window(s: ConstantShapeSubstitution, n0: int) -> tuple[Vec, ...]:
-    """The window S = {0} u {L^v f1, L^v f2 : v < n0}, f1 and f2 the two least
-    letters: 2 n0 + 1 cells of F_{n0}, which decide the truncated level."""
-    cells = {(s.base**v).mul_vec(f) for v in range(n0) for f in sorted(s.alphabet)[:2]}
-    return tuple(sorted({zero_vec(s.dim), *cells}))
+def _window(s: ConstantShapeSubstitution, n0: int) -> tuple[tuple[Vec, ...], ...]:
+    """The pairs (L^v f1, L^v f2), v < n0, f1 and f2 the two least letters: with
+    the origin, the window S of 2 n0 + 1 cells that decides the truncated level."""
+    pairs = [tuple(sorted(s.alphabet)[:2])]
+    while len(pairs) < n0:
+        pairs.append(tuple(map(s.base.mul_vec, pairs[-1])))
+    return tuple(pairs[:n0])
 
 
-def _frame(L: IntMatrix, domain: FundamentalDomain, n0: int) -> tuple:
-    """(window, class table) of the patch route's window decoder at level n0,
-    which apply_endomorphism builds once per call.
+def _truncated_level(s: ConstantShapeSubstitution, window: tuple, patch: dict, pos: Vec) -> int:
+    """Truncated digit level of the pattern of the window at pos: the first v
+    whose pair reads other than (f1, f2), or n0 = len(window) if none.
 
-    Cosets c, c' of levels v < v' (c with digit d_v != 0 at v) differ at
-    L^v f: f for c', d_v + f for c, both forced unless d_v = -f mod L,
-    which one of the window's f1, f2 escapes.
+    A coset c = L^v w of L^{n0}(Z^d), v < n0 and w of digit d != 0, writes f at
+    L^j f for j < v, digit(d + f) at L^v f, and d at 0 and at L^j f for j > v;
+    where digit(d + f) is 0 the cell is free, as such cosets write any letter
+    there or none.  d + f1 and d + f2 are not both 0, so c's pair at v reads
+    other than (f1, f2).  The patterns that pass are exactly those some coset
+    writes on the window; d is tested by equality, so it need not hash.
     """
-    det = abs(L.det())
-    _guard(det**n0, f"|det|^{n0} = {det}^{n0} =", "cosets")  # the class table walks every coset
-    subst = _sigma(L, domain)
-    window = _window(subst, n0)
-    return window, _valuation_class_table(subst, n0, window)
-
-
-def _valuation_class_table(subst, n0, window):
-    """For each coset of L^{n0}(Z^d): the window letters it forces.
-
-    Entries are (class representative, truncated level, {offset: letter}),
-    with offsets congruent to 0 mod L^{n0} left undetermined; window is a
-    subset of F_{n0}.
-    """
-    basis = hnf(subst.base**n0)
-    out = []
-    for c in basis.box_reps():
-        forced = {}
-        for f in window:
-            y = vec_add(c, f)
-            if basis.contains(y):
-                continue  # letter not determined by the coset
-            forced[f] = tau(subst, y)
-        if basis.contains(c):
-            level = n0
-        else:
-            level = min(valuation(subst, c), n0)
-        out.append((c, level, forced))
-    return tuple(out)
-
-
-def _truncated_level(frame: tuple, patch: dict[Vec, Vec], pos: Vec) -> int:
-    """Truncated digit level of the pattern of the frame's window at pos."""
-    pattern = {f: patch.get(tuple(map(add, pos, f))) for f in frame[0]}
-    if None in pattern.values():
+    at = patch.get
+    d, rows = at(pos), [tuple(at(tuple(map(add, pos, f))) for f in pair) for pair in window]
+    if d is None or any(None in row for row in rows):
         raise MarginError(f"window at {pos} leaves the patch support")
-    # cosets of different level disagree on a cell forced in both, so the
-    # first coset that matches has the level of every other match
-    for _, level, forced in frame[1]:
-        if all(pattern[f] == letter for f, letter in forced.items()):
-            return level
+    v = next((j for j, row in enumerate(rows) if row != window[0]), len(window))
+    if v == len(window):
+        return v
+    if d in s.domain.reps and any(d):  # d is a letter: sigma_L's are the nonzero digits
+        digits = [s.domain.digit_of(vec_add(d, f)) for f in window[0]]
+        deeper = all(a == d for row in rows[v + 1 :] for a in row)
+        if deeper and all(a == g or not any(g) for a, g in zip(rows[v], digits)):
+            return v
     raise WindowError(f"window pattern at {pos} matches no digit coset")
 
 
 def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[tuple[Vec, Vec]]:
     """[(t, letter)] of the rule's image of the fixed point seeded by seed, in
     the order of the region (tuples of ints, as box_positions gives them), by
-    one digit walk per t and no frame: with u = M^{-1} t = L^p w, w not in
+    one digit walk per t and no window: with u = M^{-1} t = L^p w, w not in
     L(Z^d), the letter at u is w's digit and its level min(p, n0), which the
-    window decodes there too (see _frame); the origin holds the seed, at n0."""
+    window decodes there too (see _truncated_level); the origin holds the
+    seed, at n0."""
     s, n0, per_level, m_inv = rule.substitution, rule.n0, rule.per_level, rule.m_inv.rows
     origin, rep_of_key, out = per_level[n0][_checked_seed(s, seed)], s.domain._rep_of_key, []
     if len(m_inv) == 2:  # in line: u's Hermite key (k0, k1) as k0 h11 + k1, and adj(L) u / det(L)
@@ -334,13 +309,14 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     fixed point (_fixed_point_image reads that one with no patch).
 
     sources maps each position t of the region to u = M^{-1} t, computed
-    once per position; cells holds the decoder's window (2 n0 + 1 cells of
-    F_{n0}) around every source, the positions a patch must cover.
+    once per position; cells holds the decoder's window (2 n0 + 1 cells)
+    around every source, the positions a patch must cover.
     """
     m_inv = rule.m_inv.rows
     sources = {t: _apply(m_inv, t) for t in (tuple(map(index, t)) for t in region)}
-    window = _window(rule.substitution, rule.n0)
-    cells = {tuple(map(add, u, f)) for f in window for u in sources.values()}
+    cells = set(sources.values())
+    for pair in _window(rule.substitution, rule.n0):
+        cells.update(tuple(map(add, u, f)) for f in pair for u in sources.values())
     return sources, cells
 
 
@@ -355,14 +331,9 @@ def apply_endomorphism(
     source or window leaves the patch raises a margin error.  On the fixed
     point, _fixed_point_image gives the same image with no patch.
     """
-    out, per_level, s = {}, rule.per_level, rule.substitution
-    frame = _frame(s.base, s.domain, rule.n0)
-    for t, u in sources.items():
-        letter = patch.get(u)
-        if letter is None:
-            raise MarginError(f"source position {u} missing from the patch")
-        out[t] = per_level[_truncated_level(frame, patch, u)][letter]
-    return out
+    s, levels = rule.substitution, rule.per_level
+    window = _window(s, rule.n0)  # the decoder reads u too, so patch[u] is there
+    return {t: levels[_truncated_level(s, window, patch, u)][patch[u]] for t, u in sources.items()}
 
 
 def composition_check(

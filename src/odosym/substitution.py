@@ -180,12 +180,17 @@ def fixed_point_patch(
     return cells
 
 
+def _fixed_at_origin(s: ConstantShapeSubstitution, letter: Letter) -> bool:
+    """True when the letter is fixed at the origin of its own image, so it seeds a fixed point."""
+    return s.image(letter)[zero_vec(s.dim)] == letter
+
+
 def _checked_seed(s: ConstantShapeSubstitution, seed: Letter) -> Letter:
     """seed as a tuple, once it is a letter fixed at the origin of its own image."""
     seed = tuple(seed)
     if seed not in s.alphabet:
         raise ValueError(f"seed {seed} is not a letter")
-    if s.image(seed)[zero_vec(s.dim)] != seed:
+    if not _fixed_at_origin(s, seed):
         raise ValueError(f"seed {seed} is not fixed at the origin of its image")
     return seed
 
@@ -237,8 +242,7 @@ def fixed_point_count(s: ConstantShapeSubstitution) -> int:
     sequence of patches, hence a fixed point; distinct seeds give points
     differing at the origin.
     """
-    zero = zero_vec(s.dim)
-    return sum(1 for a in s.alphabet if s.image(a)[zero] == a)
+    return sum(_fixed_at_origin(s, a) for a in s.alphabet)
 
 
 # ---------------------------------------------------------------------------

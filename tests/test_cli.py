@@ -745,6 +745,36 @@ def test_det_guard_at_and_over_the_limit(capsys, request_):
         assert peak < 100_000
 
 
+def test_digit_guard_names_the_interpreter_limit_and_the_request(capsys):
+    # C_n = 1,100^n;0,1 on 3,0;0,300: the certificate through nmax 400 holds
+    # 801 digits, over a 640-digit int-to-str limit, and through 300 only 601;
+    # classify's unit group keeps the message it had before nl shared its guard
+    limit = sys.get_int_max_str_digits()
+    request = ["--L", "3,0;0,300", "--M", "1,1;0,1", "--nmax"]
+    tail = " needs integers of more than 640 digits, the interpreter's int-to-str limit"
+    tail += " (sys.get_int_max_str_digits())\n"
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv in (["nl", *request, "400"], ["phi", *request, "400", "--box", "0:0"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                "odosym: SizeGuardError: the certificate of M = 1,1;0,1 on L = 3,0;0,300"
+                " through nmax 400" + tail
+            )
+        assert main(["classify", "--matrix", "-92397,22060;-34713,70124"]) == 2
+        err = capsys.readouterr().err
+        assert err == "odosym: SizeGuardError: the unit group for D'=23350000321" + tail
+        assert main(["nl", *request, "300"]) == 0
+        capsys.readouterr()
+        sys.set_int_max_str_digits(0)  # no limit: every certificate prints
+        assert main(["nl", *request, "400"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    conjugates = json.loads(capsys.readouterr().out)["result"]["conjugates"]
+    assert conjugates[-1] == "1,1" + "00" * 400 + ";0,1"
+
+
 @pytest.mark.parametrize("request_", DET_GUARDED[1:], ids=lambda r: r.split()[0])
 def test_table_guard_at_and_over_the_limit(capsys, request_):
     assert main(request_.format(1000).split()) == 0

@@ -9,10 +9,16 @@ from operator import add
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_shared import rand_unimodular_steps, unimodular_inverse
+from tests_shared import (
+    class_table,
+    rand_unimodular_steps,
+    table_level,
+    unimodular_inverse,
+    window_cells,
+)
 
 from odosym.cli import main
-from odosym.errors import WrongBranchError
+from odosym.errors import WindowError, WrongBranchError
 from odosym.intmat import (
     FundamentalDomain,
     IntMatrix,
@@ -33,9 +39,8 @@ from odosym import subshift_norm, substitution
 from odosym.subshift_norm import (
     NLCertificate,
     _fixed_point_image,
-    _frame,
     _truncated_level,
-    _valuation_class_table,
+    _window,
     apply_endomorphism,
     build_local_rule,
     nl_membership,
@@ -210,20 +215,21 @@ def test_on_the_fixed_point_the_window_decodes_the_truncated_valuation():
         frames.setdefault((L, domain, cert.n0), cert)
     assert {n0 for _, _, n0 in frames} == {0, 1, 2}
     for (L, domain, n0), cert in frames.items():
-        s, frame = build_local_rule(cert).substitution, _frame(L, domain, n0)
+        s = build_local_rule(cert).substitution
+        pairs = _window(s, n0)
         region = two_boxes(s.dim, (23, -17, 9)[: s.dim])
-        cells = {tuple(map(add, u, f)) for u in region for f in frame[0]}
+        cells = {tuple(map(add, u, f)) for u in region for f in window_cells(pairs, s.dim)}
         for seed in sorted(s.alphabet):
             patch = fixed_point_patch(s, seed, cells)
             for u in region:
                 want = min(valuation(s, u), n0) if any(u) else n0
-                assert _truncated_level(frame, patch, u) == want, (cert.L, n0, seed, u)
+                assert _truncated_level(s, pairs, patch, u) == want, (cert.L, n0, seed, u)
 
 
 def test_the_one_pass_reads_no_window(monkeypatch, capsys):
     # the image is computed by the patch route first; then, from a cold
-    # sigma_L cache, the one pass must give it with the frame, the window
-    # decode and the reader refused, and so must odosym phi at n0 = 2
+    # sigma_L cache, the one pass must give it with the window, its decode
+    # and the reader refused, and so must odosym phi at n0 = 2
     hh = [(TWO, HH_DOMAIN, m) for m in UNIMODULAR_4[:2]]
     diag = [p for p in phi_traffic_pairs() if p[0].rows == ((2, 0), (0, 4))][:2]
     cases, reached = [], set()
@@ -243,7 +249,7 @@ def test_the_one_pass_reads_no_window(monkeypatch, capsys):
         raise AssertionError("the one pass read a window")
 
     subshift_norm._sigma.cache_clear()
-    for name in ("_window", "_frame", "_valuation_class_table", "_truncated_level"):
+    for name in ("_window", "_truncated_level"):
         monkeypatch.setattr(subshift_norm, name, refused)
     monkeypatch.setattr(substitution, "_fixed_point_reader", refused)
     for cert, seed, region, want in cases:
@@ -383,14 +389,18 @@ def window_s(s, n0):
     return tuple(sorted(cells))
 
 
-def check_window(s, n0, window, radius):
+def check_window(s, n0, radius):
     """S separates every two cosets of different level on a cell forced in
-    both, and the S-decode agrees with the decode over all of F_{n0} on every
-    window of the fixed points, one per letter, around the box of the radius."""
+    both, and on every window of the fixed points, one per letter, around
+    the box of the radius, the direct decode agrees with the class tables
+    of S and of all of F_{n0}."""
+    pairs = _window(s, n0)
+    window = window_cells(pairs, s.dim)
+    assert window == window_s(s, n0)
     full_window = tuple(sorted(supports(s, n0)[n0]))
     assert set(window) <= set(full_window)
-    full = _valuation_class_table(s, n0, full_window)
-    table = _valuation_class_table(s, n0, window)
+    full = class_table(s, n0, full_window)
+    table = class_table(s, n0, window)
     assert table == tuple(
         (c, level, {f: a for f, a in forced.items() if f in window}) for c, level, forced in full
     )
@@ -403,8 +413,9 @@ def check_window(s, n0, window, radius):
     for seed in sorted(s.alphabet):
         patch = fixed_point_patch(s, seed, cells)
         for u in positions:
-            level = _truncated_level((window, table), patch, u)
-            assert level == _truncated_level((full_window, full), patch, u)
+            level = _truncated_level(s, pairs, patch, u)
+            assert level == table_level(window, table, patch, u)
+            assert level == table_level(full_window, full, patch, u)
             if len(s.alphabet) > 1:
                 assert level == (min(valuation(s, u), n0) if any(u) else n0)
 
@@ -420,9 +431,8 @@ def window_bases():
 @pytest.mark.parametrize("n0", [1, 2])
 @pytest.mark.parametrize("s", window_bases(), ids=lambda s: str(s.base))
 def test_window_separates_levels_and_decodes_like_the_full_window(s, n0):
-    window = _frame(s.base, s.domain, n0)[0]
-    assert window == window_s(s, n0) and len(window) == 2 * n0 + 1
-    check_window(s, n0, window, 4 if s.dim == 2 else 12)
+    assert len(window_cells(_window(s, n0), s.dim)) == 2 * n0 + 1
+    check_window(s, n0, 4 if s.dim == 2 else 12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -431,22 +441,68 @@ def test_window_of_random_bases(s, data):
     # the full table has |det|^(2 n0) entries to compare, so a 3-D base with
     # |det| > 8 is checked at n0 = 1 only
     n0 = data.draw(st.sampled_from((1, 2) if abs(s.base.det()) <= 8 else (1,)))
-    window = _frame(s.base, s.domain, n0)[0]
-    assert window == window_s(s, n0)
-    check_window(s, n0, window, 3 if s.dim == 2 else 1)
+    check_window(s, n0, 3 if s.dim == 2 else 1)
 
 
 @pytest.mark.parametrize("n0", [1, 2])
 def test_one_letter_base_has_no_frame_and_decodes_alike(n0):
     # |det| = 2 leaves a single letter: no cell tells two levels apart, so
     # sigma_L refuses the base; a one-letter rule still decodes every window
-    # through S like through all of F_{n0}, and never raises WindowError
+    # of its fixed point through S like the class tables do, and never
+    # raises WindowError
     L = IntMatrix(((1, 1), (-1, 1)))
     domain = fundamental_domain(L)
     with pytest.raises(WrongBranchError, match="alphabet too small"):
-        _frame(L, domain, n0)
+        sigma_L(L, domain)
     (zero, f), (letter,) = domain.reps, [f for f in domain.reps if any(f)]
     s = ConstantShapeSubstitution(L, domain, frozenset({letter}), {letter: {zero: f, f: f}})
-    window = window_s(s, n0)
-    assert len(window) == n0 + 1
-    check_window(s, n0, window, 3)
+    assert len(window_cells(_window(s, n0), 2)) == n0 + 1
+    check_window(s, n0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the direct decoder against the class table, on every pattern of a window
+# ---------------------------------------------------------------------------
+
+
+def decoded(decode, *args):
+    """The level decode returns, or WindowError's class where it raises."""
+    try:
+        return decode(*args)
+    except WindowError:
+        return WindowError
+
+
+def sweep_frames():
+    """(sigma_L, n0) with at most 5 ** 5 patterns over the alphabet and one
+    junk letter: every 2-D expansion of entries in [-2, 2] and |det| >= 3 at
+    n0 = 1 (|det| 3 to 8), those of |det| 3 at n0 = 2 too, and the d = 1
+    bases 3, -5 and 4 and a 3-D base of |det| 3 at n0 = 1 and 2."""
+    frames = []
+    for rows in product(range(-2, 3), repeat=4):
+        L = IntMatrix((rows[:2], rows[2:]))
+        if abs(L.det()) >= 3 and is_expansion(L):
+            frames += [(sigma_L(L), n0) for n0 in ((1, 2) if abs(L.det()) == 3 else (1,))]
+    for L in (((3,),), ((-5,),), ((4,),), ((0, 0, 3), (1, 0, 0), (0, 1, 0))):
+        frames += [(sigma_L(IntMatrix(L)), n0) for n0 in (1, 2)]
+    return frames
+
+
+def test_the_direct_decoder_agrees_with_the_class_table_on_every_pattern():
+    # every pattern of S over the alphabet and a junk letter, unhashable so
+    # no decoder may hash a letter, decodes to the same level or raises
+    # WindowError in both
+    junk, patterns = ["junk"], 0
+    for s, n0 in sweep_frames():
+        pairs = _window(s, n0)
+        window = window_cells(pairs, s.dim)
+        table, origin = class_table(s, n0, window), (0,) * s.dim
+        levels = set()
+        for letters in product([*sorted(s.alphabet), junk], repeat=len(window)):
+            patch = dict(zip(window, letters))
+            level = decoded(_truncated_level, s, pairs, patch, origin)
+            assert level == decoded(table_level, window, table, patch, origin), (s.base, n0)
+            levels.add(level)
+        assert levels == {*range(n0 + 1), WindowError}, (s.base, n0)
+        patterns += (len(s.alphabet) + 1) ** len(window)
+    assert patterns == 35_342

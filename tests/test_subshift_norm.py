@@ -1,15 +1,20 @@
 import random
+import time
+import tracemalloc
 from itertools import islice, product
 
 import pytest
 from tests_shared import (
     ConstantBase,
+    class_table,
     evaluate,
     fiber_points,
     kappa_embed,
     rand_unimodular_small,
     shift,
+    table_level,
     unimodular_inverse,
+    window_cells,
 )
 
 from odosym.errors import MarginError, SizeGuardError, WindowError, WrongBranchError
@@ -30,7 +35,7 @@ from odosym.substitution import (
     tau,
     valuation,
 )
-from odosym import subshift_norm
+from odosym import intmat, subshift_norm, substitution
 from odosym.subshift_norm import (
     NLCertificate,
     NLRejection,
@@ -40,12 +45,7 @@ from odosym.subshift_norm import (
     nl_membership,
     pullback_positions,
 )
-from odosym.subshift_norm import (
-    _conjugates,
-    _frame,
-    _truncated_level,
-    _valuation_class_table,
-)
+from odosym.subshift_norm import _conjugates, _truncated_level, _window
 
 TWO = IntMatrix.scalar(2, 2)
 D24 = parse_matrix("2,0;0,4")
@@ -530,15 +530,18 @@ def test_fiber_points_needs_self_similar():
 
 
 def window_coset(s, patch, n):
-    """Coset of L^n(Z^d) at the patch origin, read by the decoder's class table."""
-    table = _valuation_class_table(s, n, sorted(supports(s, n)[n]))
+    """Coset of L^n(Z^d) at the patch origin, read by the class table over
+    F_n; the decoder reads that coset's level off its window."""
+    table = class_table(s, n, sorted(supports(s, n)[n]))
     matches = [
-        c
-        for c, _, forced in table
+        (c, level)
+        for c, level, forced in table
         if all(patch[f] == letter for f, letter in forced.items())
     ]
     assert len(matches) == 1, f"{len(matches)} cosets match the window"
-    return matches[0]
+    (c, level), = matches
+    assert _truncated_level(s, _window(s, n), patch, (0,) * s.dim) == level
+    return c
 
 
 def test_pi_factor_box_family():
@@ -585,62 +588,71 @@ def test_pi_factor_window_too_small():
     rule = build_local_rule(nl_membership(D24, M))
     s = rule.substitution
     assert rule.n0 == 1
-    # the frame keeps S sorted, and the rule M^{-1} as data
+    # the window is S's one pair (f1, f2), and the rule keeps M^{-1} as data
     f1 = sorted(supports(s, 1)[1])
-    frame = _frame(s.base, s.domain, 1)
-    window = frame[0]
-    assert window == ((0, 0), (0, 1), (0, 2)) and set(window) < set(f1)
-    assert rule.m_inv * M == IntMatrix.identity(2)
+    pairs = _window(s, 1)
+    window = window_cells(pairs, 2)
+    assert pairs == (((0, 1), (0, 2)),) and window == ((0, 0), (0, 1), (0, 2))
+    assert set(window) < set(f1) and rule.m_inv * M == IntMatrix.identity(2)
     # S separates every pair of cosets of different level, judged on the
     # class table of the whole window F_1
-    full = _valuation_class_table(s, 1, f1)
-    pairs = 0
+    full = class_table(s, 1, f1)
+    pairs_seen = 0
     for (_, level1, forced1), (_, level2, forced2) in product(full, repeat=2):
         if level1 < level2:
-            pairs += 1
+            pairs_seen += 1
             common = forced1.keys() & forced2.keys() & set(window)
             assert any(forced1[f] != forced2[f] for f in common)
-    assert pairs == 7
+    assert pairs_seen == 7
     patch = fixed_point_patch(s, min(s.alphabet), box(4))
     u = (1, 2)
     for f in window:
         hole = (u[0] + f[0], u[1] + f[1])
         with pytest.raises(MarginError):
-            _truncated_level(frame, {p: a for p, a in patch.items() if p != hole}, u)
+            _truncated_level(s, pairs, {p: a for p, a in patch.items() if p != hole}, u)
     # a cell of F_1 outside S is never read
     outside = {p: a for p, a in patch.items() if p != (u[0] + 1, u[1] + 1)}
-    assert _truncated_level(frame, outside, u) == min(valuation(s, u), 1)
+    assert _truncated_level(s, pairs, outside, u) == min(valuation(s, u), 1)
+    assert table_level(window, class_table(s, 1, window), outside, u) == min(valuation(s, u), 1)
     tiny = fixed_point_patch(s, min(s.alphabet), [(9, 4)])
     with pytest.raises(MarginError):
-        _truncated_level(frame, tiny, (9, 4))
+        _truncated_level(s, pairs, tiny, (9, 4))
 
 
-def test_frame_guards_the_coset_count_before_building_anything():
-    # the class table walks all |det|^n0 cosets: one over the limit raises
-    # before sigma_L builds a domain, so no domain is passed
-    L = IntMatrix(((4_000_001,),))
-    with pytest.raises(SizeGuardError) as err:
-        _frame(L, None, 1)
-    assert str(err.value) == (
-        "|det|^1 = 4000001^1 = 4000001 cosets, over the limit of 4000000 cosets"
-    )
-
-
-def test_the_patch_route_builds_one_frame_per_evaluation(monkeypatch):
-    # nothing keeps a frame: pullback_positions reads only the window, and
-    # apply_endomorphism builds the frame once for all its positions
-    built = []
-    real = subshift_norm._frame
-    monkeypatch.setattr(subshift_norm, "_frame", lambda *a: built.append(a) or real(*a))
-    M = parse_matrix("1,1;0,1")
-    assert composition_check(D24, M, M, box(4))
-    assert len(built) == 1
-    rule = build_local_rule(nl_membership(D24, M))
+def test_the_patch_route_calls_no_hnf_of_the_base_power(monkeypatch):
+    # the decoder reads the level off the window: no coset of L^n0(Z^d) is
+    # listed, so with its domain given the patch route calls no hnf at all,
+    # where the class table called hnf(L^n0) once per evaluation
+    calls = []
+    real = intmat.hnf
+    monkeypatch.setattr(intmat, "hnf", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(substitution, "hnf", intmat.hnf)
+    L, M = parse_matrix("4,0;0,8"), parse_matrix("1,1;0,1")
+    domain = fundamental_domain(L)
+    assert calls == [L]
+    subshift_norm._sigma.cache_clear()
+    assert composition_check(L, M, M, box(4), domain=domain)
+    rule = build_local_rule(nl_membership(L, M, domain=domain))
+    assert rule.n0 == 2
     s = rule.substitution
     sources, cells = pullback_positions(rule, box(3))
-    assert len(built) == 1
     image = apply_endomorphism(rule, fixed_point_patch(s, min(s.alphabet), cells), sources)
-    assert built == [(s.base, s.domain, 1)] * 2 and len(image) == len(box(3))
+    assert len(image) == len(box(3)) and calls == [L]
+
+
+def test_the_patch_route_at_n0_3_lists_no_coset():
+    # L^3(Z^2) has 2,097,152 cosets here, which a class table would list
+    L, M = parse_matrix("8,0;0,16"), parse_matrix("1,1;0,1")
+    assert nl_membership(L, M).n0 == 3
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert composition_check(L, M, M, box(3))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 10_000_000, (elapsed, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -657,68 +669,91 @@ WINDOW_PAIRS = [
 ] + [(D24, parse_matrix("1,1;0,1"))]
 
 
-def window_frame(L, M):
-    """The rule of M and its frame, at n0 = 1."""
+def window_rule(L, M):
+    """The rule of M at n0 = 1, its window's pairs, and the class table of
+    the window's cells."""
     rule = build_local_rule(nl_membership(L, M))
     assert rule.n0 == 1
     s = rule.substitution
-    return rule, _frame(s.base, s.domain, rule.n0)
+    pairs = _window(s, 1)
+    cells = window_cells(pairs, s.dim)
+    return rule, pairs, cells, class_table(s, 1, cells)
 
 
 @pytest.mark.parametrize("L, M", WINDOW_PAIRS, ids=lambda m: str(m))
 def test_memoized_decoder_reads_the_valuation(L, M):
-    rule, frame = window_frame(L, M)
+    rule, pairs, cells, table = window_rule(L, M)
     s = rule.substitution
     patch = fixed_point_patch(s, max(s.alphabet), box(10))
     expected = {u: min(valuation(s, u), 1) if any(u) else 1 for u in box(6)}
-    assert {u: _truncated_level(frame, patch, u) for u in box(6)} == expected
+    assert {u: _truncated_level(s, pairs, patch, u) for u in box(6)} == expected
+    assert {u: table_level(cells, table, patch, u) for u in box(6)} == expected
     # the decoder keeps no state: a second pass reads the same levels
-    assert {u: _truncated_level(frame, patch, u) for u in box(6)} == expected
+    assert {u: _truncated_level(s, pairs, patch, u) for u in box(6)} == expected
 
 
 def test_margin_error_after_the_pattern_is_memoized():
     # a window that decoded once still raises for each missing cell
-    rule, frame = window_frame(D24, parse_matrix("1,1;0,1"))
-    patch = fixed_point_patch(rule.substitution, (1, 1), box(8))
+    rule, pairs, cells, table = window_rule(D24, parse_matrix("1,1;0,1"))
+    s = rule.substitution
+    patch = fixed_point_patch(s, (1, 1), box(8))
     u = (2, 1)
-    level = _truncated_level(frame, patch, u)
-    assert level == min(valuation(rule.substitution, u), 1)
-    for f in frame[0]:
+    level = _truncated_level(s, pairs, patch, u)
+    assert level == min(valuation(s, u), 1) == table_level(cells, table, patch, u)
+    for f in cells:
         hole = (u[0] + f[0], u[1] + f[1])
         holed = {p: a for p, a in patch.items() if p != hole}
         with pytest.raises(MarginError):
-            _truncated_level(frame, holed, u)
-    assert _truncated_level(frame, patch, u) == level
+            _truncated_level(s, pairs, holed, u)
+        with pytest.raises(MarginError):
+            table_level(cells, table, holed, u)
+    assert _truncated_level(s, pairs, patch, u) == level
 
 
 def test_doctored_window_raises_every_time():
-    rule, frame = window_frame(D24, parse_matrix("1,1;0,1"))
+    rule, pairs, cells, table = window_rule(D24, parse_matrix("1,1;0,1"))
+    s = rule.substitution
     # one letter everywhere: the three cells of S lie in distinct cosets of
     # L(Z^2), so each coset forces at least two distinct digits on them
     flat = {p: (1, 1) for p in box(4)}
     for _ in range(2):
         with pytest.raises(WindowError, match="matches no digit coset"):
-            _truncated_level(frame, flat, (0, 0))
+            _truncated_level(s, pairs, flat, (0, 0))
+        with pytest.raises(WindowError, match="matches no digit coset"):
+            table_level(cells, table, flat, (0, 0))
     # a coset leaves at most one window cell free, and that cell may hold
-    # anything: a non-letter there still decodes
-    s = rule.substitution
+    # anything, unhashable too: a non-letter there still decodes
     patch = fixed_point_patch(s, min(s.alphabet), box(6))
-    level = _truncated_level(frame, patch, (0, 0))
-    for k in range(50):
-        assert _truncated_level(frame, {**patch, (0, 0): ("junk", k)}, (0, 0)) == level
+    for u in ((0, 0), (0, 2)):
+        level = _truncated_level(s, pairs, patch, u)
+        assert level == (1 if u == (0, 0) else 0)
+        free = u if level else (u[0], u[1] + 2)  # digit (0, 2) + f2 = (0, 4) is 0
+        for junk in [("junk", k) for k in range(50)] + [["junk"], {}]:
+            doctored = {**patch, free: junk}
+            assert _truncated_level(s, pairs, doctored, u) == level
+            assert table_level(cells, table, doctored, u) == level
+    # a junk or unhashable letter in a forced cell raises WindowError, not TypeError
+    for junk in (("junk",), ["junk"], [0, 2]):
+        with pytest.raises(WindowError):
+            _truncated_level(s, pairs, {**patch, (0, 2): junk}, (0, 2))
+        with pytest.raises(WindowError):
+            table_level(cells, table, {**patch, (0, 2): junk}, (0, 2))
 
 
 @pytest.mark.parametrize("n0", [1, 2])
 def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
-    # _truncated_level takes the first matching coset; this is why no
-    # pattern of the frame's window can match cosets of two different levels
+    # the class table's first match has the level of every match, and the
+    # decoder's first pair that reads other than (f1, f2) is that level:
+    # no pattern of the window can match cosets of two different levels
     pairs = 0
     for rows in product(range(-2, 3), repeat=4):
         L = IntMatrix((rows[:2], rows[2:]))
         if abs(L.det()) < 3 or not is_expansion(L):
             continue
-        window, table = _frame(L, fundamental_domain(L), n0)
+        s = sigma_L(L, fundamental_domain(L))
+        window = window_cells(_window(s, n0), 2)
         assert len(window) == 2 * n0 + 1
+        table = class_table(s, n0, window)
         for (_, level1, forced1), (_, level2, forced2) in product(table, repeat=2):
             if level1 < level2:
                 pairs += 1
@@ -727,7 +762,7 @@ def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
 
 
 def test_regions_of_lists_evaluate_like_tuples():
-    rule = window_frame(D24, parse_matrix("1,1;0,1"))[0]
+    rule = window_rule(D24, parse_matrix("1,1;0,1"))[0]
     s = rule.substitution
     region = box(3)
     as_lists = [list(t) for t in region]

@@ -1,13 +1,13 @@
 """Shared random generators and oracles for the test suite (seeded by each test)."""
 
 from itertools import product
-from operator import index
+from operator import add, index
 
-from odosym.errors import DepthError, WrongBranchError
+from odosym.errors import DepthError, MarginError, WindowError, WrongBranchError
 from odosym.intmat import IntMatrix, Vec, _Record, _require_expansion, commutes, hnf, vec_add
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
-from odosym.substitution import box_positions, tau
+from odosym.substitution import box_positions, tau, valuation
 
 
 def rand_unimodular_steps(rng, d=2, steps=6):
@@ -193,3 +193,43 @@ def substitute(s, p):
         for f, b in s.image(a).items():
             cells[vec_add(lj, f)] = b
     return cells
+
+
+# ---------------------------------------------------------------------------
+# the class-table decoder of the window level, the oracle of _truncated_level
+# ---------------------------------------------------------------------------
+
+
+def class_table(s, n0, window):
+    """For each coset of L^{n0}(Z^d): (representative, truncated level, {cell:
+    letter}) over the cells of window the coset forces; a cell congruent to 0
+    mod L^{n0} is left out, as the coset does not determine its letter."""
+    basis = hnf(s.base**n0)
+    out = []
+    for c in basis.box_reps():
+        forced = {}
+        for f in window:
+            y = vec_add(c, f)
+            if not basis.contains(y):
+                forced[f] = tau(s, y)
+        level = n0 if basis.contains(c) else min(valuation(s, c), n0)
+        out.append((c, level, forced))
+    return tuple(out)
+
+
+def table_level(window, table, patch, pos):
+    """The level of the first coset of the class table whose forced letters the
+    pattern of the window at pos matches; cosets of different level disagree
+    on a cell forced in both, so every match has that level."""
+    pattern = {f: patch.get(tuple(map(add, pos, f))) for f in window}
+    if None in pattern.values():
+        raise MarginError(f"window at {pos} leaves the patch support")
+    for _, level, forced in table:
+        if all(pattern[f] == letter for f, letter in forced.items()):
+            return level
+    raise WindowError(f"window pattern at {pos} matches no digit coset")
+
+
+def window_cells(pairs, d):
+    """The cells of a window: the origin and every cell of its pairs, sorted."""
+    return tuple(sorted({(0,) * d, *(f for pair in pairs for f in pair)}))
