@@ -26,6 +26,7 @@ import random
 import re
 import sys
 import time
+from itertools import product
 from operator import index
 from typing import NamedTuple
 
@@ -82,9 +83,16 @@ EXIT_INCONCLUSIVE = 4
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
+def make_report(command: str, inputs: dict, result, patch=None) -> tuple[dict, str]:
     """The report and its canonical body: compact JSON with sorted keys,
-    which payload_hash is the sha256 of."""
+    which payload_hash is the sha256 of.
+
+    patch, for phi and subst, is (box, letters): the letters of the cells of
+    the box (lo, hi, d) in position order.  The report's result gets the
+    (position, letter) pairs under "patch", for --pretty, and the canonical
+    body gets the patch text from the box's skeleton, so the encoder never
+    walks a patch.
+    """
     body = {
         "schema": 1,
         "version": __version__,
@@ -92,9 +100,49 @@ def make_report(command: str, inputs: dict, result) -> tuple[dict, str]:
         "inputs": inputs,
         "result": result,
     }
-    canon = _CANONICAL.encode(body)
+    if patch is None:
+        canon = _CANONICAL.encode(body)
+    else:
+        box, letters = patch
+        positions, skeleton = _box_skeleton(*box)
+        result["patch"] = list(zip(positions, letters))
+        # one text per distinct letter, a tuple of ints, which JSON writes as str does
+        text = {a: f"[{','.join(map(str, a))}]" for a in set(letters)}
+        filled = skeleton % tuple(map(text.__getitem__, letters))  # TypeError unless one each
+        canon = _encode_at(body, ("result", "patch"), filled)
     body["payload_hash"] = hashlib.sha256(canon.encode()).hexdigest()
     return body, canon
+
+
+def _encode_at(obj: dict, path: tuple, raw: str) -> str:
+    """The canonical JSON of obj with the JSON text raw as the value at the key
+    path.  Keys are written in sorted order, so the items with keys before
+    the path's first key encode to the text before its value, and the items
+    with keys after it to the text after."""
+    key, *rest = path
+    value = _encode_at(obj[key], rest, raw) if rest else raw
+    head = _CANONICAL.encode({k: v for k, v in obj.items() if k < key})[:-1]
+    tail = _CANONICAL.encode({k: v for k, v in obj.items() if k > key})[1:]
+    name = _CANONICAL.encode(key)
+    return f'{head}{"," * (head != "{")}{name}:{value}{"," * (tail != "}")}{tail}'
+
+
+@functools.lru_cache(maxsize=1)
+def _box_skeleton(lo: int, hi: int, d: int) -> tuple[tuple, str]:
+    """The positions of the box [lo, hi]^d in lexicographic order, as a tuple,
+    and the text of its patch with a %s slot per cell for the letter.
+
+    Kept across requests: every request of a box writes the same positions
+    in the same order.  JSON writes an int as str does, so the text is built
+    from rows of coordinate texts, not cell by cell; it holds no other %.
+    """
+    positions = tuple(box_positions(lo, hi, d))
+    coords = [str(x) for x in range(lo, hi + 1)]
+    rows = []
+    for lead in product(coords, repeat=d - 1):
+        start = "[[" + ",".join((*lead, ""))  # a cell's text up to its last coordinate
+        rows.append(start + f"],%s],{start}".join(coords) + "],%s]")
+    return positions, f"[{','.join(rows)}]"
 
 
 def emit(report: dict, canon: str, args, table: str | None = None) -> None:
@@ -123,7 +171,7 @@ class Answer(NamedTuple):
     inputs: dict
     result: object
     code: int = EXIT_OK
-    patch: dict | None = None  # rendered by --svg and --pgm
+    patch: tuple | None = None  # (box, letters), see make_report; --svg and --pgm render it
     table: str | None = None  # printed in place of the JSON report
 
 
@@ -195,12 +243,6 @@ _PALETTE = [
     "#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
     "#aa3377", "#bbbbbb", "#222255", "#225555", "#555522",
 ]
-
-
-def _patch_payload(patch: dict) -> list:
-    """The report form of a patch: (position, letter) pairs in position order,
-    which JSON writes as [[position], [letter]]."""
-    return sorted(patch.items())
 
 
 def _raster(patch: dict):
@@ -321,14 +363,10 @@ def cmd_phi(args) -> Answer:
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome)
     seed = _seed(rule.substitution, args.seed)
-    # the box is in lexicographic order, which is the report's order
-    image = _fixed_point_image(rule, seed, box_positions(lo, hi, base.dim))
-    result = {
-        "certificate": outcome.to_payload(),
-        "seed": format_vector(seed),
-        "patch": image,
-    }
-    return Answer(inputs, result, patch=dict(image) if args.svg or args.pgm else None)
+    box = (lo, hi, base.dim)
+    letters = _fixed_point_image(rule, seed, _box_skeleton(*box)[0])
+    result = {"certificate": outcome.to_payload(), "seed": format_vector(seed)}
+    return Answer(inputs, result, patch=(box, letters))
 
 
 def cmd_subst(args) -> Answer:
@@ -341,8 +379,9 @@ def cmd_subst(args) -> Answer:
         domain = _parse_domain_arg(base, args.F)
         s = sigma_L(base, domain)
     seed = _seed(s, args.seed)
-    lo, hi = _parse_box(args.box)
-    patch = fixed_point_patch(s, seed, box_positions(lo, hi, s.dim))
+    box = (*_parse_box(args.box), s.dim)
+    positions = _box_skeleton(*box)[0]
+    patch = fixed_point_patch(s, seed, positions)
     inputs = {
         "L": format_matrix(s.base),
         "F": [format_vector(v) for v in s.domain.reps],
@@ -351,9 +390,8 @@ def cmd_subst(args) -> Answer:
     result = {
         "seed": format_vector(seed),
         "alphabet": [format_vector(a) for a in sorted(s.alphabet)],
-        "patch": _patch_payload(patch),
     }
-    return Answer(inputs, result, patch=patch)
+    return Answer(inputs, result, patch=(box, [patch[t] for t in positions]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +476,8 @@ def _paper_checks():
     if isinstance(odd, NLCertificate):
         rule = build_local_rule(odd)
         s = rule.substitution
-        image = dict(_fixed_point_image(rule, min(s.alphabet), box_positions(-5, 5, 2)))
+        region = box_positions(-5, 5, 2)
+        image = dict(zip(region, _fixed_point_image(rule, min(s.alphabet), region)))
         oracle = {
             "tau_equivariance_radius_8": all(
                 tau(s, odd.M.mul_vec(v)) == rule.per_level[min(valuation(s, v), odd.n0)][tau(s, v)]
@@ -596,12 +635,13 @@ def main(argv=None) -> int:
     started = clock()
     try:
         answer = args.func(args)
-        report, canon = make_report(args.command, answer.inputs, answer.result)
-        if answer.patch is not None:
+        report, canon = make_report(args.command, answer.inputs, answer.result, answer.patch)
+        if answer.patch is not None and (args.svg or args.pgm):
+            cells = dict(report["result"]["patch"])
             if args.svg:
-                write_svg(answer.patch, args.svg)
+                write_svg(cells, args.svg)
             if args.pgm:
-                write_pgm(answer.patch, args.pgm)
+                write_pgm(cells, args.pgm)
         report["timing_ms"] = round((clock() - started) * 1000, 3)
         emit(report, canon, args, answer.table)
         sys.stdout.flush()

@@ -570,10 +570,14 @@ def parse_matrix(text: str) -> IntMatrix:
         for token in chunk.split(","):
             row.append(_parse_int(token, pos))
             pos += len(token) + 1
-        rows.append(row)
+        rows.append(tuple(row))
     if any([len(r) != len(rows) for r in rows]):
         raise MatrixParseError(f"not a square matrix: {text!r}", token=text, position=0)
-    return IntMatrix(rows)
+    # the rows are square, d >= 1, and int() gave exact ints: what IntMatrix()
+    # would check and convert again
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", tuple(rows))
+    return m
 
 
 def parse_vector(text: str) -> Vec:

@@ -276,13 +276,14 @@ def _truncated_level(s: ConstantShapeSubstitution, window: tuple, patch: dict, p
     raise WindowError(f"window pattern at {pos} matches no digit coset")
 
 
-def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[tuple[Vec, Vec]]:
-    """[(t, letter)] of the rule's image of the fixed point seeded by seed, in
-    the order of the region (tuples of ints, as box_positions gives them), by
-    one digit walk per t and no window: with u = M^{-1} t = L^p w, w not in
-    L(Z^d), the letter at u is w's digit and its level min(p, n0), which the
-    window decodes there too (see _truncated_level); the origin holds the
-    seed, at n0."""
+def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[Vec]:
+    """The letters of the rule's image of the fixed point seeded by seed, one
+    per position t of the region (tuples of ints, as box_positions gives
+    them) and in its order, so a caller zips them with the region.  One digit
+    walk per t and no window: with u = M^{-1} t = L^p w, w not in L(Z^d), the
+    letter at u is w's digit and its level min(p, n0), which the window
+    decodes there too (see _truncated_level); the origin holds the seed, at
+    n0."""
     s, n0, per_level, m_inv = rule.substitution, rule.n0, rule.per_level, rule.m_inv.rows
     origin, rep_of_key, out = per_level[n0][_checked_seed(s, seed)], s.domain._rep_of_key, []
     if len(m_inv) == 2:  # in line: u's Hermite key (k0, k1) as k0 h11 + k1, and adj(L) u / det(L)
@@ -295,12 +296,12 @@ def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[tuple[Vec, Ve
             x, y, p = a * t[0] + b * t[1], c * t[0] + d * t[1], 0
             while not (k := x % h00 * h11 + (y - x // h00 * h10) % h11) and (x or y):
                 x, y, p = (e * x + f * y) // det, (g * x + h * y) // det, p + 1
-            out.append((t, (flat[p] if p < n0 else flat[n0])[k] if x or y else origin))
+            out.append((flat[p] if p < n0 else flat[n0])[k] if x or y else origin)
         return out
     for t in region:
         u = _apply(m_inv, t)
         p, key = _strip_base(s, u, "tau") if any(u) else (n0, None)
-        out.append((t, per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin))
+        out.append(per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin)
     return out
 
 
@@ -355,7 +356,8 @@ def composition_check(
     rule12, rule1, rule2 = map(build_local_rule, certs)
     seed = min(rule12.substitution.alphabet)
     region = [tuple(map(index, t)) for t in region]
-    lhs = dict(_fixed_point_image(rule12, seed, region))
+    lhs = dict(zip(region, _fixed_point_image(rule12, seed, region)))
     sources1, mid = pullback_positions(rule1, lhs)
-    inner = dict(_fixed_point_image(rule2, seed, mid))
+    mid = list(mid)
+    inner = dict(zip(mid, _fixed_point_image(rule2, seed, mid)))
     return lhs == apply_endomorphism(rule1, inner, sources1)

@@ -14,7 +14,7 @@ import pytest
 
 import odosym
 from odosym import cli
-from odosym.cli import _join_flag_values, _patch_payload, build_parser, main, run_verify_paper
+from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.errors import NotExpansionError
 from odosym.intmat import fundamental_domain, parse_matrix
 from odosym.odometer import NcCertificate
@@ -148,11 +148,49 @@ def test_phi_command(capsys, tmp_path):
     assert svg.exists() and svg.read_text().startswith("<svg")
 
 
-def test_patch_payload_lists_every_cell_in_position_order():
-    patch = fixed_point_patch(half_hex(), (0, 1), box_positions(-3, 3, 2))
-    payload = _patch_payload(patch)
-    assert payload == sorted(payload)
-    assert {tuple(p): tuple(a) for p, a in payload} == patch
+def test_patch_report_lists_every_cell_once_in_position_order(capsys):
+    # the patch written from the box's skeleton: every cell of the box once,
+    # in position order, with the letter fixed_point_patch gives it, in the
+    # canonical text as in the report's pairs
+    want = fixed_point_patch(half_hex(), (0, 1), box_positions(-3, 3, 2))
+    argv = ["subst", "patch", "--L", "2,0;0,2", "--F", "0,0;1,0;0,1;1,-1", "--seed", "0,1"]
+    for box in ("-3:3", "-3:3", "0:0", "-3:-1"):
+        code, report = run_cli([*argv, "--box", box], capsys)
+        assert code == 0
+        lo, hi = map(int, box.split(":"))
+        cells = [(tuple(p), tuple(a)) for p, a in report["result"]["patch"]]
+        positions = [p for p, _ in cells]
+        assert positions == sorted(set(positions)) == box_positions(lo, hi, 2)
+        assert cells == [(t, want[t]) for t in positions]
+    letters = [want[t] for t in box_positions(-3, 3, 2)]
+    body, canon = cli.make_report("subst", {}, {}, ((-3, 3, 2), letters))
+    assert body["result"]["patch"] == sorted(want.items())
+    assert canon == json.dumps(
+        {k: v for k, v in body.items() if k != "payload_hash"}, sort_keys=True, separators=(",", ":")
+    )
+
+
+def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
+    # the skeleton is kept across requests: its positions are a tuple of
+    # tuples and its text a str, and what a caller does to the report's
+    # pairs does not reach the next request on the box
+    argv = ["phi", *PHI_PAYLOAD_HASHES["half-hex"][0]]
+    cli._box_skeleton.cache_clear()
+    assert main(argv) == 0
+    first = re.sub(r',"timing_ms":[0-9.e-]+', "", capsys.readouterr().out)
+    positions, skeleton = cli._box_skeleton(-6, 6, 2)
+    assert type(positions) is tuple and all(type(t) is tuple for t in positions)
+    assert type(skeleton) is str
+    with pytest.raises(TypeError):
+        positions[0] = (99, 99)
+    body, _ = cli.make_report("phi", {}, {}, ((-6, 6, 2), [(1, 0)] * len(positions)))
+    body["result"]["patch"][0] = ((99, 99), (9, 9))
+    body["result"]["patch"].clear()
+    assert main(argv) == 0
+    again = re.sub(r',"timing_ms":[0-9.e-]+', "", capsys.readouterr().out)
+    assert cli._box_skeleton.cache_info().hits >= 2
+    assert again == first
+    assert json.loads(first)["payload_hash"] == PHI_PAYLOAD_HASHES["half-hex"][1]
 
 
 def test_phi_rejected_matrix_exits_inconclusive(capsys):
@@ -857,26 +895,62 @@ REPORT_OF_EVERY_COMMAND = [
     ["verify-paper"],
 ]
 
+HH_F = ["--F", "0,0;1,0;0,1;1,-1"]
+
+# patches written from the box skeleton: d = 1 and d = 3, a one-cell box, an
+# all-negative box, a box met twice in a row (the cache hits) and two boxes
+# in turn (each request misses the one-entry cache)
+PATCH_REPORTS = [
+    ["phi", "--L", "3", "--M", "-1", "--box", "-5:5"],
+    ["subst", "patch", "--L", "3", "--box", "-5:5"],
+    ["subst", "patch", "--L", "-3", "--box", "-9:-4"],
+    ["phi", "--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-3:3"],
+    ["subst", "patch", "--L", "2,0,0;0,2,0;0,0,4", "--box", "-3:3"],
+    ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", *HH_F, "--box", "0:0"],
+    ["subst", "patch", "--L", "2,0;0,4", "--box", "0:0"],
+    ["phi", "--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-6:-2"],
+    ["phi", "--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-6:-2"],
+    ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", *HH_F, "--box", "-4:4"],
+    ["subst", "patch", "--L", "2,0;0,4", "--box", "-2:3"],
+    ["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-4:4"],
+    ["subst", "patch", "--L", "2,0;0,4", "--box", "-2:3"],
+]
+
 
 def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
-    # make_report skips the encoder's cycle guard; the body it is given, with
-    # its tuples, encodes to the same bytes with the guard on
+    # make_report skips the encoder's cycle guard and writes a patch from its
+    # box's skeleton; the body it returns, with its tuples and the patch's
+    # pairs, encodes to the same bytes with the guard on
     seen = []
     make = cli.make_report
 
-    def recorded(command, inputs, result):
-        body, canon = make(command, inputs, result)
+    def recorded(command, inputs, result, patch=None):
+        body, canon = make(command, inputs, result, patch)
+        assert body["payload_hash"] == hashlib.sha256(canon.encode()).hexdigest()
         seen.append((command, {k: v for k, v in body.items() if k != "payload_hash"}, canon))
         return body, canon
 
     monkeypatch.setattr(cli, "make_report", recorded)
-    for argv in REPORT_OF_EVERY_COMMAND:
+    cli._box_skeleton.cache_clear()
+    for argv in REPORT_OF_EVERY_COMMAND + PATCH_REPORTS:
         assert main(argv) in (0, 3, 4)
         capsys.readouterr()
     commands = {command for command, _, _ in seen}
     assert commands == {"classify", "member", "nc", "nl", "phi", "subst", "verify-paper"}
+    assert len(seen) == len(REPORT_OF_EVERY_COMMAND + PATCH_REPORTS)
     for _, body, canon in seen:
         assert canon == json.dumps(body, sort_keys=True, separators=(",", ":"))
+    # each patch request reads its box's skeleton twice, for the region and
+    # for the text: the first read missed on 12 of the 16 and hit on 4
+    info = cli._box_skeleton.cache_info()
+    assert (info.misses, info.hits) == (12, 4 + 16)
+    patches = [body["result"]["patch"] for _, body, _ in seen if "patch" in body["result"]]
+    assert len(patches) == 3 + len(PATCH_REPORTS)
+    assert {len(p[0][0]) for p in patches} == {1, 2, 3}
+    one_d = seen[len(REPORT_OF_EVERY_COMMAND)][2]
+    assert hashlib.sha256(one_d.encode()).hexdigest() == (
+        "e2dc55dc979082eb911cc5251a720cff19daeab22bdb34b6ec6fd0d2426e5efe"
+    )
 
 
 def test_verify_paper_harness():
