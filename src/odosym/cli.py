@@ -83,15 +83,14 @@ EXIT_INCONCLUSIVE = 4
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def make_report(command: str, inputs: dict, result, patch=None) -> tuple[dict, str]:
-    """The report and its canonical body: compact JSON with sorted keys,
-    which payload_hash is the sha256 of.
+def make_report(command: str, inputs: dict, result, patch=None) -> str:
+    """The report's canonical body: compact JSON with sorted keys, which
+    payload_hash is the sha256 of.
 
     patch, for phi and subst, is (box, letters): the letters of the cells of
-    the box (lo, hi, d) in position order.  The report's result gets the
-    (position, letter) pairs under "patch", for --pretty, and the canonical
-    body gets the patch text from the box's skeleton, so the encoder never
-    walks a patch.
+    the box (lo, hi, d) in position order.  It is written as the result's
+    "patch", a list of (position, letter) pairs, from the box's skeleton, so
+    the encoder never walks a patch and result is not changed.
     """
     body = {
         "schema": 1,
@@ -101,17 +100,13 @@ def make_report(command: str, inputs: dict, result, patch=None) -> tuple[dict, s
         "result": result,
     }
     if patch is None:
-        canon = _CANONICAL.encode(body)
-    else:
-        box, letters = patch
-        positions, skeleton = _box_skeleton(*box)
-        result["patch"] = list(zip(positions, letters))
-        # one text per distinct letter, a tuple of ints, which JSON writes as str does
-        text = {a: f"[{','.join(map(str, a))}]" for a in set(letters)}
-        filled = skeleton % tuple(map(text.__getitem__, letters))  # TypeError unless one each
-        canon = _encode_at(body, ("result", "patch"), filled)
-    body["payload_hash"] = hashlib.sha256(canon.encode()).hexdigest()
-    return body, canon
+        return _CANONICAL.encode(body)
+    box, letters = patch
+    # one text per distinct letter, a tuple of ints, which JSON writes as str does
+    text = {a: f"[{','.join(map(str, a))}]" for a in set(letters)}
+    skeleton = _box_skeleton(*box)[1]
+    filled = skeleton % tuple(map(text.__getitem__, letters))  # TypeError unless one each
+    return _encode_at(body, ("result", "patch"), filled)
 
 
 def _encode_at(obj: dict, path: tuple, raw: str) -> str:
@@ -145,17 +140,16 @@ def _box_skeleton(lo: int, hi: int, d: int) -> tuple[tuple, str]:
     return positions, f"[{','.join(rows)}]"
 
 
-def emit(report: dict, canon: str, args, table: str | None = None) -> None:
+def emit(canon: str, timing_ms: float, args, table: str | None = None) -> None:
     """Write the report to --out or stdout; a table, if any, replaces it on stdout.
 
-    Without --pretty the text is the canonical body with payload_hash and
-    timing_ms appended, so the body is serialized once.
+    The report is the canonical body with payload_hash and timing_ms
+    appended, so the body is serialized once; --pretty re-indents that text.
     """
+    digest = hashlib.sha256(canon.encode()).hexdigest()
+    text = f'{canon[:-1]},"payload_hash":"{digest}","timing_ms":{timing_ms}}}'
     if args.pretty:
-        text = json.dumps(report, indent=2, sort_keys=True)
-    else:
-        tail = f'"payload_hash":"{report["payload_hash"]}","timing_ms":{report["timing_ms"]}'
-        text = f"{canon[:-1]},{tail}}}"
+        text = json.dumps(json.loads(text), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -166,12 +160,13 @@ def emit(report: dict, canon: str, args, table: str | None = None) -> None:
 
 
 class Answer(NamedTuple):
-    """What a command computed: main turns it into the report."""
+    """What a command computed: main turns it into the report, and draws
+    the patch, if any, for --svg and --pgm."""
 
     inputs: dict
     result: object
     code: int = EXIT_OK
-    patch: tuple | None = None  # (box, letters), see make_report; --svg and --pgm render it
+    patch: tuple | None = None  # (box, letters), see make_report
     table: str | None = None  # printed in place of the JSON report
 
 
@@ -245,31 +240,19 @@ _PALETTE = [
 ]
 
 
-def _raster(patch: dict):
-    """The sorted letters of a 2-D patch and its bounds x0, x1, y0, y1.
-
-    Only a plane patch has an image: any other d raises ValueError.
-    """
-    if (d := len(next(iter(patch)))) != 2:
-        raise ValueError(f"--svg and --pgm render 2-D patches only, this patch has d = {d}")
-    xs, ys = zip(*patch)
-    return sorted(set(patch.values())), min(xs), max(xs), min(ys), max(ys)
-
-
-def write_svg(patch: dict, path: str) -> None:
+def write_svg(patch: tuple, path: str) -> None:
+    """Draw a plane patch (box, letters), box (lo, hi, 2), one square a cell."""
+    (lo, hi, _), letters = patch
     cell = 12  # pixels per lattice cell
-    letters, x0, x1, y0, y1 = _raster(patch)
-    color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(letters)}
-    width = (x1 - x0 + 1) * cell
-    height = (y1 - y0 + 1) * cell
+    side = hi - lo + 1
+    color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(sorted(set(letters)))}
     rows = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side * cell}" height="{side * cell}">'
     ]
-    for (x, y), a in sorted(patch.items()):
-        px = (x - x0) * cell
-        py = (y1 - y) * cell  # y axis points up
+    # the letters come x major, as the box's positions; the y axis points up
+    for (x, y), a in zip(product(range(side), repeat=2), letters):
         rows.append(
-            f'<rect x="{px}" y="{py}" width="{cell}" height="{cell}" '
+            f'<rect x="{x * cell}" y="{(side - 1 - y) * cell}" width="{cell}" height="{cell}" '
             f'fill="{color[a]}" stroke="#ffffff" stroke-width="1"/>'
         )
     rows.append("</svg>")
@@ -277,17 +260,16 @@ def write_svg(patch: dict, path: str) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def write_pgm(patch: dict, path: str) -> None:
-    letters, x0, x1, y0, y1 = _raster(patch)
-    level = {a: 60 + (195 * i) // max(1, len(letters) - 1) for i, a in enumerate(letters)}
-    grid = []
-    for y in range(y1, y0 - 1, -1):
-        row = []
-        for x in range(x0, x1 + 1):
-            row.append(str(level.get(patch.get((x, y)), 0)))
-        grid.append(" ".join(row))
+def write_pgm(patch: tuple, path: str) -> None:
+    """Draw a plane patch (box, letters), box (lo, hi, 2), one grey pixel a cell."""
+    (lo, hi, _), letters = patch
+    side = hi - lo + 1
+    kinds = sorted(set(letters))
+    level = {a: str(60 + (195 * i) // max(1, len(kinds) - 1)) for i, a in enumerate(kinds)}
+    # the letters come x major, so the row of y is every side-th from y's offset
+    grid = [" ".join(map(level.__getitem__, letters[y::side])) for y in reversed(range(side))]
     with open(path, "w") as fh:
-        fh.write(f"P2\n{x1 - x0 + 1} {y1 - y0 + 1}\n255\n")
+        fh.write(f"P2\n{side} {side}\n255\n")
         fh.write("\n".join(grid) + "\n")
 
 
@@ -635,15 +617,15 @@ def main(argv=None) -> int:
     started = clock()
     try:
         answer = args.func(args)
-        report, canon = make_report(args.command, answer.inputs, answer.result, answer.patch)
+        canon = make_report(args.command, answer.inputs, answer.result, answer.patch)
         if answer.patch is not None and (args.svg or args.pgm):
-            cells = dict(report["result"]["patch"])
+            if (d := answer.patch[0][2]) != 2:
+                raise ValueError(f"--svg and --pgm render 2-D patches only, this patch has d = {d}")
             if args.svg:
-                write_svg(cells, args.svg)
+                write_svg(answer.patch, args.svg)
             if args.pgm:
-                write_pgm(cells, args.pgm)
-        report["timing_ms"] = round((clock() - started) * 1000, 3)
-        emit(report, canon, args, answer.table)
+                write_pgm(answer.patch, args.pgm)
+        emit(canon, round((clock() - started) * 1000, 3), args, answer.table)
         sys.stdout.flush()
         return answer.code
     except BrokenPipeError:

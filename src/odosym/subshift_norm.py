@@ -16,7 +16,6 @@ correctly), which only this patch route decodes.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 from itertools import islice
 from operator import add, index
 
@@ -222,7 +221,7 @@ def build_local_rule(cert: NLCertificate) -> LocalRule:
     """The per-level permutations over the certificate's sigma_L; no window is read.
     M L^v a = L^v C_v a, so per_level[v] sends a to tau(C_v a), sigma_L's letter
     at M L^v a: a nonzero digit, as C_v maps L(Z^d) onto itself."""
-    s, n0 = _sigma(cert.L, cert.domain), cert.n0
+    s, n0 = sigma_L(cert.L, cert.domain), cert.n0
     per_level = []
     for v in range(n0 + 1):
         c = cert.conjugates[v]
@@ -232,13 +231,6 @@ def build_local_rule(cert: NLCertificate) -> LocalRule:
     return LocalRule(
         substitution=s, m_inv=_inv_unimodular(cert.M), n0=n0, per_level=tuple(per_level)
     )
-
-
-# sigma_L per (base, domain), kept across requests: the phi traffic has 10
-# bases, and a cold sigma_L costs 10 to 24 us there, up to 3 % of a request.
-@lru_cache(maxsize=32)
-def _sigma(L: IntMatrix, domain: FundamentalDomain) -> ConstantShapeSubstitution:
-    return sigma_L(L, domain)
 
 
 def _window(s: ConstantShapeSubstitution, n0: int) -> tuple[tuple[Vec, ...], ...]:

@@ -163,17 +163,18 @@ def test_patch_report_lists_every_cell_once_in_position_order(capsys):
         assert positions == sorted(set(positions)) == box_positions(lo, hi, 2)
         assert cells == [(t, want[t]) for t in positions]
     letters = [want[t] for t in box_positions(-3, 3, 2)]
-    body, canon = cli.make_report("subst", {}, {}, ((-3, 3, 2), letters))
-    assert body["result"]["patch"] == sorted(want.items())
-    assert canon == json.dumps(
-        {k: v for k, v in body.items() if k != "payload_hash"}, sort_keys=True, separators=(",", ":")
-    )
+    result = {"seed": "0,1"}
+    canon = cli.make_report("subst", {}, result, ((-3, 3, 2), letters))
+    assert result == {"seed": "0,1"}
+    body = json.loads(canon)
+    assert [(tuple(p), tuple(a)) for p, a in body["result"]["patch"]] == sorted(want.items())
+    assert canon == json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
     # the skeleton is kept across requests: its positions are a tuple of
-    # tuples and its text a str, and what a caller does to the report's
-    # pairs does not reach the next request on the box
+    # tuples and its text a str, and what a caller does to the result and
+    # the letters it passed does not reach the next request on the box
     argv = ["phi", *PHI_PAYLOAD_HASHES["half-hex"][0]]
     cli._box_skeleton.cache_clear()
     assert main(argv) == 0
@@ -183,9 +184,12 @@ def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
     assert type(skeleton) is str
     with pytest.raises(TypeError):
         positions[0] = (99, 99)
-    body, _ = cli.make_report("phi", {}, {}, ((-6, 6, 2), [(1, 0)] * len(positions)))
-    body["result"]["patch"][0] = ((99, 99), (9, 9))
-    body["result"]["patch"].clear()
+    result, letters = {}, [(1, 0)] * len(positions)
+    canon = cli.make_report("phi", {}, result, ((-6, 6, 2), letters))
+    assert result == {} and len(json.loads(canon)["result"]["patch"]) == len(positions)
+    result["patch"] = [((99, 99), (9, 9))]
+    letters[0] = (9, 9)
+    letters.clear()
     assert main(argv) == 0
     again = re.sub(r',"timing_ms":[0-9.e-]+', "", capsys.readouterr().out)
     assert cli._box_skeleton.cache_info().hits >= 2
@@ -244,6 +248,58 @@ def test_rendering_needs_a_plane_patch(d, argv, flag, capsys, tmp_path):
         f"odosym: ValueError: --svg and --pgm render 2-D patches only, this patch has d = {d}\n"
     )
     assert not image.exists()
+
+
+IMAGE_HASHES = [
+    (
+        ["phi", "--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;1,-1", "--box", "-4:4"],
+        "64fc03f2b7ce4e5cacf9f5ec5f5e7ffd110190463c44445c0ed8cb26e2946703",
+        "54f26a123c10129bc82311b0231d7d777cfc91b67c83fa02f90e892844bb018c",
+    ),
+    (
+        ["subst", "patch", "--L", "2,0;0,2", "--F", "0,0;1,0;0,1;1,-1", "--seed", "1,0"]
+        + ["--box", "-8:8"],
+        "c653055b1afde1bc84660e838492df797923a62d7317ab598e9869a47dc7c92c",
+        "db3cd208610449af42095724b4497dd378bbfcef1cf6029e7ee2621e03cb5e4d",
+    ),
+    # the two above are symmetric under y -> -y; these are not, and the
+    # second box is off the origin
+    (
+        ["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-4:4"],
+        "3fd99f7f370a7d09ca2fc9440a0525dff418d7801e620320cbf9d8a37bfa9678",
+        "dcd9e077f0a8858e2cde9aedcd6665aeb6ccc0ee3fc5eca39b0f0cac02b10fcb",
+    ),
+    (
+        ["subst", "patch", "--L", "2,0;0,4", "--box", "-2:3"],
+        "74f25b797563d4f37aaf2ccb670ec4f505a640ba81c95af435f1e045374966b7",
+        "22f6600c56fc594e4d05d094622ba40ae62cd61829000fe5042224d1602d6c25",
+    ),
+]
+
+
+def test_every_writer_writes_pinned_bytes(capsys, tmp_path):
+    # the --svg and --pgm files, byte for byte, and --pretty as the compact
+    # report re-indented, on a report of every command
+    svg, pgm = tmp_path / "patch.svg", tmp_path / "patch.pgm"
+    for argv, svg_hash, pgm_hash in IMAGE_HASHES:
+        assert main([*argv, "--svg", str(svg), "--pgm", str(pgm)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_hash
+        assert hashlib.sha256(pgm.read_bytes()).hexdigest() == pgm_hash
+    for argv in REPORT_OF_EVERY_COMMAND + PATCH_REPORTS:
+        assert main(argv) in (0, 3, 4)
+        compact = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--pretty"]) in (0, 3, 4)
+        pretty = capsys.readouterr().out
+        if argv[0] == "verify-paper":  # --pretty prints a table; --out has the JSON
+            out = tmp_path / "report.json"
+            assert main([*argv, "--pretty", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == pretty
+            pretty = out.read_text()
+        assert pretty.endswith("}\n")
+        assert json.loads(pretty).pop("timing_ms") >= 0 and compact.pop("timing_ms") >= 0
+        without_timing, found = re.subn(r'\n  "timing_ms": [0-9.e-]+,', "", pretty)
+        assert found == 1 and without_timing == json.dumps(compact, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("command", [["subst", "patch"], ["phi", "--M", "0,1;1,0"]])
@@ -919,22 +975,35 @@ PATCH_REPORTS = [
 
 def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
     # make_report skips the encoder's cycle guard and writes a patch from its
-    # box's skeleton; the body it returns, with its tuples and the patch's
-    # pairs, encodes to the same bytes with the guard on
+    # box's skeleton; the body rebuilt from its arguments, with their tuples
+    # and the patch's (position, letter) pairs, encodes to the same bytes
+    # with the guard on, and the report printed carries that text's hash
     seen = []
     make = cli.make_report
 
     def recorded(command, inputs, result, patch=None):
-        body, canon = make(command, inputs, result, patch)
-        assert body["payload_hash"] == hashlib.sha256(canon.encode()).hexdigest()
-        seen.append((command, {k: v for k, v in body.items() if k != "payload_hash"}, canon))
-        return body, canon
+        before = json.dumps(result, sort_keys=True)
+        canon = make(command, inputs, result, patch)
+        assert json.dumps(result, sort_keys=True) == before  # result is not changed
+        if patch is not None:
+            (lo, hi, d), letters = patch
+            result = {**result, "patch": list(zip(box_positions(lo, hi, d), letters))}
+        body = {
+            "schema": 1,
+            "version": odosym.__version__,
+            "command": command,
+            "inputs": inputs,
+            "result": result,
+        }
+        seen.append((command, body, canon))
+        return canon
 
     monkeypatch.setattr(cli, "make_report", recorded)
     cli._box_skeleton.cache_clear()
     for argv in REPORT_OF_EVERY_COMMAND + PATCH_REPORTS:
         assert main(argv) in (0, 3, 4)
-        capsys.readouterr()
+        printed = json.loads(capsys.readouterr().out)["payload_hash"]
+        assert printed == hashlib.sha256(seen[-1][2].encode()).hexdigest()
     commands = {command for command, _, _ in seen}
     assert commands == {"classify", "member", "nc", "nl", "phi", "subst", "verify-paper"}
     assert len(seen) == len(REPORT_OF_EVERY_COMMAND + PATCH_REPORTS)

@@ -115,12 +115,13 @@ def n0_two_pairs():
     return [(L, fundamental_domain(L), IntMatrix(m)) for m in (((1, 1), (0, 1)), ((-1, -1), (0, -1)))]
 
 
-def evaluate_phi(cert, seed, region):
-    """The rule and its image of the fixed point by both routes, which must
-    agree: the one pass, which gives one letter per position in region order,
-    and the patch route (pull the region back, build the fixed point's patch
-    on every window cell, evaluate the rule on it)."""
-    rule = build_local_rule(cert)
+def evaluate_phi(cert, seed, region, rule=None):
+    """The rule, built from cert unless given, and its image of the fixed
+    point by both routes, which must agree: the one pass, which gives one
+    letter per position in region order, and the patch route (pull the
+    region back, build the fixed point's patch on every window cell,
+    evaluate the rule on it)."""
+    rule = build_local_rule(cert) if rule is None else rule
     letters = _fixed_point_image(rule, seed, region)
     assert len(letters) == len(region)
     image = dict(zip(region, letters))
@@ -156,19 +157,25 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm():
         seed = letters[len(cases) % len(letters)]
         cases.append((cert, seed, box(6 if L.dim == 2 else 3, L.dim)))
     reached = set()
-    cold = []
+    rules, cold = [], []
     for cert, seed, region in cases:
-        subshift_norm._sigma.cache_clear()
         rule, image = evaluate_phi(cert, seed, region)
         assert image == coordinate_formula(cert, seed, region), (cert.L, cert.M)
         reached.add((cert.L.dim, rule.n0))
+        rules.append(rule)
         cold.append(image)
     # every kernel's 2-D and d = 3 path, with and without the window decode,
     # and a window of five cells in 2-D
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
-    # warm: sigma_L cached by the rules of earlier cases
-    warm = [evaluate_phi(*case)[1] for case in cases]
-    assert warm == cold
+    # warm: each rule again, its sigma_L's cached properties filled by the
+    # first pass; and a second request, which builds its own sigma_L, as
+    # build_local_rule keeps nothing across requests
+    assert [evaluate_phi(*case, rule)[1] for case, rule in zip(cases, rules)] == cold
+    again = [evaluate_phi(*case) for case in cases]
+    assert [image for _, image in again] == cold
+    for (rule, _), first in zip(again, rules):
+        assert rule.substitution is not first.substitution
+        assert rule.substitution.table == first.substitution.table
 
 
 def test_one_pass_image_matches_the_patch_route():
@@ -250,7 +257,6 @@ def test_the_one_pass_reads_no_window(monkeypatch, capsys):
     def refused(*args):
         raise AssertionError("the one pass read a window")
 
-    subshift_norm._sigma.cache_clear()
     for name in ("_window", "_truncated_level"):
         monkeypatch.setattr(subshift_norm, name, refused)
     monkeypatch.setattr(substitution, "_fixed_point_reader", refused)

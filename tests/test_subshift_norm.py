@@ -17,7 +17,13 @@ from tests_shared import (
     window_cells,
 )
 
-from odosym.errors import MarginError, SizeGuardError, WindowError, WrongBranchError
+from odosym.errors import (
+    MarginError,
+    MissingCertificateError,
+    SizeGuardError,
+    WindowError,
+    WrongBranchError,
+)
 from odosym.intmat import (
     IntMatrix,
     fundamental_domain,
@@ -310,6 +316,21 @@ def test_rule_reads_each_level_action_on_the_certificate_domain(monkeypatch):
             got = build_local_rule(nl_membership(L, M, domain=other))
             assert got.substitution.domain == other
             assert set(got.per_level[0]) == set(other.reps[1:]) != set(domain.reps[1:])
+
+
+def test_a_certificate_without_a_conjugate_at_a_level_has_no_rule():
+    # nl_membership accepts no pair with k > 0, so the gap is built by hand
+    # from a real certificate: its level-1 conjugate removed, and k = n0 = 2
+    cert = nl_membership(parse_matrix("4,0;0,8"), parse_matrix("1,1;0,1"))
+    assert (cert.k, cert.n0) == (0, 2) and None not in cert.conjugates
+    fields = {f: getattr(cert, f) for f in cert._params}
+    conjugates = (cert.conjugates[0], None, *cert.conjugates[2:])
+    gapped = NLCertificate(**{**fields, "conjugates": conjugates, "k": 2})
+    with pytest.raises(MissingCertificateError) as raised:
+        build_local_rule(gapped)
+    assert type(raised.value) is MissingCertificateError
+    assert str(raised.value) == "no integral conjugate at level 1"
+    assert build_local_rule(cert).n0 == 2
 
 
 def test_identity_rule_is_identity():
@@ -630,7 +651,6 @@ def test_the_patch_route_calls_no_hnf_of_the_base_power(monkeypatch):
     L, M = parse_matrix("4,0;0,8"), parse_matrix("1,1;0,1")
     domain = fundamental_domain(L)
     assert calls == [L]
-    subshift_norm._sigma.cache_clear()
     assert composition_check(L, M, M, box(4), domain=domain)
     rule = build_local_rule(nl_membership(L, M, domain=domain))
     assert rule.n0 == 2
