@@ -48,6 +48,7 @@ from .substitution import (
     ConstantShapeSubstitution,
     _fixed_at_origin,
     box_positions,
+    box_rows,
     fixed_point_count,
     fixed_point_patch,
     half_hex,
@@ -104,7 +105,7 @@ def make_report(command: str, inputs: dict, result, patch=None) -> str:
     box, letters = patch
     # one text per distinct letter, a tuple of ints, which JSON writes as str does
     text = {a: f"[{','.join(map(str, a))}]" for a in set(letters)}
-    skeleton = _box_skeleton(*box)[1]
+    skeleton = _box_skeleton(*box)
     filled = skeleton % tuple(map(text.__getitem__, letters))  # TypeError unless one each
     return _encode_at(body, ("result", "patch"), filled)
 
@@ -123,21 +124,20 @@ def _encode_at(obj: dict, path: tuple, raw: str) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _box_skeleton(lo: int, hi: int, d: int) -> tuple[tuple, str]:
-    """The positions of the box [lo, hi]^d in lexicographic order, as a tuple,
-    and the text of its patch with a %s slot per cell for the letter.
+def _box_skeleton(lo: int, hi: int, d: int) -> str:
+    """The text of the patch of the box [lo, hi]^d, its cells in lexicographic
+    order, with a %s slot per cell for the letter.
 
     Kept across requests: every request of a box writes the same positions
     in the same order.  JSON writes an int as str does, so the text is built
     from rows of coordinate texts, not cell by cell; it holds no other %.
     """
-    positions = tuple(box_positions(lo, hi, d))
     coords = [str(x) for x in range(lo, hi + 1)]
     rows = []
     for lead in product(coords, repeat=d - 1):
         start = "[[" + ",".join((*lead, ""))  # a cell's text up to its last coordinate
         rows.append(start + f"],%s],{start}".join(coords) + "],%s]")
-    return positions, f"[{','.join(rows)}]"
+    return f"[{','.join(rows)}]"
 
 
 def emit(canon: str, timing_ms: float, args, table: str | None = None) -> None:
@@ -344,9 +344,9 @@ def cmd_phi(args) -> Answer:
     if isinstance(outcome, NLRejection):
         return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
     rule = build_local_rule(outcome)
-    seed = _seed(rule.substitution, args.seed)
+    seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
     box = (lo, hi, base.dim)
-    letters = _fixed_point_image(rule, seed, _box_skeleton(*box)[0])
+    letters = _fixed_point_image(rule, seed, box_rows(*box))
     result = {"certificate": outcome.to_payload(), "seed": format_vector(seed)}
     return Answer(inputs, result, patch=(box, letters))
 
@@ -362,7 +362,7 @@ def cmd_subst(args) -> Answer:
         s = sigma_L(base, domain)
     seed = _seed(s, args.seed)
     box = (*_parse_box(args.box), s.dim)
-    positions = _box_skeleton(*box)[0]
+    positions = box_positions(*box)
     patch = fixed_point_patch(s, seed, positions)
     inputs = {
         "L": format_matrix(s.base),
@@ -456,10 +456,9 @@ def _paper_checks():
     }
     ok = True
     if isinstance(odd, NLCertificate):
-        rule = build_local_rule(odd)
-        s = rule.substitution
+        rule, s = build_local_rule(odd), sigma_L(odd.L, odd.domain)
         region = box_positions(-5, 5, 2)
-        image = dict(zip(region, _fixed_point_image(rule, min(s.alphabet), region)))
+        image = dict(zip(region, _fixed_point_image(rule, min(s.alphabet), box_rows(-5, 5, 2))))
         oracle = {
             "tau_equivariance_radius_8": all(
                 tau(s, odd.M.mul_vec(v)) == rule.per_level[min(valuation(s, v), odd.n0)][tau(s, v)]

@@ -8,9 +8,9 @@ verification, not a proof for all n.
 
 The sliding-block realization applies, at each position, the coset
 permutation of its truncated digit level: on the fixed point the truncated
-valuation, read by one digit walk (phi's route); on any other patch the
-level read straight off the window pattern (so shifted patches evaluate
-correctly), which only this patch route decodes.
+valuation, read by digit walks along the box's rows (phi's route); on any
+other patch the level read straight off the window pattern (so shifted
+patches evaluate correctly), which only this patch route decodes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .intmat import (
     fundamental_domain,
     vec_add,
 )
-from .substitution import ConstantShapeSubstitution, _checked_seed, _strip_base, sigma_L, tau
+from .substitution import _as_letter, _require_two_letters, _strip_base
 
 # ---------------------------------------------------------------------------
 # conjugate powers and certificates
@@ -69,9 +69,11 @@ class NLCertificate(_Record):
 
     conjugates[n] is C_n or None; k is the first level from which every
     recorded conjugate is integral, n0 the first level from which the
-    digit-coset action is constant through n_max.  residue_permutation
-    maps nonzero digits of domain, which the local rule also reads, to
-    nonzero digits.
+    digit-coset action is constant through n_max.  actions[n] is C_n's
+    action on the nonzero digits of domain as sorted (digit, image) pairs
+    (None below k, equal actions one object), which the local rule reads;
+    residue_permutation is actions[n0].  The actions follow from conjugates
+    and domain: the payload leaves them out and == ignores them.
     """
 
     L: IntMatrix
@@ -82,10 +84,14 @@ class NLCertificate(_Record):
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
     domain: FundamentalDomain
+    actions: tuple[tuple[tuple[Vec, Vec], ...] | None, ...]
+    _uncompared = ("actions",)
 
     def to_payload(self) -> dict:
+        # a scalar base yields one C_n object at every level: each object is formatted once
+        distinct = {id(c): c for c in self.conjugates if c is not None}
         try:
-            conjugates = [None if c is None else format_matrix(c) for c in self.conjugates]
+            text = {key: format_matrix(c) for key, c in distinct.items()}
         except ValueError:  # an entry over the interpreter's int-to-str limit
             top = max(c.max_abs() for c in self.conjugates if c is not None)
             name = f"the certificate of M = {self.M} on L = {self.L} through nmax {self.n_max}"
@@ -98,7 +104,7 @@ class NLCertificate(_Record):
             "n_max": self.n_max,
             "k": self.k,
             "n0": self.n0,
-            "conjugates": conjugates,
+            "conjugates": [None if c is None else text[id(c)] for c in self.conjugates],
             "residue_permutation": [list(map(format_vector, p)) for p in self.residue_permutation],
         }
 
@@ -167,7 +173,7 @@ def nl_membership(
     # C f mod L(Z^d) depends only on C mod |det|, as |det| Z^d lies in L(Z^d):
     # one action per residue class of conjugates, and the levels compare by
     # action, interned, so no level walks F again
-    det, by_class, interned, actions = abs(L.det()), {}, {}, []  # actions[n - k]
+    det, by_class, interned, actions = abs(L.det()), {}, {}, [None] * k  # actions[n]
     for c in conj[k:]:
         key = tuple(x % det for row in c.rows for x in row)
         if key not in by_class:
@@ -175,7 +181,7 @@ def nl_membership(
             by_class[key] = interned.setdefault(action, action)
         actions.append(by_class[key])
     n0 = n_max
-    while n0 > k and actions[n0 - 1 - k] is actions[-1]:
+    while n0 > k and actions[n0 - 1] is actions[-1]:
         n0 -= 1
     if n0 > n_max - 2:
         detail = f"digit action not constant on any window [n0, {n_max}] with n0 <= {n_max - 2}"
@@ -190,8 +196,9 @@ def nl_membership(
         conjugates=conj,
         k=k,
         n0=n0,
-        residue_permutation=actions[n0 - k],
+        residue_permutation=actions[n0],
         domain=domain,
+        actions=tuple(actions),
     )
 
 
@@ -201,48 +208,45 @@ def nl_membership(
 
 
 class LocalRule(_Record):
-    """Sliding-block realization of the action of M.
+    """Sliding-block realization of the action of M on sigma_L's subshift.
 
-    per_level[v] is the digit permutation used at truncated level v: on the
-    fixed point of substitution (sigma_L) the valuation truncated at n0
-    decides v, and on any other patch the window pattern does (see
-    _truncated_level).  Positions deeper than n0 (the origin of a fixed
-    point too) use the stabilized permutation.  m_inv is M^{-1}, which
-    pulls an output position back to its source.
+    per_level[v] is the permutation of sigma_L's letters, the nonzero digits
+    of domain, used at truncated level v: on the fixed point the valuation
+    truncated at n0 decides v, and on any other patch the window pattern
+    does (see _truncated_level).  Positions deeper than n0 (the origin of a
+    fixed point too) use the stabilized permutation.  m_inv is M^{-1},
+    which pulls an output position back to its source.
     """
 
-    substitution: ConstantShapeSubstitution
+    domain: FundamentalDomain
     m_inv: IntMatrix
     n0: int
     per_level: tuple[dict, ...]
 
 
 def build_local_rule(cert: NLCertificate) -> LocalRule:
-    """The per-level permutations over the certificate's sigma_L; no window is read.
-    M L^v a = L^v C_v a, so per_level[v] sends a to tau(C_v a), sigma_L's letter
-    at M L^v a: a nonzero digit, as C_v maps L(Z^d) onto itself."""
-    s, n0 = sigma_L(cert.L, cert.domain), cert.n0
-    per_level = []
-    for v in range(n0 + 1):
-        c = cert.conjugates[v]
+    """The per-level permutations, the certificate's actions[v]: no window is
+    read and no sigma_L built.  M L^v a = L^v C_v a, and C_v maps L(Z^d) onto
+    itself, so sigma_L's letter there, tau(C_v a), is the digit of C_v a."""
+    _require_two_letters(cert.L)
+    n0 = cert.n0
+    for v, c in enumerate(cert.conjugates[: n0 + 1]):
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
-        per_level.append({a: tau(s, c.mul_vec(a)) for a in sorted(s.alphabet)})
-    return LocalRule(
-        substitution=s, m_inv=_inv_unimodular(cert.M), n0=n0, per_level=tuple(per_level)
-    )
+    per_level = tuple(map(dict, cert.actions[: n0 + 1]))
+    return LocalRule(domain=cert.domain, m_inv=_inv_unimodular(cert.M), n0=n0, per_level=per_level)
 
 
-def _window(s: ConstantShapeSubstitution, n0: int) -> tuple[tuple[Vec, ...], ...]:
-    """The pairs (L^v f1, L^v f2), v < n0, f1 and f2 the two least letters: with
-    the origin, the window S of 2 n0 + 1 cells that decides the truncated level."""
-    pairs = [tuple(sorted(s.alphabet)[:2])]
+def _window(domain: FundamentalDomain, n0: int) -> tuple[tuple[Vec, ...], ...]:
+    """The pairs (L^v f1, L^v f2), v < n0, f1 and f2 the two least nonzero digits:
+    with the origin, the window S of 2 n0 + 1 cells that decides the truncated level."""
+    pairs = [tuple(sorted(f for f in domain.reps if any(f))[:2])]
     while len(pairs) < n0:
-        pairs.append(tuple(map(s.base.mul_vec, pairs[-1])))
+        pairs.append(tuple(map(domain.base.mul_vec, pairs[-1])))
     return tuple(pairs[:n0])
 
 
-def _truncated_level(s: ConstantShapeSubstitution, window: tuple, patch: dict, pos: Vec) -> int:
+def _truncated_level(domain: FundamentalDomain, window: tuple, patch: dict, pos: Vec) -> int:
     """Truncated digit level of the pattern of the window at pos: the first v
     whose pair reads other than (f1, f2), or n0 = len(window) if none.
 
@@ -260,40 +264,62 @@ def _truncated_level(s: ConstantShapeSubstitution, window: tuple, patch: dict, p
     v = next((j for j, row in enumerate(rows) if row != window[0]), len(window))
     if v == len(window):
         return v
-    if d in s.domain.reps and any(d):  # d is a letter: sigma_L's are the nonzero digits
-        digits = [s.domain.digit_of(vec_add(d, f)) for f in window[0]]
+    if d in domain.reps and any(d):  # d is a letter: sigma_L's are the nonzero digits
+        digits = [domain.digit_of(vec_add(d, f)) for f in window[0]]
         deeper = all(a == d for row in rows[v + 1 :] for a in row)
         if deeper and all(a == g or not any(g) for a, g in zip(rows[v], digits)):
             return v
     raise WindowError(f"window pattern at {pos} matches no digit coset")
 
 
-def _fixed_point_image(rule: LocalRule, seed: Vec, region) -> list[Vec]:
-    """The letters of the rule's image of the fixed point seeded by seed, one
-    per position t of the region (tuples of ints, as box_positions gives
-    them) and in its order, so a caller zips them with the region.  One digit
-    walk per t and no window: with u = M^{-1} t = L^p w, w not in L(Z^d), the
-    letter at u is w's digit and its level min(p, n0), which the window
-    decodes there too (see _truncated_level); the origin holds the seed, at
-    n0."""
-    s, n0, per_level, m_inv = rule.substitution, rule.n0, rule.per_level, rule.m_inv.rows
-    origin, rep_of_key, out = per_level[n0][_checked_seed(s, seed)], s.domain._rep_of_key, []
+def _fixed_point_image(rule: LocalRule, seed: Vec, runs) -> list[Vec]:
+    """The letters of the rule's image of the fixed point seeded by seed on the
+    cells t, t + e_d, ... of runs (first cell t, length), as box_rows gives a
+    box's rows; run by run, so a caller zips them with the cells.  No window
+    is read: with u = M^{-1} t = L^p w, w not in L(Z^d), the letter at u is
+    w's digit at level min(p, n0) (which the window decodes there too, see
+    _truncated_level), and the origin holds the seed at n0.  Along a run u
+    steps by M^{-1} e_d, so its digit repeats with the least period P for
+    which P M^{-1} e_d lies in L(Z^d), a divisor of |det L|: one period of
+    level-0 letters is read and repeated, and only the one class of cells
+    mod P whose u lies in L(Z^d) walks the digit descent."""
+    domain, n0, per_level, m_inv = rule.domain, rule.n0, rule.per_level, rule.m_inv.rows
+    origin, rep_of_key, out = per_level[n0][_as_letter(seed, per_level[n0])], domain._rep_of_key, []
     if len(m_inv) == 2:  # in line: u's Hermite key (k0, k1) as k0 h11 + k1, and adj(L) u / det(L)
-        (a, b), (c, d) = m_inv
-        (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
-        det, ((e, f), (g, h)) = s.base._inverse
+        (a, b), (c, d) = m_inv  # a run steps u by (b, d)
+        (h00, _), (h10, h11) = domain.hnf_basis.matrix.rows
+        det, ((e, f), (g, h)) = domain.base._inverse
         digits = [rep_of_key[k // h11, k % h11] for k in range(h00 * h11)]
         flat = [[lv.get(w) for w in digits] for lv in per_level]  # [level][key]: the image letter
-        for t in region:
-            x, y, p = a * t[0] + b * t[1], c * t[0] + d * t[1], 0
-            while not (k := x % h00 * h11 + (y - x // h00 * h10) % h11) and (x or y):
-                x, y, p = (e * x + f * y) // det, (g * x + h * y) // det, p + 1
-            out.append((flat[p] if p < n0 else flat[n0])[k] if x or y else origin)
+        for (t0, t1), n in runs:
+            x, y, keys = a * t0 + b * t1, c * t0 + d * t1, []
+            while len(keys) < n:  # the keys of one period
+                if (k := x % h00 * h11 + (y - x // h00 * h10) % h11) in keys[:1]:
+                    break
+                keys.append(k)
+                x, y = x + b, y + d
+            row = ([flat[0][k] for k in keys] * (n // len(keys) + 1))[:n]
+            for j in range(keys.index(0), n, len(keys)) if 0 in keys else ():
+                x, y, p = a * t0 + b * (t1 + j), c * t0 + d * (t1 + j), 0
+                while not (k := x % h00 * h11 + (y - x // h00 * h10) % h11) and (x or y):
+                    x, y, p = (e * x + f * y) // det, (g * x + h * y) // det, p + 1
+                row[j] = (flat[p] if p < n0 else flat[n0])[k] if x or y else origin
+            out += row
         return out
-    for t in region:
-        u = _apply(m_inv, t)
-        p, key = _strip_base(s, u, "tau") if any(u) else (n0, None)
-        out.append(per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin)
+    reduce, zero, step = domain.hnf_basis.reduce_vec, (0,) * len(m_inv), [r[-1] for r in m_inv]
+    for t, n in runs:
+        u, keys = _apply(m_inv, t), []
+        while len(keys) < n:
+            if (key := reduce(u)) in keys[:1]:
+                break
+            keys.append(key)
+            u = tuple(map(add, u, step))
+        row = ([per_level[0].get(rep_of_key[key]) for key in keys] * (n // len(keys) + 1))[:n]
+        for j in range(keys.index(zero), n, len(keys)) if zero in keys else ():
+            u = _apply(m_inv, (*t[:-1], t[-1] + j))
+            p, key = _strip_base(domain, u, "tau") if any(u) else (n0, None)
+            row[j] = per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin
+        out += row
     return out
 
 
@@ -308,7 +334,7 @@ def pullback_positions(rule: LocalRule, region) -> tuple[dict[Vec, Vec], set]:
     m_inv = rule.m_inv.rows
     sources = {t: _apply(m_inv, t) for t in (tuple(map(index, t)) for t in region)}
     cells = set(sources.values())
-    for pair in _window(rule.substitution, rule.n0):
+    for pair in _window(rule.domain, rule.n0):
         cells.update(tuple(map(add, u, f)) for f in pair for u in sources.values())
     return sources, cells
 
@@ -324,9 +350,11 @@ def apply_endomorphism(
     source or window leaves the patch raises a margin error.  On the fixed
     point, _fixed_point_image gives the same image with no patch.
     """
-    s, levels = rule.substitution, rule.per_level
-    window = _window(s, rule.n0)  # the decoder reads u too, so patch[u] is there
-    return {t: levels[_truncated_level(s, window, patch, u)][patch[u]] for t, u in sources.items()}
+    domain, levels = rule.domain, rule.per_level
+    window = _window(domain, rule.n0)  # the decoder reads u too, so patch[u] is there
+    return {
+        t: levels[_truncated_level(domain, window, patch, u)][patch[u]] for t, u in sources.items()
+    }
 
 
 def composition_check(
@@ -339,17 +367,18 @@ def composition_check(
     """The rule of M1 M2 equals rule(M1) after rule(M2) on the region.
 
     rule(M1 M2) and rule(M2) read the fixed point seeded by the least letter
-    in one pass each; rule(M1) reads rule(M2)'s image as a patch.
+    in one pass each, on their scattered cells as runs of one; rule(M1)
+    reads rule(M2)'s image as a patch.
     """
     certs = [nl_membership(L, m, domain=domain) for m in (M1 * M2, M1, M2)]
     for c in certs:
         if isinstance(c, NLRejection):
             raise ValueError(f"matrix not accepted: {c.to_payload()}")
     rule12, rule1, rule2 = map(build_local_rule, certs)
-    seed = min(rule12.substitution.alphabet)
+    seed = min(rule12.per_level[0])
     region = [tuple(map(index, t)) for t in region]
-    lhs = dict(zip(region, _fixed_point_image(rule12, seed, region)))
+    lhs = dict(zip(region, _fixed_point_image(rule12, seed, [(t, 1) for t in region])))
     sources1, mid = pullback_positions(rule1, lhs)
     mid = list(mid)
-    inner = dict(zip(mid, _fixed_point_image(rule2, seed, mid)))
+    inner = dict(zip(mid, _fixed_point_image(rule2, seed, [(t, 1) for t in mid])))
     return lhs == apply_endomorphism(rule1, inner, sources1)

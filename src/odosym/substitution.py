@@ -98,8 +98,7 @@ def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> Constan
     """The self-similar rule: keep the letter at the origin, write the digit
     elsewhere.  Needs |det| >= 3 so the alphabet has at least two letters,
     and |det|^2 table cells within _TABLE_LIMIT (|det| <= 1,000)."""
-    if abs(base.det()) < 3:
-        raise WrongBranchError(f"|det| = {abs(base.det())} < 3: alphabet too small")
+    _require_two_letters(base)
     if domain is None:
         domain = fundamental_domain(base)
     if domain.base != base:
@@ -108,6 +107,12 @@ def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> Constan
     return ConstantShapeSubstitution(
         base=base, domain=domain, alphabet=frozenset(table), table=table
     )
+
+
+def _require_two_letters(base: IntMatrix) -> None:
+    """Refuses a base of |det| < 3: its nonzero digits, sigma_L's letters, are one or none."""
+    if abs(base.det()) < 3:
+        raise WrongBranchError(f"|det| = {abs(base.det())} < 3: alphabet too small")
 
 
 def half_hex() -> ConstantShapeSubstitution:
@@ -143,11 +148,12 @@ def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _strip_base(s: ConstantShapeSubstitution, v: Vec, name: str) -> tuple[int, Vec]:
-    """(p, w mod L(Z^d)) with v = L^p(w), w not in L(Z^d); solves only in L(Z^d)."""
+def _strip_base(domain: FundamentalDomain, v: Vec, name: str) -> tuple[int, Vec]:
+    """(p, w mod L(Z^d)) with v = L^p(w), w not in L(Z^d), L the domain's base;
+    solves only in L(Z^d)."""
     if not any(v):
         raise ValueError(f"{name} undefined at the origin")
-    reduce, solve = s.domain.hnf_basis.reduce_vec, s.base.solve_exact
+    reduce, solve = domain.hnf_basis.reduce_vec, domain.base.solve_exact
     p = 0
     while not any(key := reduce(v)):
         v, p = solve(v), p + 1
@@ -156,12 +162,12 @@ def _strip_base(s: ConstantShapeSubstitution, v: Vec, name: str) -> tuple[int, V
 
 def valuation(s: ConstantShapeSubstitution, v: Vec) -> int:
     """Largest p with v in L^p(Z^d); v must be nonzero."""
-    return _strip_base(s, v, "valuation")[0]
+    return _strip_base(s.domain, v, "valuation")[0]
 
 
 def tau(s: ConstantShapeSubstitution, v: Vec) -> Letter:
     """First nonzero digit of v: v = L^{p+1}(z) + L^p(f) with minimal p."""
-    return s.domain._rep_of_key[_strip_base(s, v, "tau")[1]]
+    return s.domain._rep_of_key[_strip_base(s.domain, v, "tau")[1]]
 
 
 def fixed_point_patch(
@@ -185,11 +191,17 @@ def _fixed_at_origin(s: ConstantShapeSubstitution, letter: Letter) -> bool:
     return s.image(letter)[zero_vec(s.dim)] == letter
 
 
+def _as_letter(seed: Letter, letters) -> Letter:
+    """seed as a tuple, once it is one of the letters."""
+    seed = tuple(seed)
+    if seed not in letters:
+        raise ValueError(f"seed {seed} is not a letter")
+    return seed
+
+
 def _checked_seed(s: ConstantShapeSubstitution, seed: Letter) -> Letter:
     """seed as a tuple, once it is a letter fixed at the origin of its own image."""
-    seed = tuple(seed)
-    if seed not in s.alphabet:
-        raise ValueError(f"seed {seed} is not a letter")
+    seed = _as_letter(seed, s.alphabet)
     if not _fixed_at_origin(s, seed):
         raise ValueError(f"seed {seed} is not fixed at the origin of its image")
     return seed
@@ -325,6 +337,13 @@ def box_positions(lo: int, hi: int, d: int) -> list[Vec]:
     """
     _guard(max(hi - lo + 1, 0) ** d, f"the box {lo}:{hi} in d = {d} has", "cells")
     return list(product(range(lo, hi + 1), repeat=d))
+
+
+def box_rows(lo: int, hi: int, d: int) -> list[tuple[Vec, int]]:
+    """The rows of the cube [lo, hi]^d along its last axis, each (first cell, length):
+    their cells, row by row, are box_positions' points in its order, and guarded alike."""
+    _guard(max(hi - lo + 1, 0) ** d, f"the box {lo}:{hi} in d = {d} has", "cells")
+    return [((*lead, lo), hi - lo + 1) for lead in product(range(lo, hi + 1), repeat=d - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,7 @@ def test_criterion_7_discrepancy_report():
     accepted = isinstance(odd, NLCertificate)
     tau_ok = fp_ok = comp_ok = None
     if accepted:
-        rule = build_local_rule(odd)
-        s = rule.substitution
+        rule, s = build_local_rule(odd), sigma_L(odd.L, odd.domain)
         tau_ok = True
         for v in box(8):
             if v == (0, 0):

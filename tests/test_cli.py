@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import odosym
-from odosym import cli
+from odosym import cli, substitution
 from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.errors import NotExpansionError
 from odosym.intmat import fundamental_domain, parse_matrix
@@ -23,6 +23,7 @@ from odosym.substitution import (
     box_positions,
     fixed_point_patch,
     half_hex,
+    sigma_L,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -172,18 +173,17 @@ def test_patch_report_lists_every_cell_once_in_position_order(capsys):
 
 
 def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
-    # the skeleton is kept across requests: its positions are a tuple of
-    # tuples and its text a str, and what a caller does to the result and
-    # the letters it passed does not reach the next request on the box
+    # the skeleton kept across requests is the patch's text alone, a str,
+    # and what a caller does to the result and the letters it passed does
+    # not reach the next request on the box
     argv = ["phi", *PHI_PAYLOAD_HASHES["half-hex"][0]]
     cli._box_skeleton.cache_clear()
     assert main(argv) == 0
     first = re.sub(r',"timing_ms":[0-9.e-]+', "", capsys.readouterr().out)
-    positions, skeleton = cli._box_skeleton(-6, 6, 2)
-    assert type(positions) is tuple and all(type(t) is tuple for t in positions)
+    skeleton = cli._box_skeleton(-6, 6, 2)
     assert type(skeleton) is str
-    with pytest.raises(TypeError):
-        positions[0] = (99, 99)
+    positions = box_positions(-6, 6, 2)
+    assert skeleton.count("%s") == len(positions)
     result, letters = {}, [(1, 0)] * len(positions)
     canon = cli.make_report("phi", {}, result, ((-6, 6, 2), letters))
     assert result == {} and len(json.loads(canon)["result"]["patch"]) == len(positions)
@@ -786,6 +786,30 @@ def test_phi_payload_hash_is_pinned(capsys, case):
     assert hashlib.sha256(canon.encode()).hexdigest() == want_result
 
 
+def test_phi_builds_no_sigma_L(capsys, monkeypatch):
+    # the rule's levels are the certificate's actions and the one pass reads
+    # the domain: with sigma_L's table refused, every pinned phi hash comes out
+    def refused(domain):
+        raise AssertionError("phi built sigma_L's table")
+
+    monkeypatch.setattr(substitution, "_sigma_table", refused)
+    pinned = [(argv, want) for argv, want, _ in PHI_PAYLOAD_HASHES.values()] + [
+        (
+            ["--L", "3", "--M", "-1", "--box", "-5:5"],
+            "e2dc55dc979082eb911cc5251a720cff19daeab22bdb34b6ec6fd0d2426e5efe",
+        ),
+        (
+            ["--L", "8,0;0,16", "--M", "1,1;0,1", "--box", "-3:3"],
+            "64bfc5e1d30978f873ff2fbf956839f02cb4d9c16844533494b549f9661a2f68",
+        ),
+    ]
+    for argv, want in pinned:
+        code, report = run_cli(["phi", *argv], capsys)
+        assert code == 0 and report["payload_hash"] == want, argv
+    with pytest.raises(AssertionError, match="sigma_L's table"):
+        sigma_L(parse_matrix("3,0;0,3"))
+
+
 def test_phi_builds_no_coset_table(capsys):
     # n0 = 3 and 4: the window decoder's class table would hold 128^3 and
     # 512^4 cosets (the first took 59 s and 1 GB, the second was refused);
@@ -869,7 +893,7 @@ def test_digit_guard_names_the_interpreter_limit_and_the_request(capsys):
     assert conjugates[-1] == "1,1" + "00" * 400 + ";0,1"
 
 
-@pytest.mark.parametrize("request_", DET_GUARDED[1:], ids=lambda r: r.split()[0])
+@pytest.mark.parametrize("request_", DET_GUARDED[2:], ids=lambda r: r.split()[0])
 def test_table_guard_at_and_over_the_limit(capsys, request_):
     assert main(request_.format(1000).split()) == 0
     assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 1000
@@ -879,6 +903,22 @@ def test_table_guard_at_and_over_the_limit(capsys, request_):
         " over the limit of 1000000 cells\n"
     )
     assert peak < 1_000_000  # F and nl's walk only: the table would hold 10^6 cells
+
+
+def test_phi_builds_no_table_past_the_table_limit(capsys):
+    # phi reads its rule off the certificate and builds no sigma_L, so the
+    # |det|^2 table limit that refuses subst at 1,001 does not bound it
+    request = DET_GUARDED[1].format(1001).split()
+    tracemalloc.start()
+    try:
+        code = main(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(report["inputs"]["F"]) == 1001
+    assert report["result"]["seed"] == "1" and report["result"]["patch"] == [[[0], [1]]]
+    assert peak < 1_000_000  # the table alone would hold 1001^2 cells
 
 
 @pytest.mark.parametrize(
@@ -1009,10 +1049,10 @@ def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
     assert len(seen) == len(REPORT_OF_EVERY_COMMAND + PATCH_REPORTS)
     for _, body, canon in seen:
         assert canon == json.dumps(body, sort_keys=True, separators=(",", ":"))
-    # each patch request reads its box's skeleton twice, for the region and
-    # for the text: the first read missed on 12 of the 16 and hit on 4
+    # each patch request reads its box's skeleton once, for the text: the
+    # read missed on 12 of the 16 and hit on 4
     info = cli._box_skeleton.cache_info()
-    assert (info.misses, info.hits) == (12, 4 + 16)
+    assert (info.misses, info.hits) == (12, 4)
     patches = [body["result"]["patch"] for _, body, _ in seen if "patch" in body["result"]]
     assert len(patches) == 3 + len(PATCH_REPORTS)
     assert {len(p[0][0]) for p in patches} == {1, 2, 3}

@@ -1,9 +1,10 @@
-"""Oracles for the phi kernels: the coordinate formula of the local rule and
-the memoized fixed-point descent, cold and warm, in d = 2 and d = 3."""
+"""Oracles for the phi kernels: the coordinate formula of the local rule, the
+per-cell walk the row pass replaced, and the memoized fixed-point descent,
+cold and warm, in d = 1, 2 and 3."""
 
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, count, product
 from operator import add
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_shared import (
     class_table,
+    per_cell_image,
     rand_unimodular_steps,
     table_level,
     unimodular_inverse,
@@ -24,11 +26,14 @@ from odosym.intmat import (
     IntMatrix,
     fundamental_domain,
     is_expansion,
+    parse_matrix,
     validate_domain,
 )
 from odosym.substitution import (
     ConstantShapeSubstitution,
     _fixed_point_reader,
+    box_positions,
+    box_rows,
     fixed_point_patch,
     sigma_L,
     supports,
@@ -115,18 +120,24 @@ def n0_two_pairs():
     return [(L, fundamental_domain(L), IntMatrix(m)) for m in (((1, 1), (0, 1)), ((-1, -1), (0, -1)))]
 
 
-def evaluate_phi(cert, seed, region, rule=None):
+def run_cells(runs):
+    """The cells of runs along the last axis, each (first cell, length), in order."""
+    return [(*t[:-1], t[-1] + j) for t, n in runs for j in range(n)]
+
+
+def evaluate_phi(cert, seed, runs, rule=None):
     """The rule, built from cert unless given, and its image of the fixed
-    point by both routes, which must agree: the one pass, which gives one
-    letter per position in region order, and the patch route (pull the
-    region back, build the fixed point's patch on every window cell,
-    evaluate the rule on it)."""
+    point on the cells of the runs by both routes, which must agree: the
+    one pass, which gives one letter per cell in run order, and the patch
+    route (pull the cells back, build the fixed point's patch on every
+    window cell, evaluate the rule on it)."""
     rule = build_local_rule(cert) if rule is None else rule
-    letters = _fixed_point_image(rule, seed, region)
+    region = run_cells(runs)
+    letters = _fixed_point_image(rule, seed, runs)
     assert len(letters) == len(region)
     image = dict(zip(region, letters))
     sources, cells = pullback_positions(rule, region)
-    patch = fixed_point_patch(rule.substitution, seed, cells)
+    patch = fixed_point_patch(sigma_L(cert.L, cert.domain), seed, cells)
     assert apply_endomorphism(rule, patch, sources) == image
     return rule, image
 
@@ -155,27 +166,28 @@ def test_phi_matches_the_coordinate_formula_cold_and_warm():
         assert isinstance(cert, NLCertificate), (L, M)
         letters = sorted(sigma_L(L, domain).alphabet)
         seed = letters[len(cases) % len(letters)]
-        cases.append((cert, seed, box(6 if L.dim == 2 else 3, L.dim)))
+        radius = 6 if L.dim == 2 else 3
+        cases.append((cert, seed, box_rows(-radius, radius, L.dim)))
     reached = set()
     rules, cold = [], []
-    for cert, seed, region in cases:
-        rule, image = evaluate_phi(cert, seed, region)
-        assert image == coordinate_formula(cert, seed, region), (cert.L, cert.M)
+    for cert, seed, runs in cases:
+        rule, image = evaluate_phi(cert, seed, runs)
+        assert image == coordinate_formula(cert, seed, run_cells(runs)), (cert.L, cert.M)
         reached.add((cert.L.dim, rule.n0))
         rules.append(rule)
         cold.append(image)
     # every kernel's 2-D and d = 3 path, with and without the window decode,
     # and a window of five cells in 2-D
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
-    # warm: each rule again, its sigma_L's cached properties filled by the
-    # first pass; and a second request, which builds its own sigma_L, as
-    # build_local_rule keeps nothing across requests
+    # warm: each rule again; and a second request, which builds its own
+    # levels from the certificate's actions, equal but not the same dicts,
+    # as build_local_rule keeps nothing across requests
     assert [evaluate_phi(*case, rule)[1] for case, rule in zip(cases, rules)] == cold
     again = [evaluate_phi(*case) for case in cases]
     assert [image for _, image in again] == cold
     for (rule, _), first in zip(again, rules):
-        assert rule.substitution is not first.substitution
-        assert rule.substitution.table == first.substitution.table
+        assert rule == first
+        assert all(a is not b for a, b in zip(rule.per_level, first.per_level))
 
 
 def test_one_pass_image_matches_the_patch_route():
@@ -190,8 +202,7 @@ def test_one_pass_image_matches_the_patch_route():
     diag = rng.sample(phi_traffic_pairs()[2 * len(UNIMODULAR_4):], 8)
     reached = set()
     for L, domain, M in hh + scalar + diag + n0_two_pairs() + three_d_pairs():
-        rule = build_local_rule(nl_membership(L, M, domain=domain))
-        s = rule.substitution
+        rule, s = build_local_rule(nl_membership(L, M, domain=domain)), sigma_L(L, domain)
         reached.add((L.dim, rule.n0))
         width = 7 if L.dim == 2 else 3
         corners = [(-(width // 2),) * L.dim]
@@ -203,7 +214,8 @@ def test_one_pass_image_matches_the_patch_route():
             patch = fixed_point_patch(s, seed, cells)
             image = apply_endomorphism(rule, patch, sources)
             want = [image[t] for t in region]
-            assert _fixed_point_image(rule, seed, region) == want, (L, M, seed, corners)
+            runs = [(t, 1) for t in region]
+            assert _fixed_point_image(rule, seed, runs) == want, (L, M, seed, corners)
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)}
 
 
@@ -224,32 +236,32 @@ def test_on_the_fixed_point_the_window_decodes_the_truncated_valuation():
         frames.setdefault((L, domain, cert.n0), cert)
     assert {n0 for _, _, n0 in frames} == {0, 1, 2}
     for (L, domain, n0), cert in frames.items():
-        s = build_local_rule(cert).substitution
-        pairs = _window(s, n0)
+        s = sigma_L(L, domain)
+        pairs = _window(s.domain, n0)
         region = two_boxes(s.dim, (23, -17, 9)[: s.dim])
         cells = {tuple(map(add, u, f)) for u in region for f in window_cells(pairs, s.dim)}
         for seed in sorted(s.alphabet):
             patch = fixed_point_patch(s, seed, cells)
             for u in region:
                 want = min(valuation(s, u), n0) if any(u) else n0
-                assert _truncated_level(s, pairs, patch, u) == want, (cert.L, n0, seed, u)
+                assert _truncated_level(s.domain, pairs, patch, u) == want, (cert.L, n0, seed, u)
 
 
 def test_the_one_pass_reads_no_window(monkeypatch, capsys):
-    # the image is computed by the patch route first; then, from a cold
-    # sigma_L cache, the one pass must give it with the window, its decode
-    # and the reader refused, and so must odosym phi at n0 = 2
+    # the image is computed by the patch route first; then the one pass must
+    # give it with the window, its decode and the reader refused, and so must
+    # odosym phi at n0 = 2
     hh = [(TWO, HH_DOMAIN, m) for m in UNIMODULAR_4[:2]]
     diag = [p for p in phi_traffic_pairs() if p[0].rows == ((2, 0), (0, 4))][:2]
     cases, reached = [], set()
     for L, domain, M in hh + diag + n0_two_pairs() + three_d_pairs()[-2:]:
         cert = nl_membership(L, M, domain=domain)
-        rule = build_local_rule(cert)
+        rule, s = build_local_rule(cert), sigma_L(L, domain)
         reached.add((L.dim, rule.n0))
-        for seed in sorted(rule.substitution.alphabet):
+        for seed in sorted(s.alphabet):
             region = two_boxes(L.dim, (-31, 12, 5)[: L.dim])
             sources, cells = pullback_positions(rule, region)
-            patch = fixed_point_patch(rule.substitution, seed, cells)
+            patch = fixed_point_patch(s, seed, cells)
             image = apply_endomorphism(rule, patch, sources)
             cases.append((cert, seed, region, [image[t] for t in region]))
     assert reached == {(2, 0), (2, 1), (2, 2), (3, 1)}
@@ -262,12 +274,122 @@ def test_the_one_pass_reads_no_window(monkeypatch, capsys):
     monkeypatch.setattr(substitution, "_fixed_point_reader", refused)
     for cert, seed, region, want in cases:
         rule = build_local_rule(cert)
-        assert _fixed_point_image(rule, seed, region) == want, (cert.L, cert.M, seed)
+        assert _fixed_point_image(rule, seed, [(t, 1) for t in region]) == want, (cert.L, seed)
     assert main(["phi", "--L", "4,0;0,8", "--M", "1,1;0,1", "--box", "-10:10"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["payload_hash"] == (
         "4da609d513b440244c6f84e26e1ddab46f84ca3e06faad4d752d80cae63ec98e"
     )
+
+
+# ---------------------------------------------------------------------------
+# the row pass against the per-cell walk
+# ---------------------------------------------------------------------------
+
+
+def row_pass_pairs():
+    """(L, M) over d = 1, 2 and 3 and n0 = 0 to 3: negative dets, the
+    non-diagonal Hermite bases 2,1;0,3, 0,3;1,0 and 1,1;-3,1, and the
+    n0 = 2 and 3 shears."""
+    one = [("3", "-1"), ("-5", "-1"), ("4", "1"), ("7", "-1")]
+    two = [
+        ("2,0;0,2", "0,1;1,0"),
+        ("3,0;0,3", "2,1;1,1"),
+        ("2,0;0,4", "1,1;0,1"),
+        ("-2,0;0,4", "-1,-1;0,1"),
+        ("4,0;0,-2", "-1,0;-1,-1"),
+        ("2,1;0,3", "-1,2;0,1"),
+        ("0,3;1,0", "-1,0;1,-1"),
+        ("1,1;-3,1", "-1,0;0,-1"),
+        ("4,0;0,8", "1,1;0,1"),
+        ("8,0;0,16", "-1,-1;0,-1"),
+    ]
+    three = [
+        ("2,0,0;0,2,0;0,0,2", "0,1,0;1,0,0;0,0,-1"),
+        ("2,0,0;0,2,0;0,0,4", "1,0,1;0,1,0;0,0,1"),
+        ("2,0,0;0,2,0;0,0,4", "1,0,0;0,-1,3;0,0,-1"),
+    ]
+    return [(parse_matrix(L), parse_matrix(M)) for L, M in one + two + three]
+
+
+def row_period(rule):
+    """The least P >= 1 with P M^{-1} e_d in L(Z^d): a run's digit period."""
+    step = tuple(r[-1] for r in rule.m_inv.rows)
+    return next(
+        p for p in count(1) if rule.domain.hnf_basis.contains(tuple(p * x for x in step))
+    )
+
+
+def test_the_row_pass_matches_the_per_cell_walk():
+    # runs of widths below, equal to and above the digit period P, each
+    # through the origin, starting or ending there, and off it; boxes of one
+    # cell, off the origin and around it; and scattered runs of one
+    rng = random.Random(35)
+    reached, periods = set(), set()
+    for L, M in row_pass_pairs():
+        cert = nl_membership(L, M)
+        assert isinstance(cert, NLCertificate), (L, M)
+        rule, d = build_local_rule(cert), L.dim
+        period = row_period(rule)
+        assert abs(L.det()) % period == 0
+        reached.add((d, rule.n0))
+        periods.add(period)
+        runs = []
+        for width in sorted({1, max(period - 1, 1), period, period + 1, 2 * period + 3}):
+            far = tuple(rng.randint(-60, 60) for _ in range(d))
+            for last in (-(width // 2), 0, 1 - width):  # through, from and to the origin
+                runs.append(((0,) * (d - 1) + (last,), width))
+            runs.append((far, width))
+        for lo, hi in ((0, 0), (7, 7), (-9, -9), (5, 9), (-4, -1), (-3, 3)):
+            runs += box_rows(lo, hi, d)
+        runs += [(tuple(rng.randint(-40, 40) for _ in range(d)), 1) for _ in range(25)]
+        letters = sorted(rule.per_level[0])
+        for seed in (letters[0], letters[-1]):
+            got = _fixed_point_image(rule, seed, runs)
+            assert got == per_cell_image(rule, seed, run_cells(runs)), (L, M, seed)
+        for lo, hi in ((0, 0), (5, 9), (-3, 3)):
+            box_runs = box_rows(lo, hi, d)
+            assert run_cells(box_runs) == box_positions(lo, hi, d)
+    assert reached == {(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)}
+    # P = 1 on 0,3;1,0, where M^{-1} e_2 = (0, -1) lies in L(Z^2)
+    assert periods == {1, 2, 3, 4, 5, 6, 7, 8, 16}
+
+
+def small_unimodular(d):
+    """Unimodular matrices of entries in [-1, 1] (2-D), +-1 (1-D), and in
+    3-D +-Id, a coordinate swap and a shear."""
+    if d == 2:
+        return [m for m in UNIMODULAR_4 if m.max_abs() <= 1]
+    if d == 1:
+        return [IntMatrix(((1,),)), IntMatrix(((-1,),))]
+    ident = IntMatrix.identity(3)
+    swap = IntMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    return [ident, -ident, swap, IntMatrix(((1, 0, 1), (0, 1, 0), (0, 0, 1)))]
+
+
+def test_rule_levels_are_sigma_L_letters_on_the_sweep_frames():
+    # build_local_rule reads level v off the certificate's actions; before,
+    # it wrote tau(sigma_L, C_v a) for each letter a.  The two agree at every
+    # level of each (base, n0) pair of the decoder sweep, through the
+    # certificate's n0 too, on every accepted M of small entries
+    frames = sweep_frames()
+    assert len(frames) == 248
+    rules, levels = 0, set()
+    for s, n0 in frames:
+        for M in small_unimodular(s.dim):
+            cert = nl_membership(s.base, M, domain=s.domain)
+            if not isinstance(cert, NLCertificate):
+                continue
+            rule = build_local_rule(cert)
+            rules += 1
+            for v in range(max(n0, cert.n0) + 1):
+                levels.add(v)
+                c = cert.conjugates[v]
+                want = {a: tau(s, c.mul_vec(a)) for a in sorted(s.alphabet)}
+                assert dict(cert.actions[v]) == want, (s.base, M, v)
+                if v <= cert.n0:
+                    assert rule.per_level[v] == want, (s.base, M, v)
+    assert rules > 248 and levels == {0, 1, 2}
 
 
 @st.composite
@@ -402,7 +524,7 @@ def check_window(s, n0, radius):
     both, and on every window of the fixed points, one per letter, around
     the box of the radius, the direct decode agrees with the class tables
     of S and of all of F_{n0}."""
-    pairs = _window(s, n0)
+    pairs = _window(s.domain, n0)
     window = window_cells(pairs, s.dim)
     assert window == window_s(s, n0)
     full_window = tuple(sorted(supports(s, n0)[n0]))
@@ -421,7 +543,7 @@ def check_window(s, n0, radius):
     for seed in sorted(s.alphabet):
         patch = fixed_point_patch(s, seed, cells)
         for u in positions:
-            level = _truncated_level(s, pairs, patch, u)
+            level = _truncated_level(s.domain, pairs, patch, u)
             assert level == table_level(window, table, patch, u)
             assert level == table_level(full_window, full, patch, u)
             if len(s.alphabet) > 1:
@@ -439,7 +561,7 @@ def window_bases():
 @pytest.mark.parametrize("n0", [1, 2])
 @pytest.mark.parametrize("s", window_bases(), ids=lambda s: str(s.base))
 def test_window_separates_levels_and_decodes_like_the_full_window(s, n0):
-    assert len(window_cells(_window(s, n0), s.dim)) == 2 * n0 + 1
+    assert len(window_cells(_window(s.domain, n0), s.dim)) == 2 * n0 + 1
     check_window(s, n0, 4 if s.dim == 2 else 12)
 
 
@@ -464,7 +586,7 @@ def test_one_letter_base_has_no_frame_and_decodes_alike(n0):
         sigma_L(L, domain)
     (zero, f), (letter,) = domain.reps, [f for f in domain.reps if any(f)]
     s = ConstantShapeSubstitution(L, domain, frozenset({letter}), {letter: {zero: f, f: f}})
-    assert len(window_cells(_window(s, n0), 2)) == n0 + 1
+    assert len(window_cells(_window(s.domain, n0), 2)) == n0 + 1
     check_window(s, n0, 3)
 
 
@@ -502,13 +624,13 @@ def test_the_direct_decoder_agrees_with_the_class_table_on_every_pattern():
     # WindowError in both
     junk, patterns = ["junk"], 0
     for s, n0 in sweep_frames():
-        pairs = _window(s, n0)
+        pairs = _window(s.domain, n0)
         window = window_cells(pairs, s.dim)
         table, origin = class_table(s, n0, window), (0,) * s.dim
         levels = set()
         for letters in product([*sorted(s.alphabet), junk], repeat=len(window)):
             patch = dict(zip(window, letters))
-            level = decoded(_truncated_level, s, pairs, patch, origin)
+            level = decoded(_truncated_level, s.domain, pairs, patch, origin)
             assert level == decoded(table_level, window, table, patch, origin), (s.base, n0)
             levels.add(level)
         assert levels == {*range(n0 + 1), WindowError}, (s.base, n0)

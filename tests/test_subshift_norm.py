@@ -248,23 +248,36 @@ def test_nl_requires_unimodular():
 
 def test_nl_payload_roundtrip():
     # each report, with the domain its inputs name, rebuilds its object, so
-    # the payload leaves no other field out
+    # the payload leaves no other field out: the digit actions, which == does
+    # not compare, are read off the conjugates on that domain
     out = nl_membership(D24, parse_matrix("1,2;0,1"))
     p = out.to_payload()
     assert p["accepted"] is True
+    domain = fundamental_domain(D24)
+    conjugates = tuple(None if c is None else parse_matrix(c) for c in p["conjugates"])
+    actions = tuple(
+        tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
+        for c in conjugates
+    )
     rebuilt = NLCertificate(
         L=parse_matrix(p["L"]),
         M=parse_matrix(p["M"]),
         n_max=p["n_max"],
-        conjugates=tuple(None if c is None else parse_matrix(c) for c in p["conjugates"]),
+        conjugates=conjugates,
         k=p["k"],
         n0=p["n0"],
         residue_permutation=tuple(
             (parse_vector(a), parse_vector(b)) for a, b in p["residue_permutation"]
         ),
-        domain=fundamental_domain(D24),
+        domain=domain,
+        actions=actions,
     )
-    assert rebuilt == out
+    assert rebuilt == out and rebuilt.actions == out.actions
+    assert rebuilt.actions[rebuilt.n0] == rebuilt.residue_permutation
+    # equal actions are one object, and the record's repr leaves them out
+    assert len({id(a) for a in out.actions}) == len(set(out.actions))
+    assert "actions" not in repr(out)
+    assert NLCertificate(**{**vars(out), "actions": ()}) == out
     rej = nl_membership(D24, parse_matrix("1,0;1,1"))
     p = rej.to_payload()
     assert p.pop("accepted") is False
@@ -277,34 +290,34 @@ def test_nl_payload_roundtrip():
 
 
 def test_rule_reads_each_level_action_on_the_certificate_domain(monkeypatch):
-    calls = []
-    letter = subshift_norm.tau
+    def refused(*args):
+        raise AssertionError("build_local_rule walked a digit")
 
-    def counted(s, v):
-        calls.append((s.domain, v))
-        return letter(s, v)
-
-    monkeypatch.setattr(subshift_norm, "tau", counted)
     for L, M, domain, other in (
         (TWO, SWAP, HH_DOMAIN, fundamental_domain(TWO)),
         (D24, parse_matrix("1,1;0,1"), fundamental_domain(D24), None),
     ):
         cert = nl_membership(L, M, domain=domain)
-        calls.clear()
-        rule = build_local_rule(cert)
+        # the levels are the certificate's actions: no digit is walked again
+        with monkeypatch.context() as patched:
+            for name in ("tau", "_strip_base", "sigma_L"):
+                patched.setattr(substitution, name, refused)
+            patched.setattr(subshift_norm, "_strip_base", refused)
+            rule = build_local_rule(cert)
         # level v sends each letter a to sigma_L's letter tau(C_v a), read on
         # the certificate's domain: it permutes the nonzero digits as C_v does
+        s = sigma_L(L, domain)
         levels = cert.conjugates[: cert.n0 + 1]
-        letters = sorted(f for f in domain.reps if any(f))
-        assert calls == [(domain, c.mul_vec(a)) for c in levels for a in letters]
         assert len(rule.per_level) == cert.n0 + 1
-        for c, perm in zip(levels, rule.per_level):
+        for v, (c, perm) in enumerate(zip(levels, rule.per_level)):
+            assert perm == {a: tau(s, c.mul_vec(a)) for a in sorted(s.alphabet)}
             assert perm == {f: domain.digit_of(c.mul_vec(f)) for f in domain.reps if any(f)}
+            assert perm == dict(cert.actions[v])
         assert rule.per_level[-1] == dict(cert.residue_permutation)
         # a certificate rebuilt from its fields equals the original and gives its rule
         fields = vars(cert)
         assert set(fields) == {
-            "L", "M", "n_max", "conjugates", "k", "n0", "residue_permutation", "domain"
+            "L", "M", "n_max", "conjugates", "k", "n0", "residue_permutation", "domain", "actions"
         }
         rebuilt = NLCertificate(**fields)
         assert rebuilt == cert and hash(rebuilt) == hash(cert)
@@ -314,7 +327,7 @@ def test_rule_reads_each_level_action_on_the_certificate_domain(monkeypatch):
             # rule reads that domain's digits
             assert NLCertificate(**{**fields, "domain": other}) != cert
             got = build_local_rule(nl_membership(L, M, domain=other))
-            assert got.substitution.domain == other
+            assert got.domain == other
             assert set(got.per_level[0]) == set(other.reps[1:]) != set(domain.reps[1:])
 
 
@@ -337,7 +350,7 @@ def test_identity_rule_is_identity():
     cert = nl_membership(TWO, IntMatrix.identity(2), domain=HH_DOMAIN)
     rule = build_local_rule(cert)
     assert all(v == k for k, v in rule.per_level[0].items())
-    patch = fixed_point_patch(rule.substitution, (1, 0), box(5))
+    patch = fixed_point_patch(sigma_L(cert.L, cert.domain), (1, 0), box(5))
     out = evaluate(rule, patch, box(3))
     assert all(out[t] == patch[t] for t in box(3))
 
@@ -367,8 +380,7 @@ def test_fixed_point_maps_to_fixed_point():
     ):
         cert = nl_membership(L, M, domain=domain)
         assert isinstance(cert, NLCertificate)
-        rule = build_local_rule(cert)
-        s = rule.substitution
+        rule, s = build_local_rule(cert), sigma_L(cert.L, cert.domain)
         region = box(5)
         sources, cells = pullback_positions(rule, region)
         for seed in sorted(s.alphabet):
@@ -382,8 +394,7 @@ def test_fixed_point_maps_to_fixed_point():
 
 def test_equivariance_on_shifted_patches():
     cert = nl_membership(TWO, SWAP, domain=HH_DOMAIN)
-    rule = build_local_rule(cert)
-    s = rule.substitution
+    rule, s = build_local_rule(cert), sigma_L(cert.L, cert.domain)
     patch = fixed_point_patch(s, (1, 0), box(14))
     z = (1, 0)
     mz = SWAP.mul_vec(z)
@@ -402,8 +413,7 @@ def test_equivariance_with_nontrivial_window():
     M = parse_matrix("1,1;0,1")
     cert = nl_membership(D24, M)
     assert isinstance(cert, NLCertificate) and cert.n0 == 1
-    rule = build_local_rule(cert)
-    s = rule.substitution
+    rule, s = build_local_rule(cert), sigma_L(cert.L, cert.domain)
     patch = fixed_point_patch(s, (1, 1), box(40))
     region = box(3)
     for z in ((1, 0), (0, 1), (2, -3), (-1, 2)):
@@ -435,8 +445,7 @@ def test_tau_equivariance_of_accepted_matrices():
     for L, M, domain in cases:
         cert = nl_membership(L, M, domain=domain)
         assert isinstance(cert, NLCertificate)
-        rule = build_local_rule(cert)
-        s = rule.substitution
+        rule, s = build_local_rule(cert), sigma_L(cert.L, cert.domain)
         for v in box(8):
             if v == (0, 0):
                 continue
@@ -447,7 +456,7 @@ def test_tau_equivariance_of_accepted_matrices():
 def test_margin_error():
     cert = nl_membership(TWO, SWAP, domain=HH_DOMAIN)
     rule = build_local_rule(cert)
-    patch = fixed_point_patch(rule.substitution, (1, 0), box(2))
+    patch = fixed_point_patch(sigma_L(cert.L, cert.domain), (1, 0), box(2))
     with pytest.raises(MarginError):
         evaluate(rule, patch, box(8))
 
@@ -494,7 +503,7 @@ def test_automorphism_triviality_surrogate():
     # self-conjugacies
     cert = nl_membership(TWO, IntMatrix.identity(2), domain=HH_DOMAIN)
     rule = build_local_rule(cert)
-    patch = fixed_point_patch(rule.substitution, (0, 1), box(6))
+    patch = fixed_point_patch(sigma_L(cert.L, cert.domain), (0, 1), box(6))
     out = evaluate(rule, patch, box(4))
     assert all(out[t] == patch[t] for t in box(4))
 
@@ -561,7 +570,7 @@ def window_coset(s, patch, n):
     ]
     assert len(matches) == 1, f"{len(matches)} cosets match the window"
     (c, level), = matches
-    assert _truncated_level(s, _window(s, n), patch, (0,) * s.dim) == level
+    assert _truncated_level(s.domain, _window(s.domain, n), patch, (0,) * s.dim) == level
     return c
 
 
@@ -606,12 +615,12 @@ def test_pi_factor_window_too_small():
     # the window S = {0, f1, f2} around the position, f1 and f2 the two least
     # nonzero digits, and raises MarginError for each missing cell of it
     M = parse_matrix("1,1;0,1")
-    rule = build_local_rule(nl_membership(D24, M))
-    s = rule.substitution
+    cert = nl_membership(D24, M)
+    rule, s = build_local_rule(cert), sigma_L(cert.L, cert.domain)
     assert rule.n0 == 1
     # the window is S's one pair (f1, f2), and the rule keeps M^{-1} as data
     f1 = sorted(supports(s, 1)[1])
-    pairs = _window(s, 1)
+    pairs = _window(s.domain, 1)
     window = window_cells(pairs, 2)
     assert pairs == (((0, 1), (0, 2)),) and window == ((0, 0), (0, 1), (0, 2))
     assert set(window) < set(f1) and rule.m_inv * M == IntMatrix.identity(2)
@@ -630,14 +639,14 @@ def test_pi_factor_window_too_small():
     for f in window:
         hole = (u[0] + f[0], u[1] + f[1])
         with pytest.raises(MarginError):
-            _truncated_level(s, pairs, {p: a for p, a in patch.items() if p != hole}, u)
+            _truncated_level(s.domain, pairs, {p: a for p, a in patch.items() if p != hole}, u)
     # a cell of F_1 outside S is never read
     outside = {p: a for p, a in patch.items() if p != (u[0] + 1, u[1] + 1)}
-    assert _truncated_level(s, pairs, outside, u) == min(valuation(s, u), 1)
+    assert _truncated_level(s.domain, pairs, outside, u) == min(valuation(s, u), 1)
     assert table_level(window, class_table(s, 1, window), outside, u) == min(valuation(s, u), 1)
     tiny = fixed_point_patch(s, min(s.alphabet), [(9, 4)])
     with pytest.raises(MarginError):
-        _truncated_level(s, pairs, tiny, (9, 4))
+        _truncated_level(s.domain, pairs, tiny, (9, 4))
 
 
 def test_the_patch_route_calls_no_hnf_of_the_base_power(monkeypatch):
@@ -654,7 +663,7 @@ def test_the_patch_route_calls_no_hnf_of_the_base_power(monkeypatch):
     assert composition_check(L, M, M, box(4), domain=domain)
     rule = build_local_rule(nl_membership(L, M, domain=domain))
     assert rule.n0 == 2
-    s = rule.substitution
+    s = sigma_L(L, domain)
     sources, cells = pullback_positions(rule, box(3))
     image = apply_endomorphism(rule, fixed_point_patch(s, min(s.alphabet), cells), sources)
     assert len(image) == len(box(3)) and calls == [L]
@@ -690,72 +699,69 @@ WINDOW_PAIRS = [
 
 
 def window_rule(L, M):
-    """The rule of M at n0 = 1, its window's pairs, and the class table of
-    the window's cells."""
-    rule = build_local_rule(nl_membership(L, M))
+    """The rule of M at n0 = 1, sigma_L on its certificate's domain, the
+    window's pairs, and the class table of the window's cells."""
+    cert = nl_membership(L, M)
+    rule, s = build_local_rule(cert), sigma_L(cert.L, cert.domain)
     assert rule.n0 == 1
-    s = rule.substitution
-    pairs = _window(s, 1)
+    pairs = _window(s.domain, 1)
     cells = window_cells(pairs, s.dim)
-    return rule, pairs, cells, class_table(s, 1, cells)
+    return rule, s, pairs, cells, class_table(s, 1, cells)
 
 
 @pytest.mark.parametrize("L, M", WINDOW_PAIRS, ids=lambda m: str(m))
 def test_memoized_decoder_reads_the_valuation(L, M):
-    rule, pairs, cells, table = window_rule(L, M)
-    s = rule.substitution
+    rule, s, pairs, cells, table = window_rule(L, M)
     patch = fixed_point_patch(s, max(s.alphabet), box(10))
     expected = {u: min(valuation(s, u), 1) if any(u) else 1 for u in box(6)}
-    assert {u: _truncated_level(s, pairs, patch, u) for u in box(6)} == expected
+    assert {u: _truncated_level(s.domain, pairs, patch, u) for u in box(6)} == expected
     assert {u: table_level(cells, table, patch, u) for u in box(6)} == expected
     # the decoder keeps no state: a second pass reads the same levels
-    assert {u: _truncated_level(s, pairs, patch, u) for u in box(6)} == expected
+    assert {u: _truncated_level(s.domain, pairs, patch, u) for u in box(6)} == expected
 
 
 def test_margin_error_after_the_pattern_is_memoized():
     # a window that decoded once still raises for each missing cell
-    rule, pairs, cells, table = window_rule(D24, parse_matrix("1,1;0,1"))
-    s = rule.substitution
+    rule, s, pairs, cells, table = window_rule(D24, parse_matrix("1,1;0,1"))
     patch = fixed_point_patch(s, (1, 1), box(8))
     u = (2, 1)
-    level = _truncated_level(s, pairs, patch, u)
+    level = _truncated_level(s.domain, pairs, patch, u)
     assert level == min(valuation(s, u), 1) == table_level(cells, table, patch, u)
     for f in cells:
         hole = (u[0] + f[0], u[1] + f[1])
         holed = {p: a for p, a in patch.items() if p != hole}
         with pytest.raises(MarginError):
-            _truncated_level(s, pairs, holed, u)
+            _truncated_level(s.domain, pairs, holed, u)
         with pytest.raises(MarginError):
             table_level(cells, table, holed, u)
-    assert _truncated_level(s, pairs, patch, u) == level
+    assert _truncated_level(s.domain, pairs, patch, u) == level
 
 
 def test_doctored_window_raises_every_time():
-    rule, pairs, cells, table = window_rule(D24, parse_matrix("1,1;0,1"))
-    s = rule.substitution
+    rule, s, pairs, cells, table = window_rule(D24, parse_matrix("1,1;0,1"))
     # one letter everywhere: the three cells of S lie in distinct cosets of
     # L(Z^2), so each coset forces at least two distinct digits on them
     flat = {p: (1, 1) for p in box(4)}
     for _ in range(2):
         with pytest.raises(WindowError, match="matches no digit coset"):
-            _truncated_level(s, pairs, flat, (0, 0))
+            _truncated_level(s.domain, pairs, flat, (0, 0))
         with pytest.raises(WindowError, match="matches no digit coset"):
             table_level(cells, table, flat, (0, 0))
     # a coset leaves at most one window cell free, and that cell may hold
     # anything, unhashable too: a non-letter there still decodes
     patch = fixed_point_patch(s, min(s.alphabet), box(6))
     for u in ((0, 0), (0, 2)):
-        level = _truncated_level(s, pairs, patch, u)
+        level = _truncated_level(s.domain, pairs, patch, u)
         assert level == (1 if u == (0, 0) else 0)
         free = u if level else (u[0], u[1] + 2)  # digit (0, 2) + f2 = (0, 4) is 0
         for junk in [("junk", k) for k in range(50)] + [["junk"], {}]:
             doctored = {**patch, free: junk}
-            assert _truncated_level(s, pairs, doctored, u) == level
+            assert _truncated_level(s.domain, pairs, doctored, u) == level
             assert table_level(cells, table, doctored, u) == level
     # a junk or unhashable letter in a forced cell raises WindowError, not TypeError
     for junk in (("junk",), ["junk"], [0, 2]):
         with pytest.raises(WindowError):
-            _truncated_level(s, pairs, {**patch, (0, 2): junk}, (0, 2))
+            _truncated_level(s.domain, pairs, {**patch, (0, 2): junk}, (0, 2))
         with pytest.raises(WindowError):
             table_level(cells, table, {**patch, (0, 2): junk}, (0, 2))
 
@@ -771,7 +777,7 @@ def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
         if abs(L.det()) < 3 or not is_expansion(L):
             continue
         s = sigma_L(L, fundamental_domain(L))
-        window = window_cells(_window(s, n0), 2)
+        window = window_cells(_window(s.domain, n0), 2)
         assert len(window) == 2 * n0 + 1
         table = class_table(s, n0, window)
         for (_, level1, forced1), (_, level2, forced2) in product(table, repeat=2):
@@ -782,8 +788,7 @@ def test_cosets_of_different_level_disagree_on_a_forced_cell(n0):
 
 
 def test_regions_of_lists_evaluate_like_tuples():
-    rule = window_rule(D24, parse_matrix("1,1;0,1"))[0]
-    s = rule.substitution
+    rule, s = window_rule(D24, parse_matrix("1,1;0,1"))[:2]
     region = box(3)
     as_lists = [list(t) for t in region]
     sources, cells = pullback_positions(rule, region)

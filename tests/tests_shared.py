@@ -4,10 +4,19 @@ from itertools import product
 from operator import add, index
 
 from odosym.errors import DepthError, MarginError, WindowError, WrongBranchError
-from odosym.intmat import IntMatrix, Vec, _Record, _require_expansion, commutes, hnf, vec_add
+from odosym.intmat import (
+    IntMatrix,
+    Vec,
+    _apply,
+    _Record,
+    _require_expansion,
+    commutes,
+    hnf,
+    vec_add,
+)
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
-from odosym.substitution import box_positions, tau, valuation
+from odosym.substitution import _strip_base, box_positions, tau, valuation
 
 
 def rand_unimodular_steps(rng, d=2, steps=6):
@@ -233,3 +242,39 @@ def table_level(window, table, patch, pos):
 def window_cells(pairs, d):
     """The cells of a window: the origin and every cell of its pairs, sorted."""
     return tuple(sorted({(0,) * d, *(f for pair in pairs for f in pair)}))
+
+
+# ---------------------------------------------------------------------------
+# the per-cell one pass, the oracle of the row pass of _fixed_point_image
+# ---------------------------------------------------------------------------
+
+
+def per_cell_image(rule, seed, region):
+    """The letters of the rule's image of the fixed point seeded by seed, one
+    per position t of the region and in its order, each by its own digit
+    walk: with u = M^{-1} t = L^p w, w not in L(Z^d), the letter at t is
+    per_level[min(p, n0)] of w's digit, and the origin holds the seed at n0.
+    The 2-D walk is in line (Hermite key and adj(L) u / det(L)), the others
+    go through reduce_vec and solve_exact."""
+    domain, n0, per_level, m_inv = rule.domain, rule.n0, rule.per_level, rule.m_inv.rows
+    seed = tuple(seed)
+    if seed not in per_level[n0]:
+        raise ValueError(f"seed {seed} is not a letter")
+    origin, rep_of_key, out = per_level[n0][seed], domain._rep_of_key, []
+    if len(m_inv) == 2:
+        (a, b), (c, d) = m_inv
+        (h00, _), (h10, h11) = domain.hnf_basis.matrix.rows
+        det, ((e, f), (g, h)) = domain.base._inverse
+        digits = [rep_of_key[k // h11, k % h11] for k in range(h00 * h11)]
+        flat = [[lv.get(w) for w in digits] for lv in per_level]
+        for t in region:
+            x, y, p = a * t[0] + b * t[1], c * t[0] + d * t[1], 0
+            while not (k := x % h00 * h11 + (y - x // h00 * h10) % h11) and (x or y):
+                x, y, p = (e * x + f * y) // det, (g * x + h * y) // det, p + 1
+            out.append((flat[p] if p < n0 else flat[n0])[k] if x or y else origin)
+        return out
+    for t in region:
+        u = _apply(m_inv, t)
+        p, key = _strip_base(domain, u, "tau") if any(u) else (n0, None)
+        out.append(per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin)
+    return out
