@@ -16,6 +16,7 @@ patches evaluate correctly), which only this patch route decodes.
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from itertools import islice
 from operator import add, index
 
@@ -69,11 +70,9 @@ class NLCertificate(_Record):
 
     conjugates[n] is C_n or None; k is the first level from which every
     recorded conjugate is integral, n0 the first level from which the
-    digit-coset action is constant through n_max.  actions[n] is C_n's
-    action on the nonzero digits of domain as sorted (digit, image) pairs
-    (None below k, equal actions one object), which the local rule reads;
-    residue_permutation is actions[n0].  The actions follow from conjugates
-    and domain: the payload leaves them out and == ignores them.
+    digit-coset action is constant through n_max.  residue_permutation
+    maps nonzero digits of domain, which the local rule also reads, to
+    nonzero digits: it is actions[n0].
     """
 
     L: IntMatrix
@@ -84,8 +83,12 @@ class NLCertificate(_Record):
     n0: int
     residue_permutation: tuple[tuple[Vec, Vec], ...]
     domain: FundamentalDomain
-    actions: tuple[tuple[tuple[Vec, Vec], ...] | None, ...]
-    _uncompared = ("actions",)
+
+    @cached_property
+    def actions(self) -> tuple[tuple[tuple[Vec, Vec], ...] | None, ...]:
+        """actions[n], C_n's _residue_action (None below k), read by the local rule;
+        no field, as conjugates and domain give them: nl_membership hands over its own."""
+        return _level_actions(self.L, self.conjugates, self.k, self.domain)
 
     def to_payload(self) -> dict:
         # a scalar base yields one C_n object at every level: each object is formatted once
@@ -134,6 +137,20 @@ def _residue_action(c: IntMatrix, domain: FundamentalDomain) -> tuple[tuple[Vec,
     return tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
 
 
+def _level_actions(L: IntMatrix, conj: tuple, k: int, domain: FundamentalDomain) -> tuple:
+    """Each level's _residue_action, None below k.  C f mod L(Z^d) depends only
+    on C mod |det|, as |det| Z^d lies in L(Z^d): one action per residue class
+    of conjugates, and equal actions are one object, so levels compare by id."""
+    det, by_class, interned, actions = abs(L.det()), {}, {}, [None] * k
+    for c in conj[k:]:
+        key = tuple(x % det for row in c.rows for x in row)
+        if key not in by_class:
+            action = _residue_action(c, domain)
+            by_class[key] = interned.setdefault(action, action)
+        actions.append(by_class[key])
+    return tuple(actions)
+
+
 # The walk's cost grows about as nmax^1.5, and the report as nmax^2 where C_n
 # grows: 3,1;0,5 with M = Id took 0.03 s at nmax 1,000 and 1.4 s at 16,000, and
 # a shear on 2,0;0,4 (C_n holds 2^n) wrote 9.7 MB in 4.3 s at 8,000 (2-core Xeon).
@@ -170,16 +187,7 @@ def nl_membership(
         tail = "" if k > n_max else f"; integral tail only from level {k}"
         detail = f"conjugate at level {first_bad} is not integral{tail}"
         return NLRejection(L=L, M=M, n_max=n_max, reason="non-integral-conjugate", detail=detail)
-    # C f mod L(Z^d) depends only on C mod |det|, as |det| Z^d lies in L(Z^d):
-    # one action per residue class of conjugates, and the levels compare by
-    # action, interned, so no level walks F again
-    det, by_class, interned, actions = abs(L.det()), {}, {}, [None] * k  # actions[n]
-    for c in conj[k:]:
-        key = tuple(x % det for row in c.rows for x in row)
-        if key not in by_class:
-            action = _residue_action(c, domain)
-            by_class[key] = interned.setdefault(action, action)
-        actions.append(by_class[key])
+    actions = _level_actions(L, conj, k, domain)
     n0 = n_max
     while n0 > k and actions[n0 - 1] is actions[-1]:
         n0 -= 1
@@ -189,17 +197,9 @@ def nl_membership(
     # n0 <= n_max - 2, so C_{n0} L = L C_{n0+1} with both integral
     # unimodular: C_{n0} maps L(Z^d) onto itself and so permutes the
     # nonzero digit cosets
-    return NLCertificate(
-        L=L,
-        M=M,
-        n_max=n_max,
-        conjugates=conj,
-        k=k,
-        n0=n0,
-        residue_permutation=actions[n0],
-        domain=domain,
-        actions=tuple(actions),
-    )
+    cert = NLCertificate(L, M, n_max, conj, k, n0, actions[n0], domain)  # in field order
+    vars(cert)["actions"] = actions  # the property's cache: the rule walks no digit again
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,8 @@ def _fixed_point_image(rule: LocalRule, seed: Vec, runs) -> list[Vec]:
     steps by M^{-1} e_d, so its digit repeats with the least period P for
     which P M^{-1} e_d lies in L(Z^d), a divisor of |det L|: one period of
     level-0 letters is read and repeated, and only the one class of cells
-    mod P whose u lies in L(Z^d) walks the digit descent."""
+    mod P whose u lies in L(Z^d) walks the digit descent.  Empty runs are skipped."""
+    runs = [r for r in runs if r[1] > 0]
     domain, n0, per_level, m_inv = rule.domain, rule.n0, rule.per_level, rule.m_inv.rows
     origin, rep_of_key, out = per_level[n0][_as_letter(seed, per_level[n0])], domain._rep_of_key, []
     if len(m_inv) == 2:  # in line: u's Hermite key (k0, k1) as k0 h11 + k1, and adj(L) u / det(L)

@@ -343,6 +343,8 @@ def box_rows(lo: int, hi: int, d: int) -> list[tuple[Vec, int]]:
     """The rows of the cube [lo, hi]^d along its last axis, each (first cell, length):
     their cells, row by row, are box_positions' points in its order, and guarded alike."""
     _guard(max(hi - lo + 1, 0) ** d, f"the box {lo}:{hi} in d = {d} has", "cells")
+    if hi < lo:
+        return []
     return [((*lead, lo), hi - lo + 1) for lead in product(range(lo, hi + 1), repeat=d - 1)]
 
 

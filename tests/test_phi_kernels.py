@@ -347,9 +347,16 @@ def test_the_row_pass_matches_the_per_cell_walk():
         for seed in (letters[0], letters[-1]):
             got = _fixed_point_image(rule, seed, runs)
             assert got == per_cell_image(rule, seed, run_cells(runs)), (L, M, seed)
-        for lo, hi in ((0, 0), (5, 9), (-3, 3)):
+        for lo, hi in ((0, 0), (5, 9), (-3, 3), (1, 0)):
             box_runs = box_rows(lo, hi, d)
             assert run_cells(box_runs) == box_positions(lo, hi, d)
+        # an empty box has no rows, and a run of length 0 or less no cells
+        assert box_rows(1, 0, d) == [] and box_rows(3, -3, d) == []
+        empty = [((0,) * d, 0), ((5,) * d, -2)]
+        assert _fixed_point_image(rule, letters[0], empty) == []
+        assert _fixed_point_image(rule, letters[0], [*empty, *runs[:3]]) == per_cell_image(
+            rule, letters[0], run_cells(runs[:3])
+        )
     assert reached == {(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)}
     # P = 1 on 0,3;1,0, where M^{-1} e_2 = (0, -1) lies in L(Z^2)
     assert periods == {1, 2, 3, 4, 5, 6, 7, 8, 16}
