@@ -35,6 +35,7 @@ from .classify2d import class_to_payload, classify, is_member
 from .errors import MatrixParseError
 from .intmat import (
     IntMatrix,
+    _require_expansion,
     _require_product,
     format_matrix,
     format_vector,
@@ -47,6 +48,7 @@ from .odometer import nc_bounded_check, verify_nc_certificate
 from .substitution import (
     ConstantShapeSubstitution,
     _fixed_at_origin,
+    _require_two_letters,
     box_positions,
     box_rows,
     fixed_point_count,
@@ -59,6 +61,7 @@ from .substitution import (
     valuation,
 )
 from .subshift_norm import (
+    LocalRule,
     NLCertificate,
     NLRejection,
     _fixed_point_image,
@@ -204,7 +207,8 @@ def _image(cells) -> dict:
     return {tuple(map(index, pos)): tuple(map(index, val)) for pos, val in cells}
 
 
-def _load_substitution(path: str) -> ConstantShapeSubstitution:
+def _load_substitution(path: str) -> tuple:
+    """(F1, its rule) of a description file, the rule None where "table" is absent: sigma_L."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -218,16 +222,14 @@ def _load_substitution(path: str) -> ConstantShapeSubstitution:
     domain = validate_domain(base, _field(path, "F1", _vectors, data["F1"]))
     table = data.get("table")
     if table is None:
-        return sigma_L(base, domain)
+        return domain, None
     if not isinstance(table, dict) or not table:
         raise ValueError(f"{path}: field 'table': expected a non-empty object, got {table!r}")
     images = {
         parse_vector(letter): _field(path, f"table.{letter}", _image, cells)
         for letter, cells in table.items()
     }
-    return ConstantShapeSubstitution(
-        base=base, domain=domain, alphabet=frozenset(images), table=images
-    )
+    return domain, ConstantShapeSubstitution(base, domain, frozenset(images), images)
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +354,32 @@ def cmd_phi(args) -> Answer:
 
 
 def cmd_subst(args) -> Answer:
+    """A box of a rule's fixed point.  sigma_L's (--L, or a --subst file with no
+    "table") is its image under M = Id's local rule, which phi's row pass reads
+    with no |det|^2 table; a table's letters are walked cell by cell."""
     if args.subst:
         if args.F:
             raise ValueError("--F cannot be given with --subst: the description file sets F1")
-        s = _load_substitution(args.subst)
+        domain, s = _load_substitution(args.subst)
     else:
-        base = parse_matrix(args.L)
-        domain = _parse_domain_arg(base, args.F)
-        s = sigma_L(base, domain)
-    seed = _seed(s, args.seed)
-    box = (*_parse_box(args.box), s.dim)
-    positions = box_positions(*box)
-    patch = fixed_point_patch(s, seed, positions)
-    inputs = {
-        "L": format_matrix(s.base),
-        "F": [format_vector(v) for v in s.domain.reps],
-        "box": args.box,
-    }
-    result = {
-        "seed": format_vector(seed),
-        "alphabet": [format_vector(a) for a in sorted(s.alphabet)],
-    }
-    return Answer(inputs, result, patch=(box, [patch[t] for t in positions]))
+        domain, s = _parse_domain_arg(parse_matrix(args.L), args.F), None
+    if s is None:  # sigma_L's checks, in its order, then M = Id's rule
+        _require_two_letters(domain.base)
+        _require_expansion(domain.base)
+        alphabet = {a: a for a in domain.reps if any(a)}
+        rule = LocalRule(domain, IntMatrix.identity(domain.base.dim), 0, (alphabet,))
+        seed = min(alphabet) if args.seed is None else parse_vector(args.seed)
+    else:
+        alphabet, seed = s.alphabet, _seed(s, args.seed)
+    box = (*_parse_box(args.box), domain.base.dim)  # after the seed, so its errors come first
+    if s is None:
+        letters = _fixed_point_image(rule, seed, box_rows(*box))
+    else:
+        letters = list(fixed_point_patch(s, seed, box_positions(*box)).values())
+    F = [format_vector(v) for v in domain.reps]
+    inputs = {"L": format_matrix(domain.base), "F": F, "box": args.box}
+    result = {"seed": format_vector(seed), "alphabet": [format_vector(a) for a in sorted(alphabet)]}
+    return Answer(inputs, result, patch=(box, letters))
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,10 @@ def build_local_rule(cert: NLCertificate) -> LocalRule:
 def _window(domain: FundamentalDomain, n0: int) -> tuple[tuple[Vec, ...], ...]:
     """The pairs (L^v f1, L^v f2), v < n0, f1 and f2 the two least nonzero digits:
     with the origin, the window S of 2 n0 + 1 cells that decides the truncated level."""
-    pairs = [tuple(sorted(f for f in domain.reps if any(f))[:2])]
+    pairs = [tuple(sorted(f for f in domain.reps if any(f))[:2])] if n0 else []
     while len(pairs) < n0:
         pairs.append(tuple(map(domain.base.mul_vec, pairs[-1])))
-    return tuple(pairs[:n0])
+    return tuple(pairs)
 
 
 def _truncated_level(domain: FundamentalDomain, window: tuple, patch: dict, pos: Vec) -> int:

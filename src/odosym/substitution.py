@@ -80,8 +80,8 @@ class ConstantShapeSubstitution(_Record):
 
 
 # sigma_L's table has |det| - 1 images of |det| cells, and the support check and
-# _forced walk them all: `subst patch --box 0:0` on n Id took 0.52, 2.4 and 16 s
-# (55, 163 and 598 MB) at |det| 1,024, 2,025 and 4,096 (2-core Xeon, Python 3.11)
+# _forced walk them all: on n Id, sigma_L and one cell of its fixed point took 0.52,
+# 2.4 and 16 s (55, 163 and 598 MB) at |det| 1,024, 2,025 and 4,096 (2-core Xeon, 3.11)
 _TABLE_LIMIT = 1_000_000
 
 
@@ -215,30 +215,22 @@ def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
     forced cell or to the origin, which holds the seed, a letter fixed at the
     origin of its own image.  The walks share a memo of the unforced cells,
     so no cell is walked twice and a walk that comes back to one of its cells
-    circles.  In 2-D the Hermite key and the exact division are in line."""
+    circles."""
     seed, zero = _checked_seed(s, seed), zero_vec(s.dim)
     known, rep_of_key, forced, table = {zero: seed}, s.domain._rep_of_key, s._forced.get, s.table
-    reduce, solve, two = s.domain.hnf_basis.reduce_vec, s.base.solve_exact, s.dim == 2
-    if two:
-        (h00, _), (h10, h11) = s.domain.hnf_basis.matrix.rows
-        det, ((a, b), (c, d)) = s.base._inverse
+    reduce, solve = s.domain.hnf_basis.reduce_vec, s.base.solve_exact
 
     def letter_at(pos):
         walked = None  # (cell, offset, the walked before it) of each unforced cell
         while True:
-            key = (pos[0] % h00, (pos[1] - pos[0] // h00 * h10) % h11) if two else reduce(pos)
-            if (letter := forced(key)) is not None:
+            if (letter := forced(key := reduce(pos))) is not None:
                 break
             if pos in known:  # the origin, an earlier walk's cell, or this walk's: None
                 letter = known[pos]
                 break
             known[pos] = None
             walked = (pos, f := rep_of_key[key], walked)
-            if two:  # pos - f lies in L(Z^2): adj(L) (pos - f) / det(L) is exact
-                x, y = pos[0] - f[0], pos[1] - f[1]
-                pos = ((a * x + b * y) // det, (c * x + d * y) // det)
-            else:
-                pos = solve(tuple(map(sub, pos, f)))
+            pos = solve(tuple(map(sub, pos, f)))
         while walked:  # innermost first
             pos, f, walked = walked
             known[pos] = letter = None if letter is None else table[letter][f]

@@ -15,7 +15,7 @@ import pytest
 import odosym
 from odosym import cli, substitution
 from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
-from odosym.errors import NotExpansionError
+from odosym.errors import NotExpansionError, SizeGuardError
 from odosym.intmat import fundamental_domain, parse_matrix
 from odosym.odometer import NcCertificate
 from odosym.substitution import (
@@ -810,6 +810,69 @@ def test_phi_builds_no_sigma_L(capsys, monkeypatch):
         sigma_L(parse_matrix("3,0;0,3"))
 
 
+# subst reports recorded when subst built sigma_L's table and walked its
+# fixed point cell by cell: d = 1, 2 and 3, a negative det, a non-diagonal
+# base, a given F and the same rule from a --subst file with no table; and a
+# general rule (CI's cover.json), whose own table the walk still reads
+COVER_TABLE = {
+    "0,1": [[[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 0]], [[1, 1], [1, 0]]],
+    "1,0": [[[0, 0], [1, 0]], [[0, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+}
+SUBST_PAYLOAD_HASHES = [
+    (
+        ["--L", "2,0;0,2", "--F", "0,0;1,0;0,1;1,-1", "--seed", "1,0", "--box", "-8:8"],
+        "347ada42716520d44e30d748a0f1fd61e8ea167345d0344c714c99b0b3692198",
+    ),
+    (
+        ["--subst", "{tmp}/hh.json", "--seed", "1,0", "--box", "-8:8"],
+        "347ada42716520d44e30d748a0f1fd61e8ea167345d0344c714c99b0b3692198",
+    ),
+    (
+        ["--L", "3", "--box", "-5:5"],
+        "7065addf47cd9936ae5b437c414441ef5a177aee16290dfecd65cca06a1d05aa",
+    ),
+    (
+        ["--L", "-3", "--box", "-9:-4"],
+        "13bd628ab98cff284010aaa29352d4886bc1ed814ef4459a430a64e6e35c0b50",
+    ),
+    (
+        ["--L", "2,0,0;0,2,0;0,0,4", "--box", "-3:3"],
+        "e1952cbc65d62b80839261068a0fa04238c1f4fc2fce71288d2492879da252c7",
+    ),
+    (
+        ["--L", "1,1;-3,1", "--box", "-6:6", "--seed", "0,2"],
+        "2f31d718457f56ce14cb7a09caa5e42135cf1f202d4a460308645cff611d19aa",
+    ),
+    (
+        ["--L", "3,0;0,3", "--box", "-100:100"],
+        "dac57cac8cfd65e0231ef0cd51bf3aec0e03ff2a3bde5c7af97cfd16cd0324bf",
+    ),
+    (
+        ["--subst", "{tmp}/cover.json", "--box", "-40:40"],
+        "84cada1bae3677d4fde1d648d3df20dad8acf24fe4fb0773e56e9c00b156ebfc",
+    ),
+]
+
+
+def test_subst_builds_no_sigma_L_table(capsys, monkeypatch, tmp_path):
+    # sigma_L's letters come from M = Id's rule, a general rule's from its own
+    # table: with sigma_L's table refused, every pinned subst hash comes out
+    def refused(domain):
+        raise AssertionError("subst built sigma_L's table")
+
+    monkeypatch.setattr(substitution, "_sigma_table", refused)
+    hh = {"L": "2,0;0,2", "F1": [[0, 0], [1, 0], [0, 1], [1, -1]]}
+    (tmp_path / "hh.json").write_text(json.dumps(hh))
+    cover = {"L": "-2,0;0,-2", "F1": [[0, 0], [0, 1], [1, 0], [1, 1]], "table": COVER_TABLE}
+    (tmp_path / "cover.json").write_text(json.dumps(cover))
+    for argv, want in SUBST_PAYLOAD_HASHES:
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, report = run_cli(["subst", "patch", *argv], capsys)
+        assert code == 0 and report["payload_hash"] == want, argv
+    with pytest.raises(AssertionError, match="sigma_L's table"):
+        sigma_L(parse_matrix("3,0;0,3"))
+
+
 def test_phi_builds_no_coset_table(capsys):
     # n0 = 3 and 4: the window decoder's class table would hold 128^3 and
     # 512^4 cosets (the first took 59 s and 1 GB, the second was refused);
@@ -828,10 +891,10 @@ def test_phi_builds_no_coset_table(capsys):
     )
 
 
-# F has |det| digits, over which nl grows linearly, and sigma_L |det|^2 table
-# cells: F's limit of 100,000 digits holds for every command that builds F,
-# the table's 1,000,000 cells for phi and subst, and one over either exits 2
-# before it is built
+# F has |det| digits, over which nl grows linearly: F's limit of 100,000 digits
+# holds for every command that builds F, and one over it exits 2 before F is
+# built.  No command builds sigma_L's table of |det|^2 cells, whose limit of
+# 1,000,000 holds for sigma_L alone
 DET_GUARDED = ["nl --L {} --M 1", "phi --L {} --M 1 --box 0:0", "subst patch --L {} --box 0:0"]
 
 
@@ -850,7 +913,7 @@ def refused_with_peak(capsys, argv):
 
 @pytest.mark.parametrize("request_", DET_GUARDED, ids=lambda r: r.split()[0])
 def test_det_guard_at_and_over_the_limit(capsys, request_):
-    if request_.startswith("nl"):
+    if not request_.startswith("phi"):  # nl and subst answer at the limit
         assert main(request_.format(100_000).split()) == 0
         assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 100_000
     # the guard holds for the canonical F and for a given one (--F)
@@ -893,21 +956,27 @@ def test_digit_guard_names_the_interpreter_limit_and_the_request(capsys):
     assert conjugates[-1] == "1,1" + "00" * 400 + ";0,1"
 
 
-@pytest.mark.parametrize("request_", DET_GUARDED[2:], ids=lambda r: r.split()[0])
-def test_table_guard_at_and_over_the_limit(capsys, request_):
-    assert main(request_.format(1000).split()) == 0
-    assert len(json.loads(capsys.readouterr().out)["inputs"]["F"]) == 1000
-    err, peak = refused_with_peak(capsys, request_.format(1001).split())
-    assert err == (
-        "odosym: SizeGuardError: sigma_L's table has |det|^2 = 1001^2 = 1002001 cells,"
-        " over the limit of 1000000 cells\n"
+def test_sigma_L_table_guard_at_and_over_the_limit():
+    # |det| 1,000 has a table of 999 images of 1,000 cells; at 1,001 sigma_L
+    # refuses before the table is built, with F's 1,001 digits in memory only
+    assert len(sigma_L(parse_matrix("1000")).alphabet) == 999
+    base = parse_matrix("1001")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError) as raised:
+            sigma_L(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == (
+        "sigma_L's table has |det|^2 = 1001^2 = 1002001 cells, over the limit of 1000000 cells"
     )
-    assert peak < 1_000_000  # F and nl's walk only: the table would hold 10^6 cells
+    assert peak < 1_000_000
 
 
 def test_phi_builds_no_table_past_the_table_limit(capsys):
     # phi reads its rule off the certificate and builds no sigma_L, so the
-    # |det|^2 table limit that refuses subst at 1,001 does not bound it
+    # |det|^2 table limit that refuses sigma_L at 1,001 does not bound it
     request = DET_GUARDED[1].format(1001).split()
     tracemalloc.start()
     try:
@@ -919,6 +988,29 @@ def test_phi_builds_no_table_past_the_table_limit(capsys):
     assert code == 0 and len(report["inputs"]["F"]) == 1001
     assert report["result"]["seed"] == "1" and report["result"]["patch"] == [[[0], [1]]]
     assert peak < 1_000_000  # the table alone would hold 1001^2 cells
+
+
+def test_subst_builds_no_table_past_the_table_limit(capsys):
+    # subst reads sigma_L's fixed point as M = Id's image, as phi reads its
+    # own, so it answers past the table limit: at |det| 1,001 in 1-D, and on
+    # 40,0;0,30, whose table would hold 1,200^2 cells
+    tracemalloc.start()
+    try:
+        code = main(DET_GUARDED[2].format(1001).split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(report["inputs"]["F"]) == 1001
+    assert report["result"]["seed"] == "1" and report["result"]["patch"] == [[[0], [1]]]
+    assert len(report["result"]["alphabet"]) == 1000
+    assert peak < 1_000_000  # the table alone would hold 1001^2 cells
+    code, report = run_cli(["subst", "patch", "--L", "40,0;0,30", "--box", "-8:8"], capsys)
+    assert code == 0 and len(report["result"]["alphabet"]) == 1199
+    cells = {tuple(p): tuple(a) for p, a in report["result"]["patch"]}
+    # only the origin of the box lies in L(Z^2): every other cell holds its digit
+    assert cells.pop((0, 0)) == (0, 1)
+    assert all(a == (x % 40, y % 30) for (x, y), a in cells.items())
 
 
 @pytest.mark.parametrize(

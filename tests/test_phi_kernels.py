@@ -14,6 +14,7 @@ from tests_shared import (
     class_table,
     per_cell_image,
     rand_unimodular_steps,
+    substitute,
     table_level,
     unimodular_inverse,
     window_cells,
@@ -362,6 +363,61 @@ def test_the_row_pass_matches_the_per_cell_walk():
     assert periods == {1, 2, 3, 4, 5, 6, 7, 8, 16}
 
 
+# sigma_L on d = 1, 2 and 3: negative dets, the non-diagonal bases 2,1;0,4,
+# 0,3;1,0 and 1,1;-3,1, and two given domains
+SIGMA_CASES = [
+    ("3", None),
+    ("-4", None),
+    ("2,0;0,2", "0,0;1,0;0,1;1,-1"),
+    ("2,1;0,4", None),
+    ("0,3;1,0", None),
+    ("1,1;-3,1", None),
+    ("-2,0;0,-2", "0,0;-1,0;0,1;1,-1"),
+    ("2,1,0;0,2,1;1,0,2", None),
+]
+
+
+@pytest.mark.parametrize("L, F", SIGMA_CASES, ids=[L for L, _ in SIGMA_CASES])
+def test_subst_reads_sigma_L_as_the_identity_row_pass(L, F, capsys, tmp_path):
+    # odosym subst reads sigma_L's fixed point as the image of M = Id's rule,
+    # with no table.  For every seed, on a box around the origin and one off
+    # it, its letters are fixed_point_patch's on sigma_L's table; they satisfy
+    # X(L j + f) = image(X(j))[f] wherever both cells lie in the box, and
+    # iterated substitution of the seed writes them on F_n; a --subst file
+    # with no table gives the report of --L and --F
+    base = parse_matrix(L)
+    if F is None:
+        domain = fundamental_domain(base)
+    else:
+        domain = validate_domain(base, [tuple(map(int, v.split(","))) for v in F.split(";")])
+    s, d, det = sigma_L(base, domain), base.dim, abs(base.det())
+    desc = tmp_path / "rule.json"
+    desc.write_text(json.dumps({"L": L, "F1": [list(f) for f in domain.reps]}))
+    met = 0
+    for seed in sorted(s.alphabet):
+        tree = {(0,) * d: seed}
+        while len(tree) * det <= 2000:
+            tree = substitute(s, tree)
+        for lo, hi in ((-5, 5), (3, 8)) if d < 3 else ((-2, 2), (1, 3)):
+            argv = ["subst", "patch", "--box", f"{lo}:{hi}", "--seed", ",".join(map(str, seed))]
+            reports = []
+            for rule in (["--L", L, *(["--F", F] if F else [])], ["--subst", str(desc)]):
+                assert main([*argv, *rule]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            assert reports[0]["payload_hash"] == reports[1]["payload_hash"]
+            cells = {tuple(p): tuple(a) for p, a in reports[0]["result"]["patch"]}
+            region = box_positions(lo, hi, d)
+            assert list(cells) == region
+            assert cells == fixed_point_patch(s, seed, region), (L, seed, lo)
+            for j, a in cells.items():
+                for pos, b in substitute(s, {j: a}).items():
+                    assert cells.get(pos, b) == b, (L, seed, j)
+            for pos, b in tree.items():
+                assert cells.get(pos, b) == b, (L, seed, pos)
+            met += len(cells.keys() & tree.keys())
+    assert met > 2 * len(s.alphabet)
+
+
 def small_unimodular(d):
     """Unimodular matrices of entries in [-1, 1] (2-D), +-1 (1-D), and in
     3-D +-Id, a coordinate swap and a shear."""
@@ -470,7 +526,8 @@ def test_fixed_point_descent_ignores_order_and_type(s, data):
     data=st.data(),
 )
 def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
-    # a deep cell (HNF key 0) lies in L(Z^2): adj(L) pos / det(L) is exact
+    # a deep cell (HNF key 0) lies in L(Z^2): adj(L) pos / det(L), the
+    # division of the 2-D row pass's descent, is exact
     L, basis = s.base, s.domain.hnf_basis
     det, ((a, b), (c, d)) = L._inverse
     region = list(product(*(range(lo, lo + n) for lo, n in zip(corner, size))))
