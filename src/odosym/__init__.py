@@ -23,7 +23,6 @@ from .odometer import (
 )
 from .classify2d import (
     MembershipVerdict,
-    centralizer,
     classify,
     is_member,
 )
@@ -55,7 +54,7 @@ __all__ = [
     # odometer
     "NcCertificate", "nc_bounded_check", "nc_search", "verify_nc_certificate",
     # classify2d
-    "MembershipVerdict", "centralizer", "classify", "is_member",
+    "MembershipVerdict", "classify", "is_member",
     # substitution
     "ConstantShapeSubstitution", "fixed_point_patch", "half_hex", "k_set",
     "recognizability_check", "sigma_L", "supports", "tau",

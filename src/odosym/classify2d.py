@@ -341,15 +341,6 @@ def _sorted_elements(rows_set) -> tuple[IntMatrix, ...]:
     return tuple(IntMatrix(r) for r in sorted(rows_set))
 
 
-def centralizer(L: IntMatrix) -> NormalizerClass:
-    """GL(2,Z) centralizer of L: full group, finite list, or automorph pair."""
-    _require_expansion_2x2(L)
-    (p, q), (r, s) = L.rows
-    if q == 0 and r == 0 and p == s:
-        return FullGL2()
-    return _order_units(L)
-
-
 # ---------------------------------------------------------------------------
 # the classification
 # ---------------------------------------------------------------------------

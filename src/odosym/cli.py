@@ -9,8 +9,9 @@ The parsers are built once per process.  A command line that starts with
 a subcommand is parsed by that subcommand's parser alone, and any other
 line by the full parser; usage errors read the same either way.
 
-Exit codes: 0 success or member, 3 definite negative, 4 bounded
-verification inconclusive (rejected within the tested window), 2 usage,
+Exit codes: 0 success or member, 3 definite negative (for nl and phi, M
+outside the odometer's group in d = 2), 4 bounded verification
+inconclusive (rejected within the tested window), 2 usage,
 parse or value error, or a path that cannot be read or written, 1 the
 reader closed standard output early.
 """
@@ -64,6 +65,7 @@ from .subshift_norm import (
     LocalRule,
     NLCertificate,
     NLRejection,
+    _EXACT_REJECTION,
     _fixed_point_image,
     build_local_rule,
     composition_check,
@@ -323,9 +325,13 @@ def _nl_request(args):
     return base, inputs, nl_membership(base, mat, args.nmax, domain=domain)
 
 
+def _rejection_code(outcome: NLRejection) -> int:
+    return EXIT_NEGATIVE if outcome.reason == _EXACT_REJECTION else EXIT_INCONCLUSIVE
+
+
 def cmd_nl(args) -> Answer:
     _, inputs, outcome = _nl_request(args)
-    code = EXIT_OK if isinstance(outcome, NLCertificate) else EXIT_INCONCLUSIVE
+    code = EXIT_OK if isinstance(outcome, NLCertificate) else _rejection_code(outcome)
     return Answer(inputs, outcome.to_payload(), code)
 
 
@@ -344,7 +350,7 @@ def cmd_phi(args) -> Answer:
     base, inputs, outcome = _nl_request(args)
     inputs["box"] = args.box
     if isinstance(outcome, NLRejection):
-        return Answer(inputs, outcome.to_payload(), EXIT_INCONCLUSIVE)
+        return Answer(inputs, outcome.to_payload(), _rejection_code(outcome))
     rule = build_local_rule(outcome)
     seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
     box = (lo, hi, base.dim)
@@ -376,9 +382,10 @@ def cmd_subst(args) -> Answer:
         letters = _fixed_point_image(rule, seed, box_rows(*box))
     else:
         letters = list(fixed_point_patch(s, seed, box_positions(*box)).values())
-    F = [format_vector(v) for v in domain.reps]
-    inputs = {"L": format_matrix(domain.base), "F": F, "box": args.box}
-    result = {"seed": format_vector(seed), "alphabet": [format_vector(a) for a in sorted(alphabet)]}
+    text = {v: format_vector(v) for v in domain.reps}  # sigma_L's letters are these digits
+    inputs = {"L": format_matrix(domain.base), "F": [*text.values()], "box": args.box}
+    alphabet = [text.get(a) or format_vector(a) for a in sorted(alphabet)]
+    result = {"seed": format_vector(seed), "alphabet": alphabet}
     return Answer(inputs, result, patch=(box, letters))
 
 

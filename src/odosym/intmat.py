@@ -127,16 +127,6 @@ class IntMatrix(_Record):
         # operator.index takes exact integers only: 2.5 and '3' raise TypeError
         object.__setattr__(self, "rows", tuple([tuple(map(index, r)) for r in rows]))
 
-    # the record's == and hash without the walk over the field names:
-    # matrices are dict and cache keys on every hot path
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
-
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -254,7 +244,7 @@ def _apply(rows, v) -> Vec:
     """The product of a square matrix, given by its rows, with v."""
     if len(v) != len(rows):
         raise ValueError(f"vector of length {len(v)} for a matrix of dim {len(rows)}")
-    if len(rows) == 2:
+    if len(rows) == 2:  # closed form: phi-patch lost 5 % without it (BENCH_38.json)
         (a, b), (c, d) = rows
         x, y = v
         return (a * x + b * y, c * x + d * y)
@@ -348,10 +338,6 @@ class HnfBasis(_Record):
         """Canonical representative of v modulo the lattice."""
         h = self.matrix.rows
         d = len(h)
-        if d == 2:
-            (h00, _), (h10, h11) = h
-            x, y = v
-            return (x % h00, (y - x // h00 * h10) % h11)
         w = list(v)
         for i in range(d):
             q = w[i] // h[i][i]
@@ -573,11 +559,7 @@ def parse_matrix(text: str) -> IntMatrix:
         rows.append(tuple(row))
     if any([len(r) != len(rows) for r in rows]):
         raise MatrixParseError(f"not a square matrix: {text!r}", token=text, position=0)
-    # the rows are square, d >= 1, and int() gave exact ints: what IntMatrix()
-    # would check and convert again
-    m = object.__new__(IntMatrix)
-    object.__setattr__(m, "rows", tuple(rows))
-    return m
+    return IntMatrix(rows)
 
 
 def parse_vector(text: str) -> Vec:

@@ -4,7 +4,8 @@ A unimodular M acts on the subshift when the conjugates C_n = L^{-n} M L^n
 are eventually integral unimodular and their action on the nonzero digit
 cosets is eventually constant.  Both conditions are verified up to an
 explicit bound recorded in the certificate; acceptance is bounded
-verification, not a proof for all n.
+verification, not a proof for all n.  In d = 2 a rejected M outside the
+odometer's group (is_member) is rejected exactly.
 
 The sliding-block realization applies, at each position, the coset
 permutation of its truncated digit level: on the fixed point the truncated
@@ -20,6 +21,7 @@ from functools import cached_property
 from itertools import islice
 from operator import add, index
 
+from .classify2d import is_member
 from .errors import MarginError, MissingCertificateError, SizeGuardError, WindowError
 from .intmat import (
     FundamentalDomain,
@@ -118,7 +120,7 @@ class NLRejection(_Record):
     L: IntMatrix
     M: IntMatrix
     n_max: int
-    reason: str  # "non-integral-conjugate" or "residue-unstable"
+    reason: str  # "non-integral-conjugate", "residue-unstable" or "not-odometer-member"
     detail: str
 
     def to_payload(self) -> dict:
@@ -155,6 +157,7 @@ def _level_actions(L: IntMatrix, conj: tuple, k: int, domain: FundamentalDomain)
 # grows: 3,1;0,5 with M = Id took 0.03 s at nmax 1,000 and 1.4 s at 16,000, and
 # a shear on 2,0;0,4 (C_n holds 2^n) wrote 9.7 MB in 4.3 s at 8,000 (2-core Xeon).
 _NMAX_LIMIT = 1000
+_EXACT_REJECTION = "not-odometer-member"  # the one rejection that is a proof (_rejection)
 
 
 def nl_membership(
@@ -186,20 +189,30 @@ def nl_membership(
         first_bad = next(n for n, c in enumerate(conj) if c is None)
         tail = "" if k > n_max else f"; integral tail only from level {k}"
         detail = f"conjugate at level {first_bad} is not integral{tail}"
-        return NLRejection(L=L, M=M, n_max=n_max, reason="non-integral-conjugate", detail=detail)
+        return _rejection(L, M, n_max, "non-integral-conjugate", detail)
     actions = _level_actions(L, conj, k, domain)
     n0 = n_max
     while n0 > k and actions[n0 - 1] is actions[-1]:
         n0 -= 1
     if n0 > n_max - 2:
         detail = f"digit action not constant on any window [n0, {n_max}] with n0 <= {n_max - 2}"
-        return NLRejection(L=L, M=M, n_max=n_max, reason="residue-unstable", detail=detail)
+        return _rejection(L, M, n_max, "residue-unstable", detail)
     # n0 <= n_max - 2, so C_{n0} L = L C_{n0+1} with both integral
     # unimodular: C_{n0} maps L(Z^d) onto itself and so permutes the
     # nonzero digit cosets
     cert = NLCertificate(L, M, n_max, conj, k, n0, actions[n0], domain)  # in field order
     vars(cert)["actions"] = actions  # the property's cache: the rule walks no digit again
     return cert
+
+
+def _rejection(L: IntMatrix, M: IntMatrix, n_max: int, reason: str, detail: str):
+    """The walk's rejection, exact in d = 2 when M is not in the odometer's group:
+    an M that acts has C_n integral from some k on, so m = n passes the normalizer
+    condition at every depth n >= k, and at every smaller one: M is a member."""
+    if L.dim == 2 and not (verdict := is_member(L, M)).member:
+        reason = _EXACT_REJECTION
+        detail = f"is_member: {verdict.reason}, witness {list(verdict.witness)}"
+    return NLRejection(L=L, M=M, n_max=n_max, reason=reason, detail=detail)
 
 
 # ---------------------------------------------------------------------------

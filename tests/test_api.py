@@ -54,8 +54,7 @@ def _names_read(node):
 
 def test_every_public_name_has_a_caller_in_the_package():
     # A name that only the tests call belongs in the tests.  nc_search stays
-    # public until the benchmark stops wrapping it, and centralizer is the
-    # README's query for the GL(2,Z) centralizer of any base (ROADMAP item 10).
+    # public until the benchmark stops wrapping it (ROADMAP item 10).
     used = set()
     for path in SRC.glob("*.py"):
         if path.name == "__init__.py":
@@ -63,7 +62,13 @@ def test_every_public_name_has_a_caller_in_the_package():
         for stmt in ast.parse(path.read_text()).body:
             own = getattr(stmt, "name", None)  # a definition's reads of itself do not count
             used.update(name for name in _names_read(stmt) if name != own)
-    assert set(odosym.__all__) - used == {"centralizer", "nc_search"}
+    assert set(odosym.__all__) - used == {"nc_search"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_source_line_is_over_100_characters(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == [], f"{path.name}: lines {long} are over 100 characters"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from tests_shared import (
     brute_force_centralizer,
+    centralizer,
     nc_passes,
     rand_unimodular_small,
     rand_unimodular_steps,
@@ -21,7 +22,6 @@ from odosym.classify2d import (
     VirtuallyZ,
     _eigenvector,
     _triangular_form,
-    centralizer,
     classify,
     is_member,
 )

@@ -125,6 +125,14 @@ def test_nl_command_exit_codes(capsys):
     code2, report2 = run_cli(["nl", "--L", "2,0;0,4", "--M", "1,0;1,1"], capsys)
     assert code2 == 4
     assert report2["result"]["reason"] == "non-integral-conjugate"
+    # outside the odometer's group in d = 2: an exact rejection, exit 3, same keys
+    code3, report3 = run_cli(["nl", "--L", "3,1;0,5", "--M", "1,1;0,1"], capsys)
+    assert code3 == 3 and set(report3["result"]) == set(report2["result"])
+    assert report3["result"]["reason"] == "not-odometer-member"
+    assert report3["result"]["detail"] == "is_member: unit-eigenlines, witness [0, -4]"
+    # d != 2 keeps the bounded verdict: C_n holds 2^-n below the diagonal
+    code4, report4 = run_cli(["nl", "--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,0;0,1,0;1,0,1"], capsys)
+    assert code4 == 4 and report4["result"]["reason"] == "non-integral-conjugate"
 
 
 def test_phi_command(capsys, tmp_path):
@@ -205,6 +213,9 @@ def test_phi_rejected_matrix_exits_inconclusive(capsys):
     assert report["result"]["accepted"] is False
     # a rejected phi echoes the same inputs as nl, with its box
     assert report["inputs"]["nmax"] == 8
+    code, report = run_cli(["phi", "--L", "3,1;0,5", "--M", "1,1;0,1", "--box", "-3:3"], capsys)
+    assert code == 3 and report["result"]["reason"] == "not-odometer-member"
+    assert "patch" not in report["result"]
 
 
 def test_subst_command_spec_invocation(capsys, tmp_path):
@@ -772,6 +783,22 @@ PHI_PAYLOAD_HASHES = {
         ["--L", "4,0;0,8", "--M", "-1,-1;0,-1", "--box", "-10:10"],
         "8e60e129211b93e081014b90030fbf84e4cb6b9ff34b753ae66444833cad4e46",
         "0b81e7c00fbcba732c69c842c4e8f626af1c0b9e6beff110cc2774cf1eb1a4c9",
+    ),
+    # CI's 1-D and 3-D smoke reports: the general loops of the row pass
+    "d1-3-negated": (
+        ["--L", "3", "--M", "-1", "--box", "-200:200"],
+        "336dd672ab2ded567c0b9fa1cd63d1528070ad0d07590f2f4d1be1ecfa67edc8",
+        "631275afacd670ba13d9311669b7e542b14a00c71a7bad97c8eb946242ead521",
+    ),
+    "diag-2-2-4-box-3": (
+        ["--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-3:3"],
+        "90d78ad6248560dcc3c1511c95cbc42b2a9fc23d1290a5d8993208556f2efbd7",
+        "4416fdf065a3dd68179a827dac5416de9b4bdcc54581d042b08bb277bb199473",
+    ),
+    "two-id-3-swap": (
+        ["--L", "2,0,0;0,2,0;0,0,2", "--M", "0,1,0;1,0,0;0,0,-1", "--box", "-6:6"],
+        "74e61e81c112fa968f21c06b72daa66a9e5a9fa23f488b475cc4369f012e20a5",
+        "00561c2b29d2cb611d02d5204797e2cdd272df6cf2ef862860e6d05739d66f9a",
     ),
 }
 

@@ -17,7 +17,13 @@ entry is not enough there (0,3;-2,-3 with -2,1;-1,0 first fails at depth
 import random
 from itertools import product
 
-from tests_shared import ConstantBase, kappa_embed, nc_passes, rand_unimodular_small
+from tests_shared import (
+    SMALL_UNIMODULAR,
+    ConstantBase,
+    kappa_embed,
+    nc_passes,
+    rand_unimodular_small,
+)
 
 from odosym.classify2d import classify, is_member
 from odosym.intmat import IntMatrix, is_expansion, parse_matrix, validate_domain
@@ -30,13 +36,6 @@ from odosym.subshift_norm import (
     nl_membership,
     pullback_positions,
 )
-
-SMALL_UNIMODULAR = [
-    IntMatrix(((a, b), (c, d)))
-    for a, b, c, d in product(range(-2, 3), repeat=4)
-    if a * d - b * c in (1, -1)
-]
-
 
 def failing_depth(L, M, verdict):
     """Depth by which the condition must fail for a non-member M."""

@@ -361,7 +361,8 @@ def split(v, domain):
 
 
 # ---------------------------------------------------------------------------
-# 2-D branches against the general d-loop
+# 2-D kernels against reference loops: the closed forms of mul_vec and the
+# product, and reduce_vec's one loop
 # ---------------------------------------------------------------------------
 
 BIG = st.integers(-10**30, 10**30)

@@ -4,7 +4,10 @@ import tracemalloc
 from itertools import islice, product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from tests_shared import (
+    SMALL_UNIMODULAR,
     ConstantBase,
     class_table,
     evaluate,
@@ -17,6 +20,7 @@ from tests_shared import (
     window_cells,
 )
 
+from odosym.classify2d import is_member
 from odosym.errors import (
     MarginError,
     MissingCertificateError,
@@ -198,12 +202,35 @@ def test_nl_membership_matches_the_definition_level_by_level():
         domain = fundamental_domain(L)
         out, want = nl_membership(L, m, n_max, domain), reference_membership(L, m, n_max, domain)
         if isinstance(out, NLRejection):
-            assert out.reason == want, (L, m, n_max)
+            # the walk rejects, and in d = 2 a non-member is rejected exactly
+            exact = not is_member(L, m).member
+            assert isinstance(want, str), (L, m, n_max)
+            assert out.reason == ("not-odometer-member" if exact else want), (L, m, n_max)
             seen.add(out.reason)
         else:
             assert (out.k, out.n0, dict(out.residue_permutation)) == want, (L, m, n_max)
             seen.add(min(out.n0, 2))
-    assert seen == {"non-integral-conjugate", "residue-unstable", 0, 1, 2}
+    assert seen == {"non-integral-conjugate", "residue-unstable", "not-odometer-member", 0, 1, 2}
+
+
+SMALL = st.integers(-4, 4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(st.tuples(SMALL, SMALL), st.tuples(SMALL, SMALL)), st.sampled_from(SMALL_UNIMODULAR))
+@example(((3, 1), (0, 5)), parse_matrix("1,1;0,1"))  # a non-member, witness [0, -4]
+@example(((-4, -4), (-4, 2)), parse_matrix("-1,-1;0,1"))  # a member the walk rejects
+def test_every_exact_rejection_is_a_non_member_the_walk_rejects(rows, m):
+    # a non-member fails the normalizer condition from some depth n1 on, so
+    # no C_n with n >= n1 is integral: the walk at nmax 40 rejects it too
+    L = IntMatrix(rows)
+    assume(is_expansion(L))
+    out, verdict = nl_membership(L, m), is_member(L, m)
+    if isinstance(out, NLRejection):
+        assert (out.reason == "not-odometer-member") == (not verdict.member), (L, m)
+    if isinstance(out, NLRejection) and out.reason == "not-odometer-member":
+        assert out.detail == f"is_member: {verdict.reason}, witness {list(verdict.witness)}"
+        assert [*islice(_conjugates(L, m), 41)][-1] is None, (L, m)
 
 
 def test_long_nmax_walks_f_once_per_class_mod_det(monkeypatch):

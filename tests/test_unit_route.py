@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 from sympy.solvers.diophantine.diophantine import diop_DN
-from tests_shared import brute_force_centralizer
+from tests_shared import brute_force_centralizer, centralizer
 
 from odosym.classify2d import (
     CentralizerFinite,
@@ -29,7 +29,6 @@ from odosym.classify2d import (
     _order_units,
     _pell_walk,
     _unit_lines,
-    centralizer,
     classify,
 )
 from odosym.errors import SizeGuardError

@@ -3,6 +3,7 @@
 from itertools import product
 from operator import add, index
 
+from odosym.classify2d import FullGL2, NormalizerClass, _order_units, _require_expansion_2x2
 from odosym.errors import DepthError, MarginError, WindowError, WrongBranchError
 from odosym.intmat import (
     IntMatrix,
@@ -17,6 +18,14 @@ from odosym.intmat import (
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
 from odosym.substitution import _strip_base, box_positions, tau, valuation
+
+
+# the 104 unimodular 2x2 matrices with entries in [-2, 2]
+SMALL_UNIMODULAR = [
+    IntMatrix(((a, b), (c, d)))
+    for a, b, c, d in product(range(-2, 3), repeat=4)
+    if a * d - b * c in (1, -1)
+]
 
 
 def rand_unimodular_steps(rng, d=2, steps=6):
@@ -60,6 +69,19 @@ def shift(patch, z):
 def evaluate(rule, patch, region):
     """The rule's image of the patch on the region, pulled back once."""
     return apply_endomorphism(rule, patch, pullback_positions(rule, region)[0])
+
+
+def centralizer(L: IntMatrix) -> NormalizerClass:
+    """GL(2,Z) centralizer of L: full group, finite list, or automorph pair.
+
+    classify reports this group only where the normalizer is the
+    centralizer; this query answers it for every base, from the same route.
+    """
+    _require_expansion_2x2(L)
+    (p, q), (r, s) = L.rows
+    if q == 0 and r == 0 and p == s:
+        return FullGL2()
+    return _order_units(L)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
