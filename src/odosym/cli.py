@@ -35,6 +35,8 @@ from . import __version__
 from .classify2d import class_to_payload, classify, is_member
 from .errors import MatrixParseError
 from .intmat import (
+    _DIGIT_LIMIT,
+    FundamentalDomain,
     IntMatrix,
     _require_expansion,
     _require_product,
@@ -186,11 +188,23 @@ def _parse_box(text: str):
     return lo, hi
 
 
-def _parse_domain_arg(base: IntMatrix, text: str | None):
-    if text is None:
-        return fundamental_domain(base)
-    reps = [parse_vector(tok) for tok in text.split(";")]
-    return validate_domain(base, reps)
+def _parse_domain_arg(base: IntMatrix, text: str | None) -> FundamentalDomain:
+    """F of L, the canonical one or --F's text.  Kept across requests in _domains by
+    (L's rows, text), the least recently used first out while the kept F hold over
+    _DIGIT_LIMIT digits in all: at most one largest F's worth.  Errors are not kept."""
+    key = (base.rows, text)
+    if (domain := _domains.pop(key, None)) is None:
+        reps = None if text is None else [parse_vector(tok) for tok in text.split(";")]
+        domain = fundamental_domain(base) if reps is None else validate_domain(base, reps)
+        _held[0] = len(domain.reps) + (_held[0] if _domains else 0)  # cache_clear empties _domains
+        while _held[0] > _DIGIT_LIMIT:  # the new F stays: it is within the limit alone
+            _held[0] -= len(_domains.pop(next(iter(_domains))).reps)
+    _domains[key] = domain
+    return domain
+
+
+_domains, _held = {}, [0]  # _parse_domain_arg's F, least recently used first; their digits
+_parse_domain_arg.cache_clear = _domains.clear
 
 
 def _field(path: str, name: str, build, value):
@@ -320,7 +334,7 @@ def _nl_request(args):
         "L": format_matrix(base),
         "M": format_matrix(mat),
         "nmax": args.nmax,
-        "F": [format_vector(v) for v in domain.reps],
+        "F": [*domain.texts.values()],
     }
     return base, inputs, nl_membership(base, mat, args.nmax, domain=domain)
 
@@ -355,7 +369,7 @@ def cmd_phi(args) -> Answer:
     seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
     box = (lo, hi, base.dim)
     letters = _fixed_point_image(rule, seed, box_rows(*box))
-    result = {"certificate": outcome.to_payload(), "seed": format_vector(seed)}
+    result = {"certificate": outcome.to_payload(), "seed": outcome.domain.texts[seed]}
     return Answer(inputs, result, patch=(box, letters))
 
 
@@ -382,7 +396,7 @@ def cmd_subst(args) -> Answer:
         letters = _fixed_point_image(rule, seed, box_rows(*box))
     else:
         letters = list(fixed_point_patch(s, seed, box_positions(*box)).values())
-    text = {v: format_vector(v) for v in domain.reps}  # sigma_L's letters are these digits
+    text = domain.texts  # sigma_L's letters are these digits
     inputs = {"L": format_matrix(domain.base), "F": [*text.values()], "box": args.box}
     alphabet = [text.get(a) or format_vector(a) for a in sorted(alphabet)]
     result = {"seed": format_vector(seed), "alphabet": alphabet}

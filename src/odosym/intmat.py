@@ -133,10 +133,6 @@ class IntMatrix(_Record):
     def identity(cls, d: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
 
-    @classmethod
-    def scalar(cls, d: int, c: int) -> "IntMatrix":
-        return cls(tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d)))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -422,6 +418,11 @@ class FundamentalDomain(_Record):
     def digit_of(self, v: Vec) -> Vec:
         """The representative of this domain congruent to v."""
         return self._rep_of_key[self.hnf_basis.reduce_vec(v)]
+
+    @cached_property
+    def texts(self) -> dict[Vec, str]:
+        """Each representative's format_vector text, in the order of reps."""
+        return {r: format_vector(r) for r in self.reps}
 
 
 def _domain_basis(base: IntMatrix) -> HnfBasis:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from itertools import islice
+from itertools import cycle, islice
 from operator import add, index
 
 from .classify2d import is_member
@@ -34,7 +34,6 @@ from .intmat import (
     _require_expansion,
     _rows_mul,
     format_matrix,
-    format_vector,
     fundamental_domain,
     vec_add,
 )
@@ -47,24 +46,26 @@ from .substitution import _as_letter, _require_two_letters, _strip_base
 
 def _conjugates(L: IntMatrix, M: IntMatrix):
     """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral: the
-    numerators adj(L)^n M L^n walk level to level over det(L)^n.  A scalar
-    L commutes with M, so there C_n = M at every level.  The walk runs on
-    row tuples; only a yielded C_n becomes an IntMatrix."""
+    numerators adj(L)^n M L^n walk level to level over det(L)^n.  C_{n+1} =
+    L^{-1} C_n L, so once C_j equals an earlier C_i the levels i..j-1 repeat
+    without end, and their objects are yielded again (a scalar L has C_1 = C_0).
+    The walk runs on row tuples; only a new yielded C_n becomes an IntMatrix."""
     adj, det, l, m = L.adjugate(), L.det(), L.rows, M.rows
     left = (adj * M).rows  # adj(L) M, the first step; the product checks the sizes
-    scalar = l == IntMatrix.scalar(L.dim, l[0][0]).rows
-    num, ln, scale = m, IntMatrix.identity(L.dim).rows, 1
+    num, ln, scale, levels, first = m, IntMatrix.identity(L.dim).rows, 1, [], {}
     while True:
         c = None
         if not any(x % scale for r in num for x in r):
             c = num if scale == 1 else tuple(tuple(x // scale for x in r) for r in num)
             assert _rows_mul(ln, c) == _rows_mul(m, ln)
+            if c in first:
+                yield from cycle(levels[first[c] :])
+            first[c] = len(levels)
             c = M if c is m else IntMatrix(c)
+        levels.append(c)
         yield c
-        ln = _rows_mul(ln, l)
-        if not scalar:
-            num, scale = _rows_mul(left, l), scale * det
-            left = _rows_mul(adj.rows, num)
+        ln, num, scale = _rows_mul(ln, l), _rows_mul(left, l), scale * det
+        left = _rows_mul(adj.rows, num)
 
 
 class NLCertificate(_Record):
@@ -93,8 +94,8 @@ class NLCertificate(_Record):
         return _level_actions(self.L, self.conjugates, self.k, self.domain)
 
     def to_payload(self) -> dict:
-        # a scalar base yields one C_n object at every level: each object is formatted once
-        distinct = {id(c): c for c in self.conjugates if c is not None}
+        # a walk that repeats yields its levels' objects again: each is formatted once
+        digit, distinct = self.domain.texts, {id(c): c for c in self.conjugates if c is not None}
         try:
             text = {key: format_matrix(c) for key, c in distinct.items()}
         except ValueError:  # an entry over the interpreter's int-to-str limit
@@ -110,7 +111,7 @@ class NLCertificate(_Record):
             "k": self.k,
             "n0": self.n0,
             "conjugates": [None if c is None else text[id(c)] for c in self.conjugates],
-            "residue_permutation": [list(map(format_vector, p)) for p in self.residue_permutation],
+            "residue_permutation": [[digit[a], digit[b]] for a, b in self.residue_permutation],
         }
 
 
@@ -143,14 +144,14 @@ def _level_actions(L: IntMatrix, conj: tuple, k: int, domain: FundamentalDomain)
     """Each level's _residue_action, None below k.  C f mod L(Z^d) depends only
     on C mod |det|, as |det| Z^d lies in L(Z^d): one action per residue class
     of conjugates, and equal actions are one object, so levels compare by id."""
-    det, by_class, interned, actions = abs(L.det()), {}, {}, [None] * k
-    for c in conj[k:]:
+    det, by_class, interned, by_id = abs(L.det()), {}, {}, {}
+    for c in {id(c): c for c in conj[k:]}.values():  # one key per distinct object
         key = tuple(x % det for row in c.rows for x in row)
         if key not in by_class:
             action = _residue_action(c, domain)
             by_class[key] = interned.setdefault(action, action)
-        actions.append(by_class[key])
-    return tuple(actions)
+        by_id[id(c)] = by_class[key]
+    return (None,) * k + tuple(by_id[id(c)] for c in conj[k:])
 
 
 # The walk's cost grows about as nmax^1.5, and the report as nmax^2 where C_n

@@ -297,12 +297,8 @@ def k_set(s: ConstantShapeSubstitution, m_max: int) -> KSetReport:
             if x is not None:
                 points.add(x)
         stages.append(frozenset(points))
-    stable_from = None
-    for m in range(len(stages) - 1, 0, -1):
-        if stages[m - 1] == stages[-1]:
-            stable_from = m
-        else:
-            break
+    # the stages only grow, so those equal to the last are a run at the end
+    stable_from = next((m for m in range(1, m_max) if stages[m - 1] == stages[-1]), None)
     covered: set = set()
     for n in range(cov_depth + 1):
         ln = s.base**n

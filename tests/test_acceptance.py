@@ -158,12 +158,12 @@ def _sample_nc_passers(L, rng, count):
             )
         else:
             a, b, c = (rng.randint(-3, 3) for _ in range(3))
-            m = IntMatrix.scalar(2, a) + L.scale(b) + (L * L).scale(c)
+            m = IntMatrix.identity(2).scale(a) + L.scale(b) + (L * L).scale(c)
         if nc_passes(L, m, 4):
             out.append(m)
     while len(out) < count:
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        out.append(IntMatrix.scalar(2, a) + L.scale(b))
+        out.append(IntMatrix.identity(2).scale(a) + L.scale(b))
     return out
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -15,8 +16,8 @@ import pytest
 import odosym
 from odosym import cli, substitution
 from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
-from odosym.errors import NotExpansionError, SizeGuardError
-from odosym.intmat import fundamental_domain, parse_matrix
+from odosym.errors import DomainCardinalityError, NotExpansionError, SizeGuardError
+from odosym.intmat import _DIGIT_LIMIT, fundamental_domain, parse_matrix
 from odosym.odometer import NcCertificate
 from odosym.substitution import (
     ConstantShapeSubstitution,
@@ -203,6 +204,115 @@ def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
     assert cli._box_skeleton.cache_info().hits >= 2
     assert again == first
     assert json.loads(first)["payload_hash"] == PHI_PAYLOAD_HASHES["half-hex"][1]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name):
+    """A module of the benchmark, loaded from its file under its own name."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _phi_reports(argvs, capsys):
+    """Each request's report with timing_ms masked, and its exit code."""
+    out = []
+    for argv in argvs:
+        code = main(list(argv))
+        out.append((code, re.sub(r',"timing_ms":[0-9.e-]+', "", capsys.readouterr().out)))
+    return out
+
+
+def test_golden_phi_reports_are_the_same_from_a_cold_and_a_warm_domain_cache(capsys):
+    # the benchmark's 64 seed-0 phi requests: each cold (the cache emptied
+    # before it), then all again warm, byte for byte, and every patch the
+    # recorded one
+    workloads = _bench_module("workloads")
+    requests = workloads.PhiPatch().requests(0, 64)
+    golden = json.loads((BENCH / "phi_digests.json").read_text())
+    cold = []
+    for req in requests:
+        cli._parse_domain_arg.cache_clear()
+        cold += _phi_reports([req.argv], capsys)
+    assert len(cli._domains) == 1
+    warm = _phi_reports([req.argv for req in requests], capsys)
+    assert len(cli._domains) == len({(r.argv[2], len(r.argv)) for r in requests}) > 1
+    assert warm == cold
+    for (code, text), want in zip(warm, golden):
+        assert code == 0
+        assert workloads.patch_digest(json.loads(text)["result"]) == want
+
+
+def test_a_bad_domain_raises_the_same_error_on_every_call(capsys):
+    argv = ["nl", "--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;2,0"]
+    cli._parse_domain_arg.cache_clear()
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] != ""
+    assert "DomainCosetCollisionError" in errors[0] and cli._domains == {}
+    with pytest.raises(DomainCardinalityError):
+        cli._parse_domain_arg(parse_matrix("2,0;0,2"), "0,0;1,0")
+    assert cli._domains == {}
+
+
+def test_the_domain_cache_holds_at_most_one_largest_domain(capsys):
+    # 2,0;0,50000 has 100,000 digits, F's limit: about 24 MB with their texts,
+    # which the next domain puts out of the cache
+    cli._parse_domain_arg.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["nl", "--L", "2,0;0,50000", "--M", "1,0;0,1"]) == 0
+        capsys.readouterr()
+        held_big = tracemalloc.get_traced_memory()[0] - before
+        for L in ("2,0;0,2", "3,0;0,3", "2,0;0,4", "2,0;0,2"):
+            assert main(["nl", "--L", L, "--M", "1,0;0,-1"]) == 0
+        capsys.readouterr()
+        held_small = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept = [len(domain.reps) for domain in cli._domains.values()]
+    assert kept == [9, 8, 4] and sum(kept) <= _DIGIT_LIMIT
+    assert held_big > 10_000_000 and held_small < 2_000_000, (held_big, held_small)
+    # a second largest domain puts out every other one
+    big = cli._parse_domain_arg(parse_matrix("50000,0;0,2"), None)
+    assert list(cli._domains.values()) == [big]
+
+
+def test_a_caller_cannot_change_a_kept_domain_through_a_report(capsys):
+    # F and residue_permutation are lists built per request from the kept
+    # domain's texts, which are strs: changing them reaches no later request
+    argv = ["phi", *PHI_PAYLOAD_HASHES["half-hex"][0]]
+    cli._parse_domain_arg.cache_clear()
+    first = _phi_reports([argv], capsys)
+    args = cli._parse_args(argv)
+    answer = args.func(args)
+    answer.inputs["F"].append("9,9")
+    answer.inputs["F"][0] = "9,9"
+    for pair in answer.result["certificate"]["residue_permutation"]:
+        pair[0], pair[1] = "9,9", "9,9"
+    answer.result["certificate"]["residue_permutation"].clear()
+    assert _phi_reports([argv], capsys) == first
+    assert json.loads(first[0][1])["payload_hash"] == PHI_PAYLOAD_HASHES["half-hex"][1]
+    assert len(cli._domains) == 1
+
+
+def test_the_benchmark_clear_caches_empties_the_domain_cache(capsys):
+    assert main(["nl", "--L", "3,0;0,3", "--M", "0,1;1,0"]) == 0
+    capsys.readouterr()
+    assert cli._domains
+    _bench_module("tracing").clear_caches()
+    assert cli._domains == {}
+    assert main(["nl", "--L", "3,0;0,3", "--M", "0,1;1,0"]) == 0
+    capsys.readouterr()
+    assert [len(domain.reps) for domain in cli._domains.values()] == [9]
 
 
 def test_phi_rejected_matrix_exits_inconclusive(capsys):

@@ -60,12 +60,12 @@ def rand_unimodular(rng, d=2, steps=6):
 
 
 def test_adjugate_examples():
-    assert IntMatrix.scalar(2, 2).adjugate() == IntMatrix.scalar(2, 2)
+    assert IntMatrix.identity(2).scale(2).adjugate() == IntMatrix.identity(2).scale(2)
     assert ID2.adjugate() == ID2
     m = parse_matrix("2,-1;1,3")
     a = m.adjugate()
     assert a == parse_matrix("3,1;-1,2")
-    assert a * m == IntMatrix.scalar(2, 7)
+    assert a * m == IntMatrix.identity(2).scale(7)
 
 
 def test_adjugate_identity_random():
@@ -81,8 +81,8 @@ def test_adjugate_identity_random():
         det = m.det()
         singular += det == 0
         a = m.adjugate()
-        assert a * m == IntMatrix.scalar(d, det)
-        assert m * a == IntMatrix.scalar(d, det)
+        assert a * m == IntMatrix.identity(d).scale(det)
+        assert m * a == IntMatrix.identity(d).scale(det)
         assert Matrix(m.rows).adjugate() == Matrix(a.rows), m.rows
     assert singular >= 10
 
@@ -226,7 +226,7 @@ def test_hnf_singular_rejected():
 
 
 def test_fundamental_domain_examples():
-    f = fundamental_domain(IntMatrix.scalar(2, 2))
+    f = fundamental_domain(IntMatrix.identity(2).scale(2))
     assert set(f.reps) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     f2 = fundamental_domain(parse_matrix("2,0;0,4"))
     assert set(f2.reps) == {(a, b) for a in range(2) for b in range(4)}
@@ -259,14 +259,14 @@ def test_fundamental_domain_is_hashable():
     assert a is not b and a == b == v
     assert hash(a) == hash(b) == hash(v)
     assert {a: "domain"}[v] == "domain"
-    two = IntMatrix.scalar(2, 2)
+    two = IntMatrix.identity(2).scale(2)
     box = fundamental_domain(two)
     hh = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
     assert box != hh and len({box, hh, fundamental_domain(two)}) == 2
 
 
 def test_validate_domain_half_hex_and_errors():
-    two = IntMatrix.scalar(2, 2)
+    two = IntMatrix.identity(2).scale(2)
     hh = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
     assert len(hh.reps) == 4
     validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -308,7 +308,7 @@ def test_domain_guard_names_the_limit_before_hnf(monkeypatch):
         lambda: IntMatrix(((2.5, 0), (0, 3))),
         lambda: IntMatrix(((2, 0), (0, "3"))),
         lambda: IntMatrix(((2, 0), (0, 3.0))),
-        lambda: validate_domain(IntMatrix.scalar(2, 2), [(0, 0), (1, 0), (0, 1), (1.0, 1)]),
+        lambda: validate_domain(IntMatrix(((2, 0), (0, 2))), [(0, 0), (1, 0), (0, 1), (1.0, 1)]),
     ],
     ids=["float-entry", "str-entry", "integral-float-entry", "float-domain"],
 )
@@ -410,7 +410,7 @@ def test_2d_reduce_vec_matches_the_general_loop(h00, h11, h10, x, y):
 
 
 def test_reduce_examples():
-    two = IntMatrix.scalar(2, 2)
+    two = IntMatrix.identity(2).scale(2)
     hh = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
     assert split((3, 1), hh) == ((1, -1), (1, 1))
     assert split((0, 0), hh) == ((0, 0), (0, 0))
@@ -480,7 +480,7 @@ def test_integer_eigenvalues_against_sympy_roots(m):
 
 
 def test_is_expansion_examples():
-    assert is_expansion(IntMatrix.scalar(2, 2))
+    assert is_expansion(IntMatrix.identity(2).scale(2))
     assert not is_expansion(parse_matrix("1,1;0,1"))
     assert is_expansion(parse_matrix("2,-1;1,3"))
     assert is_expansion(parse_matrix("0,2;3,0"))  # eigenvalues +-sqrt(6)

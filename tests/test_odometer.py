@@ -17,7 +17,7 @@ from odosym.odometer import (
     verify_nc_certificate,
 )
 
-TWO = IntMatrix.scalar(2, 2)
+TWO = IntMatrix.identity(2).scale(2)
 SWAP = parse_matrix("0,1;1,0")
 
 
@@ -254,7 +254,7 @@ def test_depth_walk_matches_bruteforce_and_per_depth_search():
     for L in bases:
         d = L.dim
         # L commutes with itself; the zero and all-ones matrices are singular
-        fixed = [L, IntMatrix.scalar(d, 0), IntMatrix(((1,) * d,) * d)]
+        fixed = [L, IntMatrix.identity(d).scale(0), IntMatrix(((1,) * d,) * d)]
         for M in fixed + [
             IntMatrix(tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)))
             for _ in range(9)
@@ -318,7 +318,7 @@ def test_nc_ring_closure_sample():
         passing = []
         while len(passing) < 8:
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            M = IntMatrix.scalar(2, a) + L.scale(b)
+            M = IntMatrix.identity(2).scale(a) + L.scale(b)
             if nc_passes(L, M, 3):
                 passing.append(M)
         for i in range(0, 8, 2):
@@ -335,7 +335,7 @@ def test_commuting_power_implies_nc():
             lk = L**k
             for _ in range(5):
                 a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-                M = IntMatrix.scalar(2, a) + lk.scale(b)
+                M = IntMatrix.identity(2).scale(a) + lk.scale(b)
                 assert M * lk == lk * M
                 assert nc_passes(L, M, 3)
 

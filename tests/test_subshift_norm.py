@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import islice, product
 
 import pytest
@@ -20,7 +21,7 @@ from tests_shared import (
     window_cells,
 )
 
-from odosym.classify2d import is_member
+from odosym.classify2d import _order_units, is_member
 from odosym.errors import (
     MarginError,
     MissingCertificateError,
@@ -30,6 +31,7 @@ from odosym.errors import (
 )
 from odosym.intmat import (
     IntMatrix,
+    format_matrix,
     fundamental_domain,
     hnf,
     is_expansion,
@@ -57,7 +59,7 @@ from odosym.subshift_norm import (
 )
 from odosym.subshift_norm import _conjugates, _truncated_level, _window
 
-TWO = IntMatrix.scalar(2, 2)
+TWO = IntMatrix.identity(2).scale(2)
 D24 = parse_matrix("2,0;0,4")
 SWAP = parse_matrix("0,1;1,0")
 HH_DOMAIN = validate_domain(TWO, [(0, 0), (1, 0), (0, 1), (1, -1)])
@@ -86,6 +88,118 @@ def test_conjugates_examples():
         IntMatrix(((1, 2**n), (0, 1))) for n in range(5)
     ]
     assert conjugates(D24, parse_matrix("1,0;1,1"), 2)[1] is None
+
+
+def oracle_conjugates(L, M, count):
+    """C_0 .. C_{count-1} by the definition, L^{-n} M L^n in exact rationals, each
+    an IntMatrix or None: no numerators, no det(L)^n, no repeats looked for."""
+    d = L.dim
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(d)]
+           for i, row in enumerate(L.rows)]
+    for col in range(d):  # Gauss-Jordan on [L | Id]
+        piv = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(d):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[d:] for row in aug]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, colm)) for colm in zip(*b)] for row in a]
+
+    out, c = [], [[Fraction(x) for x in row] for row in M.rows]
+    for _ in range(count):
+        integral = all(x.denominator == 1 for row in c for x in row)
+        out.append(IntMatrix(tuple(tuple(int(x) for x in row) for row in c)) if integral else None)
+        c = mul(mul(inv, c), L.rows)
+    return out
+
+
+# (L, M) whose walk repeats: L has a scalar power (L^2 = 3 Id, L^3 = -8 Id, L^4 =
+# -4 Id, or L scalar), so C_{n+k} = C_n; and two that never repeat: C_n = 1,2^n;0,1 on 2,0;0,4, and C_n = 1,n;0,-1 on 2,1;0,2, whose square
+# is 4 times 1,1;0,1, a U of infinite order
+PERIOD_CASES = [
+    *[("3,0;0,3", m) for m in ("0,1;1,0", "1,1;0,1", "2,1;1,1")],
+    *[("2,0;0,2", m) for m in ("0,-1;1,0", "1,0;3,1")],
+    *[("0,3;1,0", m) for m in ("1,0;0,-1", "0,1;1,0", "1,1;0,1", "1,0;0,1")],
+    *[("1,1;-3,1", m) for m in ("1,0;0,-1", "0,1;-1,0", "-1,0;0,-1", "1,1;0,1")],
+    *[("1,1;-1,1", m) for m in ("0,1;1,0", "1,0;0,-1", "0,-1;1,0", "2,1;1,1")],
+    ("3", "-1"),
+    ("3", "1"),
+    ("2,0,0;0,2,0;0,0,2", "0,1,0;1,0,0;0,0,-1"),
+    ("2,0,0;0,2,0;0,0,2", "1,0,1;0,1,0;0,0,1"),
+    ("2,0;0,4", "1,1;0,1"),
+    ("2,1;0,2", "1,0;0,-1"),
+]
+
+
+@pytest.mark.parametrize("base, m", PERIOD_CASES)
+def test_the_walk_matches_the_definition_through_level_40(base, m):
+    L, M = parse_matrix(base), parse_matrix(m)
+    walk = conjugates(L, M, 41)
+    assert walk == oracle_conjugates(L, M, 41), (L, M)
+    # a level equal to an earlier one is that level's object, yielded again
+    for a, b in product(range(41), repeat=2):
+        if a < b and walk[a] is not None and walk[a] == walk[b]:
+            assert walk[a] is walk[b], (L, M, a, b)
+    distinct = {c for c in walk if c is not None}
+    repeats = base not in ("2,0;0,4", "2,1;0,2")
+    assert (len(distinct) < 41) == repeats and walk[0] is M
+
+
+def test_the_walk_stops_at_the_period_of_the_automorph_of_a_base():
+    # 2,1;1,3 squares to 5 times 1,1;1,2, and its centralizer's automorph
+    # commutes with it: C_n is the automorph at every level, one object
+    L = parse_matrix("2,1;1,3")
+    automorph = _order_units(L).automorph
+    assert automorph * L == L * automorph and automorph.det() in (1, -1)
+    walk = conjugates(L, automorph, 41)
+    assert walk == oracle_conjugates(L, automorph, 41) == [automorph] * 41
+    assert all(c is automorph for c in walk)
+
+
+PERIOD_BASES = [
+    parse_matrix(L)
+    for L in ("3,0;0,3", "2,0;0,2", "0,3;1,0", "1,1;-3,1", "1,1;-1,1", "2,1;1,3")
+    + ("2,0;0,4", "2,1;0,2")
+]
+RANGE3 = st.integers(-3, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PERIOD_BASES),
+    st.tuples(st.tuples(RANGE3, RANGE3), st.tuples(RANGE3, RANGE3)),
+    st.sampled_from((4, 8, 40)),
+)
+def test_nl_payload_is_the_one_the_definition_gives(L, rows, n_max):
+    # k, n0, the conjugates and residue_permutation, rebuilt from the exact
+    # rational conjugates, whether or not the walk repeats
+    M = IntMatrix(rows)
+    assume(M.det() in (1, -1))
+    domain = fundamental_domain(L)
+    out, want = nl_membership(L, M, n_max, domain), reference_membership(L, M, n_max, domain)
+    if isinstance(want, str):
+        assert isinstance(out, NLRejection), (L, M, n_max)
+        exact = not is_member(L, M).member
+        assert out.reason == ("not-odometer-member" if exact else want), (L, M, n_max)
+        return
+    k, n0, action = want
+    assert out.to_payload() == {
+        "accepted": True,
+        "L": format_matrix(L),
+        "M": format_matrix(M),
+        "n_max": n_max,
+        "k": k,
+        "n0": n0,
+        "conjugates": [
+            None if c is None else format_matrix(c) for c in oracle_conjugates(L, M, n_max + 1)
+        ],
+        "residue_permutation": [
+            [",".join(map(str, a)), ",".join(map(str, b))] for a, b in sorted(action.items())
+        ],
+    }, (L, M, n_max)
 
 
 def test_certificate_soundness():
@@ -174,7 +288,7 @@ def reference_membership(L, M, n_max, domain):
     """nl_membership by the definition: each level's digit action taken from
     its own conjugate, k and n0 the first levels that qualify.  Returns
     (k, n0, action at n0), or the reason a rejection must give."""
-    conj = conjugates(L, M, n_max + 1)
+    conj = oracle_conjugates(L, M, n_max + 1)
     k = next((s for s in range(n_max + 1) if all(c is not None for c in conj[s:])), None)
     if k is None or k > n_max // 2:
         return "non-integral-conjugate"

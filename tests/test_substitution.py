@@ -24,7 +24,7 @@ from odosym.substitution import (
     valuation,
 )
 
-TWO = IntMatrix.scalar(2, 2)
+TWO = IntMatrix.identity(2).scale(2)
 
 # the printed half-hex rule, letters 0, 1, 2 in display coordinates:
 #   0 at (0,1), 1 at (1,-1), 2 at (1,0); the origin keeps the letter

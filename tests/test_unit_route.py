@@ -51,7 +51,7 @@ def unit_xy(L, M):
     (m11, m12), (m21, m22) = M.rows
     (a11, a12), (a21, _) = A.rows
     y = next(m // a for m, a in ((m12, a12), (m21, a21), (m11 - m22, a11)) if a)
-    assert M == IntMatrix.scalar(2, m22) + A.scale(y)
+    assert M == IntMatrix.identity(2).scale(m22) + A.scale(y)
     return M.trace(), y
 
 
@@ -260,8 +260,8 @@ def test_disc_zero_centralizer_is_unipotent_family():
     assert len(bases) == 744
     for L in [parse_matrix("3,1;0,3")] + rng.sample(bases, 11):
         _, A, _ = order_data(L)
-        N = A - IntMatrix.scalar(2, A.trace() // 2)  # nilpotent
-        assert N * N == IntMatrix.scalar(2, 0)
+        N = A - IntMatrix.identity(2).scale(A.trace() // 2)  # nilpotent
+        assert N * N == IntMatrix.identity(2).scale(0)
         family = {
             e * (ID2 + N.scale(b))
             for b in range(-80, 81)
