@@ -95,10 +95,11 @@ def make_report(command: str, inputs: dict, result, patch=None) -> str:
     """The report's canonical body: compact JSON with sorted keys, which
     payload_hash is the sha256 of.
 
-    patch, for phi and subst, is (box, letters): the letters of the cells of
-    the box (lo, hi, d) in position order.  It is written as the result's
-    "patch", a list of (position, letter) pairs, from the box's skeleton, so
-    the encoder never walks a patch and result is not changed.
+    patch, for phi and subst, is (box, texts): the texts of the letters of the
+    cells of the box (lo, hi, d) in position order, as format_vector writes them
+    and JSON does inside brackets.  They fill the slots of the box's skeleton,
+    which make the result's "patch", a list of (position, letter) pairs, so the
+    encoder never walks a patch and result is not changed.
     """
     body = {
         "schema": 1,
@@ -109,11 +110,8 @@ def make_report(command: str, inputs: dict, result, patch=None) -> str:
     }
     if patch is None:
         return _CANONICAL.encode(body)
-    box, letters = patch
-    # one text per distinct letter, a tuple of ints, which JSON writes as str does
-    text = {a: f"[{','.join(map(str, a))}]" for a in set(letters)}
-    skeleton = _box_skeleton(*box)
-    filled = skeleton % tuple(map(text.__getitem__, letters))  # TypeError unless one each
+    box, texts = patch
+    filled = _box_skeleton(*box) % tuple(texts)  # TypeError unless one text a cell
     return _encode_at(body, ("result", "patch"), filled)
 
 
@@ -133,7 +131,7 @@ def _encode_at(obj: dict, path: tuple, raw: str) -> str:
 @functools.lru_cache(maxsize=1)
 def _box_skeleton(lo: int, hi: int, d: int) -> str:
     """The text of the patch of the box [lo, hi]^d, its cells in lexicographic
-    order, with a %s slot per cell for the letter.
+    order, with a [%s] per cell for its letter's text.
 
     Kept across requests: every request of a box writes the same positions
     in the same order.  JSON writes an int as str does, so the text is built
@@ -143,7 +141,7 @@ def _box_skeleton(lo: int, hi: int, d: int) -> str:
     rows = []
     for lead in product(coords, repeat=d - 1):
         start = "[[" + ",".join((*lead, ""))  # a cell's text up to its last coordinate
-        rows.append(start + f"],%s],{start}".join(coords) + "],%s]")
+        rows.append(start + f"],[%s]],{start}".join(coords) + "],[%s]]")
     return f"[{','.join(rows)}]"
 
 
@@ -173,7 +171,7 @@ class Answer(NamedTuple):
     inputs: dict
     result: object
     code: int = EXIT_OK
-    patch: tuple | None = None  # (box, letters), see make_report
+    patch: tuple | None = None  # (box, texts), see make_report
     table: str | None = None  # printed in place of the JSON report
 
 
@@ -259,16 +257,18 @@ _PALETTE = [
 
 
 def write_svg(patch: tuple, path: str) -> None:
-    """Draw a plane patch (box, letters), box (lo, hi, 2), one square a cell."""
-    (lo, hi, _), letters = patch
+    """Draw a plane patch (box, texts), box (lo, hi, 2), one square a cell; the
+    colours go to the letters in their order as integer vectors, parsed from the texts."""
+    (lo, hi, _), texts = patch
     cell = 12  # pixels per lattice cell
     side = hi - lo + 1
-    color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(sorted(set(letters)))}
+    kinds = sorted(set(texts), key=parse_vector)
+    color = {a: _PALETTE[i % len(_PALETTE)] for i, a in enumerate(kinds)}
     rows = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side * cell}" height="{side * cell}">'
     ]
-    # the letters come x major, as the box's positions; the y axis points up
-    for (x, y), a in zip(product(range(side), repeat=2), letters):
+    # the texts come x major, as the box's positions; the y axis points up
+    for (x, y), a in zip(product(range(side), repeat=2), texts):
         rows.append(
             f'<rect x="{x * cell}" y="{(side - 1 - y) * cell}" width="{cell}" height="{cell}" '
             f'fill="{color[a]}" stroke="#ffffff" stroke-width="1"/>'
@@ -279,13 +279,14 @@ def write_svg(patch: tuple, path: str) -> None:
 
 
 def write_pgm(patch: tuple, path: str) -> None:
-    """Draw a plane patch (box, letters), box (lo, hi, 2), one grey pixel a cell."""
-    (lo, hi, _), letters = patch
+    """Draw a plane patch (box, texts), box (lo, hi, 2), one grey pixel a cell; the
+    greys go to the letters as write_svg's colours do."""
+    (lo, hi, _), texts = patch
     side = hi - lo + 1
-    kinds = sorted(set(letters))
+    kinds = sorted(set(texts), key=parse_vector)
     level = {a: str(60 + (195 * i) // max(1, len(kinds) - 1)) for i, a in enumerate(kinds)}
-    # the letters come x major, so the row of y is every side-th from y's offset
-    grid = [" ".join(map(level.__getitem__, letters[y::side])) for y in reversed(range(side))]
+    # the texts come x major, so the row of y is every side-th from y's offset
+    grid = [" ".join(map(level.__getitem__, texts[y::side])) for y in reversed(range(side))]
     with open(path, "w") as fh:
         fh.write(f"P2\n{side} {side}\n255\n")
         fh.write("\n".join(grid) + "\n")
@@ -325,7 +326,8 @@ def cmd_nc(args) -> Answer:
 
 
 def _nl_request(args):
-    """Parse L, M and F, echo them with nmax, and run nl_membership."""
+    """Parse L, M and F, echo them with nmax, and run nl_membership on F's kept base,
+    whose inverse the conjugate walk reads."""
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
     _require_product(base, mat)  # before F is built, which costs |det|
@@ -336,7 +338,7 @@ def _nl_request(args):
         "nmax": args.nmax,
         "F": [*domain.texts.values()],
     }
-    return base, inputs, nl_membership(base, mat, args.nmax, domain=domain)
+    return domain.base, inputs, nl_membership(domain.base, mat, args.nmax, domain=domain)
 
 
 def _rejection_code(outcome: NLRejection) -> int:
@@ -365,12 +367,14 @@ def cmd_phi(args) -> Answer:
     inputs["box"] = args.box
     if isinstance(outcome, NLRejection):
         return Answer(inputs, outcome.to_payload(), _rejection_code(outcome))
-    rule = build_local_rule(outcome)
+    rule, text = build_local_rule(outcome), outcome.domain.texts
     seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
-    box = (lo, hi, base.dim)
-    letters = _fixed_point_image(rule, seed, box_rows(*box))
-    result = {"certificate": outcome.to_payload(), "seed": outcome.domain.texts[seed]}
-    return Answer(inputs, result, patch=(box, letters))
+    # each letter to its report text, so the row pass writes what make_report fills in
+    per_level = tuple({a: text[b] for a, b in lv.items()} for lv in rule.per_level)
+    rule, box = LocalRule(rule.domain, rule.m_inv, rule.n0, per_level), (lo, hi, base.dim)
+    texts = _fixed_point_image(rule, seed, box_rows(*box))
+    result = {"certificate": outcome.to_payload(), "seed": text[seed]}
+    return Answer(inputs, result, patch=(box, texts))
 
 
 def cmd_subst(args) -> Answer:
@@ -383,24 +387,24 @@ def cmd_subst(args) -> Answer:
         domain, s = _load_substitution(args.subst)
     else:
         domain, s = _parse_domain_arg(parse_matrix(args.L), args.F), None
-    if s is None:  # sigma_L's checks, in its order, then M = Id's rule
+    text = domain.texts  # sigma_L's letters are these digits
+    if s is None:  # sigma_L's checks, in its order, then M = Id's rule, to each letter's text
         _require_two_letters(domain.base)
         _require_expansion(domain.base)
-        alphabet = {a: a for a in domain.reps if any(a)}
+        alphabet = {a: text[a] for a in domain.reps if any(a)}
         rule = LocalRule(domain, IntMatrix.identity(domain.base.dim), 0, (alphabet,))
         seed = min(alphabet) if args.seed is None else parse_vector(args.seed)
     else:
         alphabet, seed = s.alphabet, _seed(s, args.seed)
     box = (*_parse_box(args.box), domain.base.dim)  # after the seed, so its errors come first
     if s is None:
-        letters = _fixed_point_image(rule, seed, box_rows(*box))
+        texts = _fixed_point_image(rule, seed, box_rows(*box))
     else:
-        letters = list(fixed_point_patch(s, seed, box_positions(*box)).values())
-    text = domain.texts  # sigma_L's letters are these digits
+        texts = [*map(format_vector, fixed_point_patch(s, seed, box_positions(*box)).values())]
     inputs = {"L": format_matrix(domain.base), "F": [*text.values()], "box": args.box}
     alphabet = [text.get(a) or format_vector(a) for a in sorted(alphabet)]
     result = {"seed": format_vector(seed), "alphabet": alphabet}
-    return Answer(inputs, result, patch=(box, letters))
+    return Answer(inputs, result, patch=(box, texts))
 
 
 # ---------------------------------------------------------------------------

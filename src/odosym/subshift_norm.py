@@ -22,7 +22,8 @@ from itertools import cycle, islice
 from operator import add, index
 
 from .classify2d import is_member
-from .errors import MarginError, MissingCertificateError, SizeGuardError, WindowError
+from .errors import DomainValidationError, MarginError, MissingCertificateError, SizeGuardError
+from .errors import WindowError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
@@ -32,6 +33,7 @@ from .intmat import (
     _digit_guard,
     _inv_unimodular,
     _require_expansion,
+    _require_product,
     _rows_mul,
     format_matrix,
     fundamental_domain,
@@ -46,18 +48,19 @@ from .substitution import _as_letter, _require_two_letters, _strip_base
 
 def _conjugates(L: IntMatrix, M: IntMatrix):
     """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral: the
-    numerators adj(L)^n M L^n walk level to level over det(L)^n.  C_{n+1} =
-    L^{-1} C_n L, so once C_j equals an earlier C_i the levels i..j-1 repeat
-    without end, and their objects are yielded again (a scalar L has C_1 = C_0).
-    The walk runs on row tuples; only a new yielded C_n becomes an IntMatrix."""
-    adj, det, l, m = L.adjugate(), L.det(), L.rows, M.rows
-    left = (adj * M).rows  # adj(L) M, the first step; the product checks the sizes
-    num, ln, scale, levels, first = m, IntMatrix.identity(L.dim).rows, 1, [], {}
+    numerators adj(L)^n M L^n walk level to level over det(L)^n, on row tuples, with
+    det(L) and adj(L) read off L's kept inverse.  C_{n+1} = L^{-1} C_n L, so once C_j
+    equals an earlier C_i the levels i..j-1 repeat without end, and their objects are
+    yielded again (a scalar L has C_1 = C_0).  Only a new yielded C_n becomes an IntMatrix."""
+    _require_product(L, M)
+    (det, adj), l, m = L._inverse, L.rows, M.rows
+    left = _rows_mul(adj, m)  # adj(L) M, the first step
+    num, ln, scale, levels, first = m, _rows_mul(adj, l), 1, [], {}  # ln: det(L) L^n
     while True:
         c = None
         if not any(x % scale for r in num for x in r):
             c = num if scale == 1 else tuple(tuple(x // scale for x in r) for r in num)
-            assert _rows_mul(ln, c) == _rows_mul(m, ln)
+            assert _rows_mul(ln, c) == _rows_mul(m, ln)  # L^n C_n = M L^n, times det(L)
             if c in first:
                 yield from cycle(levels[first[c] :])
             first[c] = len(levels)
@@ -65,7 +68,7 @@ def _conjugates(L: IntMatrix, M: IntMatrix):
         levels.append(c)
         yield c
         ln, num, scale = _rows_mul(ln, l), _rows_mul(left, l), scale * det
-        left = _rows_mul(adj.rows, num)
+        left = _rows_mul(adj, num)
 
 
 class NLCertificate(_Record):
@@ -172,7 +175,8 @@ def nl_membership(
     Accepts iff the conjugates C_k..C_{n_max} are all integral unimodular
     for some k <= n_max/2 and the digit-coset action stabilizes at some
     n0 <= n_max - 2 and stays constant through n_max.  An n_max over 1,000
-    raises SizeGuardError before any conjugate is computed.
+    raises SizeGuardError, and a domain of another base DomainValidationError,
+    before any conjugate is computed; the walk reads the domain's base.
     """
     if M.det() not in (1, -1):
         raise ValueError(f"matrix must be unimodular, det = {M.det()}")
@@ -183,7 +187,9 @@ def nl_membership(
         raise SizeGuardError(f"nmax {n_max}, over the limit of {_NMAX_LIMIT}")
     if domain is None:
         domain = fundamental_domain(L)
-    conj = tuple(islice(_conjugates(L, M), n_max + 1))
+    if domain.base.rows != L.rows:
+        raise DomainValidationError(f"F is a domain of base {domain.base}, not of L = {L}")
+    conj = tuple(islice(_conjugates(domain.base, M), n_max + 1))
     # k: the first level from which every conjugate is integral (n_max + 1: none)
     k = max((n + 1 for n, c in enumerate(conj) if c is None), default=0)
     if k > n_max // 2:

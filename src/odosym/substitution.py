@@ -104,9 +104,7 @@ def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> Constan
     if domain.base != base:
         domain = validate_domain(base, domain.reps)
     table = _sigma_table(domain)
-    return ConstantShapeSubstitution(
-        base=base, domain=domain, alphabet=frozenset(table), table=table
-    )
+    return ConstantShapeSubstitution(base, domain, frozenset(table), table)
 
 
 def _require_two_letters(base: IntMatrix) -> None:
@@ -131,13 +129,8 @@ def supports(s: ConstantShapeSubstitution, n: int) -> tuple[frozenset, ...]:
     _guard(det**n, f"|F_{n}| = {det}^{n} =", "cells")
     levels = [frozenset({zero_vec(s.dim)})]
     for _ in range(n):
-        prev = levels[-1]
-        nxt = set()
-        for j in prev:
-            lj = s.base.mul_vec(j)
-            for f in s.domain.reps:
-                nxt.add(vec_add(lj, f))
-        levels.append(frozenset(nxt))
+        lifted = map(s.base.mul_vec, levels[-1])
+        levels.append(frozenset(vec_add(lj, f) for lj in lifted for f in s.domain.reps))
     for k, lv in enumerate(levels):
         assert len(lv) == det**k, "supports must have |det|^n points"
     return tuple(levels)
@@ -301,11 +294,8 @@ def k_set(s: ConstantShapeSubstitution, m_max: int) -> KSetReport:
     stable_from = next((m for m in range(1, m_max) if stages[m - 1] == stages[-1]), None)
     covered: set = set()
     for n in range(cov_depth + 1):
-        ln = s.base**n
-        for k in points:
-            lk = ln.mul_vec(k)
-            for f in levels[n]:
-                covered.add(vec_add(lk, f))
+        lifted = map((s.base**n).mul_vec, points)
+        covered.update(vec_add(lk, f) for lk in lifted for f in levels[n])
     box = box_positions(-_COVERAGE_RADIUS, _COVERAGE_RADIUS, s.dim)
     ok = all(p in covered for p in box)
     return KSetReport(

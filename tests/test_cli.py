@@ -12,16 +12,25 @@ import types
 from pathlib import Path
 
 import pytest
+from tests_shared import coordinate_formula
 
 import odosym
 from odosym import cli, substitution
 from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.errors import DomainCardinalityError, NotExpansionError, SizeGuardError
-from odosym.intmat import _DIGIT_LIMIT, fundamental_domain, parse_matrix
+from odosym.intmat import (
+    _DIGIT_LIMIT,
+    fundamental_domain,
+    parse_matrix,
+    parse_vector,
+    validate_domain,
+)
 from odosym.odometer import NcCertificate
+from odosym.subshift_norm import _fixed_point_image, build_local_rule, nl_membership
 from odosym.substitution import (
     ConstantShapeSubstitution,
     box_positions,
+    box_rows,
     fixed_point_patch,
     half_hex,
     sigma_L,
@@ -172,18 +181,23 @@ def test_patch_report_lists_every_cell_once_in_position_order(capsys):
         positions = [p for p, _ in cells]
         assert positions == sorted(set(positions)) == box_positions(lo, hi, 2)
         assert cells == [(t, want[t]) for t in positions]
-    letters = [want[t] for t in box_positions(-3, 3, 2)]
+    # make_report fills one text a cell, each written here from its letter,
+    # and leaves result as it was; a text short or over is refused
+    texts = [",".join(str(x) for x in want[t]) for t in box_positions(-3, 3, 2)]
     result = {"seed": "0,1"}
-    canon = cli.make_report("subst", {}, result, ((-3, 3, 2), letters))
+    canon = cli.make_report("subst", {}, result, ((-3, 3, 2), texts))
     assert result == {"seed": "0,1"}
     body = json.loads(canon)
     assert [(tuple(p), tuple(a)) for p, a in body["result"]["patch"]] == sorted(want.items())
     assert canon == json.dumps(body, sort_keys=True, separators=(",", ":"))
+    for wrong in (texts[:-1], [*texts, "0,1"]):
+        with pytest.raises(TypeError):
+            cli.make_report("subst", {}, result, ((-3, 3, 2), wrong))
 
 
 def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
     # the skeleton kept across requests is the patch's text alone, a str,
-    # and what a caller does to the result and the letters it passed does
+    # and what a caller does to the result and the texts it passed does
     # not reach the next request on the box
     argv = ["phi", *PHI_PAYLOAD_HASHES["half-hex"][0]]
     cli._box_skeleton.cache_clear()
@@ -193,12 +207,13 @@ def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
     assert type(skeleton) is str
     positions = box_positions(-6, 6, 2)
     assert skeleton.count("%s") == len(positions)
-    result, letters = {}, [(1, 0)] * len(positions)
-    canon = cli.make_report("phi", {}, result, ((-6, 6, 2), letters))
-    assert result == {} and len(json.loads(canon)["result"]["patch"]) == len(positions)
+    result, texts = {}, ["1,0"] * len(positions)
+    canon = cli.make_report("phi", {}, result, ((-6, 6, 2), texts))
+    assert result == {}
+    assert json.loads(canon)["result"]["patch"] == [[list(t), [1, 0]] for t in positions]
     result["patch"] = [((99, 99), (9, 9))]
-    letters[0] = (9, 9)
-    letters.clear()
+    texts[0] = "9,9"
+    texts.clear()
     assert main(argv) == 0
     again = re.sub(r',"timing_ms":[0-9.e-]+', "", capsys.readouterr().out)
     assert cli._box_skeleton.cache_info().hits >= 2
@@ -394,6 +409,13 @@ IMAGE_HASHES = [
         ["subst", "patch", "--L", "2,0;0,4", "--box", "-2:3"],
         "74f25b797563d4f37aaf2ccb670ec4f505a640ba81c95af435f1e045374966b7",
         "22f6600c56fc594e4d05d094622ba40ae62cd61829000fe5042224d1602d6c25",
+    ),
+    # a letter of two-digit coordinates: 10,0 comes after 2,0 as a vector,
+    # before it as a text, so a colour order taken from the texts shows here
+    (
+        ["phi", "--L", "11,0;0,2", "--M", "1,0;0,-1", "--box", "-3:3"],
+        "01d84988fea300f12d3806e31a65e61793a385f914e97dd6a225bb0f16ea30a4",
+        "47417456dc084fe05fceae386a812cc08ee341be15fbabbae290b68c37fc82bb",
     ),
 ]
 
@@ -1242,11 +1264,27 @@ PATCH_REPORTS = [
 ]
 
 
+def patch_cells(command, inputs, result):
+    """The (position, letter) pairs of a patch report's box, from its inputs and
+    seed by routes the CLI does not take: phi's letters by the coordinate
+    formula, subst's by walking sigma_L's table."""
+    base, (lo, hi) = parse_matrix(inputs["L"]), map(int, inputs["box"].split(":"))
+    domain = validate_domain(base, [parse_vector(f) for f in inputs["F"]])
+    seed, positions = parse_vector(result["seed"]), box_positions(lo, hi, base.dim)
+    if command == "phi":
+        cert = nl_membership(base, parse_matrix(inputs["M"]), inputs["nmax"], domain=domain)
+        letter = coordinate_formula(cert, seed, positions)
+    else:
+        letter = fixed_point_patch(sigma_L(base, domain), seed, positions)
+    return [(t, letter[t]) for t in positions]
+
+
 def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
     # make_report skips the encoder's cycle guard and writes a patch from its
-    # box's skeleton; the body rebuilt from its arguments, with their tuples
-    # and the patch's (position, letter) pairs, encodes to the same bytes
-    # with the guard on, and the report printed carries that text's hash
+    # box's skeleton and the texts the command passed; the body rebuilt from
+    # its arguments, with their tuples and the (position, letter) pairs of
+    # letters computed here from the inputs, encodes to the same bytes with
+    # the guard on, and the report printed carries that text's hash
     seen = []
     make = cli.make_report
 
@@ -1255,8 +1293,10 @@ def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
         canon = make(command, inputs, result, patch)
         assert json.dumps(result, sort_keys=True) == before  # result is not changed
         if patch is not None:
-            (lo, hi, d), letters = patch
-            result = {**result, "patch": list(zip(box_positions(lo, hi, d), letters))}
+            (lo, hi, d), texts = patch
+            cells = patch_cells(command, inputs, result)
+            assert [t for t, _ in cells] == box_positions(lo, hi, d) and len(texts) == len(cells)
+            result = {**result, "patch": cells}
         body = {
             "schema": 1,
             "version": odosym.__version__,
@@ -1289,6 +1329,50 @@ def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
     assert hashlib.sha256(one_d.encode()).hexdigest() == (
         "e2dc55dc979082eb911cc5251a720cff19daeab22bdb34b6ec6fd0d2426e5efe"
     )
+
+
+# the text rule on d = 1, 2 and 3, canonical and --F domains, n0 = 0, 1 and 2,
+# a given seed, and letters of one and of two digits
+TEXT_RULE_REQUESTS = [
+    ["--L", "3", "--M", "-1", "--box", "-20:20"],
+    ["--L", "-5", "--M", "-1", "--box", "-12:12", "--seed", "3"],
+    ["--L", "2,0;0,2", "--M", "0,1;1,0", *HH_F, "--box", "-6:6"],
+    ["--L", "2,0;0,2", "--M", "1,1;0,1", "--F", "0,0;-1,0;0,3;1,1", "--box", "-5:5"],
+    ["--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-6:6", "--seed", "2,2"],
+    ["--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-6:6"],
+    ["--L", "4,0;0,8", "--M", "1,1;0,1", "--box", "-4:4"],
+    ["--L", "2,-1;1,3", "--M", "0,-1;1,1", "--box", "-5:5"],
+    ["--L", "11,0;0,2", "--M", "1,0;0,-1", "--box", "-3:3"],
+    ["--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-3:3"],
+    ["--L", "2,0,0;0,2,0;0,0,2", "--M", "0,1,0;1,0,0;0,0,-1", "--box", "-2:2"]
+    + ["--F", "0,0,0;1,0,0;0,1,0;0,0,1;1,1,0;1,0,1;0,1,1;-1,1,1"],
+]
+
+
+def test_the_text_rule_writes_the_letter_rule_patch_formatted():
+    # phi's rule maps each letter to its report text, and the row pass writes
+    # those: the patch is the letter rule's, each letter formatted, and the
+    # letter rule's is the coordinate formula's
+    reached = set()
+    for argv in TEXT_RULE_REQUESTS:
+        args = cli._parse_args(["phi", *argv])
+        answer = cli.cmd_phi(args)
+        (lo, hi, d), texts = answer.patch
+        base = parse_matrix(args.L)
+        domain = fundamental_domain(base)
+        if args.F is not None:
+            domain = validate_domain(base, [parse_vector(f) for f in args.F.split(";")])
+        cert = nl_membership(base, parse_matrix(args.M), domain=domain)
+        rule = build_local_rule(cert)
+        seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
+        letters = _fixed_point_image(rule, seed, box_rows(lo, hi, d))
+        assert texts == [",".join(str(x) for x in a) for a in letters], argv
+        formula = coordinate_formula(cert, seed, box_positions(lo, hi, d))
+        assert letters == list(formula.values()), argv
+        assert answer.result["seed"] == ",".join(map(str, seed))
+        reached.add((d, cert.n0, args.F is not None))
+    assert {(1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)} <= {(d, n0) for d, n0, _ in reached}
+    assert {(2, 0, True), (3, 0, True)} <= reached
 
 
 def test_verify_paper_harness():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_shared import (
     class_table,
+    coordinate_formula,
     per_cell_image,
     rand_unimodular_steps,
     substitute,
@@ -141,23 +142,6 @@ def evaluate_phi(cert, seed, runs, rule=None):
     patch = fixed_point_patch(sigma_L(cert.L, cert.domain), seed, cells)
     assert apply_endomorphism(rule, patch, sources) == image
     return rule, image
-
-
-def coordinate_formula(cert, seed, region):
-    """Image at t: the digit action of C_v on the letter at u = M^{-1} t, with
-    v the valuation of u truncated at n0 (the origin is deeper than n0)."""
-    domain = cert.domain
-    s = sigma_L(cert.L, domain)
-    m_inv = unimodular_inverse(cert.M)
-    out = {}
-    for t in region:
-        u = m_inv.mul_vec(t)
-        if any(u):
-            level, letter = min(valuation(s, u), cert.n0), tau(s, u)
-        else:
-            level, letter = cert.n0, seed
-        out[t] = domain.digit_of(cert.conjugates[level].mul_vec(letter))
-    return out
 
 
 def test_phi_matches_the_coordinate_formula_cold_and_warm():

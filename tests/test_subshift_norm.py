@@ -23,6 +23,7 @@ from tests_shared import (
 
 from odosym.classify2d import _order_units, is_member
 from odosym.errors import (
+    DomainValidationError,
     MarginError,
     MissingCertificateError,
     SizeGuardError,
@@ -274,6 +275,28 @@ def test_nmax_guard_names_the_limit_and_walks_nothing(monkeypatch):
     cert = nl_membership(L5, ident, n_max=1000)
     assert isinstance(cert, NLCertificate) and len(cert.conjugates) == 1001
     assert len(walked) == 1
+
+
+def test_a_domain_of_another_base_is_refused_before_the_walk(monkeypatch):
+    # the walk reads the domain's base, so a domain of another base is refused
+    # with both bases named, and no conjugate is computed; before, nl and the
+    # composition check answered with the other base's digit actions
+    walked = []
+    real = subshift_norm._conjugates
+    monkeypatch.setattr(subshift_norm, "_conjugates", lambda *a: walked.append(a) or real(*a))
+    three = IntMatrix.identity(2).scale(3)
+    with pytest.raises(DomainValidationError) as err:
+        nl_membership(TWO, SWAP, 8, fundamental_domain(D24))
+    assert str(err.value) == "F is a domain of base 2,0;0,4, not of L = 2,0;0,2"
+    with pytest.raises(DomainValidationError) as err:
+        composition_check(TWO, SWAP, SWAP, box(2), domain=fundamental_domain(three))
+    assert str(err.value) == "F is a domain of base 3,0;0,3, not of L = 2,0;0,2"
+    assert walked == []
+    # a domain of an equal base, built from another object, is the base's own
+    assert nl_membership(TWO, SWAP, 8, fundamental_domain(parse_matrix("2,0;0,2"))) == (
+        nl_membership(TWO, SWAP, 8)
+    )
+    assert len(walked) == 2 and walked[0][0] is not TWO
 
 
 def test_nl_rejection_residue_unstable():

@@ -17,7 +17,7 @@ from odosym.intmat import (
 )
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
-from odosym.substitution import _strip_base, box_positions, tau, valuation
+from odosym.substitution import _strip_base, box_positions, sigma_L, tau, valuation
 
 
 # the 104 unimodular 2x2 matrices with entries in [-2, 2]
@@ -87,6 +87,23 @@ def centralizer(L: IntMatrix) -> NormalizerClass:
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     adj = m.adjugate()
     return adj if m.det() == 1 else -adj
+
+
+def coordinate_formula(cert, seed, region):
+    """Image at t: the digit action of C_v on the letter at u = M^{-1} t, with
+    v the valuation of u truncated at n0 (the origin is deeper than n0)."""
+    domain = cert.domain
+    s = sigma_L(cert.L, domain)
+    m_inv = unimodular_inverse(cert.M)
+    out = {}
+    for t in region:
+        u = m_inv.mul_vec(t)
+        if any(u):
+            level, letter = min(valuation(s, u), cert.n0), tau(s, u)
+        else:
+            level, letter = cert.n0, seed
+        out[t] = domain.digit_of(cert.conjugates[level].mul_vec(letter))
+    return out
 
 
 def brute_force_centralizer(L, bound):
