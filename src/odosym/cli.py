@@ -98,34 +98,25 @@ def make_report(command: str, inputs: dict, result, patch=None) -> str:
     patch, for phi and subst, is (box, texts): the texts of the letters of the
     cells of the box (lo, hi, d) in position order, as format_vector writes them
     and JSON does inside brackets.  They fill the slots of the box's skeleton,
-    which make the result's "patch", a list of (position, letter) pairs, so the
-    encoder never walks a patch and result is not changed.
+    which make the result's "patch", a list of (position, letter) pairs.  The
+    body is encoded once, with the string "\\x00" in a copy of result as the
+    patch, and the skeleton replaces that slot's text, so the encoder never
+    walks a patch and result is not changed.
     """
     body = {
         "schema": 1,
         "version": __version__,
         "command": command,
         "inputs": inputs,
-        "result": result,
+        "result": result if patch is None else {**result, "patch": "\0"},
     }
+    text = _CANONICAL.encode(body)
     if patch is None:
-        return _CANONICAL.encode(body)
+        return text
+    # keys sort, so only the seed, schema and version follow the slot: it is the last
+    head, _, tail = text.rpartition('"\\u0000"')
     box, texts = patch
-    filled = _box_skeleton(*box) % tuple(texts)  # TypeError unless one text a cell
-    return _encode_at(body, ("result", "patch"), filled)
-
-
-def _encode_at(obj: dict, path: tuple, raw: str) -> str:
-    """The canonical JSON of obj with the JSON text raw as the value at the key
-    path.  Keys are written in sorted order, so the items with keys before
-    the path's first key encode to the text before its value, and the items
-    with keys after it to the text after."""
-    key, *rest = path
-    value = _encode_at(obj[key], rest, raw) if rest else raw
-    head = _CANONICAL.encode({k: v for k, v in obj.items() if k < key})[:-1]
-    tail = _CANONICAL.encode({k: v for k, v in obj.items() if k > key})[1:]
-    name = _CANONICAL.encode(key)
-    return f'{head}{"," * (head != "{")}{name}:{value}{"," * (tail != "}")}{tail}'
+    return head + _box_skeleton(*box) % tuple(texts) + tail  # TypeError unless one text a cell
 
 
 @functools.lru_cache(maxsize=1)

@@ -491,8 +491,7 @@ def is_expansion(m: IntMatrix) -> bool:
     d = 2 is decided by sign analysis of the characteristic polynomial;
     every other d uses an exact Schur-Cohn test on the reversed polynomial.
     """
-    d = m.dim
-    if d == 2:
+    if m.dim == 2:
         t, det = m.trace(), m.det()
         disc = t * t - 4 * det
         if disc < 0:
@@ -504,14 +503,7 @@ def is_expansion(m: IntMatrix) -> bool:
         if p1 < 0 and p_1 < 0:
             return True
         return p1 > 0 and p_1 > 0 and abs(t) > 2
-    coeffs = char_poly(m)
-    if coeffs[-1] == 0:  # zero eigenvalue
-        return False
-    if sum(coeffs) == 0:  # p(1) = 0
-        return False
-    if sum(c * (-1) ** (d - i) for i, c in enumerate(coeffs)) == 0:  # p(-1) = 0
-        return False
-    return _all_roots_in_open_unit_disk(list(reversed(coeffs)))
+    return _all_roots_in_open_unit_disk(char_poly(m)[::-1])
 
 
 def _require_expansion(m: IntMatrix) -> None:
@@ -520,10 +512,13 @@ def _require_expansion(m: IntMatrix) -> None:
 
 
 def _all_roots_in_open_unit_disk(c: list[int]) -> bool:
-    """Exact Schur-Cohn recursion; c[0] is the leading coefficient, nonzero.
+    """True iff c, coefficients highest degree first, has degree len(c) - 1
+    and every root in the open unit disk: an exact Schur-Cohn recursion.
 
-    Each step keeps a nonzero leading coefficient, an^2 - a0^2 > 0, so the
-    degree drops by exactly one and no zero needs stripping.
+    A zero c[0] fails the first step, |a0| >= |an|, and a root on the unit
+    circle stays a root of each step (f* vanishes with f there) until one
+    fails.  A step that passes leaves a nonzero leading coefficient,
+    an^2 - a0^2 > 0, so the degree drops by exactly one.
     """
     while len(c) > 1:
         an, a0 = c[0], c[-1]

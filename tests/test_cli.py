@@ -12,6 +12,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tests_shared import coordinate_formula
 
 import odosym
@@ -1329,6 +1331,80 @@ def test_report_text_is_what_the_guarded_encoder_writes(capsys, monkeypatch):
     assert hashlib.sha256(one_d.encode()).hexdigest() == (
         "e2dc55dc979082eb911cc5251a720cff19daeab22bdb34b6ec6fd0d2426e5efe"
     )
+
+
+def test_each_report_is_one_encode(capsys, monkeypatch):
+    # make_report encodes its body once, with or without a patch: the patch's
+    # slot is filled in that one text, not spliced between encoded pieces
+    encodes, per_report = [], []
+    encode, make = cli._CANONICAL.encode, cli.make_report
+
+    def counted(obj):
+        encodes.append(obj)
+        return encode(obj)
+
+    def recorded(command, inputs, result, patch=None):
+        before = len(encodes)
+        canon = make(command, inputs, result, patch)
+        per_report.append((command, patch is not None, len(encodes) - before))
+        return canon
+
+    monkeypatch.setattr(cli._CANONICAL, "encode", counted)
+    monkeypatch.setattr(cli, "make_report", recorded)
+    for argv in REPORT_OF_EVERY_COMMAND + PATCH_REPORTS:
+        assert main(argv) in (0, 3, 4)
+        capsys.readouterr()
+    assert len(per_report) == len(REPORT_OF_EVERY_COMMAND + PATCH_REPORTS)
+    assert {n for _, _, n in per_report} == {1}
+    assert {with_patch for _, with_patch, _ in per_report} == {True, False}
+    assert len(encodes) == len(per_report)
+
+
+# phi and subst --L requests on d = 1, 2 and 3, canonical and --F domains;
+# each draw adds a box and a seed, one of the domain's nonzero digits
+RANDOM_PATCH_REQUESTS = [
+    ("phi", "3", ["--M", "-1"], None),
+    ("phi", "-5", ["--M", "-1"], None),
+    ("subst", "3", [], None),
+    ("subst", "-4", [], None),
+    ("phi", "2,0;0,2", ["--M", "0,1;1,0"], "0,0;1,0;0,1;1,-1"),
+    ("phi", "2,0;0,4", ["--M", "1,1;0,1"], None),
+    ("phi", "2,-1;1,3", ["--M", "0,-1;1,1"], None),
+    ("phi", "11,0;0,2", ["--M", "1,0;0,-1"], None),
+    ("subst", "2,0;0,2", [], "0,0;1,0;0,1;1,-1"),
+    ("subst", "3,0;0,3", [], None),
+    ("phi", "2,0,0;0,2,0;0,0,4", ["--M", "1,0,1;0,1,0;0,0,1"], None),
+    ("subst", "2,0,0;0,2,0;0,0,2", [], None),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_patch_reports_are_what_the_guarded_encoder_writes(data):
+    command, L, extra, F = data.draw(st.sampled_from(RANDOM_PATCH_REQUESTS))
+    base = parse_matrix(L)
+    lo = data.draw(st.integers(-8, 4))
+    hi = lo + data.draw(st.integers(0, 2 if base.dim == 3 else 6))
+    domain = fundamental_domain(base)
+    if F is not None:
+        domain = validate_domain(base, [parse_vector(f) for f in F.split(";")])
+    seed = data.draw(st.sampled_from([r for r in domain.reps if any(r)]))
+    argv = [command, *(["patch"] if command == "subst" else []), "--L", L, *extra]
+    argv += [*(["--F", F] if F else []), "--box", f"{lo}:{hi}"]
+    argv += ["--seed", ",".join(map(str, seed))]
+    args = cli._parse_args(argv)
+    answer = args.func(args)
+    canon = cli.make_report(command, answer.inputs, answer.result, answer.patch)
+    cells = patch_cells(command, answer.inputs, answer.result)
+    assert [t for t, _ in cells] == box_positions(lo, hi, base.dim)
+    body = {
+        "schema": 1,
+        "version": odosym.__version__,
+        "command": command,
+        "inputs": answer.inputs,
+        "result": {**answer.result, "patch": cells},
+    }
+    assert canon == json.dumps(body, sort_keys=True, separators=(",", ":")), argv
 
 
 # the text rule on d = 1, 2 and 3, canonical and --F domains, n0 = 0, 1 and 2,

@@ -570,6 +570,53 @@ def test_is_expansion_dim4_against_modulus_oracle():
     assert seen == {True, False}
 
 
+def _companion(*c):
+    """The companion matrix of x^d + c[d-1] x^(d-1) + ... + c[0]."""
+    d = len(c)
+    return IntMatrix([[int(i == j + 1) for j in range(d - 1)] + [-c[i]] for i in range(d)])
+
+
+def test_is_expansion_off_dim2_rejects_the_unit_circle_and_zero_by_recursion_alone():
+    # d != 2 has no pre-check for an eigenvalue 0, 1 or -1: the Schur-Cohn
+    # recursion must reject each, and every other root of unity, by itself
+    rejected = {
+        "p(0) = 0": [
+            IntMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 5]]),
+            _companion(0, 2, 1),
+            IntMatrix([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
+            _companion(0, 0, 3, 5),
+        ],
+        "p(1) = 0": [
+            IntMatrix([[1, 0, 0], [3, 2, 0], [1, 1, 3]]),
+            _companion(-1, 0, 0),  # x^3 - 1
+            IntMatrix([[3, 1, 0, 2], [0, 1, 0, 0], [1, 2, -2, 0], [0, 1, 0, 4]]),
+            _companion(-1, 0, 0, 0),  # x^4 - 1
+        ],
+        "p(-1) = 0": [
+            IntMatrix([[-1, 0, 0], [3, 2, 0], [1, 1, 3]]),
+            _companion(1, 0, 0),  # x^3 + 1
+            IntMatrix([[3, 1, 0, 2], [0, -1, 0, 0], [1, 2, -2, 0], [0, 1, 0, 4]]),
+            _companion(-2, -1, -1, -1),  # (x + 1)(x - 2)(x^2 + 1)
+        ],
+        "other roots of unity": [
+            _companion(3, 1, 3),  # (x + 3)(x^2 + 1)
+            _companion(-2, -1, -1),  # (x - 2)(x^2 + x + 1)
+            _companion(1, 0, 0, 0),  # x^4 + 1
+            _companion(1, 1, 1, 1),  # the primitive fifth roots of unity
+        ],
+    }
+    for case, mats in rejected.items():
+        for m in mats:
+            p = char_poly(m)
+            at = {x: sum(c * x ** (m.dim - i) for i, c in enumerate(p)) for x in (0, 1, -1)}
+            hit = {"p(0) = 0": at[0] == 0, "p(1) = 0": at[1] == 0, "p(-1) = 0": at[-1] == 0}
+            assert hit.get(case, not any(hit.values())), (case, m.rows)
+            assert is_expansion(m) is _expansion_oracle(m) is False, (case, m.rows)
+    # beside them, expansions of the same shapes
+    for m in (_companion(3, 0, 0), _companion(2, 0, 0, 0), _companion(7, 1, 0, 3)):
+        assert is_expansion(m) is _expansion_oracle(m) is True, m.rows
+
+
 def test_is_expansion_dim2_boundaries_against_modulus_oracle():
     # every x^2 - t x + D with |t| <= 6 and |D| <= 9, as a companion matrix:
     # the sign analysis meets each of its boundaries here, a double root
