@@ -37,19 +37,22 @@ from math import gcd, isqrt
 
 from .intmat import (
     IntMatrix,
+    _det,
     _digit_guard,
     _inv_unimodular,
     _Record,
     _require_expansion,
+    _rows_mul,
     _xgcd,
-    commutes,
     format_matrix,
     integer_eigenvalues,
     rad_divides,
 )
 
 _ID = IntMatrix.identity(2)
+_NEG_ID = -_ID
 _SWAP = IntMatrix(((0, 1), (1, 0)))
+_SHEAR = IntMatrix(((1, 1), (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +67,7 @@ class FullGL2(_Record):
     finite = False
 
     def generators(self):
-        return (_SWAP, IntMatrix(((1, 1), (0, 1))), -_ID)
+        return (_SWAP, _SHEAR, _NEG_ID)
 
 
 class _Finite(_Record):
@@ -91,7 +94,7 @@ class CentralizerInfinite(_Record):
     finite = False
 
     def generators(self):
-        return (-_ID, self.automorph)
+        return (_NEG_ID, self.automorph)
 
 
 class KleinFour(_Finite):
@@ -105,7 +108,7 @@ class OrderTwo(_Finite):
     """Just {Id, -Id}."""
 
     tag = "order-two"
-    elements = (_ID, -_ID)
+    elements = (_ID, _NEG_ID)
 
 
 class ParamFamily(_Record):
@@ -137,7 +140,7 @@ class VirtuallyZ(_Record):
     finite = False
 
     def generators(self):
-        return (-_ID, self.generator)
+        return (_NEG_ID, self.generator)
 
 
 NormalizerClass = (
@@ -249,11 +252,8 @@ def _candidates_from_solution(L, g, x, y):
 
 def _pell_xs(dp: int, y: int) -> list[int]:
     """Every x >= 0 with x^2 - dp y^2 = +-4."""
-    out = []
-    for t in (dp * y * y - 4, dp * y * y + 4):
-        if t >= 0 and isqrt(t) ** 2 == t:
-            out.append(isqrt(t))
-    return out
+    n = dp * y * y
+    return [x for t in (n - 4, n + 4) if t >= 0 and (x := isqrt(t)) * x == t]
 
 
 def _unit_group(dp: int, limit: int):
@@ -274,29 +274,31 @@ def _pell_walk(dp: int, limit: int) -> tuple[int, int]:
     of norm +-1 or +-4 gives the fundamental unit.  The period is a
     palindrome, Q_k = Q_(l-k) and P_k = P_(l-k+1) (Perron), so a Q = 4 of
     the second half shows in the first, and the walk stops at the first k
-    with Q_k = Q_(k-1) (l = 2k-1) or P_k = P_(k-1) (l = 2k-2), where (A, B)_(l-1)
-    is (A_(k-1) B_(k-1) + A_(k-2) B_(k-2), B_(k-1)^2 + B_(k-2)^2) for l odd,
-    (A_(k-2) B_(k-1) + A_(k-3) B_(k-2), B_(k-2) (B_(k-1) + B_(k-3))) for l even.
+    with Q_k = Q_(k-1) (l = 2k-1) or P_k = P_(k-1) (l = 2k-2), where B_(l-1)
+    is B_(k-1)^2 + B_(k-2)^2 for l odd, B_(k-2) (B_(k-1) + B_(k-3)) for l even.
+    Only B is tracked: y is read off it, and x is isqrt(dp y^2 + 4), the root
+    of x^2 = dp y^2 +- 4 with either sign, as x >= 4 puts (x + 1)^2 past x^2 + 8.
     """
-    a0, bits = isqrt(dp), 3 * limit
+    a0, top = isqrt(dp), 1 << 3 * limit
     m, d, a = 0, 1, a0
-    p0, p, q0, q = 1, a0, 0, 1
-    while True:  # p/q, p0/q0 = A/B_(k-1), A/B_(k-2) at P_k = m, Q_k = d
+    q0, q = 0, 1
+    while True:  # q, q0 = B_(k-1), B_(k-2) at P_k = m, Q_k = d
         m_prev, m = m, d * a - m
         d_prev, d = d, (dp - m * m) // d
-        if d == 4:
-            return p, q
-        if d == 1:
-            return 2 * p, 2 * q
+        if d == 4 or d == 1:
+            y = q if d == 4 else 2 * q
+            break
         if d == d_prev:
-            return 2 * (p * q + p0 * q0), 2 * (q * q + q0 * q0)
-        if m == m_prev:  # p - a p0 = A_(k-3), 2q - a q0 = B_(k-1) + B_(k-3)
-            return 2 * (p0 * q + (p - a * p0) * q0), 2 * q0 * (2 * q - a * q0)
-        if p.bit_length() > bits:
-            _digit_guard(p, limit, _unit_group(dp, limit))
+            y = 2 * (q * q + q0 * q0)
+            break
+        if m == m_prev:  # 2q - a q0 = B_(k-1) + B_(k-3)
+            y = 2 * q0 * (2 * q - a * q0)
+            break
+        if limit and q >= top:  # a q under 8^limit < 10^limit prints
+            _digit_guard(q, limit, _unit_group(dp, limit))
         a = (a0 + m) // d
-        p0, p = p, a * p + p0
         q0, q = q, a * q + q0
+    return isqrt(dp * y * y + 4), y
 
 
 def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
@@ -318,7 +320,7 @@ def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
     if dp < 0 or isqrt(dp) ** 2 == dp:
         # finite: D' < 0 forces |D'| y^2 <= 4, and D' = w^2 factors the norm
         # as (x - wy)(x + wy) = +-4, so x + wy divides 4; either way y <= 4
-        rows = {_ID.rows, (-_ID).rows}
+        rows = {_ID.rows, _NEG_ID.rows}
         for y in range(1, 5):
             for x in _pell_xs(dp, y):
                 rows.update(_candidates_from_solution(L, g, x, y))
@@ -330,11 +332,12 @@ def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
         # 4 >= sqrt(D'), below Legendre's criterion: D' = 0, 1 mod 4 leaves
         # 5, 8, 12 and 13, each solved at y = 1 (D' = 5 twice: x = 1, 3)
         sols = [(x, 1) for x in _pell_xs(dp, 1)]
-    cands = [r for sol in sols for r in _candidates_from_solution(L, g, *sol)]
-    best = IntMatrix(_canonical_pick(cands))
-    _digit_guard(best.max_abs(), limit, _unit_group(dp, limit))
-    assert commutes(L, best) and best.det() in (1, -1) and best not in (_ID, -_ID)
-    return CentralizerInfinite(best)
+    best = _canonical_pick([r for sol in sols for r in _candidates_from_solution(L, g, *sol)])
+    if limit:
+        _digit_guard(max(map(abs, best[0] + best[1])), limit, _unit_group(dp, limit))
+    assert _rows_mul(L.rows, best) == _rows_mul(best, L.rows)
+    assert _det(best) in (1, -1) and best not in (_ID.rows, _NEG_ID.rows)
+    return CentralizerInfinite(IntMatrix(best))
 
 
 def _sorted_elements(rows_set) -> tuple[IntMatrix, ...]:
@@ -386,7 +389,7 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
         # lines, (1, 2q/(p - s); 0, -1) in the adapted basis, when integral
         if (2 * q) % (p - s) == 0:
             m = W * IntMatrix(((1, 2 * q // (p - s)), (0, -1))) * _inv_unimodular(W)
-            return KleinFour(_sorted_elements({_ID.rows, (-_ID).rows, m.rows, (-m).rows}))
+            return KleinFour(_sorted_elements({_ID.rows, _NEG_ID.rows, m.rows, (-m).rows}))
         return OrderTwo()
     (v,) = lines
     on_p_line = L.mul_vec(v) == (p * v[0], p * v[1])
@@ -416,7 +419,7 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
     # the generator is the conjugate of (1, 1; 0, 1); its square, the
     # conjugate of (1, 2; 0, 1), lies in the commutator subgroup of the
     # upper triangular unimodular group, the even unipotents
-    generator = _inv_unimodular(conj) * IntMatrix(((1, 1), (0, 1))) * conj
+    generator = _inv_unimodular(conj) * _SHEAR * conj
     return VirtuallyZ(
         conjugator=conj, description=description, generator=generator,
         tri=(p, q, s), derived_witness=generator * generator,
@@ -454,19 +457,20 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
 
 
 def class_to_payload(cls: NormalizerClass) -> dict:
-    payload = {"branch": cls.tag, "finite": cls.finite}
+    """The class as JSON, each matrix formatted once: named ones share the generators' texts."""
+    gens = [format_matrix(m) for m in cls.generators()]
+    payload = {"branch": cls.tag, "finite": cls.finite, "generators": gens}
     if cls.finite:
-        payload["elements"] = [format_matrix(m) for m in cls.elements]
+        payload["elements"] = gens
     if isinstance(cls, CentralizerInfinite):
-        payload["automorph"] = format_matrix(cls.automorph)
+        payload["automorph"] = gens[1]
     if isinstance(cls, VirtuallyZ):
         payload["conjugator"] = format_matrix(cls.conjugator)
-        payload["generator"] = format_matrix(cls.generator)
+        payload["generator"] = gens[1]
         payload["adapted_triangular"] = list(cls.tri)
         if isinstance(cls.description, ParamFamily):
             payload["description"] = {"kind": cls.description.kind, "k": cls.description.k}
         else:
             payload["description"] = {"kind": cls.description.kind}
         payload["derived_witness"] = format_matrix(cls.derived_witness)
-    payload["generators"] = [format_matrix(m) for m in cls.generators()]
     return payload

@@ -289,10 +289,6 @@ def char_poly(m: IntMatrix) -> list[int]:
     return _faddeev(m.rows)[0]
 
 
-def commutes(a: IntMatrix, b: IntMatrix) -> bool:
-    return a * b == b * a
-
-
 # ---------------------------------------------------------------------------
 # radical
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from tests_shared import (
     brute_force_centralizer,
     centralizer,
+    commutes,
     nc_passes,
     rand_unimodular_small,
     rand_unimodular_steps,
@@ -26,7 +27,7 @@ from odosym.classify2d import (
     is_member,
 )
 from odosym.errors import NotExpansionError
-from odosym.intmat import IntMatrix, commutes, integer_eigenvalues, is_expansion, parse_matrix
+from odosym.intmat import IntMatrix, integer_eigenvalues, is_expansion, parse_matrix
 
 ID2 = IntMatrix.identity(2)
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import time
 import tracemalloc
 import types
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,9 @@ from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.errors import DomainCardinalityError, NotExpansionError, SizeGuardError
 from odosym.intmat import (
     _DIGIT_LIMIT,
+    IntMatrix,
     fundamental_domain,
+    is_expansion,
     parse_matrix,
     parse_vector,
     validate_domain,
@@ -857,8 +861,11 @@ def test_verify_paper_pretty_prints_only_the_table(capsys, tmp_path):
 
 # payload_hash prefixes of classify reports, recorded before is_member and the
 # finite/virtually-Z split moved to the unit eigenlines: one base per branch
-# and per virtually-Z shape, and the golden-table bases
+# and per virtually-Z shape, and the golden-table bases; 0,-392;1,387, whose
+# automorph has about 400 digits, was recorded before the Pell walk dropped
+# its numerators
 CLASSIFY_PAYLOAD_HASHES = {
+    "0,-392;1,387": "3e5c4c145123",
     "2,0;0,2": "dbf87088a90a",
     "2,-1;1,5": "90f26407a4c4",
     "2,-1;1,3": "628315ba526f",
@@ -878,6 +885,30 @@ def test_classify_payload_hash_is_pinned(capsys, base):
     code, report = run_cli(["classify", "--matrix", base], capsys)
     assert code == 0
     assert report["payload_hash"].startswith(CLASSIFY_PAYLOAD_HASHES[base])
+
+
+def test_classify_payload_hashes_of_drawn_real_irrational_bases(capsys):
+    # 300 seeded expansive bases with entries in [-600, 600] and a positive
+    # non-square discriminant: centralizer-infinite or full-gl2.  The digest
+    # over their payload hashes was recorded before the Pell walk dropped
+    # its numerators and the automorph was formatted once
+    rng = random.Random(4201)
+    bases, digest = set(), hashlib.sha256()
+    while len(bases) < 300:
+        a, b, c, d = (rng.randint(-600, 600) for _ in range(4))
+        disc = (a + d) ** 2 - 4 * (a * d - b * c)
+        L = ((a, b), (c, d))
+        if disc <= 0 or isqrt(disc) ** 2 == disc or L in bases:
+            continue
+        if not is_expansion(IntMatrix(L)):
+            continue
+        bases.add(L)
+        code, report = run_cli(["classify", "--matrix", f"{a},{b};{c},{d}"], capsys)
+        assert code == 0
+        digest.update(report["payload_hash"].encode())
+    assert digest.hexdigest() == (
+        "0d8cf97323f20eddbda0a15997c6d00fe2c8807b512c1bec2035b6d623be7032"
+    )
 
 
 # payload_hash of phi reports, and the sha256 of their canonical result, for

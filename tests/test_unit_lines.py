@@ -17,10 +17,10 @@ test_cross_validation.py.
 import random
 from math import gcd
 
-from tests_shared import rand_unimodular_steps, unimodular_inverse
+from tests_shared import commutes, rand_unimodular_steps, unimodular_inverse
 
 from odosym.classify2d import _triangular_form, _unit_lines, classify, is_member
-from odosym.intmat import IntMatrix, commutes, integer_eigenvalues, is_expansion, parse_matrix, rad_divides
+from odosym.intmat import IntMatrix, integer_eigenvalues, is_expansion, parse_matrix, rad_divides
 
 ID2 = IntMatrix.identity(2)
 

@@ -20,19 +20,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 from sympy.solvers.diophantine.diophantine import diop_DN
-from tests_shared import brute_force_centralizer, centralizer
+from tests_shared import brute_force_centralizer, centralizer, commutes
 
+from odosym import classify2d
 from odosym.classify2d import (
     CentralizerFinite,
     CentralizerInfinite,
     FullGL2,
     _order_units,
     _pell_walk,
+    _pell_xs,
     _unit_lines,
     classify,
 )
 from odosym.errors import SizeGuardError
-from odosym.intmat import IntMatrix, commutes, is_expansion, parse_matrix
+from odosym.intmat import IntMatrix, is_expansion, parse_matrix
 
 ID2 = IntMatrix.identity(2)
 
@@ -205,6 +207,42 @@ def test_half_period_walk_matches_the_full_period():
             ends[end] += 1
         # both midpoint formulas are reached
         assert ends["odd"] > 0 and ends["even"] > 0, ends
+
+
+# large D' with short periods: n^2 + c has a unit of y <= 2 for c in +-1, +-4
+_SHORT_PERIOD = st.builds(lambda n, c: n * n + c, st.integers(5, 10**6), st.integers(-4, 4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.integers(17, 10**5), st.integers(17, 10**12), _SHORT_PERIOD))
+def test_walk_y_has_exactly_one_root(d):
+    assume(17 <= d <= 10**12 and isqrt(d) ** 2 != d)
+    try:
+        x, y = _pell_walk(d, sys.get_int_max_str_digits())
+    except SizeGuardError:
+        return  # the unit has more digits than the interpreter prints
+    # D' y^2 - 4 and D' y^2 + 4 are never both squares for D' > 16 (the only
+    # squares 8 apart are 1 and 9, which needs D' y^2 = 5), so x is read off y
+    assert _pell_xs(d, y) == [x]
+    if d <= 10**5:
+        assert (x, y) == sympy_least_pm4(d)
+
+
+def test_no_digit_limit_calls_no_guard(monkeypatch):
+    ds = [d for d in range(17, 400) if isqrt(d) ** 2 != d and d % 4 < 2] + [148201]
+    limit = sys.get_int_max_str_digits()
+    walks = [_pell_walk(d, limit) for d in ds]
+    classes = [_cold_classify(companion(d)) for d in ds]
+    calls = []
+    guard = classify2d._digit_guard
+    monkeypatch.setattr(classify2d, "_digit_guard", lambda *a: calls.append(a) or guard(*a))
+    try:
+        sys.set_int_max_str_digits(0)
+        assert [_pell_walk(d, 0) for d in ds] == walks
+        assert [_cold_classify(companion(d)) for d in ds] == classes
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)

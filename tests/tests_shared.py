@@ -11,13 +11,16 @@ from odosym.intmat import (
     _apply,
     _Record,
     _require_expansion,
-    commutes,
     hnf,
     vec_add,
 )
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
 from odosym.substitution import _strip_base, box_positions, sigma_L, tau, valuation
+
+
+def commutes(a: IntMatrix, b: IntMatrix) -> bool:
+    return a * b == b * a
 
 
 # the 104 unimodular 2x2 matrices with entries in [-2, 2]
