@@ -436,8 +436,8 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
     _require_expansion_2x2(L)
     if M.dim != 2:
         raise ValueError(f"a 2x2 base needs a 2x2 matrix, got {M.dim}x{M.dim}")
-    if M.det() not in (1, -1):
-        raise ValueError(f"matrix must be unimodular, det = {M.det()}")
+    if (det_m := M.det()) not in (1, -1):
+        raise ValueError(f"matrix must be unimodular, det = {det_m}")
     lines = _unit_lines(L.rows)
     if lines is None:
         return MembershipVerdict(True, "full-gl2")
@@ -445,7 +445,8 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
         # the group is the centralizer itself: no unit has to be built.  The
         # kernel of a nonzero nilpotent LM - ML would be a rational eigenline
         # of L, and there is none here, so M commutes iff the det is 0
-        c = (L * M - M * L).det()
+        lm, ml = _rows_mul(L.rows, M.rows), _rows_mul(M.rows, L.rows)
+        c = _det([[x - y for x, y in zip(r, s)] for r, s in zip(lm, ml)])
         return MembershipVerdict(c == 0, "centralizer-commutes", witness=(c,))
     cross = tuple(a * y - b * x for (a, b) in lines for x, y in (M.mul_vec((a, b)),))
     return MembershipVerdict(not any(cross), "unit-eigenlines", witness=cross)

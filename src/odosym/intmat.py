@@ -196,10 +196,7 @@ class IntMatrix(_Record):
 
     def adjugate(self) -> "IntMatrix":
         """Matrix A with A*M = M*A = det(M)*Id."""
-        if self.dim == 2:
-            (a, b), (c, e) = self.rows
-            return IntMatrix(((e, -b), (-c, a)))
-        return IntMatrix(_faddeev(self.rows)[1])
+        return IntMatrix(_adjugate(self.rows))
 
     @cached_property
     def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -207,7 +204,7 @@ class IntMatrix(_Record):
         det = self.det()
         if det == 0:
             raise SingularMatrixError("cannot solve with a singular matrix")
-        return det, self.adjugate().rows
+        return det, _adjugate(self.rows)
 
     def solve_exact(self, v: Vec) -> Vec | None:
         """Integer solution x of M x = v, or None if none exists."""
@@ -232,8 +229,8 @@ def _require_product(a: IntMatrix, b: IntMatrix) -> None:
 
 def _inv_unimodular(u: IntMatrix) -> IntMatrix:
     """Inverse of a matrix of determinant +-1, exact over Z."""
-    adj = u.adjugate()
-    return adj if u.det() == 1 else -adj
+    adj = _adjugate(u.rows)
+    return IntMatrix(adj if u.det() == 1 else [[-x for x in r] for r in adj])
 
 
 def _apply(rows, v) -> Vec:
@@ -264,6 +261,14 @@ def _det(rows) -> int:
     return (-1) ** d * _faddeev(rows)[0][-1]
 
 
+def _adjugate(rows):
+    """The rows of adj M, for M given by its rows: the closed form in d = 2."""
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        return ((e, -b), (-c, a))
+    return _faddeev(rows)[1]
+
+
 def _faddeev(rows):
     """Faddeev-LeVerrier: [1, c_1, ..., c_d], the coefficients of det(x*Id - M),
     and the rows of adj M.
@@ -272,7 +277,7 @@ def _faddeev(rows):
     adj M = (-1)^(d-1)*N_(d-1), since M*N_(d-1) = -c_d*Id (Cayley-Hamilton).
     """
     d = len(rows)
-    coeffs, n = [1], IntMatrix.identity(d).rows
+    coeffs, n = [1], [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
         mn = _rows_mul(rows, n)
         ck, rem = divmod(-sum(mn[i][i] for i in range(d)), k)
@@ -488,12 +493,12 @@ def is_expansion(m: IntMatrix) -> bool:
     every other d uses an exact Schur-Cohn test on the reversed polynomial.
     """
     if m.dim == 2:
-        t, det = m.trace(), m.det()
+        (a, b), (c, e) = m.rows
+        t, det = a + e, a * e - b * c
         disc = t * t - 4 * det
         if disc < 0:
             return det > 1
-        p1 = 1 - t + det
-        p_1 = 1 + t + det
+        p1, p_1 = 1 - t + det, 1 + t + det
         if p1 == 0 or p_1 == 0:
             return False
         if p1 < 0 and p_1 < 0:

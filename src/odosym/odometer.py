@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DepthError, SizeGuardError
-from .intmat import IntMatrix, _Record, _require_expansion, _require_product, _rows_mul
+from .intmat import IntMatrix, _adjugate, _Record, _require_expansion, _require_product, _rows_mul
 
 # ---------------------------------------------------------------------------
 # normalizer condition for constant bases
@@ -127,7 +127,7 @@ def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
     table = _doubling_table(L.rows, top, (width * last).bit_length())
     _require_product(L, M)
     # at n = 1; reduced mod top at once, as every modulus divides it
-    adj = L.adjugate().rows
+    adj = _adjugate(L.rows)
     acc, m = _mat_mul_mod(adj, M.rows, top), 0
     for n in range(1, last + 1):
         if n >= first:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Poly, Rational, Symbol, factorint, im, re
+from tests_shared import count_matrix_builds
 
 from odosym.errors import (
     DomainCardinalityError,
@@ -84,7 +85,27 @@ def test_adjugate_identity_random():
         assert a * m == IntMatrix.identity(d).scale(det)
         assert m * a == IntMatrix.identity(d).scale(det)
         assert Matrix(m.rows).adjugate() == Matrix(a.rows), m.rows
+        # the rows-level route, which the odometer walk takes, on its own
+        assert Matrix(m.rows).adjugate() == Matrix(intmat._adjugate(m.rows)), m.rows
     assert singular >= 10
+
+
+def test_inv_unimodular_is_the_inverse_and_builds_one_matrix(monkeypatch):
+    # products of elementary matrices, a row negated in about half of them, so
+    # both determinants come up in every d
+    rng = random.Random(4)
+    built, seen = count_matrix_builds(monkeypatch), set()
+    for _ in range(160):
+        d = rng.choice([1, 2, 3, 4])
+        u = rand_unimodular(rng, d) if d > 1 else IntMatrix.identity(1)
+        if rng.random() < 0.5:
+            u = IntMatrix((tuple(-x for x in u.rows[0]),) + u.rows[1:])
+        built.clear()
+        inv = intmat._inv_unimodular(u)
+        assert len(built) == 1, (u.rows, built)
+        assert u * inv == IntMatrix.identity(d) == inv * u, u.rows
+        seen.add((d, u.det()))
+    assert seen == {(d, det) for d in (1, 2, 3, 4) for det in (1, -1)}
 
 
 def test_det_against_sympy():

@@ -31,6 +31,18 @@ SMALL_UNIMODULAR = [
 ]
 
 
+def count_matrix_builds(monkeypatch) -> list:
+    """A list that gets the rows of each IntMatrix built from now on."""
+    built, init = [], IntMatrix.__init__
+
+    def counting(self, rows):
+        built.append(rows)
+        init(self, rows)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting)
+    return built
+
+
 def rand_unimodular_steps(rng, d=2, steps=6):
     """Random unimodular matrix as a product of elementary operations."""
     m = IntMatrix.identity(d)
