@@ -200,11 +200,16 @@ class IntMatrix(_Record):
 
     @cached_property
     def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(det, adjugate rows), computed once per matrix."""
-        det = self.det()
+        """(det, adjugate rows), computed once per matrix: one Faddeev pass in d != 2."""
+        rows, d = self.rows, self.dim
+        if d == 2:
+            det, adj = _det(rows), _adjugate(rows)
+        else:
+            coeffs, adj = _faddeev(rows)
+            det = (-1) ** d * coeffs[-1]
         if det == 0:
             raise SingularMatrixError("cannot solve with a singular matrix")
-        return det, _adjugate(self.rows)
+        return det, adj
 
     def solve_exact(self, v: Vec) -> Vec | None:
         """Integer solution x of M x = v, or None if none exists."""
@@ -228,9 +233,9 @@ def _require_product(a: IntMatrix, b: IntMatrix) -> None:
 
 
 def _inv_unimodular(u: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix of determinant +-1, exact over Z."""
-    adj = _adjugate(u.rows)
-    return IntMatrix(adj if u.det() == 1 else [[-x for x in r] for r in adj])
+    """Inverse of a matrix of determinant +-1, exact over Z, from u's kept inverse."""
+    det, adj = u._inverse
+    return IntMatrix(adj if det == 1 else [[-x for x in r] for r in adj])
 
 
 def _apply(rows, v) -> Vec:
@@ -487,23 +492,14 @@ def integer_eigenvalues(m: IntMatrix) -> list[int]:
 
 
 def is_expansion(m: IntMatrix) -> bool:
-    """True iff every eigenvalue has modulus strictly greater than 1.
-
-    d = 2 is decided by sign analysis of the characteristic polynomial;
-    every other d uses an exact Schur-Cohn test on the reversed polynomial.
+    """True iff every eigenvalue has modulus strictly greater than 1: an exact
+    Schur-Cohn test on the reversed characteristic polynomial.  At d = 2 that
+    is det*x^2 - tr*x + 1, whose recursion in closed form is Jury's conditions.
     """
     if m.dim == 2:
         (a, b), (c, e) = m.rows
-        t, det = a + e, a * e - b * c
-        disc = t * t - 4 * det
-        if disc < 0:
-            return det > 1
-        p1, p_1 = 1 - t + det, 1 + t + det
-        if p1 == 0 or p_1 == 0:
-            return False
-        if p1 < 0 and p_1 < 0:
-            return True
-        return p1 > 0 and p_1 > 0 and abs(t) > 2
+        det = a * e - b * c
+        return abs(det) > 1 and abs(a + e) < abs(det + 1)
     return _all_roots_in_open_unit_disk(char_poly(m)[::-1])
 
 

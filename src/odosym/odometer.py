@@ -109,16 +109,16 @@ def _check_depth(L: IntMatrix, n: int) -> None:
     _require_expansion(L)
 
 
-def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
-    """Certificates for depths first..last.
+def _nc_walk(L: IntMatrix, M: IntMatrix, last: int):
+    """Certificates for depths 1..last.
 
     From the first Absent depth on every depth is Absent, so those
     certificates are written down with their bounds m* and no search.  The
-    search at depth `first` starts from m = 0 and every later one from
-    the previous witness.  acc = adj(L^n) M L^m is carried from depth to
-    depth mod det(L)^last, which every shallower modulus det(L)^n divides:
-    one step in m multiplies it by L on the right, one step in n by adj L on
-    the left.  Absent costs one evaluation at m*, and a witness costs one
+    search at depth 1 starts from m = 0 and every later one from the
+    previous witness.  acc = adj(L^n) M L^m is carried from depth to depth
+    mod det(L)^last, which every shallower modulus det(L)^n divides: one
+    step in m multiplies it by L on the right, one step in n by adj L on the
+    left.  Absent costs one evaluation at m*, and a witness costs one
     multiplication per step above the previous one.
     """
     _check_depth(L, last)
@@ -130,32 +130,30 @@ def _nc_walk(L: IntMatrix, M: IntMatrix, first: int, last: int):
     adj = _adjugate(L.rows)
     acc, m = _mat_mul_mod(adj, M.rows, top), 0
     for n in range(1, last + 1):
-        if n >= first:
-            mod, m_star = det**n, width * n
-            if not _divisible(acc, mod):
-                if not _divisible(_times_power(acc, table, m_star - m, top), mod):
-                    for k in range(n, last + 1):
-                        yield NcCertificate(k, None, width * k)
-                    return
-                acc, m = _mat_mul_mod(acc, table[0], top), m + 1  # acc was not divisible
-                while not _divisible(acc, mod):
-                    acc, m = _mat_mul_mod(acc, table[0], top), m + 1
-            yield NcCertificate(n, m, m_star)
+        mod, m_star = det**n, width * n
+        if not _divisible(acc, mod):
+            if not _divisible(_times_power(acc, table, m_star - m, top), mod):
+                for k in range(n, last + 1):
+                    yield NcCertificate(k, None, width * k)
+                return
+            acc, m = _mat_mul_mod(acc, table[0], top), m + 1  # acc was not divisible
+            while not _divisible(acc, mod):
+                acc, m = _mat_mul_mod(acc, table[0], top), m + 1
+        yield NcCertificate(n, m, m_star)
         acc = _mat_mul_mod(adj, acc, top)
 
 
 def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
-    """Decide the depth-n normalizer condition for an integer matrix M.
-
-    Exact for the fixed n: Absent when the condition fails at the
-    stabilization bound m*, else the least witness, stepped up to from 0.
-    """
-    return next(_nc_walk(L, M, n, n))
+    """Decide the depth-n normalizer condition for an integer matrix M: the
+    last certificate of nc_bounded_check(L, M, n).  Exact for the fixed n:
+    Absent when the condition fails at the stabilization bound m*, else the
+    least witness, as the walk's witnesses grow with depth."""
+    return list(_nc_walk(L, M, n))[-1]
 
 
 def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
     """Certificates for n = 1..n_max; M passes at depth n_max iff all present."""
-    return list(_nc_walk(L, M, 1, n_max))
+    return list(_nc_walk(L, M, n_max))
 
 
 def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bool:

@@ -94,7 +94,7 @@ class NLCertificate(_Record):
     def actions(self) -> tuple[tuple[tuple[Vec, Vec], ...] | None, ...]:
         """actions[n], C_n's _residue_action (None below k), read by the local rule;
         no field, as conjugates and domain give them: nl_membership hands over its own."""
-        return _level_actions(self.L, self.conjugates, self.k, self.domain)
+        return _level_actions(self.conjugates, self.k, self.domain)
 
     def to_payload(self) -> dict:
         # a walk that repeats yields its levels' objects again: each is formatted once
@@ -143,11 +143,12 @@ def _residue_action(c: IntMatrix, domain: FundamentalDomain) -> tuple[tuple[Vec,
     return tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
 
 
-def _level_actions(L: IntMatrix, conj: tuple, k: int, domain: FundamentalDomain) -> tuple:
+def _level_actions(conj: tuple, k: int, domain: FundamentalDomain) -> tuple:
     """Each level's _residue_action, None below k.  C f mod L(Z^d) depends only
-    on C mod |det|, as |det| Z^d lies in L(Z^d): one action per residue class
-    of conjugates, and equal actions are one object, so levels compare by id."""
-    det, by_class, interned, by_id = abs(L.det()), {}, {}, {}
+    on C mod |det|, the domain's number of digits, as |det| Z^d lies in L(Z^d): one
+    action per residue class of conjugates, and equal actions are one object, so
+    levels compare by id."""
+    det, by_class, interned, by_id = len(domain.reps), {}, {}, {}
     for c in {id(c): c for c in conj[k:]}.values():  # one key per distinct object
         key = tuple(x % det for row in c.rows for x in row)
         if key not in by_class:
@@ -197,7 +198,7 @@ def nl_membership(
         tail = "" if k > n_max else f"; integral tail only from level {k}"
         detail = f"conjugate at level {first_bad} is not integral{tail}"
         return _rejection(L, M, n_max, "non-integral-conjugate", detail)
-    actions = _level_actions(L, conj, k, domain)
+    actions = _level_actions(conj, k, domain)
     n0 = n_max
     while n0 > k and actions[n0 - 1] is actions[-1]:
         n0 -= 1
@@ -219,7 +220,7 @@ def _rejection(L: IntMatrix, M: IntMatrix, n_max: int, reason: str, detail: str)
     if L.dim == 2 and not (verdict := is_member(L, M)).member:
         reason = _EXACT_REJECTION
         detail = f"is_member: {verdict.reason}, witness {list(verdict.witness)}"
-    return NLRejection(L=L, M=M, n_max=n_max, reason=reason, detail=detail)
+    return NLRejection(L, M, n_max, reason, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def build_local_rule(cert: NLCertificate) -> LocalRule:
         if c is None:
             raise MissingCertificateError(f"no integral conjugate at level {v}")
     per_level = tuple(map(dict, cert.actions[: n0 + 1]))
-    return LocalRule(domain=cert.domain, m_inv=_inv_unimodular(cert.M), n0=n0, per_level=per_level)
+    return LocalRule(cert.domain, _inv_unimodular(cert.M), n0, per_level)
 
 
 def _window(domain: FundamentalDomain, n0: int) -> tuple[tuple[Vec, ...], ...]:

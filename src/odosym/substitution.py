@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import product
 from operator import index, sub
 
-from .errors import MarginError, WrongBranchError
+from .errors import DomainValidationError, MarginError, WrongBranchError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
@@ -49,6 +49,8 @@ class ConstantShapeSubstitution(_Record):
         super().__init__(base, domain, alphabet, table)
         # tau strips factors of L and would never stop on a non-expansion base
         _require_expansion(self.base)
+        if domain.base.rows != base.rows:  # tau reduces against the domain's base
+            raise DomainValidationError(f"F is a domain of base {domain.base}, not of L = {base}")
         support = set(self.domain.reps)
         for letter in self.alphabet:
             if letter not in self.table:

@@ -108,6 +108,34 @@ def test_inv_unimodular_is_the_inverse_and_builds_one_matrix(monkeypatch):
     assert seen == {(d, det) for d in (1, 2, 3, 4) for det in (1, -1)}
 
 
+def test_inverse_takes_one_faddeev_pass_in_dim_3_and_4(monkeypatch):
+    # det and adj come from one Faddeev-LeVerrier pass, kept on the matrix, and
+    # _inv_unimodular reads that pair: no pass of its own, at either determinant
+    calls, faddeev = [], intmat._faddeev
+    monkeypatch.setattr(intmat, "_faddeev", lambda rows: calls.append(rows) or faddeev(rows))
+    rng, seen = random.Random(44), set()
+    for _ in range(40):
+        d = rng.choice([3, 4])
+        u = rand_unimodular(rng, d)
+        if rng.random() < 0.5:
+            u = IntMatrix((tuple(-x for x in u.rows[0]),) + u.rows[1:])
+        rows = [[rng.choice([0, rng.randint(-4, 4)]) for _ in range(d)] for _ in range(d)]
+        calls.clear()
+        if Matrix(rows).det() == 0:
+            with pytest.raises(SingularMatrixError):
+                IntMatrix(rows)._inverse
+        else:
+            det, adj = IntMatrix(rows)._inverse
+            assert det == Matrix(rows).det() and Matrix(adj) == Matrix(rows).adjugate()
+        assert len(calls) == 1, rows
+        calls.clear()
+        inv = intmat._inv_unimodular(u)
+        assert len(calls) == 1, (u.rows, len(calls))
+        assert u * inv == IntMatrix.identity(d) == inv * u, u.rows
+        seen.add((d, u.det()))
+    assert seen == {(d, det) for d in (3, 4) for det in (1, -1)}
+
+
 def test_det_against_sympy():
     # d = 2 has its closed form; every other d, 1 and 3 among them, takes the
     # last Faddeev-LeVerrier coefficient, here on sparse and singular matrices
@@ -636,6 +664,18 @@ def test_is_expansion_off_dim2_rejects_the_unit_circle_and_zero_by_recursion_alo
     # beside them, expansions of the same shapes
     for m in (_companion(3, 0, 0), _companion(2, 0, 0, 0), _companion(7, 1, 0, 3)):
         assert is_expansion(m) is _expansion_oracle(m) is True, m.rows
+
+
+def test_is_expansion_dim2_closed_form_equals_the_recursion_on_all_small_matrices():
+    # every 2x2 matrix with entries in [-7, 7], companion or not: the closed form
+    # agrees with the general Schur-Cohn recursion on the reversed polynomial
+    count = 0
+    for a, b, c, e in product(range(-7, 8), repeat=4):
+        m = IntMatrix(((a, b), (c, e)))
+        want = intmat._all_roots_in_open_unit_disk(char_poly(m)[::-1])
+        assert is_expansion(m) is want, m.rows
+        count += want
+    assert 0 < count < 15**4
 
 
 def test_is_expansion_dim2_boundaries_against_modulus_oracle():

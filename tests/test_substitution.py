@@ -8,7 +8,7 @@ import pytest
 from tests_shared import substitute
 
 from odosym import substitution
-from odosym.errors import SizeGuardError, WrongBranchError
+from odosym.errors import DomainValidationError, SizeGuardError, WrongBranchError
 from odosym.intmat import IntMatrix, fundamental_domain, hnf, is_expansion, parse_matrix
 from odosym.substitution import (
     ConstantShapeSubstitution,
@@ -77,6 +77,23 @@ def test_every_image_belongs_to_a_letter():
     table = {**s.table, (5, 5): s.image(min(s.alphabet))}
     with pytest.raises(ValueError, match=r"an image for \(5, 5\), outside the alphabet"):
         ConstantShapeSubstitution(base=s.base, domain=s.domain, alphabet=s.alphabet, table=table)
+
+
+def test_a_domain_of_another_base_is_refused():
+    # tau reduces against the domain's base and supports lift by the rule's
+    # base: with F of 3,1;0,3 under 3 Id, tau(s, (0, 3)) read (0, 3), while
+    # sigma_L of 3 Id reads (0, 1) there
+    L, other = parse_matrix("3,0;0,3"), fundamental_domain(parse_matrix("3,1;0,3"))
+    digits = [f for f in other.reps if any(f)]
+    table = {a: {f: f if any(f) else a for f in other.reps} for a in digits}
+    with pytest.raises(DomainValidationError) as err:
+        ConstantShapeSubstitution(L, other, frozenset(digits), table)
+    assert str(err.value) == "F is a domain of base 3,1;0,3, not of L = 3,0;0,3"
+    assert tau(sigma_L(L), (0, 3)) == (0, 1)
+    # sigma_L still re-validates a foreign F into a domain of its own base
+    s = sigma_L(L, fundamental_domain(parse_matrix("3,0;0,-3")))
+    assert s.domain.base == L and s.domain == fundamental_domain(L)
+    assert s == sigma_L(L)
 
 
 def test_sigma_self_similarity_flag():
