@@ -185,14 +185,14 @@ def _parse_domain_arg(base: IntMatrix, text: str | None) -> FundamentalDomain:
     if (domain := _domains.pop(key, None)) is None:
         reps = None if text is None else [parse_vector(tok) for tok in text.split(";")]
         domain = fundamental_domain(base) if reps is None else validate_domain(base, reps)
-        _held[0] = len(domain.reps) + (_held[0] if _domains else 0)  # cache_clear empties _domains
-        while _held[0] > _DIGIT_LIMIT:  # the new F stays: it is within the limit alone
-            _held[0] -= len(_domains.pop(next(iter(_domains))).reps)
+        held = len(domain.reps) + sum(len(kept.reps) for kept in _domains.values())
+        while held > _DIGIT_LIMIT:  # the new F stays: it is within the limit alone
+            held -= len(_domains.pop(next(iter(_domains))).reps)
     _domains[key] = domain
     return domain
 
 
-_domains, _held = {}, [0]  # _parse_domain_arg's F, least recently used first; their digits
+_domains = {}  # _parse_domain_arg's F, least recently used first
 _parse_domain_arg.cache_clear = _domains.clear
 
 
@@ -234,7 +234,7 @@ def _load_substitution(path: str) -> tuple:
         parse_vector(letter): _field(path, f"table.{letter}", _image, cells)
         for letter, cells in table.items()
     }
-    return domain, ConstantShapeSubstitution(base, domain, frozenset(images), images)
+    return domain, ConstantShapeSubstitution(domain, frozenset(images), images)
 
 
 # ---------------------------------------------------------------------------

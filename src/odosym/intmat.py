@@ -196,17 +196,12 @@ class IntMatrix(_Record):
 
     def adjugate(self) -> "IntMatrix":
         """Matrix A with A*M = M*A = det(M)*Id."""
-        return IntMatrix(_adjugate(self.rows))
+        return IntMatrix(_det_adj(self.rows)[1])
 
     @cached_property
     def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(det, adjugate rows), computed once per matrix: one Faddeev pass in d != 2."""
-        rows, d = self.rows, self.dim
-        if d == 2:
-            det, adj = _det(rows), _adjugate(rows)
-        else:
-            coeffs, adj = _faddeev(rows)
-            det = (-1) ** d * coeffs[-1]
+        """_det_adj's (det, adjugate rows), kept on the matrix; singular raises."""
+        det, adj = _det_adj(self.rows)
         if det == 0:
             raise SingularMatrixError("cannot solve with a singular matrix")
         return det, adj
@@ -260,18 +255,19 @@ def _rows_mul(a, b):
 
 
 def _det(rows) -> int:
-    d = len(rows)
-    if d == 2:
+    if len(rows) == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return (-1) ** d * _faddeev(rows)[0][-1]
+    return _det_adj(rows)[0]
 
 
-def _adjugate(rows):
-    """The rows of adj M, for M given by its rows: the closed form in d = 2."""
+def _det_adj(rows):
+    """(det M, the rows of adj M), for M given by its rows: the closed form in
+    d = 2, else one Faddeev pass.  Every other route to adj M reads this."""
     if len(rows) == 2:
         (a, b), (c, e) = rows
-        return ((e, -b), (-c, a))
-    return _faddeev(rows)[1]
+        return a * e - b * c, ((e, -b), (-c, a))
+    coeffs, adj = _faddeev(rows)
+    return (-1) ** len(rows) * coeffs[-1], adj
 
 
 def _faddeev(rows):

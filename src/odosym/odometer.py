@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DepthError, SizeGuardError
-from .intmat import IntMatrix, _adjugate, _Record, _require_expansion, _require_product, _rows_mul
+from .intmat import IntMatrix, _det_adj, _Record, _require_expansion, _require_product, _rows_mul
 
 # ---------------------------------------------------------------------------
 # normalizer condition for constant bases
@@ -119,15 +119,16 @@ def _nc_walk(L: IntMatrix, M: IntMatrix, last: int):
     mod det(L)^last, which every shallower modulus det(L)^n divides: one
     step in m multiplies it by L on the right, one step in n by adj L on the
     left.  Absent costs one evaluation at m*, and a witness costs one
-    multiplication per step above the previous one.
+    multiplication per step above the previous one.  det(L) and adj(L) come
+    from one _det_adj call: the closed form in d = 2, one Faddeev pass else.
     """
     _check_depth(L, last)
-    d, det = L.dim, abs(L.det())
-    top, width = det**last, d * det.bit_length()
+    det, adj = _det_adj(L.rows)
+    det = abs(det)
+    top, width = det**last, L.dim * det.bit_length()
     table = _doubling_table(L.rows, top, (width * last).bit_length())
     _require_product(L, M)
     # at n = 1; reduced mod top at once, as every modulus divides it
-    adj = _adjugate(L.rows)
     acc, m = _mat_mul_mod(adj, M.rows, top), 0
     for n in range(1, last + 1):
         mod, m_star = det**n, width * n

@@ -248,12 +248,13 @@ class LocalRule(_Record):
 def build_local_rule(cert: NLCertificate) -> LocalRule:
     """The per-level permutations, the certificate's actions[v]: no window is
     read and no sigma_L built.  M L^v a = L^v C_v a, and C_v maps L(Z^d) onto
-    itself, so sigma_L's letter there, tau(C_v a), is the digit of C_v a."""
+    itself, so sigma_L's letter there, tau(C_v a), is the digit of C_v a.  A
+    certificate with k > 0 has no conjugate at level k - 1 < n0, and is refused."""
     _require_two_letters(cert.L)
+    if cert.k:
+        first = cert.conjugates.index(None)
+        raise MissingCertificateError(f"no integral conjugate at level {first}")
     n0 = cert.n0
-    for v, c in enumerate(cert.conjugates[: n0 + 1]):
-        if c is None:
-            raise MissingCertificateError(f"no integral conjugate at level {v}")
     per_level = tuple(map(dict, cert.actions[: n0 + 1]))
     return LocalRule(cert.domain, _inv_unimodular(cert.M), n0, per_level)
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import product
 from operator import index, sub
 
-from .errors import DomainValidationError, MarginError, WrongBranchError
+from .errors import MarginError, WrongBranchError
 from .intmat import (
     FundamentalDomain,
     IntMatrix,
@@ -36,21 +36,16 @@ HALF_HEX_SUPPORT = ((0, 0), (1, 0), (0, 1), (1, -1))
 
 
 class ConstantShapeSubstitution(_Record):
-    """Rule letter -> pattern supported on a fixed fundamental domain."""
+    """Rule letter -> pattern supported on a fixed fundamental domain, of base L = domain.base."""
 
-    base: IntMatrix
     domain: FundamentalDomain
     alphabet: frozenset
     table: dict
 
-    def __init__(
-        self, base: IntMatrix, domain: FundamentalDomain, alphabet: frozenset, table: dict
-    ):
-        super().__init__(base, domain, alphabet, table)
+    def __init__(self, domain: FundamentalDomain, alphabet: frozenset, table: dict):
+        super().__init__(domain, alphabet, table)
         # tau strips factors of L and would never stop on a non-expansion base
         _require_expansion(self.base)
-        if domain.base.rows != base.rows:  # tau reduces against the domain's base
-            raise DomainValidationError(f"F is a domain of base {domain.base}, not of L = {base}")
         support = set(self.domain.reps)
         for letter in self.alphabet:
             if letter not in self.table:
@@ -61,6 +56,10 @@ class ConstantShapeSubstitution(_Record):
                 raise ValueError(f"the image of {letter} uses a letter outside the alphabet")
         if stray := self.table.keys() - self.alphabet:
             raise ValueError(f"the table has an image for {min(stray)}, outside the alphabet")
+
+    @property
+    def base(self) -> IntMatrix:
+        return self.domain.base
 
     @property
     def dim(self) -> int:
@@ -106,7 +105,7 @@ def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> Constan
     if domain.base != base:
         domain = validate_domain(base, domain.reps)
     table = _sigma_table(domain)
-    return ConstantShapeSubstitution(base, domain, frozenset(table), table)
+    return ConstantShapeSubstitution(domain, frozenset(table), table)
 
 
 def _require_two_letters(base: IntMatrix) -> None:

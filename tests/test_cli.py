@@ -621,7 +621,7 @@ def test_a_non_expansion_base_is_named_in_one_message(argv, capsys):
 def test_a_rule_on_a_non_expansion_base_is_named_in_the_same_message():
     L = parse_matrix(SHEAR)
     with pytest.raises(NotExpansionError) as raised:
-        ConstantShapeSubstitution(L, fundamental_domain(L), frozenset(), {})
+        ConstantShapeSubstitution(fundamental_domain(L), frozenset(), {})
     assert f"odosym: NotExpansionError: {raised.value}\n" == NOT_AN_EXPANSION
 
 

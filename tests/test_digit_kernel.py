@@ -102,7 +102,7 @@ def random_rule(rng, d, det):
     letters = [(k,) for k in range(rng.randint(2, 3))]
     table = {a: {f: rng.choice(letters) for f in reps} for a in letters}
     table[letters[0]][(0,) * d] = letters[0]
-    return ConstantShapeSubstitution(base, domain, frozenset(letters), table), letters[0]
+    return ConstantShapeSubstitution(domain, frozenset(letters), table), letters[0]
 
 
 @pytest.mark.parametrize("d, det", [(d, det) for d in (2, 3) for det in range(2, 7)])

@@ -85,8 +85,10 @@ def test_adjugate_identity_random():
         assert a * m == IntMatrix.identity(d).scale(det)
         assert m * a == IntMatrix.identity(d).scale(det)
         assert Matrix(m.rows).adjugate() == Matrix(a.rows), m.rows
-        # the rows-level route, which the odometer walk takes, on its own
-        assert Matrix(m.rows).adjugate() == Matrix(intmat._adjugate(m.rows)), m.rows
+        # the rows-level kernel, which the odometer walk reads, on its own
+        kernel_det, kernel_adj = intmat._det_adj(m.rows)
+        assert kernel_det == Matrix(m.rows).det(), m.rows
+        assert Matrix(m.rows).adjugate() == Matrix(kernel_adj), m.rows
     assert singular >= 10
 
 
@@ -680,8 +682,9 @@ def test_is_expansion_dim2_closed_form_equals_the_recursion_on_all_small_matrice
 
 def test_is_expansion_dim2_boundaries_against_modulus_oracle():
     # every x^2 - t x + D with |t| <= 6 and |D| <= 9, as a companion matrix:
-    # the sign analysis meets each of its boundaries here, a double root
-    # (disc = 0), |t| = 2 and an eigenvalue 1 or -1 (p(1) = 0 or p(-1) = 0)
+    # the closed form |D| > 1 and |t| < |D + 1| meets both of its boundaries
+    # here, |D| = 1 and |t| = |D + 1| (an eigenvalue 1 or -1: p(1) = 0 or
+    # p(-1) = 0), and also a double root (disc = 0) and |t| = 2
     met = set()
     for t, det in product(range(-6, 7), range(-9, 10)):
         m = IntMatrix(((0, -det), (1, t)))

@@ -478,14 +478,14 @@ def test_only_the_digit_table_is_self_similar(s, data):
     for f in (data.draw(st.sampled_from(letters)), s.dim * (0,)):
         table = {x: dict(img) for x, img in s.table.items()}
         table[a][f] = data.draw(st.sampled_from([b for b in letters if b != table[a][f]]))
-        doctored = ConstantShapeSubstitution(s.base, s.domain, s.alphabet, table)
+        doctored = ConstantShapeSubstitution(s.domain, s.alphabet, table)
         assert not doctored.is_self_similar()
     # a general rule over the nonzero digits, as a --subst file gives it, is
     # self-similar exactly when it writes the digit table
     table = {
         x: {f: data.draw(st.sampled_from(letters)) for f in s.domain.reps} for x in letters
     }
-    general = ConstantShapeSubstitution(s.base, s.domain, s.alphabet, table)
+    general = ConstantShapeSubstitution(s.domain, s.alphabet, table)
     assert general.is_self_similar() == _follows_the_digits(general)
 
 
@@ -533,7 +533,7 @@ def test_planar_descent_agrees_with_solve_exact(s, corner, size, data):
 
     dom = s.domain
     counted = FundamentalDomain(dom.base, dom.reps, dom.hnf_basis, Steps(dom._rep_of_key))
-    walker = ConstantShapeSubstitution(L, counted, s.alphabet, s.table)
+    walker = ConstantShapeSubstitution(counted, s.alphabet, s.table)
     letter_at = _fixed_point_reader(walker, seed)
     walked, want, got = {(0, 0)}, [], []
     for p in region:
@@ -633,7 +633,7 @@ def test_one_letter_base_has_no_frame_and_decodes_alike(n0):
     with pytest.raises(WrongBranchError, match="alphabet too small"):
         sigma_L(L, domain)
     (zero, f), (letter,) = domain.reps, [f for f in domain.reps if any(f)]
-    s = ConstantShapeSubstitution(L, domain, frozenset({letter}), {letter: {zero: f, f: f}})
+    s = ConstantShapeSubstitution(domain, frozenset({letter}), {letter: {zero: f, f: f}})
     assert len(window_cells(_window(s.domain, n0), 2)) == n0 + 1
     check_window(s, n0, 3)
 

@@ -709,9 +709,7 @@ def test_fiber_points_needs_self_similar():
     table[a0][(1, 0)] = (0, 1)  # a non-digit letter at the (1,0) slot
     from odosym.substitution import ConstantShapeSubstitution
 
-    broken = ConstantShapeSubstitution(
-        base=hh.base, domain=hh.domain, alphabet=hh.alphabet, table=table
-    )
+    broken = ConstantShapeSubstitution(domain=hh.domain, alphabet=hh.alphabet, table=table)
     with pytest.raises(WrongBranchError):
         fiber_points(broken, (0, 0), 3)
 

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ from operator import add
 import pytest
 from tests_shared import substitute
 
-from odosym import substitution
+from odosym import cli, substitution
 from odosym.errors import DomainValidationError, SizeGuardError, WrongBranchError
 from odosym.intmat import IntMatrix, fundamental_domain, hnf, is_expansion, parse_matrix
 from odosym.substitution import (
@@ -69,27 +70,34 @@ def test_every_letter_needs_an_image():
     hh = half_hex()
     table = {a: hh.image(a) for a in hh.alphabet if a != (1, 0)}
     with pytest.raises(ValueError, match=r"no image pattern for letter \(1, 0\)"):
-        ConstantShapeSubstitution(base=hh.base, domain=hh.domain, alphabet=hh.alphabet, table=table)
+        ConstantShapeSubstitution(domain=hh.domain, alphabet=hh.alphabet, table=table)
 
 
 def test_every_image_belongs_to_a_letter():
     s = sigma_L(parse_matrix("3,0;0,3"))
     table = {**s.table, (5, 5): s.image(min(s.alphabet))}
     with pytest.raises(ValueError, match=r"an image for \(5, 5\), outside the alphabet"):
-        ConstantShapeSubstitution(base=s.base, domain=s.domain, alphabet=s.alphabet, table=table)
+        ConstantShapeSubstitution(domain=s.domain, alphabet=s.alphabet, table=table)
 
 
-def test_a_domain_of_another_base_is_refused():
-    # tau reduces against the domain's base and supports lift by the rule's
-    # base: with F of 3,1;0,3 under 3 Id, tau(s, (0, 3)) read (0, 3), while
-    # sigma_L of 3 Id reads (0, 1) there
+def test_a_domain_of_another_base_is_refused(tmp_path):
+    # a rule reads its base off its domain, so supports lift by the base tau
+    # reduces against, and L f has first digit f.  A record that kept L beside
+    # F read tau(s, (0, 3)) = (0, 3) with F of 3,1;0,3 under 3 Id; sigma_L
+    # re-validates that F under 3 Id, where it is no transversal
     L, other = parse_matrix("3,0;0,3"), fundamental_domain(parse_matrix("3,1;0,3"))
-    digits = [f for f in other.reps if any(f)]
-    table = {a: {f: f if any(f) else a for f in other.reps} for a in digits}
-    with pytest.raises(DomainValidationError) as err:
-        ConstantShapeSubstitution(L, other, frozenset(digits), table)
-    assert str(err.value) == "F is a domain of base 3,1;0,3, not of L = 3,0;0,3"
+    with pytest.raises(DomainValidationError, match=r"\(0, 0\) and \(0, 3\) are congruent"):
+        sigma_L(L, other)
     assert tau(sigma_L(L), (0, 3)) == (0, 1)
+    cross = [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]
+    letters = {"0,1": [1, 0], "1,0": [0, 1]}  # each letter writes the other off the origin
+    table = {a: [[f, b[::-1] if f == [0, 0] else b] for f in cross] for a, b in letters.items()}
+    (tmp_path / "rule.json").write_text(json.dumps({"L": "2,1;-1,2", "F1": cross, "table": table}))
+    from_file = cli._load_substitution(str(tmp_path / "rule.json"))[1]
+    foreign = sigma_L(L, fundamental_domain(parse_matrix("3,0;0,-3")))
+    for s in (sigma_L(L), foreign, sigma_L(parse_matrix("3,1;0,3")), half_hex(), from_file):
+        assert s.base is s.domain.base
+        assert all(tau(s, s.base.mul_vec(f)) == f for f in s.domain.reps if any(f)), s.base
     # sigma_L still re-validates a foreign F into a domain of its own base
     s = sigma_L(L, fundamental_domain(parse_matrix("3,0;0,-3")))
     assert s.domain.base == L and s.domain == fundamental_domain(L)
@@ -212,7 +220,7 @@ def test_fixed_points_need_the_self_similar_family():
     digits = [f for f in domain.reps if any(f)]
     a = min(digits)
     table = {x: {f: a if any(f) else x for f in domain.reps} for x in digits}
-    s = ConstantShapeSubstitution(base=L, domain=domain, alphabet=frozenset(digits), table=table)
+    s = ConstantShapeSubstitution(domain=domain, alphabet=frozenset(digits), table=table)
     assert not s.is_self_similar()
     iterated = substitute(s, substitute(s, {(0, 0): a}))
     by_digits = fixed_point_patch(sigma_L(L, domain), a, box(2))
