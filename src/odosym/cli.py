@@ -23,7 +23,6 @@ import functools
 import hashlib
 import json
 import os
-import random
 import re
 import sys
 import time
@@ -179,21 +178,28 @@ def _parse_box(text: str):
 
 def _parse_domain_arg(base: IntMatrix, text: str | None) -> FundamentalDomain:
     """F of L, the canonical one or --F's text.  Kept across requests in _domains by
-    (L's rows, text), the least recently used first out while the kept F hold over
-    _DIGIT_LIMIT digits in all: at most one largest F's worth.  Errors are not kept."""
+    (L's rows, text), least recently used first out while their digits, _held, total over
+    _DIGIT_LIMIT: at most one largest F's worth; a miss reads no kept F.  Errors are not kept."""
+    global _held
     key = (base.rows, text)
     if (domain := _domains.pop(key, None)) is None:
         reps = None if text is None else [parse_vector(tok) for tok in text.split(";")]
         domain = fundamental_domain(base) if reps is None else validate_domain(base, reps)
-        held = len(domain.reps) + sum(len(kept.reps) for kept in _domains.values())
-        while held > _DIGIT_LIMIT:  # the new F stays: it is within the limit alone
-            held -= len(_domains.pop(next(iter(_domains))).reps)
+        _held += len(domain.reps)
+        while _held > _DIGIT_LIMIT:  # the new F stays: it is within the limit alone
+            _held -= len(_domains.pop(next(iter(_domains))).reps)
     _domains[key] = domain
     return domain
 
 
-_domains = {}  # _parse_domain_arg's F, least recently used first
-_parse_domain_arg.cache_clear = _domains.clear
+def _clear_domains() -> None:
+    global _held
+    _domains.clear()
+    _held = 0
+
+
+_domains, _held = {}, 0  # _parse_domain_arg's F, least recently used first, and their digits
+_parse_domain_arg.cache_clear = _clear_domains
 
 
 def _field(path: str, name: str, build, value):
@@ -442,12 +448,8 @@ def _paper_checks():
     yield "classify:ex-two-eigenvalues-OPEN", oracle, detail, True
 
     hh = half_hex()
-    rng = random.Random(20240)
-    sample = []
-    while len(sample) < 5:
-        m = IntMatrix(tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2)))
-        if m.det() in (1, -1):
-            sample.append(m)
+    # the first five unimodular draws of random.Random(20240) over entries in [-3, 3]
+    sample = [*map(parse_matrix, ("2,1;-1,-1", "-3,1;-1,0", "3,2;1,1", "3,-2;1,-1", "0,1;-1,0"))]
     outcomes = [nl_membership(hh.base, m, domain=hh.domain) for m in sample]
     ok = all(isinstance(r, NLCertificate) and r.k == r.n0 == 0 for r in outcomes)
     yield "nl:half-hex-sample", ok, f"{len(sample)} matrices", False

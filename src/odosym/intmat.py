@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
-from operator import add, index, mul, sub
+from operator import index, mul, sub
 
 from .errors import (
     DomainCardinalityError,
@@ -150,25 +150,16 @@ class IntMatrix(_Record):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _entrywise(self, other: "IntMatrix", op, verb: str) -> "IntMatrix":
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         n, k = self.dim, len(other.rows)
         if k != n:
-            raise ValueError(f"cannot {verb} a {n}x{n} matrix and a {k}x{k} one")
-        return IntMatrix(tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._entrywise(other, add, "add")
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._entrywise(other, sub, "subtract")
+            raise ValueError(f"cannot subtract a {n}x{n} matrix and a {k}x{k} one")
+        return IntMatrix(tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -182,16 +173,11 @@ class IntMatrix(_Record):
     def __pow__(self, n: int) -> "IntMatrix":
         if n < 0:
             raise ValueError("only nonnegative integer powers")
-        if n == 0:
-            return IntMatrix.identity(self.dim)
-        base = self
-        while not n & 1:  # the lowest set bit starts the product
-            base, n = base * base, n >> 1
-        result = base
-        while n := n >> 1:  # no squaring past the highest bit
-            base = base * base
+        result, base = IntMatrix.identity(self.dim), self
+        while n:
             if n & 1:
                 result = result * base
+            base, n = base * base, n >> 1
         return result
 
     def adjugate(self) -> "IntMatrix":

@@ -14,11 +14,13 @@ from itertools import product
 
 from tests_shared import (
     ConstantBase,
+    add,
     fiber_points,
     kappa_embed,
     nc_passes,
     rand_unimodular_small,
     rand_unimodular_steps,
+    scale,
     substitute,
     unimodular_inverse,
 )
@@ -158,12 +160,12 @@ def _sample_nc_passers(L, rng, count):
             )
         else:
             a, b, c = (rng.randint(-3, 3) for _ in range(3))
-            m = IntMatrix.identity(2).scale(a) + L.scale(b) + (L * L).scale(c)
+            m = add(add(scale(IntMatrix.identity(2), a), scale(L, b)), scale(L * L, c))
         if nc_passes(L, m, 4):
             out.append(m)
     while len(out) < count:
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        out.append(IntMatrix.identity(2).scale(a) + L.scale(b))
+        out.append(add(scale(IntMatrix.identity(2), a), scale(L, b)))
     return out
 
 
@@ -175,7 +177,7 @@ def test_criterion_3_nc_ring_closure():
         passers = _sample_nc_passers(L, rng, 400)
         for i in range(0, 400, 2):
             m1, m2 = passers[i], passers[i + 1]
-            if not nc_passes(L, m1 + m2, 4):
+            if not nc_passes(L, add(m1, m2), 4):
                 bad += 1
             if not nc_passes(L, m1 * m2, 4):
                 bad += 1

@@ -307,6 +307,44 @@ def test_the_domain_cache_holds_at_most_one_largest_domain(capsys):
     assert list(cli._domains.values()) == [big]
 
 
+def test_a_domain_miss_reads_no_kept_domain(monkeypatch):
+    # the kept digits are a running total, so a miss costs the same with 2,000
+    # domains kept as with none
+    class Counting(dict):
+        reads = 0
+
+        def _read(self, view):
+            Counting.reads += 1
+            return view
+
+        def values(self):
+            return self._read(super().values())
+
+        def items(self):
+            return self._read(super().items())
+
+        def keys(self):
+            return self._read(super().keys())
+
+        def __iter__(self):
+            return self._read(super().__iter__())
+
+    cli._parse_domain_arg.cache_clear()
+    monkeypatch.setattr(cli, "_domains", Counting())
+    for k in range(2000):
+        cli._parse_domain_arg(parse_matrix(f"2,0;{k},1"), None)
+    assert len(cli._domains) == 2000 and cli._held == 4000
+    Counting.reads = 0
+    domain = cli._parse_domain_arg(parse_matrix("3,0;0,3"), None)
+    assert Counting.reads == 0
+    assert cli._held == 4009 and list(cli._domains.values())[-1] is domain
+    cli._parse_domain_arg.cache_clear()
+    assert cli._domains == {} and cli._held == 0
+    cli._parse_domain_arg(parse_matrix("2,0;0,2"), None)
+    assert cli._held == 4
+    cli._parse_domain_arg.cache_clear()  # the module's own dict comes back empty, as _held is
+
+
 def test_a_caller_cannot_change_a_kept_domain_through_a_report(capsys):
     # F and residue_permutation are lists built per request from the kept
     # domain's texts, which are strs: changing them reaches no later request

@@ -23,6 +23,7 @@ from tests_shared import (
     kappa_embed,
     nc_passes,
     rand_unimodular_small,
+    scale,
 )
 
 from odosym.classify2d import classify, is_member
@@ -132,7 +133,7 @@ def test_half_hex_domain_and_box_domain_give_same_verdicts():
     # the acceptance verdict depends on the base, not on which fundamental
     # domain presents the digit cosets
     rng = random.Random(403)
-    two = IntMatrix.identity(2).scale(2)
+    two = scale(IntMatrix.identity(2), 2)
     hh_domain = validate_domain(two, [(0, 0), (1, 0), (0, 1), (1, -1)])
     for _ in range(20):
         m = rand_unimodular_small(rng)

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_shared import ConstantBase, OdometerPoint, kappa_embed, nc_passes
+from tests_shared import ConstantBase, OdometerPoint, add, kappa_embed, nc_passes, scale
 
 from odosym import intmat, odometer
 from odosym.errors import DepthError, NotExpansionError, SizeGuardError
@@ -17,7 +17,7 @@ from odosym.odometer import (
     verify_nc_certificate,
 )
 
-TWO = IntMatrix.identity(2).scale(2)
+TWO = scale(IntMatrix.identity(2), 2)
 SWAP = parse_matrix("0,1;1,0")
 
 
@@ -279,7 +279,7 @@ def test_depth_walk_matches_bruteforce_and_per_depth_search():
     for L in bases:
         d = L.dim
         # L commutes with itself; the zero and all-ones matrices are singular
-        fixed = [L, IntMatrix.identity(d).scale(0), IntMatrix(((1,) * d,) * d)]
+        fixed = [L, scale(IntMatrix.identity(d), 0), IntMatrix(((1,) * d,) * d)]
         for M in fixed + [
             IntMatrix(tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)))
             for _ in range(9)
@@ -343,12 +343,12 @@ def test_nc_ring_closure_sample():
         passing = []
         while len(passing) < 8:
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            M = IntMatrix.identity(2).scale(a) + L.scale(b)
+            M = add(scale(IntMatrix.identity(2), a), scale(L, b))
             if nc_passes(L, M, 3):
                 passing.append(M)
         for i in range(0, 8, 2):
             m1, m2 = passing[i], passing[i + 1]
-            assert nc_passes(L, m1 + m2, 3)
+            assert nc_passes(L, add(m1, m2), 3)
             assert nc_passes(L, m1 * m2, 3)
 
 
@@ -360,7 +360,7 @@ def test_commuting_power_implies_nc():
             lk = L**k
             for _ in range(5):
                 a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-                M = IntMatrix.identity(2).scale(a) + lk.scale(b)
+                M = add(scale(IntMatrix.identity(2), a), scale(lk, b))
                 assert M * lk == lk * M
                 assert nc_passes(L, M, 3)
 

@@ -15,6 +15,7 @@ from tests_shared import (
     coordinate_formula,
     per_cell_image,
     rand_unimodular_steps,
+    scale,
     substitute,
     table_level,
     unimodular_inverse,
@@ -54,7 +55,7 @@ from odosym.subshift_norm import (
     pullback_positions,
 )
 
-TWO = IntMatrix.identity(2).scale(2)
+TWO = scale(IntMatrix.identity(2), 2)
 HH_DOMAIN = validate_domain(TWO, [(0, 0), (1, 0), (0, 1), (1, -1)])
 UNIMODULAR_4 = [
     IntMatrix((r[:2], r[2:]))
@@ -72,7 +73,7 @@ def phi_traffic_pairs():
     half-hex and 3,0;0,3 with every unimodular M of entries in [-4, 4], and
     diag(+-2, +-4), diag(+-4, +-2) with their odd shears."""
     out = [(TWO, HH_DOMAIN, m) for m in UNIMODULAR_4]
-    three = IntMatrix.identity(2).scale(3)
+    three = scale(IntMatrix.identity(2), 3)
     out += [(three, fundamental_domain(three), m) for m in UNIMODULAR_4]
     for sa, sb, s1, s2, b in product((1, -1), (1, -1), (1, -1), (1, -1), range(-7, 8, 2)):
         for L, M in (
@@ -106,7 +107,7 @@ def random_pairs():
 def three_d_pairs():
     """2*Id_3 (every M at n0 = 0) and diag(2, 2, 4) with a shear at n0 = 1."""
     out = []
-    scalar = IntMatrix.identity(3).scale(2)
+    scalar = scale(IntMatrix.identity(3), 2)
     rng = random.Random(3)
     for _ in range(4):
         out.append((scalar, fundamental_domain(scalar), rand_unimodular_steps(rng, d=3)))
@@ -182,7 +183,7 @@ def test_one_pass_image_matches_the_patch_route():
     # from the origin, for every seed
     rng = random.Random(29)
     hh = [(TWO, HH_DOMAIN, m) for m in rng.sample(UNIMODULAR_4, 6)]
-    three = IntMatrix.identity(2).scale(3)
+    three = scale(IntMatrix.identity(2), 3)
     scalar = [(three, fundamental_domain(three), m) for m in rng.sample(UNIMODULAR_4, 6)]
     diag = rng.sample(phi_traffic_pairs()[2 * len(UNIMODULAR_4):], 8)
     reached = set()

@@ -37,10 +37,13 @@ def test_imports_are_stdlib_or_odosym(path):
 
 def test_cli_import_leaves_out_the_dataclasses_machinery():
     # records are plain classes: dataclasses would pull in inspect, ast and
-    # dis and build each record's methods with exec on every start-up
-    probe = "import sys, odosym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # dis and build each record's methods with exec on every start-up; and
+    # verify-paper lists its sample, so random is not loaded either.  -S keeps
+    # site out: a .pth file in site-packages may import any of them first
+    unwanted = "{'dataclasses', 'inspect', 'random'}"
+    probe = f"import sys, odosym.cli; print(sorted({unwanted} & set(sys.modules)))"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True,
         text=True,

@@ -15,6 +15,7 @@ from tests_shared import (
     fiber_points,
     kappa_embed,
     rand_unimodular_small,
+    scale,
     shift,
     table_level,
     unimodular_inverse,
@@ -40,6 +41,7 @@ from odosym.intmat import (
     parse_vector,
     validate_domain,
 )
+from odosym.odometer import nc_bounded_check
 from odosym.substitution import (
     fixed_point_patch,
     half_hex,
@@ -60,7 +62,7 @@ from odosym.subshift_norm import (
 )
 from odosym.subshift_norm import _conjugates, _truncated_level, _window
 
-TWO = IntMatrix.identity(2).scale(2)
+TWO = scale(IntMatrix.identity(2), 2)
 D24 = parse_matrix("2,0;0,4")
 SWAP = parse_matrix("0,1;1,0")
 HH_DOMAIN = validate_domain(TWO, [(0, 0), (1, 0), (0, 1), (1, -1)])
@@ -284,7 +286,7 @@ def test_a_domain_of_another_base_is_refused_before_the_walk(monkeypatch):
     walked = []
     real = subshift_norm._conjugates
     monkeypatch.setattr(subshift_norm, "_conjugates", lambda *a: walked.append(a) or real(*a))
-    three = IntMatrix.identity(2).scale(3)
+    three = scale(IntMatrix.identity(2), 3)
     with pytest.raises(DomainValidationError) as err:
         nl_membership(TWO, SWAP, 8, fundamental_domain(D24))
     assert str(err.value) == "F is a domain of base 2,0;0,4, not of L = 2,0;0,2"
@@ -982,3 +984,43 @@ def test_positions_must_be_exact_integers(name):
     patch = fixed_point_patch(hh, (1, 0), box(3))
     with pytest.raises(TypeError):
         NON_INTEGER_POSITIONS[name](hh, rule, patch)
+
+
+@st.composite
+def walk_pairs(draw):
+    """(L, M): an expansion L in d = 1, 2 or 3, with entries in [-4, 4] or a
+    multiple of Id plus a strictly upper part, and M a product of signed
+    elementary and permutation steps, so unimodular."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        L = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    else:
+        k = draw(st.sampled_from((-4, -3, -2, 2, 3, 4)))
+        L = [[k if i == j else draw(entry) if i < j else 0 for j in range(d)] for i in range(d)]
+    L = IntMatrix(L)
+    assume(is_expansion(L))
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        elif draw(st.booleans()):
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return L, IntMatrix(rows)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(walk_pairs())
+def test_a_conjugate_is_integral_iff_the_nc_witness_is_at_most_its_level(pair):
+    # C_n = L^-n M L^n is integral iff depth n's least witness m, with
+    # L^-n M L^m integral, is at most n: integrality holds for every m past it
+    L, M = pair
+    conjugates = [*islice(_conjugates(L, M), 9)]
+    certs = nc_bounded_check(L, M, 8)
+    for n in range(1, 9):
+        m = certs[n - 1].m
+        assert (conjugates[n] is not None) == (m is not None and m <= n), (L, M, n, m)

@@ -6,7 +6,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from tests_shared import substitute
+from tests_shared import scale, substitute
 
 from odosym import cli, substitution
 from odosym.errors import DomainValidationError, SizeGuardError, WrongBranchError
@@ -25,7 +25,7 @@ from odosym.substitution import (
     valuation,
 )
 
-TWO = IntMatrix.identity(2).scale(2)
+TWO = scale(IntMatrix.identity(2), 2)
 
 # the printed half-hex rule, letters 0, 1, 2 in display coordinates:
 #   0 at (0,1), 1 at (1,-1), 2 at (1,0); the origin keeps the letter

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 from sympy.solvers.diophantine.diophantine import diop_DN
-from tests_shared import brute_force_centralizer, centralizer, commutes
+from tests_shared import add, brute_force_centralizer, centralizer, commutes, scale
 
 from odosym import classify2d
 from odosym.classify2d import (
@@ -53,7 +53,7 @@ def unit_xy(L, M):
     (m11, m12), (m21, m22) = M.rows
     (a11, a12), (a21, _) = A.rows
     y = next(m // a for m, a in ((m12, a12), (m21, a21), (m11 - m22, a11)) if a)
-    assert M == IntMatrix.identity(2).scale(m22) + A.scale(y)
+    assert M == add(scale(IntMatrix.identity(2), m22), scale(A, y))
     return M.trace(), y
 
 
@@ -298,18 +298,18 @@ def test_disc_zero_centralizer_is_unipotent_family():
     assert len(bases) == 744
     for L in [parse_matrix("3,1;0,3")] + rng.sample(bases, 11):
         _, A, _ = order_data(L)
-        N = A - IntMatrix.identity(2).scale(A.trace() // 2)  # nilpotent
-        assert N * N == IntMatrix.identity(2).scale(0)
+        N = A - scale(IntMatrix.identity(2), A.trace() // 2)  # nilpotent
+        assert N * N == scale(IntMatrix.identity(2), 0)
         family = {
-            e * (ID2 + N.scale(b))
+            e * add(ID2, scale(N, b))
             for b in range(-80, 81)
             for e in (ID2, -ID2)
-            if (ID2 + N.scale(b)).max_abs() <= 40
+            if add(ID2, scale(N, b)).max_abs() <= 40
         }
         assert set(brute_force_centralizer(L, 40)) == family
         cls = centralizer(L)
         assert isinstance(cls, CentralizerInfinite)
-        assert cls.automorph == ID2 + N
+        assert cls.automorph == add(ID2, N)
         assert isinstance(classify(L), FullGL2)  # rad(t^2) | 2t
     assert centralizer(parse_matrix("3,1;0,3")).automorph == parse_matrix("1,1;0,1")
 

@@ -1,7 +1,7 @@
 """Shared random generators and oracles for the test suite (seeded by each test)."""
 
 from itertools import product
-from operator import add, index
+from operator import index
 
 from odosym.classify2d import FullGL2, NormalizerClass, _order_units, _require_expansion_2x2
 from odosym.errors import DepthError, MarginError, WindowError, WrongBranchError
@@ -21,6 +21,16 @@ from odosym.substitution import _strip_base, box_positions, sigma_L, tau, valuat
 
 def commutes(a: IntMatrix, b: IntMatrix) -> bool:
     return a * b == b * a
+
+
+def scale(m: IntMatrix, c: int) -> IntMatrix:
+    """c times m, entry by entry."""
+    return IntMatrix(tuple(tuple(c * x for x in r) for r in m.rows))
+
+
+def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The entrywise sum of two matrices of one size (vec_add raises on two sizes)."""
+    return IntMatrix(tuple(map(vec_add, a.rows, b.rows)))
 
 
 # the 104 unimodular 2x2 matrices with entries in [-2, 2]
@@ -284,7 +294,7 @@ def table_level(window, table, patch, pos):
     """The level of the first coset of the class table whose forced letters the
     pattern of the window at pos matches; cosets of different level disagree
     on a cell forced in both, so every match has that level."""
-    pattern = {f: patch.get(tuple(map(add, pos, f))) for f in window}
+    pattern = {f: patch.get(vec_add(pos, f)) for f in window}
     if None in pattern.values():
         raise MarginError(f"window at {pos} leaves the patch support")
     for _, level, forced in table:
