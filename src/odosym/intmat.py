@@ -185,9 +185,14 @@ class IntMatrix(_Record):
         return IntMatrix(_det_adj(self.rows)[1])
 
     @cached_property
+    def _pass(self):
+        """The kept _faddeev(rows), in d != 2: char_poly, _inverse and _nc_walk read it."""
+        return _faddeev(self.rows)
+
+    @cached_property
     def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """_det_adj's (det, adjugate rows), kept on the matrix; singular raises."""
-        det, adj = _det_adj(self.rows)
+        det, adj = _det_adj(self.rows, None if len(self.rows) == 2 else self._pass)
         if det == 0:
             raise SingularMatrixError("cannot solve with a singular matrix")
         return det, adj
@@ -246,13 +251,13 @@ def _det(rows) -> int:
     return _det_adj(rows)[0]
 
 
-def _det_adj(rows):
-    """(det M, the rows of adj M), for M given by its rows: the closed form in
-    d = 2, else one Faddeev pass.  Every other route to adj M reads this."""
+def _det_adj(rows, kept=None):
+    """(det M, the rows of adj M), for M given by its rows: the closed form in d = 2,
+    else one Faddeev pass, or M's kept one.  Every other route to adj M reads this."""
     if len(rows) == 2:
         (a, b), (c, e) = rows
         return a * e - b * c, ((e, -b), (-c, a))
-    coeffs, adj = _faddeev(rows)
+    coeffs, adj = kept or _faddeev(rows)
     return (-1) ** len(rows) * coeffs[-1], adj
 
 
@@ -277,8 +282,8 @@ def _faddeev(rows):
 
 
 def char_poly(m: IntMatrix) -> list[int]:
-    """Coefficients [a_d=1, a_{d-1}, ..., a_0] of det(x*Id - M)."""
-    return _faddeev(m.rows)[0]
+    """Coefficients [a_d=1, a_{d-1}, ..., a_0] of det(x*Id - M), from M's kept pass."""
+    return list(m._pass[0])
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,11 @@ def _nc_walk(L: IntMatrix, M: IntMatrix, last: int):
     mod det(L)^last, which every shallower modulus det(L)^n divides: one
     step in m multiplies it by L on the right, one step in n by adj L on the
     left.  Absent costs one evaluation at m*, and a witness costs one
-    multiplication per step above the previous one.  det(L) and adj(L) come
-    from one _det_adj call: the closed form in d = 2, one Faddeev pass else.
+    multiplication per step above the previous one.  det(L) and adj(L) are the
+    closed form in d = 2, else read off the Faddeev pass the expansion check kept.
     """
     _check_depth(L, last)
-    det, adj = _det_adj(L.rows)
+    det, adj = _det_adj(L.rows, None if len(L.rows) == 2 else L._pass)
     det = abs(det)
     top, width = det**last, L.dim * det.bit_length()
     table = _doubling_table(L.rows, top, (width * last).bit_length())

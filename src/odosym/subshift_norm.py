@@ -9,7 +9,7 @@ odometer's group (is_member) is rejected exactly.
 
 The sliding-block realization applies, at each position, the coset
 permutation of its truncated digit level: on the fixed point the truncated
-valuation, read by digit walks along the box's rows (phi's route); on any
+valuation, read level by level along the box's rows (phi's route); on any
 other patch the level read straight off the window pattern (so shifted
 patches evaluate correctly), which only this patch route decodes.
 """
@@ -296,53 +296,74 @@ def _truncated_level(domain: FundamentalDomain, window: tuple, patch: dict, pos:
 
 def _fixed_point_image(rule: LocalRule, seed: Vec, runs) -> list[Vec]:
     """The letters of the rule's image of the fixed point seeded by seed on the
-    cells t, t + e_d, ... of runs (first cell t, length), as box_rows gives a
-    box's rows; run by run, so a caller zips them with the cells.  No window
-    is read: with u = M^{-1} t = L^p w, w not in L(Z^d), the letter at u is
-    w's digit at level min(p, n0) (which the window decodes there too, see
-    _truncated_level), and the origin holds the seed at n0.  Along a run u
-    steps by M^{-1} e_d, so its digit repeats with the least period P for
-    which P M^{-1} e_d lies in L(Z^d), a divisor of |det L|: one period of
-    level-0 letters is read and repeated, and only the one class of cells
-    mod P whose u lies in L(Z^d) walks the digit descent.  Empty runs are skipped."""
+    cells t, t + e_d, ... of runs (first cell t, length), as box_rows gives a box's
+    rows, in run order.  No window is read: with u = M^{-1} t = L^p w, w not in
+    L(Z^d), the letter at t is w's digit at level min(p, n0) (as _truncated_level
+    decodes it), and the origin holds the seed at n0.  A run is read level by level:
+    level l holds n cells, at + i stride, whose u step by s_l (s_0 = M^{-1} e_d), and
+    one period of their keys, P_l | det L long (or n), gives their letters in one
+    slice.  Its class j of key 0 is level l + 1: u = L^{-1} u_j, s_{l+1} = L^{-1} P_l
+    s_l, stride P_l.  s_l depends on no run, and letters, j and P_l only on (l, first
+    key, n): each is formed once per call.  One cell walks its descent."""
     runs = [r for r in runs if r[1] > 0]
     domain, n0, per_level, m_inv = rule.domain, rule.n0, rule.per_level, rule.m_inv.rows
-    origin, rep_of_key, out = per_level[n0][_as_letter(seed, per_level[n0])], domain._rep_of_key, []
+    origin, rep_of_key = per_level[n0][_as_letter(seed, per_level[n0])], domain._rep_of_key
+    out, end, steps, table = [None] * sum(n for _, n in runs), 0, [tuple(zip(*m_inv))[-1]], {}
     if len(m_inv) == 2:  # in line: u's Hermite key (k0, k1) as k0 h11 + k1, and adj(L) u / det(L)
-        (a, b), (c, d) = m_inv  # a run steps u by (b, d)
-        (h00, _), (h10, h11) = domain.hnf_basis.matrix.rows
+        ((a, b), (c, d)), ((h00, _), (h10, h11)) = m_inv, domain.hnf_basis.matrix.rows
         det, ((e, f), (g, h)) = domain.base._inverse
         digits = [rep_of_key[k // h11, k % h11] for k in range(h00 * h11)]
         flat = [[lv.get(w) for w in digits] for lv in per_level]  # [level][key]: the image letter
         for (t0, t1), n in runs:
-            x, y, keys = a * t0 + b * t1, c * t0 + d * t1, []
-            while len(keys) < n:  # the keys of one period
-                if (k := x % h00 * h11 + (y - x // h00 * h10) % h11) in keys[:1]:
+            x, y, at, end, stride, l = a * t0 + b * t1, c * t0 + d * t1, end, end + n, 1, 0
+            while n > 1:
+                if l == len(steps):  # from level l - 1, whose p is P_{l-1} as n > 1
+                    steps.append(((e * sx + f * sy) * p // det, (g * sx + h * sy) * p // det))
+                sx, sy = steps[l]
+                k = x % h00 * h11 + (y - x // h00 * h10) % h11
+                if (hit := table.get((l, k, n))) is None:
+                    keys, kx, ky = [k], x + sx, y + sy
+                    while len(keys) < n:
+                        if (q := kx % h00 * h11 + (ky - kx // h00 * h10) % h11) == k:
+                            break
+                        keys.append(q)
+                        kx, ky = kx + sx, ky + sy
+                    row = [*map(flat[min(l, n0)].__getitem__, keys)] * (n // len(keys) + 1)
+                    hit = table[l, k, n] = row[:n], keys.index(0) if 0 in keys else -1, len(keys)
+                out[at : at + stride * n : stride], j, p = hit
+                if j < 0:
                     break
-                keys.append(k)
-                x, y = x + b, y + d
-            row = ([flat[0][k] for k in keys] * (n // len(keys) + 1))[:n]
-            for j in range(keys.index(0), n, len(keys)) if 0 in keys else ():
-                x, y, p = a * t0 + b * (t1 + j), c * t0 + d * (t1 + j), 0
+                x, y = x + j * sx, y + j * sy
+                x, y, at = (e * x + f * y) // det, (g * x + h * y) // det, at + j * stride
+                n, stride, l = (n - j - 1) // p + 1, stride * p, l + 1
+            else:  # one cell
                 while not (k := x % h00 * h11 + (y - x // h00 * h10) % h11) and (x or y):
-                    x, y, p = (e * x + f * y) // det, (g * x + h * y) // det, p + 1
-                row[j] = (flat[p] if p < n0 else flat[n0])[k] if x or y else origin
-            out += row
+                    x, y, l = (e * x + f * y) // det, (g * x + h * y) // det, l + 1
+                out[at] = flat[min(l, n0)][k] if x or y else origin
         return out
-    reduce, zero, step = domain.hnf_basis.reduce_vec, (0,) * len(m_inv), [r[-1] for r in m_inv]
+    reduce, solve, zero = domain.hnf_basis.reduce_vec, domain.base.solve_exact, (0,) * len(m_inv)
     for t, n in runs:
-        u, keys = _apply(m_inv, t), []
-        while len(keys) < n:
-            if (key := reduce(u)) in keys[:1]:
+        u, at, end, stride, l = _apply(m_inv, t), end, end + n, 1, 0
+        while n > 1:
+            if l == len(steps):  # from level l - 1, whose p is P_{l-1} as n > 1
+                steps.append(solve([p * x for x in s]))
+            s = steps[l]
+            if (hit := table.get((l, k := reduce(u), n))) is None:
+                keys, v = [k], tuple(map(add, k, s))
+                while len(keys) < n and (q := reduce(v)) != k:
+                    keys.append(q)
+                    v = tuple(map(add, q, s))
+                row = [per_level[min(l, n0)].get(rep_of_key[q]) for q in keys]
+                row *= n // len(keys) + 1
+                hit = table[l, k, n] = row[:n], keys.index(zero) if zero in keys else -1, len(keys)
+            out[at : at + stride * n : stride], j, p = hit
+            if j < 0:
                 break
-            keys.append(key)
-            u = tuple(map(add, u, step))
-        row = ([per_level[0].get(rep_of_key[key]) for key in keys] * (n // len(keys) + 1))[:n]
-        for j in range(keys.index(zero), n, len(keys)) if zero in keys else ():
-            u = _apply(m_inv, (*t[:-1], t[-1] + j))
+            u, at = solve([x + j * y for x, y in zip(u, s)]), at + j * stride
+            n, stride, l = (n - j - 1) // p + 1, stride * p, l + 1
+        else:  # one cell
             p, key = _strip_base(domain, u, "tau") if any(u) else (n0, None)
-            row[j] = per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin
-        out += row
+            out[at] = per_level[min(l + p, n0)][rep_of_key[key]] if any(u) else origin
     return out
 
 

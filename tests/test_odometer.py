@@ -211,25 +211,27 @@ def test_every_walked_certificate_is_rechecked_on_random_bases():
 
 
 def test_a_walk_forms_det_and_adj_in_one_faddeev_pass_in_dim_3_and_4(monkeypatch):
-    # det(L) and adj(L) come from one _det_adj call: one Faddeev-LeVerrier
-    # pass over L per walk (the expansion test's own pass for the
-    # characteristic polynomial is not counted), and every certificate the
-    # walk writes passes the recheck, which builds L^n without the walk
+    # the expansion test, the walk's expansion check and its det(L) and adj(L)
+    # read one Faddeev-LeVerrier pass kept on L: one pass in all, and every
+    # certificate the walk writes passes the recheck, which builds L^n without
+    # the walk
     calls, faddeev = [], intmat._faddeev
     monkeypatch.setattr(intmat, "_faddeev", lambda rows: calls.append(rows) or faddeev(rows))
-    monkeypatch.setattr(intmat, "char_poly", lambda m: faddeev(m.rows)[0])
     rng, walked, kinds = random.Random(45), {3: 0, 4: 0}, set()
     while min(walked.values()) < 8:
         d = rng.choice([3, 4])
         L = IntMatrix([[rng.randint(-3, 3) + 3 * (i == j) for j in range(d)] for i in range(d)])
+        calls.clear()
         if not is_expansion(L):
             continue
         walked[d] += 1
         M = IntMatrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
         M = M if walked[d] % 2 else L**4 * M  # L^4 M passes at depths 1..4, m = 0
-        calls.clear()
         certs = nc_bounded_check(L, M, 4)
         assert calls == [L.rows], (L.rows, len(calls))
+        # a fresh copy of L makes its own one pass, in the expansion check
+        assert nc_bounded_check(IntMatrix(L.rows), M, 4) == certs
+        assert calls == [L.rows] * 2, (L.rows, len(calls))
         assert all(verify_nc_certificate(L, M, c) for c in certs), (L.rows, M.rows)
         kinds.add((certs[0].present, certs[-1].present))
     assert kinds >= {(True, True), (False, False)}

@@ -26,6 +26,7 @@ from odosym.cli import main
 from odosym.errors import WindowError, WrongBranchError
 from odosym.intmat import (
     FundamentalDomain,
+    HnfBasis,
     IntMatrix,
     fundamental_domain,
     is_expansion,
@@ -295,7 +296,9 @@ def row_pass_pairs():
         ("2,0,0;0,2,0;0,0,4", "1,0,1;0,1,0;0,0,1"),
         ("2,0,0;0,2,0;0,0,4", "1,0,0;0,-1,3;0,0,-1"),
     ]
-    return [(parse_matrix(L), parse_matrix(M)) for L, M in one + two + three]
+    # 2 Id_4 with a signed permutation: the generic loop beyond d = 3
+    four = [("2,0,0,0;0,2,0,0;0,0,2,0;0,0,0,2", "0,0,1,0;-1,0,0,0;0,0,0,1;0,-1,0,0")]
+    return [(parse_matrix(L), parse_matrix(M)) for L, M in one + two + three + four]
 
 
 def row_period(rule):
@@ -306,10 +309,29 @@ def row_period(rule):
     )
 
 
+def deep_runs(rule, rng):
+    """Runs whose walked class descends at least 4 levels: from and to the
+    origin, |det|^4 + 1 cells wide (|det|^3 + 1 past |det| = 9, none past
+    32), so two of their cells have sources in L^4(Z^d); and runs from
+    M L^k v, whose first source is L^k v, for k = 0..6 and v off L(Z^d)."""
+    L, d, det = rule.domain.base, rule.domain.base.dim, abs(rule.domain.base.det())
+    width = det**4 + 1 if det <= 9 else det**3 + 1
+    runs = [] if det > 32 else [((0,) * d, width), ((0,) * (d - 1) + (1 - width,), width)]
+    m = unimodular_inverse(rule.m_inv)
+    for k in range(7):
+        v = rng.choice([f for f in rule.domain.reps if any(f)])
+        v = tuple(x + det * rng.randint(-3, 3) for x in v)
+        runs.append((m.mul_vec((L**k).mul_vec(v)), rng.choice([2, det + 1, 3 * det + 2])))
+    return runs
+
+
 def test_the_row_pass_matches_the_per_cell_walk():
     # runs of widths below, equal to and above the digit period P, each
     # through the origin, starting or ending there, and off it; boxes of one
-    # cell, off the origin and around it; and scattered runs of one
+    # cell, off the origin and around it; scattered runs of one; runs whose
+    # walked class descends 4 levels or more (deep_runs); and one box's rows
+    # in shuffled order, since the pass shares each level's letters between
+    # runs through a table that must not depend on their order
     rng = random.Random(35)
     reached, periods = set(), set()
     for L, M in row_pass_pairs():
@@ -329,10 +351,16 @@ def test_the_row_pass_matches_the_per_cell_walk():
         for lo, hi in ((0, 0), (7, 7), (-9, -9), (5, 9), (-4, -1), (-3, 3)):
             runs += box_rows(lo, hi, d)
         runs += [(tuple(rng.randint(-40, 40) for _ in range(d)), 1) for _ in range(25)]
+        deep, level4 = deep_runs(rule, rng), L**4
+        sources = [rule.m_inv.mul_vec(t) for t in run_cells(deep[:2])]
+        assert abs(L.det()) > 32 or sum(level4.solve_exact(u) is not None for u in sources) >= 4
+        shuffled = box_rows(-4, 4, d) if d < 4 else box_rows(-2, 2, d)
+        rng.shuffle(shuffled)
         letters = sorted(rule.per_level[0])
         for seed in (letters[0], letters[-1]):
-            got = _fixed_point_image(rule, seed, runs)
-            assert got == per_cell_image(rule, seed, run_cells(runs)), (L, M, seed)
+            for case in (runs, deep, shuffled):
+                got = _fixed_point_image(rule, seed, case)
+                assert got == per_cell_image(rule, seed, run_cells(case)), (L, M, seed)
         for lo, hi in ((0, 0), (5, 9), (-3, 3), (1, 0)):
             box_runs = box_rows(lo, hi, d)
             assert run_cells(box_runs) == box_positions(lo, hi, d)
@@ -343,9 +371,31 @@ def test_the_row_pass_matches_the_per_cell_walk():
         assert _fixed_point_image(rule, letters[0], [*empty, *runs[:3]]) == per_cell_image(
             rule, letters[0], run_cells(runs[:3])
         )
-    assert reached == {(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)}
+    assert reached == {(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (4, 0)}
     # P = 1 on 0,3;1,0, where M^{-1} e_2 = (0, -1) lies in L(Z^2)
     assert periods == {1, 2, 3, 4, 5, 6, 7, 8, 16}
+
+
+def test_the_row_pass_reads_a_few_keys_per_level_not_per_cell(monkeypatch):
+    # reduce_vec calls inside the pass alone: the walked class is read level
+    # by level, and each (level, first key, count) once per call.  The cell
+    # by cell descent read 330 keys on the 1-D row and 1,217 and 1,145 on
+    # the 3-D boxes; the bounds are 60 and 2 per row (338)
+    cases = [
+        ("3", "-1", (-200, 200, 1), 60),
+        ("2,0,0;0,2,0;0,0,2", "0,1,0;1,0,0;0,0,-1", (-6, 6, 3), 338),
+        ("2,0,0;0,2,0;0,0,4", "1,0,1;0,1,0;0,0,1", (-6, 6, 3), 338),
+    ]
+    reduce, calls = HnfBasis.reduce_vec, []
+    for L, M, box, bound in cases:
+        rule = build_local_rule(nl_membership(parse_matrix(L), parse_matrix(M)))
+        rows, seed = box_rows(*box), min(rule.per_level[0])
+        with monkeypatch.context() as patched:
+            patched.setattr(HnfBasis, "reduce_vec", lambda h, v: calls.append(v) or reduce(h, v))
+            calls.clear()
+            got = _fixed_point_image(rule, seed, rows)
+            assert 0 < len(calls) <= bound, (L, M, len(calls))
+        assert got == per_cell_image(rule, seed, run_cells(rows)), (L, M)
 
 
 # sigma_L on d = 1, 2 and 3: negative dets, the non-diagonal bases 2,1;0,4,
