@@ -18,7 +18,6 @@ from .intmat import (
 from .odometer import (
     NcCertificate,
     nc_bounded_check,
-    nc_search,
     verify_nc_certificate,
 )
 from .classify2d import (
@@ -52,7 +51,7 @@ __all__ = [
     "integer_eigenvalues", "is_expansion", "parse_matrix", "parse_vector",
     "validate_domain",
     # odometer
-    "NcCertificate", "nc_bounded_check", "nc_search", "verify_nc_certificate",
+    "NcCertificate", "nc_bounded_check", "verify_nc_certificate",
     # classify2d
     "MembershipVerdict", "classify", "is_member",
     # substitution

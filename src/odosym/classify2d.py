@@ -37,7 +37,7 @@ from math import gcd, isqrt
 
 from .intmat import (
     IntMatrix,
-    _det,
+    _det_adj,
     _digit_guard,
     _inv_unimodular,
     _Record,
@@ -111,28 +111,18 @@ class OrderTwo(_Finite):
     elements = (_ID, _NEG_ID)
 
 
-class ParamFamily(_Record):
-    """q = k (p - s): four explicit one-parameter families of matrices."""
-
-    k: int
-    kind = "param-family"
-
-
-class UpperTriangularUnimodular(_Record):
-    """All upper triangular unimodular matrices in the adapted basis."""
-
-    kind = "upper-triangular-unimodular"
-
-
 class VirtuallyZ(_Record):
     """Infinite group with a finite-index Z subgroup.
 
     conjugator P maps members to upper triangular matrices
     (P M P^{-1}); tri is (p, q, s) of the adapted triangular form of L.
+    k is set when q = k (p - s) and the required line is not the first
+    adapted axis: the members are then four explicit one-parameter
+    families; None means all upper triangular unimodular matrices.
     """
 
     conjugator: IntMatrix
-    description: ParamFamily | UpperTriangularUnimodular
+    k: int | None
     generator: IntMatrix
     tri: tuple[int, int, int]
     derived_witness: IntMatrix
@@ -336,7 +326,7 @@ def _order_units(L: IntMatrix) -> CentralizerFinite | CentralizerInfinite:
     if limit:
         _digit_guard(max(map(abs, best[0] + best[1])), limit, _unit_group(dp, limit))
     assert _rows_mul(L.rows, best) == _rows_mul(best, L.rows)
-    assert _det(best) in (1, -1) and best not in (_ID.rows, _NEG_ID.rows)
+    assert _det_adj(best)[0] in (1, -1) and best not in (_ID.rows, _NEG_ID.rows)
     return CentralizerInfinite(IntMatrix(best))
 
 
@@ -399,12 +389,10 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
         on_p_line = True
     if on_p_line:
         # the first adapted axis: members are upper triangular there
-        conj = _inv_unimodular(W)
-        description = UpperTriangularUnimodular()
+        conj, k = _inv_unimodular(W), None
     elif q % (p - s) == 0:
         k = q // (p - s)
         conj = _SWAP * IntMatrix(((1, k), (0, 1))) * _inv_unimodular(W)
-        description = ParamFamily(k)
     else:
         c = gcd(abs(p - s), abs(q))
         g, h = (p - s) // c, q // c
@@ -414,14 +402,13 @@ def _classify_triangular(L: IntMatrix, lines: tuple) -> NormalizerClass:
         f = (e * h - 1) // g
         bez = IntMatrix(((e, f), (g, h)))
         assert bez.det() == 1
-        conj = bez * _inv_unimodular(W)
-        description = UpperTriangularUnimodular()
+        conj, k = bez * _inv_unimodular(W), None
     # the generator is the conjugate of (1, 1; 0, 1); its square, the
     # conjugate of (1, 2; 0, 1), lies in the commutator subgroup of the
     # upper triangular unimodular group, the even unipotents
     generator = _inv_unimodular(conj) * _SHEAR * conj
     return VirtuallyZ(
-        conjugator=conj, description=description, generator=generator,
+        conjugator=conj, k=k, generator=generator,
         tri=(p, q, s), derived_witness=generator * generator,
     )
 
@@ -446,7 +433,7 @@ def is_member(L: IntMatrix, M: IntMatrix) -> MembershipVerdict:
         # kernel of a nonzero nilpotent LM - ML would be a rational eigenline
         # of L, and there is none here, so M commutes iff the det is 0
         lm, ml = _rows_mul(L.rows, M.rows), _rows_mul(M.rows, L.rows)
-        c = _det([[x - y for x, y in zip(r, s)] for r, s in zip(lm, ml)])
+        c = _det_adj([[x - y for x, y in zip(r, s)] for r, s in zip(lm, ml)])[0]
         return MembershipVerdict(c == 0, "centralizer-commutes", witness=(c,))
     cross = tuple(a * y - b * x for (a, b) in lines for x, y in (M.mul_vec((a, b)),))
     return MembershipVerdict(not any(cross), "unit-eigenlines", witness=cross)
@@ -469,9 +456,9 @@ def class_to_payload(cls: NormalizerClass) -> dict:
         payload["conjugator"] = format_matrix(cls.conjugator)
         payload["generator"] = gens[1]
         payload["adapted_triangular"] = list(cls.tri)
-        if isinstance(cls.description, ParamFamily):
-            payload["description"] = {"kind": cls.description.kind, "k": cls.description.k}
+        if cls.k is None:
+            payload["description"] = {"kind": "upper-triangular-unimodular"}
         else:
-            payload["description"] = {"kind": cls.description.kind}
+            payload["description"] = {"kind": "param-family", "k": cls.k}
         payload["derived_witness"] = format_matrix(cls.derived_witness)
     return payload

@@ -143,7 +143,7 @@ class IntMatrix(_Record):
         return sum([r[i] for i, r in enumerate(self.rows)])
 
     def det(self) -> int:
-        return _det(self.rows)
+        return _det_adj(self.rows, self)[0]
 
     def max_abs(self) -> int:
         return max(abs(x) for r in self.rows for x in r)
@@ -182,17 +182,17 @@ class IntMatrix(_Record):
 
     def adjugate(self) -> "IntMatrix":
         """Matrix A with A*M = M*A = det(M)*Id."""
-        return IntMatrix(_det_adj(self.rows)[1])
+        return IntMatrix(_det_adj(self.rows, self)[1])
 
     @cached_property
     def _pass(self):
-        """The kept _faddeev(rows), in d != 2: char_poly, _inverse and _nc_walk read it."""
+        """The kept _faddeev(rows), in d != 2: char_poly and _det_adj read it."""
         return _faddeev(self.rows)
 
     @cached_property
     def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """_det_adj's (det, adjugate rows), kept on the matrix; singular raises."""
-        det, adj = _det_adj(self.rows, None if len(self.rows) == 2 else self._pass)
+        det, adj = _det_adj(self.rows, self)
         if det == 0:
             raise SingularMatrixError("cannot solve with a singular matrix")
         return det, adj
@@ -245,19 +245,13 @@ def _rows_mul(a, b):
     return tuple(tuple(sum(map(mul, ra, col)) for col in cols) for ra in a)
 
 
-def _det(rows) -> int:
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return _det_adj(rows)[0]
-
-
-def _det_adj(rows, kept=None):
-    """(det M, the rows of adj M), for M given by its rows: the closed form in d = 2,
-    else one Faddeev pass, or M's kept one.  Every other route to adj M reads this."""
+def _det_adj(rows, owner: IntMatrix | None = None):
+    """(det M, adj M's rows) for M's rows: the closed form in d = 2, else the Faddeev
+    pass kept on owner, M's IntMatrix, or a fresh one.  Every route to either reads this."""
     if len(rows) == 2:
         (a, b), (c, e) = rows
         return a * e - b * c, ((e, -b), (-c, a))
-    coeffs, adj = kept or _faddeev(rows)
+    coeffs, adj = owner._pass if owner else _faddeev(rows)
     return (-1) ** len(rows) * coeffs[-1], adj
 
 

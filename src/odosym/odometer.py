@@ -109,39 +109,38 @@ def _check_depth(L: IntMatrix, n: int) -> None:
     _require_expansion(L)
 
 
-def _nc_walk(L: IntMatrix, M: IntMatrix, last: int):
-    """Certificates for depths 1..last.
+def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
+    """Certificates for depths 1..n_max; M passes at depth n_max iff all are present.
 
     From the first Absent depth on every depth is Absent, so those
     certificates are written down with their bounds m* and no search.  The
     search at depth 1 starts from m = 0 and every later one from the
     previous witness.  acc = adj(L^n) M L^m is carried from depth to depth
-    mod det(L)^last, which every shallower modulus det(L)^n divides: one
+    mod det(L)^n_max, which every shallower modulus det(L)^n divides: one
     step in m multiplies it by L on the right, one step in n by adj L on the
     left.  Absent costs one evaluation at m*, and a witness costs one
     multiplication per step above the previous one.  det(L) and adj(L) are the
     closed form in d = 2, else read off the Faddeev pass the expansion check kept.
     """
-    _check_depth(L, last)
-    det, adj = _det_adj(L.rows, None if len(L.rows) == 2 else L._pass)
+    _check_depth(L, n_max)
+    det, adj = _det_adj(L.rows, L)
     det = abs(det)
-    top, width = det**last, L.dim * det.bit_length()
-    table = _doubling_table(L.rows, top, (width * last).bit_length())
+    top, width = det**n_max, L.dim * det.bit_length()
+    table = _doubling_table(L.rows, top, (width * n_max).bit_length())
     _require_product(L, M)
     # at n = 1; reduced mod top at once, as every modulus divides it
-    acc, m = _mat_mul_mod(adj, M.rows, top), 0
-    for n in range(1, last + 1):
+    acc, m, certs = _mat_mul_mod(adj, M.rows, top), 0, []
+    for n in range(1, n_max + 1):
         mod, m_star = det**n, width * n
         if not _divisible(acc, mod):
             if not _divisible(_times_power(acc, table, m_star - m, top), mod):
-                for k in range(n, last + 1):
-                    yield NcCertificate(k, None, width * k)
-                return
+                return certs + [NcCertificate(k, None, width * k) for k in range(n, n_max + 1)]
             acc, m = _mat_mul_mod(acc, table[0], top), m + 1  # acc was not divisible
             while not _divisible(acc, mod):
                 acc, m = _mat_mul_mod(acc, table[0], top), m + 1
-        yield NcCertificate(n, m, m_star)
+        certs.append(NcCertificate(n, m, m_star))
         acc = _mat_mul_mod(adj, acc, top)
+    return certs
 
 
 def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
@@ -149,12 +148,7 @@ def nc_search(L: IntMatrix, M: IntMatrix, n: int) -> NcCertificate:
     last certificate of nc_bounded_check(L, M, n).  Exact for the fixed n:
     Absent when the condition fails at the stabilization bound m*, else the
     least witness, as the walk's witnesses grow with depth."""
-    return list(_nc_walk(L, M, n))[-1]
-
-
-def nc_bounded_check(L: IntMatrix, M: IntMatrix, n_max: int = 6) -> list[NcCertificate]:
-    """Certificates for n = 1..n_max; M passes at depth n_max iff all present."""
-    return list(_nc_walk(L, M, n_max))
+    return nc_bounded_check(L, M, n)[-1]
 
 
 def verify_nc_certificate(L: IntMatrix, M: IntMatrix, cert: NcCertificate) -> bool:

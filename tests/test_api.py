@@ -53,8 +53,7 @@ def _names_read(node):
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    # A name that only the tests call belongs in the tests.  nc_search stays
-    # public until the benchmark stops wrapping it (ROADMAP item 10).
+    # A name that only the tests call belongs in the tests.
     used = set()
     for path in SRC.glob("*.py"):
         if path.name == "__init__.py":
@@ -62,7 +61,7 @@ def test_every_public_name_has_a_caller_in_the_package():
         for stmt in ast.parse(path.read_text()).body:
             own = getattr(stmt, "name", None)  # a definition's reads of itself do not count
             used.update(name for name in _names_read(stmt) if name != own)
-    assert set(odosym.__all__) - used == {"nc_search"}
+    assert set(odosym.__all__) - used == set()
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

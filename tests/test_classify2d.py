@@ -18,8 +18,6 @@ from odosym.classify2d import (
     FullGL2,
     KleinFour,
     OrderTwo,
-    ParamFamily,
-    UpperTriangularUnimodular,
     VirtuallyZ,
     _eigenvector,
     _triangular_form,
@@ -91,7 +89,7 @@ def test_virtually_z_conjugator():
     cls = classify(GOLDEN["upper-virtually-z"])
     assert isinstance(cls, VirtuallyZ)
     assert cls.conjugator == parse_matrix("1,0;4,1")
-    assert isinstance(cls.description, UpperTriangularUnimodular)
+    assert cls.k is None  # all upper triangular unimodular matrices
     # conjugation carries members to upper triangular matrices
     p = cls.conjugator
     pi = unimodular_inverse(p)
@@ -135,7 +133,7 @@ def test_order_two_branch_exists():
 
 def param_family_members(L, cls, m):
     """The four explicit one-parameter families of the q = k (p - s) branch."""
-    k = cls.description.k
+    k = cls.k
     raw = (
         ((1 - m * k, -m * k * k), (m, 1 + m * k)),
         ((1 - m * k, 2 * k - m * k * k), (m, m * k - 1)),
@@ -150,8 +148,7 @@ def test_param_family_branch():
     L = parse_matrix("6,4;0,2")
     cls = classify(L)
     assert isinstance(cls, VirtuallyZ)
-    assert isinstance(cls.description, ParamFamily)
-    assert cls.description.k == 1
+    assert cls.k == 1
     assert cls.generator == parse_matrix("0,-1;1,2")
     for m in (-2, -1, 0, 1, 2, 5):
         for member in param_family_members(L, cls, m):
@@ -164,8 +161,10 @@ def test_param_family_branch():
 
 def test_virtually_z_family_wrong_branch():
     # q not divisible by p - s, a diagonal base, and a complex spectrum
-    for L in (GOLDEN["upper-virtually-z"], parse_matrix("6,0;0,2"), GOLDEN["complex"]):
-        assert not isinstance(getattr(classify(L), "description", None), ParamFamily)
+    for L in (GOLDEN["upper-virtually-z"], parse_matrix("6,0;0,2")):
+        cls = classify(L)
+        assert isinstance(cls, VirtuallyZ) and cls.k is None, L.rows
+    assert not hasattr(classify(GOLDEN["complex"]), "k")
 
 
 def test_diagonal_mixed_radical_is_virtually_z():

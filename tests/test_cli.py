@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tests_shared import coordinate_formula
 
 import odosym
-from odosym import cli, substitution
+from odosym import cli, intmat, substitution
 from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.errors import DomainCardinalityError, NotExpansionError, SizeGuardError
 from odosym.intmat import (
@@ -265,6 +265,27 @@ def test_golden_phi_reports_are_the_same_from_a_cold_and_a_warm_domain_cache(cap
     for (code, text), want in zip(warm, golden):
         assert code == 0
         assert workloads.patch_digest(json.loads(text)["result"]) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--L", "3", "--M", "-1", "--box", "-5:5"],
+        ["phi", "--L", "2,0,0;0,2,0;0,0,2", "--M", "0,1,0;1,0,0;0,0,-1", "--box", "-6:6"],
+        ["nl", "--L", "2,0,0;0,2,0;0,0,2", "--M", "0,1,0;1,0,0;0,0,-1"],
+    ],
+    ids=["phi-1d", "phi-3d", "nl-3d"],
+)
+def test_a_request_makes_one_faddeev_pass_per_matrix(argv, capsys, monkeypatch):
+    # off d = 2, L and M each keep one Faddeev-LeVerrier pass, which the
+    # expansion check and every det, adjugate and inverse of the request read
+    calls, faddeev = [], intmat._faddeev
+    monkeypatch.setattr(intmat, "_faddeev", lambda rows: calls.append(rows) or faddeev(rows))
+    cli._parse_domain_arg.cache_clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    L, M = (parse_matrix(argv[i]).rows for i in (2, 4))
+    assert sorted(calls) == sorted([L, M]), calls
 
 
 def test_a_bad_domain_raises_the_same_error_on_every_call(capsys):

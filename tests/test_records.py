@@ -3,14 +3,14 @@
 import pytest
 from tests_shared import ConstantBase
 
-from odosym.classify2d import (
-    FullGL2,
-    MembershipVerdict,
-    OrderTwo,
-    ParamFamily,
-    UpperTriangularUnimodular,
+from odosym.classify2d import CentralizerInfinite, FullGL2, MembershipVerdict, OrderTwo
+from odosym.intmat import (
+    FundamentalDomain,
+    HnfBasis,
+    IntMatrix,
+    fundamental_domain,
+    parse_matrix,
 )
-from odosym.intmat import FundamentalDomain, IntMatrix, fundamental_domain, parse_matrix
 from odosym.odometer import NcCertificate
 from odosym.subshift_norm import LocalRule, build_local_rule, nl_membership
 
@@ -38,8 +38,9 @@ def test_caches_take_no_part_in_equality_or_hashing():
 def test_records_of_different_classes_are_never_equal():
     assert FullGL2() == FullGL2() and hash(FullGL2()) == hash(FullGL2())
     assert FullGL2() != OrderTwo()
-    assert UpperTriangularUnimodular() != FullGL2()
-    assert ParamFamily(1) != NcCertificate(1, None, 1)
+    one = IntMatrix.identity(1)
+    assert HnfBasis(one) != CentralizerInfinite(one)  # equal fields, other class
+    assert HnfBasis(one) != NcCertificate(1, None, 1)
     assert IntMatrix(((1,),)) != ((1,),)
     assert ConstantBase(L) != L
 
@@ -74,13 +75,14 @@ def test_constructors_take_positions_keywords_and_defaults():
     del fields["per_level"]
     with pytest.raises(TypeError):
         LocalRule(**fields)
-    assert ParamFamily(k=2) == ParamFamily(2)
-    with pytest.raises(TypeError):
-        ParamFamily()
-    with pytest.raises(TypeError):
-        ParamFamily(1, 2)
-    with pytest.raises(TypeError):
-        ParamFamily(k=1, j=2)
+    one = IntMatrix.identity(1)
+    assert HnfBasis(matrix=one) == HnfBasis(one)
+    with pytest.raises(TypeError, match="missing the field 'matrix'"):
+        HnfBasis()
+    with pytest.raises(TypeError, match="takes 1 fields, got 2"):
+        HnfBasis(one, one)
+    with pytest.raises(TypeError, match="unexpected field 'j'"):
+        HnfBasis(matrix=one, j=2)
     with pytest.raises(TypeError):
         NcCertificate(1, 2)
 
