@@ -240,7 +240,7 @@ def _load_substitution(path: str) -> tuple:
         parse_vector(letter): _field(path, f"table.{letter}", _image, cells)
         for letter, cells in table.items()
     }
-    return domain, ConstantShapeSubstitution(domain, frozenset(images), images)
+    return domain, ConstantShapeSubstitution(domain, images)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ def cmd_subst(args) -> Answer:
     else:
         texts = [*map(format_vector, fixed_point_patch(s, seed, box_positions(*box)).values())]
     inputs = {"L": format_matrix(domain.base), "F": [*text.values()], "box": args.box}
-    alphabet = [text.get(a) or format_vector(a) for a in sorted(alphabet)]
+    alphabet = [*map(format_vector, sorted(alphabet))]
     result = {"seed": format_vector(seed), "alphabet": alphabet}
     return Answer(inputs, result, patch=(box, texts))
 
@@ -527,6 +527,42 @@ def cmd_verify_paper(args) -> Answer:
 # ---------------------------------------------------------------------------
 
 
+def _flags(*names, **settings):
+    """An adder of one flag per name, each with these settings."""
+    def add(p):
+        for name in names:
+            p.add_argument(name, **settings)
+    return add
+
+
+def _add_rule(p):  # subst's rule: sigma_L of --L, or a description file
+    rule = p.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--L")
+    rule.add_argument("--subst", help="substitution description JSON file")
+
+
+_F = _flags("--F", help="fundamental domain, vectors split by ';'")
+_BASE_MATRIX = (_flags("--base", "--matrix", required=True),)  # member and nc
+_PAIR = (_flags("--L", "--M", required=True), _flags("--nmax", type=int, default=8), _F)  # nl, phi
+_PATCH = (  # phi and subst
+    _flags("--box", required=True, help="lo:hi output box"), _flags("--seed", "--svg", "--pgm")
+)
+
+# name, help, handler and the adders of its own flags, in the order help lists them
+_SUBCOMMANDS = (
+    ("classify", "classify the symmetry group of a base", cmd_classify,
+     (_flags("--matrix", required=True, help="rows a,b;c,d"),)),
+    ("member", "decide membership of a matrix", cmd_member, _BASE_MATRIX),
+    ("nc", "normalizer-condition certificates", cmd_nc,
+     (*_BASE_MATRIX, _flags("--depth", type=int, default=6))),
+    ("nl", "subshift symmetry certificate", cmd_nl, _PAIR),
+    ("phi", "evaluate the sliding-block action", cmd_phi, (*_PAIR, *_PATCH)),
+    ("subst", "substitution patches", cmd_subst,
+     (_flags("action", choices=["patch"]), _add_rule, _F, *_PATCH)),
+    ("verify-paper", "run the golden verification table", cmd_verify_paper, ()),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -535,68 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, text, func, adders in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=text)
+        for add in adders:
+            add(p)
         p.add_argument("--pretty", action="store_true", help="indented JSON")
         p.add_argument("--out", help="write the report to a file")
-
-    def pair(p):  # the (L, M) request of nl and phi
-        p.add_argument("--L", required=True)
-        p.add_argument("--M", required=True)
-        p.add_argument("--nmax", type=int, default=8)
-        p.add_argument("--F", help="fundamental domain, vectors split by ';'")
-
-    def patch(p):  # the patch of phi and subst
-        p.add_argument("--box", required=True, help="lo:hi output box")
-        p.add_argument("--seed")
-        p.add_argument("--svg")
-        p.add_argument("--pgm")
-
-    p = sub.add_parser("classify", help="classify the symmetry group of a base")
-    p.add_argument("--matrix", required=True, help="rows a,b;c,d")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("member", help="decide membership of a matrix")
-    p.add_argument("--base", required=True)
-    p.add_argument("--matrix", required=True)
-    common(p)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("nc", help="normalizer-condition certificates")
-    p.add_argument("--base", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--depth", type=int, default=6)
-    common(p)
-    p.set_defaults(func=cmd_nc)
-
-    p = sub.add_parser("nl", help="subshift symmetry certificate")
-    pair(p)
-    common(p)
-    p.set_defaults(func=cmd_nl)
-
-    p = sub.add_parser("phi", help="evaluate the sliding-block action")
-    pair(p)
-    patch(p)
-    common(p)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("subst", help="substitution patches")
-    p.add_argument("action", choices=["patch"])
-    rule = p.add_mutually_exclusive_group(required=True)
-    rule.add_argument("--L")
-    rule.add_argument("--subst", help="substitution description JSON file")
-    p.add_argument("--F", help="fundamental domain, vectors split by ';'")
-    patch(p)
-    common(p)
-    p.set_defaults(func=cmd_subst)
-
-    p = sub.add_parser("verify-paper", help="run the golden verification table")
-    common(p)
-    p.set_defaults(func=cmd_verify_paper)
-
-    for name, p in sub.choices.items():
-        p.set_defaults(command=name)
+        p.set_defaults(func=func, command=name)
     ap.commands = sub.choices  # name -> subcommand parser, for main's dispatch
     return ap
 

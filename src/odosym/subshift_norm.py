@@ -296,7 +296,7 @@ def _truncated_level(domain: FundamentalDomain, window: tuple, patch: dict, pos:
 
 def _fixed_point_image(rule: LocalRule, seed: Vec, runs) -> list[Vec]:
     """The letters of the rule's image of the fixed point seeded by seed on the
-    cells t, t + e_d, ... of runs (first cell t, length), as box_rows gives a box's
+    cells t, t + e_d, ... of runs (first cell t, length >= 1), as box_rows gives a box's
     rows, in run order.  No window is read: with u = M^{-1} t = L^p w, w not in
     L(Z^d), the letter at t is w's digit at level min(p, n0) (as _truncated_level
     decodes it), and the origin holds the seed at n0.  A run is read level by level:
@@ -305,7 +305,6 @@ def _fixed_point_image(rule: LocalRule, seed: Vec, runs) -> list[Vec]:
     slice.  Its class j of key 0 is level l + 1: u = L^{-1} u_j, s_{l+1} = L^{-1} P_l
     s_l, stride P_l.  s_l depends on no run, and letters, j and P_l only on (l, first
     key, n): each is formed once per call.  One cell walks its descent."""
-    runs = [r for r in runs if r[1] > 0]
     domain, n0, per_level, m_inv = rule.domain, rule.n0, rule.per_level, rule.m_inv.rows
     origin, rep_of_key = per_level[n0][_as_letter(seed, per_level[n0])], domain._rep_of_key
     out, end, steps, table = [None] * sum(n for _, n in runs), 0, [tuple(zip(*m_inv))[-1]], {}

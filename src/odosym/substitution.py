@@ -36,26 +36,26 @@ HALF_HEX_SUPPORT = ((0, 0), (1, 0), (0, 1), (1, -1))
 
 
 class ConstantShapeSubstitution(_Record):
-    """Rule letter -> pattern supported on a fixed fundamental domain, of base L = domain.base."""
+    """Rule letter -> pattern supported on a fixed fundamental domain, of base L = domain.base;
+    the letters are the table's keys."""
 
     domain: FundamentalDomain
-    alphabet: frozenset
     table: dict
 
-    def __init__(self, domain: FundamentalDomain, alphabet: frozenset, table: dict):
-        super().__init__(domain, alphabet, table)
+    def __init__(self, domain: FundamentalDomain, table: dict):
+        super().__init__(domain, table)
         # tau strips factors of L and would never stop on a non-expansion base
         _require_expansion(self.base)
         support = set(self.domain.reps)
-        for letter in self.alphabet:
-            if letter not in self.table:
-                raise ValueError(f"no image pattern for letter {letter}")
-            if set(self.table[letter]) != support:
+        for letter, image in self.table.items():
+            if set(image) != support:
                 raise ValueError("image patterns must be supported exactly on F1")
-            if not self.alphabet.issuperset(self.table[letter].values()):
+            if not self.alphabet.issuperset(image.values()):
                 raise ValueError(f"the image of {letter} uses a letter outside the alphabet")
-        if stray := self.table.keys() - self.alphabet:
-            raise ValueError(f"the table has an image for {min(stray)}, outside the alphabet")
+
+    @cached_property
+    def alphabet(self) -> frozenset:
+        return frozenset(self.table)
 
     @property
     def base(self) -> IntMatrix:
@@ -64,9 +64,6 @@ class ConstantShapeSubstitution(_Record):
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def image(self, letter: Letter) -> dict:
-        return self.table[letter]
 
     @cached_property
     def _forced(self) -> dict:
@@ -104,8 +101,7 @@ def sigma_L(base: IntMatrix, domain: FundamentalDomain | None = None) -> Constan
         domain = fundamental_domain(base)
     if domain.base != base:
         domain = validate_domain(base, domain.reps)
-    table = _sigma_table(domain)
-    return ConstantShapeSubstitution(domain, frozenset(table), table)
+    return ConstantShapeSubstitution(domain, _sigma_table(domain))
 
 
 def _require_two_letters(base: IntMatrix) -> None:
@@ -182,7 +178,7 @@ def fixed_point_patch(
 
 def _fixed_at_origin(s: ConstantShapeSubstitution, letter: Letter) -> bool:
     """True when the letter is fixed at the origin of its own image, so it seeds a fixed point."""
-    return s.image(letter)[zero_vec(s.dim)] == letter
+    return s.table[letter][zero_vec(s.dim)] == letter
 
 
 def _as_letter(seed: Letter, letters) -> Letter:
@@ -193,24 +189,18 @@ def _as_letter(seed: Letter, letters) -> Letter:
     return seed
 
 
-def _checked_seed(s: ConstantShapeSubstitution, seed: Letter) -> Letter:
-    """seed as a tuple, once it is a letter fixed at the origin of its own image."""
-    seed = _as_letter(seed, s.alphabet)
-    if not _fixed_at_origin(s, seed):
-        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
-    return seed
-
-
 def _fixed_point_reader(s: ConstantShapeSubstitution, seed: Letter):
     """letter_at(pos): the fixed point's letter at the integer tuple pos, or
-    None where the digit walk circles.  The letter at L j + f is image(letter
-    at j)[f].  An offset f where all images agree (for sigma_L, a nonzero
+    None where the digit walk circles.  The letter at L j + f is table[letter
+    at j][f].  An offset f where all images agree (for sigma_L, a nonzero
     digit) forces its letter; other cells walk j = L^{-1}(pos - f) down to a
     forced cell or to the origin, which holds the seed, a letter fixed at the
     origin of its own image.  The walks share a memo of the unforced cells,
     so no cell is walked twice and a walk that comes back to one of its cells
     circles."""
-    seed, zero = _checked_seed(s, seed), zero_vec(s.dim)
+    seed, zero = _as_letter(seed, s.alphabet), zero_vec(s.dim)
+    if not _fixed_at_origin(s, seed):
+        raise ValueError(f"seed {seed} is not fixed at the origin of its image")
     known, rep_of_key, forced, table = {zero: seed}, s.domain._rep_of_key, s._forced.get, s.table
     reduce, solve = s.domain.hnf_basis.reduce_vec, s.base.solve_exact
 

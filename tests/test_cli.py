@@ -577,7 +577,7 @@ def test_subst_description_file_with_table(capsys, tmp_path):
     # explicit table equal to the digit rule: behavior must match
     hh = half_hex()
     table = {
-        ",".join(map(str, a)): [[list(f), list(b)] for f, b in sorted(hh.image(a).items())]
+        ",".join(map(str, a)): [[list(f), list(b)] for f, b in sorted(hh.table[a].items())]
         for a in hh.alphabet
     }
     desc = tmp_path / "rule.json"
@@ -680,7 +680,7 @@ def test_a_non_expansion_base_is_named_in_one_message(argv, capsys):
 def test_a_rule_on_a_non_expansion_base_is_named_in_the_same_message():
     L = parse_matrix(SHEAR)
     with pytest.raises(NotExpansionError) as raised:
-        ConstantShapeSubstitution(fundamental_domain(L), frozenset(), {})
+        ConstantShapeSubstitution(fundamental_domain(L), {})
     assert f"odosym: NotExpansionError: {raised.value}\n" == NOT_AN_EXPANSION
 
 

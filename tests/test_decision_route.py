@@ -8,12 +8,15 @@ answer.
 """
 
 import hashlib
+import json
 import random
 from collections import Counter
 
 from tests_shared import count_matrix_builds
 
-from odosym.classify2d import is_member
+from odosym import subshift_norm
+from odosym.classify2d import MembershipVerdict, is_member
+from odosym.cli import main
 from odosym.intmat import IntMatrix, is_expansion
 from odosym.odometer import nc_bounded_check
 
@@ -96,3 +99,24 @@ def test_route_builds_no_matrix_after_the_call(monkeypatch):
     assert built == []
     assert all(c.present for c in nc_bounded_check(L, flip, 6))
     assert built == []
+
+
+def test_the_nc_walk_at_nmax_cannot_stand_in_for_is_member_in_d_2(monkeypatch, capsys):
+    # 1,256;0,1 moves (0, 1), an eigenline that every member of 2,0;0,3's group
+    # fixes, so it is no member and nl rejects it exactly.  Its NC walk passes
+    # through depth 8 = nmax, as L^-n M L^m is integral from m = n on while 2^n
+    # divides 256, so "Absent by depth nmax" does not see it; and without
+    # is_member the conjugate walk calls it residue-unstable only.  A 2-D route
+    # through the NC walk alone would lose this exact rejection
+    nl = ["nl", "--L", "2,0;0,3", "--M", "1,256;0,1"]
+    assert main(nl) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["reason"] == "not-odometer-member"
+    assert result["detail"] == "is_member: unit-eigenlines, witness [0, -256]"
+    assert main(["nc", "--base", "2,0;0,3", "--matrix", "1,256;0,1", "--depth", "8"]) == 0
+    certs = json.loads(capsys.readouterr().out)["result"]["certificates"]
+    assert [(c["n"], c["m"]) for c in certs] == [(n, n) for n in range(1, 9)]
+    member = MembershipVerdict(True, "full-gl2")
+    monkeypatch.setattr(subshift_norm, "is_member", lambda L, M: member)
+    assert main(nl) == 4
+    assert json.loads(capsys.readouterr().out)["result"]["reason"] == "residue-unstable"

@@ -705,13 +705,13 @@ def test_fiber_points_orbit_like_point():
 
 def test_fiber_points_needs_self_similar():
     hh = half_hex()
-    table = {a: dict(hh.image(a)) for a in hh.alphabet}
+    table = {a: dict(hh.table[a]) for a in hh.alphabet}
     a0 = min(table)
     table[a0] = dict(table[a0])
     table[a0][(1, 0)] = (0, 1)  # a non-digit letter at the (1,0) slot
     from odosym.substitution import ConstantShapeSubstitution
 
-    broken = ConstantShapeSubstitution(domain=hh.domain, alphabet=hh.alphabet, table=table)
+    broken = ConstantShapeSubstitution(domain=hh.domain, table=table)
     with pytest.raises(WrongBranchError):
         fiber_points(broken, (0, 0), 3)
 

@@ -263,7 +263,7 @@ def substitute(s, p):
     cells = {}
     for j, a in p.items():
         lj = s.base.mul_vec(j)
-        for f, b in s.image(a).items():
+        for f, b in s.table[a].items():
             cells[vec_add(lj, f)] = b
     return cells
 
