@@ -236,10 +236,11 @@ def _load_substitution(path: str) -> tuple:
         return domain, None
     if not isinstance(table, dict) or not table:
         raise ValueError(f"{path}: field 'table': expected a non-empty object, got {table!r}")
-    images = {
-        parse_vector(letter): _field(path, f"table.{letter}", _image, cells)
-        for letter, cells in table.items()
-    }
+    images, keys = {}, {}
+    for key, cells in table.items():
+        if (first := keys.setdefault(letter := parse_vector(key), key)) != key:
+            raise ValueError(f"{path}: field 'table': keys {first!r} and {key!r} are one letter")
+        images[letter] = _field(path, f"table.{key}", _image, cells)
     return domain, ConstantShapeSubstitution(domain, images)
 
 

@@ -58,8 +58,8 @@ def _conjugates(L: IntMatrix, M: IntMatrix):
     num, ln, scale, levels, first = m, _rows_mul(adj, l), 1, [], {}  # ln: det(L) L^n
     while True:
         c = None
-        if not any(x % scale for r in num for x in r):
-            c = num if scale == 1 else tuple(tuple(x // scale for x in r) for r in num)
+        if scale == 1 or not any([x % scale for r in num for x in r]):
+            c = num if scale == 1 else tuple([tuple([x // scale for x in r]) for r in num])
             assert _rows_mul(ln, c) == _rows_mul(m, ln)  # L^n C_n = M L^n, times det(L)
             if c in first:
                 yield from cycle(levels[first[c] :])
@@ -139,23 +139,34 @@ class NLRejection(_Record):
 
 
 def _residue_action(c: IntMatrix, domain: FundamentalDomain) -> tuple[tuple[Vec, Vec], ...]:
-    """The sorted pairs (f, digit of c f) over the nonzero digits f of domain."""
-    return tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
+    """The sorted pairs (f, digit of c f) over the nonzero digits f of domain.  In d = 2
+    c f's Hermite key is formed in line, as the row pass forms u's (_fixed_point_image):
+    with c = (a, b; c0, d), HNF rows ((h00, 0), (h10, h11)) and x = a f0 + b f1, it is
+    (x mod h00, (c0 f0 + d f1 - (x div h00) h10) mod h11), F's digit by _rep_of_key."""
+    if len(c.rows) != 2:
+        return tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
+    ((a, b), (c0, d)), ((h00, _), (h10, h11)) = c.rows, domain.hnf_basis.matrix.rows
+    rep = domain._rep_of_key
+    return tuple(sorted([
+        (f, rep[(x := a * f0 + b * f1) % h00, (c0 * f0 + d * f1 - x // h00 * h10) % h11])
+        for f in domain.reps for f0, f1 in [f] if f0 or f1
+    ]))
 
 
 def _level_actions(conj: tuple, k: int, domain: FundamentalDomain) -> tuple:
     """Each level's _residue_action, None below k.  C f mod L(Z^d) depends only
     on C mod |det|, the domain's number of digits, as |det| Z^d lies in L(Z^d): one
-    action per residue class of conjugates, and equal actions are one object, so
-    levels compare by id."""
+    action per residue class of conjugates, read once per distinct object, and equal
+    actions are one object, so levels compare by id."""
     det, by_class, interned, by_id = len(domain.reps), {}, {}, {}
-    for c in {id(c): c for c in conj[k:]}.values():  # one key per distinct object
-        key = tuple(x % det for row in c.rows for x in row)
-        if key not in by_class:
-            action = _residue_action(c, domain)
-            by_class[key] = interned.setdefault(action, action)
-        by_id[id(c)] = by_class[key]
-    return (None,) * k + tuple(by_id[id(c)] for c in conj[k:])
+    for c in conj[k:]:
+        if id(c) not in by_id:
+            key = tuple([x % det for row in c.rows for x in row])
+            if (action := by_class.get(key)) is None:
+                action = _residue_action(c, domain)
+                action = by_class[key] = interned.setdefault(action, action)
+            by_id[id(c)] = action
+    return (None,) * k + tuple([by_id[id(c)] for c in conj[k:]])
 
 
 # The walk's cost grows about as nmax^1.5, and the report as nmax^2 where C_n

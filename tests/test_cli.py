@@ -1124,6 +1124,19 @@ def test_subst_builds_no_sigma_L_table(capsys, monkeypatch, tmp_path):
         sigma_L(parse_matrix("3,0;0,3"))
 
 
+@pytest.mark.parametrize("twin", ["(1,0)", " 1,0"])
+def test_subst_refuses_two_table_keys_of_one_letter(capsys, tmp_path, twin):
+    # "1,0" and twin parse to one letter with another image: no key's image is
+    # silently dropped, and both keys are named
+    table = {**COVER_TABLE, twin: COVER_TABLE["0,1"]}
+    desc, F1 = tmp_path / "twin.json", [[0, 0], [0, 1], [1, 0], [1, 1]]
+    desc.write_text(json.dumps({"L": "-2,0;0,-2", "F1": F1, "table": table}))
+    assert main(["subst", "patch", "--subst", str(desc), "--box", "-2:2"]) == 2
+    err = capsys.readouterr().err
+    want = f"{desc}: field 'table': keys '1,0' and {twin!r} are one letter"
+    assert err == f"odosym: ValueError: {want}\n"
+
+
 def test_phi_builds_no_coset_table(capsys):
     # n0 = 3 and 4: the window decoder's class table would hold 128^3 and
     # 512^4 cosets (the first took 59 s and 1 GB, the second was refused);

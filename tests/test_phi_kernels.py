@@ -8,7 +8,7 @@ from itertools import combinations, count, product
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from tests_shared import (
     class_table,
@@ -393,6 +393,71 @@ def test_the_row_pass_reads_a_few_keys_per_level_not_per_cell(monkeypatch):
             got = _fixed_point_image(rule, seed, rows)
             assert 0 < len(calls) <= bound, (L, M, len(calls))
         assert got == per_cell_image(rule, seed, run_cells(rows)), (L, M)
+
+
+def digit_of_route(c, domain):
+    """_residue_action's pairs read through domain.digit_of(c.mul_vec(f)), its d != 2 route."""
+    return tuple(sorted((f, domain.digit_of(c.mul_vec(f))) for f in domain.reps if any(f)))
+
+
+def test_the_in_line_key_reads_every_phi_traffic_conjugate_like_digit_of():
+    # every distinct conjugate of every pair of the 10 phi-patch bases, the
+    # benchmark's 240 seed-0 requests among them
+    conjugates = 0
+    for L, domain, M in phi_traffic_pairs():
+        cert = nl_membership(L, M, domain=domain)
+        assert isinstance(cert, NLCertificate), (L, M)
+        for c in set(cert.conjugates):
+            assert subshift_norm._residue_action(c, domain) == digit_of_route(c, domain), (L, M, c)
+            conjugates += 1
+    assert conjugates == 3024
+
+
+SIX = st.integers(-6, 6)
+ENTRY = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.tuples(st.tuples(SIX, SIX), st.tuples(SIX, SIX)),
+    st.tuples(st.tuples(ENTRY, ENTRY), st.tuples(ENTRY, ENTRY)),
+    st.integers(0, 2**16),
+)
+@example(((2, 1), (0, 4)), ((1, 1), (0, 1)), 0)  # HNF rows ((1, 0), (4, 8)): h00 = 1, h10 = 4
+@example(((2, 1), (0, 4)), ((3, -5), (7, 2)), 9)  # the same base, F moved by lattice vectors
+@example(((1, 2), (-3, 1)), ((0, -1), (1, 0)), 5)  # HNF rows ((1, 0), (4, 7))
+@example(((2, 0), (0, 4)), ((1, 3), (0, -1)), 0)
+def test_the_in_line_key_matches_digit_of_on_random_expansions(rows, c, shift):
+    # F is the HNF box (shift 0) or a transversal with its nonzero reps moved
+    # by lattice vectors L z, z in [-3, 3]^2, so the key-to-digit table is not
+    # the identity; c is any integer matrix
+    L = IntMatrix(rows)
+    assume(is_expansion(L))
+    reps, rng = fundamental_domain(L).reps, random.Random(shift)
+    if shift:
+        moves = [L.mul_vec((rng.randint(-3, 3), rng.randint(-3, 3))) for _ in reps]
+        reps = [tuple(map(add, f, z)) if any(f) else f for f, z in zip(reps, moves)]
+    c, domain = IntMatrix(c), validate_domain(L, reps)
+    assert subshift_norm._residue_action(c, domain) == digit_of_route(c, domain)
+
+
+@pytest.mark.parametrize(
+    "L, domain, M",
+    [
+        (parse_matrix("2,0;0,4"), None, parse_matrix("1,3;0,-1")),  # diag-8, n0 = 1
+        (TWO, HH_DOMAIN, parse_matrix("2,1;1,1")),  # half-hex
+        (parse_matrix("2,1;0,4"), None, parse_matrix("1,1;0,1")),  # HNF rows ((1, 0), (4, 8))
+    ],
+    ids=["diag-8", "half-hex", "2,1;0,4"],
+)
+def test_a_2d_certificate_reduces_no_vector(monkeypatch, L, domain, M):
+    # each class's digit action forms its keys in line: no HnfBasis.reduce_vec call
+    domain = fundamental_domain(L) if domain is None else domain
+    with monkeypatch.context() as patched:
+        patched.setattr(HnfBasis, "reduce_vec", lambda h, v: pytest.fail(f"reduce_vec({v})"))
+        cert = nl_membership(L, M, domain=domain)
+    assert isinstance(cert, NLCertificate) and cert.k == 0, (L, M)
+    assert all(a == digit_of_route(c, domain) for a, c in zip(cert.actions, cert.conjugates))
 
 
 # sigma_L on d = 1, 2 and 3: negative dets, the non-diagonal bases 2,1;0,4,
