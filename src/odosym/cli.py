@@ -5,9 +5,11 @@ computes, and returns an Answer: the echoed inputs, the result payload,
 the exit code and, for `phi` and `subst`, the patch to render.  `main`
 alone parses the command line, times the request, builds and writes the
 report, renders `--svg` and `--pgm`, and maps every error to an exit code.
-The parsers are built once per process.  A command line that starts with
-a subcommand is parsed by that subcommand's parser alone, and any other
-line by the full parser; usage errors read the same either way.
+The parser is built once per process, with a flag table per subcommand
+read off its actions.  A command line is walked against its subcommand's
+table; a line the walk cannot take whole (help, --version, an abbreviation,
+an unknown flag, a missing or bad value, subst, no subcommand) goes to
+argparse, so every namespace, help and usage error is argparse's.
 
 Exit codes: 0 success or member, 3 definite negative (for nl and phi, M
 outside the odometer's group in d = 2), 4 bounded verification
@@ -202,10 +204,10 @@ _domains, _held = {}, 0  # _parse_domain_arg's F, least recently used first, and
 _parse_domain_arg.cache_clear = _clear_domains
 
 
-def _field(path: str, name: str, build, value):
-    """build(value); a value of the wrong type or shape raises an error naming the field."""
+def _field(path: str, name: str, build, *values):
+    """build(*values); a value of the wrong type or shape raises an error naming the field."""
     try:
-        return build(value)
+        return build(*values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: field {name!r}: {exc}") from None
 
@@ -216,6 +218,16 @@ def _vectors(items) -> list:
 
 def _image(cells) -> dict:
     return {tuple(map(index, pos)): tuple(map(index, val)) for pos, val in cells}
+
+
+def _letter(key: str, dim: int) -> tuple:
+    """A table key's letter, a vector of dimension dim; its errors name the key."""
+    try:
+        if len(letter := parse_vector(key)) == dim:
+            return letter
+        raise ValueError(f"{len(letter)} coordinates, L has dimension {dim}")
+    except ValueError as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
 
 
 def _load_substitution(path: str) -> tuple:
@@ -238,7 +250,8 @@ def _load_substitution(path: str) -> tuple:
         raise ValueError(f"{path}: field 'table': expected a non-empty object, got {table!r}")
     images, keys = {}, {}
     for key, cells in table.items():
-        if (first := keys.setdefault(letter := parse_vector(key), key)) != key:
+        letter = _field(path, "table", _letter, key, base.dim)
+        if (first := keys.setdefault(letter, key)) != key:
             raise ValueError(f"{path}: field 'table': keys {first!r} and {key!r} are one letter")
         images[letter] = _field(path, f"table.{key}", _image, cells)
     return domain, ConstantShapeSubstitution(domain, images)
@@ -529,17 +542,14 @@ def cmd_verify_paper(args) -> Answer:
 
 
 def _flags(*names, **settings):
-    """An adder of one flag per name, each with these settings."""
-    def add(p):
-        for name in names:
-            p.add_argument(name, **settings)
-    return add
+    """An adder of one flag per name, each with these settings, that returns their actions."""
+    return lambda p: [p.add_argument(name, **settings) for name in names]
 
 
 def _add_rule(p):  # subst's rule: sigma_L of --L, or a description file
     rule = p.add_mutually_exclusive_group(required=True)
-    rule.add_argument("--L")
-    rule.add_argument("--subst", help="substitution description JSON file")
+    return [rule.add_argument("--L"),
+            rule.add_argument("--subst", help="substitution description JSON file")]
 
 
 _F = _flags("--F", help="fundamental domain, vectors split by ';'")
@@ -566,21 +576,51 @@ _SUBCOMMANDS = (
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser.  Its commands map each subcommand to its parser; its tables
+    map each subcommand with flags alone (all but subst) to what _walk reads, taken
+    from the actions add_argument returns: each flag's (dest, type, takes a value),
+    the namespace's defaults and the required dests."""
     ap = argparse.ArgumentParser(
         prog="odosym",
         description="Symmetry groups of Z^d odometers and self-similar subshifts",
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands, ap.tables = sub.choices, {}
     for name, text, func, adders in _SUBCOMMANDS:
         p = sub.add_parser(name, help=text)
-        for add in adders:
-            add(p)
-        p.add_argument("--pretty", action="store_true", help="indented JSON")
-        p.add_argument("--out", help="write the report to a file")
+        acts = [a for add in adders for a in add(p)]
+        acts += [p.add_argument("--pretty", action="store_true", help="indented JSON"),
+                 p.add_argument("--out", help="write the report to a file")]
         p.set_defaults(func=func, command=name)
-    ap.commands = sub.choices  # name -> subcommand parser, for main's dispatch
+        if all(a.option_strings for a in acts):
+            ap.tables[name] = (
+                {s: (a.dest, a.type or str, a.nargs != 0) for a in acts for s in a.option_strings},
+                {a.dest: a.default for a in acts} | {"func": func, "command": name},
+                {a.dest for a in acts if a.required},
+            )
     return ap
+
+
+def _walk(flags, defaults, required, argv):
+    """The namespace of a subcommand's flags, or None where argparse must read them:
+    a token outside the table (-h, an abbreviation), "=" on --pretty, a missing
+    value or flag, a value its type refuses or that starts with "-" and no digit."""
+    given, rest = {}, iter(argv)
+    for tok in rest:
+        flag, eq, value = tok.partition("=")
+        if (entry := flags.get(flag)) is None:
+            return None
+        dest, convert, takes = entry
+        if takes and not eq:
+            value = next(rest, "-")
+        if eq and not takes or value[:1] == "-" and not value[1:2].isdecimal():  # the fold's rule
+            return None
+        try:
+            given[dest] = convert(value) if takes else True  # a store_true
+        except ValueError:
+            return None
+    return argparse.Namespace(**defaults | given) if given.keys() >= required else None
 
 
 _FLAG = re.compile(r"--[A-Za-z][\w-]*")
@@ -599,21 +639,13 @@ def _join_flag_values(argv):
 
 
 def _parse_args(argv):
-    """The namespace of a command line, with flag values folded.
-
-    A line that starts with a subcommand is parsed by that subcommand's
-    parser alone, and the top-level parser reports the tokens it leaves,
-    as the full parse does.  Any other line (--help, --version, an unknown
-    command, none) goes through the full parser.
-    """
+    """The namespace of a command line: its subcommand's table walks it, or the full
+    parser reads it, flag values folded, where the walk cannot (see _walk) or there
+    is no table (--help, --version, subst, an unknown command, none)."""
     ap = build_parser()
-    argv = _join_flag_values(argv)
-    if not argv or argv[0] not in ap.commands:
-        return ap.parse_args(argv)
-    args, extras = ap.commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        ap.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    if argv and (table := ap.tables.get(argv[0])) and (args := _walk(*table, argv[1:])):
+        return args
+    return ap.parse_args(_join_flag_values(argv))
 
 
 def main(argv=None) -> int:

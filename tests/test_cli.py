@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_shared import coordinate_formula
+from tests_shared import BENCH, bench_module, coordinate_formula
 
 import odosym
 from odosym import cli, intmat, substitution
@@ -227,17 +226,6 @@ def test_a_cached_skeleton_cannot_be_changed_by_a_caller(capsys):
     assert json.loads(first)["payload_hash"] == PHI_PAYLOAD_HASHES["half-hex"][1]
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _bench_module(name):
-    """A module of the benchmark, loaded from its file under its own name."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _phi_reports(argvs, capsys):
     """Each request's report with timing_ms masked, and its exit code."""
     out = []
@@ -251,7 +239,7 @@ def test_golden_phi_reports_are_the_same_from_a_cold_and_a_warm_domain_cache(cap
     # the benchmark's 64 seed-0 phi requests: each cold (the cache emptied
     # before it), then all again warm, byte for byte, and every patch the
     # recorded one
-    workloads = _bench_module("workloads")
+    workloads = bench_module("workloads")
     requests = workloads.PhiPatch().requests(0, 64)
     golden = json.loads((BENCH / "phi_digests.json").read_text())
     cold = []
@@ -388,7 +376,7 @@ def test_the_benchmark_clear_caches_empties_the_domain_cache(capsys):
     assert main(["nl", "--L", "3,0;0,3", "--M", "0,1;1,0"]) == 0
     capsys.readouterr()
     assert cli._domains
-    _bench_module("tracing").clear_caches()
+    bench_module("tracing").clear_caches()
     assert cli._domains == {}
     assert main(["nl", "--L", "3,0;0,3", "--M", "0,1;1,0"]) == 0
     capsys.readouterr()
@@ -1135,6 +1123,21 @@ def test_subst_refuses_two_table_keys_of_one_letter(capsys, tmp_path, twin):
     err = capsys.readouterr().err
     want = f"{desc}: field 'table': keys '1,0' and {twin!r} are one letter"
     assert err == f"odosym: ValueError: {want}\n"
+
+
+@pytest.mark.parametrize("key, why", [
+    ("1,x", "bad integer 'x' at position 2"),
+    ("1,0,0", "3 coordinates, L has dimension 2"),
+], ids=["not-a-vector", "wrong-length"])
+def test_subst_names_a_bad_table_key(capsys, tmp_path, key, why):
+    # a key that is not a vector, or not of L's dimension, is refused under
+    # the field "table" with the key named, before any image is read
+    table = {**COVER_TABLE, key: COVER_TABLE["0,1"]}
+    desc, F1 = tmp_path / "key.json", [[0, 0], [0, 1], [1, 0], [1, 1]]
+    desc.write_text(json.dumps({"L": "-2,0;0,-2", "F1": F1, "table": table}))
+    assert main(["subst", "patch", "--subst", str(desc), "--box", "-2:2"]) == 2
+    want = f"{desc}: field 'table': key {key!r}: {why}"
+    assert capsys.readouterr().err == f"odosym: ValueError: {want}\n"
 
 
 def test_phi_builds_no_coset_table(capsys):

@@ -1,7 +1,9 @@
 """Shared random generators and oracles for the test suite (seeded by each test)."""
 
+import importlib.util
 from itertools import product
 from operator import index
+from pathlib import Path
 
 from odosym.classify2d import FullGL2, NormalizerClass, _order_units, _require_expansion_2x2
 from odosym.errors import DepthError, MarginError, WindowError, WrongBranchError
@@ -17,6 +19,17 @@ from odosym.intmat import (
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
 from odosym.substitution import _strip_base, box_positions, sigma_L, tau, valuation
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    """A module of the benchmark, loaded from its file under its own name."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def commutes(a: IntMatrix, b: IntMatrix) -> bool:
