@@ -9,7 +9,9 @@ The parser is built once per process, with a flag table per subcommand
 read off its actions.  A command line is walked against its subcommand's
 table; a line the walk cannot take whole (help, --version, an abbreviation,
 an unknown flag, a missing or bad value, subst, no subcommand) goes to
-argparse, so every namespace, help and usage error is argparse's.
+argparse, so every namespace, help and usage error is argparse's.  `phi`
+builds one local rule, each letter mapped straight to its report text, and
+echoes the kept F's base, whose text, kept on the matrix, is formed once.
 
 Exit codes: 0 success or member, 3 definite negative (for nl and phi, M
 outside the odometer's group in d = 2), 4 bounded verification
@@ -344,7 +346,7 @@ def _nl_request(args):
     _require_product(base, mat)  # before F is built, which costs |det|
     domain = _parse_domain_arg(base, args.F)
     inputs = {
-        "L": format_matrix(base),
+        "L": format_matrix(domain.base),  # the kept F's base: its text is formed once
         "M": format_matrix(mat),
         "nmax": args.nmax,
         "F": [*domain.texts.values()],
@@ -378,11 +380,10 @@ def cmd_phi(args) -> Answer:
     inputs["box"] = args.box
     if isinstance(outcome, NLRejection):
         return Answer(inputs, outcome.to_payload(), _rejection_code(outcome))
-    rule, text = build_local_rule(outcome), outcome.domain.texts
-    seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
     # each letter to its report text, so the row pass writes what make_report fills in
-    per_level = tuple({a: text[b] for a, b in lv.items()} for lv in rule.per_level)
-    rule, box = LocalRule(rule.domain, rule.m_inv, rule.n0, per_level), (lo, hi, base.dim)
+    text = outcome.domain.texts
+    rule, box = build_local_rule(outcome, text), (lo, hi, base.dim)
+    seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
     texts = _fixed_point_image(rule, seed, box_rows(*box))
     result = {"certificate": outcome.to_payload(), "seed": text[seed]}
     return Answer(inputs, result, patch=(box, texts))

@@ -80,18 +80,16 @@ class _Record:
         cls._fields = tuple(f for f in cls._params if f not in cls._uncompared)
 
     def __init__(self, *args, **kwargs):
-        cls, params = type(self), self._params
+        params = self._params
         if len(args) > len(params):
-            raise TypeError(f"{cls.__name__} takes {len(params)} fields, got {len(args)}")
-        values = dict(zip(params, args))
-        for name in params[len(args):]:
+            raise TypeError(f"{type(self).__name__} takes {len(params)} fields, got {len(args)}")
+        for name in params[len(args):]:  # an all-positional call fills the dict in one step
             if name not in kwargs:
-                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
-            values[name] = kwargs.pop(name)
+                raise TypeError(f"{type(self).__name__} is missing the field {name!r}")
+            args += (kwargs.pop(name),)
         if kwargs:
-            raise TypeError(f"{cls.__name__} got an unexpected field {next(iter(kwargs))!r}")
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+            raise TypeError(f"{type(self).__name__} got an unexpected field {next(iter(kwargs))!r}")
+        self.__dict__.update(zip(params, args))
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -216,6 +214,12 @@ def _require_product(a: IntMatrix, b: IntMatrix) -> None:
     n, k = len(a.rows), len(b.rows)
     if k != n:
         raise ValueError(f"cannot multiply a {n}x{n} matrix by a {k}x{k} one")
+
+
+def _of_rows(rows) -> IntMatrix:
+    """The IntMatrix of rows the code computed, a square tuple of int tuples: not checked again."""
+    (m := object.__new__(IntMatrix)).__dict__["rows"] = rows
+    return m
 
 
 def _inv_unimodular(u: IntMatrix) -> IntMatrix:
@@ -512,44 +516,42 @@ def _all_roots_in_open_unit_disk(c: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int(token: str, pos: int) -> int:
-    tok = token.strip()
-    try:
-        return int(tok)
-    except ValueError:
-        raise MatrixParseError(
-            f"bad integer {tok!r} at position {pos}", token=tok, position=pos
-        ) from None
+def _parse_ints(body: str, pos: int = 0) -> Vec:
+    """The integers of body's ','-separated tokens; a bad one is named with its position,
+    body starting at position pos of the text."""
+    out = []
+    for token in body.split(","):
+        try:
+            out.append(int(tok := token.strip()))
+        except ValueError:
+            msg = f"bad integer {tok!r} at position {pos}"
+            raise MatrixParseError(msg, token=tok, position=pos) from None
+        pos += len(token) + 1
+    return tuple(out)
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    rows = []
-    pos = 0
+    rows, pos = [], 0
     for chunk in text.strip().split(";"):
-        row = []
-        for token in chunk.split(","):
-            row.append(_parse_int(token, pos))
-            pos += len(token) + 1
-        rows.append(tuple(row))
+        rows.append(_parse_ints(chunk, pos))
+        pos += len(chunk) + 1  # a ';' counts as a ',' does
     if any([len(r) != len(rows) for r in rows]):
         raise MatrixParseError(f"not a square matrix: {text!r}", token=text, position=0)
-    return IntMatrix(rows)
+    return _of_rows(tuple(rows))
 
 
 def parse_vector(text: str) -> Vec:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    out = []
-    pos = 0
-    for token in body.split(","):
-        out.append(_parse_int(token, pos))
-        pos += len(token) + 1
-    return tuple(out)
+    return _parse_ints(body)
 
 
 def format_matrix(m: IntMatrix) -> str:
-    return ";".join([",".join(map(str, r)) for r in m.rows])
+    """m's text, formed once and kept on m, as _inverse and _pass are."""
+    if (text := m.__dict__.get("_text")) is None:
+        text = m.__dict__["_text"] = ";".join([",".join(map(str, r)) for r in m.rows])
+    return text
 
 
 def format_vector(v: Vec) -> str:

@@ -11,7 +11,8 @@ The sliding-block realization applies, at each position, the coset
 permutation of its truncated digit level: on the fixed point the truncated
 valuation, read level by level along the box's rows (phi's route); on any
 other patch the level read straight off the window pattern (so shifted
-patches evaluate correctly), which only this patch route decodes.
+patches evaluate correctly), which only this patch route decodes.  phi's
+rule maps each letter straight to its report text (build_local_rule's text).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .intmat import (
     _apply,
     _digit_guard,
     _inv_unimodular,
+    _of_rows,
     _require_expansion,
     _require_product,
     _rows_mul,
@@ -64,7 +66,7 @@ def _conjugates(L: IntMatrix, M: IntMatrix):
             if c in first:
                 yield from cycle(levels[first[c] :])
             first[c] = len(levels)
-            c = M if c is m else IntMatrix(c)
+            c = M if c is m else _of_rows(c)
         levels.append(c)
         yield c
         ln, num, scale = _rows_mul(ln, l), _rows_mul(left, l), scale * det
@@ -256,18 +258,19 @@ class LocalRule(_Record):
     per_level: tuple[dict, ...]
 
 
-def build_local_rule(cert: NLCertificate) -> LocalRule:
+def build_local_rule(cert: NLCertificate, text: dict | None = None) -> LocalRule:
     """The per-level permutations, the certificate's actions[v]: no window is
     read and no sigma_L built.  M L^v a = L^v C_v a, and C_v maps L(Z^d) onto
     itself, so sigma_L's letter there, tau(C_v a), is the digit of C_v a.  A
-    certificate with k > 0 has no conjugate at level k - 1 < n0, and is refused."""
+    certificate with k > 0 has no conjugate at level k - 1 < n0, and is refused.
+    With text (phi's), each letter goes straight to its image's text."""
     _require_two_letters(cert.L)
     if cert.k:
         first = cert.conjugates.index(None)
         raise MissingCertificateError(f"no integral conjugate at level {first}")
-    n0 = cert.n0
-    per_level = tuple(map(dict, cert.actions[: n0 + 1]))
-    return LocalRule(cert.domain, _inv_unimodular(cert.M), n0, per_level)
+    acts = cert.actions[: cert.n0 + 1]
+    per_level = [{a: text[b] for a, b in act} for act in acts] if text else map(dict, acts)
+    return LocalRule(cert.domain, _inv_unimodular(cert.M), cert.n0, tuple(per_level))
 
 
 def _window(domain: FundamentalDomain, n0: int) -> tuple[tuple[Vec, ...], ...]:

@@ -314,7 +314,7 @@ def box_rows(lo: int, hi: int, d: int) -> list[tuple[Vec, int]]:
     _guard(max(hi - lo + 1, 0) ** d, f"the box {lo}:{hi} in d = {d} has", "cells")
     if hi < lo:
         return []
-    return [((*lead, lo), hi - lo + 1) for lead in product(range(lo, hi + 1), repeat=d - 1)]
+    return [(lead + (lo,), hi - lo + 1) for lead in product(range(lo, hi + 1), repeat=d - 1)]
 
 
 # ---------------------------------------------------------------------------

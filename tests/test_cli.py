@@ -15,15 +15,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_shared import BENCH, bench_module, coordinate_formula
+from tests_shared import BENCH, bench_module, coordinate_formula, count_matrix_builds
 
 import odosym
-from odosym import cli, intmat, substitution
+from odosym import cli, intmat, subshift_norm, substitution
 from odosym.cli import _join_flag_values, build_parser, main, run_verify_paper
 from odosym.errors import DomainCardinalityError, NotExpansionError, SizeGuardError
 from odosym.intmat import (
     _DIGIT_LIMIT,
     IntMatrix,
+    _Record,
     fundamental_domain,
     is_expansion,
     parse_matrix,
@@ -31,7 +32,7 @@ from odosym.intmat import (
     validate_domain,
 )
 from odosym.odometer import NcCertificate
-from odosym.subshift_norm import _fixed_point_image, build_local_rule, nl_membership
+from odosym.subshift_norm import LocalRule, _fixed_point_image, build_local_rule, nl_membership
 from odosym.substitution import (
     ConstantShapeSubstitution,
     box_positions,
@@ -274,6 +275,46 @@ def test_a_request_makes_one_faddeev_pass_per_matrix(argv, capsys, monkeypatch):
     capsys.readouterr()
     L, M = (parse_matrix(argv[i]).rows for i in (2, 4))
     assert sorted(calls) == sorted([L, M]), calls
+
+
+@pytest.mark.parametrize(
+    ("argv", "texts"),
+    [
+        (["phi", "--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-8:8"], 1),
+        (["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-8:8"], 9),
+    ],
+    ids=["scalar-3", "diag-8"],
+)
+def test_a_phi_request_builds_one_rule_and_forms_one_text_per_matrix(
+    argv, texts, capsys, monkeypatch
+):
+    # with F kept, L's text is kept on F's base: a request forms M's text and one
+    # for each conjugate the walk yields anew (C_0 is M, which a scalar L repeats),
+    # builds one rule, its letters mapped to texts, and puts none of L, M and the
+    # conjugates through IntMatrix's validating __init__
+    cli._parse_domain_arg.cache_clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    rules, calls = [], []
+    monkeypatch.setattr(
+        LocalRule, "__init__", lambda self, *a: rules.append(a) or _Record.__init__(self, *a)
+    )
+    for module in (cli, subshift_norm):
+        fmt = module.format_matrix
+        monkeypatch.setattr(
+            module, "format_matrix",
+            lambda m, fmt=fmt: calls.append((m.rows, "_text" in vars(m))) or fmt(m),
+        )
+    built = count_matrix_builds(monkeypatch)
+    assert main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)["result"]["certificate"]
+    assert len(rules) == 1
+    assert {type(text) for level in rules[0][3] for text in level.values()} == {str}
+    formed = [rows for rows, kept in calls if not kept]
+    assert len(formed) == len(set(formed)) == texts, calls
+    walked = {parse_matrix(text).rows for text in [cert["L"], cert["M"], *cert["conjugates"]]}
+    assert len(walked) == texts + 1
+    assert not walked & {tuple(map(tuple, rows)) for rows in built}, built
 
 
 def test_a_bad_domain_raises_the_same_error_on_every_call(capsys):

@@ -1,11 +1,12 @@
 import random
+import re as regex
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Poly, Rational, Symbol, factorint, im, re
-from tests_shared import count_matrix_builds, scale
+from tests_shared import ROOT, count_matrix_builds, parse_matrix_per_token, scale
 
 from odosym.errors import (
     DomainCardinalityError,
@@ -730,3 +731,77 @@ def test_parse_errors_cite_token():
     assert err.value.position is not None
     with pytest.raises(MatrixParseError):
         parse_matrix("1,2,3;4,5,6")
+
+
+def written_matrix_texts() -> dict:
+    """Per source, every quoted or backticked text with a digit in it and every value
+    of a matrix flag: README, CI and the test files."""
+    sources = {
+        "README": [ROOT / "README.md"],
+        "CI": [ROOT / ".github" / "workflows" / "tests.yml"],
+        "tests": sorted((ROOT / "tests").glob("*.py")),
+    }
+    out = {}
+    for name, paths in sources.items():
+        texts = set()
+        for path in paths:
+            text = path.read_text()
+            for groups in regex.findall(r'"([^"\n]*)"|\'([^\'\n]*)\'|`([^`\n]*)`', text):
+                texts.update(g for g in groups if any(c.isdigit() for c in g))
+            texts.update(regex.findall(r"--(?:L|M|base|matrix)[ =]([^\s\"'`]+)", text))
+        out[name] = sorted(texts)
+    return out
+
+
+# tokens the generator mixes in: signs, underscores, non-ASCII digits (Arabic-Indic
+# three, fullwidth seven), Unicode and ASCII whitespace (\x1c and \x1f, which strip()
+# takes and int() does not), and tokens int() refuses
+ODD_TOKENS = [
+    "+7", "-0", "1_000", "\u0663", "-\uff17", " 4 ", "\t5\n", "\u20036\u2003", "\x1c8", "9\x1f", "",
+    " ", "x", "1.5", "--2", "_1", "1__0", "+-1", "2_", "0x10", "\u0663\u0663", "1 2", "(1",
+]
+
+
+def generated_matrix_texts(count: int = 3000) -> list:
+    """Derandomized texts of 1 to 4 rows: mostly square rows of integers, with odd
+    tokens, rows of another length, a trailing ';' and padding mixed in."""
+    rng, out = random.Random(53), []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        rows = n if rng.random() < 0.8 else rng.randint(1, 5)
+        chunks = []
+        for _ in range(rows):
+            width = n if rng.random() < 0.9 else rng.randint(1, 5)
+            tokens = [
+                rng.choice(ODD_TOKENS) if rng.random() < 0.08 else str(rng.randint(-30, 30))
+                for _ in range(width)
+            ]
+            chunks.append(",".join(tokens))
+        text = ";".join(chunks) + (";" if rng.random() < 0.05 else "")
+        pad = rng.choice(["", "", " ", "\t", "\u2003", " \n"])
+        out.append(pad + text + rng.choice(["", "", " ", "\n"]))
+    return out
+
+
+def _parsed(parse, text):
+    try:
+        rows = parse(text).rows
+    except MatrixParseError as exc:
+        return "error", str(exc), exc.token, exc.position
+    assert all(type(x) is int for r in rows for x in r), (text, rows)
+    return "matrix", rows
+
+
+def test_parse_matrix_reads_every_text_as_the_per_token_parser():
+    # parse_matrix reads each row with the token reader parse_vector uses, the
+    # position carried across rows: the same matrix, or the same error, message,
+    # token and position
+    corpora = {**written_matrix_texts(), "generator": generated_matrix_texts()}
+    for name, texts in corpora.items():
+        kinds = set()
+        for text in texts:
+            want = _parsed(parse_matrix_per_token, text)
+            assert _parsed(parse_matrix, text) == want, (name, text)
+            kinds.add(want[0] if want[0] == "matrix" else want[1].split(":")[0][:12])
+        assert {"matrix", "bad integer "} <= kinds, (name, kinds)
+    assert {"not a square"} <= kinds, kinds

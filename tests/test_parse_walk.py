@@ -14,17 +14,13 @@ import argparse
 import ast
 import contextlib
 import io
-import json
-import re
-import shlex
 from collections import Counter
-from itertools import takewhile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_shared import bench_module
+from tests_shared import bench_module, ci_argvs, readme_argvs
 
 from odosym import cli
 from odosym.cli import _join_flag_values, _walk, build_parser
@@ -52,33 +48,6 @@ def _route(argv) -> str:
         return "argparse"
     assert args == _full(argv), argv
     return "walk"
-
-
-def readme_argvs():
-    text = (ROOT / "README.md").read_text()
-    lines = re.findall(r"(?m)^odosym (.*)$", text) + re.findall(r"`odosym ([^`]*)`", text)
-    return [shlex.split(line.split("#")[0]) for line in lines if "..." not in line]
-
-
-def ci_argvs():
-    """The workflow's odosym lines, with $RUNNER_TEMP and its one-word variables
-    filled in, and the argv lists of its Python steps."""
-    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text().replace("\\\n", " ")
-    names = dict(re.findall(r"(?m)^\s*(\w+)='([^']*)'$", text), RUNNER_TEMP="tmp")
-    out = [json.loads(f"[{m}]") for m in re.findall(r'\[("[^"\]]*"(?:, "[^"\]]*")*)\]', text)]
-    for line in text.splitlines():
-        line = re.sub(r"\$(\w+)", lambda m: names.get(m[1], m[0]), line)
-        try:
-            words = shlex.split(line)
-        except ValueError:  # a Python line of a heredoc
-            continue
-        words = words[2:] if words[:1] == ["timeout"] else words
-        if words[:1] in (["odosym"], ["check"]):
-            words = words[3:] if words[0] == "check" else words[1:]
-            argv = [*takewhile(lambda w: w not in (">", "2>", "||"), words)]
-            if not any("$" in w for w in argv):
-                out.append(argv)
-    return out
 
 
 def argvs_in_tests():

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from tests_shared import (
+    bench_module,
+    ci_argvs,
     class_table,
     coordinate_formula,
     per_cell_image,
+    phi_fixed_point_mismatches,
     rand_unimodular_steps,
+    readme_argvs,
     scale,
     substitute,
     table_level,
@@ -28,6 +32,7 @@ from odosym.intmat import (
     FundamentalDomain,
     HnfBasis,
     IntMatrix,
+    format_matrix,
     fundamental_domain,
     is_expansion,
     parse_matrix,
@@ -44,8 +49,9 @@ from odosym.substitution import (
     tau,
     valuation,
 )
-from odosym import subshift_norm, substitution
+from odosym import cli, subshift_norm, substitution
 from odosym.subshift_norm import (
+    LocalRule,
     NLCertificate,
     _fixed_point_image,
     _truncated_level,
@@ -92,7 +98,7 @@ def random_pairs():
     small = [m for m in UNIMODULAR_4 if m.max_abs() <= 2]
     out, bases = [], set()
     while len(bases) < 30:
-        L = IntMatrix(((rng.randint(-4, 4), rng.randint(-4, 4)), (rng.randint(-4, 4), rng.randint(-4, 4))))
+        L = IntMatrix([[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(2)])
         if L in bases or not 3 <= abs(L.det()) <= 8 or not is_expansion(L):
             continue
         bases.add(L)
@@ -797,3 +803,97 @@ def test_the_direct_decoder_agrees_with_the_class_table_on_every_pattern():
         assert levels == {*range(n0 + 1), WindowError}, (s.base, n0)
         patterns += (len(s.alphabet) + 1) ** len(window)
     assert patterns == 35_342
+
+
+# ---------------------------------------------------------------------------
+# off the origin, phi's patch is sigma_L's fixed point
+# ---------------------------------------------------------------------------
+
+
+def _writes_no_file(argv):
+    """argv without --svg, --pgm and --out and their values."""
+    out, words = [], iter(argv)
+    for word in words:
+        if word in ("--svg", "--pgm", "--out"):
+            next(words)
+        else:
+            out.append(word)
+    return out
+
+
+def test_phi_off_the_origin_is_the_fixed_point_on_written_and_benchmark_requests():
+    # C_p maps L(Z^d) onto itself, so M L^p Z^d = L^p Z^d and phi(x)_t = x_t for
+    # t != 0 of valuation p <= nmax: README's and CI's phi requests (cells past
+    # nmax's valuation, as on the box 1000:1063, left out) and the seed-0 stream
+    written = [
+        _writes_no_file(a)
+        for a in readme_argvs() + ci_argvs()
+        if a[:1] == ["phi"] and {"--L", "--M", "--box"} <= {*a}
+    ]
+    stream = [list(r.argv) for r in bench_module("workloads").PhiPatch().requests(0, 64)]
+    accepted = 0
+    for argv in written + stream:
+        mismatches = phi_fixed_point_mismatches(argv)
+        assert not mismatches, (argv, mismatches[:3])
+        accepted += mismatches is not None
+    assert len(written) >= 15 and accepted >= len(stream) + 12, (len(written), accepted)
+
+
+def test_phi_off_the_origin_is_the_fixed_point_on_random_bases():
+    # 120 2-D expansions with entries in [-4, 4] and |det| >= 3, with 30 unimodular
+    # M of entries in [-2, 2] each (169 accepted); 24 3-D diagonal bases with entries
+    # in +-{2, 3, 4}, with 8 products of one to three elementary steps each
+    rng = random.Random(3)
+    small = [m for m in UNIMODULAR_4 if m.max_abs() <= 2]
+    requests = []
+    while len(requests) < 120 * 30:
+        L = IntMatrix([[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(2)])
+        if abs(L.det()) >= 3 and is_expansion(L):
+            requests += [(L, m, "-6:6") for m in rng.sample(small, 30)]
+    while len(requests) < 120 * 30 + 24 * 8:
+        diag = [rng.choice([2, -2, 3, -3, 4, -4]) for _ in range(3)]
+        L = IntMatrix([[diag[i] if i == j else 0 for j in range(3)] for i in range(3)])
+        steps = [rng.randint(1, 3) for _ in range(8)]
+        requests += [(L, rand_unimodular_steps(rng, d=3, steps=n), "-3:3") for n in steps]
+    accepted = []
+    for L, M, box in requests:
+        argv = ["phi", "--L", format_matrix(L), "--M", format_matrix(M), "--box", box]
+        mismatches = phi_fixed_point_mismatches(argv)
+        assert not mismatches, (argv, mismatches[:3])
+        if mismatches is not None:
+            accepted.append((L.dim, nl_membership(L, M).n0))
+    assert {(2, 0), (2, 1), (3, 0), (3, 1)} <= {*accepted} and len(accepted) >= 190, accepted
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--L", "3,0;0,3", "--M", "0,1;1,0", "--box", "-8:8"],
+        ["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-8:8"],
+        ["phi", "--L", "4,0;0,8", "--M", "1,1;0,1", "--box", "-10:10"],
+        ["phi", "--L", "2,0,0;0,2,0;0,0,4", "--M", "1,0,1;0,1,0;0,0,1", "--box", "-3:3"],
+    ],
+    ids=["n0-0", "n0-1", "n0-2", "3d-n0-1"],
+)
+def test_a_rule_with_two_letters_swapped_at_any_level_fails_the_fixed_point_oracle(
+    argv, monkeypatch
+):
+    L, M, (lo, hi) = parse_matrix(argv[2]), parse_matrix(argv[4]), map(int, argv[-1].split(":"))
+    n0, letters, build = nl_membership(L, M).n0, sorted(sigma_L(L).alphabet), cli.build_local_rule
+    assert phi_fixed_point_mismatches(argv) == []
+    for v in range(n0 + 1):
+        # a letter the box reads at level v: the seed, at the origin, at n0; else an a
+        # whose cell M L^v a lies in the box
+        in_box = (a for a in letters if all(lo <= x <= hi for x in M.mul_vec((L**v).mul_vec(a))))
+        a = letters[0] if v == n0 else next(in_box)
+        b = next(x for x in letters if x != a)
+
+        def swapped(cert, text=None, v=v, a=a, b=b):
+            rule = build(cert, text)
+            level = {**rule.per_level[v], a: rule.per_level[v][b], b: rule.per_level[v][a]}
+            levels = (*rule.per_level[:v], level, *rule.per_level[v + 1 :])
+            return LocalRule(rule.domain, rule.m_inv, rule.n0, levels)
+
+        monkeypatch.setattr(cli, "build_local_rule", swapped)
+        assert phi_fixed_point_mismatches(argv), (argv, v, a, b)
+        monkeypatch.undo()

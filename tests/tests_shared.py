@@ -1,12 +1,18 @@
 """Shared random generators and oracles for the test suite (seeded by each test)."""
 
+import contextlib
 import importlib.util
-from itertools import product
+import io
+import json
+import re
+import shlex
+from itertools import product, takewhile
 from operator import index
 from pathlib import Path
 
 from odosym.classify2d import FullGL2, NormalizerClass, _order_units, _require_expansion_2x2
-from odosym.errors import DepthError, MarginError, WindowError, WrongBranchError
+from odosym import cli
+from odosym.errors import DepthError, MarginError, MatrixParseError, WindowError, WrongBranchError
 from odosym.intmat import (
     IntMatrix,
     Vec,
@@ -14,14 +20,25 @@ from odosym.intmat import (
     _Record,
     _require_expansion,
     hnf,
+    parse_matrix,
+    parse_vector,
+    validate_domain,
     vec_add,
 )
 from odosym.odometer import nc_bounded_check
 from odosym.subshift_norm import apply_endomorphism, pullback_positions
-from odosym.substitution import _strip_base, box_positions, sigma_L, tau, valuation
+from odosym.substitution import (
+    _strip_base,
+    box_positions,
+    fixed_point_patch,
+    sigma_L,
+    tau,
+    valuation,
+)
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def bench_module(name):
@@ -30,6 +47,33 @@ def bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def readme_argvs():
+    text = (ROOT / "README.md").read_text()
+    lines = re.findall(r"(?m)^odosym (.*)$", text) + re.findall(r"`odosym ([^`]*)`", text)
+    return [shlex.split(line.split("#")[0]) for line in lines if "..." not in line]
+
+
+def ci_argvs():
+    """The workflow's odosym lines, with $RUNNER_TEMP and its one-word variables
+    filled in, and the argv lists of its Python steps."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text().replace("\\\n", " ")
+    names = dict(re.findall(r"(?m)^\s*(\w+)='([^']*)'$", text), RUNNER_TEMP="tmp")
+    out = [json.loads(f"[{m}]") for m in re.findall(r'\[("[^"\]]*"(?:, "[^"\]]*")*)\]', text)]
+    for line in text.splitlines():
+        line = re.sub(r"\$(\w+)", lambda m: names.get(m[1], m[0]), line)
+        try:
+            words = shlex.split(line)
+        except ValueError:  # a Python line of a heredoc
+            continue
+        words = words[2:] if words[:1] == ["timeout"] else words
+        if words[:1] in (["odosym"], ["check"]):
+            words = words[3:] if words[0] == "check" else words[1:]
+            argv = [*takewhile(lambda w: w not in (">", "2>", "||"), words)]
+            if not any("$" in w for w in argv):
+                out.append(argv)
+    return out
 
 
 def commutes(a: IntMatrix, b: IntMatrix) -> bool:
@@ -355,3 +399,67 @@ def per_cell_image(rule, seed, region):
         p, key = _strip_base(domain, u, "tau") if any(u) else (n0, None)
         out.append(per_level[min(p, n0)][rep_of_key[key]] if any(u) else origin)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-token matrix parser, the oracle of parse_matrix's int() rows
+# ---------------------------------------------------------------------------
+
+
+def _parse_int_per_token(token: str, pos: int) -> int:
+    tok = token.strip()
+    try:
+        return int(tok)
+    except ValueError:
+        raise MatrixParseError(
+            f"bad integer {tok!r} at position {pos}", token=tok, position=pos
+        ) from None
+
+
+def parse_matrix_per_token(text: str) -> IntMatrix:
+    """parse_matrix as it read each token on its own: strip, int(), and a running
+    position that counts a ';' as one character, as a ',' is."""
+    rows = []
+    pos = 0
+    for chunk in text.strip().split(";"):
+        row = []
+        for token in chunk.split(","):
+            row.append(_parse_int_per_token(token, pos))
+            pos += len(token) + 1
+        rows.append(tuple(row))
+    if any([len(r) != len(rows) for r in rows]):
+        raise MatrixParseError(f"not a square matrix: {text!r}", token=text, position=0)
+    return IntMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# phi off the origin is sigma_L's fixed point
+# ---------------------------------------------------------------------------
+
+
+def phi_fixed_point_mismatches(argv) -> list | None:
+    """The cells where the patch of `odosym phi` (cli.main on argv) differs from
+    sigma_L's fixed point, as (cell, phi's letter, the oracle's), or None when
+    phi does not accept the request.
+
+    A cell t != 0 of valuation p <= nmax is L^p w, w not in L(Z^d); the rule
+    reads it as C_p's digit action on the digit of M^{-1} t, and M L^p Z^d =
+    L^p C_p Z^d = L^p Z^d, so phi(x)_t = digit(L^{-p} t) = x_t.  The origin
+    holds the certificate's residue_permutation of the seed.  The oracle is
+    the table route, fixed_point_patch of sigma_L(L, F), not the row pass."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        if cli.main(list(argv)) != 0:
+            return None
+    report = json.loads(out.getvalue())
+    inputs, result = report["inputs"], report["result"]
+    L = parse_matrix(inputs["L"])
+    s = sigma_L(L, validate_domain(L, [parse_vector(f) for f in inputs["F"]]))
+    seed, origin = parse_vector(result["seed"]), (0,) * L.dim
+    permutation = dict(result["certificate"]["residue_permutation"])
+    got = {tuple(t): tuple(a) for t, a in result["patch"]}
+    cells = [t for t in got if t != origin and valuation(s, t) <= inputs["nmax"]]
+    want = fixed_point_patch(s, seed, cells)
+    if origin in got:
+        want[origin] = parse_vector(permutation[result["seed"]])
+    return [(t, got[t], a) for t, a in want.items() if got[t] != a]
