@@ -10,8 +10,7 @@ read off its actions.  A command line is walked against its subcommand's
 table; a line the walk cannot take whole (help, --version, an abbreviation,
 an unknown flag, a missing or bad value, subst, no subcommand) goes to
 argparse, so every namespace, help and usage error is argparse's.  `phi`
-builds one local rule, each letter mapped straight to its report text, and
-echoes the kept F's base, whose text, kept on the matrix, is formed once.
+builds one local rule, each letter mapped straight to its report text.
 
 Exit codes: 0 success or member, 3 definite negative (for nl and phi, M
 outside the odometer's group in d = 2), 4 bounded verification
@@ -339,19 +338,19 @@ def cmd_nc(args) -> Answer:
 
 
 def _nl_request(args):
-    """Parse L, M and F, echo them with nmax, and run nl_membership on F's kept base,
-    whose inverse the conjugate walk reads."""
+    """Parse L, M and F and run nl_membership on F's kept base, whose inverse the
+    conjugate walk reads; the echo of nmax and F, to which _echo adds L and M."""
     base = parse_matrix(args.L)
     mat = parse_matrix(args.M)
     _require_product(base, mat)  # before F is built, which costs |det|
     domain = _parse_domain_arg(base, args.F)
-    inputs = {
-        "L": format_matrix(domain.base),  # the kept F's base: its text is formed once
-        "M": format_matrix(mat),
-        "nmax": args.nmax,
-        "F": [*domain.texts.values()],
-    }
+    inputs = {"nmax": args.nmax, "F": [*domain.texts.values()]}
     return domain.base, inputs, nl_membership(domain.base, mat, args.nmax, domain=domain)
+
+
+def _echo(inputs: dict, payload: dict) -> dict:
+    """inputs with L and M echoed by the payload's texts, so each is formatted once."""
+    return {**inputs, "L": payload["L"], "M": payload["M"]}
 
 
 def _rejection_code(outcome: NLRejection) -> int:
@@ -361,7 +360,7 @@ def _rejection_code(outcome: NLRejection) -> int:
 def cmd_nl(args) -> Answer:
     _, inputs, outcome = _nl_request(args)
     code = EXIT_OK if isinstance(outcome, NLCertificate) else _rejection_code(outcome)
-    return Answer(inputs, outcome.to_payload(), code)
+    return Answer(_echo(inputs, payload := outcome.to_payload()), payload, code)
 
 
 def _seed(s: ConstantShapeSubstitution, given: str | None) -> tuple:
@@ -379,14 +378,15 @@ def cmd_phi(args) -> Answer:
     base, inputs, outcome = _nl_request(args)
     inputs["box"] = args.box
     if isinstance(outcome, NLRejection):
-        return Answer(inputs, outcome.to_payload(), _rejection_code(outcome))
+        payload = outcome.to_payload()
+        return Answer(_echo(inputs, payload), payload, _rejection_code(outcome))
     # each letter to its report text, so the row pass writes what make_report fills in
     text = outcome.domain.texts
     rule, box = build_local_rule(outcome, text), (lo, hi, base.dim)
     seed = min(rule.per_level[0]) if args.seed is None else parse_vector(args.seed)
     texts = _fixed_point_image(rule, seed, box_rows(*box))
-    result = {"certificate": outcome.to_payload(), "seed": text[seed]}
-    return Answer(inputs, result, patch=(box, texts))
+    result = {"certificate": (payload := outcome.to_payload()), "seed": text[seed]}
+    return Answer(_echo(inputs, payload), result, patch=(box, texts))
 
 
 def cmd_subst(args) -> Answer:

@@ -216,12 +216,6 @@ def _require_product(a: IntMatrix, b: IntMatrix) -> None:
         raise ValueError(f"cannot multiply a {n}x{n} matrix by a {k}x{k} one")
 
 
-def _of_rows(rows) -> IntMatrix:
-    """The IntMatrix of rows the code computed, a square tuple of int tuples: not checked again."""
-    (m := object.__new__(IntMatrix)).__dict__["rows"] = rows
-    return m
-
-
 def _inv_unimodular(u: IntMatrix) -> IntMatrix:
     """Inverse of a matrix of determinant +-1, exact over Z, from u's kept inverse."""
     det, adj = u._inverse
@@ -537,7 +531,7 @@ def parse_matrix(text: str) -> IntMatrix:
         pos += len(chunk) + 1  # a ';' counts as a ',' does
     if any([len(r) != len(rows) for r in rows]):
         raise MatrixParseError(f"not a square matrix: {text!r}", token=text, position=0)
-    return _of_rows(tuple(rows))
+    return IntMatrix(tuple(rows))
 
 
 def parse_vector(text: str) -> Vec:
@@ -548,10 +542,7 @@ def parse_vector(text: str) -> Vec:
 
 
 def format_matrix(m: IntMatrix) -> str:
-    """m's text, formed once and kept on m, as _inverse and _pass are."""
-    if (text := m.__dict__.get("_text")) is None:
-        text = m.__dict__["_text"] = ";".join([",".join(map(str, r)) for r in m.rows])
-    return text
+    return ";".join([",".join(map(str, r)) for r in m.rows])
 
 
 def format_vector(v: Vec) -> str:

@@ -33,7 +33,6 @@ from .intmat import (
     _apply,
     _digit_guard,
     _inv_unimodular,
-    _of_rows,
     _require_expansion,
     _require_product,
     _rows_mul,
@@ -66,7 +65,7 @@ def _conjugates(L: IntMatrix, M: IntMatrix):
             if c in first:
                 yield from cycle(levels[first[c] :])
             first[c] = len(levels)
-            c = M if c is m else _of_rows(c)
+            c = M if c is m else IntMatrix(c)
         levels.append(c)
         yield c
         ln, num, scale = _rows_mul(ln, l), _rows_mul(left, l), scale * det
@@ -99,8 +98,10 @@ class NLCertificate(_Record):
         return _level_actions(self.conjugates, self.k, self.domain)
 
     def to_payload(self) -> dict:
-        # a walk that repeats yields its levels' objects again: each is formatted once
-        digit, distinct = self.domain.texts, {id(c): c for c in self.conjugates if c is not None}
+        # a walk that repeats yields its levels' objects again, and C_0 is M: each
+        # object is formatted once
+        matrices = (self.L, self.M, *self.conjugates)
+        digit, distinct = self.domain.texts, {id(c): c for c in matrices if c is not None}
         try:
             text = {key: format_matrix(c) for key, c in distinct.items()}
         except ValueError:  # an entry over the interpreter's int-to-str limit
@@ -110,8 +111,8 @@ class NLCertificate(_Record):
             raise
         return {
             "accepted": True,
-            "L": format_matrix(self.L),
-            "M": format_matrix(self.M),
+            "L": text[id(self.L)],
+            "M": text[id(self.M)],
             "n_max": self.n_max,
             "k": self.k,
             "n0": self.n0,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_shared import BENCH, bench_module, coordinate_formula, count_matrix_builds
+from tests_shared import BENCH, bench_module, coordinate_formula
 
 import odosym
 from odosym import cli, intmat, subshift_norm, substitution
@@ -280,21 +280,17 @@ def test_a_request_makes_one_faddeev_pass_per_matrix(argv, capsys, monkeypatch):
 @pytest.mark.parametrize(
     ("argv", "texts"),
     [
-        (["phi", "--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-8:8"], 1),
-        (["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-8:8"], 9),
+        (["phi", "--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-8:8"], 2),
+        (["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-8:8"], 10),
     ],
     ids=["scalar-3", "diag-8"],
 )
-def test_a_phi_request_builds_one_rule_and_forms_one_text_per_matrix(
+def test_a_phi_request_builds_one_rule_and_formats_each_matrix_once(
     argv, texts, capsys, monkeypatch
 ):
-    # with F kept, L's text is kept on F's base: a request forms M's text and one
-    # for each conjugate the walk yields anew (C_0 is M, which a scalar L repeats),
-    # builds one rule, its letters mapped to texts, and puts none of L, M and the
-    # conjugates through IntMatrix's validating __init__
-    cli._parse_domain_arg.cache_clear()
-    assert main(argv) == 0
-    capsys.readouterr()
+    # the echo takes L's and M's texts from the certificate, which formats each
+    # object once: L, M and each conjugate the walk yields anew (C_0 is M, and a
+    # scalar L repeats it); build_local_rule maps the letters straight to texts
     rules, calls = [], []
     monkeypatch.setattr(
         LocalRule, "__init__", lambda self, *a: rules.append(a) or _Record.__init__(self, *a)
@@ -302,19 +298,16 @@ def test_a_phi_request_builds_one_rule_and_forms_one_text_per_matrix(
     for module in (cli, subshift_norm):
         fmt = module.format_matrix
         monkeypatch.setattr(
-            module, "format_matrix",
-            lambda m, fmt=fmt: calls.append((m.rows, "_text" in vars(m))) or fmt(m),
+            module, "format_matrix", lambda m, fmt=fmt: calls.append(m.rows) or fmt(m)
         )
-    built = count_matrix_builds(monkeypatch)
     assert main(argv) == 0
-    cert = json.loads(capsys.readouterr().out)["result"]["certificate"]
+    report = json.loads(capsys.readouterr().out)
     assert len(rules) == 1
     assert {type(text) for level in rules[0][3] for text in level.values()} == {str}
-    formed = [rows for rows, kept in calls if not kept]
-    assert len(formed) == len(set(formed)) == texts, calls
-    walked = {parse_matrix(text).rows for text in [cert["L"], cert["M"], *cert["conjugates"]]}
-    assert len(walked) == texts + 1
-    assert not walked & {tuple(map(tuple, rows)) for rows in built}, built
+    cert = report["result"]["certificate"]
+    matrices = [cert["L"], cert["M"], *cert["conjugates"]]
+    assert len(calls) == len(set(calls)) == len({*matrices}) == texts, calls
+    assert (report["inputs"]["L"], report["inputs"]["M"]) == (cert["L"], cert["M"])
 
 
 def test_a_bad_domain_raises_the_same_error_on_every_call(capsys):

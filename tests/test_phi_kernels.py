@@ -98,7 +98,7 @@ def random_pairs():
     small = [m for m in UNIMODULAR_4 if m.max_abs() <= 2]
     out, bases = [], set()
     while len(bases) < 30:
-        L = IntMatrix([[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(2)])
+        L = IntMatrix(((rng.randint(-4, 4), rng.randint(-4, 4)), (rng.randint(-4, 4), rng.randint(-4, 4))))
         if L in bases or not 3 <= abs(L.det()) <= 8 or not is_expansion(L):
             continue
         bases.add(L)
