@@ -48,28 +48,26 @@ from .substitution import _as_letter, _require_two_letters, _strip_base
 
 
 def _conjugates(L: IntMatrix, M: IntMatrix):
-    """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral: the
-    numerators adj(L)^n M L^n walk level to level over det(L)^n, on row tuples, with
-    det(L) and adj(L) read off L's kept inverse.  C_{n+1} = L^{-1} C_n L, so once C_j
-    equals an earlier C_i the levels i..j-1 repeat without end, and their objects are
-    yielded again (a scalar L has C_1 = C_0).  Only a new yielded C_n becomes an IntMatrix."""
-    _require_product(L, M)
+    """C_n = L^{-n} M L^n for n = 0, 1, ..., or None where not integral, L and M of one size:
+    C_n on row tuples, or over a run of non-integral levels a numerator N over det(L)^j, whose
+    next is adj(L) (N L) over det(L)^{j+1}.  L N' = det(L) N L, asserted each step, certifies
+    every level by induction from N_0 = M.  Once C_j equals an earlier C_i, levels i..j-1
+    repeat without end, and their objects are yielded again.  Only a new C_n is an IntMatrix."""
     (det, adj), l, m = L._inverse, L.rows, M.rows
-    left = _rows_mul(adj, m)  # adj(L) M, the first step
-    num, ln, scale, levels, first = m, _rows_mul(adj, l), 1, [], {}  # ln: det(L) L^n
+    num, scale, levels, first = m, 1, [], {}
     while True:
         c = None
         if scale == 1 or not any([x % scale for r in num for x in r]):
-            c = num if scale == 1 else tuple([tuple([x // scale for x in r]) for r in num])
-            assert _rows_mul(ln, c) == _rows_mul(m, ln)  # L^n C_n = M L^n, times det(L)
-            if c in first:
-                yield from cycle(levels[first[c] :])
-            first[c] = len(levels)
-            c = M if c is m else IntMatrix(c)
+            if scale != 1:  # an integral level ends the run: carry C_n, over 1
+                num, scale = tuple([tuple([x // scale for x in r]) for r in num]), 1
+            if num in first:
+                yield from cycle(levels[first[num] :])
+            first[num] = len(levels)
+            c = M if num is m else IntMatrix(num)
         levels.append(c)
         yield c
-        ln, num, scale = _rows_mul(ln, l), _rows_mul(left, l), scale * det
-        left = _rows_mul(adj, num)
+        num, scale = _rows_mul(adj, step := _rows_mul(num, l)), scale * det
+        assert _rows_mul(l, num) == tuple([tuple([det * x for x in r]) for r in step])
 
 
 class NLCertificate(_Record):
@@ -172,9 +170,8 @@ def _level_actions(conj: tuple, k: int, domain: FundamentalDomain) -> tuple:
     return (None,) * k + tuple([by_id[id(c)] for c in conj[k:]])
 
 
-# The walk's cost grows about as nmax^1.5, and the report as nmax^2 where C_n
-# grows: 3,1;0,5 with M = Id took 0.03 s at nmax 1,000 and 1.4 s at 16,000, and
-# a shear on 2,0;0,4 (C_n holds 2^n) wrote 9.7 MB in 4.3 s at 8,000 (2-core Xeon).
+# The report grows as nmax^2 where C_n grows: a shear on 2,0;0,4 (C_n holds 2^n)
+# wrote 160 kB in 0.014 s at nmax 1,000 and 9.7 MB in 0.45 s at 8,000 (2-core Xeon).
 _NMAX_LIMIT = 1000
 _EXACT_REJECTION = "not-odometer-member"  # the one rejection that is a proof (_rejection)
 
@@ -200,6 +197,7 @@ def nl_membership(
         raise ValueError("n_max must be >= 4")
     if n_max > _NMAX_LIMIT:
         raise SizeGuardError(f"nmax {n_max}, over the limit of {_NMAX_LIMIT}")
+    _require_product(L, M)  # before F is built, which costs |det|
     if domain is None:
         domain = fundamental_domain(L)
     if domain.base.rows != L.rows:

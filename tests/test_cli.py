@@ -310,6 +310,26 @@ def test_a_phi_request_builds_one_rule_and_formats_each_matrix_once(
     assert (report["inputs"]["L"], report["inputs"]["M"]) == (cert["L"], cert["M"])
 
 
+@pytest.mark.parametrize(
+    ("argv", "products"),
+    [
+        (["phi", "--L", "3,0;0,3", "--M", "1,1;0,1", "--box", "-8:8"], 3),
+        (["phi", "--L", "2,0;0,4", "--M", "1,1;0,1", "--box", "-8:8"], 24),
+    ],
+    ids=["scalar-3", "diag-8"],
+)
+def test_a_phi_request_makes_three_products_a_step_in_the_walk(
+    argv, products, capsys, monkeypatch
+):
+    # a step forms N L, adj(L) (N L) and the check's L N': the scalar base
+    # repeats after one step, and diag-8 walks 8 steps to nmax 8
+    calls, mul = [], subshift_norm._rows_mul
+    monkeypatch.setattr(subshift_norm, "_rows_mul", lambda a, b: calls.append(a) or mul(a, b))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= products, len(calls)
+
+
 def test_a_bad_domain_raises_the_same_error_on_every_call(capsys):
     argv = ["nl", "--L", "2,0;0,2", "--M", "0,1;1,0", "--F", "0,0;1,0;0,1;2,0"]
     cli._parse_domain_arg.cache_clear()

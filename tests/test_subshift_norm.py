@@ -87,9 +87,11 @@ def test_conjugates_examples():
     for _ in range(10):
         m = rand_unimodular_small(rng)
         assert conjugates(TWO, m, 4) == [m] * 4
-    assert conjugates(D24, parse_matrix("1,1;0,1"), 5) == [
-        IntMatrix(((1, 2**n), (0, 1))) for n in range(5)
-    ]
+    # M = 1,1;0,1 on diag(2, 2 r): C_n = 1,r^n;0,1, integral at every level
+    for base, r in (("2,0;0,4", 2), ("2,0;0,50000", 25000)):
+        assert conjugates(parse_matrix(base), parse_matrix("1,1;0,1"), 1001) == [
+            IntMatrix(((1, r**n), (0, 1))) for n in range(1001)
+        ]
     assert conjugates(D24, parse_matrix("1,0;1,1"), 2)[1] is None
 
 
@@ -160,6 +162,29 @@ def test_the_walk_stops_at_the_period_of_the_automorph_of_a_base():
     walk = conjugates(L, automorph, 41)
     assert walk == oracle_conjugates(L, automorph, 41) == [automorph] * 41
     assert all(c is automorph for c in walk)
+
+
+def test_the_check_trips_on_a_numerator_corrupted_at_a_non_integral_level(monkeypatch):
+    # M = 1,0;1,1 on 2,0;0,4: C_n = 1,0;2^-n,1 is not integral after level 0, so the
+    # walk carries numerators over det(L)^n; the one made for level 5, corrupted,
+    # trips the step's check there, though no integral level follows
+    L, M = D24, parse_matrix("1,0;1,1")
+    adj, mul, made = L._inverse[1], subshift_norm._rows_mul, []
+
+    def corrupt(a, b):
+        out = mul(a, b)
+        if a == adj:  # adj(L) (N L): the next level's numerator
+            made.append(out)
+            if len(made) == 5:
+                return ((out[0][0] + 1, out[0][1]), out[1])
+        return out
+
+    monkeypatch.setattr(subshift_norm, "_rows_mul", corrupt)
+    walk = _conjugates(L, M)
+    assert next(walk) is M and [*islice(walk, 4)] == [None] * 4
+    with pytest.raises(AssertionError):
+        next(walk)
+    assert len(made) == 5
 
 
 PERIOD_BASES = [
@@ -299,6 +324,24 @@ def test_a_domain_of_another_base_is_refused_before_the_walk(monkeypatch):
         nl_membership(TWO, SWAP, 8)
     )
     assert len(walked) == 2 and walked[0][0] is not TWO
+
+
+def test_mismatched_sizes_are_refused_before_f_is_built(monkeypatch):
+    # with no domain given, F of 2,0;0,49999 would hold 99,998 digits; the
+    # unimodular, expansion and nmax errors still come first
+    built, real = [], subshift_norm.fundamental_domain
+    monkeypatch.setattr(subshift_norm, "fundamental_domain", lambda *a: built.append(a) or real(*a))
+    id3 = IntMatrix.identity(3)
+    with pytest.raises(ValueError, match=r"^cannot multiply a 2x2 matrix by a 3x3 one$"):
+        nl_membership(parse_matrix("2,0;0,49999"), id3)
+    for L, M, n_max, message in [
+        (TWO, parse_matrix("2,0,0;0,1,0;0,0,1"), 8, "matrix must be unimodular, det = 2"),
+        (parse_matrix("1,0;0,2"), id3, 8, "not an expansion matrix: 1,0;0,2"),
+        (TWO, id3, 3, "n_max must be >= 4"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            nl_membership(L, M, n_max)
+    assert built == []
 
 
 def test_nl_rejection_residue_unstable():
